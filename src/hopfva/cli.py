@@ -171,19 +171,25 @@ class Workspace:
         if key in self._cache:
             return self._cache[key]
         d = self._lookup("character_tables", name)
-        table = self.group(d["group"])
+        # index elements as the group algebra of this group does
+        order, table = hopf_mod.relabel_identity_first(self.group(d["group"]))
+        pos = {old: new for new, old in enumerate(order)}
+        classes = [[pos.get(g, g) for g in c] for c in d["classes"]]
         chars = []
         for ch in d["characters"]:
             mats = None
             if "matrices" in ch:
+                if len(ch["matrices"]) != len(order):
+                    raise ParseError(f"character {ch['name']!r} needs one matrix "
+                                     f"per group element")
                 mats = tuple(Matrix.from_rows(
-                    [[scalar_from_text(c) for c in row] for row in m])
-                    for m in ch["matrices"])
+                    [[scalar_from_text(c) for c in row] for row in ch["matrices"][old]])
+                    for old in order)
             chars.append(sw_mod.IrrepCharacter(
                 name=ch["name"], degree=ch["degree"],
                 values=tuple(scalar_from_text(v) for v in ch["values"]),
                 matrices=mats))
-        t = sw_mod.CharacterTable(table, [list(c) for c in d["classes"]], chars)
+        t = sw_mod.CharacterTable(table, classes, chars)
         self._cache[key] = t
         return t
 
@@ -487,8 +493,18 @@ def build_parser():
     return p
 
 
+# smallest accepted value of each numeric option
+_MINIMA = {"cap_d": 0, "order_k": 0, "laurent_b": 0, "s_max": 0,
+           "tensor_budget": 0, "mode_budget": 0, "conductor": 1, "arity_n": 2}
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for dest, least in _MINIMA.items():
+        value = getattr(args, dest)
+        if value is not None and value < least:
+            parser.error(f"--{dest.replace('_', '-')} must be at least {least}, got {value}")
     caps = Caps(degree=args.cap_d, order=args.order_k, laurent=args.laurent_b,
                 s_max=args.s_max, tensor_budget=args.tensor_budget,
                 mode_budget=args.mode_budget, conductor=args.conductor,

@@ -88,8 +88,12 @@ class MatricesRequired(HopfvaError):
     """Multiplicity-space extraction needs explicit irrep matrices."""
 
 
-class ConductorTooSmall(HopfvaError):
-    """Character values do not embed at the requested conductor."""
+class ShapeMismatch(HopfvaError):
+    """Structure data whose sizes do not match the declared dimension."""
+
+
+class InvariantViolation(HopfvaError):
+    """An internal invariant failed: a defect in hopfva, not in the input."""
 
 
 class ParseError(HopfvaError):

@@ -23,6 +23,7 @@ from .errors import (
     InvalidGroupTable,
     NotGroupAlgebra,
     NotHopfIdeal,
+    ShapeMismatch,
 )
 from .linalg import Matrix, Subspace, split_commutative_algebra
 from .scalars import as_scalar, scalar_pretty, scalar_sort_key
@@ -52,7 +53,8 @@ class FinHopfAlgebra:
                  group_like_basis=None, group_table=None, verify=True):
         self.dim = dim
         self.names = tuple(names)
-        assert len(self.names) == dim
+        if len(self.names) != dim:
+            raise ShapeMismatch(f"{len(self.names)} basis names for dimension {dim}")
         self.mul = tuple(tuple(tuple(as_scalar(c) for c in mul[i][j])
                                for j in range(dim)) for i in range(dim))
         self.unit = tuple(as_scalar(c) for c in unit)
@@ -563,19 +565,26 @@ def _validate_group_table(table):
     return rows, identity
 
 
+def relabel_identity_first(table):
+    """(order, table) with the identity first, the rest in their given order.
+
+    `order[new]` is the old index of element `new`.  The group algebra uses
+    this canonical element order, and so must anything indexed alongside it.
+    """
+    rows, identity = _validate_group_table(table)
+    order = [identity] + [i for i in range(len(rows)) if i != identity]
+    pos = {old: new for new, old in enumerate(order)}
+    return order, [[pos[rows[a][b]] for b in order] for a in order]
+
+
 def group_algebra(table, names=None) -> FinHopfAlgebra:
     """The group algebra Q[G] of a finite group given by its table.
 
     Basis elements are the group elements (identity first), Delta(g) = g(x)g,
     eps(g) = 1 and S(g) = g^{-1}.
     """
-    rows, identity = _validate_group_table(table)
-    n = len(rows)
-    # canonical order: identity first, remaining elements keep their order
-    order = [identity] + [i for i in range(n) if i != identity]
-    pos = {old: new for new, old in enumerate(order)}
-    tab = [[pos[rows[a][b]] for b in (order[j] for j in range(n))]
-           for a in (order[i] for i in range(n))]
+    order, tab = relabel_identity_first(table)
+    n = len(tab)
     if names is None:
         names = ["e"] + [f"g{i}" for i in range(1, n)]
     else:

@@ -1,10 +1,14 @@
 """Exact dense linear algebra over the scalar field.
 
-Matrices and subspaces over Q or Q(zeta_N).  Row reduction is fraction-free
-on the rational fast path (integer rows with gcd normalisation, which is the
-Bareiss-style growth control) and plain field elimination when cyclotomic
-entries are present.  Subspace bases are kept in reduced row-echelon form so
-subspace equality is representation equality.
+Matrices and subspaces over Q or Q(zeta_N).  Every row reduction goes
+through `_rref_rows`.  Rational input is reduced fraction-free (integer rows
+with gcd normalisation, which is the Bareiss-style growth control); rows of
+Python ints are taken as they are, and a row holding Fractions is cleared of
+denominators there, once, so callers that can build their rows over Z never
+create a Fraction before the result.  Cyclotomic entries switch to plain
+field elimination.  Subspace bases are kept in reduced row-echelon form so
+subspace equality is representation equality; a null space comes out in
+that form from a single reduction (`_kernel_rref`).
 
 Also hosts the primitive-idempotent splitter for commutative associative
 algebras, which drives group-like enumeration in the Hopf layer.
@@ -15,9 +19,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import SplitFailure
+from .errors import InvariantViolation, SplitFailure
 from .scalars import (
     Cyclotomic,
+    _divisors,
     as_scalar,
     common_conductor,
     cyclo_coords,
@@ -29,14 +34,21 @@ from .scalars import (
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_INT = {int}
 
 
 # ---------------------------------------------------------------------------
 # row reduction engines
 
 
-def _all_rational(rows):
-    return all(not isinstance(c, Cyclotomic) for row in rows for c in row)
+def _cleared(row):
+    """The rational row times the lcm of its denominators, as Python ints."""
+    denom = 1
+    for c in row:
+        d = c.denominator
+        if d != 1:
+            denom = denom * d // math.gcd(denom, d)
+    return [c.numerator * (denom // c.denominator) for c in row]
 
 
 def _int_normalize(row):
@@ -54,19 +66,23 @@ def _int_normalize(row):
 
 
 def _rref_int(rows, ncols, stop_at_full_rank):
-    """Fraction-free reduction of rational rows; returns leading-1 RREF."""
+    """Fraction-free reduction of integer rows.
+
+    Returns primitive integer rows with a positive entry at each pivot and
+    zeros at every other pivot column, sorted by pivot, and the pivots.
+    """
     basis = []  # (pivot_col, integer row), kept sorted by pivot_col
-    for frow in rows:
-        denom = 1
-        for c in frow:
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
-        row = [int(c * denom) for c in frow]
+    for row in rows:
         for p, b in basis:
-            if row[p]:
-                rp, bp = row[p], b[p]
+            rp = row[p]
+            if rp:
+                bp = b[p]
                 g = math.gcd(rp, bp)
                 mr, mb = bp // g, rp // g
-                row = [mr * x - mb * y for x, y in zip(row, b)]
+                if mr == 1:
+                    row = [x - mb * y for x, y in zip(row, b)]
+                else:
+                    row = [mr * x - mb * y for x, y in zip(row, b)]
         pivot = next((j for j, c in enumerate(row) if c), None)
         if pivot is None:
             continue
@@ -74,7 +90,9 @@ def _rref_int(rows, ncols, stop_at_full_rank):
         basis.append((pivot, row))
         basis.sort(key=lambda t: t[0])
         if stop_at_full_rank and len(basis) == ncols:
-            break
+            # full column rank: the reduced form is the identity
+            return [[int(i == j) for j in range(ncols)] for i in range(ncols)], \
+                tuple(range(ncols))
     # back-eliminate above each pivot
     for i in range(len(basis) - 1, -1, -1):
         p, b = basis[i]
@@ -85,11 +103,7 @@ def _rref_int(rows, ncols, stop_at_full_rank):
                 g = math.gcd(b2[p], bp)
                 m2, mb = bp // g, b2[p] // g
                 basis[k] = (q, _int_normalize([m2 * x - mb * y for x, y in zip(b2, b)]))
-    out = []
-    for p, b in basis:
-        lead = b[p]
-        out.append(tuple(Fraction(c, lead) for c in b))
-    return out, tuple(p for p, _ in basis)
+    return [b for _, b in basis], tuple(p for p, _ in basis)
 
 
 def _rref_generic(rows, ncols, stop_at_full_rank):
@@ -99,12 +113,12 @@ def _rref_generic(rows, ncols, stop_at_full_rank):
         for p, b in basis:
             c = row[p]
             if c != 0:
-                row = [x - c * y for x, y in zip(row, b)]
+                row = [x - c * y if y else x for x, y in zip(row, b)]
         pivot = next((j for j, c in enumerate(row) if c != 0), None)
         if pivot is None:
             continue
-        lead = row[pivot]
-        row = [x / lead for x in row]
+        inv = _ONE / row[pivot]
+        row = [x * inv if x else x for x in row]
         basis.append((pivot, row))
         basis.sort(key=lambda t: t[0])
         if stop_at_full_rank and len(basis) == ncols:
@@ -115,14 +129,71 @@ def _rref_generic(rows, ncols, stop_at_full_rank):
             q, b2 = basis[k]
             c = b2[p]
             if c != 0:
-                basis[k] = (q, [x - c * y for x, y in zip(b2, b)])
+                basis[k] = (q, [x - c * y if y else x for x, y in zip(b2, b)])
     return [tuple(b) for _, b in basis], tuple(p for p, _ in basis)
 
 
 def _rref_rows(rows, ncols, stop_at_full_rank=False):
-    if _all_rational(rows):
-        return _rref_int(rows, ncols, stop_at_full_rank)
-    return _rref_generic(rows, ncols, stop_at_full_rank)
+    """Reduced row-echelon form of `rows`: (reduced rows, pivot columns).
+
+    Every exact row reduction enters here.  Rows of ints go to the
+    fraction-free reducer as they are; rows holding Fractions are scaled to
+    integers here, once each; a single cyclotomic entry sends the whole
+    matrix to field elimination.  Each reduced row is zero at the other
+    pivot columns and nonzero at its own: a positive int for rational input
+    (primitive integer rows), 1 for cyclotomic input.  `_leading_ones`
+    scales them to the textbook form.
+    """
+    kinds = set()
+    for row in rows:
+        kinds.update(map(type, row))
+    if Cyclotomic in kinds:
+        scalars = [[as_scalar(c) for c in r] for r in rows]
+        return _rref_generic(scalars, ncols, stop_at_full_rank)
+    # cleared lazily: a reduction that reaches full rank early skips the rest
+    int_rows = rows if kinds <= _INT else (_cleared(row) for row in rows)
+    return _rref_int(int_rows, ncols, stop_at_full_rank)
+
+
+def _over(c, lead):
+    """c / lead as an exact scalar, for an entry and the pivot of its row."""
+    # a pivot other than 1 only occurs in the reducer's integer rows
+    return as_scalar(c) if lead == 1 else Fraction(c, lead)
+
+
+def _leading_ones(red, pivots):
+    """The rows of `_rref_rows` scaled to a 1 at each pivot, as exact scalars."""
+    return [tuple(_over(c, b[p]) for c in b) for p, b in zip(pivots, red)]
+
+
+def _kernel_rref(rows, ncols):
+    """The null space {v : row . v = 0 for all rows} as (RREF basis, pivots).
+
+    The rows are reversed in place, so callers pass lists of their own, and
+    reduced once.  The free-variable null-space basis of the reversed matrix,
+    read back in the original column order, is already the reduced echelon
+    basis: the vector of free column f has its 1 at f and its other entries
+    at pivot columns right of f, where all the other vectors vanish.
+    """
+    for row in rows:
+        row.reverse()
+    red, pivots = _rref_rows(rows, ncols, stop_at_full_rank=True)
+    last = ncols - 1
+    pivot_set = set(pivots)
+    basis = []
+    free = []
+    for fr in range(last, -1, -1):
+        if fr in pivot_set:
+            continue
+        v = [_ZERO] * ncols
+        v[last - fr] = _ONE
+        for p, b in zip(pivots, red):
+            c = b[fr]
+            if c:
+                v[last - p] = _over(-c, b[p])
+        basis.append(tuple(v))
+        free.append(last - fr)
+    return tuple(basis), tuple(free)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +330,9 @@ class Matrix:
         return list(self.entries)
 
     def rref(self):
-        rows, pivots = _rref_rows(self.row_lists(), self.cols)
-        return Matrix.from_rows(list(rows) or [[_ZERO] * self.cols]), pivots
+        red, pivots = _rref_rows(self.row_lists(), self.cols)
+        rows = _leading_ones(red, pivots)
+        return Matrix.from_rows(rows or [[_ZERO] * self.cols]), pivots
 
     def rank(self):
         _, pivots = _rref_rows(self.row_lists(), self.cols, stop_at_full_rank=True)
@@ -268,17 +340,7 @@ class Matrix:
 
     def kernel(self):
         """The full null space {v : M v = 0} as a Subspace of dim-cols space."""
-        rows, pivots = _rref_rows(self.row_lists(), self.cols)
-        pivot_set = set(pivots)
-        free = [j for j in range(self.cols) if j not in pivot_set]
-        vecs = []
-        for f in free:
-            v = [_ZERO] * self.cols
-            v[f] = _ONE
-            for r, p in enumerate(pivots):
-                v[p] = -rows[r][f]
-            vecs.append(v)
-        return Subspace.from_vectors(self.cols, vecs)
+        return Subspace(self.cols, *_kernel_rref(self.row_lists(), self.cols))
 
     def det(self):
         """Exact determinant via Bareiss-style fraction-free elimination."""
@@ -316,12 +378,12 @@ def solve(a: Matrix, b):
     """One solution x of A x = b, or None if the system is inconsistent."""
     assert len(b) == a.rows
     aug = [list(a.row(i)) + [as_scalar(b[i])] for i in range(a.rows)]
-    rows, pivots = _rref_rows(aug, a.cols + 1)
+    red, pivots = _rref_rows(aug, a.cols + 1)
     if a.cols in pivots:
         return None
     x = [_ZERO] * a.cols
-    for r, p in enumerate(pivots):
-        x[p] = rows[r][a.cols]
+    for p, b in zip(pivots, red):
+        x[p] = _over(b[a.cols], b[p])
     return x
 
 
@@ -344,7 +406,7 @@ class Subspace:
         rows = [[as_scalar(c) for c in v] for v in vectors]
         assert all(len(r) == ambient for r in rows)
         red, pivots = _rref_rows(rows, ambient)
-        return cls(ambient, tuple(red), pivots)
+        return cls(ambient, tuple(_leading_ones(red, pivots)), pivots)
 
     @classmethod
     def zero(cls, ambient):
@@ -433,11 +495,10 @@ def _minimal_polynomial(op: Matrix):
         target = (powers[-1] * op).vec()
         sol = solve(cols, target)
         if sol is not None:
-            t = len(powers)
-            coeffs = [-c for c in sol] + [_ONE]
-            return coeffs
+            return [-c for c in sol] + [_ONE]
         powers.append(powers[-1] * op)
-        assert len(powers) <= n + 1, "minimal polynomial search ran away"
+        if len(powers) > n + 1:
+            raise InvariantViolation("minimal polynomial search ran past the dimension")
 
 
 def _poly_derivative(coeffs):
@@ -453,10 +514,7 @@ def _poly_gcd_degree(a, b):
 
 def _rational_roots(coeffs):
     """All rational roots of a squarefree Fraction polynomial."""
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in coeffs]
+    ints = _cleared(coeffs)
     roots = []
     if ints[0] == 0:
         roots.append(_ZERO)
@@ -481,16 +539,6 @@ def _rational_roots(coeffs):
                     roots.append(cand)
     roots.sort()
     return roots
-
-
-def _divisors(n):
-    out = []
-    for d in range(1, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-    return sorted(out)
 
 
 def _poly_at_matrix(coeffs, m: Matrix):

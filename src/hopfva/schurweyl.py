@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MatricesRequired
-from .hopf import recognize_group_algebra
+from .hopf import _validate_group_table, recognize_group_algebra
 from .linalg import Matrix, Subspace
 from .scalars import as_scalar, scalar_conjugate
 from .vertexalg import CheckReport, Poly, poly_to_text
@@ -27,11 +27,12 @@ _ONE = Fraction(1)
 class FinGroupRep:
     """A finite group acting degree-preservingly on a graded carrier."""
 
-    __slots__ = ("table", "element_names", "backend", "monomials",
+    __slots__ = ("table", "identity", "element_names", "backend", "monomials",
                  "degree_dims", "full", "blocks")
 
     def __init__(self, table, element_names, matrices, backend=None):
         self.table = tuple(tuple(r) for r in table)
+        self.identity = _validate_group_table(self.table)[1]
         self.element_names = tuple(element_names)
         self.backend = backend
         self.monomials = backend.monomials() if backend is not None else None
@@ -62,7 +63,7 @@ class FinGroupRep:
             self.blocks.append(tuple(per_degree))
         self.blocks = tuple(self.blocks)
         ident = Matrix.identity(n)
-        if self.full[0] != ident:
+        if self.full[self.identity] != ident:
             raise ValueError("the identity element must act as the identity")
         for a in range(len(self.table)):
             for b in range(len(self.table)):
@@ -84,7 +85,7 @@ class FinGroupRep:
         return self.full[0].rows
 
     def inverse(self, g):
-        return self.table[g].index(0)
+        return self.table[g].index(self.identity)
 
     @classmethod
     def from_hopf_action(cls, act):
@@ -105,8 +106,9 @@ class FinGroupRep:
     def fixed_points(self) -> Subspace:
         n = self.carrier_dim
         rows = []
-        for m in self.full[1:]:
-            rows.extend((m - Matrix.identity(n)).row_lists())
+        for g, m in enumerate(self.full):
+            if g != self.identity:
+                rows.extend((m - Matrix.identity(n)).row_lists())
         if not rows:
             return Subspace.full(n)
         return Matrix.from_rows(rows).kernel()
@@ -123,16 +125,17 @@ class IrrepCharacter:
 class CharacterTable:
     """Conjugacy classes plus one exact character row per irreducible."""
 
-    __slots__ = ("group_table", "classes", "chars", "class_of")
+    __slots__ = ("group_table", "identity", "classes", "chars", "class_of")
 
     def __init__(self, group_table, classes, chars):
         self.group_table = tuple(tuple(r) for r in group_table)
+        self.identity = _validate_group_table(self.group_table)[1]
         n = len(self.group_table)
         self.classes = tuple(tuple(sorted(c)) for c in classes)
         seen = sorted(g for c in self.classes for g in c)
         if seen != list(range(n)):
             raise ValueError("classes do not partition the group")
-        inverse = [self.group_table[g].index(0) for g in range(n)]
+        inverse = [self.group_table[g].index(self.identity) for g in range(n)]
         self.class_of = {}
         for ci, cls_ in enumerate(self.classes):
             for g in cls_:
@@ -191,7 +194,7 @@ def verify_character_table(table: CharacterTable, rep: FinGroupRep = None) -> Ch
 
     deg_ok = (True, None)
     for ch in table.chars:
-        if ch.values[table.class_of[0]] != ch.degree:
+        if ch.values[table.class_of[table.identity]] != ch.degree:
             deg_ok = (False, ch.name)
             break
     report["degree-matches-identity-value"] = deg_ok
@@ -202,7 +205,7 @@ def verify_character_table(table: CharacterTable, rep: FinGroupRep = None) -> Ch
         if ch.matrices is None:
             continue
         mats = ch.matrices
-        if mats[0] != Matrix.identity(ch.degree):
+        if mats[table.identity] != Matrix.identity(ch.degree):
             mat_ok = (False, f"{ch.name} at identity")
             break
         for a in range(n):

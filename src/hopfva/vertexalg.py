@@ -6,18 +6,41 @@ structural question reduces to exact polynomial algebra.  Kernels of the
 coefficient maps (pi_n, Z_n) are computed in automatically enlarged scratch
 degrees, so truncation never loses kernel vectors.
 
+The coefficient maps are assembled over the integers.  Let L be the lcm of
+the denominators in the derivation, so d' = L d sends monomials to integer
+combinations, and d'^k = L^k d^k.  Scaling a row of a linear map, or the
+whole map, by a nonzero constant leaves its kernel unchanged:
+
+* pi_2 and pi_n: every row key contains the orders k of the factors, so
+  using d'^k in place of d^k scales each row by a power of L.
+* Z_2: the entry of order (s, t) is d^s u d^t v / (s! t!), with
+  s + t <= K + 2B.  Take the global factor F = (K+2B)!; s! t! divides
+  (s+t)!, which divides F, so the weight F/(s! t!) L^(K+2B-s-t) is an
+  integer, and the entry built from d'^s u d'^t v with it is F L^(K+2B)
+  times the true one.
+
+For a rational derivation the columns then hold Python ints, the
+fraction-free reducer takes them as they are, and Fractions appear only in
+the returned kernel basis.  Cyclotomic derivation coefficients pass through
+the same code as cyclotomic entries and are reduced by field elimination.
+There L covers only the rational coefficients, and a Leibniz sum whose
+irrational parts cancel can leave a rational coefficient with a denominator
+L misses; it stays a Fraction, so no denominator is ever dropped.
+
 Monomial bases are ordered degree-lexicographically throughout.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add as _add
 
 from .errors import MalformedPairs, TruncationOverflow
-from .linalg import Matrix, Subspace
-from .scalars import as_scalar, scalar_pretty, scalar_to_text
+from .linalg import Matrix, Subspace, _cleared, _kernel_rref
+from .scalars import Cyclotomic, as_scalar, scalar_pretty, scalar_to_text
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -231,6 +254,12 @@ class CommDiffVA:
         degs = [img.degree() for img in self.images if not img.is_zero()]
         # d raises total degree by at most this much (may be negative)
         self.weight = max(d - 1 for d in degs) if degs else 0
+        # L: the lcm of the derivation's rational denominators, so L d maps
+        # monomials to integer combinations (cyclotomic coefficients stay)
+        derived = self._table.values() if self._table else self.images
+        self.denominator = math.lcm(*(c.denominator for p in derived
+                                      for c in p.terms.values()
+                                      if isinstance(c, Fraction)))
         self._dmemo = {}
         self._mono_cache = {}
 
@@ -252,10 +281,6 @@ class CommDiffVA:
             out.sort(key=lambda e: (sum(e), e))
             self._mono_cache[cap] = tuple(out)
         return self._mono_cache[cap]
-
-    def monomial_index(self, cap=None):
-        monos = self.monomials(cap)
-        return {e: i for i, e in enumerate(monos)}
 
     def poly_from_coords(self, coords, cap=None):
         monos = self.monomials(cap)
@@ -361,7 +386,10 @@ def _kernel_of_columns(columns, ncols):
 
     Columns that never share a row key live in independent blocks, so the
     kernel is assembled per connected component; this is what keeps the
-    graded backends fast.
+    graded backends fast.  Each component is reduced once, to the echelon
+    basis of its kernel.  The components have disjoint column supports, so
+    the union of their echelon bases, sorted by pivot, is already the
+    echelon basis of the whole kernel.
     """
     parent = list(range(ncols))
 
@@ -379,32 +407,35 @@ def _kernel_of_columns(columns, ncols):
     row_owner = {}
     for ci, col in enumerate(columns):
         for key in col:
-            if key in row_owner:
-                union(row_owner[key], ci)
-            else:
-                row_owner[key] = ci
+            owner = row_owner.setdefault(key, ci)
+            if owner != ci:
+                union(owner, ci)
     comps = {}
     for ci in range(ncols):
         comps.setdefault(find(ci), []).append(ci)
 
-    vectors = []
-    for root in sorted(comps):
-        cols_idx = comps[root]
+    found = []  # (global pivot, vector)
+    for cols_idx in comps.values():
         keys = sorted({k for ci in cols_idx for k in columns[ci]})
-        if not keys:
-            for ci in cols_idx:
-                v = [_ZERO] * ncols
-                v[ci] = _ONE
-                vectors.append(v)
-            continue
-        rows = [[columns[ci].get(key, _ZERO) for ci in cols_idx] for key in keys]
-        local = Matrix.from_rows(rows).kernel()
-        for lv in local.basis:
+        rows = [[columns[ci].get(key, 0) for ci in cols_idx] for key in keys]
+        basis, pivots = _kernel_rref(rows, len(cols_idx))
+        for lv, lp in zip(basis, pivots):
             v = [_ZERO] * ncols
             for ci, c in zip(cols_idx, lv):
                 v[ci] = c
-            vectors.append(v)
-    return Subspace.from_vectors(ncols, vectors)
+            found.append((cols_idx[lp], tuple(v)))
+    found.sort(key=lambda t: t[0])
+    return Subspace(ncols, tuple(v for _, v in found), tuple(p for p, _ in found))
+
+
+def _mul(p, q):
+    """Product of two {exponent: coefficient} polynomials."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(map(_add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c != 0}
 
 
 @dataclass
@@ -443,57 +474,89 @@ def pi2_kernel(backend, cap=None, order=None) -> Pi2Result:
 
     columns = []
     for i in range(n):
-        for j in range(n):
-            col = {}
-            for k in range(order):  # orders 0..K-1 first
-                prod = derivs[i][k].shift(monos[j])
-                for e, c in prod.terms.items():
-                    col[(k, e)] = c
-            columns.append(col)
+        chain = derivs[i][:order]  # orders 0..K-1 first
+        for mj in monos:
+            columns.append({(k, tuple(map(_add, e, mj))): c
+                            for k, dk in enumerate(chain) for e, c in dk.items()})
     kern = _kernel_of_columns(columns, n * n)
-    stabilized, kern = _impose_order(backend, monos, kern, derivs, order)
+    stabilized, kern = _impose_order(monos, kern, derivs, order)
     return Pi2Result(kernel=kern, stabilized=stabilized, monomials=monos,
                      cap=cap, order=order)
 
 
 def _derivative_chains(backend, monos, order):
+    """d'^k m for k = 0..order and each monomial m, as {exponent: coefficient}.
+
+    d' = L d, where L is the backend's `denominator`; for a rational
+    derivation every coefficient is then a Python int.  A cyclotomic
+    derivation can still produce a rational coefficient whose denominator L
+    misses, when the irrational parts of a Leibniz sum cancel; such a
+    coefficient stays a Fraction, and the reducer clears it.
+    """
+    scale = backend.denominator
+    steps = {}
+
+    def step(e):
+        out = steps.get(e)
+        if out is None:
+            out = {}
+            for g, c in backend._monomial_derivative(e).terms.items():
+                c = c * scale
+                if isinstance(c, Fraction) and c.denominator == 1:
+                    c = c.numerator
+                out[g] = c
+            steps[e] = out
+        return out
+
     derivs = []
-    for e in monos:
-        chain = [Poly.monomial(e)]
+    for m in monos:
+        chain = [{m: 1}]
         for _ in range(order):
-            chain.append(backend.derive(chain[-1]))
+            nxt = {}
+            for e, c in chain[-1].items():
+                for g, dc in step(e).items():
+                    nxt[g] = nxt.get(g, 0) + c * dc
+            chain.append({g: c for g, c in nxt.items() if c != 0})
         derivs.append(chain)
     return derivs
 
 
-def _impose_order(backend, monos, kern, derivs, order):
-    """Restrict the order-K map to the current kernel; returns (stable, new)."""
+def _impose_order(monos, kern, derivs, order):
+    """Restrict the order-K map to the current kernel; returns (stable, new).
+
+    Each kernel vector is scaled to an integral one before it is mapped,
+    which rescales the columns of the restricted map; the new kernel is
+    spanned by the scaled vectors combined with the restricted kernel.
+    """
     if kern.is_zero():
         return True, kern
     n = len(monos)
+    vectors = [v if any(isinstance(c, Cyclotomic) for c in v) else _cleared(v)
+               for v in kern.basis]
     cols = []
-    for v in kern.basis:
-        acc = Poly.zero(backend.nvars)
-        for t, c in enumerate(v):
+    for w in vectors:
+        acc = {}
+        for t, c in enumerate(w):
             if c != 0:
                 i, j = divmod(t, n)
-                acc = acc + derivs[i][order].shift(monos[j]).scale(c)
-        cols.append(acc)
-    keys = sorted({e for p in cols for e in p.terms})
+                mj = monos[j]
+                for e, dc in derivs[i][order].items():
+                    key = tuple(map(_add, e, mj))
+                    acc[key] = acc.get(key, 0) + c * dc
+        cols.append({e: c for e, c in acc.items() if c != 0})
+    keys = sorted({e for col in cols for e in col})
     if not keys:
         return True, kern
-    rows = [[p.terms.get(key, _ZERO) for p in cols] for key in keys]
-    local = Matrix.from_rows(rows).kernel()
-    if local.dim == kern.dim:
-        return True, kern
-    vectors = []
-    for lv in local.basis:
-        v = [_ZERO] * (n * n)
-        for c, b in zip(lv, kern.basis):
+    rows = [[col.get(key, 0) for col in cols] for key in keys]
+    local, _ = _kernel_rref(rows, len(cols))
+    combos = []
+    for lv in local:
+        v = [0] * (n * n)
+        for c, w in zip(lv, vectors):
             if c != 0:
-                v = [x + c * y for x, y in zip(v, b)]
-        vectors.append(v)
-    return False, Subspace.from_vectors(n * n, vectors)
+                v = [x + c * y for x, y in zip(v, w)]
+        combos.append(v)
+    return False, Subspace.from_vectors(n * n, combos)
 
 
 @dataclass
@@ -519,35 +582,30 @@ def pin_injectivity_check(backend, arity, cap=None, order=None) -> PinResult:
     order = n * n if order is None else order
     derivs = _derivative_chains(backend, monos, order)
 
-    def ktuples(slots):
-        if slots == 0:
-            yield ()
-            return
-        for rest in ktuples(slots - 1):
-            for k in range(order + 1):
-                yield (k,) + rest
+    # per index prefix i_0..i_(arity-2): (ks, the product of d'^k_s m_(i_s)
+    # over those slots); columns differing only in their last index share it
+    products = {(): [((), {(0,) * backend.nvars: 1})]}
 
-    ncols = n ** arity
-    columns = [dict() for _ in range(ncols)]
-    for flat in range(ncols):
-        idx = []
-        t = flat
-        for _ in range(arity):
-            idx.append(t % n)
-            t //= n
-        idx.reverse()
-        base = Poly.monomial(monos[idx[-1]])
-        for ks in ktuples(arity - 1):
-            prod = base
-            for slot, k in enumerate(ks):
-                prod = prod * derivs[idx[slot]][k]
-                if prod.is_zero():
-                    break
-            if prod.is_zero():
-                continue
-            for e, c in prod.terms.items():
-                columns[flat][(ks, e)] = columns[flat].get((ks, e), _ZERO) + c
-    kern = _kernel_of_columns(columns, ncols)
+    def prefix_products(idx):
+        if idx not in products:
+            out = []
+            chain = derivs[idx[-1]]
+            for ks, p in prefix_products(idx[:-1]):
+                for k, dk in enumerate(chain):
+                    if not dk:
+                        break
+                    prod = _mul(p, dk)
+                    if prod:
+                        out.append((ks + (k,), prod))
+            products[idx] = out
+        return products[idx]
+
+    columns = []
+    for idx in itertools.product(range(n), repeat=arity):
+        last = monos[idx[-1]]
+        columns.append({(ks, tuple(map(_add, e, last))): c
+                        for ks, p in prefix_products(idx[:-1]) for e, c in p.items()})
+    kern = _kernel_of_columns(columns, len(columns))
     return PinResult(injective=kern.is_zero(), kernel=kern, monomials=monos,
                      arity=arity)
 
@@ -586,27 +644,30 @@ def z2_kernel(backend, cap=None, order=None, laurent_bound=1) -> Z2Result:
     bb = laurent_bound
     max_k = order + 2 * bb
     derivs = _derivative_chains(backend, monos, max_k)
-    fact = [Fraction(1, math.factorial(k)) for k in range(max_k + 1)]
+    # F / (s! t!) * L^(K+2B-s-t) turns d'^s u d'^t v into F L^(K+2B) times
+    # the coefficient d^s u d^t v / (s! t!): one factor for the whole map
+    fact = [math.factorial(k) for k in range(max_k + 1)]
+    top = fact[max_k]
+    scale = backend.denominator
 
     columns = []
     for i in range(n):
         for j in range(n):
+            prods = []  # (s, t, weighted product), shared by every (a, b)
+            for s, ds in enumerate(derivs[i]):
+                if not ds:
+                    break
+                for t in range(max_k + 1 - s):
+                    dt = derivs[j][t]
+                    if not dt:
+                        break
+                    w = top // (fact[s] * fact[t]) * scale ** (max_k - s - t)
+                    prods.append((s, t, {e: w * c for e, c in _mul(ds, dt).items()}))
             for a in range(-bb, bb + 1):
                 for b in range(-bb, bb + 1):
-                    col = {}
-                    for s in range(max_k + 1):
-                        if derivs[i][s].is_zero():
-                            break
-                        for t in range(max_k + 1 - s):
-                            if (a + s) + (b + t) > order:
-                                break
-                            if derivs[j][t].is_zero():
-                                break
-                            prod = (derivs[i][s] * derivs[j][t]).scale(fact[s] * fact[t])
-                            for e, c in prod.terms.items():
-                                key = (a + s, b + t, e)
-                                col[key] = col.get(key, _ZERO) + c
-                    columns.append(col)
+                    columns.append({(a + s, b + t, e): c
+                                    for s, t, prod in prods if a + s + b + t <= order
+                                    for e, c in prod.items()})
     kern = _kernel_of_columns(columns, len(columns))
     return Z2Result(kernel=kern, monomials=monos, laurent_bound=bb,
                     cap=cap, order=order)

@@ -320,3 +320,77 @@ def test_action_from_explicit_matrices(capsys, tmp_path):
         "fixed-points", "--workspace", str(ws), "--object", "sign",
         "--cap-d", "1"])
     assert code == 4
+
+
+# --- caps are validated before anything runs ---------------------------------
+
+
+@pytest.mark.parametrize("command,workspace,obj,flag,value", [
+    ("pi2-kernel", "z2_on_xddx.json", "xddx", "--order-k", "-3"),
+    ("z2-kernel", "z2_on_xddx.json", "xddx", "--laurent-b", "-1"),
+    ("pin-check", "z2_on_xddx.json", "xddx", "--cap-d", "-1"),
+    ("inner-faithful", "sweedler.json", "sweedler_on_z", "--cap-d", "-1"),
+    ("tensor-faithful", "z2_on_xddx.json", "z2_on_xddx", "--s-max", "-1"),
+    ("tensor-faithful", "z2_on_xddx.json", "z2_on_xddx", "--tensor-budget", "-5"),
+    ("commutant", "z2_on_xddx.json", "z2_on_xddx", "--mode-budget", "-1"),
+    ("group-likes", "z2_on_xddx.json", "qz2", "--conductor", "0"),
+    ("pin-check", "z2_on_xddx.json", "xddx", "--arity-n", "1"),
+])
+def test_out_of_range_caps_are_usage_errors(capsys, command, workspace, obj, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--workspace", fixture(workspace), "--object", obj, flag, value])
+    assert exc.value.code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""  # refused before any machine block
+    assert f"{flag} must be at least" in captured.err
+
+
+def test_smallest_caps_are_accepted(capsys):
+    code, doc, _ = run_cli(capsys, [
+        "pin-check", "--workspace", Z2, "--object", "xddx", "--cap-d", "0",
+        "--arity-n", "2", "--order-k", "0"])
+    assert code == 0
+    assert doc["result"]["injective"] is True
+
+
+# --- verdict guards hold under python -O ---------------------------------------
+
+
+def test_basis_count_mismatch_is_an_input_error_under_O(tmp_path):
+    ws = tmp_path / "bad_basis.json"
+    ws.write_text(json.dumps({
+        "schema_version": 1,
+        "hopf_algebras": [
+            {"name": "one", "builder": "tensors", "dim": 1, "basis": ["a", "b"],
+             "mul": [[0, 0, 0, "1/1"]], "comul": [[0, 0, 0, "1/1"]],
+             "counit": ["1/1"], "unit": ["1/1"], "antipode": [[0, 0, "1/1"]]}]}))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "hopfva.cli", "verify-hopf",
+         "--workspace", str(ws), "--object", "one", "--json-only"],
+        capture_output=True, text=True)
+    assert proc.returncode == 4
+    doc = json.loads(proc.stdout.strip())
+    assert doc["status"] == "error"
+    assert doc["result"]["error"] == "ShapeMismatch"
+    assert "2 basis names for dimension 1" in doc["result"]["message"]
+
+
+# --- element order of groups -----------------------------------------------------
+
+
+def test_decompose_with_identity_listed_second(capsys, tmp_path):
+    with open(Z2) as fh:
+        data = json.load(fh)
+    data["groups"][0].update(table=[[1, 0], [0, 1]], element_names=["g", "e"])
+    data["hopf_algebras"][0]["element_names"] = ["g", "e"]
+    table = data["character_tables"][0]
+    table["classes"] = [[1], [0]]
+    for ch in table["characters"]:
+        ch["matrices"].reverse()
+    swapped = tmp_path / "z2_swapped.json"
+    swapped.write_text(json.dumps(data))
+    argv = ["decompose", "--object", "z2_on_xddx", "--characters", "z2chars"]
+    code, doc, _ = run_cli(capsys, argv + ["--workspace", Z2])
+    code2, doc2, _ = run_cli(capsys, argv + ["--workspace", str(swapped)])
+    assert code == code2 == 0
+    assert doc2["result"] == doc["result"]

@@ -1,10 +1,20 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from hopfva.errors import SplitFailure
-from hopfva.linalg import Matrix, Subspace, kronecker, solve, split_commutative_algebra
+from hopfva.linalg import (
+    Matrix,
+    Subspace,
+    _kernel_rref,
+    _leading_ones,
+    _rref_rows,
+    kronecker,
+    solve,
+    split_commutative_algebra,
+)
 from hopfva.scalars import scalar_to_text, zeta
 
 F = Fraction
@@ -228,3 +238,64 @@ def test_split_rejects_bad_tensors():
     ]
     with pytest.raises(ValueError):
         split_commutative_algebra(noncomm, 2)
+
+
+# --- one entry point for row reduction -------------------------------------------
+
+
+def _naive_kernel(rows, ncols):
+    """Free-variable null-space basis from a forward RREF, then re-reduced."""
+    red, pivots = _rref_rows(rows, ncols)
+    red = _leading_ones(red, pivots)
+    vecs = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        v = [F(0)] * ncols
+        v[f] = F(1)
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][f]
+        vecs.append(v)
+    return Subspace.from_vectors(ncols, vecs)
+
+
+def test_kernel_rref_matches_naive_kernel():
+    rng = random.Random(21)
+    for _ in range(40):
+        m, n = rng.randint(0, 5), rng.randint(1, 7)
+        rows = [[F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.6 else F(0)
+                 for _ in range(n)] for _ in range(m)]
+        basis, pivots = _kernel_rref([list(r) for r in rows], n)
+        expected = _naive_kernel(rows, n)
+        assert basis == expected.basis and pivots == expected.pivots
+        if rows:
+            assert Matrix.from_rows(rows).kernel() == expected
+
+
+def test_rref_rows_takes_ints_fractions_and_mixed_rows_alike():
+    rng = random.Random(8)
+    for _ in range(20):
+        ints = [[rng.randint(-4, 4) for _ in range(5)] for _ in range(4)]
+        scaled = [[F(c, k + 2) for c in row] for k, row in enumerate(ints)]
+        mixed = [row if k % 2 else scaled[k] for k, row in enumerate(ints)]
+        expected = _rref_rows(ints, 5)
+        assert _rref_rows(scaled, 5) == expected
+        assert _rref_rows(mixed, 5) == expected
+        red, pivots = expected
+        for p, row in zip(pivots, red):
+            # primitive integer rows with a positive pivot entry
+            assert all(type(c) is int for c in row) and row[p] > 0
+            assert math.gcd(*row) == 1
+        for p, row in zip(pivots, _leading_ones(red, pivots)):
+            assert all(type(c) is Fraction for c in row) and row[p] == 1
+        assert Matrix.from_rows(ints).rref()[0] == Matrix.from_rows(
+            _leading_ones(red, pivots) or [[F(0)] * 5])
+
+
+def test_rref_rows_field_path_accepts_int_entries():
+    z = zeta(3)
+    red, pivots = _rref_rows([[2, z, 0], [1, 1, 3]], 3)
+    assert pivots == (0, 1)
+    assert all(not isinstance(c, int) for row in red for c in row)
+    back = Matrix.from_rows([[F(2), z, F(0)], [F(1), F(1), F(3)]])
+    assert back.kernel().dim == 1
+    for v in back.kernel().basis:
+        assert all(c == 0 for c in back.apply(list(v)))

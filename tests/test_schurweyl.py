@@ -356,3 +356,23 @@ def test_reach_is_contained_in_isotype():
     t = z3_chartable()
     res = cyclic_reachability(rep, t, "chi1", Poly.variable(2, 0), 2)
     assert res.isotype.contains_subspace(res.reachable)
+
+
+def test_identity_need_not_be_element_zero():
+    # Z/2 with its elements listed as (g, e): same multiplicities as (e, g)
+    act = cyclic_scaling_action(2, 6)
+    rho = FinGroupRep.from_hopf_action(act)
+    rep = FinGroupRep([[1, 0], [0, 1]], ("g", "e"), (rho.full[1], rho.full[0]),
+                      backend=act.backend)
+    assert rep.identity == 1 and rep.inverse(0) == 0
+    table = CharacterTable(
+        [[1, 0], [0, 1]],
+        [[1], [0]],
+        [IrrepCharacter("triv", 1, (F(1), F(1)),
+                        (Matrix.from_rows([[1]]), Matrix.from_rows([[1]]))),
+         IrrepCharacter("sign", 1, (F(1), F(-1)),
+                        (Matrix.from_rows([[-1]]), Matrix.from_rows([[1]])))])
+    assert verify_character_table(table, rep).passed
+    assert decompose(table, rep).multiplicities == \
+        decompose(z2_chartable(), rho).multiplicities
+    assert rep.fixed_points() == rho.fixed_points()

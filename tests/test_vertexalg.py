@@ -1,11 +1,18 @@
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from hopfva.errors import MalformedPairs, TruncationOverflow
+from hopfva.linalg import Matrix, Subspace
+from hopfva.scalars import zeta
 from hopfva.vertexalg import (
     CommDiffVA,
     Poly,
+    _derivative_chains,
+    _kernel_of_columns,
     falling_bracket,
     flip_skew_check,
     pi2_kernel,
@@ -404,3 +411,228 @@ def test_pi2_zero_implies_pi3_injective():
     p2 = pi2_kernel(a, order=9)
     assert p2.kernel.is_zero() and p2.stabilized
     assert pin_injectivity_check(a, 3, order=9).injective
+
+
+# --- the integer coefficient-map core against naive dense maps --------------------
+
+
+def _naive_derive(backend, images, table):
+    """d on {exponent: scalar} dicts, from the generator images (Leibniz) or a
+    raw monomial table, with its own arithmetic."""
+
+    def on_monomial(e):
+        if table is not None:
+            return dict(table[e].terms)
+        out = {}
+        for i, k in enumerate(e):
+            if k:
+                for f, c in images[i].terms.items():
+                    g = tuple(a + b - (t == i) for t, (a, b) in enumerate(zip(e, f)))
+                    out[g] = out.get(g, 0) + k * c
+        return out
+
+    def derive(p):
+        out = {}
+        for e, c in p.items():
+            for g, dc in on_monomial(e).items():
+                out[g] = out.get(g, 0) + c * dc
+        return {g: c for g, c in out.items() if c != 0}
+
+    return derive
+
+
+def _naive_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def _naive_chains(backend, images, table, order):
+    derive = _naive_derive(backend, images, table)
+    chains = []
+    for m in backend.monomials():
+        chain = [{m: F(1)}]
+        for _ in range(order):
+            chain.append(derive(chain[-1]))
+        chains.append(chain)
+    return chains
+
+
+def _stacked(entries, ncols):
+    """Dense matrix from {column: {row key: scalar}}, rows in key order."""
+    keys = sorted({k for col in entries.values() for k in col})
+    return Matrix.from_rows([[entries.get(ci, {}).get(k, F(0)) for ci in range(ncols)]
+                             for k in keys])
+
+
+def _naive_pi2(backend, chains, order):
+    monos = backend.monomials()
+    n = len(monos)
+    cols = {}
+    for i in range(n):
+        for j in range(n):
+            col = cols.setdefault(i * n + j, {})
+            for k in range(order + 1):
+                for e, c in _naive_mul(chains[i][k], {monos[j]: F(1)}).items():
+                    col[(k, e)] = c
+    return _stacked(cols, n * n)
+
+
+def _naive_pi3(backend, chains, order):
+    monos = backend.monomials()
+    n = len(monos)
+    cols = {}
+    for i0, i1, i2 in itertools.product(range(n), repeat=3):
+        col = cols.setdefault((i0 * n + i1) * n + i2, {})
+        for k0 in range(order + 1):
+            for k1 in range(order + 1):
+                prod = _naive_mul(_naive_mul(chains[i0][k0], chains[i1][k1]),
+                                  {monos[i2]: F(1)})
+                for e, c in prod.items():
+                    col[(k0, k1, e)] = c
+    return _stacked(cols, n ** 3)
+
+
+def _naive_z2(backend, chains, order, bb):
+    monos = backend.monomials()
+    n = len(monos)
+    w = 2 * bb + 1
+    cols = {}
+    for i in range(n):
+        for j in range(n):
+            for a in range(-bb, bb + 1):
+                for b in range(-bb, bb + 1):
+                    col = cols.setdefault(((i * n + j) * w + a + bb) * w + b + bb, {})
+                    for s in range(order + 2 * bb + 1):
+                        for t in range(order + 2 * bb + 1 - s):
+                            if a + s + b + t > order:
+                                continue
+                            weight = F(1, math.factorial(s) * math.factorial(t))
+                            for e, c in _naive_mul(chains[i][s], chains[j][t]).items():
+                                col[(a + s, b + t, e)] = c * weight
+    return _stacked(cols, n * n * w * w)
+
+
+def _half_square_backend(cap):
+    return CommDiffVA(["x"], {"x": Poly.monomial((2,), F(1, 2))}, cap)
+
+
+def _third_table_backend(cap):
+    # d(x^n) = (n/3) x^(n-1), except d(x^2) = (1/2) x: not a derivation
+    table = {(n,): Poly.monomial((n - 1,), F(n, 3)) if n else Poly.zero(1)
+             for n in range(4 * cap + 8)}
+    table[(2,)] = Poly.monomial((1,), F(1, 2))
+    return CommDiffVA(["x"], {"x": Poly.const(1, F(1, 3))}, cap,
+                      derivation_table=table)
+
+
+def _zeta3_backend(cap):
+    return CommDiffVA(["x", "y"], {"x": Poly(2, {(1, 0): zeta(3)}),
+                                   "y": Poly(2, {(0, 2): F(1, 2)})}, cap)
+
+
+def _zeta3_cancel_backend(variables, cap):
+    # L = 1, but d(xy) = (1/2 + zeta_3 - zeta_3) xy = (1/2) xy: a rational
+    # coefficient whose denominator the derivation's own ones do not cover;
+    # a third variable z with d(z) = z has the eigenvalue xy has if it is lost
+    third = zeta(3)
+    nvars = len(variables)
+    images = {"x": F(1, 2) + third, "y": -third, "z": F(1)}
+    return CommDiffVA(variables, {
+        v: Poly(nvars, {tuple(int(i == k) for i in range(nvars)): images[v]})
+        for k, v in enumerate(variables)}, cap)
+
+
+ORACLE_BACKENDS = {
+    "euler": lambda: (single_variable_backend(1, 2), 3),
+    "half-square": lambda: (_half_square_backend(2), 3),
+    "table": lambda: (_third_table_backend(2), 3),
+    "zeta3": lambda: (_zeta3_backend(1), 2),
+    "zeta3-cancel": lambda: (_zeta3_cancel_backend(["x", "y"], 2), 2),
+}
+
+
+def _assert_same_kernel(kernel, stacked):
+    expected = stacked.kernel()
+    assert kernel == expected
+    assert kernel.pivots == expected.pivots
+    for v in kernel.basis:
+        assert all(c == 0 for c in stacked.apply(list(v)))
+    # the basis is already in reduced echelon form
+    assert Subspace.from_vectors(kernel.ambient, kernel.basis) == kernel
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_BACKENDS))
+def test_integer_kernels_match_dense_oracle(name):
+    backend, order = ORACLE_BACKENDS[name]()
+    chains = _naive_chains(backend, backend.images, backend._table, order + 2)
+    dims = []
+    for k in (1, order):  # order 1 is not stabilised: it exercises _impose_order
+        res = pi2_kernel(backend, order=k)
+        stacked = _naive_pi2(backend, chains, k)
+        _assert_same_kernel(res.kernel, stacked)
+        assert res.stabilized == (_naive_pi2(backend, chains, k - 1).kernel() ==
+                                  stacked.kernel())
+        dims.append(res.kernel.dim)
+    res = pin_injectivity_check(backend, 3, order=1)
+    _assert_same_kernel(res.kernel, _naive_pi3(backend, chains, 1))
+    dims.append(res.kernel.dim)
+    res = z2_kernel(backend, order=order - 1, laurent_bound=1)
+    _assert_same_kernel(res.kernel, _naive_z2(backend, chains, order - 1, 1))
+    dims.append(res.kernel.dim)
+    # a nonzero kernel occurs, so the comparison is not vacuous; all but the
+    # cancelling backend also give a zero kernel for some map
+    assert max(dims) > 0
+    assert (0 in dims) == (name != "zeta3-cancel")
+
+
+def test_cancelling_cyclotomic_derivation_keeps_its_denominator():
+    backend = _zeta3_cancel_backend(["x", "y", "z"], 2)
+    assert backend.denominator == 1
+    res = pi2_kernel(backend, order=2)
+    chains = _naive_chains(backend, backend.images, backend._table, 2)
+    _assert_same_kernel(res.kernel, _naive_pi2(backend, chains, 2))
+    # d(xy) = xy / 2 and d(z) = z: xy (x) z - z (x) xy is not in the kernel
+    index = {e: i for i, e in enumerate(res.monomials)}
+    xy, z = index[(1, 1, 0)], index[(0, 0, 1)]
+    assert not res.kernel.contains(res.pair_vector({(xy, z): 1, (z, xy): -1}))
+
+
+def test_derivative_chains_are_integral():
+    backend = _half_square_backend(3)
+    assert backend.denominator == 2
+    assert _third_table_backend(2).denominator == 6
+    chains = _derivative_chains(backend, backend.monomials(), 4)
+    for chain in chains:
+        for k, dk in enumerate(chain):
+            for c in dk.values():
+                assert type(c) is int
+    # d'^k = 2^k d^k
+    x = Poly.monomial((1,))
+    assert Poly(1, chains[1][3]) == backend.derive_k(x, 3).scale(8)
+
+
+def test_kernel_of_columns_returns_rref_over_components():
+    rng = random.Random(11)
+    for _ in range(10):
+        ncols = 12
+        columns = []
+        for ci in range(ncols):
+            block = ci % 3  # three components with disjoint row keys
+            columns.append({(block, r): rng.randint(-2, 2) for r in range(3)
+                            if rng.random() < 0.6})
+        kern = _kernel_of_columns(columns, ncols)
+        assert Subspace.from_vectors(ncols, kern.basis) == kern
+        dense = _stacked({ci: {k: F(c) for k, c in col.items()}
+                          for ci, col in enumerate(columns)}, ncols)
+        assert kern == dense.kernel()
+
+
+def test_zeta3_pi2_and_z2_dimensions():
+    backend = _zeta3_backend(2)
+    res = pi2_kernel(backend)
+    assert res.kernel.dim == 0 and res.stabilized
+    assert z2_kernel(backend, order=3, laurent_bound=1).kernel.dim == 57
