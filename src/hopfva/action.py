@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .errors import (
     BudgetExceeded,
+    CheckReport,
     FiltrationFlagRequired,
     HypothesesNotMet,
     NotAnIdeal,
@@ -28,11 +29,12 @@ from .hopf import (
     is_bialgebra_ideal,
     is_cocommutative,
     is_hopf_ideal,
+    mixed_tensor_span,
     quotient_hopf,
     recognize_group_algebra,
 )
-from .linalg import Matrix, Subspace
-from .vertexalg import CheckReport, CommDiffVA, Poly, pi2_kernel, poly_to_text
+from .linalg import Matrix, Subspace, linear_combination
+from .vertexalg import CommDiffVA, Poly, pi2_kernel, poly_to_text
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -140,11 +142,8 @@ class HopfAction:
             return out
 
         monos = backend.monomials()
-        n = len(monos)
-        mats = []
-        for bi in range(d):
-            cols = [backend.coords_of(act(bi, mono)) for mono in monos]
-            mats.append(Matrix(n, n, [cols[c][r] for r in range(n) for c in range(n)]))
+        mats = [Matrix.from_columns([backend.coords_of(act(bi, mono)) for mono in monos])
+                for bi in range(d)]
         return cls(hopf, backend, mats, check=check)
 
 
@@ -159,45 +158,43 @@ def trivial_action(hopf, backend) -> HopfAction:
 # module-algebra and module-vertex-algebra axioms
 
 
+def _coproduct_sum(act, bi, term):
+    """sum c term(p, q) over Delta(b_bi) = sum c b_p (x) b_q, as a Poly."""
+    h = act.hopf
+    out = Poly.zero(act.backend.nvars)
+    for t, c in enumerate(h.comul[bi]):
+        if c != 0:
+            out = out + term(*divmod(t, h.dim)).scale(c)
+    return out
+
+
 def verify_module_algebra(act: HopfAction) -> CheckReport:
     """h 1 = eps(h) 1 and h(fg) = sum (h1 f)(h2 g) on monomial pairs."""
     h, a = act.hopf, act.backend
     report = CheckReport()
     one = Poly.const(a.nvars, _ONE)
+    report.record("unit-compatibility", (
+        h.names[bi] for bi in range(h.dim)
+        if act.act_basis_on_poly(bi, one) != one.scale(h.counit[bi])))
 
-    unit_ok = (True, None)
-    for bi in range(h.dim):
-        if act.act_basis_on_poly(bi, one) != one.scale(h.counit[bi]):
-            unit_ok = (False, h.names[bi])
-            break
-    report["unit-compatibility"] = unit_ok
-
-    leib_ok = (True, None)
-    monos = act.monomials
-    for bi in range(h.dim):
-        row = h.comul[bi]
-        for e1 in monos:
-            for e2 in monos:
-                if sum(e1) + sum(e2) > a.degree_cap:
-                    continue
-                lhs = act.act_basis_on_poly(bi, Poly.monomial(tuple(x + y for x, y in zip(e1, e2))))
-                rhs = Poly.zero(a.nvars)
-                for t, c in enumerate(row):
-                    if c == 0:
+    def leibniz_failures():
+        monos = act.monomials
+        for bi in range(h.dim):
+            for e1 in monos:
+                u = Poly.monomial(e1)
+                for e2 in monos:
+                    if sum(e1) + sum(e2) > a.degree_cap:
                         continue
-                    p, q = divmod(t, h.dim)
-                    rhs = rhs + (act.act_basis_on_poly(p, Poly.monomial(e1)) *
-                                 act.act_basis_on_poly(q, Poly.monomial(e2))).scale(c)
-                if lhs != rhs:
-                    leib_ok = (False, f"({h.names[bi]}, "
-                                      f"{poly_to_text(Poly.monomial(e1), a.variables)}, "
-                                      f"{poly_to_text(Poly.monomial(e2), a.variables)})")
-                    break
-            if not leib_ok[0]:
-                break
-        if not leib_ok[0]:
-            break
-    report["module-algebra-rule"] = leib_ok
+                    v = Poly.monomial(e2)
+                    lhs = act.act_basis_on_poly(
+                        bi, Poly.monomial(tuple(x + y for x, y in zip(e1, e2))))
+                    rhs = _coproduct_sum(act, bi, lambda p, q: act.act_basis_on_poly(p, u) *
+                                         act.act_basis_on_poly(q, v))
+                    if lhs != rhs:
+                        yield (f"({h.names[bi]}, {poly_to_text(u, a.variables)}, "
+                               f"{poly_to_text(v, a.variables)})")
+
+    report.record("module-algebra-rule", leibniz_failures())
     return report
 
 
@@ -227,46 +224,32 @@ def verify_module_vertex_algebra(act: HopfAction, order=None) -> CheckReport:
     h, a = act.hopf, act.backend
     order = len(act.monomials) if order is None else order
     report = verify_module_algebra(act)
-    dcomm = check_D_commute(act)
-    report["derivation-commutation"] = dcomm
+    report["derivation-commutation"] = check_D_commute(act)
 
-    ident_ok = (True, None)
-    monos = act.monomials
-    for bi in range(h.dim):
-        row = h.comul[bi]
-        for e1 in monos:
-            u = Poly.monomial(e1)
-            dku = u
-            for k in range(order + 1):
-                if k:
-                    dku = a.derive(dku)
-                if dku.is_zero():
-                    break
-                for e2 in monos:
-                    v = Poly.monomial(e2)
-                    prod = dku * v
-                    if prod.degree() > a.degree_cap:
-                        continue
-                    lhs = act.act_basis_on_poly(bi, prod)
-                    rhs = Poly.zero(a.nvars)
-                    for t, c in enumerate(row):
-                        if c == 0:
-                            continue
-                        p, q = divmod(t, h.dim)
-                        hu = act.act_basis_on_poly(p, u)
-                        rhs = rhs + (a.derive_k(hu, k) * act.act_basis_on_poly(q, v)).scale(c)
-                    if lhs != rhs:
-                        ident_ok = (False,
-                                    f"({h.names[bi]}, {poly_to_text(u, a.variables)}, "
-                                    f"{poly_to_text(v, a.variables)}) at order {k}")
+    def identity_failures():
+        monos = act.monomials
+        for bi in range(h.dim):
+            for e1 in monos:
+                u = Poly.monomial(e1)
+                dku = u
+                for k in range(order + 1):
+                    if k:
+                        dku = a.derive(dku)
+                    if dku.is_zero():
                         break
-                if not ident_ok[0]:
-                    break
-            if not ident_ok[0]:
-                break
-        if not ident_ok[0]:
-            break
-    report["hopf-vertex-identity"] = ident_ok
+                    for e2 in monos:
+                        v = Poly.monomial(e2)
+                        prod = dku * v
+                        if prod.degree() > a.degree_cap:
+                            continue
+                        lhs = act.act_basis_on_poly(bi, prod)
+                        rhs = _coproduct_sum(act, bi, lambda p, q: a.derive_k(
+                            act.act_basis_on_poly(p, u), k) * act.act_basis_on_poly(q, v))
+                        if lhs != rhs:
+                            yield (f"({h.names[bi]}, {poly_to_text(u, a.variables)}, "
+                                   f"{poly_to_text(v, a.variables)}) at order {k}")
+
+    report.record("hopf-vertex-identity", identity_failures())
     return report
 
 
@@ -286,40 +269,31 @@ def fixed_subspace(act: HopfAction):
 
     report = CheckReport()
     one = Poly.const(a.nvars, _ONE)
-    report["contains-vacuum"] = (fixed.contains(a.coords_of(one)), None)
-
+    report.record("contains-vacuum", [] if fixed.contains(a.coords_of(one)) else [None])
     polys = [a.poly_from_coords(list(v)) for v in fixed.basis]
-    d_ok = (True, None)
-    for p in polys:
-        dp = a.derive(p)
-        if dp.degree() > a.degree_cap:
-            continue
-        if not fixed.contains(a.coords_of(dp)):
-            d_ok = (False, poly_to_text(p, a.variables))
-            break
-    report["derivation-closed"] = d_ok
 
-    m_ok = (True, None)
-    for u in polys:
-        dku = u
-        for k in range(a.degree_cap + 1):
-            if k:
-                dku = a.derive(dku)
-            if dku.is_zero() or dku.degree() > a.degree_cap:
-                break
-            for v in polys:
-                prod = dku * v
-                if prod.degree() > a.degree_cap:
-                    continue
-                if not fixed.contains(a.coords_of(prod)):
-                    m_ok = (False, f"({poly_to_text(u, a.variables)}, k={k}, "
-                                   f"{poly_to_text(v, a.variables)})")
+    def derivation_failures():
+        for p in polys:
+            dp = a.derive(p)
+            if dp.degree() <= a.degree_cap and not fixed.contains(a.coords_of(dp)):
+                yield poly_to_text(p, a.variables)
+
+    def mode_failures():
+        for u in polys:
+            dku = u
+            for k in range(a.degree_cap + 1):
+                if k:
+                    dku = a.derive(dku)
+                if dku.is_zero() or dku.degree() > a.degree_cap:
                     break
-            if not m_ok[0]:
-                break
-        if not m_ok[0]:
-            break
-    report["vertex-mode-closed"] = m_ok
+                for v in polys:
+                    prod = dku * v
+                    if prod.degree() <= a.degree_cap and not fixed.contains(a.coords_of(prod)):
+                        yield (f"({poly_to_text(u, a.variables)}, k={k}, "
+                               f"{poly_to_text(v, a.variables)})")
+
+    report.record("derivation-closed", derivation_failures())
+    report.record("vertex-mode-closed", mode_failures())
     return fixed, report
 
 
@@ -371,17 +345,7 @@ def maximal_hopf_ideal_in(hopf: FinHopfAlgebra, sub: Subspace) -> Subspace:
         if current.is_zero():
             return current
         r = current.dim
-        mixed_rows = []
-        for v in current.basis:
-            for j in range(d):
-                left = [_ZERO] * (d * d)
-                right = [_ZERO] * (d * d)
-                for p, c in enumerate(v):
-                    left[p * d + j] = c
-                    right[j * d + p] = c
-                mixed_rows.append(left)
-                mixed_rows.append(right)
-        mixed = Subspace.from_vectors(d * d, mixed_rows)
+        mixed = mixed_tensor_span(d, current.basis)
         rows = [[hopf.counit_of(v) for v in current.basis]]
         s_resid = [current.reduce(hopf.antipode_of(v)) for v in current.basis]
         for coord in range(d):
@@ -392,14 +356,8 @@ def maximal_hopf_ideal_in(hopf: FinHopfAlgebra, sub: Subspace) -> Subspace:
         coeff_kernel = Matrix.from_rows(rows).kernel()
         if coeff_kernel.dim == r:
             return current
-        vecs = []
-        for lam in coeff_kernel.basis:
-            w = [_ZERO] * d
-            for c, v in zip(lam, current.basis):
-                if c != 0:
-                    w = [x + c * y for x, y in zip(w, v)]
-            vecs.append(w)
-        current = Subspace.from_vectors(d, vecs)
+        current = Subspace.from_vectors(
+            d, [linear_combination(lam, current.basis) for lam in coeff_kernel.basis])
 
 
 def is_inner_faithful(act: HopfAction) -> bool:

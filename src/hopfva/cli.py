@@ -25,6 +25,7 @@ from .errors import (
     NotGroupAlgebra,
     ParseError,
     Refusal,
+    ShapeMismatch,
     UnresolvedReference,
 )
 from .linalg import Matrix
@@ -104,6 +105,15 @@ class Workspace:
     def _hopf_from_tensors(self, d):
         dim = d["dim"]
         names = d.get("basis", [f"b{i}" for i in range(dim)])
+        for field in ("mul", "comul", "antipode"):
+            for entry in d[field]:
+                if any(not (isinstance(i, int) and 0 <= i < dim) for i in entry[:-1]):
+                    raise ShapeMismatch(f"{field} entry {entry} has an index outside "
+                                        f"0..{dim - 1}")
+        for field in ("unit", "counit"):
+            if len(d[field]) != dim:
+                raise ShapeMismatch(f"{field} has {len(d[field])} entries for "
+                                    f"dimension {dim}")
         zero = scalar_from_text("0")
         mul = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
         for i, j, k, s in d["mul"]:
@@ -156,10 +166,14 @@ class Workspace:
             n = len(backend.monomials())
             mats = []
             for bname in h.names:
-                rows = d["matrices"][bname]
-                mats.append(Matrix.from_rows(
-                    [[scalar_from_text(c) for c in row] for row in rows]))
-                assert mats[-1].rows == n
+                rows = [[scalar_from_text(c) for c in row] for row in d["matrices"][bname]]
+                if len(rows) != n or any(len(row) != n for row in rows):
+                    widths = sorted({len(row) for row in rows}) or [0]
+                    shape = f"{len(rows)}x{'/'.join(map(str, widths))}"
+                    raise ShapeMismatch(
+                        f"action {name!r}: the matrix of {bname} is {shape}, but the "
+                        f"carrier has {n} monomials")
+                mats.append(Matrix.from_rows(rows))
             act = action_mod.HopfAction(h, backend, mats)
         else:
             raise ParseError(f"action {name!r} needs generator_images or matrices")
@@ -236,6 +250,12 @@ def _report_json(report):
     return {k: {"ok": ok, "witness": w} for k, (ok, w) in report.items()}
 
 
+def _report_outcome(key, report, label=""):
+    """(status, result, human lines) of a command whose verdict is one report."""
+    return ("pass" if report.passed else "fail"), {key: _report_json(report)}, \
+        [f"{label}{k}: {'ok' if ok else 'FAIL at ' + str(w)}" for k, (ok, w) in report.items()]
+
+
 def _pair_entries(vec, monos, variables):
     n = len(monos)
     out = []
@@ -260,11 +280,7 @@ def run(ws: Workspace, command, obj=None, characters=None, irrep=None,
     """Execute one command; returns (status, result dict, human lines)."""
     caps = ws.caps
     if command == "verify-hopf":
-        report = hopf_mod.verify_hopf_axioms(ws.hopf(obj))
-        status = "pass" if report.passed else "fail"
-        return status, {"axioms": _report_json(report)}, \
-            [f"axiom {k}: {'ok' if ok else 'FAIL at ' + str(w)}"
-             for k, (ok, w) in report.items()]
+        return _report_outcome("axioms", hopf_mod.verify_hopf_axioms(ws.hopf(obj)), "axiom ")
 
     if command == "cocommutative":
         ok, witness = hopf_mod.is_cocommutative(ws.hopf(obj))
@@ -292,10 +308,7 @@ def run(ws: Workspace, command, obj=None, characters=None, irrep=None,
     if command == "verify-action":
         report = action_mod.verify_module_vertex_algebra(
             ws.action(obj), order=caps.order)
-        status = "pass" if report.passed else "fail"
-        return status, {"checks": _report_json(report)}, \
-            [f"check {k}: {'ok' if ok else 'FAIL at ' + str(w)}"
-             for k, (ok, w) in report.items()]
+        return _report_outcome("checks", report, "check ")
 
     if command == "pi2-kernel":
         backend = ws.backend(obj)
@@ -420,11 +433,7 @@ def run(ws: Workspace, command, obj=None, characters=None, irrep=None,
         rep = sw_mod.FinGroupRep.from_hopf_action(act)
         samples = [act.backend.poly_from_coords(list(v))
                    for v in rep.fixed_points().basis]
-        report = sw_mod.check_commutant(rep, samples, caps.mode_budget)
-        status = "pass" if report.passed else "fail"
-        return status, {"checks": _report_json(report)}, \
-            [f"{k}: {'ok' if ok else 'FAIL at ' + str(w)}"
-             for k, (ok, w) in report.items()]
+        return _report_outcome("checks", sw_mod.check_commutant(rep, samples, caps.mode_budget))
 
     if command == "reach":
         act = ws.action(obj)

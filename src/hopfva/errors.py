@@ -1,10 +1,34 @@
-"""Exception classes shared by the whole package.
+"""Exception classes and the check report shared by the whole package.
 
-Grouped by how the CLI maps them to exit statuses: refusals are situations
-where a computation declines to answer (retry with different parameters or
-inputs), input errors are malformed or unresolvable user data, and the rest
-are ordinary preconditions violated at the library level.
+Exceptions are grouped by how the CLI maps them to exit statuses: refusals
+are situations where a computation declines to answer (retry with different
+parameters or inputs), input errors are malformed or unresolvable user data,
+and the rest are ordinary preconditions violated at the library level.
+
+`CheckReport` is the one verdict type of every exact check (Hopf axioms,
+module and module-vertex-algebra identities, fixed-point closure, character
+tables, commutants, vertex-algebra axioms): check name -> (passed, witness),
+where the witness names the first failing input.
 """
+
+
+class CheckReport(dict):
+    """Check name -> (passed, witness); the witness is None when it passed."""
+
+    @property
+    def passed(self):
+        return all(ok for ok, _ in self.values())
+
+    def record(self, name, failures):
+        """Store the first witness the lazy iterable `failures` yields.
+
+        The search stops there, so witnesses are built only for failures;
+        when it yields none the check passed.
+        """
+        for witness in failures:
+            self[name] = (False, witness)
+            return
+        self[name] = (True, None)
 
 
 class HopfvaError(Exception):

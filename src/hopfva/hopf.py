@@ -19,13 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    CheckReport,
     DualNotCommutative,
     InvalidGroupTable,
     NotGroupAlgebra,
     NotHopfIdeal,
     ShapeMismatch,
 )
-from .linalg import Matrix, Subspace, split_commutative_algebra
+from .linalg import Matrix, Subspace, linear_combination, split_commutative_algebra
 from .scalars import as_scalar, scalar_pretty, scalar_sort_key
 
 _ZERO = Fraction(0)
@@ -150,39 +151,20 @@ class FinHopfAlgebra:
 # axiom verification
 
 
-class HopfAxiomReport(dict):
-    """Axiom name -> (passed, witness); witness names the first failing input."""
-
-    @property
-    def passed(self):
-        return all(ok for ok, _ in self.values())
-
-    def as_dict(self):
-        return {k: {"ok": ok, "witness": w} for k, (ok, w) in self.items()}
-
-
-def verify_hopf_axioms(h: FinHopfAlgebra) -> HopfAxiomReport:
+def verify_hopf_axioms(h: FinHopfAlgebra) -> CheckReport:
     """Check all Hopf axioms as exact tensor identities on basis elements."""
     d = h.dim
-    report = HopfAxiomReport()
-
-    def first_fail(gen):
-        for witness, ok in gen:
-            if not ok:
-                return (False, witness)
-        return (True, None)
-
-    report["associativity"] = first_fail(
-        ((f"({h.names[i]},{h.names[j]},{h.names[k]})",
-          h.multiply(h.mul[i][j], h.basis_vector(k)) ==
-          h.multiply(h.basis_vector(i), h.mul[j][k]))
-         for i in range(d) for j in range(d) for k in range(d)))
-
-    report["unit"] = first_fail(
-        ((h.names[i],
-          h.multiply(list(h.unit), h.basis_vector(i)) == h.basis_vector(i)
-          and h.multiply(h.basis_vector(i), list(h.unit)) == h.basis_vector(i))
-         for i in range(d)))
+    names = h.names
+    basis = [h.basis_vector(i) for i in range(d)]
+    unit = list(h.unit)
+    report = CheckReport()
+    report.record("associativity", (
+        f"({names[i]},{names[j]},{names[k]})"
+        for i in range(d) for j in range(d) for k in range(d)
+        if h.multiply(h.mul[i][j], basis[k]) != h.multiply(basis[i], h.mul[j][k])))
+    report.record("unit", (
+        names[i] for i in range(d)
+        if h.multiply(unit, basis[i]) != basis[i] or h.multiply(basis[i], unit) != basis[i]))
 
     def coassoc_ok(k):
         left = [_ZERO] * (d ** 3)   # (Delta (x) id) Delta
@@ -201,8 +183,7 @@ def verify_hopf_axioms(h: FinHopfAlgebra) -> HopfAxiomReport:
                     right[(i * d + p) * d + q] += a * b
         return left == right
 
-    report["coassociativity"] = first_fail(
-        ((h.names[k], coassoc_ok(k)) for k in range(d)))
+    report.record("coassociativity", (names[k] for k in range(d) if not coassoc_ok(k)))
 
     def counit_ok(k):
         left = [_ZERO] * d
@@ -213,39 +194,17 @@ def verify_hopf_axioms(h: FinHopfAlgebra) -> HopfAxiomReport:
             i, j = divmod(t, d)
             left[j] += a * h.counit[i]
             right[i] += a * h.counit[j]
-        return left == h.basis_vector(k) and right == h.basis_vector(k)
+        return left == basis[k] and right == basis[k]
 
-    report["counit"] = first_fail(((h.names[k], counit_ok(k)) for k in range(d)))
-
-    def comul_map_ok():
-        unit_tensor = [_ZERO] * (d * d)
-        for i, a in enumerate(h.unit):
-            for j, b in enumerate(h.unit):
-                unit_tensor[i * d + j] = a * b
-        if h.comul_of(h.unit) != unit_tensor:
-            return ("1", False)
-        for i in range(d):
-            for j in range(d):
-                lhs = h.comul_of(h.mul[i][j])
-                rhs = h.tensor_multiply(h.comul[i], h.comul[j])
-                if lhs != rhs:
-                    return (f"({h.names[i]},{h.names[j]})", False)
-        return (None, True)
-
-    w, ok = comul_map_ok()
-    report["comul-is-algebra-map"] = (ok, w)
-
-    def counit_map_ok():
-        if h.counit_of(h.unit) != 1:
-            return ("1", False)
-        for i in range(d):
-            for j in range(d):
-                if h.counit_of(h.mul[i][j]) != h.counit[i] * h.counit[j]:
-                    return (f"({h.names[i]},{h.names[j]})", False)
-        return (None, True)
-
-    w, ok = counit_map_ok()
-    report["counit-is-algebra-map"] = (ok, w)
+    report.record("counit", (names[k] for k in range(d) if not counit_ok(k)))
+    report.record("comul-is-algebra-map", itertools.chain(
+        ["1"] if h.comul_of(unit) != _square(unit) else [],
+        (f"({names[i]},{names[j]})" for i in range(d) for j in range(d)
+         if h.comul_of(h.mul[i][j]) != h.tensor_multiply(h.comul[i], h.comul[j]))))
+    report.record("counit-is-algebra-map", itertools.chain(
+        ["1"] if h.counit_of(unit) != 1 else [],
+        (f"({names[i]},{names[j]})" for i in range(d) for j in range(d)
+         if h.counit_of(h.mul[i][j]) != h.counit[i] * h.counit[j])))
 
     def antipode_ok(k, side):
         acc = [_ZERO] * d
@@ -254,18 +213,21 @@ def verify_hopf_axioms(h: FinHopfAlgebra) -> HopfAxiomReport:
                 continue
             i, j = divmod(t, d)
             if side == "left":
-                term = h.multiply(h.antipode_of(h.basis_vector(i)), h.basis_vector(j))
+                term = h.multiply(h.antipode_of(basis[i]), basis[j])
             else:
-                term = h.multiply(h.basis_vector(i), h.antipode_of(h.basis_vector(j)))
+                term = h.multiply(basis[i], h.antipode_of(basis[j]))
             acc = [x + a * y for x, y in zip(acc, term)]
-        target = [h.counit[k] * u for u in h.unit]
-        return acc == target
+        return acc == [h.counit[k] * u for u in h.unit]
 
-    report["antipode-left"] = first_fail(
-        ((h.names[k], antipode_ok(k, "left")) for k in range(d)))
-    report["antipode-right"] = first_fail(
-        ((h.names[k], antipode_ok(k, "right")) for k in range(d)))
+    for side in ("left", "right"):
+        report.record(f"antipode-{side}",
+                      (names[k] for k in range(d) if not antipode_ok(k, side)))
     return report
+
+
+def _square(v):
+    """v (x) v over the lexicographic pair basis."""
+    return [a * b for a in v for b in v]
 
 
 def is_cocommutative(h: FinHopfAlgebra):
@@ -287,8 +249,7 @@ def is_cocommutative(h: FinHopfAlgebra):
 def dual_hopf(h: FinHopfAlgebra) -> FinHopfAlgebra:
     """The dual Hopf algebra on the dual basis (transpose all tensors)."""
     d = h.dim
-    mul_d = [[[h.comul[k][i * d + j] for k in range(d)]
-              for j in range(d)] for i in range(d)]
+    mul_d = _dual_mul(h)
     unit_d = list(h.counit)
     comul_d = [[h.mul[i][j][k] for i in range(d) for j in range(d)]
                for k in range(d)]
@@ -297,6 +258,13 @@ def dual_hopf(h: FinHopfAlgebra) -> FinHopfAlgebra:
     names = tuple(f"{n}*" for n in h.names)
     return FinHopfAlgebra(d, names, mul_d, unit_d, comul_d, counit_d,
                           antipode_d, verify=True)
+
+
+def _dual_mul(h):
+    """Structure constants of the dual algebra: b*_i b*_j = sum_k Delta_k^{ij} b*_k."""
+    d = h.dim
+    return [[[h.comul[k][i * d + j] for k in range(d)] for j in range(d)]
+            for i in range(d)]
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +279,7 @@ def group_likes(h: FinHopfAlgebra, conductor=1):
     elements; otherwise DualNotCommutative is raised.
     """
     d = h.dim
-    dual_mult = [[[h.comul[k][i * d + j] for k in range(d)]
-                  for j in range(d)] for i in range(d)]
+    dual_mult = _dual_mul(h)
     commutative = all(dual_mult[i][j] == dual_mult[j][i]
                       for i in range(d) for j in range(d))
     if not commutative:
@@ -327,22 +294,12 @@ def group_likes(h: FinHopfAlgebra, conductor=1):
         return out
 
     idems = split_commutative_algebra(dual_mult, d, conductor=conductor)
-
-    def dual_mul_basis(j, p):
-        out = [_ZERO] * d
-        for l, c in enumerate(p):
-            if c != 0:
-                for m, t in enumerate(dual_mult[j][l]):
-                    if t != 0:
-                        out[m] = out[m] + c * t
-        return out
-
     likes = []
     for p in idems:
         ref = next(l for l, c in enumerate(p) if c != 0)
         g = []
         for j in range(d):
-            y = dual_mul_basis(j, p)
+            y = linear_combination(p, dual_mult[j])
             c = y[ref] / p[ref]
             assert all(yc == c * pc for yc, pc in zip(y, p)), \
                 "idempotent block is not 1-dimensional"
@@ -354,12 +311,7 @@ def group_likes(h: FinHopfAlgebra, conductor=1):
 
 
 def _is_group_like(h, g):
-    d = h.dim
-    tensor = [_ZERO] * (d * d)
-    for i, a in enumerate(g):
-        for j, b in enumerate(g):
-            tensor[i * d + j] = a * b
-    return h.comul_of(g) == tensor and h.counit_of(g) == 1
+    return h.comul_of(g) == _square(g) and h.counit_of(g) == 1
 
 
 @dataclass
@@ -427,21 +379,25 @@ def is_bialgebra_ideal(h: FinHopfAlgebra, ideal: Subspace):
     for v in ideal.basis:
         if h.counit_of(v) != 0:
             return False, f"eps({h.element_text(v)}) != 0"
-    span_rows = []
+    mixed = mixed_tensor_span(d, ideal.basis)
     for v in ideal.basis:
+        if not mixed.contains(h.comul_of(v)):
+            return False, f"Delta({h.element_text(v)}) escapes H(x)I + I(x)H"
+    return True, None
+
+
+def mixed_tensor_span(d, vectors):
+    """H (x) I + I (x) H over the pair basis, for I spanned by `vectors`."""
+    rows = []
+    for v in vectors:
         for j in range(d):
             left = [_ZERO] * (d * d)
             right = [_ZERO] * (d * d)
             for p, c in enumerate(v):
                 left[p * d + j] = c
                 right[j * d + p] = c
-            span_rows.append(left)
-            span_rows.append(right)
-    mixed = Subspace.from_vectors(d * d, span_rows)
-    for v in ideal.basis:
-        if not mixed.contains(h.comul_of(v)):
-            return False, f"Delta({h.element_text(v)}) escapes H(x)I + I(x)H"
-    return True, None
+            rows += (left, right)
+    return Subspace.from_vectors(d * d, rows)
 
 
 def is_hopf_ideal(h: FinHopfAlgebra, ideal: Subspace):
@@ -483,32 +439,19 @@ def quotient_hopf(h: FinHopfAlgebra, ideal: Subspace) -> HopfQuotient:
     complement = tuple(j for j in range(d) if j not in pivot_set)
     dq = len(complement)
 
-    proj_rows = []
-    for r in range(dq):
-        proj_rows.append([_ZERO] * d)
-    for j in range(d):
-        reduced = ideal.reduce(h.basis_vector(j))
-        for r, c in enumerate(complement):
-            proj_rows[r][j] = reduced[c]
-    projection = Matrix.from_rows(proj_rows)
-
-    def project(vec):
-        return projection.apply(list(vec))
-
-    def section(qvec):
-        out = [_ZERO] * d
-        for c, j in zip(qvec, complement):
-            out[j] = c
-        return out
-
-    basis_q = [section([_ONE if r == a else _ZERO for r in range(dq)])
+    projection = Matrix.from_columns(
+        [[reduced[c] for c in complement]
+         for reduced in (ideal.reduce(h.basis_vector(j)) for j in range(d))])
+    q = HopfQuotient(hopf=None, ideal=ideal, complement=complement,
+                     projection=projection)
+    project = q.project
+    basis_q = [q.section([_ONE if r == a else _ZERO for r in range(dq)])
                for a in range(dq)]
     mul_q = [[project(h.multiply(basis_q[a], basis_q[b])) for b in range(dq)]
              for a in range(dq)]
     unit_q = project(h.unit)
     counit_q = [h.counit_of(basis_q[a]) for a in range(dq)]
-    anti_cols = [project(h.antipode_of(basis_q[a])) for a in range(dq)]
-    antipode_q = Matrix(dq, dq, [anti_cols[c][r] for r in range(dq) for c in range(dq)])
+    antipode_q = Matrix.from_columns([project(h.antipode_of(b)) for b in basis_q])
     comul_q = []
     for a in range(dq):
         t = h.comul_of(basis_q[a])
@@ -528,10 +471,9 @@ def quotient_hopf(h: FinHopfAlgebra, ideal: Subspace) -> HopfQuotient:
         comul_q.append(out)
 
     names = tuple(h.names[j] for j in complement)
-    hq = FinHopfAlgebra(dq, names, mul_q, unit_q, comul_q, counit_q,
-                        antipode_q, verify=True)
-    return HopfQuotient(hopf=hq, ideal=ideal, complement=complement,
-                        projection=projection)
+    q.hopf = FinHopfAlgebra(dq, names, mul_q, unit_q, comul_q, counit_q,
+                            antipode_q, verify=True)
+    return q
 
 
 # ---------------------------------------------------------------------------

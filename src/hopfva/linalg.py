@@ -219,6 +219,12 @@ class Matrix:
         return cls(len(rows), ncols, [c for r in rows for c in r])
 
     @classmethod
+    def from_columns(cls, cols):
+        """The matrix whose j-th column is `cols[j]`."""
+        nrows = len(cols[0]) if cols else 0
+        return cls(nrows, len(cols), [col[r] for r in range(nrows) for col in cols])
+
+    @classmethod
     def zeros(cls, rows, cols):
         return cls(rows, cols, [_ZERO] * (rows * cols))
 
@@ -370,6 +376,23 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
+def linear_combination(coeffs, rows):
+    """sum c * row over the paired coefficients and (at least one) rows.
+
+    Zero coefficients and zero row entries are skipped, so an entry no term
+    reaches keeps the rows' own zero, and int coefficients with int rows
+    give an int row for the integer reducer.
+    """
+    out = None
+    for c, row in zip(coeffs, rows):
+        if c != 0:
+            if out is None:
+                out = [c * y if y else y for y in row]
+            else:
+                out = [x + c * y if y else x for x, y in zip(out, row)]
+    return [0] * len(rows[0]) if out is None else out
+
+
 def kronecker(a: Matrix, b: Matrix) -> Matrix:
     return a.kron(b)
 
@@ -461,14 +484,8 @@ class Subspace:
         assert self.ambient == other.ambient
         if self.is_zero() or other.is_zero():
             return Subspace.zero(self.ambient)
-        stacked = Matrix.from_rows(list(self.basis) + list(other.basis)).transpose()
-        vecs = []
-        for lam in stacked.kernel().basis:
-            v = [_ZERO] * self.ambient
-            for c, row in zip(lam[:self.dim], self.basis):
-                if c != 0:
-                    v = [x + c * y for x, y in zip(v, row)]
-            vecs.append(v)
+        stacked = Matrix.from_columns(list(self.basis) + list(other.basis))
+        vecs = [linear_combination(lam, self.basis) for lam in stacked.kernel().basis]
         return Subspace.from_vectors(self.ambient, vecs)
 
     def __eq__(self, other):
@@ -491,7 +508,7 @@ def _minimal_polynomial(op: Matrix):
     n = op.rows
     powers = [Matrix.identity(n)]
     while True:
-        cols = Matrix.from_rows([p.vec() for p in powers]).transpose()
+        cols = Matrix.from_columns([p.vec() for p in powers])
         target = (powers[-1] * op).vec()
         sol = solve(cols, target)
         if sol is not None:
@@ -657,8 +674,7 @@ def split_commutative_algebra(mult, dim, conductor=1):
             coords = block.coordinates_of(y)
             assert coords is not None, "block is not an ideal"
             cols.append(coords)
-        w = block.dim
-        return Matrix(w, w, [cols[c][r] for r in range(w) for c in range(w)])
+        return Matrix.from_columns(cols)
 
     def try_split(block, gen):
         if block.dim <= alg.phi:
@@ -682,17 +698,9 @@ def split_commutative_algebra(mult, dim, conductor=1):
         if len(parts) < 2:
             return None
         assert sum(p.dim for p in parts) == block.dim
-        out = []
-        for p in parts:
-            vecs = []
-            for lam in p.basis:
-                v = [_ZERO] * qdim
-                for c, row in zip(lam, block.basis):
-                    if c != 0:
-                        v = [x + c * y for x, y in zip(v, row)]
-                vecs.append(v)
-            out.append(Subspace.from_vectors(qdim, vecs))
-        return out
+        return [Subspace.from_vectors(qdim, [linear_combination(lam, block.basis)
+                                             for lam in p.basis])
+                for p in parts]
 
     def refine(generators):
         progress = False
@@ -747,11 +755,7 @@ def split_commutative_algebra(mult, dim, conductor=1):
         sol = solve(Matrix.from_rows(eq_rows), rhs)
         if sol is None:
             raise SplitFailure("not-semisimple", "a block carries no unit (nil block)")
-        e_q = [_ZERO] * qdim
-        for c, r in zip(sol, rows):
-            if c != 0:
-                e_q = [x + c * y for x, y in zip(e_q, r)]
-        idempotents.append(alg.q_to_f(e_q))
+        idempotents.append(alg.q_to_f(linear_combination(sol, rows)))
 
     idempotents.sort(key=lambda v: tuple(scalar_sort_key(c) for c in v))
     # exact output invariants

@@ -14,11 +14,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import MatricesRequired
+from .errors import CheckReport, MatricesRequired
 from .hopf import _validate_group_table, recognize_group_algebra
 from .linalg import Matrix, Subspace
 from .scalars import as_scalar, scalar_conjugate
-from .vertexalg import CheckReport, Poly, poly_to_text
+from .vertexalg import Poly, poly_to_text
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -175,58 +175,46 @@ def verify_character_table(table: CharacterTable, rep: FinGroupRep = None) -> Ch
     n = table.order
     sizes = [len(c) for c in table.classes]
 
-    orth = (True, None)
-    for a, ca in enumerate(table.chars):
-        for b, cb in enumerate(table.chars):
-            total = _ZERO
-            for ci, size in enumerate(sizes):
-                total = total + size * (ca.values[ci] * scalar_conjugate(cb.values[ci]))
-            expected = Fraction(n) if a == b else _ZERO
-            if total != expected:
-                orth = (False, f"({ca.name}, {cb.name})")
-                break
-        if not orth[0]:
-            break
-    report["row-orthogonality"] = orth
+    def orthogonality_failures():
+        for a, ca in enumerate(table.chars):
+            for b, cb in enumerate(table.chars):
+                total = _ZERO
+                for ci, size in enumerate(sizes):
+                    total = total + size * (ca.values[ci] * scalar_conjugate(cb.values[ci]))
+                if total != (Fraction(n) if a == b else _ZERO):
+                    yield f"({ca.name}, {cb.name})"
 
+    report.record("row-orthogonality", orthogonality_failures())
     total = sum(ch.degree ** 2 for ch in table.chars)
-    report["degree-sum"] = (total == n, None if total == n else f"sum {total} != {n}")
+    report.record("degree-sum", [] if total == n else [f"sum {total} != {n}"])
+    report.record("degree-matches-identity-value", (
+        ch.name for ch in table.chars
+        if ch.values[table.class_of[table.identity]] != ch.degree))
 
-    deg_ok = (True, None)
-    for ch in table.chars:
-        if ch.values[table.class_of[table.identity]] != ch.degree:
-            deg_ok = (False, ch.name)
-            break
-    report["degree-matches-identity-value"] = deg_ok
-
-    mat_ok = (True, None)
-    trace_ok = (True, None)
+    # the irreps with matrices are checked in order, both checks on one irrep
+    # at a time, up to the first irrep that fails either of them
+    matrices = CheckReport.fromkeys(
+        ("matrices-multiplicative", "trace-consistency"), (True, None))
     for ch in table.chars:
         if ch.matrices is None:
             continue
         mats = ch.matrices
         if mats[table.identity] != Matrix.identity(ch.degree):
-            mat_ok = (False, f"{ch.name} at identity")
+            matrices.record("matrices-multiplicative", [f"{ch.name} at identity"])
             break
-        for a in range(n):
-            for b in range(n):
-                if mats[a] * mats[b] != mats[table.group_table[a][b]]:
-                    mat_ok = (False, f"{ch.name} at ({a},{b})")
-                    break
-            if not mat_ok[0]:
-                break
-        for g in range(n):
-            tr = sum((mats[g][i, i] for i in range(ch.degree)), _ZERO)
-            if tr != table.value_at_element(ch, g):
-                trace_ok = (False, f"{ch.name} at element {g}")
-                break
-        if not (mat_ok[0] and trace_ok[0]):
+        matrices.record("matrices-multiplicative", (
+            f"{ch.name} at ({a},{b})" for a in range(n) for b in range(n)
+            if mats[a] * mats[b] != mats[table.group_table[a][b]]))
+        matrices.record("trace-consistency", (
+            f"{ch.name} at element {g}" for g in range(n)
+            if sum((mats[g][i, i] for i in range(ch.degree)), _ZERO)
+            != table.value_at_element(ch, g)))
+        if not matrices.passed:
             break
-    report["matrices-multiplicative"] = mat_ok
-    report["trace-consistency"] = trace_ok
+    report.update(matrices)
 
     if rep is not None:
-        report["rep-table-match"] = (rep.table == table.group_table, None)
+        report.record("rep-table-match", [] if rep.table == table.group_table else [None])
     return report
 
 
@@ -280,22 +268,11 @@ def decompose(table: CharacterTable, rep: FinGroupRep) -> IsotypicDecomposition:
     """Exact multiplicities and isotype bases, with full bookkeeping checks."""
     if rep.table != table.group_table:
         raise ValueError("character table and representation use different groups")
-    n = rep.order
     mults = {}
     projectors = {}
     isotypes = {}
     for ch in table.chars:
-        per_degree = []
-        for deg, dim in enumerate(rep.degree_dims):
-            total = _ZERO
-            for g in range(n):
-                tr = sum((rep.blocks[g][deg][i, i] for i in range(dim)), _ZERO)
-                total = total + tr * table.value_at_element(ch, rep.inverse(g))
-            mult = total / n
-            assert isinstance(mult, Fraction) and mult.denominator == 1 and mult >= 0, \
-                f"character multiplicity must be a nonnegative integer, got {mult}"
-            per_degree.append(int(mult))
-        mults[ch.name] = tuple(per_degree)
+        per_degree = mults[ch.name] = _multiplicities(table, rep, ch)
         projectors[ch.name] = isotypic_projector(table, rep, ch.name)
         per_iso = []
         for deg, dim in enumerate(rep.degree_dims):
@@ -322,6 +299,22 @@ def decompose(table: CharacterTable, rep: FinGroupRep) -> IsotypicDecomposition:
                                  isotypes=isotypes, projectors=projectors)
 
 
+def _multiplicities(table, rep, ch):
+    """<chi, rho> on each degree block, by the character inner product."""
+    n = rep.order
+    out = []
+    for deg, dim in enumerate(rep.degree_dims):
+        total = _ZERO
+        for g in range(n):
+            tr = sum((rep.blocks[g][deg][i, i] for i in range(dim)), _ZERO)
+            total = total + tr * table.value_at_element(ch, rep.inverse(g))
+        mult = total / n
+        assert isinstance(mult, Fraction) and mult.denominator == 1 and mult >= 0, \
+            f"character multiplicity must be a nonnegative integer, got {mult}"
+        out.append(int(mult))
+    return tuple(out)
+
+
 def multiplicity_space(table: CharacterTable, rep: FinGroupRep, name):
     """Bases of Hom_G(W, M) per degree, solved as exact intertwiner systems."""
     ch = table.char(name)
@@ -329,6 +322,7 @@ def multiplicity_space(table: CharacterTable, rep: FinGroupRep, name):
         raise MatricesRequired(f"irreducible {name!r} carries no matrices")
     d = ch.degree
     n = rep.order
+    expected = _multiplicities(table, rep, ch)
     out = []
     for deg, dim in enumerate(rep.degree_dims):
         rows = []
@@ -346,21 +340,10 @@ def multiplicity_space(table: CharacterTable, rep: FinGroupRep, name):
                     rows.append(row)
         kern = Matrix.from_rows(rows).kernel() if rows else Subspace.full(dim * d)
         basis = [Matrix(dim, d, list(v)) for v in kern.basis]
-        expected = _character_multiplicity(table, rep, ch, deg)
-        assert len(basis) == expected, \
+        assert len(basis) == expected[deg], \
             "intertwiner count must equal the character multiplicity"
         out.append(basis)
     return out
-
-
-def _character_multiplicity(table, rep, ch, deg):
-    n = rep.order
-    dim = rep.degree_dims[deg]
-    total = _ZERO
-    for g in range(n):
-        tr = sum((rep.blocks[g][deg][i, i] for i in range(dim)), _ZERO)
-        total = total + tr * table.value_at_element(ch, rep.inverse(g))
-    return int(total / n)
 
 
 # ---------------------------------------------------------------------------
@@ -380,37 +363,33 @@ def _mode_matrix(rep: FinGroupRep, poly: Poly):
         for ee, c in prod.terms.items():
             col[index[ee]] = c
         cols.append(col)
-    return Matrix(n, n, [cols[c][r] for r in range(n) for c in range(n)])
+    return Matrix.from_columns(cols)
 
 
 def check_commutant(rep: FinGroupRep, samples, max_order) -> CheckReport:
     """[rho(g), multiplication by d^k u / k!] = 0 within cap, per sample u."""
     backend = rep.backend
     report = CheckReport()
-    for u in samples:
-        label = poly_to_text(u, backend.variables)
-        ok = (True, None)
+    cap = backend.degree_cap
+
+    def failures(u):
         dku = u
         for k in range(max_order + 1):
             if k:
                 dku = backend.derive(dku)
             if dku.is_zero():
-                break
+                return
             op = _mode_matrix(rep, dku.scale(Fraction(1, math.factorial(k))))
-            cap = backend.degree_cap
             deg_u = dku.degree()
             for g in range(rep.order):
                 lhs = rep.full[g] * op
                 rhs = op * rep.full[g]
-                bad = next(((i, j) for i in range(op.rows) for j in range(op.cols)
-                            if sum(rep.monomials[j]) + deg_u <= cap
-                            and lhs[i, j] != rhs[i, j]), None)
-                if bad is not None:
-                    ok = (False, f"element {rep.element_names[g]} at order {k}")
-                    break
-            if not ok[0]:
-                break
-        report[label] = ok
+                if any(sum(rep.monomials[j]) + deg_u <= cap and lhs[i, j] != rhs[i, j]
+                       for i in range(op.rows) for j in range(op.cols)):
+                    yield f"element {rep.element_names[g]} at order {k}"
+
+    for u in samples:
+        report.record(poly_to_text(u, backend.variables), failures(u))
     return report
 
 
@@ -493,8 +472,7 @@ def _isotype_fingerprints(decomp: IsotypicDecomposition, name, mode_order):
             images = [op.apply(list(b)) for b in iso.basis]
             coords = [iso.coordinates_of(img) for img in images]
             assert all(c is not None for c in coords), "mode left the isotype"
-            square = Matrix(iso.dim, iso.dim,
-                            [coords[c][r] for r in range(iso.dim) for c in range(iso.dim)])
+            square = Matrix.from_columns(coords)
             trace = sum((square[i, i] for i in range(iso.dim)), _ZERO) / d
             rank_profile = []
             for deg in range(len(rep.degree_dims)):

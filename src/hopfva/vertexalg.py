@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add as _add
 
-from .errors import MalformedPairs, TruncationOverflow
-from .linalg import Matrix, Subspace, _cleared, _kernel_rref
+from .errors import CheckReport, MalformedPairs, TruncationOverflow
+from .linalg import Matrix, Subspace, _cleared, _kernel_rref, linear_combination
 from .scalars import Cyclotomic, as_scalar, scalar_pretty, scalar_to_text
 
 _ZERO = Fraction(0)
@@ -549,14 +549,8 @@ def _impose_order(monos, kern, derivs, order):
         return True, kern
     rows = [[col.get(key, 0) for col in cols] for key in keys]
     local, _ = _kernel_rref(rows, len(cols))
-    combos = []
-    for lv in local:
-        v = [0] * (n * n)
-        for c, w in zip(lv, vectors):
-            if c != 0:
-                v = [x + c * y for x, y in zip(v, w)]
-        combos.append(v)
-    return False, Subspace.from_vectors(n * n, combos)
+    return False, Subspace.from_vectors(
+        n * n, [linear_combination(lv, vectors) for lv in local])
 
 
 @dataclass
@@ -677,78 +671,43 @@ def z2_kernel(backend, cap=None, order=None, laurent_bound=1) -> Z2Result:
 # axiom checks and identities
 
 
-class CheckReport(dict):
-    """check name -> (passed, witness)."""
-
-    @property
-    def passed(self):
-        return all(ok for ok, _ in self.values())
-
-    def as_dict(self):
-        return {k: {"ok": ok, "witness": w} for k, (ok, w) in self.items()}
-
-
 def verify_comm_va_axioms(backend, samples, order) -> CheckReport:
     """Vacuum, creation (D = d), skew symmetry and mutual commutativity,
     checked coefficientwise to z^order on the sample set."""
     report = CheckReport()
     vars_ = backend.variables
+    one = Poly.const(backend.nvars, _ONE)
 
-    vac = (True, None)
-    for b in samples:
-        one = Poly.const(backend.nvars, _ONE)
+    def vacuum_ok(b):
         coeffs = [(backend.derive_k(one, k) * b).scale(Fraction(1, math.factorial(k)))
                   for k in range(order + 1)]
-        if coeffs[0] != b or any(not c.is_zero() for c in coeffs[1:]):
-            vac = (False, poly_to_text(b, vars_))
-            break
-    report["vacuum"] = vac
+        return coeffs[0] == b and all(c.is_zero() for c in coeffs[1:])
 
-    create = (True, None)
-    for u in samples:
-        series = backend.exp_derivation_series(u, order)
-        one = Poly.const(backend.nvars, _ONE)
-        for k in range(order + 1):
-            got = (backend.derive_k(u, k) * one).scale(Fraction(1, math.factorial(k)))
-            if got != series[k]:
-                create = (False, f"{poly_to_text(u, vars_)} at order {k}")
-                break
-        if not create[0]:
-            break
-    report["creation"] = create
+    def creation_failures():
+        for u in samples:
+            series = backend.exp_derivation_series(u, order)
+            for k in range(order + 1):
+                got = (backend.derive_k(u, k) * one).scale(Fraction(1, math.factorial(k)))
+                if got != series[k]:
+                    yield f"{poly_to_text(u, vars_)} at order {k}"
 
-    skew = (True, None)
-    for u in samples:
-        for v in samples:
-            if not _skew_ok(backend, u, v, order):
-                skew = (False, f"({poly_to_text(u, vars_)}, {poly_to_text(v, vars_)})")
-                break
-        if not skew[0]:
-            break
-    report["skew-symmetry"] = skew
+    def commutativity_failures():
+        for u, v, w in itertools.product(samples, repeat=3):
+            for a in range(order + 1):
+                for b in range(order + 1 - a):
+                    du = backend.derive_k(u, a)
+                    dv = backend.derive_k(v, b)
+                    if du * (dv * w) != dv * (du * w):
+                        yield (f"({poly_to_text(u, vars_)},{poly_to_text(v, vars_)},"
+                               f"{poly_to_text(w, vars_)})")
 
-    comm = (True, None)
-    for u in samples:
-        for v in samples:
-            for w in samples:
-                for a in range(order + 1):
-                    for b in range(order + 1 - a):
-                        du = backend.derive_k(u, a)
-                        dv = backend.derive_k(v, b)
-                        if du * (dv * w) != dv * (du * w):
-                            comm = (False, f"({poly_to_text(u, vars_)},"
-                                           f"{poly_to_text(v, vars_)},"
-                                           f"{poly_to_text(w, vars_)})")
-                            break
-                    if not comm[0]:
-                        break
-                if not comm[0]:
-                    break
-            if not comm[0]:
-                break
-        if not comm[0]:
-            break
-    report["mutual-commutativity"] = comm
+    report.record("vacuum", (poly_to_text(b, vars_) for b in samples if not vacuum_ok(b)))
+    report.record("creation", creation_failures())
+    report.record("skew-symmetry", (
+        f"({poly_to_text(u, vars_)}, {poly_to_text(v, vars_)})"
+        for u, v in itertools.product(samples, repeat=2)
+        if not _skew_ok(backend, u, v, order)))
+    report.record("mutual-commutativity", commutativity_failures())
     return report
 
 
@@ -776,9 +735,8 @@ def flip_skew_check(backend, pairs, order) -> CheckReport:
     """
     report = CheckReport()
     vars_ = backend.variables
-    for u, v in pairs:
-        label = f"({poly_to_text(u, vars_)}, {poly_to_text(v, vars_)})"
-        ok = (True, None)
+
+    def failures(u, v):
         for k in range(order + 1):
             lhs = Poly.zero(backend.nvars)
             for i in range(k + 1):
@@ -790,9 +748,10 @@ def flip_skew_check(backend, pairs, order) -> CheckReport:
             sign = _ONE if k % 2 == 0 else -_ONE
             rhs = (backend.derive_k(v, k) * u).scale(sign * Fraction(1, math.factorial(k)))
             if lhs != rhs:
-                ok = (False, f"coefficient {k}")
-                break
-        report[label] = ok
+                yield f"coefficient {k}"
+
+    for u, v in pairs:
+        report.record(f"({poly_to_text(u, vars_)}, {poly_to_text(v, vars_)})", failures(u, v))
     return report
 
 

@@ -375,6 +375,56 @@ def test_basis_count_mismatch_is_an_input_error_under_O(tmp_path):
     assert "2 basis names for dimension 1" in doc["result"]["message"]
 
 
+ONE_DIM = {"name": "one", "builder": "tensors", "dim": 1, "basis": ["a"],
+           "mul": [[0, 0, 0, "1/1"]], "comul": [[0, 0, 0, "1/1"]],
+           "counit": ["1/1"], "unit": ["1/1"], "antipode": [[0, 0, "1/1"]]}
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("mul", [[0, 3, 0, "1/1"]], "mul entry [0, 3, 0, '1/1'] has an index outside 0..0"),
+    ("comul", [[0, 0, -1, "1/1"]], "comul entry [0, 0, -1, '1/1'] has an index outside"),
+    ("comul", [["0", 0, 0, "1/1"]], "comul entry ['0', 0, 0, '1/1'] has an index outside"),
+    ("antipode", [[1, 0, "1/1"]], "antipode entry [1, 0, '1/1'] has an index outside"),
+    ("unit", ["1/1", "0"], "unit has 2 entries for dimension 1"),
+    ("counit", [], "counit has 0 entries for dimension 1"),
+], ids=["mul", "comul", "comul-text-index", "antipode", "unit", "counit"])
+def test_tensor_shapes_are_checked_against_dim(capsys, tmp_path, field, value, message):
+    ws = tmp_path / "bad_tensors.json"
+    ws.write_text(json.dumps({"schema_version": 1,
+                              "hopf_algebras": [dict(ONE_DIM, **{field: value})]}))
+    code, doc, _ = run_cli(capsys, [
+        "verify-hopf", "--workspace", str(ws), "--object", "one"])
+    assert code == 4
+    assert doc["status"] == "error"
+    assert doc["result"]["error"] == "ShapeMismatch"
+    assert message in doc["result"]["message"]
+
+
+def test_action_matrix_size_is_an_input_error_under_O(tmp_path):
+    ws = tmp_path / "small_matrix.json"
+    ws.write_text(json.dumps({
+        "schema_version": 1,
+        "hopf_algebras": [{"name": "qz2", "builder": "group_algebra",
+                           "table": [[0, 1], [1, 0]], "element_names": ["e", "g"]}],
+        "backends": [{"name": "plain", "variables": ["x"],
+                      "derivation": {"x": "x"}, "degree_cap": 1}],
+        "actions": [{"name": "short", "hopf": "qz2", "backend": "plain",
+                     "matrices": {"e": [["1", "0"], ["0", "1"]],
+                                  "g": [["1", "0"], ["0"]]}}],
+    }))
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "hopfva.cli", "fixed-points",
+             "--workspace", str(ws), "--object", "short", "--json-only"],
+            capture_output=True, text=True)
+        assert proc.returncode == 4, proc.stderr
+        doc = json.loads(proc.stdout.strip())
+        assert doc["result"] == {
+            "error": "ShapeMismatch",
+            "message": "action 'short': the matrix of g is 2x1/2, "
+                       "but the carrier has 2 monomials"}
+
+
 # --- element order of groups -----------------------------------------------------
 
 

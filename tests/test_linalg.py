@@ -12,6 +12,7 @@ from hopfva.linalg import (
     _leading_ones,
     _rref_rows,
     kronecker,
+    linear_combination,
     solve,
     split_commutative_algebra,
 )
@@ -299,3 +300,13 @@ def test_rref_rows_field_path_accepts_int_entries():
     assert back.kernel().dim == 1
     for v in back.kernel().basis:
         assert all(c == 0 for c in back.apply(list(v)))
+
+
+def test_from_columns_and_linear_combination():
+    m = Matrix.from_columns([[1, 2], [3, 4], [5, 6]])
+    assert m == Matrix.from_rows([[1, 3, 5], [2, 4, 6]])
+    assert Matrix.from_columns([]) == Matrix(0, 0, [])
+    combo = linear_combination([2, 0, -1], [[1, 2], [7, 7], [0, 3]])
+    assert combo == [2, 1]
+    assert all(type(c) is int for c in combo)  # int rows stay ints
+    assert linear_combination([F(1, 2), 3], [[F(2), F(0)], [F(0), F(1)]]) == [F(1), F(3)]

@@ -133,7 +133,49 @@ def test_duplicated_row_fails_orthogonality():
         [IrrepCharacter("a", 1, (F(1), F(1))),
          IrrepCharacter("b", 1, (F(1), F(1)))])
     report = verify_character_table(t)
-    assert not report["row-orthogonality"][0]
+    assert list(report.items()) == [
+        ("row-orthogonality", (False, "(a, b)")),
+        ("degree-sum", (True, None)),
+        ("degree-matches-identity-value", (True, None)),
+        ("matrices-multiplicative", (True, None)),
+        ("trace-consistency", (True, None)),
+    ]
+
+
+def _z2_table(*chars):
+    return CharacterTable([[0, 1], [1, 0]], [[0], [1]], chars)
+
+
+def _one_by_one(*values):
+    return tuple(Matrix.from_rows([[F(v)]]) for v in values)
+
+
+@pytest.mark.parametrize("chars,failures", [
+    # a degree that breaks the degree sum and the value at the identity
+    ((IrrepCharacter("triv", 1, (F(1), F(1))),
+      IrrepCharacter("sign", 2, (F(1), F(-1)))),
+     {"degree-sum": "sum 5 != 2", "degree-matches-identity-value": "sign"}),
+    # the first irrep with matrices to fail stops the matrix checks: the
+    # trace of triv is wrong, so sign's non-multiplicative matrices go unseen
+    ((IrrepCharacter("triv", 1, (F(1), F(1)), _one_by_one(1, -1)),
+      IrrepCharacter("sign", 1, (F(1), F(-1)), _one_by_one(1, 2))),
+     {"trace-consistency": "triv at element 1"}),
+    # a failure at the identity leaves the traces of that irrep unchecked
+    ((IrrepCharacter("triv", 1, (F(1), F(1)), _one_by_one(2, 1)),
+      IrrepCharacter("sign", 1, (F(1), F(-1)), _one_by_one(1, 2))),
+     {"matrices-multiplicative": "triv at identity"}),
+    # irreps without matrices are skipped; both checks report the same irrep
+    ((IrrepCharacter("triv", 1, (F(1), F(1))),
+      IrrepCharacter("sign", 1, (F(1), F(-1)), _one_by_one(1, 3))),
+     {"matrices-multiplicative": "sign at (1,1)",
+      "trace-consistency": "sign at element 1"}),
+])
+def test_character_table_report_witnesses(chars, failures):
+    names = ["row-orthogonality", "degree-sum", "degree-matches-identity-value",
+             "matrices-multiplicative", "trace-consistency"]
+    report = verify_character_table(_z2_table(*chars))
+    assert list(report.items()) == [
+        (k, (False, failures[k]) if k in failures else (True, None)) for k in names]
 
 
 def test_chartable_rejects_bad_classes():
@@ -258,9 +300,13 @@ def test_commutant_even_multipliers():
 
 def test_commutant_negative_control():
     rep = z2_rep(6)
-    report = check_commutant(rep, [x_pow(1)], 0)
-    ok, _ = report["1/1*x"]
-    assert not ok  # x is not invariant, expected failure
+    report = check_commutant(rep, [x_pow(2), x_pow(1), x_pow(3)], 2)
+    # x and x^3 are not invariant, expected failures
+    assert list(report.items()) == [
+        ("1/1*x^2", (True, None)),
+        ("1/1*x", (False, "element g1 at order 0")),
+        ("1/1*x^3", (False, "element g1 at order 0")),
+    ]
 
 
 # --- cyclic reachability -------------------------------------------------------------

@@ -122,9 +122,13 @@ def test_corrupted_derivation_fails_skew_symmetry():
     a = _corrupted_ddx(4)
     samples = [x_poly(1), x_poly(2)]
     report = verify_comm_va_axioms(a, samples, 3)
-    ok, witness = report["skew-symmetry"]
-    assert not ok
-    assert witness is not None
+    assert report == {
+        "vacuum": (True, None),
+        "creation": (True, None),
+        "skew-symmetry": (False, "(1/1*x, 1/1*x)"),
+        "mutual-commutativity": (True, None),
+    }
+    assert list(report) == ["vacuum", "creation", "skew-symmetry", "mutual-commutativity"]
 
 
 # --- pi2 kernels ---------------------------------------------------------------
@@ -351,8 +355,12 @@ def test_flip_skew_trivial_pair():
 
 def test_flip_skew_corrupted_fails():
     a = _corrupted_ddx(4)
-    report = flip_skew_check(a, [(x_poly(1), x_poly(2))], 3)
+    report = flip_skew_check(a, [(x_poly(1), x_poly(2)), (Poly.const(1, F(1)), x_poly(1))], 3)
     assert not report.passed
+    assert list(report.items()) == [
+        ("(1/1*x, 1/1*x^2)", (False, "coefficient 1")),
+        ("(1/1, 1/1*x)", (True, None)),
+    ]
 
 
 # --- text forms ----------------------------------------------------------------
