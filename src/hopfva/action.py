@@ -313,7 +313,6 @@ def action_annihilator(act: HopfAction) -> AnnihilatorResult:
         raise FiltrationFlagRequired(
             "annihilator stabilisation needs a filtration-compatible action")
     h = act.hopf
-    n = len(act.monomials)
 
     def annihilator_at(limit):
         keep = [i for i, e in enumerate(act.monomials) if sum(e) <= limit]

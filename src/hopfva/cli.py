@@ -12,7 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import make_dataclass
+from typing import NamedTuple
 
 from . import action as action_mod
 from . import hopf as hopf_mod
@@ -34,29 +35,160 @@ from .vertexalg import Poly, poly_from_text, poly_to_text
 
 SCHEMA_VERSION = 1
 
-COMMANDS = (
-    "verify-hopf", "cocommutative", "group-likes", "recognize-group-algebra",
-    "verify-action", "pi2-kernel", "pin-check", "z2-kernel", "fixed-points",
-    "annihilator", "inner-faithful", "quotient", "tensor-faithful",
-    "thm-5-1", "thm-5-4", "decompose", "multiplicity", "commutant", "reach",
-    "distinguish",
-)
+
+# ---------------------------------------------------------------------------
+# numeric options
+
+
+class _Option(NamedTuple):
+    field: str      # the Caps field the flag sets
+    default: int
+    least: int      # smallest accepted value
+
+
+# each numeric flag, in --help order
+OPTIONS = {
+    "--cap-d": _Option("degree", None, 0),     # override for backend degree caps
+    "--order-k": _Option("order", None, 0),    # coefficient order bound K
+    "--laurent-b": _Option("laurent", 2, 0),   # B for Z2
+    "--arity-n": _Option("arity", 3, 2),       # n for pin-check
+    "--s-max": _Option("s_max", 3, 0),
+    "--tensor-budget": _Option("tensor_budget", 512, 0),
+    "--mode-budget": _Option("mode_budget", 2, 0),
+    "--conductor": _Option("conductor", 1, 1),
+}
+
+Caps = make_dataclass("Caps", [(o.field, int, o.default) for o in OPTIONS.values()],
+                      namespace={"__module__": __name__})
+
+
+def _integer(value, least, what):
+    """`value` if it is an int of at least `least`; a ParseError naming `what` if not."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ParseError(f"{what} must be an integer of at least {least}, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
-# workspace
+# workspace sections: one builder each, (workspace, name, definition) -> object
 
 
-@dataclass
-class Caps:
-    degree: int = None        # override for backend degree caps
-    order: int = None         # coefficient order bound K
-    laurent: int = 2          # B for Z2
-    s_max: int = 3
-    tensor_budget: int = 512
-    mode_budget: int = 2
-    conductor: int = 1
-    arity: int = 3            # n for pin-check
+def _hopf(ws, name, d):
+    builder = d.get("builder", "tensors")
+    if builder == "sweedler":
+        return hopf_mod.sweedler()
+    if builder == "group_algebra":
+        table = d["table"] if "table" in d else ws.get("groups", d["group"])
+        return hopf_mod.group_algebra(table, names=d.get("element_names"))
+    if builder == "dual":
+        return hopf_mod.dual_hopf(ws.get("hopf_algebras", d["of"]))
+    if builder == "tensors":
+        return _hopf_from_tensors(name, d)
+    raise ParseError(f"unknown Hopf builder {builder!r}")
+
+
+def _hopf_from_tensors(name, d):
+    dim = _integer(d["dim"], 0, f"Hopf algebra {name!r}: dim")
+    names = d.get("basis", [f"b{i}" for i in range(dim)])
+    for field in ("mul", "comul", "antipode"):
+        for entry in d[field]:
+            if any(not (isinstance(i, int) and 0 <= i < dim) for i in entry[:-1]):
+                raise ShapeMismatch(f"{field} entry {entry} has an index outside "
+                                    f"0..{dim - 1}")
+    for field in ("unit", "counit"):
+        if len(d[field]) != dim:
+            raise ShapeMismatch(f"{field} has {len(d[field])} entries for "
+                                f"dimension {dim}")
+    zero = scalar_from_text("0")
+    mul = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    for i, j, k, s in d["mul"]:
+        mul[i][j][k] = scalar_from_text(s)
+    comul = [[zero] * (dim * dim) for _ in range(dim)]
+    for k, i, j, s in d["comul"]:
+        comul[k][i * dim + j] = scalar_from_text(s)
+    counit = [scalar_from_text(s) for s in d["counit"]]
+    unit = [scalar_from_text(s) for s in d["unit"]]
+    anti = [[zero] * dim for _ in range(dim)]
+    for i, j, s in d["antipode"]:
+        anti[i][j] = scalar_from_text(s)
+    return hopf_mod.FinHopfAlgebra(
+        dim, names, mul, unit, comul, counit, Matrix.from_rows(anti),
+        group_like_basis=d.get("group_like_basis"),
+        verify=d.get("verify", True))
+
+
+def _backend(ws, name, d):
+    cap = ws.caps.degree
+    if cap is None:
+        cap = _integer(d["degree_cap"], OPTIONS["--cap-d"].least,
+                       f"backend {name!r}: degree_cap")
+    variables = list(d["variables"])
+    images = {v: poly_from_text(t, variables)
+              for v, t in d["derivation"].items()}
+    for v in variables:
+        images.setdefault(v, Poly.zero(len(variables)))
+    return va_mod.CommDiffVA(variables, images, cap)
+
+
+def _action(ws, name, d):
+    h = ws.get("hopf_algebras", d["hopf"])
+    backend = ws.get("backends", d["backend"])
+    if "generator_images" in d:
+        images = {}
+        for bname, per_var in d["generator_images"].items():
+            images[bname] = {v: poly_from_text(t, list(backend.variables))
+                             for v, t in per_var.items()}
+        return action_mod.HopfAction.from_generator_images(h, backend, images)
+    if "matrices" in d:
+        if ws.caps.degree is not None:
+            raise ParseError(
+                f"action {name!r} has explicit matrices; --cap-d cannot re-cap it")
+        n = len(backend.monomials())
+        mats = []
+        for bname in h.names:
+            if bname not in d["matrices"]:
+                raise ShapeMismatch(f"action {name!r}: no matrix for basis element {bname!r}")
+            rows = [[scalar_from_text(c) for c in row] for row in d["matrices"][bname]]
+            if len(rows) != n or any(len(row) != n for row in rows):
+                widths = sorted({len(row) for row in rows}) or [0]
+                shape = f"{len(rows)}x{'/'.join(map(str, widths))}"
+                raise ShapeMismatch(
+                    f"action {name!r}: the matrix of {bname} is {shape}, but the "
+                    f"carrier has {n} monomials")
+            mats.append(Matrix.from_rows(rows))
+        return action_mod.HopfAction(h, backend, mats)
+    raise ParseError(f"action {name!r} needs generator_images or matrices")
+
+
+def _chartable(ws, name, d):
+    # index elements as the group algebra of this group does
+    order, table = hopf_mod.relabel_identity_first(ws.get("groups", d["group"]))
+    pos = {old: new for new, old in enumerate(order)}
+    classes = [[pos.get(g, g) for g in c] for c in d["classes"]]
+    chars = []
+    for ch in d["characters"]:
+        mats = None
+        if "matrices" in ch:
+            if len(ch["matrices"]) != len(order):
+                raise ParseError(f"character {ch['name']!r} needs one matrix "
+                                 f"per group element")
+            mats = tuple(Matrix.from_rows(
+                [[scalar_from_text(c) for c in row] for row in ch["matrices"][old]])
+                for old in order)
+        chars.append(sw_mod.IrrepCharacter(
+            name=ch["name"], degree=ch["degree"],
+            values=tuple(scalar_from_text(v) for v in ch["values"]),
+            matrices=mats))
+    return sw_mod.CharacterTable(table, classes, chars)
+
+
+SECTIONS = {
+    "groups": lambda ws, name, d: [list(r) for r in d["table"]],
+    "hopf_algebras": _hopf,
+    "backends": _backend,
+    "actions": _action,
+    "character_tables": _chartable,
+}
 
 
 class Workspace:
@@ -67,152 +199,21 @@ class Workspace:
         self.caps = caps
         self._cache = {}
 
-    # -- resolution helpers
-
-    def _lookup(self, section, name):
-        try:
-            return self.defs[section][name]
-        except KeyError:
-            raise UnresolvedReference(f"no {section[:-1]} named {name!r}") from None
-
-    def group(self, name):
-        key = ("groups", name)
+    def get(self, section, name):
+        """The object `name` of `section`, built once."""
+        key = (section, name)
         if key not in self._cache:
-            d = self._lookup("groups", name)
-            self._cache[key] = [list(r) for r in d["table"]]
+            try:
+                d = self.defs[section][name]
+            except KeyError:
+                raise UnresolvedReference(f"no {section[:-1]} named {name!r}") from None
+            self._cache[key] = SECTIONS[section](self, name, d)
         return self._cache[key]
-
-    def hopf(self, name):
-        key = ("hopf_algebras", name)
-        if key in self._cache:
-            return self._cache[key]
-        d = self._lookup("hopf_algebras", name)
-        builder = d.get("builder", "tensors")
-        if builder == "sweedler":
-            h = hopf_mod.sweedler()
-        elif builder == "group_algebra":
-            table = d["table"] if "table" in d else self.group(d["group"])
-            h = hopf_mod.group_algebra(table, names=d.get("element_names"))
-        elif builder == "dual":
-            h = hopf_mod.dual_hopf(self.hopf(d["of"]))
-        elif builder == "tensors":
-            h = self._hopf_from_tensors(d)
-        else:
-            raise ParseError(f"unknown Hopf builder {builder!r}")
-        self._cache[key] = h
-        return h
-
-    def _hopf_from_tensors(self, d):
-        dim = d["dim"]
-        names = d.get("basis", [f"b{i}" for i in range(dim)])
-        for field in ("mul", "comul", "antipode"):
-            for entry in d[field]:
-                if any(not (isinstance(i, int) and 0 <= i < dim) for i in entry[:-1]):
-                    raise ShapeMismatch(f"{field} entry {entry} has an index outside "
-                                        f"0..{dim - 1}")
-        for field in ("unit", "counit"):
-            if len(d[field]) != dim:
-                raise ShapeMismatch(f"{field} has {len(d[field])} entries for "
-                                    f"dimension {dim}")
-        zero = scalar_from_text("0")
-        mul = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-        for i, j, k, s in d["mul"]:
-            mul[i][j][k] = scalar_from_text(s)
-        comul = [[zero] * (dim * dim) for _ in range(dim)]
-        for k, i, j, s in d["comul"]:
-            comul[k][i * dim + j] = scalar_from_text(s)
-        counit = [scalar_from_text(s) for s in d["counit"]]
-        unit = [scalar_from_text(s) for s in d["unit"]]
-        anti = [[zero] * dim for _ in range(dim)]
-        for i, j, s in d["antipode"]:
-            anti[i][j] = scalar_from_text(s)
-        return hopf_mod.FinHopfAlgebra(
-            dim, names, mul, unit, comul, counit, Matrix.from_rows(anti),
-            group_like_basis=d.get("group_like_basis"),
-            verify=d.get("verify", True))
-
-    def backend(self, name):
-        key = ("backends", name)
-        if key in self._cache:
-            return self._cache[key]
-        d = self._lookup("backends", name)
-        cap = self.caps.degree if self.caps.degree is not None else d["degree_cap"]
-        variables = list(d["variables"])
-        images = {v: poly_from_text(t, variables)
-                  for v, t in d["derivation"].items()}
-        for v in variables:
-            images.setdefault(v, Poly.zero(len(variables)))
-        b = va_mod.CommDiffVA(variables, images, cap)
-        self._cache[key] = b
-        return b
-
-    def action(self, name):
-        key = ("actions", name)
-        if key in self._cache:
-            return self._cache[key]
-        d = self._lookup("actions", name)
-        h = self.hopf(d["hopf"])
-        backend = self.backend(d["backend"])
-        if "generator_images" in d:
-            images = {}
-            for bname, per_var in d["generator_images"].items():
-                images[bname] = {v: poly_from_text(t, list(backend.variables))
-                                 for v, t in per_var.items()}
-            act = action_mod.HopfAction.from_generator_images(h, backend, images)
-        elif "matrices" in d:
-            if self.caps.degree is not None:
-                raise ParseError(
-                    f"action {name!r} has explicit matrices; --cap-d cannot re-cap it")
-            n = len(backend.monomials())
-            mats = []
-            for bname in h.names:
-                rows = [[scalar_from_text(c) for c in row] for row in d["matrices"][bname]]
-                if len(rows) != n or any(len(row) != n for row in rows):
-                    widths = sorted({len(row) for row in rows}) or [0]
-                    shape = f"{len(rows)}x{'/'.join(map(str, widths))}"
-                    raise ShapeMismatch(
-                        f"action {name!r}: the matrix of {bname} is {shape}, but the "
-                        f"carrier has {n} monomials")
-                mats.append(Matrix.from_rows(rows))
-            act = action_mod.HopfAction(h, backend, mats)
-        else:
-            raise ParseError(f"action {name!r} needs generator_images or matrices")
-        self._cache[key] = act
-        return act
-
-    def chartable(self, name):
-        key = ("character_tables", name)
-        if key in self._cache:
-            return self._cache[key]
-        d = self._lookup("character_tables", name)
-        # index elements as the group algebra of this group does
-        order, table = hopf_mod.relabel_identity_first(self.group(d["group"]))
-        pos = {old: new for new, old in enumerate(order)}
-        classes = [[pos.get(g, g) for g in c] for c in d["classes"]]
-        chars = []
-        for ch in d["characters"]:
-            mats = None
-            if "matrices" in ch:
-                if len(ch["matrices"]) != len(order):
-                    raise ParseError(f"character {ch['name']!r} needs one matrix "
-                                     f"per group element")
-                mats = tuple(Matrix.from_rows(
-                    [[scalar_from_text(c) for c in row] for row in ch["matrices"][old]])
-                    for old in order)
-            chars.append(sw_mod.IrrepCharacter(
-                name=ch["name"], degree=ch["degree"],
-                values=tuple(scalar_from_text(v) for v in ch["values"]),
-                matrices=mats))
-        t = sw_mod.CharacterTable(table, classes, chars)
-        self._cache[key] = t
-        return t
 
 
 def load(paths, caps: Caps = None) -> Workspace:
     """Parse and merge workspace files; duplicate names are rejected."""
-    sections = ("groups", "hopf_algebras", "backends", "actions",
-                "character_tables")
-    defs = {s: {} for s in sections}
+    defs = {s: {} for s in SECTIONS}
     for path in paths:
         try:
             with open(path) as fh:
@@ -221,10 +222,17 @@ def load(paths, caps: Caps = None) -> Workspace:
             raise ParseError(f"{path}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+        if not isinstance(data, dict):
+            raise ParseError(f"{path}: a workspace must be a JSON object")
         if data.get("schema_version") != SCHEMA_VERSION:
             raise ParseError(f"{path}: schema_version must be {SCHEMA_VERSION}")
-        for section in sections:
-            for entry in data.get(section, []):
+        for section in SECTIONS:
+            entries = data.get(section, [])
+            if not isinstance(entries, list):
+                raise ParseError(f"{path}: {section} must be a list")
+            for entry in entries:
+                if not isinstance(entry, dict):
+                    raise ParseError(f"{path}: each {section} entry must be an object")
                 name = entry.get("name")
                 if not name:
                     raise ParseError(f"{path}: {section} entry without a name")
@@ -238,12 +246,8 @@ def load(paths, caps: Caps = None) -> Workspace:
 # serialisation helpers
 
 
-def _subspace_json(sub, labels=None):
-    out = {"ambient": sub.ambient, "dim": sub.dim,
-           "basis": [[scalar_to_text(c) for c in row] for row in sub.basis]}
-    if labels is not None:
-        out["coordinates"] = list(labels)
-    return out
+def _status(ok):
+    return "pass" if ok else "fail"
 
 
 def _report_json(report):
@@ -252,212 +256,199 @@ def _report_json(report):
 
 def _report_outcome(key, report, label=""):
     """(status, result, human lines) of a command whose verdict is one report."""
-    return ("pass" if report.passed else "fail"), {key: _report_json(report)}, \
+    return _status(report.passed), {key: _report_json(report)}, \
         [f"{label}{k}: {'ok' if ok else 'FAIL at ' + str(w)}" for k, (ok, w) in report.items()]
 
 
-def _pair_entries(vec, monos, variables):
-    n = len(monos)
-    out = []
-    for t, c in enumerate(vec):
-        if c != 0:
-            i, j = divmod(t, n)
-            out.append([_mono_text(monos[i], variables),
-                        _mono_text(monos[j], variables), scalar_to_text(c)])
-    return out
+def _dimension_line(what, res):
+    return (f"{what} dimension {res.kernel.dim} "
+            f"({'stabilized' if res.stabilized else 'NOT stabilized'})")
 
 
-def _mono_text(e, variables):
-    return poly_to_text(Poly.monomial(e), list(variables))
+def _kernel_rows(res, variables, shifts=()):
+    """The kernel basis of a map on pairs of monomials, or on pairs of
+    monomials and Laurent shifts: each vector becomes one
+    [monomial, monomial, *shifts, coefficient] row per nonzero entry, its
+    flat index read with the last axis varying fastest."""
+    variables = list(variables)
+    monos = [poly_to_text(Poly.monomial(e), variables) for e in res.monomials]
+    axes = [monos, monos, *shifts]
+    basis = []
+    for vec in res.kernel.basis:
+        rows = []
+        for t, c in enumerate(vec):
+            if c != 0:
+                row = [scalar_to_text(c)]
+                for axis in reversed(axes):
+                    t, r = divmod(t, len(axis))
+                    row.insert(0, axis[r])
+                rows.append(row)
+        basis.append(rows)
+    return basis
 
 
 # ---------------------------------------------------------------------------
-# command dispatch
+# commands
 
 
-def run(ws: Workspace, command, obj=None, characters=None, irrep=None,
-        irrep2=None, seed=None):
-    """Execute one command; returns (status, result dict, human lines)."""
-    caps = ws.caps
-    if command == "verify-hopf":
-        return _report_outcome("axioms", hopf_mod.verify_hopf_axioms(ws.hopf(obj)), "axiom ")
+def _group_rep(ws, args):
+    return sw_mod.FinGroupRep.from_hopf_action(ws.get("actions", args.object))
 
-    if command == "cocommutative":
-        ok, witness = hopf_mod.is_cocommutative(ws.hopf(obj))
-        return ("pass" if ok else "fail"), \
-            {"cocommutative": ok, "witness": witness}, \
+
+class _Commands:
+    """One handler per command, named after it with '_' for '-', in --help
+    order: (workspace, parsed arguments) -> (status, result dict, human lines)."""
+
+    def verify_hopf(ws, args):
+        report = hopf_mod.verify_hopf_axioms(ws.get("hopf_algebras", args.object))
+        return _report_outcome("axioms", report, "axiom ")
+
+    def cocommutative(ws, args):
+        ok, witness = hopf_mod.is_cocommutative(ws.get("hopf_algebras", args.object))
+        return _status(ok), {"cocommutative": ok, "witness": witness}, \
             [f"cocommutative: {ok}" + (f" (witness {witness})" if witness else "")]
 
-    if command == "group-likes":
-        likes = hopf_mod.group_likes(ws.hopf(obj), conductor=caps.conductor)
+    def group_likes(ws, args):
+        likes = hopf_mod.group_likes(ws.get("hopf_algebras", args.object),
+                                     conductor=ws.caps.conductor)
         elems = [[scalar_to_text(c) for c in g] for g in likes]
         return "pass", {"count": len(likes), "elements": elems}, \
             [f"{len(likes)} group-like element(s)"]
 
-    if command == "recognize-group-algebra":
-        h = ws.hopf(obj)
+    def recognize_group_algebra(ws, args):
+        h = ws.get("hopf_algebras", args.object)
         try:
-            rec = hopf_mod.recognize_group_algebra(h, conductor=caps.conductor)
+            rec = hopf_mod.recognize_group_algebra(h, conductor=ws.caps.conductor)
         except NotGroupAlgebra as exc:
             return "fail", {"group_algebra": False, "reason": str(exc)}, \
                 [f"not a group algebra: {exc}"]
-        return "pass", {"group_algebra": True,
-                        "table": [list(r) for r in rec.table]}, \
+        return "pass", {"group_algebra": True, "table": [list(r) for r in rec.table]}, \
             [f"group algebra of order {len(rec.table)}"]
 
-    if command == "verify-action":
+    def verify_action(ws, args):
         report = action_mod.verify_module_vertex_algebra(
-            ws.action(obj), order=caps.order)
+            ws.get("actions", args.object), order=ws.caps.order)
         return _report_outcome("checks", report, "check ")
 
-    if command == "pi2-kernel":
-        backend = ws.backend(obj)
-        res = va_mod.pi2_kernel(backend, order=caps.order)
-        basis = [_pair_entries(v, res.monomials, backend.variables)
-                 for v in res.kernel.basis]
+    def pi2_kernel(ws, args):
+        backend = ws.get("backends", args.object)
+        res = va_mod.pi2_kernel(backend, order=ws.caps.order)
         return "pass", {"dim": res.kernel.dim, "stabilized": res.stabilized,
-                        "order": res.order, "basis": basis}, \
-            [f"pi2 kernel dimension {res.kernel.dim} "
-             f"({'stabilized' if res.stabilized else 'NOT stabilized'})"]
+                        "order": res.order, "basis": _kernel_rows(res, backend.variables)}, \
+            [_dimension_line("pi2 kernel", res)]
 
-    if command == "pin-check":
-        backend = ws.backend(obj)
-        res = va_mod.pin_injectivity_check(backend, caps.arity, order=caps.order)
-        status = "pass" if res.injective else "fail"
-        return status, {"injective": res.injective, "arity": res.arity,
-                        "kernel_dim": res.kernel.dim}, \
+    def pin_check(ws, args):
+        res = va_mod.pin_injectivity_check(ws.get("backends", args.object), ws.caps.arity,
+                                           order=ws.caps.order)
+        return _status(res.injective), {"injective": res.injective, "arity": res.arity,
+                                        "kernel_dim": res.kernel.dim}, \
             [f"pi_{res.arity} injective: {res.injective}"]
 
-    if command == "z2-kernel":
-        backend = ws.backend(obj)
-        res = va_mod.z2_kernel(backend, order=caps.order,
-                               laurent_bound=caps.laurent)
-        entries = []
-        n = len(res.monomials)
-        w = 2 * res.laurent_bound + 1
-        for vec in res.kernel.basis:
-            items = []
-            for t, c in enumerate(vec):
-                if c != 0:
-                    rest, bb = divmod(t, w)
-                    rest, aa = divmod(rest, w)
-                    i, j = divmod(rest, n)
-                    items.append([_mono_text(res.monomials[i], backend.variables),
-                                  _mono_text(res.monomials[j], backend.variables),
-                                  aa - res.laurent_bound, bb - res.laurent_bound,
-                                  scalar_to_text(c)])
-            entries.append(items)
-        return "pass", {"dim": res.kernel.dim, "basis": entries}, \
+    def z2_kernel(ws, args):
+        backend = ws.get("backends", args.object)
+        res = va_mod.z2_kernel(backend, order=ws.caps.order, laurent_bound=ws.caps.laurent)
+        shifts = range(-res.laurent_bound, res.laurent_bound + 1)
+        return "pass", {"dim": res.kernel.dim,
+                        "basis": _kernel_rows(res, backend.variables, (shifts, shifts))}, \
             [f"Z2 kernel dimension {res.kernel.dim}"]
 
-    if command == "fixed-points":
-        act = ws.action(obj)
+    def fixed_points(ws, args):
+        act = ws.get("actions", args.object)
         fixed, closure = action_mod.fixed_subspace(act)
-        polys = [poly_to_text(act.backend.poly_from_coords(list(v)),
-                              act.backend.variables) for v in fixed.basis]
-        return "pass", {"dim": fixed.dim, "basis": polys,
-                        "closure": _report_json(closure)}, \
-            [f"fixed subspace dimension {fixed.dim}"] + \
-            [f"  {p}" for p in polys]
+        polys = [poly_to_text(act.backend.poly_from_coords(list(v)), act.backend.variables)
+                 for v in fixed.basis]
+        return "pass", {"dim": fixed.dim, "basis": polys, "closure": _report_json(closure)}, \
+            [f"fixed subspace dimension {fixed.dim}"] + [f"  {p}" for p in polys]
 
-    if command == "annihilator":
-        act = ws.action(obj)
-        res = action_mod.action_annihilator(act)
+    def annihilator(ws, args):
+        res = action_mod.action_annihilator(ws.get("actions", args.object))
         return "pass", {"dim": res.kernel.dim, "stabilized": res.stabilized,
-                        "basis": [[scalar_to_text(c) for c in v]
-                                  for v in res.kernel.basis]}, \
-            [f"annihilator dimension {res.kernel.dim} "
-             f"({'stabilized' if res.stabilized else 'NOT stabilized'})"]
+                        "basis": [[scalar_to_text(c) for c in v] for v in res.kernel.basis]}, \
+            [_dimension_line("annihilator", res)]
 
-    if command == "inner-faithful":
-        ok = action_mod.is_inner_faithful(ws.action(obj))
-        return ("pass" if ok else "fail"), {"inner_faithful": ok}, \
-            [f"inner faithful: {ok}"]
+    def inner_faithful(ws, args):
+        ok = action_mod.is_inner_faithful(ws.get("actions", args.object))
+        return _status(ok), {"inner_faithful": ok}, [f"inner faithful: {ok}"]
 
-    if command == "quotient":
-        out = action_mod.inner_faithful_quotient(ws.action(obj))
-        return "pass", {"quotient_dim": out.quotient.hopf.dim,
-                        "ideal_dim": out.quotient.ideal.dim,
+    def quotient(ws, args):
+        out = action_mod.inner_faithful_quotient(ws.get("actions", args.object))
+        q = out.quotient
+        return "pass", {"quotient_dim": q.hopf.dim, "ideal_dim": q.ideal.dim,
                         "fixed_preserved": out.fixed_preserved,
-                        "quotient_basis": list(out.quotient.hopf.names)}, \
-            [f"quotient dimension {out.quotient.hopf.dim}; "
-             f"fixed points preserved: {out.fixed_preserved}"]
+                        "quotient_basis": list(q.hopf.names)}, \
+            [f"quotient dimension {q.hopf.dim}; fixed points preserved: {out.fixed_preserved}"]
 
-    if command == "tensor-faithful":
+    def tensor_faithful(ws, args):
         res = action_mod.tensor_power_faithfulness(
-            ws.action(obj), caps.s_max, budget=caps.tensor_budget)
+            ws.get("actions", args.object), ws.caps.s_max, budget=ws.caps.tensor_budget)
         return "pass", {"table": res.table, "s0": res.stabilization_index}, \
-            [f"annihilator dims per tensor power: {res.table}; "
-             f"s0 = {res.stabilization_index}"]
+            [f"annihilator dims per tensor power: {res.table}; s0 = {res.stabilization_index}"]
 
-    if command == "thm-5-1":
+    def thm_5_1(ws, args):
         verdict = action_mod.check_thm_group_algebra(
-            ws.action(obj), pi2_order=caps.order, conductor=caps.conductor)
-        status = "pass" if verdict.status == "PASS" else "fail"
-        return status, {"verdict": verdict.status, "detail": verdict.detail}, \
+            ws.get("actions", args.object), pi2_order=ws.caps.order,
+            conductor=ws.caps.conductor)
+        return _status(verdict.status == "PASS"), \
+            {"verdict": verdict.status, "detail": verdict.detail}, \
             [f"group-algebra conclusion checker: {verdict.status} ({verdict.detail})"]
 
-    if command == "thm-5-4":
+    def thm_5_4(ws, args):
         verdict = action_mod.check_thm_kernel_bialgebra_ideal(
-            ws.action(obj), pi2_order=caps.order)
-        if verdict.status == "PASS":
-            status = "pass"
-        elif verdict.status == "hypothesis-not-established":
-            status = "refused"
-        else:
-            status = "fail"
+            ws.get("actions", args.object), pi2_order=ws.caps.order)
+        status = {"PASS": "pass", "hypothesis-not-established": "refused"}.get(
+            verdict.status, "fail")
         return status, {"verdict": verdict.status, "detail": verdict.detail}, \
             [f"kernel-is-Hopf-ideal checker: {verdict.status} ({verdict.detail})"]
 
-    if command == "decompose":
-        act = ws.action(obj)
-        rep = sw_mod.FinGroupRep.from_hopf_action(act)
-        table = ws.chartable(characters)
-        decomp = sw_mod.decompose(table, rep)
+    def decompose(ws, args):
+        rep = _group_rep(ws, args)
+        decomp = sw_mod.decompose(ws.get("character_tables", args.characters), rep)
         mults = {name: list(m) for name, m in sorted(decomp.multiplicities.items())}
-        iso_dims = {name: decomp.isotype_full(name).dim
-                    for name in sorted(decomp.multiplicities)}
+        iso_dims = {name: decomp.isotype_full(name).dim for name in mults}
         return "pass", {"multiplicities": mults, "isotype_dims": iso_dims}, \
             [f"{name}: multiplicities {m}" for name, m in mults.items()]
 
-    if command == "multiplicity":
-        act = ws.action(obj)
-        rep = sw_mod.FinGroupRep.from_hopf_action(act)
-        spaces = sw_mod.multiplicity_space(ws.chartable(characters), rep, irrep)
+    def multiplicity(ws, args):
+        rep = _group_rep(ws, args)
+        spaces = sw_mod.multiplicity_space(ws.get("character_tables", args.characters), rep,
+                                           args.irrep)
         dims = [len(s) for s in spaces]
-        return "pass", {"irrep": irrep, "dims_per_degree": dims}, \
+        return "pass", {"irrep": args.irrep, "dims_per_degree": dims}, \
             [f"multiplicity space dims per degree: {dims}"]
 
-    if command == "commutant":
-        act = ws.action(obj)
-        rep = sw_mod.FinGroupRep.from_hopf_action(act)
-        samples = [act.backend.poly_from_coords(list(v))
-                   for v in rep.fixed_points().basis]
-        return _report_outcome("checks", sw_mod.check_commutant(rep, samples, caps.mode_budget))
+    def commutant(ws, args):
+        rep = _group_rep(ws, args)
+        samples = [rep.backend.poly_from_coords(list(v)) for v in rep.fixed_points().basis]
+        return _report_outcome("checks", sw_mod.check_commutant(rep, samples, ws.caps.mode_budget))
 
-    if command == "reach":
-        act = ws.action(obj)
-        rep = sw_mod.FinGroupRep.from_hopf_action(act)
-        seed_poly = poly_from_text(seed, list(act.backend.variables))
-        res = sw_mod.cyclic_reachability(rep, ws.chartable(characters), irrep,
-                                         seed_poly, caps.mode_budget)
-        return "pass", {"reachable_dim": res.reachable.dim,
-                        "isotype_dim": res.isotype.dim,
+    def reach(ws, args):
+        rep = _group_rep(ws, args)
+        seed_poly = poly_from_text(args.seed, list(rep.backend.variables))
+        res = sw_mod.cyclic_reachability(rep, ws.get("character_tables", args.characters),
+                                         args.irrep, seed_poly, ws.caps.mode_budget)
+        return "pass", {"reachable_dim": res.reachable.dim, "isotype_dim": res.isotype.dim,
                         "fills_isotype": res.fills_isotype}, \
             [f"reachable {res.reachable.dim} of {res.isotype.dim}; "
              f"fills isotype: {res.fills_isotype}"]
 
-    if command == "distinguish":
-        act = ws.action(obj)
-        rep = sw_mod.FinGroupRep.from_hopf_action(act)
-        decomp = sw_mod.decompose(ws.chartable(characters), rep)
-        verdict = sw_mod.distinguish_isotypes(decomp, irrep, irrep2,
-                                              mode_order=caps.mode_budget)
-        status = "pass" if verdict.kind != "inconclusive" else "fail"
-        return status, {"verdict": verdict.kind, "detail": verdict.detail}, \
+    def distinguish(ws, args):
+        rep = _group_rep(ws, args)
+        decomp = sw_mod.decompose(ws.get("character_tables", args.characters), rep)
+        verdict = sw_mod.distinguish_isotypes(decomp, args.irrep, args.irrep2,
+                                              mode_order=ws.caps.mode_budget)
+        return _status(verdict.kind != "inconclusive"), \
+            {"verdict": verdict.kind, "detail": verdict.detail}, \
             [f"distinguished-by: {verdict.kind}"]
 
-    raise ParseError(f"unknown command {command!r}")
+
+COMMANDS = {name.replace("_", "-"): handler for name, handler in vars(_Commands).items()
+            if not name.startswith("_")}
+
+
+def run(ws: Workspace, args):
+    """Execute the parsed command `args.command`; returns (status, result
+    dict, human lines)."""
+    return COMMANDS[args.command](ws, args)
 
 
 # ---------------------------------------------------------------------------
@@ -490,39 +481,23 @@ def build_parser():
     p.add_argument("--irrep", help="irreducible name")
     p.add_argument("--irrep2", help="second irreducible name (distinguish)")
     p.add_argument("--seed", help="seed polynomial (reach)")
-    p.add_argument("--cap-d", type=int, dest="cap_d")
-    p.add_argument("--order-k", type=int, dest="order_k")
-    p.add_argument("--laurent-b", type=int, dest="laurent_b", default=2)
-    p.add_argument("--arity-n", type=int, dest="arity_n", default=3)
-    p.add_argument("--s-max", type=int, dest="s_max", default=3)
-    p.add_argument("--tensor-budget", type=int, dest="tensor_budget", default=512)
-    p.add_argument("--mode-budget", type=int, dest="mode_budget", default=2)
-    p.add_argument("--conductor", type=int, default=1)
+    for flag, option in OPTIONS.items():
+        p.add_argument(flag, type=int, default=option.default)
     p.add_argument("--json-only", action="store_true")
     return p
-
-
-# smallest accepted value of each numeric option
-_MINIMA = {"cap_d": 0, "order_k": 0, "laurent_b": 0, "s_max": 0,
-           "tensor_budget": 0, "mode_budget": 0, "conductor": 1, "arity_n": 2}
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    for dest, least in _MINIMA.items():
-        value = getattr(args, dest)
-        if value is not None and value < least:
-            parser.error(f"--{dest.replace('_', '-')} must be at least {least}, got {value}")
-    caps = Caps(degree=args.cap_d, order=args.order_k, laurent=args.laurent_b,
-                s_max=args.s_max, tensor_budget=args.tensor_budget,
-                mode_budget=args.mode_budget, conductor=args.conductor,
-                arity=args.arity_n)
+    values = {}
+    for flag, option in OPTIONS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value < option.least:
+            parser.error(f"{flag} must be at least {option.least}, got {value}")
+        values[option.field] = value
     try:
-        ws = load(args.workspace, caps)
-        status, result, human = run(
-            ws, args.command, obj=args.object, characters=args.characters,
-            irrep=args.irrep, irrep2=args.irrep2, seed=args.seed)
+        status, result, human = run(load(args.workspace, Caps(**values)), args)
     except HypothesesNotMet as exc:
         status, result = "refused", {"refusal": "hypotheses-not-met",
                                      "failed": exc.failed}

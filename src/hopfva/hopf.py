@@ -32,17 +32,6 @@ from .scalars import as_scalar, scalar_pretty, scalar_sort_key
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-AXIOM_NAMES = (
-    "associativity",
-    "unit",
-    "coassociativity",
-    "counit",
-    "comul-is-algebra-map",
-    "counit-is-algebra-map",
-    "antipode-left",
-    "antipode-right",
-)
-
 
 class FinHopfAlgebra:
     """A Hopf algebra of dimension d over Q or a cyclotomic field."""

@@ -29,7 +29,6 @@ from .scalars import (
     euler_phi,
     from_cyclo_coords,
     scalar_sort_key,
-    zeta,
 )
 
 _ZERO = Fraction(0)

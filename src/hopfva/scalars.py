@@ -412,5 +412,7 @@ def scalar_from_text(text):
     if m:
         num = int(m.group(1))
         den = int(m.group(2)) if m.group(2) else 1
+        if den == 0:
+            raise ValueError(f"zero denominator in scalar {text!r}")
         return Fraction(num, den)
     raise ValueError(f"cannot parse scalar {text!r}")

@@ -21,7 +21,6 @@ from .scalars import as_scalar, scalar_conjugate
 from .vertexalg import Poly, poly_to_text
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class FinGroupRep:
@@ -457,7 +456,6 @@ def _isotype_fingerprints(decomp: IsotypicDecomposition, name, mode_order):
     backend = rep.backend
     d = decomp.table.char(name).degree
     iso = decomp.isotype_full(name)
-    offsets = rep._offsets()
     degrees = [sum(e) for e in rep.monomials]
     prints = []
     for v in rep.fixed_points().basis:  # RREF order, already canonical

@@ -779,7 +779,6 @@ def vandermonde_monomial_decision(m, pairs):
     if not pairs:
         raise MalformedPairs("empty pair list")
     ns = [p[0] for p in pairs]
-    ms = [p[1] for p in pairs]
     if any(n < 0 or mm < 0 for n, mm in pairs):
         raise MalformedPairs("exponents must be nonnegative")
     totals = {n + mm for n, mm in pairs}

@@ -1,7 +1,9 @@
 import json
+import re
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -444,3 +446,93 @@ def test_decompose_with_identity_listed_second(capsys, tmp_path):
     code2, doc2, _ = run_cli(capsys, argv + ["--workspace", str(swapped)])
     assert code == code2 == 0
     assert doc2["result"] == doc["result"]
+
+
+# --- malformed workspaces are input errors with a machine block ----------------
+
+
+def with_degree_cap(tmp_path, name, cap):
+    with open(fixture(name)) as fh:
+        data = json.load(fh)
+    data["backends"][0]["degree_cap"] = cap
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("command,workspace,obj,backend", [
+    ("inner-faithful", "sweedler.json", "sweedler_on_z", "q_z_ddz"),
+    ("pin-check", "z2_on_xddx.json", "xddx", "xddx"),
+])
+@pytest.mark.parametrize("cap", [-1, 1.5, "two", True])
+def test_workspace_degree_cap_is_checked_like_cap_d(capsys, tmp_path, command, workspace,
+                                                     obj, backend, cap):
+    path = with_degree_cap(tmp_path, workspace, cap)
+    code, doc, _ = run_cli(capsys, [command, "--workspace", path, "--object", obj])
+    assert code == 4
+    assert doc["result"] == {
+        "error": "ParseError",
+        "message": f"backend {backend!r}: degree_cap must be an integer of at least 0, "
+                   f"got {cap!r}"}
+    # an explicit --cap-d replaces the workspace value
+    code, _, _ = run_cli(capsys, [command, "--workspace", path, "--object", obj,
+                                  "--cap-d", "2"])
+    assert code == 0
+
+
+def test_action_matrix_missing_for_a_basis_element_under_O(tmp_path):
+    ws = tmp_path / "missing_matrix.json"
+    ws.write_text(json.dumps({
+        "schema_version": 1,
+        "hopf_algebras": [{"name": "qz2", "builder": "group_algebra",
+                           "table": [[0, 1], [1, 0]], "element_names": ["e", "g"]}],
+        "backends": [{"name": "plain", "variables": ["x"],
+                      "derivation": {"x": "x"}, "degree_cap": 1}],
+        "actions": [{"name": "only_e", "hopf": "qz2", "backend": "plain",
+                     "matrices": {"e": [["1", "0"], ["0", "1"]]}}],
+    }))
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "hopfva.cli", "fixed-points",
+             "--workspace", str(ws), "--object", "only_e", "--json-only"],
+            capture_output=True, text=True)
+        assert proc.returncode == 4, proc.stderr
+        doc = json.loads(proc.stdout.strip())
+        assert doc["result"] == {
+            "error": "ShapeMismatch",
+            "message": "action 'only_e': no matrix for basis element 'g'"}
+
+
+@pytest.mark.parametrize("text,error,message", [
+    ("[]", "ParseError", "a workspace must be a JSON object"),
+    ('{"schema_version": 1, "backends": 3}', "ParseError", "backends must be a list"),
+    ('{"schema_version": 1, "groups": ["z2"]}', "ParseError",
+     "each groups entry must be an object"),
+    ('{"schema_version": 1, "hopf_algebras": [{"name": "h", "dim": "2", "mul": [],'
+     ' "comul": [], "counit": [], "unit": [], "antipode": []}]}', "ParseError",
+     "Hopf algebra 'h': dim must be an integer of at least 0, got '2'"),
+    ('{"schema_version": 1, "hopf_algebras": [{"name": "h", "dim": 1,'
+     ' "mul": [[0, 0, 0, "1/0"]], "comul": [[0, 0, 0, "1"]], "counit": ["1"],'
+     ' "unit": ["1"], "antipode": [[0, 0, "1"]]}]}', "ValueError",
+     "zero denominator in scalar '1/0'"),
+], ids=["array", "section-not-list", "entry-not-object", "text-dim", "zero-denominator"])
+def test_malformed_workspace_is_an_input_error(capsys, tmp_path, text, error, message):
+    ws = tmp_path / "malformed.json"
+    ws.write_text(text)
+    code, doc, _ = run_cli(capsys, ["verify-hopf", "--workspace", str(ws), "--object", "h"])
+    assert code == 4
+    assert doc["status"] == "error"
+    assert doc["result"]["error"] == error
+    assert message in doc["result"]["message"]
+
+
+# --- the README documents the command table ------------------------------------
+
+
+def test_readme_names_every_command_and_flag():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    cli_section = readme.split("## CLI", 1)[1].split("\n## ", 1)[0]
+    flags = [s for a in cli.build_parser()._actions for s in a.option_strings]
+    missing = [name for name in [*cli.COMMANDS, *flags]
+               if not re.search(rf"`{re.escape(name)}[` ]", cli_section)]
+    assert missing == []

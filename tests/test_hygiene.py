@@ -1,0 +1,120 @@
+"""No dead names in `src/hopfva`.
+
+A module-level import, assignment or private (underscore) def that nothing
+in the package reads, and a function-local name that is stored but never
+read, are reported.  `_` is exempt, and so is every name `hopfva/__init__.py`
+re-exports from the module that binds it (such as `scalars.Rational`).
+"""
+
+import ast
+from pathlib import Path
+
+import hopfva
+
+PACKAGE = Path(hopfva.__file__).parent
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _own_nodes(scope):
+    """The nodes of one function body, without those of nested scopes."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _bound_at_module_level(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    yield (alias.asname or alias.name).split(".")[0]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id
+        elif isinstance(node, _SCOPES) and node.name.startswith("_"):
+            yield node.name
+
+
+def _read_from(module, trees):
+    """Names of `module` that another module imports or reads as an attribute."""
+    read = set()
+    for other, tree in trees.items():
+        if other == module:
+            continue
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
+                read.update(alias.name for alias in node.names)
+            if isinstance(node, ast.ImportFrom):
+                aliases.update(alias.asname or alias.name
+                               for alias in node.names if alias.name == module)
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name) and node.value.id in aliases)
+    return read
+
+
+def dead_names(package=PACKAGE):
+    trees = {path.stem: _parse(path) for path in sorted(package.glob("*.py"))}
+    found = []
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        read |= _read_from(module, trees) | {"_", "__all__"}
+        found += [f"{module}.{name}" for name in _bound_at_module_level(tree)
+                  if name not in read]
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            stored, declared = {}, set()
+            for node in _own_nodes(fn):
+                if isinstance(node, (ast.Global, ast.Nonlocal)):
+                    declared.update(node.names)
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    stored.setdefault(node.id, node.lineno)
+            loaded = {node.id for node in ast.walk(fn)
+                      if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+            found += [f"{module}.{fn.name}: {name} (line {line})"
+                      for name, line in stored.items()
+                      if name not in loaded | declared | {"_"}]
+    return found
+
+
+def test_no_dead_names():
+    assert dead_names() == []
+
+
+def test_scan_finds_each_kind_of_dead_name(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .mod import exported\n")
+    (tmp_path / "mod.py").write_text(
+        "import os\n"
+        "import sys\n"
+        "from math import pi, tau\n"
+        "exported = 1\n"
+        "UNUSED = 2\n"
+        "USED = 3\n"
+        "def _private():\n"
+        "    pass\n"
+        "def public(n):\n"
+        "    width = n\n"
+        "    total = 0\n"
+        "    for _ in range(n):\n"
+        "        total += 1\n"
+        "    def inner():\n"
+        "        return total\n"
+        "    return inner, sys.argv, tau, USED\n")
+    (tmp_path / "other.py").write_text("from . import mod\nfrom .mod import _private\n"
+                                       "_private(mod.os)\n")
+    assert dead_names(tmp_path) == ["mod.pi", "mod.UNUSED", "mod.public: width (line 10)"]
