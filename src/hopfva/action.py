@@ -1,10 +1,12 @@
 """Hopf actions on truncated commutative differential backends.
 
-An action stores one matrix per Hopf basis element over the monomial basis
-of the carrier A_{<=D}.  Actions can be entered as full matrices or as
-generator images extended through the coproduct (the module-algebra rule),
-which is how non-group examples like the Sweedler action on Q[z] are
-specified.
+An action stores, for each Hopf basis element, its image of each monomial
+of the carrier A_{<=D} as a sparse column (monomial -> coefficient), and the
+same map as a Matrix over the monomial basis.  Polynomials are acted on
+from the columns, term by term, and the tensor-power test multiplies only
+nonzero entries.  Actions can be entered as full matrices or as generator
+images extended through the coproduct (the module-algebra rule), which is
+how non-group examples like the Sweedler action on Q[z] are specified.
 
 The theorem checkers at the bottom refuse (raise HypothesesNotMet) rather
 than report vacuous passes when the stated hypotheses fail.
@@ -22,6 +24,7 @@ from .errors import (
     HypothesesNotMet,
     NotAnIdeal,
     TruncationOverflow,
+    require,
 )
 from .hopf import (
     FinHopfAlgebra,
@@ -40,56 +43,89 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _sum_columns(scaled):
+    """sum c * col over the (c, col) pairs, each col a monomial -> coefficient
+    dict, as such a dict without zero coefficients."""
+    out = {}
+    for c, col in scaled:
+        for t, a in col.items():
+            x = out.get(t)
+            out[t] = c * a if x is None else x + c * a
+    return {t: v for t, v in out.items() if v}
+
+
+def _matrix(monos, images):
+    """The Matrix over the monomial basis `monos` whose j-th column is
+    images[j], a monomial -> nonzero coefficient dict."""
+    index = {e: i for i, e in enumerate(monos)}
+    nonzero = [[] for _ in monos]
+    for j, col in enumerate(images):
+        for t, c in col.items():
+            nonzero[index[t]].append((j, c))
+    return Matrix.from_nonzero_rows(len(monos), len(monos), nonzero)
+
+
 class HopfAction:
-    """A Hopf algebra acting on A_{<=D} by one matrix per basis element."""
+    """A Hopf algebra acting on A_{<=D}, one sparse column per basis element
+    and monomial: `_columns[b][e]` is b.e as a monomial -> coefficient dict,
+    and `matrices[b]` is the same map as a Matrix over the monomial basis."""
 
     __slots__ = ("hopf", "backend", "matrices", "filtration_compatible",
-                 "monomials", "_degrees")
+                 "monomials", "_columns")
 
     def __init__(self, hopf: FinHopfAlgebra, backend: CommDiffVA, matrices,
                  check=True):
         self.hopf = hopf
         self.backend = backend
-        self.monomials = backend.monomials()
-        n = len(self.monomials)
+        self.monomials = monos = backend.monomials()
+        n = len(monos)
         self.matrices = tuple(matrices)
-        assert len(self.matrices) == hopf.dim
-        assert all(m.rows == n and m.cols == n for m in self.matrices)
-        self._degrees = tuple(sum(e) for e in self.monomials)
+        require(len(self.matrices) == hopf.dim, "one action matrix per Hopf basis element")
+        require(all(m.rows == n and m.cols == n for m in self.matrices),
+                "action matrices must be square over the carrier's monomials")
+        columns = []
+        for m in self.matrices:
+            cols = {e: {} for e in monos}
+            for i, row in enumerate(m.nonzero_rows()):
+                for j, a in row:
+                    cols[monos[j]][monos[i]] = a
+            columns.append(cols)
+        self._columns = tuple(columns)
         self.filtration_compatible = all(
-            self._degrees[i] <= self._degrees[j] or m[i, j] == 0
-            for m in self.matrices for j in range(n) for i in range(n))
+            sum(t) <= sum(e)
+            for cols in self._columns for e, col in cols.items() for t in col)
         if check:
             self._check_algebra_map()
 
     def _check_algebra_map(self):
         h = self.hopf
-        n = len(self.monomials)
-        ident = Matrix.identity(n)
-        if self.rho(h.unit) != ident:
-            raise ValueError("action of the Hopf unit is not the identity")
+        cols = self._columns
+        for e in self.monomials:
+            if _sum_columns((c, bc[e]) for c, bc in zip(h.unit, cols) if c) != {e: _ONE}:
+                raise ValueError("action of the Hopf unit is not the identity")
         for i in range(h.dim):
             for j in range(h.dim):
-                lhs = self.matrices[i] * self.matrices[j]
-                rhs = self.rho(h.mul[i][j])
-                if lhs != rhs:
-                    raise ValueError(
-                        f"action is not multiplicative at ({h.names[i]}, {h.names[j]})")
+                for e in self.monomials:
+                    lhs = _sum_columns((c, cols[i][t]) for t, c in cols[j][e].items())
+                    rhs = _sum_columns((c, bc[e]) for c, bc in zip(h.mul[i][j], cols) if c)
+                    if lhs != rhs:
+                        raise ValueError(
+                            f"action is not multiplicative at ({h.names[i]}, {h.names[j]})")
 
     # -- basic application
 
     def rho(self, hvec):
         """The matrix of an arbitrary element of H."""
-        n = len(self.monomials)
-        out = Matrix.zeros(n, n)
-        for c, m in zip(hvec, self.matrices):
-            if c != 0:
-                out = out + m.scale(c)
-        return out
+        return _matrix(self.monomials, [
+            _sum_columns((c, bc[e]) for c, bc in zip(hvec, self._columns) if c)
+            for e in self.monomials])
 
     def act_basis_on_poly(self, b_index, poly):
-        coords = self.backend.coords_of(poly)
-        return self.backend.poly_from_coords(self.matrices[b_index].apply(coords))
+        cols = self._columns[b_index]
+        for e in poly.terms:
+            if e not in cols:
+                raise TruncationOverflow(sum(e), self.backend.degree_cap)
+        return Poly(poly.nvars, _sum_columns((c, cols[e]) for e, c in poly.terms.items()))
 
     @classmethod
     def from_generator_images(cls, hopf, backend, images, check=True):
@@ -142,8 +178,7 @@ class HopfAction:
             return out
 
         monos = backend.monomials()
-        mats = [Matrix.from_columns([backend.coords_of(act(bi, mono)) for mono in monos])
-                for bi in range(d)]
+        mats = [_matrix(monos, [act(bi, e).terms for e in monos]) for bi in range(d)]
         return cls(hopf, backend, mats, check=check)
 
 
@@ -163,9 +198,22 @@ def _coproduct_sum(act, bi, term):
     h = act.hopf
     out = Poly.zero(act.backend.nvars)
     for t, c in enumerate(h.comul[bi]):
-        if c != 0:
+        if c:
             out = out + term(*divmod(t, h.dim)).scale(c)
     return out
+
+
+def _monomial_images(act):
+    """(b, e) -> b.e as a Poly for a carrier monomial e, each built once."""
+    memo = {}
+
+    def image(b, e):
+        out = memo.get((b, e))
+        if out is None:
+            out = memo[b, e] = act.act_basis_on_poly(b, Poly.monomial(e))
+        return out
+
+    return image
 
 
 def verify_module_algebra(act: HopfAction) -> CheckReport:
@@ -179,20 +227,17 @@ def verify_module_algebra(act: HopfAction) -> CheckReport:
 
     def leibniz_failures():
         monos = act.monomials
+        image = _monomial_images(act)
         for bi in range(h.dim):
             for e1 in monos:
-                u = Poly.monomial(e1)
                 for e2 in monos:
                     if sum(e1) + sum(e2) > a.degree_cap:
                         continue
-                    v = Poly.monomial(e2)
-                    lhs = act.act_basis_on_poly(
-                        bi, Poly.monomial(tuple(x + y for x, y in zip(e1, e2))))
-                    rhs = _coproduct_sum(act, bi, lambda p, q: act.act_basis_on_poly(p, u) *
-                                         act.act_basis_on_poly(q, v))
+                    lhs = image(bi, tuple(x + y for x, y in zip(e1, e2)))
+                    rhs = _coproduct_sum(act, bi, lambda p, q: image(p, e1) * image(q, e2))
                     if lhs != rhs:
-                        yield (f"({h.names[bi]}, {poly_to_text(u, a.variables)}, "
-                               f"{poly_to_text(v, a.variables)})")
+                        yield (f"({h.names[bi]}, {poly_to_text(Poly.monomial(e1), a.variables)}, "
+                               f"{poly_to_text(Poly.monomial(e2), a.variables)})")
 
     report.record("module-algebra-rule", leibniz_failures())
     return report
@@ -228,6 +273,18 @@ def verify_module_vertex_algebra(act: HopfAction, order=None) -> CheckReport:
 
     def identity_failures():
         monos = act.monomials
+        image = _monomial_images(act)
+        chains = {}
+
+        def derived(p, e, k):
+            """d^k (b_p e), each derivative taken once."""
+            chain = chains.get((p, e))
+            if chain is None:
+                chain = chains[p, e] = [image(p, e)]
+            while len(chain) <= k:
+                chain.append(a.derive(chain[-1]))
+            return chain[k]
+
         for bi in range(h.dim):
             for e1 in monos:
                 u = Poly.monomial(e1)
@@ -237,17 +294,16 @@ def verify_module_vertex_algebra(act: HopfAction, order=None) -> CheckReport:
                         dku = a.derive(dku)
                     if dku.is_zero():
                         break
+                    room = a.degree_cap - dku.degree()
                     for e2 in monos:
-                        v = Poly.monomial(e2)
-                        prod = dku * v
-                        if prod.degree() > a.degree_cap:
+                        if sum(e2) > room:
                             continue
-                        lhs = act.act_basis_on_poly(bi, prod)
-                        rhs = _coproduct_sum(act, bi, lambda p, q: a.derive_k(
-                            act.act_basis_on_poly(p, u), k) * act.act_basis_on_poly(q, v))
+                        lhs = act.act_basis_on_poly(bi, dku.shift(e2))
+                        rhs = _coproduct_sum(
+                            act, bi, lambda p, q: derived(p, e1, k) * image(q, e2))
                         if lhs != rhs:
                             yield (f"({h.names[bi]}, {poly_to_text(u, a.variables)}, "
-                                   f"{poly_to_text(v, a.variables)}) at order {k}")
+                                   f"{poly_to_text(Poly.monomial(e2), a.variables)}) at order {k}")
 
     report.record("hopf-vertex-identity", identity_failures())
     return report
@@ -383,7 +439,7 @@ def inner_faithful_quotient(act: HopfAction) -> InnerFaithfulQuotient:
     induced = HopfAction(q.hopf, act.backend, mats)
     before, _ = fixed_subspace(act)
     after, _ = fixed_subspace(induced)
-    assert is_inner_faithful(induced), "quotient action must be inner faithful"
+    require(is_inner_faithful(induced), "quotient action must be inner faithful")
     return InnerFaithfulQuotient(quotient=q, action=induced,
                                  fixed_preserved=before.basis == after.basis)
 
@@ -413,28 +469,39 @@ def _iterated_comul(h: FinHopfAlgebra, b, s):
 
 
 def tensor_power_faithfulness(act: HopfAction, s_max, budget=512) -> TensorFaithfulnessResult:
-    """Annihilator dimension of H acting on V^{(x) s} for s = 1..s_max."""
+    """Annihilator dimension of H acting on V^{(x) s} for s = 1..s_max.
+
+    rho(b) on V^{(x) s} is sum c rho(b_1) (x) ... (x) rho(b_s) over the
+    iterated coproduct of b; its entries are built as products of the
+    nonzero entries of the factors, keyed by (row, column) multi-indices
+    read left factor major.  The kernel of b -> rho(b) only sees the
+    positions where some rho(b) is nonzero, so only those rows are reduced.
+    """
     h = act.hopf
     n = len(act.monomials)
+    entries = [[((i, j), a) for i, row in enumerate(m.nonzero_rows()) for j, a in row]
+               for m in act.matrices]
     table = []
     for s in range(1, s_max + 1):
         if n ** s > budget:
             raise BudgetExceeded(f"tensor dimension {n ** s} exceeds budget {budget}")
-        rhos = []
+        images = []
         for b in range(h.dim):
-            acc = None
+            acc = {}
             for idx, c in sorted(_iterated_comul(h, b, s).items()):
-                mat = act.matrices[idx[0]]
+                prod = [(pos, c * a) for pos, a in entries[idx[0]]]
                 for slot in idx[1:]:
-                    mat = mat.kron(act.matrices[slot])
-                mat = mat.scale(c)
-                acc = mat if acc is None else acc + mat
-            rhos.append(acc)
-        rows = [[rhos[b].entries[t] for b in range(h.dim)]
-                for t in range(n ** (2 * s))]
-        dim = Matrix.from_rows(rows).kernel().dim
+                    prod = [((r * n + i, q * n + j), v * a)
+                            for (r, q), v in prod for (i, j), a in entries[slot]]
+                for pos, v in prod:
+                    x = acc.get(pos)
+                    acc[pos] = v if x is None else x + v
+            images.append(acc)
+        positions = sorted({pos for acc in images for pos, v in acc.items() if v})
+        flat = [acc.get(pos, _ZERO) for pos in positions for acc in images]
+        dim = Matrix(len(positions), h.dim, flat).kernel().dim
         if table:
-            assert dim <= table[-1], "tensor-power annihilators must shrink"
+            require(dim <= table[-1], "tensor-power annihilators must shrink")
         table.append(dim)
     s0 = 1
     for s in range(len(table) - 1, 0, -1):

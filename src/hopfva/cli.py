@@ -62,6 +62,13 @@ Caps = make_dataclass("Caps", [(o.field, int, o.default) for o in OPTIONS.values
                       namespace={"__module__": __name__})
 
 
+def _scalar(text, what):
+    """The scalar written as `text`; a ParseError naming `what` if it is not a string."""
+    if not isinstance(text, str):
+        raise ParseError(f"{what}: a scalar must be a string such as \"1/2\", got {text!r}")
+    return scalar_from_text(text)
+
+
 def _integer(value, least, what):
     """`value` if it is an int of at least `least`; a ParseError naming `what` if not."""
     if not isinstance(value, int) or isinstance(value, bool) or value < least:
@@ -99,18 +106,22 @@ def _hopf_from_tensors(name, d):
         if len(d[field]) != dim:
             raise ShapeMismatch(f"{field} has {len(d[field])} entries for "
                                 f"dimension {dim}")
+
+    def scalar(field, s):
+        return _scalar(s, f"Hopf algebra {name!r}: {field}")
+
     zero = scalar_from_text("0")
     mul = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
     for i, j, k, s in d["mul"]:
-        mul[i][j][k] = scalar_from_text(s)
+        mul[i][j][k] = scalar("mul", s)
     comul = [[zero] * (dim * dim) for _ in range(dim)]
     for k, i, j, s in d["comul"]:
-        comul[k][i * dim + j] = scalar_from_text(s)
-    counit = [scalar_from_text(s) for s in d["counit"]]
-    unit = [scalar_from_text(s) for s in d["unit"]]
+        comul[k][i * dim + j] = scalar("comul", s)
+    counit = [scalar("counit", s) for s in d["counit"]]
+    unit = [scalar("unit", s) for s in d["unit"]]
     anti = [[zero] * dim for _ in range(dim)]
     for i, j, s in d["antipode"]:
-        anti[i][j] = scalar_from_text(s)
+        anti[i][j] = scalar("antipode", s)
     return hopf_mod.FinHopfAlgebra(
         dim, names, mul, unit, comul, counit, Matrix.from_rows(anti),
         group_like_basis=d.get("group_like_basis"),
@@ -148,7 +159,8 @@ def _action(ws, name, d):
         for bname in h.names:
             if bname not in d["matrices"]:
                 raise ShapeMismatch(f"action {name!r}: no matrix for basis element {bname!r}")
-            rows = [[scalar_from_text(c) for c in row] for row in d["matrices"][bname]]
+            rows = [[_scalar(c, f"action {name!r}: the matrix of {bname}") for c in row]
+                    for row in d["matrices"][bname]]
             if len(rows) != n or any(len(row) != n for row in rows):
                 widths = sorted({len(row) for row in rows}) or [0]
                 shape = f"{len(rows)}x{'/'.join(map(str, widths))}"
@@ -167,17 +179,18 @@ def _chartable(ws, name, d):
     classes = [[pos.get(g, g) for g in c] for c in d["classes"]]
     chars = []
     for ch in d["characters"]:
+        what = f"character table {name!r}: character {ch['name']!r}"
         mats = None
         if "matrices" in ch:
             if len(ch["matrices"]) != len(order):
                 raise ParseError(f"character {ch['name']!r} needs one matrix "
                                  f"per group element")
             mats = tuple(Matrix.from_rows(
-                [[scalar_from_text(c) for c in row] for row in ch["matrices"][old]])
+                [[_scalar(c, what) for c in row] for row in ch["matrices"][old]])
                 for old in order)
         chars.append(sw_mod.IrrepCharacter(
             name=ch["name"], degree=ch["degree"],
-            values=tuple(scalar_from_text(v) for v in ch["values"]),
+            values=tuple(_scalar(v, what) for v in ch["values"]),
             matrices=mats))
     return sw_mod.CharacterTable(table, classes, chars)
 
@@ -198,16 +211,26 @@ class Workspace:
         self.defs = defs
         self.caps = caps
         self._cache = {}
+        self._building = []   # the (section, name) keys being built, outermost first
 
     def get(self, section, name):
-        """The object `name` of `section`, built once."""
+        """The object `name` of `section`, built once; a ParseError naming the
+        cycle if building it needs the object itself."""
         key = (section, name)
         if key not in self._cache:
+            if key in self._building:
+                cycle = self._building[self._building.index(key):] + [key]
+                raise ParseError("cyclic reference: " + " -> ".join(
+                    f"{s[:-1]} {n!r}" for s, n in cycle))
             try:
                 d = self.defs[section][name]
             except KeyError:
                 raise UnresolvedReference(f"no {section[:-1]} named {name!r}") from None
-            self._cache[key] = SECTIONS[section](self, name, d)
+            self._building.append(key)
+            try:
+                self._cache[key] = SECTIONS[section](self, name, d)
+            finally:
+                self._building.pop()
         return self._cache[key]
 
 
@@ -236,6 +259,8 @@ def load(paths, caps: Caps = None) -> Workspace:
                 name = entry.get("name")
                 if not name:
                     raise ParseError(f"{path}: {section} entry without a name")
+                if not isinstance(name, str):
+                    raise ParseError(f"{path}: {section} entry name {name!r} is not a string")
                 if name in defs[section]:
                     raise DuplicateName(f"{section}: {name!r} defined twice")
                 defs[section][name] = entry

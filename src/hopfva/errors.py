@@ -120,6 +120,16 @@ class InvariantViolation(HopfvaError):
     """An internal invariant failed: a defect in hopfva, not in the input."""
 
 
+def require(cond, message):
+    """Raise InvariantViolation(message) unless `cond` holds.
+
+    Unlike `assert`, the check stays in force under `python -O`, so a
+    verdict it guards cannot turn into a silent pass.
+    """
+    if not cond:
+        raise InvariantViolation(message)
+
+
 class ParseError(HopfvaError):
     """Workspace input failed to parse; message carries the position."""
 

@@ -1,14 +1,19 @@
-"""Exact dense linear algebra over the scalar field.
+"""Exact linear algebra over the scalar field.
 
-Matrices and subspaces over Q or Q(zeta_N).  Every row reduction goes
-through `_rref_rows`.  Rational input is reduced fraction-free (integer rows
-with gcd normalisation, which is the Bareiss-style growth control); rows of
-Python ints are taken as they are, and a row holding Fractions is cleared of
-denominators there, once, so callers that can build their rows over Z never
-create a Fraction before the result.  Cyclotomic entries switch to plain
-field elimination.  Subspace bases are kept in reduced row-echelon form so
-subspace equality is representation equality; a null space comes out in
-that form from a single reduction (`_kernel_rref`).
+Matrices and subspaces over Q or Q(zeta_N).  A Matrix stores every entry
+and derives, once, the nonzero (column, value) pairs of each row; products,
+sums, scalings and matrix-vector products run over those pairs only, so
+the sparse maps of Hopf actions cost what they hold, not n^3.
+
+Every row reduction goes through `_rref_rows`.  Rational input is reduced
+fraction-free (integer rows with gcd normalisation, which is the
+Bareiss-style growth control); rows of Python ints are taken as they are,
+and a row holding Fractions is cleared of denominators there, once, so
+callers that can build their rows over Z never create a Fraction before the
+result.  Cyclotomic entries switch to plain field elimination.  Subspace
+bases are kept in reduced row-echelon form so subspace equality is
+representation equality; a null space comes out in that form from a single
+reduction (`_kernel_rref`).
 
 Also hosts the primitive-idempotent splitter for commutative associative
 algebras, which drives group-like enumeration in the Hopf layer.
@@ -19,7 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import InvariantViolation, SplitFailure
+from .errors import InvariantViolation, SplitFailure, require
 from .scalars import (
     Cyclotomic,
     _divisors,
@@ -200,21 +205,61 @@ def _kernel_rref(rows, ncols):
 
 
 class Matrix:
-    """A dense matrix of exact scalars, immutable after construction."""
+    """A matrix of exact scalars, immutable after construction.
 
-    __slots__ = ("rows", "cols", "entries")
+    `entries` holds every entry, row-major.  The nonzero entries of each
+    row, as (column, value) pairs, are derived once on first use, and the
+    products, sums, scalings and `apply` iterate only those, so a map that
+    sends each basis vector to a few others costs O(nonzeros), not O(n^3).
+    """
+
+    __slots__ = ("rows", "cols", "entries", "_nonzero")
 
     def __init__(self, rows, cols, entries):
-        assert len(entries) == rows * cols
+        require(len(entries) == rows * cols, "matrix entries do not fill its shape")
         self.rows = rows
         self.cols = cols
         self.entries = tuple(as_scalar(c) for c in entries)
+        self._nonzero = None
+
+    @classmethod
+    def _exact(cls, rows, cols, entries, nonzero=None):
+        """A matrix of already canonical scalars, with its nonzero rows if known."""
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.entries = tuple(entries)
+        m._nonzero = nonzero
+        return m
+
+    @classmethod
+    def from_nonzero_rows(cls, rows, cols, nonzero):
+        """The matrix whose row i holds the (column, value) pairs `nonzero[i]`.
+
+        The values must be canonical nonzero scalars (as arithmetic on
+        scalars returns them) and each row's columns distinct and ascending;
+        every other entry is zero.
+        """
+        out = [_ZERO] * (rows * cols)
+        for i, row in enumerate(nonzero):
+            base = i * cols
+            for j, v in row:
+                out[base + j] = v
+        return cls._exact(rows, cols, out, nonzero)
+
+    def nonzero_rows(self):
+        """Per row, the list of (column, value) pairs of its nonzero entries."""
+        if self._nonzero is None:
+            e, c = self.entries, self.cols
+            self._nonzero = [[(j, a) for j, a in enumerate(e[i * c:(i + 1) * c]) if a]
+                             for i in range(self.rows)]
+        return self._nonzero
 
     @classmethod
     def from_rows(cls, rows):
         rows = [list(r) for r in rows]
         ncols = len(rows[0]) if rows else 0
-        assert all(len(r) == ncols for r in rows)
+        require(all(len(r) == ncols for r in rows), "matrix rows differ in length")
         return cls(len(rows), ncols, [c for r in rows for c in r])
 
     @classmethod
@@ -225,14 +270,11 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls(rows, cols, [_ZERO] * (rows * cols))
+        return cls._exact(rows, cols, [_ZERO] * (rows * cols), [[] for _ in range(rows)])
 
     @classmethod
     def identity(cls, n):
-        e = [_ZERO] * (n * n)
-        for i in range(n):
-            e[i * n + i] = _ONE
-        return cls(n, n, e)
+        return cls.from_nonzero_rows(n, n, [[(i, _ONE)] for i in range(n)])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -256,51 +298,62 @@ class Matrix:
     __hash__ = None
 
     def __add__(self, other):
-        assert (self.rows, self.cols) == (other.rows, other.cols)
-        return Matrix(self.rows, self.cols,
-                      [a + b for a, b in zip(self.entries, other.entries)])
+        require((self.rows, self.cols) == (other.rows, other.cols),
+                "matrix shapes differ in a sum")
+        out = list(self.entries)
+        c = self.cols
+        for i, row in enumerate(other.nonzero_rows()):
+            base = i * c
+            for j, b in row:
+                x = out[base + j]
+                out[base + j] = x + b if x else b
+        return Matrix._exact(self.rows, c, out)
 
     def __sub__(self, other):
-        assert (self.rows, self.cols) == (other.rows, other.cols)
-        return Matrix(self.rows, self.cols,
-                      [a - b for a, b in zip(self.entries, other.entries)])
+        return self + -other
 
     def __neg__(self):
-        return Matrix(self.rows, self.cols, [-a for a in self.entries])
+        return Matrix.from_nonzero_rows(
+            self.rows, self.cols, [[(j, -a) for j, a in row] for row in self.nonzero_rows()])
 
     def scale(self, s):
         s = as_scalar(s)
-        return Matrix(self.rows, self.cols, [s * a for a in self.entries])
+        if not s:
+            return Matrix.zeros(self.rows, self.cols)
+        return Matrix.from_nonzero_rows(
+            self.rows, self.cols, [[(j, s * a) for j, a in row] for row in self.nonzero_rows()])
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            assert self.cols == other.rows
-            out = []
-            for i in range(self.rows):
-                ri = self.row(i)
-                for j in range(other.cols):
-                    acc = _ZERO
-                    for k in range(self.cols):
-                        a = ri[k]
-                        if a != 0:
-                            acc = acc + a * other.entries[k * other.cols + j]
-                    out.append(acc)
-            return Matrix(self.rows, other.cols, out)
-        return self.scale(other)
+        if not isinstance(other, Matrix):
+            return self.scale(other)
+        require(self.cols == other.rows, "matrix shapes do not compose in a product")
+        right = other.nonzero_rows()
+        nonzero = []
+        for row in self.nonzero_rows():
+            acc = {}
+            for k, a in row:
+                for j, b in right[k]:
+                    x = acc.get(j)
+                    acc[j] = a * b if x is None else x + a * b
+            nonzero.append(sorted((j, v) for j, v in acc.items() if v))
+        return Matrix.from_nonzero_rows(self.rows, other.cols, nonzero)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def apply(self, vec):
         """Matrix times column vector, returned as a list."""
-        assert len(vec) == self.cols
+        require(len(vec) == self.cols, "vector length does not match the matrix")
+        vals = {k: v for k, v in enumerate(vec) if v}
+        if not vals:
+            return [_ZERO] * self.rows
         out = []
-        for i in range(self.rows):
+        for row in self.nonzero_rows():
             acc = _ZERO
-            ri = self.row(i)
-            for k, v in enumerate(vec):
-                if v != 0 and ri[k] != 0:
-                    acc = acc + ri[k] * v
+            for k, a in row:
+                v = vals.get(k)
+                if v is not None:
+                    acc = acc + a * v
             out.append(acc)
         return out
 
@@ -328,7 +381,7 @@ class Matrix:
         return Matrix(r, c, out)
 
     def is_zero(self):
-        return all(c == 0 for c in self.entries)
+        return not any(self.nonzero_rows())
 
     def vec(self):
         """Row-major flattening."""

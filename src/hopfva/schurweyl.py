@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CheckReport, MatricesRequired
+from .errors import CheckReport, MatricesRequired, require
 from .hopf import _validate_group_table, recognize_group_algebra
 from .linalg import Matrix, Subspace
 from .scalars import as_scalar, scalar_conjugate
@@ -42,11 +42,10 @@ class FinGroupRep:
         else:
             degrees = [0] * n
         for g, m in enumerate(self.full):
-            for i in range(n):
-                for j in range(n):
-                    if degrees[i] != degrees[j] and m[i, j] != 0:
-                        raise ValueError(
-                            f"element {self.element_names[g]} does not preserve the grading")
+            if any(degrees[i] != degrees[j]
+                   for i, row in enumerate(m.nonzero_rows()) for j, _ in row):
+                raise ValueError(
+                    f"element {self.element_names[g]} does not preserve the grading")
         cap = max(degrees) if degrees else 0
         self.degree_dims = tuple(sum(1 for d in degrees if d == k)
                                  for k in range(cap + 1))
@@ -91,16 +90,12 @@ class FinGroupRep:
         """Restrict a group-algebra Hopf action to its group elements."""
         h = act.hopf
         if h.group_table is not None:
-            table = h.group_table
-            names = h.names
-            elements = [h.basis_vector(i) for i in range(h.dim)]
-        else:
-            rec = recognize_group_algebra(h)
-            table = rec.table
-            names = tuple(f"gl{i}" for i in range(len(rec.table)))
-            elements = [list(v) for v in rec.elements]
-        mats = [act.rho(v) for v in elements]
-        return cls(table, names, mats, backend=act.backend)
+            # the group elements are the basis: their matrices are the action's
+            return cls(h.group_table, h.names, act.matrices, backend=act.backend)
+        rec = recognize_group_algebra(h)
+        names = tuple(f"gl{i}" for i in range(len(rec.table)))
+        mats = [act.rho(list(v)) for v in rec.elements]
+        return cls(rec.table, names, mats, backend=act.backend)
 
     def fixed_points(self) -> Subspace:
         n = self.carrier_dim
@@ -148,7 +143,8 @@ class CharacterTable:
         out = []
         for ch in chars:
             values = tuple(as_scalar(v) for v in ch.values)
-            assert len(values) == len(self.classes)
+            require(len(values) == len(self.classes),
+                    f"character {ch.name!r} needs one value per conjugacy class")
             mats = tuple(ch.matrices) if ch.matrices is not None else None
             out.append(IrrepCharacter(name=ch.name, degree=ch.degree,
                                       values=values, matrices=mats))
@@ -233,10 +229,10 @@ def isotypic_projector(table: CharacterTable, rep: FinGroupRep, name):
             coeff = table.value_at_element(ch, rep.inverse(g)) * factor
             if coeff != 0:
                 acc = acc + rep.blocks[g][deg].scale(coeff)
-        assert acc * acc == acc, "isotypic projector must be idempotent"
+        require(acc * acc == acc, "isotypic projector must be idempotent")
         for g in range(n):
-            assert acc * rep.blocks[g][deg] == rep.blocks[g][deg] * acc, \
-                "projector must centralise the group action"
+            require(acc * rep.blocks[g][deg] == rep.blocks[g][deg] * acc,
+                    "projector must centralise the group action")
         out.append(acc)
     return out
 
@@ -278,8 +274,8 @@ def decompose(table: CharacterTable, rep: FinGroupRep) -> IsotypicDecomposition:
             p = projectors[ch.name][deg]
             cols = [list(p.col(j)) for j in range(dim)]
             sub = Subspace.from_vectors(dim, cols)
-            assert sub.dim == ch.degree * per_degree[deg], \
-                "projector rank must match d * multiplicity"
+            require(sub.dim == ch.degree * per_degree[deg],
+                    "projector rank must match d * multiplicity")
             per_iso.append(sub)
         isotypes[ch.name] = per_iso
 
@@ -290,10 +286,10 @@ def decompose(table: CharacterTable, rep: FinGroupRep) -> IsotypicDecomposition:
             for other in table.chars:
                 if other.name != ch.name:
                     prod = projectors[ch.name][deg] * projectors[other.name][deg]
-                    assert prod.is_zero(), "distinct projectors must be orthogonal"
-        assert total == Matrix.identity(dim), "projectors must sum to the identity"
-        assert sum(ch.degree * mults[ch.name][deg] for ch in table.chars) == dim, \
-            "dimension bookkeeping failed"
+                    require(prod.is_zero(), "distinct projectors must be orthogonal")
+        require(total == Matrix.identity(dim), "projectors must sum to the identity")
+        require(sum(ch.degree * mults[ch.name][deg] for ch in table.chars) == dim,
+                "dimension bookkeeping failed")
     return IsotypicDecomposition(rep=rep, table=table, multiplicities=mults,
                                  isotypes=isotypes, projectors=projectors)
 
@@ -308,8 +304,8 @@ def _multiplicities(table, rep, ch):
             tr = sum((rep.blocks[g][deg][i, i] for i in range(dim)), _ZERO)
             total = total + tr * table.value_at_element(ch, rep.inverse(g))
         mult = total / n
-        assert isinstance(mult, Fraction) and mult.denominator == 1 and mult >= 0, \
-            f"character multiplicity must be a nonnegative integer, got {mult}"
+        require(isinstance(mult, Fraction) and mult.denominator == 1 and mult >= 0,
+                f"character multiplicity must be a nonnegative integer, got {mult}")
         out.append(int(mult))
     return tuple(out)
 
@@ -339,8 +335,8 @@ def multiplicity_space(table: CharacterTable, rep: FinGroupRep, name):
                     rows.append(row)
         kern = Matrix.from_rows(rows).kernel() if rows else Subspace.full(dim * d)
         basis = [Matrix(dim, d, list(v)) for v in kern.basis]
-        assert len(basis) == expected[deg], \
-            "intertwiner count must equal the character multiplicity"
+        require(len(basis) == expected[deg],
+                "intertwiner count must equal the character multiplicity")
         out.append(basis)
     return out
 
@@ -380,11 +376,13 @@ def check_commutant(rep: FinGroupRep, samples, max_order) -> CheckReport:
                 return
             op = _mode_matrix(rep, dku.scale(Fraction(1, math.factorial(k))))
             deg_u = dku.degree()
+            # only the columns where the product stays within the cap count
+            within = [sum(e) + deg_u <= cap for e in rep.monomials]
             for g in range(rep.order):
-                lhs = rep.full[g] * op
-                rhs = op * rep.full[g]
-                if any(sum(rep.monomials[j]) + deg_u <= cap and lhs[i, j] != rhs[i, j]
-                       for i in range(op.rows) for j in range(op.cols)):
+                lhs = (rep.full[g] * op).nonzero_rows()
+                rhs = (op * rep.full[g]).nonzero_rows()
+                if any([t for t in left if within[t[0]]] != [t for t in right if within[t[0]]]
+                       for left, right in zip(lhs, rhs)):
                     yield f"element {rep.element_names[g]} at order {k}"
 
     for u in samples:
@@ -437,8 +435,7 @@ def cyclic_reachability(rep: FinGroupRep, table: CharacterTable, name,
         if bigger.dim == current.dim:
             break
         current = bigger
-    assert isotype.contains_subspace(current), \
-        "modes must keep the isotype stable"
+    require(isotype.contains_subspace(current), "modes must keep the isotype stable")
     return ReachResult(reachable=current, isotype=isotype,
                        fills_isotype=current == isotype)
 
@@ -469,7 +466,7 @@ def _isotype_fingerprints(decomp: IsotypicDecomposition, name, mode_order):
             op = _mode_matrix(rep, dkv.scale(Fraction(1, math.factorial(k))))
             images = [op.apply(list(b)) for b in iso.basis]
             coords = [iso.coordinates_of(img) for img in images]
-            assert all(c is not None for c in coords), "mode left the isotype"
+            require(all(c is not None for c in coords), "mode left the isotype")
             square = Matrix.from_columns(coords)
             trace = sum((square[i, i] for i in range(iso.dim)), _ZERO) / d
             rank_profile = []
@@ -479,7 +476,7 @@ def _isotype_fingerprints(decomp: IsotypicDecomposition, name, mode_order):
                 if not rows:
                     continue
                 r = Matrix.from_rows(rows).rank()
-                assert r % d == 0
+                require(r % d == 0, "a mode rank is not a multiple of the irrep degree")
                 rank_profile.append((deg, r // d))
             prints.append((k, trace, tuple(rank_profile)))
     return prints

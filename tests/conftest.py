@@ -10,7 +10,7 @@ from hopfva.hopf import (
     symmetric_group_table,
 )
 from hopfva.scalars import zeta
-from hopfva.vertexalg import Poly, single_variable_backend
+from hopfva.vertexalg import CommDiffVA, Poly, single_variable_backend
 
 F = Fraction
 
@@ -87,6 +87,24 @@ def sweedler_poly_action(m=0, cap=6):
         "x": {"z": one},
         "gx": {"z": one},  # (gx) z = g (x z) = g 1 = 1
     }
+    return HopfAction.from_generator_images(h, backend, images)
+
+
+def s3_perms():
+    return sorted(itertools.permutations(range(3)))
+
+
+def s3_action(cap=2):
+    """S3 permuting the variables of (Q[x1, x2, x3], sum x_i d/dx_i)."""
+    h = group_algebra(symmetric_group_table(3))
+    backend = CommDiffVA(
+        ["x1", "x2", "x3"],
+        {"x1": Poly.variable(3, 0), "x2": Poly.variable(3, 1),
+         "x3": Poly.variable(3, 2)},  # the Euler derivation sum x_i d_i
+        cap)
+    images = {}
+    for name, p in zip(h.names, s3_perms()):
+        images[name] = {f"x{i + 1}": Poly.variable(3, p[i]) for i in range(3)}
     return HopfAction.from_generator_images(h, backend, images)
 
 

@@ -6,6 +6,7 @@ from conftest import (
     cyclic_scaling_action,
     euler_backend,
     groups_are_isomorphic,
+    s3_action,
     sweedler_poly_action,
     through_first_factor_action,
 )
@@ -24,7 +25,7 @@ from hopfva.action import (
     verify_module_algebra,
     verify_module_vertex_algebra,
 )
-from hopfva.errors import BudgetExceeded, HypothesesNotMet, NotAnIdeal
+from hopfva.errors import BudgetExceeded, HypothesesNotMet, NotAnIdeal, TruncationOverflow
 from hopfva.hopf import (
     augmentation_ideal,
     cyclic_group_table,
@@ -299,6 +300,60 @@ def test_tensor_power_through_first_factor_constant():
     assert res.stabilization_index == 1
 
 
+def _kronecker_table(act, s_max):
+    """Annihilator dimensions on V^{(x) s}, from dense Kronecker products of
+    the action matrices over an iterated coproduct computed here."""
+    h = act.hopf
+    d = h.dim
+    table = []
+    for s in range(1, s_max + 1):
+        rhos = []
+        for b in range(d):
+            terms = {(b,): F(1)}
+            for _ in range(s - 1):
+                longer = {}
+                for idx, c in terms.items():
+                    for t, cc in enumerate(h.comul[idx[-1]]):
+                        if cc != 0:
+                            key = idx[:-1] + divmod(t, d)
+                            longer[key] = longer.get(key, F(0)) + c * cc
+                terms = longer
+            total = None
+            for idx, c in terms.items():
+                mat = act.matrices[idx[0]]
+                for slot in idx[1:]:
+                    mat = kronecker(mat, act.matrices[slot])
+                scaled = [c * a for a in mat.entries]
+                total = scaled if total is None else [x + y for x, y in zip(total, scaled)]
+            rhos.append(total)
+        cells = len(rhos[0])
+        table.append(Matrix.from_rows([[rho[t] for rho in rhos]
+                                       for t in range(cells)]).kernel().dim)
+    return table
+
+
+@pytest.mark.parametrize("make,s_max", [
+    (lambda: cyclic_scaling_action(3, cap=2), 3),
+    (lambda: cyclic_scaling_action(4, cap=2), 3),
+    (lambda: through_first_factor_action(cap=2), 3),
+    (lambda: sweedler_poly_action(m=0, cap=2), 3),
+    (lambda: sweedler_poly_action(m=1, cap=1), 3),
+    (lambda: s3_action(cap=1), 2),
+], ids=["z3", "z4", "v4-first", "sweedler", "sweedler-m1", "s3"])
+def test_tensor_power_faithfulness_matches_kronecker_oracle(make, s_max):
+    act = make()
+    assert tensor_power_faithfulness(act, s_max).table == _kronecker_table(act, s_max)
+
+
+def test_tensor_power_through_first_factor_at_343_dimensions():
+    # Z/2 x Z/2 acts through its first factor, so the second factor's
+    # augmentation (e - t) and its translate (s - st) kill every tensor power
+    act = through_first_factor_action(cap=6)
+    res = tensor_power_faithfulness(act, 3)
+    assert res.table == [2, 2, 2]
+    assert res.stabilization_index == 1
+
+
 def test_tensor_power_budget():
     act = cyclic_scaling_action(2, cap=6)
     with pytest.raises(BudgetExceeded):
@@ -403,3 +458,77 @@ def test_thm_group_algebra_refusals():
     with pytest.raises(HypothesesNotMet) as exc:
         check_thm_group_algebra(trivial_action(sweedler(), euler_backend(3)))
     assert "inner-faithful" in exc.value.failed
+
+
+# --- the sparse columns against the dense matrices --------------------------------
+
+
+ACTION_FIXTURES = {
+    "s3": lambda: s3_action(cap=3),
+    "sweedler": lambda: sweedler_poly_action(m=0, cap=4),
+    "sweedler-m2": lambda: sweedler_poly_action(m=2, cap=4),
+    "z3-diagonal": lambda: cyclic_scaling_action(3, cap=4),
+    "v4-diagonal": lambda: through_first_factor_action(cap=4),
+}
+
+
+def _dense_route(act, bi, poly):
+    """coords_of, a dense matrix-vector loop over every entry, poly_from_coords."""
+    a = act.backend
+    coords = a.coords_of(poly)
+    m = act.matrices[bi]
+    n = len(coords)
+    return a.poly_from_coords([sum((m[i, j] * coords[j] for j in range(n)), F(0))
+                               for i in range(n)])
+
+
+@pytest.mark.parametrize("name", sorted(ACTION_FIXTURES))
+def test_act_basis_on_poly_matches_dense_route(name):
+    act = ACTION_FIXTURES[name]()
+    a = act.backend
+    monos = act.monomials
+    mixed = Poly(a.nvars, {e: F(k + 1, 2) for k, e in enumerate(monos)})
+    for bi in range(act.hopf.dim):
+        for e in monos:
+            poly = Poly.monomial(e)
+            assert act.act_basis_on_poly(bi, poly) == _dense_route(act, bi, poly)
+        assert act.act_basis_on_poly(bi, mixed) == _dense_route(act, bi, mixed)
+    beyond = Poly.monomial((a.degree_cap + 1,) + (0,) * (a.nvars - 1))
+    with pytest.raises(TruncationOverflow) as exc:
+        act.act_basis_on_poly(0, beyond)
+    with pytest.raises(TruncationOverflow) as dense:
+        a.coords_of(beyond)
+    assert str(exc.value) == str(dense.value)
+
+
+@pytest.mark.parametrize("name", sorted(ACTION_FIXTURES))
+def test_rho_is_the_combination_of_the_matrices(name):
+    act = ACTION_FIXTURES[name]()
+    h = act.hopf
+    n = len(act.monomials)
+    hvec = [F(k + 1, 3) * (-1) ** k for k in range(h.dim)]
+    got = act.rho(hvec)
+    assert got.row_lists() == [
+        [sum((c * m[i, j] for c, m in zip(hvec, act.matrices)), F(0)) for j in range(n)]
+        for i in range(n)]
+
+
+def test_non_multiplicative_witness_keeps_the_first_pair():
+    # Sweedler's x acting as g would: multiplicativity first fails at (g, x)
+    act = sweedler_poly_action(m=0, cap=2)
+    mats = list(act.matrices)
+    names = act.hopf.names
+    mats[names.index("x")] = mats[names.index("g")]
+    with pytest.raises(ValueError, match=r"not multiplicative at \(g, x\)"):
+        HopfAction(act.hopf, act.backend, mats)
+
+
+# --- known answers at caps beyond the desk-scale corpus -------------------------
+
+
+def test_s3_permutations_form_a_module_vertex_algebra_at_cap_3():
+    # permutations of the variables are algebra automorphisms, and they
+    # commute with d = sum x_i d/dx_i, which fixes every generator
+    act = s3_action(cap=3)
+    report = verify_module_vertex_algebra(act)   # default order: 20 monomials
+    assert report.passed, report

@@ -515,7 +515,16 @@ def test_action_matrix_missing_for_a_basis_element_under_O(tmp_path):
      ' "mul": [[0, 0, 0, "1/0"]], "comul": [[0, 0, 0, "1"]], "counit": ["1"],'
      ' "unit": ["1"], "antipode": [[0, 0, "1"]]}]}', "ValueError",
      "zero denominator in scalar '1/0'"),
-], ids=["array", "section-not-list", "entry-not-object", "text-dim", "zero-denominator"])
+    ('{"schema_version": 1, "hopf_algebras": [{"name": "h", "builder": "dual", "of": "h"}]}',
+     "ParseError", "cyclic reference: hopf_algebra 'h' -> hopf_algebra 'h'"),
+    ('{"schema_version": 1, "hopf_algebras": [{"name": "h", "dim": 1,'
+     ' "mul": [[0, 0, 0, 1]], "comul": [[0, 0, 0, "1"]], "counit": ["1"],'
+     ' "unit": ["1"], "antipode": [[0, 0, "1"]]}]}', "ParseError",
+     "Hopf algebra 'h': mul: a scalar must be a string such as \"1/2\", got 1"),
+    ('{"schema_version": 1, "hopf_algebras": [{"name": ["h"], "builder": "sweedler"}]}',
+     "ParseError", "hopf_algebras entry name ['h'] is not a string"),
+], ids=["array", "section-not-list", "entry-not-object", "text-dim", "zero-denominator",
+        "self-dual", "number-scalar", "list-name"])
 def test_malformed_workspace_is_an_input_error(capsys, tmp_path, text, error, message):
     ws = tmp_path / "malformed.json"
     ws.write_text(text)
@@ -524,6 +533,39 @@ def test_malformed_workspace_is_an_input_error(capsys, tmp_path, text, error, me
     assert doc["status"] == "error"
     assert doc["result"]["error"] == error
     assert message in doc["result"]["message"]
+
+
+def test_dual_cycle_names_every_link(capsys, tmp_path):
+    ws = tmp_path / "cycle.json"
+    ws.write_text(json.dumps({"schema_version": 1, "hopf_algebras": [
+        {"name": "a", "builder": "dual", "of": "b"},
+        {"name": "b", "builder": "dual", "of": "a"}]}))
+    code, doc, _ = run_cli(capsys, ["verify-hopf", "--workspace", str(ws), "--object", "a"])
+    assert code == 4
+    assert doc["result"] == {"error": "ParseError", "message": "cyclic reference: "
+                             "hopf_algebra 'a' -> hopf_algebra 'b' -> hopf_algebra 'a'"}
+
+
+def test_wrong_character_values_are_refused_under_O(tmp_path):
+    # a sign character with values [1, 1/3] gives multiplicity 2/3: an
+    # error with either interpreter flag, never multiplicities truncated to 0
+    ws = json.loads(Path(Z2).read_text())
+    for ch in ws["character_tables"][0]["characters"]:
+        del ch["matrices"]
+        if ch["name"] == "sign":
+            ch["values"] = ["1", "1/3"]
+    path = tmp_path / "third.json"
+    path.write_text(json.dumps(ws))
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "hopfva.cli", "decompose", "--workspace",
+             str(path), "--object", "z2_on_xddx", "--characters", "z2chars", "--json-only"],
+            capture_output=True, text=True)
+        assert proc.returncode == 4, (flags, proc.stdout, proc.stderr)
+        doc = json.loads(proc.stdout.strip())
+        assert doc["result"] == {
+            "error": "InvariantViolation",
+            "message": "character multiplicity must be a nonnegative integer, got 2/3"}
 
 
 # --- the README documents the command table ------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopfva.errors import SplitFailure
+from hopfva.errors import InvariantViolation, SplitFailure
 from hopfva.linalg import (
     Matrix,
     Subspace,
@@ -310,3 +310,91 @@ def test_from_columns_and_linear_combination():
     assert combo == [2, 1]
     assert all(type(c) is int for c in combo)  # int rows stay ints
     assert linear_combination([F(1, 2), 3], [[F(2), F(0)], [F(0), F(1)]]) == [F(1), F(3)]
+
+
+# --- the sparse products, sums and matrix-vector products against naive loops --
+
+
+def _sparse_pool(kind):
+    rationals = [F(1), F(-1), F(2), F(1, 2), F(-3, 4), F(5, 3)]
+    if kind == "fraction":
+        return rationals
+    z3, z4 = zeta(3), zeta(4)
+    return rationals[:3] + [z3, -z3, F(1, 2) + z3, z4, z3 * z4]
+
+
+def _random_sparse(rng, rows, cols, pool):
+    """A rows x cols list of lists, mostly zero, with one all-zero row and
+    one all-zero column whenever it has more than one of either."""
+    out = [[rng.choice(pool) if rng.random() < 0.35 else F(0) for _ in range(cols)]
+           for _ in range(rows)]
+    if rows > 1:
+        out[rng.randrange(rows)] = [F(0)] * cols
+    if cols > 1:
+        j = rng.randrange(cols)
+        for row in out:
+            row[j] = F(0)
+    return out
+
+
+def _naive_mul(a, b, inner, cols):
+    return [[sum((r[k] * b[k][j] for k in range(inner)), F(0)) for j in range(cols)]
+            for r in a]
+
+
+def _as_matrix(rows, cols):
+    return Matrix(len(rows), cols, [c for r in rows for c in r])
+
+
+@pytest.mark.parametrize("kind", ["fraction", "cyclotomic"])
+def test_sparse_matrix_ops_match_naive_loops(kind):
+    rng = random.Random(2718 if kind == "fraction" else 3141)
+    pool = _sparse_pool(kind)
+    for _ in range(60):
+        r, k, c = (rng.randint(0, 5) for _ in range(3))
+        a_rows = _random_sparse(rng, r, k, pool)
+        b_rows = _random_sparse(rng, k, c, pool)
+        a, b = _as_matrix(a_rows, k), _as_matrix(b_rows, c)
+        assert (a * b).row_lists() == _naive_mul(a_rows, b_rows, k, c)
+        assert a.nonzero_rows() == [[(j, x) for j, x in enumerate(row) if x != 0]
+                                    for row in a_rows]
+        assert a.is_zero() == all(x == 0 for row in a_rows for x in row)
+
+        vec = [rng.choice(pool) if rng.random() < 0.5 else F(0) for _ in range(k)]
+        for v in (vec, [F(0)] * k):
+            assert a.apply(v) == [sum((row[j] * v[j] for j in range(k)), F(0))
+                                  for row in a_rows]
+
+        s = rng.choice(pool + [F(0)])
+        assert a.scale(s).row_lists() == [[s * x for x in row] for row in a_rows]
+        assert (-a).row_lists() == [[-x for x in row] for row in a_rows]
+
+        other_rows = _random_sparse(rng, r, k, pool)
+        other = _as_matrix(other_rows, k)
+        assert (a + other).row_lists() == [[x + y for x, y in zip(p, q)]
+                                           for p, q in zip(a_rows, other_rows)]
+        assert (a - other).row_lists() == [[x - y for x, y in zip(p, q)]
+                                           for p, q in zip(a_rows, other_rows)]
+        assert (a - a).is_zero()
+
+
+def test_kron_matches_entrywise_products():
+    rng = random.Random(577)
+    pool = _sparse_pool("cyclotomic")
+    for _ in range(20):
+        ra, ca, rb, cb = (rng.randint(1, 3) for _ in range(4))
+        a_rows = _random_sparse(rng, ra, ca, pool)
+        b_rows = _random_sparse(rng, rb, cb, pool)
+        got = kronecker(_as_matrix(a_rows, ca), _as_matrix(b_rows, cb))
+        assert got.row_lists() == [[a_rows[i][j] * b_rows[k][l]
+                                    for j in range(ca) for l in range(cb)]
+                                   for i in range(ra) for k in range(rb)]
+
+
+def test_matrix_shape_mismatch_raises_invariant_violation():
+    a = Matrix.identity(2)
+    for bad in (lambda: a * Matrix.identity(3), lambda: a + Matrix.identity(3),
+                lambda: a - Matrix.identity(3), lambda: a.apply([F(1)]),
+                lambda: Matrix(2, 2, [F(1)])):
+        with pytest.raises(InvariantViolation):
+            bad()

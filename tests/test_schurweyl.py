@@ -1,9 +1,8 @@
-import itertools
 from fractions import Fraction
 
 import pytest
 
-from conftest import cyclic_scaling_action, euler_backend
+from conftest import cyclic_scaling_action, euler_backend, s3_action, s3_perms
 from hopfva.action import HopfAction
 from hopfva.errors import MatricesRequired
 from hopfva.hopf import group_algebra, symmetric_group_table
@@ -55,10 +54,6 @@ def z3_chartable():
 # --- the S3 fixtures -----------------------------------------------------------
 
 
-def s3_perms():
-    return sorted(itertools.permutations(range(3)))
-
-
 def _std_rep_matrix(perm):
     # action on span{e0-e1, e1-e2}: express perm(e_i) - perm(e_j) in the basis
     def coords(i, j):  # e_i - e_j
@@ -93,19 +88,6 @@ def s3_chartable():
     std_vals = tuple(std_mats[c[0]][0, 0] + std_mats[c[0]][1, 1] for c in classes)
     std = IrrepCharacter("std", 2, std_vals, std_mats)
     return CharacterTable(table, classes, [trivial, sign, std])
-
-
-def s3_action(cap=2):
-    h = group_algebra(symmetric_group_table(3))
-    backend = CommDiffVA(
-        ["x1", "x2", "x3"],
-        {"x1": Poly.variable(3, 0), "x2": Poly.variable(3, 1),
-         "x3": Poly.variable(3, 2)},  # the Euler derivation sum x_i d_i
-        cap)
-    images = {}
-    for name, p in zip(h.names, s3_perms()):
-        images[name] = {f"x{i + 1}": Poly.variable(3, p[i]) for i in range(3)}
-    return HopfAction.from_generator_images(h, backend, images)
 
 
 def s3_rep(cap=2):
@@ -307,6 +289,23 @@ def test_commutant_negative_control():
         ("1/1*x", (False, "element g1 at order 0")),
         ("1/1*x^3", (False, "element g1 at order 0")),
     ]
+
+
+def test_s3_commutant_at_cap_3():
+    # the invariant multipliers d^k v / k! commute with every permutation,
+    # because permutations are algebra automorphisms that commute with d
+    rep = s3_rep(3)
+    samples = [rep.backend.poly_from_coords(list(v)) for v in rep.fixed_points().basis]
+    assert len(samples) == 7      # 1, e1, e1^2, e2, e1^3, e1 e2, e3
+    report = check_commutant(rep, samples, 2)
+    assert report.passed, report
+
+
+def test_group_rep_of_a_group_algebra_uses_the_action_matrices():
+    act = s3_action(2)
+    rep = FinGroupRep.from_hopf_action(act)
+    assert rep.full == act.matrices
+    assert rep.full == tuple(act.rho(act.hopf.basis_vector(g)) for g in range(act.hopf.dim))
 
 
 # --- cyclic reachability -------------------------------------------------------------
