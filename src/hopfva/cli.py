@@ -69,6 +69,22 @@ def _scalar(text, what):
     return scalar_from_text(text)
 
 
+def _poly(text, variables, what):
+    """The polynomial written as `text`; a ParseError naming `what` if it is not a string."""
+    if not isinstance(text, str):
+        raise ParseError(f"{what}: a polynomial must be a string such as \"x^2\", got {text!r}")
+    return poly_from_text(text, variables)
+
+
+def _reference(ws, section, d, field, owner):
+    """The object of `section` named by `d[field]`; a ParseError naming
+    `owner` and the field if that is not a string."""
+    ref = d[field]
+    if not isinstance(ref, str):
+        raise ParseError(f"{owner}: {field} must name a {section[:-1]}, got {ref!r}")
+    return ws.get(section, ref)
+
+
 def _integer(value, least, what):
     """`value` if it is an int of at least `least`; a ParseError naming `what` if not."""
     if not isinstance(value, int) or isinstance(value, bool) or value < least:
@@ -85,10 +101,12 @@ def _hopf(ws, name, d):
     if builder == "sweedler":
         return hopf_mod.sweedler()
     if builder == "group_algebra":
-        table = d["table"] if "table" in d else ws.get("groups", d["group"])
+        table = d["table"] if "table" in d else \
+            _reference(ws, "groups", d, "group", f"Hopf algebra {name!r}")
         return hopf_mod.group_algebra(table, names=d.get("element_names"))
     if builder == "dual":
-        return hopf_mod.dual_hopf(ws.get("hopf_algebras", d["of"]))
+        return hopf_mod.dual_hopf(
+            _reference(ws, "hopf_algebras", d, "of", f"Hopf algebra {name!r}"))
     if builder == "tensors":
         return _hopf_from_tensors(name, d)
     raise ParseError(f"unknown Hopf builder {builder!r}")
@@ -134,7 +152,7 @@ def _backend(ws, name, d):
         cap = _integer(d["degree_cap"], OPTIONS["--cap-d"].least,
                        f"backend {name!r}: degree_cap")
     variables = list(d["variables"])
-    images = {v: poly_from_text(t, variables)
+    images = {v: _poly(t, variables, f"backend {name!r}: derivation of {v}")
               for v, t in d["derivation"].items()}
     for v in variables:
         images.setdefault(v, Poly.zero(len(variables)))
@@ -142,12 +160,13 @@ def _backend(ws, name, d):
 
 
 def _action(ws, name, d):
-    h = ws.get("hopf_algebras", d["hopf"])
-    backend = ws.get("backends", d["backend"])
+    h = _reference(ws, "hopf_algebras", d, "hopf", f"action {name!r}")
+    backend = _reference(ws, "backends", d, "backend", f"action {name!r}")
     if "generator_images" in d:
         images = {}
         for bname, per_var in d["generator_images"].items():
-            images[bname] = {v: poly_from_text(t, list(backend.variables))
+            images[bname] = {v: _poly(t, list(backend.variables),
+                                      f"action {name!r}: the image of {v} under {bname}")
                              for v, t in per_var.items()}
         return action_mod.HopfAction.from_generator_images(h, backend, images)
     if "matrices" in d:
@@ -174,7 +193,8 @@ def _action(ws, name, d):
 
 def _chartable(ws, name, d):
     # index elements as the group algebra of this group does
-    order, table = hopf_mod.relabel_identity_first(ws.get("groups", d["group"]))
+    order, table = hopf_mod.relabel_identity_first(
+        _reference(ws, "groups", d, "group", f"character table {name!r}"))
     pos = {old: new for new, old in enumerate(order)}
     classes = [[pos.get(g, g) for g in c] for c in d["classes"]]
     chars = []

@@ -4,7 +4,11 @@ A FinHopfAlgebra stores the five structure maps as exact tensors over the
 basis: mul[i][j] is the coordinate vector of b_i b_j, comul[k] is the d^2
 coordinate vector of Delta(b_k) over the lexicographic pair basis
 b_i (x) b_j, counit is a covector and the antipode a matrix.  Axioms are
-verified at construction unless explicitly deferred.
+verified at construction unless explicitly deferred.  The nonzero
+(index, value) pairs of every mul[i][j] and comul[k] are derived once
+(`mul_nonzero`, `comul_nonzero`, integral values as ints); products,
+coproducts, tensor products and the axiom loops run over them, so a group
+algebra costs what its structure constants hold, not d^5.
 
 Group-like enumeration routes through the primitive idempotents of the dual
 algebra (multiplication Delta*), which is commutative exactly when the
@@ -25,8 +29,15 @@ from .errors import (
     NotGroupAlgebra,
     NotHopfIdeal,
     ShapeMismatch,
+    require,
 )
-from .linalg import Matrix, Subspace, linear_combination, split_commutative_algebra
+from .linalg import (
+    Matrix,
+    Subspace,
+    is_associative_at,
+    nonzero_pairs,
+    split_commutative_algebra,
+)
 from .scalars import as_scalar, scalar_pretty, scalar_sort_key
 
 _ZERO = Fraction(0)
@@ -37,7 +48,8 @@ class FinHopfAlgebra:
     """A Hopf algebra of dimension d over Q or a cyclotomic field."""
 
     __slots__ = ("dim", "names", "mul", "unit", "comul", "counit", "antipode",
-                 "group_like_basis", "group_table", "verified")
+                 "group_like_basis", "group_table", "verified", "mul_nonzero",
+                 "comul_nonzero")
 
     def __init__(self, dim, names, mul, unit, comul, counit, antipode,
                  group_like_basis=None, group_table=None, verify=True):
@@ -49,7 +61,11 @@ class FinHopfAlgebra:
                                for j in range(dim)) for i in range(dim))
         self.unit = tuple(as_scalar(c) for c in unit)
         self.comul = tuple(tuple(as_scalar(c) for c in comul[k]) for k in range(dim))
-        assert all(len(row) == dim * dim for row in self.comul)
+        if any(len(row) != dim * dim for row in self.comul):
+            raise ShapeMismatch(f"a coproduct needs {dim * dim} entries for dimension {dim}")
+        # the nonzero (index, value) pairs of each b_i b_j and each Delta(b_k)
+        self.mul_nonzero = tuple(tuple(nonzero_pairs(v) for v in row) for row in self.mul)
+        self.comul_nonzero = tuple(nonzero_pairs(v) for v in self.comul)
         self.counit = tuple(as_scalar(c) for c in counit)
         self.antipode = antipode if isinstance(antipode, Matrix) else Matrix.from_rows(antipode)
         self.group_like_basis = tuple(group_like_basis) if group_like_basis is not None else None
@@ -69,27 +85,23 @@ class FinHopfAlgebra:
 
     def multiply(self, u, v):
         out = [_ZERO] * self.dim
+        nv = nonzero_pairs(v)
         for i, a in enumerate(u):
-            if a == 0:
-                continue
-            for j, b in enumerate(v):
-                if b == 0:
-                    continue
-                ab = a * b
-                for k, c in enumerate(self.mul[i][j]):
-                    if c != 0:
-                        out[k] = out[k] + ab * c
+            if a:
+                row = self.mul_nonzero[i]
+                for j, b in nv:
+                    ab = a * b
+                    for k, c in row[j]:
+                        out[k] += ab * c
         return out
 
     def comul_of(self, vec):
         d = self.dim
         out = [_ZERO] * (d * d)
         for k, a in enumerate(vec):
-            if a == 0:
-                continue
-            for t, c in enumerate(self.comul[k]):
-                if c != 0:
-                    out[t] = out[t] + a * c
+            if a:
+                for t, c in self.comul_nonzero[k]:
+                    out[t] += a * c
         return out
 
     def counit_of(self, vec):
@@ -103,26 +115,21 @@ class FinHopfAlgebra:
         return self.antipode.apply(list(vec))
 
     def tensor_multiply(self, s, t):
-        """Product in H (x) H of two d^2 coordinate vectors."""
+        """Product in H (x) H of two d^2 coordinate vectors, each given by
+        the (index, value) pairs of its nonzero entries."""
         d = self.dim
+        mul = self.mul_nonzero
         out = [_ZERO] * (d * d)
-        for it, a in enumerate(s):
-            if a == 0:
-                continue
+        nt = [(divmod(kt, d), b) for kt, b in t]
+        for it, a in s:
             i, j = divmod(it, d)
-            for kt, b in enumerate(t):
-                if b == 0:
-                    continue
-                k, l = divmod(kt, d)
+            for (k, l), b in nt:
                 ab = a * b
-                left = self.mul[i][k]
-                right = self.mul[j][l]
-                for p, cp in enumerate(left):
-                    if cp == 0:
-                        continue
-                    for q, cq in enumerate(right):
-                        if cq != 0:
-                            out[p * d + q] = out[p * d + q] + ab * cp * cq
+                right = mul[j][l]
+                for p, cp in mul[i][k]:
+                    abp = ab * cp
+                    for q, cq in right:
+                        out[p * d + q] += abp * cq
         return out
 
     def element_text(self, vec):
@@ -150,7 +157,7 @@ def verify_hopf_axioms(h: FinHopfAlgebra) -> CheckReport:
     report.record("associativity", (
         f"({names[i]},{names[j]},{names[k]})"
         for i in range(d) for j in range(d) for k in range(d)
-        if h.multiply(h.mul[i][j], basis[k]) != h.multiply(basis[i], h.mul[j][k])))
+        if not is_associative_at(h.mul_nonzero, i, j, k)))
     report.record("unit", (
         names[i] for i in range(d)
         if h.multiply(unit, basis[i]) != basis[i] or h.multiply(basis[i], unit) != basis[i]))
@@ -158,18 +165,12 @@ def verify_hopf_axioms(h: FinHopfAlgebra) -> CheckReport:
     def coassoc_ok(k):
         left = [_ZERO] * (d ** 3)   # (Delta (x) id) Delta
         right = [_ZERO] * (d ** 3)  # (id (x) Delta) Delta
-        for t, a in enumerate(h.comul[k]):
-            if a == 0:
-                continue
+        for t, a in h.comul_nonzero[k]:
             i, j = divmod(t, d)
-            for t2, b in enumerate(h.comul[i]):
-                if b != 0:
-                    p, q = divmod(t2, d)
-                    left[(p * d + q) * d + j] += a * b
-            for t2, b in enumerate(h.comul[j]):
-                if b != 0:
-                    p, q = divmod(t2, d)
-                    right[(i * d + p) * d + q] += a * b
+            for t2, b in h.comul_nonzero[i]:
+                left[t2 * d + j] += a * b
+            for t2, b in h.comul_nonzero[j]:
+                right[i * d * d + t2] += a * b
         return left == right
 
     report.record("coassociativity", (names[k] for k in range(d) if not coassoc_ok(k)))
@@ -177,9 +178,7 @@ def verify_hopf_axioms(h: FinHopfAlgebra) -> CheckReport:
     def counit_ok(k):
         left = [_ZERO] * d
         right = [_ZERO] * d
-        for t, a in enumerate(h.comul[k]):
-            if a == 0:
-                continue
+        for t, a in h.comul_nonzero[k]:
             i, j = divmod(t, d)
             left[j] += a * h.counit[i]
             right[i] += a * h.counit[j]
@@ -189,23 +188,24 @@ def verify_hopf_axioms(h: FinHopfAlgebra) -> CheckReport:
     report.record("comul-is-algebra-map", itertools.chain(
         ["1"] if h.comul_of(unit) != _square(unit) else [],
         (f"({names[i]},{names[j]})" for i in range(d) for j in range(d)
-         if h.comul_of(h.mul[i][j]) != h.tensor_multiply(h.comul[i], h.comul[j]))))
+         if h.comul_of(h.mul[i][j]) != h.tensor_multiply(h.comul_nonzero[i], h.comul_nonzero[j]))))
     report.record("counit-is-algebra-map", itertools.chain(
         ["1"] if h.counit_of(unit) != 1 else [],
         (f"({names[i]},{names[j]})" for i in range(d) for j in range(d)
          if h.counit_of(h.mul[i][j]) != h.counit[i] * h.counit[j])))
 
+    antipode = [h.antipode_of(b) for b in basis]
+
     def antipode_ok(k, side):
         acc = [_ZERO] * d
-        for t, a in enumerate(h.comul[k]):
-            if a == 0:
-                continue
+        for t, a in h.comul_nonzero[k]:
             i, j = divmod(t, d)
             if side == "left":
-                term = h.multiply(h.antipode_of(basis[i]), basis[j])
+                term = h.multiply(antipode[i], basis[j])
             else:
-                term = h.multiply(basis[i], h.antipode_of(basis[j]))
-            acc = [x + a * y for x, y in zip(acc, term)]
+                term = h.multiply(basis[i], antipode[j])
+            for m, c in nonzero_pairs(term):
+                acc[m] += a * c
         return acc == [h.counit[k] * u for u in h.unit]
 
     for side in ("left", "right"):
@@ -278,22 +278,27 @@ def group_likes(h: FinHopfAlgebra, conductor=1):
         out = []
         for i in h.group_like_basis:
             g = h.basis_vector(i)
-            assert _is_group_like(h, g), f"declared group-like {h.names[i]} is not group-like"
+            if not _is_group_like(h, g):
+                raise ValueError(f"declared group-like {h.names[i]} is not group-like")
             out.append(tuple(g))
         return out
 
     idems = split_commutative_algebra(dual_mult, d, conductor=conductor)
+    dual_nonzero = [[nonzero_pairs(v) for v in row] for row in dual_mult]
     likes = []
     for p in idems:
         ref = next(l for l, c in enumerate(p) if c != 0)
         g = []
         for j in range(d):
-            y = linear_combination(p, dual_mult[j])
+            y = [_ZERO] * d  # b*_j p, which is g_j p on a 1-dimensional block
+            for i, a in nonzero_pairs(p):
+                for k, c in dual_nonzero[j][i]:
+                    y[k] += a * c
             c = y[ref] / p[ref]
-            assert all(yc == c * pc for yc, pc in zip(y, p)), \
-                "idempotent block is not 1-dimensional"
+            require(all(yc == c * pc if pc else not yc for yc, pc in zip(y, p)),
+                    "idempotent block is not 1-dimensional")
             g.append(c)
-        assert _is_group_like(h, g), "dual-route element failed the group-like check"
+        require(_is_group_like(h, g), "dual-route element failed the group-like check")
         likes.append(tuple(g))
     likes.sort(key=lambda v: tuple(scalar_sort_key(c) for c in v))
     return likes
@@ -321,8 +326,8 @@ def recognize_group_algebra(h: FinHopfAlgebra, conductor=1) -> GroupRecognition:
     if len(likes) != h.dim:
         raise NotGroupAlgebra(
             f"only {len(likes)} group-like elements in dimension {h.dim}")
-    assert Matrix.from_rows([list(g) for g in likes]).rank() == h.dim, \
-        "group-like elements are always linearly independent"
+    require(Matrix.from_rows([list(g) for g in likes]).rank() == h.dim,
+            "group-like elements are always linearly independent")
     unit = tuple(h.unit)
     try:
         e_idx = likes.index(unit)

@@ -16,7 +16,16 @@ representation equality; a null space comes out in that form from a single
 reduction (`_kernel_rref`).
 
 Also hosts the primitive-idempotent splitter for commutative associative
-algebras, which drives group-like enumeration in the Hopf layer.
+algebras, which drives group-like enumeration in the Hopf layer.  It builds
+one sparse table per call: the products of the Q-basis b_i zeta^a of
+A (x) Q(zeta_N), as nonzero (index, rational) pairs.  Every block is its
+idempotent e, starting from the unit.  A candidate g splits it by the
+rational roots of the minimal polynomial of y = g e, found by a Krylov
+search (e, y, y^2, ... up to the first dependence, on integer vectors), which
+is exact because e is the unit of e.A; the parts are Lagrange idempotents.
+The Q-dimension of a block is the trace tr(L_e), from the traces of the
+basis, and the rational roots come from a Sturm sequence, so no kernel, no
+Cyclotomic and no divisor list is built while splitting.
 """
 
 from __future__ import annotations
@@ -27,10 +36,12 @@ from fractions import Fraction
 from .errors import InvariantViolation, SplitFailure, require
 from .scalars import (
     Cyclotomic,
-    _divisors,
+    _fp_divmod,
+    _fp_xgcd,
     as_scalar,
     common_conductor,
     cyclo_coords,
+    cyclotomic_polynomial,
     euler_phi,
     from_cyclo_coords,
     scalar_sort_key,
@@ -402,7 +413,7 @@ class Matrix:
 
     def det(self):
         """Exact determinant via Bareiss-style fraction-free elimination."""
-        assert self.rows == self.cols
+        require(self.rows == self.cols, "a determinant needs a square matrix")
         n = self.rows
         if n == 0:
             return _ONE
@@ -451,7 +462,7 @@ def kronecker(a: Matrix, b: Matrix) -> Matrix:
 
 def solve(a: Matrix, b):
     """One solution x of A x = b, or None if the system is inconsistent."""
-    assert len(b) == a.rows
+    require(len(b) == a.rows, "right-hand side length does not match the matrix")
     aug = [list(a.row(i)) + [as_scalar(b[i])] for i in range(a.rows)]
     red, pivots = _rref_rows(aug, a.cols + 1)
     if a.cols in pivots:
@@ -479,7 +490,7 @@ class Subspace:
     @classmethod
     def from_vectors(cls, ambient, vectors):
         rows = [[as_scalar(c) for c in v] for v in vectors]
-        assert all(len(r) == ambient for r in rows)
+        require(all(len(r) == ambient for r in rows), "vector length does not match the space")
         red, pivots = _rref_rows(rows, ambient)
         return cls(ambient, tuple(_leading_ones(red, pivots)), pivots)
 
@@ -501,7 +512,7 @@ class Subspace:
     def reduce(self, vec):
         """Residual of `vec` after eliminating all pivot coordinates."""
         v = [as_scalar(c) for c in vec]
-        assert len(v) == self.ambient
+        require(len(v) == self.ambient, "vector length does not match the space")
         for row, p in zip(self.basis, self.pivots):
             c = v[p]
             if c != 0:
@@ -528,12 +539,12 @@ class Subspace:
         return coeffs
 
     def __add__(self, other):
-        assert self.ambient == other.ambient
+        require(self.ambient == other.ambient, "subspaces of different spaces")
         return Subspace.from_vectors(self.ambient, list(self.basis) + list(other.basis))
 
     def intersect(self, other):
         """Exact intersection via the kernel of the stacked transpose."""
-        assert self.ambient == other.ambient
+        require(self.ambient == other.ambient, "subspaces of different spaces")
         if self.is_zero() or other.is_zero():
             return Subspace.zero(self.ambient)
         stacked = Matrix.from_columns(list(self.basis) + list(other.basis))
@@ -555,19 +566,61 @@ class Subspace:
 # primitive idempotents of a split semisimple commutative algebra
 
 
-def _minimal_polynomial(op: Matrix):
-    """Monic minimal polynomial (ascending Fraction coefficients)."""
-    n = op.rows
-    powers = [Matrix.identity(n)]
-    while True:
-        cols = Matrix.from_columns([p.vec() for p in powers])
-        target = (powers[-1] * op).vec()
-        sol = solve(cols, target)
-        if sol is not None:
-            return [-c for c in sol] + [_ONE]
-        powers.append(powers[-1] * op)
-        if len(powers) > n + 1:
-            raise InvariantViolation("minimal polynomial search ran past the dimension")
+def _integral(vec):
+    """(t, w) with vec = t * w, w a primitive integer vector and t > 0 rational."""
+    denom = 1
+    for c in vec:
+        d = c.denominator
+        if d != 1:
+            denom = denom * d // math.gcd(denom, d)
+    ints = [c.numerator * (denom // c.denominator) for c in vec]
+    content = math.gcd(*ints) or 1
+    if content != 1:
+        ints = [c // content for c in ints]
+    return Fraction(content, denom), ints
+
+
+def _minimal_polynomial(alg, e, g):
+    """Monic minimal polynomial of y = g e in the block e.A, and its powers.
+
+    Krylov search: the vectors y^k = g^k e (k = 0, 1, ...; y^0 = e) are
+    reduced against the earlier ones until the first that depends on them,
+    and that relation is the minimal polynomial (ascending Fraction
+    coefficients).  This is exact because e is the unit of e.A, which acts
+    faithfully on itself: mu(L_y) vanishes on e.A exactly when mu(y) = 0.
+    Each y^k is kept as t_k w_k, w_k a primitive integer vector, and the
+    reduction is fraction-free, so the search runs on ints.  Returns
+    (mu, [(t_0, w_0), ..., (t_(deg mu - 1), w_(deg mu - 1))]).
+    """
+    g_scale, g_int = _integral(g)
+    t, w = _integral(e)
+    powers = []
+    reduced = []  # (pivot, row, the integer combination of the w_k that it is)
+    while len(powers) <= alg.qdim:
+        powers.append((t, w))
+        row = w
+        combo = [0] * (len(powers) - 1) + [1]
+        for p, r, cb in reduced:
+            c = row[p]
+            if c:
+                k = math.gcd(c, r[p])
+                a, b = r[p] // k, c // k
+                row = [a * x - b * y for x, y in zip(row, r)]
+                combo = [a * x - b * y for x, y in zip(combo, cb)] + \
+                    [a * x for x in combo[len(cb):]]
+        content = math.gcd(*row, *combo)
+        if content != 1:
+            row = [x // content for x in row]
+            combo = [x // content for x in combo]
+        pivot = next((j for j, c in enumerate(row) if c), None)
+        if pivot is None:
+            # sum_k combo_k w_k = 0 with w_k = y^k / t_k; divide by the top term
+            top = Fraction(t, combo[-1])
+            return [c * top / tk for c, (tk, _) in zip(combo, powers)], powers[:-1]
+        reduced.append((pivot, row, combo))
+        s, w = _integral(alg.qmul(g_int, w))
+        t = g_scale * t * s
+    raise InvariantViolation("minimal polynomial search ran past the dimension")
 
 
 def _poly_derivative(coeffs):
@@ -575,48 +628,74 @@ def _poly_derivative(coeffs):
 
 
 def _poly_gcd_degree(a, b):
-    from .scalars import _fp_xgcd  # fraction-poly gcd
-
     g, _, _ = _fp_xgcd(list(a), list(b))
     return len(g) - 1
 
 
+def _horner(p, x):
+    v = 0
+    for c in reversed(p):
+        v = v * x + c
+    return v
+
+
 def _rational_roots(coeffs):
-    """All rational roots of a squarefree Fraction polynomial."""
+    """All rational roots of a squarefree Fraction polynomial f, ascending.
+
+    A root p/q in lowest terms has q | a_n, so y = a_n x maps them onto the
+    integer roots of the monic integer polynomial g(y) = a_n^(n-1) f(y/a_n),
+    which lie in (-B, B) for B = 2 + max |g_k| (Cauchy).  A Sturm sequence
+    counts the real roots of g in (lo, hi]; bisection isolates them, and a
+    single simple root is followed by the sign of g down to an interval of
+    width 1.  All of it is integer arithmetic, so the cost grows with the
+    bit length of the coefficients, not with their size.
+    """
     ints = _cleared(coeffs)
     roots = []
     if ints[0] == 0:
         roots.append(_ZERO)
         ints = ints[1:]
-    if len(ints) <= 1:
+    n = len(ints) - 1
+    if n < 1:
         return roots
-    lead = abs(ints[-1])
-    const = abs(ints[0])
-    ps = _divisors(const) if const else []
-    qs = _divisors(lead)
-    seen = set()
-    for p in ps:
-        for q in qs:
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                acc = Fraction(0)
-                for c in reversed(ints):
-                    acc = acc * cand + c
-                if acc == 0:
-                    roots.append(cand)
+    lead = ints[-1]
+    g = [c * lead ** (n - 1 - k) for k, c in enumerate(ints[:-1])] + [1]
+    # Sturm sequence, each term scaled to integers by a positive factor
+    seq = [g, [k * c for k, c in enumerate(g)][1:]]
+    while len(seq[-1]) > 1:
+        _, rem = _fp_divmod([Fraction(c) for c in seq[-2]], [Fraction(c) for c in seq[-1]])
+        if not rem:
+            break
+        seq.append(_cleared([-c for c in rem]))
+
+    def sign_changes(x):
+        signs = [v > 0 for v in (_horner(p, x) for p in seq) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    bound = 2 + max(abs(c) for c in g[:-1])
+    stack = [(-bound, bound, sign_changes(-bound), sign_changes(bound))]
+    while stack:
+        lo, hi, vlo, vhi = stack.pop()
+        if vlo == vhi:
+            continue
+        if vlo - vhi > 1 and hi - lo > 1:
+            mid = (lo + hi) // 2
+            vmid = sign_changes(mid)
+            stack += [(mid, hi, vmid, vhi), (lo, mid, vlo, vmid)]
+            continue
+        # one simple root in (lo, hi], or an interval of width 1
+        g_hi = _horner(g, hi)
+        while g_hi and hi - lo > 1:
+            mid = (lo + hi) // 2
+            g_mid = _horner(g, mid)
+            if g_mid == 0 or (g_mid > 0) == (g_hi > 0):
+                hi, g_hi = mid, g_mid
+            else:
+                lo = mid
+        if g_hi == 0:
+            roots.append(Fraction(hi, lead))
     roots.sort()
     return roots
-
-
-def _poly_at_matrix(coeffs, m: Matrix):
-    out = Matrix.zeros(m.rows, m.cols)
-    for c in reversed(coeffs):
-        out = out * m
-        if c != 0:
-            out = out + Matrix.identity(m.rows).scale(c)
-    return out
 
 
 def _poly_div_linear(coeffs, root):
@@ -626,45 +705,95 @@ def _poly_div_linear(coeffs, root):
     for k in range(len(coeffs) - 1, 0, -1):
         carry = coeffs[k] + carry * root
         out[k - 1] = carry
-    assert coeffs[0] + carry * root == 0
+    require(coeffs[0] + carry * root == 0, "division by a linear factor left a remainder")
+    return out
+
+
+def nonzero_pairs(vec):
+    """The (index, value) pairs of the nonzero entries of `vec`.
+
+    Integral rationals come out as ints, which multiply far faster than
+    Fractions; sums with the Fraction entries of a result stay Fractions.
+    """
+    return [(k, c.numerator if c.__class__ is Fraction and c.denominator == 1 else c)
+            for k, c in enumerate(vec) if c]
+
+
+def _cyclotomic_powers(n, count):
+    """Integer coordinates of zeta_n^s, s < count, in the power basis of Q(zeta_n)."""
+    phi_poly = cyclotomic_polynomial(n)
+    phi = len(phi_poly) - 1
+    out = [[int(k == s) for k in range(phi)] for s in range(min(count, phi))]
+    while len(out) < count:
+        prev = out[-1]
+        top = prev[-1]  # zeta^phi = -sum_k Phi_k zeta^k
+        out.append([(prev[k - 1] if k else 0) - top * phi_poly[k] for k in range(phi)])
     return out
 
 
 class _AlgebraQ:
-    """A commutative F-algebra restricted to scalars over Q.
+    """A commutative algebra A over F = Q(zeta_N), as a Q-algebra on one table.
 
-    Idempotents do not depend on the base field, so splitting is done over Q
-    (where rational root extraction is complete) and the blocks are checked
-    for F-dimension 1 afterwards.
+    The Q-basis of A is b_i zeta^a (i < dim, a < phi(N)), at index
+    i * phi + a.  `table[p][q]` lists the nonzero (index, coefficient) pairs
+    of the product of Q-basis elements p and q, with rational coefficients
+    (ints where integral).  It is built once, from the integer coordinates
+    of the powers of zeta; an entry of `mult` that is itself cyclotomic
+    enters through its own coordinates.  Products, traces and the checks on
+    the output all run on it, so refining the blocks builds no Cyclotomic.
     """
 
-    def __init__(self, mult, dim, conductor):
+    def __init__(self, nonzero, dim, conductor):
+        phi = euler_phi(conductor)
         self.dim = dim
-        self.mult = mult
         self.n_field = conductor
-        self.phi = euler_phi(conductor)
-        self.qdim = dim * self.phi
+        self.phi = phi
+        self.qdim = qdim = dim * phi
+        zpow = _cyclotomic_powers(conductor, 3 * phi - 2)
+        self.table = table = [[None] * qdim for _ in range(qdim)]
+        for i in range(dim):
+            for j in range(i + 1):
+                entries = [(m * phi, nonzero_pairs(cyclo_coords(c, conductor)))
+                           for m, c in nonzero[i][j]]
+                for s in range(2 * phi - 1):
+                    acc = {}
+                    for base, coords in entries:
+                        for r, c in coords:
+                            for t, z in enumerate(zpow[r + s]):
+                                if z:
+                                    acc[base + t] = acc.get(base + t, 0) + c * z
+                    row = [(k, v.numerator if v.denominator == 1 else v)
+                           for k, v in sorted(acc.items()) if v]
+                    for a in range(max(0, s - phi + 1), min(s, phi - 1) + 1):
+                        table[i * phi + a][j * phi + s - a] = row
+                        table[j * phi + s - a][i * phi + a] = row
+        # tr(L_p) over the Q-basis, so that tr(L_e) = sum_p e_p tr(L_p)
+        self.traces = [sum(c for q in range(qdim) for k, c in table[p][q] if k == q)
+                       for p in range(qdim)]
 
-    def fmul(self, u, v):
-        out = [_ZERO] * self.dim
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            for j, b in enumerate(v):
-                if b == 0:
-                    continue
-                ab = a * b
-                for m, c in enumerate(self.mult[i][j]):
-                    if c != 0:
-                        out[m] = out[m] + ab * c
+    def qmul(self, u, v):
+        """The product of two Q-coordinate vectors; ints in, ints out where
+        the table is integral."""
+        out = [0] * self.qdim
+        nv = nonzero_pairs(v)
+        table = self.table
+        for p, a in enumerate(u):
+            if a:
+                row = table[p]
+                for q, b in nv:
+                    ab = a * b
+                    for m, c in row[q]:
+                        out[m] += ab if c == 1 else ab * c
         return out
+
+    def qdim_of(self, e):
+        """The Q-dimension of e.A for an idempotent e: tr(L_e)."""
+        return sum(c * t for c, t in zip(e, self.traces) if c)
 
     def q_to_f(self, qv):
-        out = []
-        for i in range(self.dim):
-            chunk = qv[i * self.phi:(i + 1) * self.phi]
-            out.append(from_cyclo_coords(chunk, self.n_field))
-        return out
+        phi = self.phi
+        return [from_cyclo_coords(qv[i * phi:(i + 1) * phi], self.n_field)
+                for i in range(self.dim)]
 
     def f_to_q(self, fv):
         out = []
@@ -672,8 +801,18 @@ class _AlgebraQ:
             out.extend(cyclo_coords(s, self.n_field))
         return out
 
-    def qmul(self, u, v):
-        return self.f_to_q(self.fmul(self.q_to_f(u), self.q_to_f(v)))
+
+def is_associative_at(nonzero, i, j, k):
+    """(b_i b_j) b_k == b_i (b_j b_k), for structure constants given as the
+    nonzero (index, value) pairs `nonzero[i][j]` of each product b_i b_j."""
+    left, right = {}, {}
+    for m, c in nonzero[i][j]:
+        for t, c2 in nonzero[m][k]:
+            left[t] = left.get(t, 0) + c * c2
+    for m, c in nonzero[j][k]:
+        for t, c2 in nonzero[i][m]:
+            right[t] = right.get(t, 0) + c * c2
+    return {t: c for t, c in left.items() if c} == {t: c for t, c in right.items() if c}
 
 
 def split_commutative_algebra(mult, dim, conductor=1):
@@ -685,15 +824,20 @@ def split_commutative_algebra(mult, dim, conductor=1):
     SplitFailure("extend-conductor") when an irreducible factor of degree
     > 1 survives and SplitFailure("not-semisimple") when nilpotents are
     detected.
+
+    Each block is its idempotent e, starting from the unit.  A candidate g
+    splits e by the rational roots theta of the minimal polynomial mu of
+    y = g e in e.A: the parts are the Lagrange idempotents
+    q_theta(y) / q_theta(theta), q_theta = mu / (t - theta), and the rest
+    e - sum of them.  The Q-dimension of a block is tr(L_e).
     """
     mult = [[[as_scalar(c) for c in mult[i][j]] for j in range(dim)]
             for i in range(dim)]
     n_field = math.lcm(conductor,
                        common_conductor(c for row in mult for v in row for c in v))
-    alg = _AlgebraQ(mult, dim, n_field)
+    nonzero = [[nonzero_pairs(v) for v in row] for row in mult]
 
     # precondition checks: commutative, associative, unital
-    basis_f = [[_ONE if m == i else _ZERO for m in range(dim)] for i in range(dim)]
     for i in range(dim):
         for j in range(i):
             if mult[i][j] != mult[j][i]:
@@ -701,9 +845,7 @@ def split_commutative_algebra(mult, dim, conductor=1):
     for i in range(dim):
         for j in range(dim):
             for k in range(dim):
-                left = alg.fmul(mult[i][j], basis_f[k])
-                right = alg.fmul(basis_f[i], mult[j][k])
-                if left != right:
+                if not is_associative_at(nonzero, i, j, k):
                     raise ValueError("structure tensor is not associative")
     unit_rows = []
     unit_rhs = []
@@ -715,67 +857,52 @@ def split_commutative_algebra(mult, dim, conductor=1):
     if unit_f is None:
         raise ValueError("structure tensor has no unit element")
 
-    qdim = alg.qdim
-    blocks = [Subspace.full(qdim)]
+    alg = _AlgebraQ(nonzero, dim, n_field)
+    qdim, phi = alg.qdim, alg.phi
+    unit = alg.f_to_q(unit_f)
+    blocks = [unit]
     std = Matrix.identity(qdim).row_lists()
 
-    def op_on_block(gen, block):
-        cols = []
-        for b in block.basis:
-            y = alg.qmul(gen, list(b))
-            coords = block.coordinates_of(y)
-            assert coords is not None, "block is not an ideal"
-            cols.append(coords)
-        return Matrix.from_columns(cols)
-
-    def try_split(block, gen):
-        if block.dim <= alg.phi:
-            return None
-        op = op_on_block(gen, block)
-        mu = _minimal_polynomial(op)
+    def try_split(e, g):
+        mu, powers = _minimal_polynomial(alg, e, g)
         if _poly_gcd_degree(mu, _poly_derivative(mu)) > 0:
             raise SplitFailure("not-semisimple", "repeated factor in a minimal polynomial")
         roots = _rational_roots(mu)
         if not roots or (len(roots) == 1 and len(mu) == 2):
             return None
-        rest = list(mu)
         parts = []
         for th in roots:
-            shifted = op - Matrix.identity(op.rows).scale(th)
-            parts.append(shifted.kernel())
-            rest = _poly_div_linear(rest, th)
-        if len(rest) > 1:
-            parts.append(_poly_at_matrix(rest, op).kernel())
-        parts = [p for p in parts if p.dim > 0]
-        if len(parts) < 2:
-            return None
-        assert sum(p.dim for p in parts) == block.dim
-        return [Subspace.from_vectors(qdim, [linear_combination(lam, block.basis)
-                                             for lam in p.basis])
-                for p in parts]
+            q = _poly_div_linear(mu, th)
+            value = _horner(q, th)
+            parts.append(linear_combination([c * t / value for c, (t, _) in zip(q, powers)],
+                                            [w for _, w in powers]))
+        if len(roots) < len(mu) - 1:
+            rest = list(e)
+            for part in parts:
+                rest = [x - y if y else x for x, y in zip(rest, part)]
+            parts.append(rest)
+        return parts
 
     def refine(generators):
         progress = False
         i = 0
         while i < len(blocks):
-            block = blocks[i]
-            done = False
-            for gen in generators(block):
-                parts = try_split(block, gen)
-                if parts:
-                    blocks[i:i + 1] = parts
-                    progress = True
-                    done = True
-                    break
-            if not done:
+            e = blocks[i]
+            parts = None
+            if alg.qdim_of(e) > phi:  # a block of field dimension 1 is primitive
+                parts = next(filter(None, (try_split(e, g) for g in generators(e))), None)
+            if parts:
+                blocks[i:i + 1] = parts
+                progress = True
+            else:
                 i += 1
         return progress
 
-    while refine(lambda block: std):
+    while refine(lambda e: std):
         pass
-    # second-stage generators: products and sums drawn from the block itself
-    def extended(block):
-        rows = [list(r) for r in block.basis]
+    # second-stage generators: products and sums drawn from the RREF basis of e.A
+    def extended(e):
+        rows = [list(r) for r in Subspace.from_vectors(qdim, [alg.qmul(b, e) for b in std]).basis]
         for a in range(len(rows)):
             for b in range(a, len(rows)):
                 yield alg.qmul(rows[a], rows[b])
@@ -787,37 +914,27 @@ def split_commutative_algebra(mult, dim, conductor=1):
                    for m in range(qdim)]
 
     while refine(extended):
-        while refine(lambda block: std):
+        while refine(lambda e: std):
             pass
 
-    idempotents = []
-    for block in blocks:
-        assert block.dim % alg.phi == 0
-        if block.dim > alg.phi:
+    for e in blocks:
+        block_dim = alg.qdim_of(e)
+        require(block_dim.denominator == 1 and block_dim % phi == 0,
+                f"a block has Q-dimension {block_dim}, not a multiple of {phi}")
+        if block_dim > phi:
             raise SplitFailure("extend-conductor",
-                               f"a block of field dimension {block.dim // alg.phi} resisted splitting")
-        rows = [list(r) for r in block.basis]
-        eq_rows = []
-        rhs = []
-        for r in rows:
-            prods = [alg.qmul(c, r) for c in rows]
-            for m in range(qdim):
-                eq_rows.append([prods[c][m] for c in range(len(rows))])
-                rhs.append(r[m])
-        sol = solve(Matrix.from_rows(eq_rows), rhs)
-        if sol is None:
-            raise SplitFailure("not-semisimple", "a block carries no unit (nil block)")
-        idempotents.append(alg.q_to_f(linear_combination(sol, rows)))
-
-    idempotents.sort(key=lambda v: tuple(scalar_sort_key(c) for c in v))
-    # exact output invariants
-    for a, ea in enumerate(idempotents):
-        for b, eb in enumerate(idempotents):
-            prod = alg.fmul(ea, eb)
-            expect = ea if a == b else [_ZERO] * dim
-            assert prod == expect, "idempotents fail orthogonality"
-    total = [_ZERO] * dim
-    for e in idempotents:
+                               f"a block of field dimension {block_dim // phi} resisted splitting")
+    # exact output invariants, on e = t w with w an integer vector
+    scaled = [_integral(e) for e in blocks]
+    for a, (t, w) in enumerate(scaled):
+        for b in range(a, len(blocks)):
+            prod = alg.qmul(w, scaled[b][1])
+            require(all(t * x == y for x, y in zip(prod, w)) if a == b else not any(prod),
+                    "idempotents fail orthogonality")
+    total = [_ZERO] * qdim
+    for e in blocks:
         total = [x + y for x, y in zip(total, e)]
-    assert total == [as_scalar(c) for c in unit_f], "idempotents do not sum to 1"
+    require(total == unit, "idempotents do not sum to 1")
+    idempotents = [alg.q_to_f(e) for e in blocks]
+    idempotents.sort(key=lambda v: tuple(scalar_sort_key(c) for c in v))
     return [tuple(e) for e in idempotents]

@@ -9,6 +9,8 @@ import pytest
 
 from hopfva import cli
 from hopfva.errors import DuplicateName, ParseError, UnresolvedReference
+from hopfva.hopf import sweedler
+from hopfva.scalars import scalar_to_text
 
 
 def fixture(name):
@@ -503,32 +505,46 @@ def test_action_matrix_missing_for_a_basis_element_under_O(tmp_path):
             "message": "action 'only_e': no matrix for basis element 'g'"}
 
 
-@pytest.mark.parametrize("text,error,message", [
-    ("[]", "ParseError", "a workspace must be a JSON object"),
-    ('{"schema_version": 1, "backends": 3}', "ParseError", "backends must be a list"),
+VERIFY_H = ("verify-hopf", "h")
+
+
+@pytest.mark.parametrize("text,error,message,query", [
+    ("[]", "ParseError", "a workspace must be a JSON object", VERIFY_H),
+    ('{"schema_version": 1, "backends": 3}', "ParseError", "backends must be a list", VERIFY_H),
     ('{"schema_version": 1, "groups": ["z2"]}', "ParseError",
-     "each groups entry must be an object"),
+     "each groups entry must be an object", VERIFY_H),
     ('{"schema_version": 1, "hopf_algebras": [{"name": "h", "dim": "2", "mul": [],'
      ' "comul": [], "counit": [], "unit": [], "antipode": []}]}', "ParseError",
-     "Hopf algebra 'h': dim must be an integer of at least 0, got '2'"),
+     "Hopf algebra 'h': dim must be an integer of at least 0, got '2'", VERIFY_H),
     ('{"schema_version": 1, "hopf_algebras": [{"name": "h", "dim": 1,'
      ' "mul": [[0, 0, 0, "1/0"]], "comul": [[0, 0, 0, "1"]], "counit": ["1"],'
      ' "unit": ["1"], "antipode": [[0, 0, "1"]]}]}', "ValueError",
-     "zero denominator in scalar '1/0'"),
+     "zero denominator in scalar '1/0'", VERIFY_H),
     ('{"schema_version": 1, "hopf_algebras": [{"name": "h", "builder": "dual", "of": "h"}]}',
-     "ParseError", "cyclic reference: hopf_algebra 'h' -> hopf_algebra 'h'"),
+     "ParseError", "cyclic reference: hopf_algebra 'h' -> hopf_algebra 'h'", VERIFY_H),
     ('{"schema_version": 1, "hopf_algebras": [{"name": "h", "dim": 1,'
      ' "mul": [[0, 0, 0, 1]], "comul": [[0, 0, 0, "1"]], "counit": ["1"],'
      ' "unit": ["1"], "antipode": [[0, 0, "1"]]}]}', "ParseError",
-     "Hopf algebra 'h': mul: a scalar must be a string such as \"1/2\", got 1"),
+     "Hopf algebra 'h': mul: a scalar must be a string such as \"1/2\", got 1", VERIFY_H),
     ('{"schema_version": 1, "hopf_algebras": [{"name": ["h"], "builder": "sweedler"}]}',
-     "ParseError", "hopf_algebras entry name ['h'] is not a string"),
+     "ParseError", "hopf_algebras entry name ['h'] is not a string", VERIFY_H),
+    ('{"schema_version": 1, "backends": [{"name": "b", "variables": ["x"],'
+     ' "degree_cap": 2, "derivation": {"x": 1}}]}', "ParseError",
+     "backend 'b': derivation of x: a polynomial must be a string such as \"x^2\", got 1",
+     ("pi2-kernel", "b")),
+    ('{"schema_version": 1, "groups": [{"name": "z2", "table": [[0, 1], [1, 0]]}],'
+     ' "hopf_algebras": [{"name": "qz2", "builder": "group_algebra", "group": "z2"}],'
+     ' "backends": [{"name": "b", "variables": ["x"], "degree_cap": 2,'
+     ' "derivation": {"x": "x"}}], "actions": [{"name": "a", "hopf": ["qz2"],'
+     ' "backend": "b", "matrices": {}}]}', "ParseError",
+     "action 'a': hopf must name a hopf_algebra, got ['qz2']", ("fixed-points", "a")),
 ], ids=["array", "section-not-list", "entry-not-object", "text-dim", "zero-denominator",
-        "self-dual", "number-scalar", "list-name"])
-def test_malformed_workspace_is_an_input_error(capsys, tmp_path, text, error, message):
+        "self-dual", "number-scalar", "list-name", "number-polynomial", "list-reference"])
+def test_malformed_workspace_is_an_input_error(capsys, tmp_path, text, error, message, query):
     ws = tmp_path / "malformed.json"
     ws.write_text(text)
-    code, doc, _ = run_cli(capsys, ["verify-hopf", "--workspace", str(ws), "--object", "h"])
+    command, obj = query
+    code, doc, _ = run_cli(capsys, [command, "--workspace", str(ws), "--object", obj])
     assert code == 4
     assert doc["status"] == "error"
     assert doc["result"]["error"] == error
@@ -566,6 +582,38 @@ def test_wrong_character_values_are_refused_under_O(tmp_path):
         assert doc["result"] == {
             "error": "InvariantViolation",
             "message": "character multiplicity must be a nonnegative integer, got 2/3"}
+
+
+def _tensors_entry(h, name, **extra):
+    """A `tensors` workspace entry with the structure constants of `h`."""
+    text = scalar_to_text
+    d = h.dim
+    return {"name": name, "builder": "tensors", "dim": d, "basis": list(h.names),
+            "mul": [[i, j, k, text(c)] for i in range(d) for j in range(d)
+                    for k, c in enumerate(h.mul[i][j]) if c],
+            "comul": [[k, *divmod(t, d), text(c)] for k in range(d)
+                      for t, c in enumerate(h.comul[k]) if c],
+            "antipode": [[i, j, text(h.antipode[i, j])] for i in range(d) for j in range(d)
+                         if h.antipode[i, j]],
+            "unit": [text(c) for c in h.unit], "counit": [text(c) for c in h.counit],
+            **extra}
+
+
+def test_declared_group_like_is_checked_under_O(tmp_path):
+    # gx is not group-like in Sweedler's algebra: an input error naming it
+    # with either interpreter flag, never a listing that includes it
+    path = tmp_path / "declared.json"
+    path.write_text(json.dumps({"schema_version": 1, "hopf_algebras": [
+        _tensors_entry(sweedler(), "sw", group_like_basis=[0, 3])]}))
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "hopfva.cli", "group-likes", "--workspace",
+             str(path), "--object", "sw", "--json-only"],
+            capture_output=True, text=True)
+        assert proc.returncode == 4, (flags, proc.stdout, proc.stderr)
+        doc = json.loads(proc.stdout.strip())
+        assert doc["result"] == {"error": "ValueError",
+                                 "message": "declared group-like gx is not group-like"}
 
 
 # --- the README documents the command table ------------------------------------

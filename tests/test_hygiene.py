@@ -4,9 +4,11 @@ A module-level import, assignment or private (underscore) def that nothing
 in the package reads, and a function-local name that is stored but never
 read, are reported.  `_` is exempt, and so is every name `hopfva/__init__.py`
 re-exports from the module that binds it (such as `scalars.Rational`).
+Every function the benchmark's tracer wraps by name must still exist.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import hopfva
@@ -118,3 +120,24 @@ def test_scan_finds_each_kind_of_dead_name(tmp_path):
     (tmp_path / "other.py").write_text("from . import mod\nfrom .mod import _private\n"
                                        "_private(mod.os)\n")
     assert dead_names(tmp_path) == ["mod.pi", "mod.UNUSED", "mod.public: width (line 10)"]
+
+
+def test_every_traced_benchmark_target_resolves():
+    # the benchmark's tracer patches hot functions by name; a rename must
+    # fail here rather than break traced benchmark runs
+    path = Path(__file__).parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    import hopfva.linalg as linalg
+
+    before = (linalg._minimal_polynomial, linalg.Matrix.__dict__["__mul__"])
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        wrapped = {(layer, name) for layer, names in spans.TARGETS.items() for name in names}
+        assert set(tracer.stats) == wrapped
+        assert linalg._minimal_polynomial is not before[0]
+    finally:
+        tracer.uninstall()
+    assert (linalg._minimal_polynomial, linalg.Matrix.__dict__["__mul__"]) == before

@@ -1,0 +1,162 @@
+"""Independent oracles for the idempotent splitter, on abelian groups.
+
+For an abelian group G of exponent N, the group-likes of Q[G]* are the
+characters G -> Q(zeta_N)^x, built here directly from powers of zeta_N.  The
+Krylov minimal polynomial of an element of Q[G] (x) Q(zeta_N), taken as an
+algebra over Q, must equal the minimal polynomial of its dense multiplication
+matrix, found here from the matrix powers with `Cyclotomic` arithmetic only.
+A conductor whose field lacks a character value must be refused, and the
+rational roots of a minimal polynomial must be exactly the chosen ones.
+"""
+
+import math
+import random
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from hopfva.errors import SplitFailure
+from hopfva.hopf import (
+    cyclic_group_table,
+    dual_hopf,
+    group_algebra,
+    group_likes,
+    product_group_table,
+)
+from hopfva.linalg import (
+    Matrix,
+    _AlgebraQ,
+    _minimal_polynomial,
+    _rational_roots,
+    nonzero_pairs,
+    solve,
+)
+from hopfva.scalars import _fp_mul, as_scalar, cyclo_coords, euler_phi, zeta
+
+# (name, cyclic factors, a conductor whose field misses a character value)
+GROUPS = [
+    ("z1", (1,), None),
+    ("z2", (2,), None),
+    ("z3", (3,), 1),
+    ("z4", (4,), 2),
+    ("z5", (5,), 1),
+    ("z6", (6,), 2),  # not 3: Q(zeta_3) = Q(zeta_6)
+    ("z7", (7,), 1),
+    ("z8", (8,), 4),
+    ("z2z4", (2, 4), 2),
+    ("z2z6", (2, 6), 2),
+    ("z3z3", (3, 3), 1),
+]
+
+
+def _table(factors):
+    table = cyclic_group_table(factors[0])
+    for n in factors[1:]:
+        table = product_group_table(table, cyclic_group_table(n))
+    return table
+
+
+def _elements(factors):
+    """The coordinates (a_1, ..., a_r) of each element, in table order."""
+    return list(product(*(range(n) for n in factors)))
+
+
+def _characters(factors, exponent):
+    """Every character of the group as its values on the elements."""
+    elems = _elements(factors)
+    return [[zeta(exponent, sum(exponent // n * k * a for n, k, a in zip(factors, ks, elem)))
+             for elem in elems]
+            for ks in _elements(factors)]
+
+
+@pytest.mark.parametrize("name,factors,missing", GROUPS, ids=[g[0] for g in GROUPS])
+def test_group_likes_of_dual_are_the_characters(name, factors, missing):
+    exponent = math.lcm(*factors)
+    h = dual_hopf(group_algebra(_table(factors)))
+    likes = group_likes(h, conductor=exponent)
+    expected = _characters(factors, exponent)
+    assert len(likes) == len(expected) == len(h.names)  # Q[Z7]* at 7: 7 group-likes
+    for chi in expected:
+        assert sum(list(g) == chi for g in likes) == 1, chi
+
+
+@pytest.mark.parametrize("name,factors,missing",
+                         [g for g in GROUPS if g[2] is not None],
+                         ids=[g[0] for g in GROUPS if g[2] is not None])
+def test_a_conductor_missing_the_exponent_is_refused(name, factors, missing):
+    h = dual_hopf(group_algebra(_table(factors)))
+    with pytest.raises(SplitFailure) as exc:
+        group_likes(h, conductor=missing)
+    assert exc.value.reason == "extend-conductor"
+
+
+def _dense_minimal_polynomial(m):
+    """Monic minimal polynomial of a square Matrix from its powers I, M, M^2, ..."""
+    powers = [Matrix.identity(m.rows)]
+    while True:
+        nxt = powers[-1] * m
+        sol = solve(Matrix.from_columns([p.vec() for p in powers]), nxt.vec())
+        if sol is not None:
+            return [-c for c in sol] + [1]
+        powers.append(nxt)
+
+
+@pytest.mark.parametrize("name,factors,missing", GROUPS, ids=[g[0] for g in GROUPS])
+def test_krylov_minimal_polynomial_matches_matrix_powers(name, factors, missing):
+    exponent = math.lcm(*factors)
+    phi = euler_phi(exponent)
+    table = _table(factors)
+    d = len(table)
+    g1 = min(1, d - 1)
+    # y = 2 + zeta_N g_1 in Q[G] (x) Q(zeta_N)
+    y = [as_scalar(0)] * d
+    y[0] += 2
+    y[g1] += zeta(exponent)
+    # its multiplication matrix over the Q-basis g zeta^a (index g * phi + a)
+    columns = []
+    for h, a in product(range(d), range(phi)):
+        col = [as_scalar(0)] * (d * phi)
+        for g, c in enumerate(y):
+            if c:
+                target = table[g][h] * phi
+                for t, x in enumerate(cyclo_coords(c * zeta(exponent, a), exponent)):
+                    col[target + t] += x
+        columns.append(col)
+    dense = _dense_minimal_polynomial(Matrix.from_columns(columns))
+
+    mult = [[[as_scalar(int(k == table[i][j])) for k in range(d)] for j in range(d)]
+            for i in range(d)]
+    alg = _AlgebraQ([[nonzero_pairs(v) for v in row] for row in mult], d, exponent)
+    unit = alg.f_to_q([1] + [0] * (d - 1))
+    mu, powers = _minimal_polynomial(alg, unit, alg.f_to_q(y))
+    assert mu == dense
+    assert len(powers) == len(mu) - 1
+
+
+def test_rational_roots_are_exact_and_complete():
+    # products of chosen linear factors and quadratics without rational
+    # roots, scaled by a rational; the last case has a constant term near
+    # 10^40, whose divisors no trial division would list
+    rng = random.Random(7)
+    cases = []
+    for _ in range(200):
+        roots = sorted({Fraction(rng.randint(-60, 60), rng.randint(1, 15))
+                        for _ in range(rng.randint(0, 4))})
+        poly = [Fraction(1)]
+        for r in roots:
+            poly = _fp_mul(poly, [-r, Fraction(1)])
+        for _ in range(rng.randint(0, 2)):
+            b, c = rng.randint(-9, 9), rng.randint(1, 30)
+            if b * b < 4 * c:  # negative discriminant: no real roots
+                poly = _fp_mul(poly, [Fraction(c), Fraction(b), Fraction(1)])
+        if len(poly) > 1:
+            scale = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+            cases.append(([c * scale for c in poly], roots))
+    big = [Fraction(10 ** 20 + 39, 3), Fraction(-(10 ** 20 + 7), 11)]
+    poly = [Fraction(1)]
+    for r in big:
+        poly = _fp_mul(poly, [-r, Fraction(1)])
+    cases.append((_fp_mul(poly, [Fraction(2), Fraction(0), Fraction(1)]), sorted(big)))
+    for poly, roots in cases:
+        assert _rational_roots(poly) == roots, poly
