@@ -151,11 +151,16 @@ def _backend(ws, name, d):
     if cap is None:
         cap = _integer(d["degree_cap"], OPTIONS["--cap-d"].least,
                        f"backend {name!r}: degree_cap")
-    variables = list(d["variables"])
-    images = {v: _poly(t, variables, f"backend {name!r}: derivation of {v}")
-              for v, t in d["derivation"].items()}
-    for v in variables:
-        images.setdefault(v, Poly.zero(len(variables)))
+    variables, derivation = d["variables"], d["derivation"]
+    if not (isinstance(variables, list) and all(isinstance(v, str) for v in variables)
+            and len(set(variables)) == len(variables)):
+        raise ParseError(f"backend {name!r}: variables must be a list of distinct names, "
+                         f"got {variables!r}")
+    if not (isinstance(derivation, dict) and set(derivation) <= set(variables)):
+        raise ParseError(f"backend {name!r}: derivation must map some of the variables "
+                         f"{variables} to polynomials, got {derivation!r}")
+    images = {v: _poly(derivation.get(v, "0"), variables, f"backend {name!r}: derivation of {v}")
+              for v in variables}
     return va_mod.CommDiffVA(variables, images, cap)
 
 
@@ -310,26 +315,12 @@ def _dimension_line(what, res):
             f"({'stabilized' if res.stabilized else 'NOT stabilized'})")
 
 
-def _kernel_rows(res, variables, shifts=()):
-    """The kernel basis of a map on pairs of monomials, or on pairs of
-    monomials and Laurent shifts: each vector becomes one
-    [monomial, monomial, *shifts, coefficient] row per nonzero entry, its
-    flat index read with the last axis varying fastest."""
-    variables = list(variables)
-    monos = [poly_to_text(Poly.monomial(e), variables) for e in res.monomials]
-    axes = [monos, monos, *shifts]
-    basis = []
-    for vec in res.kernel.basis:
-        rows = []
-        for t, c in enumerate(vec):
-            if c != 0:
-                row = [scalar_to_text(c)]
-                for axis in reversed(axes):
-                    t, r = divmod(t, len(axis))
-                    row.insert(0, axis[r])
-                rows.append(row)
-        basis.append(rows)
-    return basis
+def _kernel_rows(res, variables):
+    """The kernel basis of a coefficient map: each vector becomes one
+    [monomial, ..., (shift, ...,) coefficient] row per nonzero entry."""
+    monos = [poly_to_text(Poly.monomial(e), list(variables)) for e in res.monomials]
+    return [[[monos[i] for i in key[:res.arity]] + list(key[res.arity:]) + [scalar_to_text(c)]
+             for key, c in res.entries(vec)] for vec in res.kernel.basis]
 
 
 # ---------------------------------------------------------------------------
@@ -385,16 +376,15 @@ class _Commands:
     def pin_check(ws, args):
         res = va_mod.pin_injectivity_check(ws.get("backends", args.object), ws.caps.arity,
                                            order=ws.caps.order)
-        return _status(res.injective), {"injective": res.injective, "arity": res.arity,
-                                        "kernel_dim": res.kernel.dim}, \
-            [f"pi_{res.arity} injective: {res.injective}"]
+        injective = res.kernel.is_zero()
+        return _status(injective), {"injective": injective, "arity": res.arity,
+                                    "kernel_dim": res.kernel.dim}, \
+            [f"pi_{res.arity} injective: {injective}"]
 
     def z2_kernel(ws, args):
         backend = ws.get("backends", args.object)
         res = va_mod.z2_kernel(backend, order=ws.caps.order, laurent_bound=ws.caps.laurent)
-        shifts = range(-res.laurent_bound, res.laurent_bound + 1)
-        return "pass", {"dim": res.kernel.dim,
-                        "basis": _kernel_rows(res, backend.variables, (shifts, shifts))}, \
+        return "pass", {"dim": res.kernel.dim, "basis": _kernel_rows(res, backend.variables)}, \
             [f"Z2 kernel dimension {res.kernel.dim}"]
 
     def fixed_points(ws, args):

@@ -17,6 +17,8 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import require
+
 Rational = Fraction
 
 _ZERO = Fraction(0)
@@ -31,7 +33,7 @@ def _int_poly_div_exact(num, den):
     """Divide integer polynomials exactly; `den` must be monic."""
     num = list(num)
     dd = len(den) - 1
-    assert den[-1] == 1, "divisor must be monic"
+    require(den[-1] == 1, "divisor must be monic")
     out = [0] * (len(num) - dd)
     for i in range(len(num) - 1, dd - 1, -1):
         c = num[i]
@@ -39,7 +41,7 @@ def _int_poly_div_exact(num, den):
             out[i - dd] = c
             for j, d in enumerate(den):
                 num[i - dd + j] -= c * d
-    assert all(c == 0 for c in num), "non-exact polynomial division"
+    require(all(c == 0 for c in num), "non-exact polynomial division")
     return out
 
 
@@ -222,7 +224,7 @@ class Cyclotomic:
     def inverse(self):
         phi_poly = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
         g, u, _ = _fp_xgcd(list(self.coeffs), phi_poly)
-        assert len(g) == 1, "nonzero residue must be invertible mod Phi_n"
+        require(len(g) == 1, "nonzero residue must be invertible mod Phi_n")
         return cyclotomic(self.conductor, [c / g[0] for c in u])
 
     def __truediv__(self, other):

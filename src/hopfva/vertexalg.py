@@ -2,22 +2,23 @@
 
 The carrier is the space of polynomials of total degree <= D in finitely
 many variables; the state-field map is Y(a,z)b = (e^{z d}a) b, so every
-structural question reduces to exact polynomial algebra.  Kernels of the
-coefficient maps (pi_n, Z_n) are computed in automatically enlarged scratch
-degrees, so truncation never loses kernel vectors.
+structural question reduces to exact polynomial algebra.
 
-The coefficient maps are assembled over the integers.  Let L be the lcm of
-the denominators in the derivation, so d' = L d sends monomials to integer
+The coefficient maps pi_2, pi_n and Z_2 are one family: a column is a tuple
+of monomials, one per tensor slot, plus Laurent shifts for Z_2, and one
+assembler (`_coefficient_columns`) builds the columns of all three from the
+per-slot order tops.  Their kernels are computed in automatically enlarged
+scratch degrees, so truncation never loses kernel vectors, and come back as
+one `CoefficientKernel`.
+
+The columns are assembled over the integers.  Let L be the lcm of the
+denominators in the derivation, so d' = L d sends monomials to integer
 combinations, and d'^k = L^k d^k.  Scaling a row of a linear map, or the
-whole map, by a nonzero constant leaves its kernel unchanged:
-
-* pi_2 and pi_n: every row key contains the orders k of the factors, so
-  using d'^k in place of d^k scales each row by a power of L.
-* Z_2: the entry of order (s, t) is d^s u d^t v / (s! t!), with
-  s + t <= K + 2B.  Take the global factor F = (K+2B)!; s! t! divides
-  (s+t)!, which divides F, so the weight F/(s! t!) L^(K+2B-s-t) is an
-  integer, and the entry built from d'^s u d'^t v with it is F L^(K+2B)
-  times the true one.
+whole map, by a nonzero constant leaves its kernel unchanged.  A pi_2 or
+pi_n row key contains the orders k of the factors, so using d'^k in place of
+d^k scales each row by a power of L.  A Z_2 row mixes orders, so each order
+tuple gets an integer weight that puts the whole map on one scale (see
+`z2_kernel`).
 
 For a rational derivation the columns then hold Python ints, the
 fraction-free reducer takes them as they are, and Fractions appear only in
@@ -247,7 +248,9 @@ class CommDiffVA:
         images = []
         for name in self.variables:
             img = derivation_images[name]
-            assert isinstance(img, Poly) and img.nvars == self.nvars
+            if not (isinstance(img, Poly) and img.nvars == self.nvars):
+                raise ValueError(f"the derivation of {name} must be a Poly in "
+                                 f"{self.nvars} variables, got {img!r}")
             images.append(img)
         self.images = tuple(images)
         self._table = dict(derivation_table) if derivation_table else None
@@ -372,9 +375,9 @@ class CommDiffVA:
 
 def single_variable_backend(m, cap, name="x"):
     """(Q[x], x^m d/dx) truncated at total degree `cap`."""
-    img = Poly.monomial((m,)) if m >= 0 else None
-    assert m >= 0
-    return CommDiffVA([name], {name: img}, cap)
+    if m < 0:
+        raise ValueError(f"x^m d/dx needs m >= 0, got {m}")
+    return CommDiffVA([name], {name: Poly.monomial((m,))}, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -439,49 +442,127 @@ def _mul(p, q):
 
 
 @dataclass
-class Pi2Result:
-    """Kernel of the stacked maps (f,g) -> (d^k f) g for k = 0..order."""
+class CoefficientKernel:
+    """The kernel of a coefficient map on A^{(x) arity}, times Laurent
+    monomials for the Z maps.
+
+    A coordinate is named by its key (i_1, ..., i_n) of monomial indices,
+    followed for the Z maps by the Laurent exponents (a_1, ..., a_n), each in
+    [-laurent_bound, laurent_bound].  The flat index puts the monomial axes
+    first and varies the last axis fastest.  `stabilized` records whether the
+    order-K kernel equals the order-(K-1) kernel; it is None where that is
+    not checked.
+    """
 
     kernel: Subspace
-    stabilized: bool
     monomials: tuple
-    cap: int
+    arity: int
     order: int
+    laurent_bound: int | None = None
+    stabilized: bool | None = None
 
-    def pair_index(self, i, j):
-        return i * len(self.monomials) + j
+    def _axes(self):
+        shifts = () if self.laurent_bound is None else \
+            (range(-self.laurent_bound, self.laurent_bound + 1),) * self.arity
+        return (range(len(self.monomials)),) * self.arity + shifts
 
-    def pair_vector(self, entries):
-        """Build a tensor-square vector from {(i, j): coeff}."""
-        v = [_ZERO] * (len(self.monomials) ** 2)
-        for (i, j), c in entries.items():
-            v[self.pair_index(i, j)] = as_scalar(c)
+    def vector(self, entries):
+        """The coordinate vector of {key: coefficient}."""
+        index = {key: t for t, key in enumerate(itertools.product(*self._axes()))}
+        v = [_ZERO] * len(index)
+        for key, c in entries.items():
+            v[index[tuple(key)]] = as_scalar(c)
         return v
 
+    def entries(self, vec):
+        """[(key, coefficient)] for the nonzero coordinates of `vec`, in index
+        order: the inverse of `vector`."""
+        return [(key, c) for key, c in zip(itertools.product(*self._axes()), vec) if c != 0]
 
-def pi2_kernel(backend, cap=None, order=None) -> Pi2Result:
+
+def _coefficient_columns(derivs, monos, tops, laurent_bound=0, order=None, weight=None):
+    """The columns {row key: entry} of a coefficient map, one per coordinate
+    key of `CoefficientKernel`, in index order.
+
+    Slot s of column (i_1, ..., i_n) carries d'^k m_(i_s) for k <= tops[s].
+    A last slot held at order 0 enters as an exponent shift by its monomial.
+    A row key is (c, exponent), where c packs the z-exponents of the other
+    slots as the digits of one integer: for the pi maps these are the orders
+    k_s, so each row is scaled by the powers of L and the factorials that its
+    orders fix, which keeps the kernel.
+
+    The Z maps hold no slot.  Each column is repeated for every Laurent
+    shift (a_1, ..., a_n) with |a_s| <= laurent_bound, the digits are
+    a_s + k_s (offset by the bound), and a term enters when
+    sum a + sum k <= order, so sum k <= order + n laurent_bound.  Rows then
+    mix order tuples, so `weight(orders)` puts each on one scale; it is
+    computed once per tuple, and the weighted products of a monomial tuple
+    are shared by all its shifts.  Products over a prefix of slots are
+    computed once and shared by every column that starts with it.
+    """
+    arity = len(tops)
+    free = arity - (tops[-1] == 0)
+    bound = sum(tops) if order is None else order + arity * laurent_bound
+    base = max(tops) + 2 * laurent_bound + 1
+    # (room left for sum k, packed digits a_s + laurent_bound) per Laurent shift
+    shifts = [(bound - sum(ds), sum(d * base ** s for s, d in enumerate(reversed(ds))))
+              for ds in itertools.product(range(2 * laurent_bound + 1), repeat=arity)]
+    memo, weights = {}, {}
+
+    def products(idx):
+        """(packed orders, their sum, product of d'^k_s m_(i_s)) over idx."""
+        if len(idx) == 1:
+            return [(k, k, dk) for k, dk in enumerate(derivs[idx[0]][:tops[0] + 1]) if dk]
+        if idx[:-1] not in memo:
+            memo[idx[:-1]] = products(idx[:-1])
+        chain, top = derivs[idx[-1]], tops[len(idx) - 1]
+        out = []
+        for code, total, p in memo[idx[:-1]]:
+            for k in range(min(top, bound - total) + 1):
+                if not chain[k]:
+                    break
+                out.append((code * base + k, total + k, _mul(p, chain[k])))
+        return out
+
+    def weighted(code, p):
+        if code not in weights:
+            weights[code] = weight([code // base ** s % base for s in reversed(range(free))])
+        w = weights[code]
+        return {e: w * c for e, c in p.items()}
+
+    columns = []
+    head = None
+    for idx in itertools.product(range(len(monos)), repeat=arity):
+        if idx[:free] != head:
+            head = idx[:free]
+            prods = products(head)
+            if weight is not None:
+                prods = [(code, total, weighted(code, p)) for code, total, p in prods]
+        if free < arity:
+            last = monos[idx[-1]]
+            columns.append({(code, tuple(map(_add, e, last))): c
+                            for code, _, p in prods for e, c in p.items()})
+            continue
+        for room, offset in shifts:
+            columns.append({(offset + code, e): c for code, total, p in prods if total <= room
+                            for e, c in p.items()})
+    return columns
+
+
+def pi2_kernel(backend, cap=None, order=None) -> CoefficientKernel:
     """Ker(pi_2) on A_{<=cap} (x) A_{<=cap}, coefficients to z^order.
 
     Products are computed in an enlarged scratch degree, so the result is the
     exact kernel of the truncated map.  The stabilisation flag records
     whether the order-(K) kernel equals the order-(K-1) kernel.
     """
-    cap = backend.degree_cap if cap is None else cap
     monos = backend.monomials(cap)
-    n = len(monos)
-    order = n * n if order is None else order
+    order = len(monos) ** 2 if order is None else order
     derivs = _derivative_chains(backend, monos, order)
-
-    columns = []
-    for i in range(n):
-        chain = derivs[i][:order]  # orders 0..K-1 first
-        for mj in monos:
-            columns.append({(k, tuple(map(_add, e, mj))): c
-                            for k, dk in enumerate(chain) for e, c in dk.items()})
-    kern = _kernel_of_columns(columns, n * n)
-    stabilized, kern = _impose_order(monos, kern, derivs, order)
-    return Pi2Result(kernel=kern, stabilized=stabilized, monomials=monos,
-                     cap=cap, order=order)
+    columns = _coefficient_columns(derivs, monos, (order - 1, 0))  # orders 0..K-1 first
+    stabilized, kern = _impose_order(monos, _kernel_of_columns(columns, len(columns)),
+                                     derivs, order)
+    return CoefficientKernel(kern, monos, 2, order, stabilized=stabilized)
 
 
 def _derivative_chains(backend, monos, order):
@@ -553,118 +634,41 @@ def _impose_order(monos, kern, derivs, order):
         n * n, [linear_combination(lv, vectors) for lv in local])
 
 
-@dataclass
-class PinResult:
-    injective: bool
-    kernel: Subspace
-    monomials: tuple
-    arity: int
-
-    def witness(self):
-        if self.injective:
-            return None
-        return list(self.kernel.basis[0])
-
-
-def pin_injectivity_check(backend, arity, cap=None, order=None) -> PinResult:
-    """Injectivity of the n-fold coefficient map on A^{(x) n}, n >= 2."""
+def pin_injectivity_check(backend, arity, cap=None, order=None) -> CoefficientKernel:
+    """Ker(pi_n) on A^{(x) n}, n >= 2; pi_n is injective when it is zero."""
     if arity < 2:
         raise ValueError("pi_n requires n >= 2")
-    cap = backend.degree_cap if cap is None else cap
     monos = backend.monomials(cap)
-    n = len(monos)
-    order = n * n if order is None else order
+    order = len(monos) ** 2 if order is None else order
     derivs = _derivative_chains(backend, monos, order)
-
-    # per index prefix i_0..i_(arity-2): (ks, the product of d'^k_s m_(i_s)
-    # over those slots); columns differing only in their last index share it
-    products = {(): [((), {(0,) * backend.nvars: 1})]}
-
-    def prefix_products(idx):
-        if idx not in products:
-            out = []
-            chain = derivs[idx[-1]]
-            for ks, p in prefix_products(idx[:-1]):
-                for k, dk in enumerate(chain):
-                    if not dk:
-                        break
-                    prod = _mul(p, dk)
-                    if prod:
-                        out.append((ks + (k,), prod))
-            products[idx] = out
-        return products[idx]
-
-    columns = []
-    for idx in itertools.product(range(n), repeat=arity):
-        last = monos[idx[-1]]
-        columns.append({(ks, tuple(map(_add, e, last))): c
-                        for ks, p in prefix_products(idx[:-1]) for e, c in p.items()})
-    kern = _kernel_of_columns(columns, len(columns))
-    return PinResult(injective=kern.is_zero(), kernel=kern, monomials=monos,
-                     arity=arity)
+    columns = _coefficient_columns(derivs, monos, (order,) * (arity - 1) + (0,))
+    return CoefficientKernel(_kernel_of_columns(columns, len(columns)), monos, arity, order)
 
 
-@dataclass
-class Z2Result:
-    kernel: Subspace
-    monomials: tuple
-    laurent_bound: int
-    cap: int
-    order: int
-
-    def column_index(self, i, j, a, b):
-        n = len(self.monomials)
-        w = 2 * self.laurent_bound + 1
-        return ((i * n + j) * w + (a + self.laurent_bound)) * w + (b + self.laurent_bound)
-
-    def vector(self, entries):
-        n = len(self.monomials)
-        w = 2 * self.laurent_bound + 1
-        v = [_ZERO] * (n * n * w * w)
-        for (i, j, a, b), c in entries.items():
-            v[self.column_index(i, j, a, b)] = as_scalar(c)
-        return v
-
-
-def z2_kernel(backend, cap=None, order=None, laurent_bound=1) -> Z2Result:
+def z2_kernel(backend, cap=None, order=None, laurent_bound=1) -> CoefficientKernel:
     """Kernel of (u, v, f) -> f (e^{z1 d}u)(e^{z2 d}v), orders p+q <= K.
 
-    f ranges over span{z1^a z2^b : |a|, |b| <= laurent_bound}.
+    f ranges over span{z1^a z2^b : |a|, |b| <= laurent_bound}.  With n = 2
+    slots and top = K + nB, the entry of orders (s_1, ..., s_n) is
+    prod d^(s_i) u_i / s_i!; it is built from the d'^(s_i) u_i with the weight
+    F / prod s_i! * L^(top - sum s_i), F = top!.  The weight is an integer:
+    prod s_i! divides (sum s_i)!, as multinomial coefficients are integers,
+    and (sum s_i)! divides F since sum s_i <= top.  Every entry is then
+    F L^top times the true one.
     """
-    cap = backend.degree_cap if cap is None else cap
     monos = backend.monomials(cap)
-    n = len(monos)
-    order = n * n if order is None else order
-    bb = laurent_bound
-    max_k = order + 2 * bb
-    derivs = _derivative_chains(backend, monos, max_k)
-    # F / (s! t!) * L^(K+2B-s-t) turns d'^s u d'^t v into F L^(K+2B) times
-    # the coefficient d^s u d^t v / (s! t!): one factor for the whole map
-    fact = [math.factorial(k) for k in range(max_k + 1)]
-    top = fact[max_k]
-    scale = backend.denominator
+    order = len(monos) ** 2 if order is None else order
+    top = order + 2 * laurent_bound
+    fact = [math.factorial(k) for k in range(top + 1)]
 
-    columns = []
-    for i in range(n):
-        for j in range(n):
-            prods = []  # (s, t, weighted product), shared by every (a, b)
-            for s, ds in enumerate(derivs[i]):
-                if not ds:
-                    break
-                for t in range(max_k + 1 - s):
-                    dt = derivs[j][t]
-                    if not dt:
-                        break
-                    w = top // (fact[s] * fact[t]) * scale ** (max_k - s - t)
-                    prods.append((s, t, {e: w * c for e, c in _mul(ds, dt).items()}))
-            for a in range(-bb, bb + 1):
-                for b in range(-bb, bb + 1):
-                    columns.append({(a + s, b + t, e): c
-                                    for s, t, prod in prods if a + s + b + t <= order
-                                    for e, c in prod.items()})
-    kern = _kernel_of_columns(columns, len(columns))
-    return Z2Result(kernel=kern, monomials=monos, laurent_bound=bb,
-                    cap=cap, order=order)
+    def weight(ks):
+        return fact[top] // math.prod(fact[k] for k in ks) * \
+            backend.denominator ** (top - sum(ks))
+
+    derivs = _derivative_chains(backend, monos, top)
+    columns = _coefficient_columns(derivs, monos, (top, top), laurent_bound, order, weight)
+    return CoefficientKernel(_kernel_of_columns(columns, len(columns)), monos, 2, order,
+                             laurent_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -170,7 +170,7 @@ def test_criterion_4_pi2_counterexample():
             monos = list(res.monomials)
             i1 = monos.index((0, 0))
             ix, iy = monos.index((1, 0)), monos.index((0, 1))
-            witness = res.pair_vector(
+            witness = res.vector(
                 {(ix, i1): 1, (iy, i1): -1, (i1, ix): -1, (i1, iy): 1})
             assert res.kernel.contains(witness)
 
@@ -182,13 +182,8 @@ def test_criterion_5_nondegeneracy_linkage():
         z2 = z2_kernel(backend, order=8, laurent_bound=1)
         assert not z2.kernel.is_zero()
         p2 = pi2_kernel(backend, order=8)
-        n = len(p2.monomials)
         for vec in p2.kernel.basis:
-            entries = {}
-            for t, c in enumerate(vec):
-                if c != 0:
-                    i, j = divmod(t, n)
-                    entries[(i, j, 0, 0)] = c
+            entries = {key + (0, 0): c for key, c in p2.entries(vec)}
             assert z2.kernel.contains(z2.vector(entries))
         euler = single_variable_backend(1, 4)
         assert z2_kernel(euler, order=20, laurent_bound=2).kernel.is_zero()

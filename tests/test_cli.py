@@ -538,8 +538,25 @@ VERIFY_H = ("verify-hopf", "h")
      ' "derivation": {"x": "x"}}], "actions": [{"name": "a", "hopf": ["qz2"],'
      ' "backend": "b", "matrices": {}}]}', "ParseError",
      "action 'a': hopf must name a hopf_algebra, got ['qz2']", ("fixed-points", "a")),
+    ('{"schema_version": 1, "backends": [{"name": "b", "variables": ["x"],'
+     ' "degree_cap": 2, "derivation": 1}]}', "ParseError",
+     "backend 'b': derivation must map some of the variables ['x'] to polynomials, got 1",
+     ("pi2-kernel", "b")),
+    ('{"schema_version": 1, "backends": [{"name": "b", "variables": ["x"],'
+     ' "degree_cap": 2, "derivation": {"z": "1"}}]}', "ParseError",
+     "backend 'b': derivation must map some of the variables ['x'] to polynomials, "
+     "got {'z': '1'}", ("pi2-kernel", "b")),
+    ('{"schema_version": 1, "backends": [{"name": "b", "variables": "xy",'
+     ' "degree_cap": 2, "derivation": {"x": "1"}}]}', "ParseError",
+     "backend 'b': variables must be a list of distinct names, got 'xy'", ("pi2-kernel", "b")),
+    ('{"schema_version": 1, "backends": [{"name": "b", "variables": ["x", "x"],'
+     ' "degree_cap": 1, "derivation": {"x": "x"}}]}', "ParseError",
+     "backend 'b': variables must be a list of distinct names, got ['x', 'x']",
+     ("pi2-kernel", "b")),
 ], ids=["array", "section-not-list", "entry-not-object", "text-dim", "zero-denominator",
-        "self-dual", "number-scalar", "list-name", "number-polynomial", "list-reference"])
+        "self-dual", "number-scalar", "list-name", "number-polynomial", "list-reference",
+        "number-derivation", "unknown-derivation-variable", "string-variables",
+        "repeated-variable"])
 def test_malformed_workspace_is_an_input_error(capsys, tmp_path, text, error, message, query):
     ws = tmp_path / "malformed.json"
     ws.write_text(text)

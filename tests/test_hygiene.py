@@ -1,4 +1,4 @@
-"""No dead names in `src/hopfva`.
+"""No dead names and no `assert` statements in `src/hopfva`.
 
 A module-level import, assignment or private (underscore) def that nothing
 in the package reads, and a function-local name that is stored but never
@@ -96,6 +96,14 @@ def dead_names(package=PACKAGE):
 
 def test_no_dead_names():
     assert dead_names() == []
+
+
+def test_no_assert_statements():
+    # `python -O` strips asserts, so a check written as one would stop guarding
+    # its verdict; the package raises instead
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(_parse(path)) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_scan_finds_each_kind_of_dead_name(tmp_path):
