@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import make_dataclass
 from typing import NamedTuple
@@ -34,6 +35,9 @@ from .scalars import scalar_from_text, scalar_to_text
 from .vertexalg import Poly, poly_from_text, poly_to_text
 
 SCHEMA_VERSION = 1
+# a backend variable: an identifier that polynomial text cannot read as a
+# number, an operator or a cyclotomic scalar
+VARIABLE_RE = re.compile(r"(?!zeta)[A-Za-z_][A-Za-z0-9_]*")
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +160,10 @@ def _backend(ws, name, d):
             and len(set(variables)) == len(variables)):
         raise ParseError(f"backend {name!r}: variables must be a list of distinct names, "
                          f"got {variables!r}")
+    for v in variables:
+        if not VARIABLE_RE.fullmatch(v):
+            raise ParseError(f"backend {name!r}: variable {v!r} must match "
+                             f"[A-Za-z_][A-Za-z0-9_]* and not start with zeta")
     if not (isinstance(derivation, dict) and set(derivation) <= set(variables)):
         raise ParseError(f"backend {name!r}: derivation must map some of the variables "
                          f"{variables} to polynomials, got {derivation!r}")
@@ -217,7 +225,11 @@ def _chartable(ws, name, d):
             name=ch["name"], degree=ch["degree"],
             values=tuple(_scalar(v, what) for v in ch["values"]),
             matrices=mats))
-    return sw_mod.CharacterTable(table, classes, chars)
+    table = sw_mod.CharacterTable(table, classes, chars)
+    for check, (ok, witness) in sw_mod.verify_character_table(table).items():
+        if not ok:
+            raise ParseError(f"character table {name!r} fails {check}: {witness}")
+    return table
 
 
 SECTIONS = {

@@ -19,6 +19,7 @@ declare a group-like basis subset instead.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,7 +39,13 @@ from .linalg import (
     nonzero_pairs,
     split_commutative_algebra,
 )
-from .scalars import as_scalar, scalar_pretty, scalar_sort_key
+from .scalars import (
+    Cyclotomic,
+    as_scalar,
+    common_conductor,
+    scalar_pretty,
+    scalar_sort_key,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -288,13 +295,14 @@ def group_likes(h: FinHopfAlgebra, conductor=1):
     likes = []
     for p in idems:
         ref = next(l for l, c in enumerate(p) if c != 0)
+        inv = 1 / p[ref]
         g = []
         for j in range(d):
             y = [_ZERO] * d  # b*_j p, which is g_j p on a 1-dimensional block
             for i, a in nonzero_pairs(p):
                 for k, c in dual_nonzero[j][i]:
                     y[k] += a * c
-            c = y[ref] / p[ref]
+            c = y[ref] * inv
             require(all(yc == c * pc if pc else not yc for yc, pc in zip(y, p)),
                     "idempotent block is not 1-dimensional")
             g.append(c)
@@ -335,12 +343,22 @@ def recognize_group_algebra(h: FinHopfAlgebra, conductor=1) -> GroupRecognition:
         raise NotGroupAlgebra("unit is not among the group-likes") from None
     order = [e_idx] + [i for i in range(len(likes)) if i != e_idx]
     elems = [likes[i] for i in order]
+    # every product lies in Q(zeta_n) for n the lcm of the conductors of the
+    # group-likes and of the structure constants; there equal cyclotomics
+    # have equal coordinates, and rationals stay Fractions, which never
+    # equal a canonical cyclotomic
+    n = math.lcm(common_conductor(c for g in elems for c in g),
+                 common_conductor(c for row in h.mul for v in row for c in v))
+
+    def key(vec):
+        return tuple(c.coeffs_at(n) if isinstance(c, Cyclotomic) else c for c in vec)
+
+    index = {key(g): k for k, g in enumerate(elems)}
     table = []
     for gi in elems:
         row = []
         for gj in elems:
-            prod = tuple(h.multiply(list(gi), list(gj)))
-            hit = next((k for k, g in enumerate(elems) if g == prod), None)
+            hit = index.get(key(h.multiply(list(gi), list(gj))))
             if hit is None:
                 raise NotGroupAlgebra("group-likes are not closed under multiplication")
             row.append(hit)

@@ -41,10 +41,10 @@ from .scalars import (
     as_scalar,
     common_conductor,
     cyclo_coords,
-    cyclotomic_polynomial,
     euler_phi,
     from_cyclo_coords,
     scalar_sort_key,
+    zeta_powers,
 )
 
 _ZERO = Fraction(0)
@@ -719,18 +719,6 @@ def nonzero_pairs(vec):
             for k, c in enumerate(vec) if c]
 
 
-def _cyclotomic_powers(n, count):
-    """Integer coordinates of zeta_n^s, s < count, in the power basis of Q(zeta_n)."""
-    phi_poly = cyclotomic_polynomial(n)
-    phi = len(phi_poly) - 1
-    out = [[int(k == s) for k in range(phi)] for s in range(min(count, phi))]
-    while len(out) < count:
-        prev = out[-1]
-        top = prev[-1]  # zeta^phi = -sum_k Phi_k zeta^k
-        out.append([(prev[k - 1] if k else 0) - top * phi_poly[k] for k in range(phi)])
-    return out
-
-
 class _AlgebraQ:
     """A commutative algebra A over F = Q(zeta_N), as a Q-algebra on one table.
 
@@ -738,8 +726,8 @@ class _AlgebraQ:
     i * phi + a.  `table[p][q]` lists the nonzero (index, coefficient) pairs
     of the product of Q-basis elements p and q, with rational coefficients
     (ints where integral).  It is built once, from the integer coordinates
-    of the powers of zeta; an entry of `mult` that is itself cyclotomic
-    enters through its own coordinates.  Products, traces and the checks on
+    of the powers of zeta in `scalars.zeta_powers`; an entry of `mult` that
+    is itself cyclotomic enters through its own coordinates.  Products, traces and the checks on
     the output all run on it, so refining the blocks builds no Cyclotomic.
     """
 
@@ -749,7 +737,7 @@ class _AlgebraQ:
         self.n_field = conductor
         self.phi = phi
         self.qdim = qdim = dim * phi
-        zpow = _cyclotomic_powers(conductor, 3 * phi - 2)
+        zpow = zeta_powers(conductor)
         self.table = table = [[None] * qdim for _ in range(qdim)]
         for i in range(dim):
             for j in range(i + 1):
@@ -759,9 +747,8 @@ class _AlgebraQ:
                     acc = {}
                     for base, coords in entries:
                         for r, c in coords:
-                            for t, z in enumerate(zpow[r + s]):
-                                if z:
-                                    acc[base + t] = acc.get(base + t, 0) + c * z
+                            for t, z in zpow[(r + s) % conductor]:
+                                acc[base + t] = acc.get(base + t, 0) + c * z
                     row = [(k, v.numerator if v.denominator == 1 else v)
                            for k, v in sorted(acc.items()) if v]
                     for a in range(max(0, s - phi + 1), min(s, phi - 1) + 1):

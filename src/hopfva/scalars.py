@@ -2,10 +2,23 @@
 
 A scalar is either a `fractions.Fraction` or a `Cyclotomic`.  Cyclotomic
 values are stored as the fully reduced residue modulo the N-th cyclotomic
-polynomial, so equality at a fixed conductor is coefficientwise.  Values
-whose residue is constant are demoted to plain fractions, and arithmetic
-between different conductors lifts both operands into Q(zeta_lcm), so user
-code never has to track conductors by hand.
+polynomial Phi_N: a tuple of phi(N) Fraction coordinates in the power basis
+1, zeta, ..., zeta^(phi-1), so equality at a fixed conductor is
+coefficientwise.  Values whose residue is constant are demoted to plain
+fractions, and arithmetic between different conductors lifts both operands
+into Q(zeta_lcm), so user code never has to track conductors by hand.
+
+How values are reduced: Phi_N is monic with integer coefficients, so every
+power zeta^s, s < N, has integer coordinates; `zeta_powers(N)` computes them
+once per conductor.  A coefficient of degree k >= phi(N) is folded into the
+coordinates through row k mod N of that table, a linear map with no
+division.  Sums and differences of two residues are residues already (only
+a check for a constant result remains), adding or scaling by a rational
+needs nothing, a product multiplies the nonzero integer numerators over a
+common denominator and folds the degrees from phi(N) to 2 phi(N) - 2, and
+lifting to a multiple conductor M maps zeta_N^k to row k M/N of the table
+for M.  Only `inverse` divides polynomials (extended Euclid against a
+cached Phi_N).
 
 All operations are pure and all values are immutable.
 """
@@ -129,19 +142,94 @@ def _fp_xgcd(a, b):
     return r0, u0, v0
 
 
+@lru_cache(maxsize=None)
+def zeta_powers(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The integer coordinates of zeta_n^s, s < n, in the power basis.
+
+    Row s lists the nonzero (k, c), k < phi(n), with zeta_n^s = sum c zeta_n^k.
+    The rows below phi(n) are the basis itself; each later row is the one
+    before times zeta, using zeta^phi = -sum_{k<phi} Phi_n[k] zeta^k, which
+    holds because Phi_n is monic with integer coefficients.
+    """
+    poly = cyclotomic_polynomial(n)
+    phi = len(poly) - 1
+    rows = [((s, 1),) for s in range(phi)]
+    dense = [0] * (phi - 1) + [1]
+    for _ in range(phi, n):
+        top = dense[-1]
+        dense = [(dense[k - 1] if k else 0) - top * poly[k] for k in range(phi)]
+        rows.append(tuple((k, c) for k, c in enumerate(dense) if c))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _phi_fractions(n):
+    """Phi_n as a Fraction polynomial, for the extended Euclid of `inverse`."""
+    return tuple(Fraction(c) for c in cyclotomic_polynomial(n))
+
+
 def _reduce_mod_cyclo(coeffs, n):
-    """Reduce a fraction-coefficient polynomial modulo Phi_n."""
-    phi_poly = [Fraction(c) for c in cyclotomic_polynomial(n)]
-    c = [Fraction(x) for x in coeffs]
-    _fp_trim(c)
-    if len(c) - 1 >= n:
-        # cheap pre-reduction via zeta^n = 1
-        folded = [_ZERO] * n
-        for k, x in enumerate(c):
-            folded[k % n] += x
-        c = _fp_trim(folded)
-    _, rem = _fp_divmod(c, phi_poly)
-    return rem
+    """The phi(n) power-basis coordinates of sum_k coeffs[k] zeta_n^k.
+
+    A coefficient of degree k >= phi(n) is folded in through row k mod n of
+    `zeta_powers(n)`: a linear map with integer entries, so there is no
+    division, and the coordinates stay ints where the input is integral.
+    """
+    phi = euler_phi(n)
+    out = list(coeffs)
+    if len(out) <= phi:
+        out += [0] * (phi - len(out))
+        return out
+    powers = zeta_powers(n)
+    for k in range(phi, len(out)):
+        c = out[k]
+        if c:
+            for t, z in powers[k % n]:
+                out[t] += c if z == 1 else c * z
+    del out[phi:]
+    return out
+
+
+def _canonical(n, coords):
+    """The scalar with these phi(n) power-basis coordinates at conductor n:
+    a Fraction when only the constant coordinate is nonzero, else a
+    Cyclotomic with a tuple of Fractions."""
+    if not any(coords[1:]):
+        c = coords[0]
+        return c if c.__class__ is Fraction else Fraction(c)
+    return Cyclotomic(n, tuple(c if c.__class__ is Fraction else Fraction(c) if c else _ZERO
+                               for c in coords))
+
+
+def _cleared(coords):
+    """Integer numerators of rational coordinates over their least common
+    denominator, and that denominator."""
+    den = math.lcm(*[c.denominator for c in coords])
+    if den == 1:
+        return [c.numerator for c in coords], 1
+    return [c.numerator * (den // c.denominator) for c in coords], den
+
+
+def _mul_coords(a, b, n):
+    """Power-basis coordinates of the product of two residues at conductor n.
+
+    Both are cleared to integer numerators, the nonzero numerators are
+    multiplied, the degrees >= phi(n) folded back, and the product of the
+    two denominators divided out once per coordinate.
+    """
+    a, da = _cleared(a)
+    b, db = _cleared(b)
+    raw = [0] * (2 * len(a) - 1)
+    nb = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in nb:
+                raw[i + j] += x * y
+    out = _reduce_mod_cyclo(raw, n)
+    den = da * db
+    if den == 1:
+        return out
+    return [Fraction(c, den) if c else _ZERO for c in out]
 
 
 # ---------------------------------------------------------------------------
@@ -172,69 +260,85 @@ class Cyclotomic:
             return self.coeffs
         if m % n != 0:
             raise ValueError(f"cannot embed conductor {n} into {m}")
+        # zeta_n^k = zeta_m^(k * step), and k * step < m
         step = m // n
-        lifted = [_ZERO] * ((len(self.coeffs) - 1) * step + 1)
+        powers = zeta_powers(m)
+        out = [_ZERO] * euler_phi(m)
         for k, c in enumerate(self.coeffs):
-            lifted[k * step] = c
-        rem = _reduce_mod_cyclo(lifted, m)
-        rem += [_ZERO] * (euler_phi(m) - len(rem))
-        return tuple(rem)
+            if c:
+                for t, z in powers[k * step]:
+                    out[t] += c if z == 1 else c * z
+        return tuple(out)
 
-    def _common(self, other):
-        if isinstance(other, Cyclotomic):
-            n = math.lcm(self.conductor, other.conductor)
-            return n, self.coeffs_at(n), other.coeffs_at(n)
-        other = Fraction(other)
+    def _operands(self, other):
+        """The conductor and both coordinate tuples, lifted to the lcm."""
         n = self.conductor
-        pad = (other,) + (_ZERO,) * (euler_phi(n) - 1)
-        return n, self.coeffs, pad
+        if other.conductor == n:
+            return n, self.coeffs, other.coeffs
+        n = math.lcm(n, other.conductor)
+        return n, self.coeffs_at(n), other.coeffs_at(n)
 
-    # -- arithmetic
+    # -- arithmetic; a residue plus, minus or times a nonzero rational is
+    # never constant, so those results need no reduction and no check
 
     def __add__(self, other):
-        if not isinstance(other, (Cyclotomic, Fraction, int)):
-            return NotImplemented
-        n, a, b = self._common(other)
-        return cyclotomic(n, [x + y for x, y in zip(a, b)])
+        if isinstance(other, Cyclotomic):
+            n, a, b = self._operands(other)
+            return _canonical(n, [x + y for x, y in zip(a, b)])
+        if isinstance(other, (Fraction, int)):
+            if not other:
+                return self
+            return Cyclotomic(self.conductor, (self.coeffs[0] + other,) + self.coeffs[1:])
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, (Cyclotomic, Fraction, int)):
-            return NotImplemented
-        n, a, b = self._common(other)
-        return cyclotomic(n, [x - y for x, y in zip(a, b)])
+        if isinstance(other, Cyclotomic):
+            n, a, b = self._operands(other)
+            return _canonical(n, [x - y for x, y in zip(a, b)])
+        if isinstance(other, (Fraction, int)):
+            if not other:
+                return self
+            return Cyclotomic(self.conductor, (self.coeffs[0] - other,) + self.coeffs[1:])
+        return NotImplemented
 
     def __rsub__(self, other):
         if not isinstance(other, (Fraction, int)):
             return NotImplemented
-        n, a, b = self._common(other)
-        return cyclotomic(n, [y - x for x, y in zip(a, b)])
+        coeffs = self.coeffs
+        return Cyclotomic(self.conductor,
+                          (other - coeffs[0],) + tuple(-c for c in coeffs[1:]))
 
     def __mul__(self, other):
-        if not isinstance(other, (Cyclotomic, Fraction, int)):
-            return NotImplemented
+        if isinstance(other, Cyclotomic):
+            n, a, b = self._operands(other)
+            return _canonical(n, _mul_coords(a, b, n))
         if isinstance(other, (Fraction, int)):
-            return cyclotomic(self.conductor, [c * other for c in self.coeffs])
-        n, a, b = self._common(other)
-        return cyclotomic(n, _fp_mul(list(a), list(b)))
+            if other == 1:
+                return self
+            if not other:
+                return _ZERO
+            return Cyclotomic(self.conductor, tuple(c * other if c else c for c in self.coeffs))
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self):
-        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        g, u, _ = _fp_xgcd(list(self.coeffs), phi_poly)
+        n = self.conductor
+        g, u, _ = _fp_xgcd(list(self.coeffs), list(_phi_fractions(n)))
         require(len(g) == 1, "nonzero residue must be invertible mod Phi_n")
-        return cyclotomic(self.conductor, [c / g[0] for c in u])
+        # deg u < phi(n), so u is already reduced
+        return _canonical(n, _reduce_mod_cyclo([c / g[0] for c in u], n))
 
     def __truediv__(self, other):
-        if not isinstance(other, (Cyclotomic, Fraction, int)):
-            return NotImplemented
+        if isinstance(other, Cyclotomic):
+            return self * other.inverse()
         if isinstance(other, (Fraction, int)):
             if other == 0:
                 raise ZeroDivisionError("division by zero scalar")
-            return cyclotomic(self.conductor, [c / other for c in self.coeffs])
-        return self * other.inverse()
+            return Cyclotomic(self.conductor, tuple(c / other for c in self.coeffs))
+        return NotImplemented
 
     def __rtruediv__(self, other):
         if not isinstance(other, (Fraction, int)):
@@ -282,9 +386,7 @@ class Cyclotomic:
 
     def __eq__(self, other):
         if isinstance(other, Cyclotomic):
-            if self.conductor == other.conductor:
-                return self.coeffs == other.coeffs
-            _, a, b = self._common(other)
+            _, a, b = self._operands(other)
             return a == b
         if isinstance(other, (Fraction, int)):
             return False  # canonical cyclotomics are irrational
@@ -298,11 +400,9 @@ class Cyclotomic:
 
 def cyclotomic(n, coeffs):
     """Build sum(coeffs[k] * zeta_n^k) in canonical form (may be a Fraction)."""
-    rem = _reduce_mod_cyclo(coeffs, n)
-    if len(rem) <= 1:
-        return rem[0] if rem else _ZERO
-    rem += [_ZERO] * (euler_phi(n) - len(rem))
-    return Cyclotomic(n, tuple(rem))
+    coeffs = [c if c.__class__ is Fraction or c.__class__ is int else Fraction(c)
+              for c in coeffs]
+    return _canonical(n, _reduce_mod_cyclo(coeffs, n))
 
 
 def zeta(n, k=1):

@@ -553,10 +553,17 @@ VERIFY_H = ("verify-hopf", "h")
      ' "degree_cap": 1, "derivation": {"x": "x"}}]}', "ParseError",
      "backend 'b': variables must be a list of distinct names, got ['x', 'x']",
      ("pi2-kernel", "b")),
+    # names that polynomial text reads as a number, an operator or a scalar:
+    # ["1"] with d(1) = 1 was read as d(v) = v
+    *[('{"schema_version": 1, "backends": [{"name": "b", "variables": ["%s"],'
+       ' "degree_cap": 2, "derivation": {"%s": "1"}}]}' % (v, v), "ParseError",
+       f"backend 'b': variable '{v}' must match [A-Za-z_][A-Za-z0-9_]* "
+       "and not start with zeta", ("pi2-kernel", "b"))
+      for v in ("1", "x*y", "zeta3")],
 ], ids=["array", "section-not-list", "entry-not-object", "text-dim", "zero-denominator",
         "self-dual", "number-scalar", "list-name", "number-polynomial", "list-reference",
         "number-derivation", "unknown-derivation-variable", "string-variables",
-        "repeated-variable"])
+        "repeated-variable", "numeral-variable", "product-variable", "zeta-variable"])
 def test_malformed_workspace_is_an_input_error(capsys, tmp_path, text, error, message, query):
     ws = tmp_path / "malformed.json"
     ws.write_text(text)
@@ -580,8 +587,9 @@ def test_dual_cycle_names_every_link(capsys, tmp_path):
 
 
 def test_wrong_character_values_are_refused_under_O(tmp_path):
-    # a sign character with values [1, 1/3] gives multiplicity 2/3: an
-    # error with either interpreter flag, never multiplicities truncated to 0
+    # a sign character with values [1, 1/3] is not orthogonal to the trivial
+    # one: an input error when the table loads, with either interpreter flag,
+    # before any multiplicity (2/3 here) is computed or truncated to 0
     ws = json.loads(Path(Z2).read_text())
     for ch in ws["character_tables"][0]["characters"]:
         del ch["matrices"]
@@ -590,15 +598,17 @@ def test_wrong_character_values_are_refused_under_O(tmp_path):
     path = tmp_path / "third.json"
     path.write_text(json.dumps(ws))
     for flags in ([], ["-O"]):
-        proc = subprocess.run(
-            [sys.executable, *flags, "-m", "hopfva.cli", "decompose", "--workspace",
-             str(path), "--object", "z2_on_xddx", "--characters", "z2chars", "--json-only"],
-            capture_output=True, text=True)
-        assert proc.returncode == 4, (flags, proc.stdout, proc.stderr)
-        doc = json.loads(proc.stdout.strip())
-        assert doc["result"] == {
-            "error": "InvariantViolation",
-            "message": "character multiplicity must be a nonnegative integer, got 2/3"}
+        for command in (["decompose"], ["multiplicity", "--irrep", "sign"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "hopfva.cli", command[0], "--workspace",
+                 str(path), "--object", "z2_on_xddx", "--characters", "z2chars",
+                 *command[1:], "--json-only"],
+                capture_output=True, text=True)
+            assert proc.returncode == 4, (flags, command, proc.stdout, proc.stderr)
+            doc = json.loads(proc.stdout.strip())
+            assert doc["result"] == {
+                "error": "ParseError",
+                "message": "character table 'z2chars' fails row-orthogonality: (triv, sign)"}
 
 
 def _tensors_entry(h, name, **extra):
