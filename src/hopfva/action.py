@@ -432,9 +432,8 @@ def inner_faithful_quotient(act: HopfAction) -> InnerFaithfulQuotient:
     ann = action_annihilator(act).kernel
     ideal = maximal_hopf_ideal_in(act.hopf, ann)
     q = quotient_hopf(act.hopf, ideal)
-    mats = [act.rho(q.section([_ONE if r == a else _ZERO
-                               for r in range(q.hopf.dim)]))
-            for a in range(q.hopf.dim)]
+    # the quotient's basis element a is the coset of H's basis element complement[a]
+    mats = [act.rho(act.hopf.basis_vector(j)) for j in q.complement]
     induced = HopfAction(q.hopf, act.backend, mats)
     before, _ = fixed_subspace(act)
     after, _ = fixed_subspace(induced)

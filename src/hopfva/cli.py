@@ -100,8 +100,20 @@ def _integer(value, least, what):
 # workspace sections: one builder each, (workspace, name, definition) -> object
 
 
+# the fields each Hopf builder reads besides name and builder; any other is an input error
+HOPF_FIELDS = {
+    "sweedler": (), "dual": ("of",), "group_algebra": ("table", "group", "element_names"),
+    "tensors": ("dim", "basis", "mul", "comul", "unit", "counit", "antipode", "verify")}
+
+
 def _hopf(ws, name, d):
     builder = d.get("builder", "tensors")
+    if not isinstance(builder, str) or builder not in HOPF_FIELDS:
+        raise ParseError(f"unknown Hopf builder {builder!r}")
+    for field in d:
+        if field not in ("name", "builder", *HOPF_FIELDS[builder]):
+            raise ParseError(f"Hopf algebra {name!r}: the {builder} builder reads "
+                             f"no field {field!r}")
     if builder == "sweedler":
         return hopf_mod.sweedler()
     if builder == "group_algebra":
@@ -111,9 +123,7 @@ def _hopf(ws, name, d):
     if builder == "dual":
         return hopf_mod.dual_hopf(
             _reference(ws, "hopf_algebras", d, "of", f"Hopf algebra {name!r}"))
-    if builder == "tensors":
-        return _hopf_from_tensors(name, d)
-    raise ParseError(f"unknown Hopf builder {builder!r}")
+    return _hopf_from_tensors(name, d)
 
 
 def _hopf_from_tensors(name, d):
@@ -146,7 +156,6 @@ def _hopf_from_tensors(name, d):
         anti[i][j] = scalar("antipode", s)
     return hopf_mod.FinHopfAlgebra(
         dim, names, mul, unit, comul, counit, Matrix.from_rows(anti),
-        group_like_basis=d.get("group_like_basis"),
         verify=d.get("verify", True))
 
 

@@ -51,10 +51,6 @@ class SplitFailure(Refusal):
         super().__init__(f"{reason}: {detail}" if detail else reason)
 
 
-class DualNotCommutative(Refusal):
-    """Group-like enumeration via the dual algebra needs a commutative dual."""
-
-
 class HypothesesNotMet(Refusal):
     """A theorem checker refused because stated hypotheses fail.
 

@@ -10,10 +10,11 @@ verified at construction unless explicitly deferred.  The nonzero
 coproducts, tensor products and the axiom loops run over them, so a group
 algebra costs what its structure constants hold, not d^5.
 
-Group-like enumeration routes through the primitive idempotents of the dual
-algebra (multiplication Delta*), which is commutative exactly when the
-algebra is cocommutative.  For non-cocommutative inputs the builders may
-declare a group-like basis subset instead.
+Group-likes are computed for every H, as the characters of H*: G(H) =
+Alg(H*, F) = Alg(H*/I, F) for I the two-sided ideal of H* generated by its
+commutators.  The commutative algebra H*/I splits into primitive
+idempotents, and each 1-dimensional block gives one group-like.  When H is
+cocommutative, I = 0 and H* itself splits.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from fractions import Fraction
 
 from .errors import (
     CheckReport,
-    DualNotCommutative,
     InvalidGroupTable,
     NotGroupAlgebra,
     NotHopfIdeal,
@@ -36,6 +36,7 @@ from .linalg import (
     Matrix,
     Subspace,
     is_associative_at,
+    linear_combination,
     nonzero_pairs,
     split_commutative_algebra,
 )
@@ -55,11 +56,10 @@ class FinHopfAlgebra:
     """A Hopf algebra of dimension d over Q or a cyclotomic field."""
 
     __slots__ = ("dim", "names", "mul", "unit", "comul", "counit", "antipode",
-                 "group_like_basis", "group_table", "verified", "mul_nonzero",
-                 "comul_nonzero")
+                 "group_table", "verified", "mul_nonzero", "comul_nonzero")
 
     def __init__(self, dim, names, mul, unit, comul, counit, antipode,
-                 group_like_basis=None, group_table=None, verify=True):
+                 group_table=None, verify=True):
         self.dim = dim
         self.names = tuple(names)
         if len(self.names) != dim:
@@ -75,7 +75,6 @@ class FinHopfAlgebra:
         self.comul_nonzero = tuple(nonzero_pairs(v) for v in self.comul)
         self.counit = tuple(as_scalar(c) for c in counit)
         self.antipode = antipode if isinstance(antipode, Matrix) else Matrix.from_rows(antipode)
-        self.group_like_basis = tuple(group_like_basis) if group_like_basis is not None else None
         self.group_table = tuple(tuple(r) for r in group_table) if group_table is not None else None
         self.verified = False
         if verify:
@@ -88,19 +87,10 @@ class FinHopfAlgebra:
     # -- coordinate helpers
 
     def basis_vector(self, i):
-        return [_ONE if j == i else _ZERO for j in range(self.dim)]
+        return _basis_vector(self.dim, i)
 
     def multiply(self, u, v):
-        out = [_ZERO] * self.dim
-        nv = nonzero_pairs(v)
-        for i, a in enumerate(u):
-            if a:
-                row = self.mul_nonzero[i]
-                for j, b in nv:
-                    ab = a * b
-                    for k, c in row[j]:
-                        out[k] += ab * c
-        return out
+        return _product(self.mul_nonzero, u, v)
 
     def comul_of(self, vec):
         d = self.dim
@@ -148,6 +138,24 @@ class FinHopfAlgebra:
 
     def __repr__(self):
         return f"FinHopfAlgebra(dim {self.dim}, basis {list(self.names)})"
+
+
+def _basis_vector(d, i):
+    return [_ONE if j == i else _ZERO for j in range(d)]
+
+
+def _product(nonzero, u, v):
+    """u v, for b_i b_j given by its nonzero (index, value) pairs `nonzero[i][j]`."""
+    out = [_ZERO] * len(nonzero)
+    nv = nonzero_pairs(v)
+    for i, a in enumerate(u):
+        if a:
+            row = nonzero[i]
+            for j, b in nv:
+                ab = a * b
+                for k, c in row[j]:
+                    out[k] += ab * c
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -268,52 +276,41 @@ def _dual_mul(h):
 
 
 def group_likes(h: FinHopfAlgebra, conductor=1):
-    """All nonzero g with Delta(g) = g (x) g and eps(g) = 1.
+    """All g with Delta(g) = g (x) g and eps(g) = 1 over Q(zeta_conductor),
+    the unit first, the rest ascending by `scalar_sort_key`.
 
-    Cocommutative route: dual basis to the primitive idempotents of the dual
-    algebra.  Non-cocommutative inputs must declare their group-like basis
-    elements; otherwise DualNotCommutative is raised.
+    G(H) = Alg(H*, F) = Alg(A, F) for A = H*/I, I the ideal of H* generated
+    by its commutators (Montgomery, CBMS 82, ch. 1); I = 0 when H is
+    cocommutative.  Each 1-dimensional block p of the commutative A gives a
+    character, a p = chi(a) p, and the group-like g_j = chi(b*_j + I).
     """
     d = h.dim
     dual_mult = _dual_mul(h)
-    commutative = all(dual_mult[i][j] == dual_mult[j][i]
-                      for i in range(d) for j in range(d))
-    if not commutative:
-        if h.group_like_basis is None:
-            raise DualNotCommutative(
-                "dual algebra is not commutative and no group-like basis is declared")
-        out = []
-        for i in h.group_like_basis:
-            g = h.basis_vector(i)
-            if not _is_group_like(h, g):
-                raise ValueError(f"declared group-like {h.names[i]} is not group-like")
-            out.append(tuple(g))
-        return out
-
-    idems = split_commutative_algebra(dual_mult, d, conductor=conductor)
-    dual_nonzero = [[nonzero_pairs(v) for v in row] for row in dual_mult]
+    commutators = [[x - y for x, y in zip(dual_mult[i][j], dual_mult[j][i])]
+                   for i in range(d) for j in range(i) if dual_mult[i][j] != dual_mult[j][i]]
+    ideal = _ideal_generated([[nonzero_pairs(v) for v in row] for row in dual_mult],
+                             commutators)
+    complement, projection, mult = _quotient_algebra(dual_mult, ideal)
+    dq = len(complement)
+    quotient_nonzero = [[nonzero_pairs(v) for v in row] for row in mult]
     likes = []
-    for p in idems:
+    for p in split_commutative_algebra(mult, dq, conductor=conductor):
         ref = next(l for l, c in enumerate(p) if c != 0)
         inv = 1 / p[ref]
-        g = []
-        for j in range(d):
-            y = [_ZERO] * d  # b*_j p, which is g_j p on a 1-dimensional block
-            for i, a in nonzero_pairs(p):
-                for k, c in dual_nonzero[j][i]:
-                    y[k] += a * c
+        chi = []
+        for a in range(dq):
+            y = _product(quotient_nonzero, _basis_vector(dq, a), p)  # chi(b_a) p
             c = y[ref] * inv
             require(all(yc == c * pc if pc else not yc for yc, pc in zip(y, p)),
                     "idempotent block is not 1-dimensional")
-            g.append(c)
-        require(_is_group_like(h, g), "dual-route element failed the group-like check")
+            chi.append(c)
+        g = linear_combination(chi, projection.row_lists())  # g_j = chi(b*_j + I)
+        require(h.comul_of(g) == _square(g) and h.counit_of(g) == 1,
+                "a character of the dual failed the group-like check")
         likes.append(tuple(g))
-    likes.sort(key=lambda v: tuple(scalar_sort_key(c) for c in v))
+    unit = tuple(h.unit)
+    likes.sort(key=lambda v: (v != unit, tuple(scalar_sort_key(c) for c in v)))
     return likes
-
-
-def _is_group_like(h, g):
-    return h.comul_of(g) == _square(g) and h.counit_of(g) == 1
 
 
 @dataclass
@@ -321,8 +318,7 @@ class GroupRecognition:
     """A group multiplication table recovered from group-like elements."""
 
     table: tuple
-    elements: tuple  # coordinate vectors in the Hopf basis
-    identity_index: int = 0
+    elements: tuple  # coordinate vectors in the Hopf basis, the identity first
 
 
 def recognize_group_algebra(h: FinHopfAlgebra, conductor=1) -> GroupRecognition:
@@ -336,37 +332,32 @@ def recognize_group_algebra(h: FinHopfAlgebra, conductor=1) -> GroupRecognition:
             f"only {len(likes)} group-like elements in dimension {h.dim}")
     require(Matrix.from_rows([list(g) for g in likes]).rank() == h.dim,
             "group-like elements are always linearly independent")
-    unit = tuple(h.unit)
-    try:
-        e_idx = likes.index(unit)
-    except ValueError:
-        raise NotGroupAlgebra("unit is not among the group-likes") from None
-    order = [e_idx] + [i for i in range(len(likes)) if i != e_idx]
-    elems = [likes[i] for i in order]
+    if likes[:1] != [tuple(h.unit)]:  # group_likes lists the unit first
+        raise NotGroupAlgebra("unit is not among the group-likes")
     # every product lies in Q(zeta_n) for n the lcm of the conductors of the
     # group-likes and of the structure constants; there equal cyclotomics
     # have equal coordinates, and rationals stay Fractions, which never
     # equal a canonical cyclotomic
-    n = math.lcm(common_conductor(c for g in elems for c in g),
+    n = math.lcm(common_conductor(c for g in likes for c in g),
                  common_conductor(c for row in h.mul for v in row for c in v))
 
     def key(vec):
         return tuple(c.coeffs_at(n) if isinstance(c, Cyclotomic) else c for c in vec)
 
-    index = {key(g): k for k, g in enumerate(elems)}
+    index = {key(g): k for k, g in enumerate(likes)}
     table = []
-    for gi in elems:
+    for gi in likes:
         row = []
-        for gj in elems:
+        for gj in likes:
             hit = index.get(key(h.multiply(list(gi), list(gj))))
             if hit is None:
                 raise NotGroupAlgebra("group-likes are not closed under multiplication")
             row.append(hit)
         table.append(tuple(row))
     for row in table:
-        if sorted(row) != list(range(len(elems))):
+        if sorted(row) != list(range(len(likes))):
             raise NotGroupAlgebra("multiplication table is not a group table")
-    return GroupRecognition(table=tuple(table), elements=tuple(elems))
+    return GroupRecognition(table=tuple(table), elements=tuple(likes))
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +415,7 @@ def is_hopf_ideal(h: FinHopfAlgebra, ideal: Subspace):
 
 @dataclass
 class HopfQuotient:
-    """H/I with the complement-basis section and the projection map."""
+    """H/I on the basis elements of H off I's pivots, and the projection map."""
 
     hopf: FinHopfAlgebra
     ideal: Subspace
@@ -434,11 +425,36 @@ class HopfQuotient:
     def project(self, vec):
         return self.projection.apply(list(vec))
 
-    def section(self, qvec):
-        out = [_ZERO] * self.projection.cols
-        for c, j in zip(qvec, self.complement):
-            out[j] = as_scalar(c)
-        return out
+
+def _ideal_generated(nonzero, generators):
+    """The two-sided ideal generated by `generators` in the algebra whose
+    b_i b_j has the nonzero pairs `nonzero[i][j]`: their span, closed under
+    left and right products with the basis."""
+    d = len(nonzero)
+    ideal = Subspace.zero(d)
+    pending = list(generators)
+    while pending:
+        v = pending.pop()
+        if ideal.contains(v):
+            continue
+        ideal = Subspace.from_vectors(d, [*ideal.basis, v])
+        for i in range(d):
+            b = _basis_vector(d, i)
+            pending += (_product(nonzero, b, v), _product(nonzero, v, b))
+    return ideal
+
+
+def _quotient_algebra(mult, ideal):
+    """(complement, projection, products) of A/I on the basis elements off
+    I's pivots, for b_i b_j = `mult[i][j]`: projection column j is b_j + I."""
+    d = ideal.ambient
+    pivots = set(ideal.pivots)
+    complement = tuple(j for j in range(d) if j not in pivots)
+    projection = Matrix.from_columns(
+        [[reduced[c] for c in complement]
+         for reduced in (ideal.reduce(_basis_vector(d, j)) for j in range(d))])
+    products = [[projection.apply(mult[a][b]) for b in complement] for a in complement]
+    return complement, projection, products
 
 
 def quotient_hopf(h: FinHopfAlgebra, ideal: Subspace) -> HopfQuotient:
@@ -447,45 +463,28 @@ def quotient_hopf(h: FinHopfAlgebra, ideal: Subspace) -> HopfQuotient:
     if not ok:
         raise NotHopfIdeal(why)
     d = h.dim
-    pivot_set = set(ideal.pivots)
-    complement = tuple(j for j in range(d) if j not in pivot_set)
+    complement, projection, mul_q = _quotient_algebra(h.mul, ideal)
     dq = len(complement)
-
-    projection = Matrix.from_columns(
-        [[reduced[c] for c in complement]
-         for reduced in (ideal.reduce(h.basis_vector(j)) for j in range(d))])
-    q = HopfQuotient(hopf=None, ideal=ideal, complement=complement,
-                     projection=projection)
-    project = q.project
-    basis_q = [q.section([_ONE if r == a else _ZERO for r in range(dq)])
-               for a in range(dq)]
-    mul_q = [[project(h.multiply(basis_q[a], basis_q[b])) for b in range(dq)]
-             for a in range(dq)]
+    project = projection.apply
+    images = [nonzero_pairs(projection.col(j)) for j in range(d)]  # b_j + I
     unit_q = project(h.unit)
-    counit_q = [h.counit_of(basis_q[a]) for a in range(dq)]
-    antipode_q = Matrix.from_columns([project(h.antipode_of(b)) for b in basis_q])
+    counit_q = [h.counit[c] for c in complement]
+    antipode_q = Matrix.from_columns([project(h.antipode.col(c)) for c in complement])
     comul_q = []
-    for a in range(dq):
-        t = h.comul_of(basis_q[a])
+    for c in complement:
         out = [_ZERO] * (dq * dq)
-        for it, val in enumerate(t):
-            if val == 0:
-                continue
-            i, j = divmod(it, d)
-            pi = project(h.basis_vector(i))
-            pj = project(h.basis_vector(j))
-            for r, cr in enumerate(pi):
-                if cr == 0:
-                    continue
-                for s, cs in enumerate(pj):
-                    if cs != 0:
-                        out[r * dq + s] = out[r * dq + s] + val * cr * cs
+        for t, val in h.comul_nonzero[c]:
+            i, j = divmod(t, d)
+            for r, cr in images[i]:
+                for s, cs in images[j]:
+                    out[r * dq + s] += val * cr * cs
         comul_q.append(out)
 
     names = tuple(h.names[j] for j in complement)
-    q.hopf = FinHopfAlgebra(dq, names, mul_q, unit_q, comul_q, counit_q,
-                            antipode_q, verify=True)
-    return q
+    return HopfQuotient(
+        hopf=FinHopfAlgebra(dq, names, mul_q, unit_q, comul_q, counit_q, antipode_q,
+                            verify=True),
+        ideal=ideal, complement=complement, projection=projection)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +553,6 @@ def group_algebra(table, names=None) -> FinHopfAlgebra:
     antipode = Matrix(n, n, [_ONE if i == inverse[j] else _ZERO
                              for i in range(n) for j in range(n)])
     return FinHopfAlgebra(n, names, mul, unit, comul, counit, antipode,
-                          group_like_basis=tuple(range(n)),
                           group_table=tab, verify=True)
 
 
@@ -586,8 +584,7 @@ def sweedler() -> FinHopfAlgebra:
         [z, z, z, o],
         [z, z, -o, z],
     ])
-    return FinHopfAlgebra(4, names, mul, unit, comul, counit, antipode,
-                          group_like_basis=(0, 1), verify=True)
+    return FinHopfAlgebra(4, names, mul, unit, comul, counit, antipode, verify=True)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from .errors import InvariantViolation, SplitFailure, require
 from .scalars import (
     Cyclotomic,
     _fp_divmod,
-    _fp_xgcd,
     as_scalar,
     common_conductor,
     cyclo_coords,
@@ -516,7 +515,7 @@ class Subspace:
         for row, p in zip(self.basis, self.pivots):
             c = v[p]
             if c != 0:
-                v = [x - c * y for x, y in zip(v, row)]
+                v = [x - c * y if y else x for x, y in zip(v, row)]
         return v
 
     def contains(self, vec):
@@ -533,7 +532,7 @@ class Subspace:
             c = v[p]
             coeffs.append(c)
             if c != 0:
-                v = [x - c * y for x, y in zip(v, row)]
+                v = [x - c * y if y else x for x, y in zip(v, row)]
         if any(c != 0 for c in v):
             return None
         return coeffs
@@ -623,15 +622,6 @@ def _minimal_polynomial(alg, e, g):
     raise InvariantViolation("minimal polynomial search ran past the dimension")
 
 
-def _poly_derivative(coeffs):
-    return [Fraction(k) * coeffs[k] for k in range(1, len(coeffs))]
-
-
-def _poly_gcd_degree(a, b):
-    g, _, _ = _fp_xgcd(list(a), list(b))
-    return len(g) - 1
-
-
 def _horner(p, x):
     v = 0
     for c in reversed(p):
@@ -640,24 +630,29 @@ def _horner(p, x):
 
 
 def _rational_roots(coeffs):
-    """All rational roots of a squarefree Fraction polynomial f, ascending.
+    """(the rational roots of a Fraction polynomial f, ascending, whether f
+    is squarefree); the roots are complete when f is squarefree.
 
     A root p/q in lowest terms has q | a_n, so y = a_n x maps them onto the
     integer roots of the monic integer polynomial g(y) = a_n^(n-1) f(y/a_n),
     which lie in (-B, B) for B = 2 + max |g_k| (Cauchy).  A Sturm sequence
-    counts the real roots of g in (lo, hi]; bisection isolates them, and a
-    single simple root is followed by the sign of g down to an interval of
-    width 1.  All of it is integer arithmetic, so the cost grows with the
-    bit length of the coefficients, not with their size.
+    counts the distinct real roots of g in (lo, hi]; bisection isolates them,
+    and a single simple root is followed by the sign of g down to an
+    interval of width 1.  The last term of the sequence is gcd(g, g') up to
+    a positive factor, so it is constant exactly when g is squarefree; a
+    root 0 is stripped before, so a repeated one is checked apart.  All of
+    it is integer arithmetic, so the cost grows with the bit length of the
+    coefficients, not with their size.
     """
     ints = _cleared(coeffs)
     roots = []
     if ints[0] == 0:
         roots.append(_ZERO)
         ints = ints[1:]
+    squarefree = not roots or ints[0] != 0
     n = len(ints) - 1
     if n < 1:
-        return roots
+        return roots, squarefree
     lead = ints[-1]
     g = [c * lead ** (n - 1 - k) for k, c in enumerate(ints[:-1])] + [1]
     # Sturm sequence, each term scaled to integers by a positive factor
@@ -667,6 +662,7 @@ def _rational_roots(coeffs):
         if not rem:
             break
         seq.append(_cleared([-c for c in rem]))
+    squarefree = squarefree and len(seq[-1]) == 1
 
     def sign_changes(x):
         signs = [v > 0 for v in (_horner(p, x) for p in seq) if v]
@@ -695,7 +691,7 @@ def _rational_roots(coeffs):
         if g_hi == 0:
             roots.append(Fraction(hi, lead))
     roots.sort()
-    return roots
+    return roots, squarefree
 
 
 def _poly_div_linear(coeffs, root):
@@ -818,6 +814,8 @@ def split_commutative_algebra(mult, dim, conductor=1):
     q_theta(y) / q_theta(theta), q_theta = mu / (t - theta), and the rest
     e - sum of them.  The Q-dimension of a block is tr(L_e).
     """
+    if dim == 0:
+        return []  # the zero algebra has no primitive idempotent
     mult = [[[as_scalar(c) for c in mult[i][j]] for j in range(dim)]
             for i in range(dim)]
     n_field = math.lcm(conductor,
@@ -852,9 +850,9 @@ def split_commutative_algebra(mult, dim, conductor=1):
 
     def try_split(e, g):
         mu, powers = _minimal_polynomial(alg, e, g)
-        if _poly_gcd_degree(mu, _poly_derivative(mu)) > 0:
+        roots, squarefree = _rational_roots(mu)
+        if not squarefree:
             raise SplitFailure("not-semisimple", "repeated factor in a minimal polynomial")
-        roots = _rational_roots(mu)
         if not roots or (len(roots) == 1 and len(mu) == 2):
             return None
         parts = []

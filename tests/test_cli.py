@@ -283,8 +283,7 @@ def test_tensor_and_dual_builders(capsys, tmp_path):
              "comul": [[0, 0, 0, "1"], [1, 1, 1, "1"]],
              "counit": ["1", "1"],
              "unit": ["1", "0"],
-             "antipode": [[0, 0, "1"], [1, 1, "1"]],
-             "group_like_basis": [0, 1]},
+             "antipode": [[0, 0, "1"], [1, 1, "1"]]},
             {"name": "raw_z2_dual", "builder": "dual", "of": "raw_z2"},
         ],
     }))
@@ -626,21 +625,38 @@ def _tensors_entry(h, name, **extra):
             **extra}
 
 
-def test_declared_group_like_is_checked_under_O(tmp_path):
-    # gx is not group-like in Sweedler's algebra: an input error naming it
-    # with either interpreter flag, never a listing that includes it
+def test_group_likes_of_sweedler_entered_as_tensors(capsys, tmp_path):
+    # nothing but the structure constants: both group-likes, the unit first
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps({"schema_version": 1, "hopf_algebras": [
+        _tensors_entry(sweedler(), "sw")]}))
+    code, doc, _ = run_cli(capsys, ["group-likes", "--workspace", str(path), "--object", "sw"])
+    assert code == 0
+    assert doc["result"] == {"count": 2, "elements": [["1/1", "0/1", "0/1", "0/1"],
+                                                      ["0/1", "1/1", "0/1", "0/1"]]}
+
+
+def test_group_like_basis_field_is_rejected(tmp_path):
+    # group-likes are computed, so a declaration that could miss one (here
+    # g) is an input error naming the Hopf algebra and the field, with
+    # either interpreter flag, whatever the builder: no builder reads it
     path = tmp_path / "declared.json"
     path.write_text(json.dumps({"schema_version": 1, "hopf_algebras": [
-        _tensors_entry(sweedler(), "sw", group_like_basis=[0, 3])]}))
+        _tensors_entry(sweedler(), "sw", group_like_basis=[0]),
+        {"name": "sw2", "builder": "sweedler", "group_like_basis": [0, 1]}]}))
     for flags in ([], ["-O"]):
-        proc = subprocess.run(
-            [sys.executable, *flags, "-m", "hopfva.cli", "group-likes", "--workspace",
-             str(path), "--object", "sw", "--json-only"],
-            capture_output=True, text=True)
-        assert proc.returncode == 4, (flags, proc.stdout, proc.stderr)
-        doc = json.loads(proc.stdout.strip())
-        assert doc["result"] == {"error": "ValueError",
-                                 "message": "declared group-like gx is not group-like"}
+        for obj in ("sw", "sw2"):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "hopfva.cli", "group-likes", "--workspace",
+                 str(path), "--object", obj, "--json-only"],
+                capture_output=True, text=True)
+            assert proc.returncode == 4, (flags, proc.stdout, proc.stderr)
+            doc = json.loads(proc.stdout.strip())
+            builder = {"sw": "tensors", "sw2": "sweedler"}[obj]
+            assert doc["result"] == {
+                "error": "ParseError",
+                "message": f"Hopf algebra {obj!r}: the {builder} builder reads "
+                           f"no field 'group_like_basis'"}
 
 
 # --- the README documents the command table ------------------------------------

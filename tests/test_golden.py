@@ -3,9 +3,11 @@
 `golden/machine_blocks.json` holds, for each case below, the exact machine
 block line and exit status the CLI produced when the corpus was recorded.
 Passing, failing (with witnesses), refused and error verdicts are all
-covered: the bundled fixtures, `--cap-d` variants, and `golden/broken.json`
+covered: the bundled fixtures, `--cap-d` variants, `golden/broken.json`
 (Hopf algebras entered with `verify: false` that break each axiom, and
-explicit-matrix actions that break the module and closure checks).
+explicit-matrix actions that break the module and closure checks) and
+`golden/duals.json` (the duals of Q[S3] and Q[A4], whose own duals are not
+commutative, and a rejected `group_like_basis` field).
 
 To record the corpus again after a deliberate change of output, run
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
@@ -25,6 +27,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = GOLDEN_DIR / "machine_blocks.json"
 
 S, Z, XY, B = "sweedler.json", "z2_on_xddx.json", "xy_diagonal.json", "broken.json"
+D = "duals.json"
 Z2CH = ["--characters", "z2chars"]
 
 # (workspace file, command, object, extra options)
@@ -44,6 +47,10 @@ CASES = [
     (S, "group-likes", "sweedler", []),
     (Z, "group-likes", "qz2", []),
     (Z, "group-likes", "qz2", ["--conductor", "2"]),
+    (D, "group-likes", "qs3_dual", []),
+    (D, "group-likes", "qa4_dual", []),
+    (D, "group-likes", "qa4_dual", ["--conductor", "3"]),
+    (D, "group-likes", "declared", []),
     (S, "recognize-group-algebra", "sweedler", []),
     (Z, "recognize-group-algebra", "qz2", []),
     (B, "recognize-group-algebra", "bad_mul", []),

@@ -4,7 +4,6 @@ import pytest
 
 from conftest import groups_are_isomorphic
 from hopfva.errors import (
-    DualNotCommutative,
     InvalidGroupTable,
     NotGroupAlgebra,
     NotHopfIdeal,
@@ -61,7 +60,7 @@ def _mutated_sweedler():
         [0, 0, 1, 0],  # S(x) = +gx instead of -gx
     ]
     return FinHopfAlgebra(4, h.names, h.mul, h.unit, h.comul, h.counit,
-                          bad_antipode, group_like_basis=(0, 1), verify=False)
+                          bad_antipode, verify=False)
 
 
 def test_mutated_antipode_fails_with_witness_x():
@@ -90,21 +89,30 @@ def test_cocommutativity():
 def test_group_likes_of_group_algebra():
     h = group_algebra(cyclic_group_table(2))
     likes = group_likes(h)
-    assert sorted(likes) == [(F(0), F(1)), (F(1), F(0))]
+    assert likes == [(F(1), F(0)), (F(0), F(1))]  # the unit first
 
 
-def test_group_likes_of_sweedler_uses_declared_basis():
-    h = sweedler()
-    likes = group_likes(h)
+def test_group_likes_of_sweedler_are_computed():
+    # the dual of Sweedler's algebra is not commutative; its commutator
+    # ideal is spanned by x*, gx* and the quotient is Q[Z/2]*, whose two
+    # characters are 1 and g
+    likes = group_likes(sweedler())
     assert likes == [(F(1), F(0), F(0), F(0)), (F(0), F(1), F(0), F(0))]
 
 
-def test_group_likes_without_declaration_refuses():
+def test_group_likes_of_sweedler_in_reversed_basis():
+    # the same tensors on the basis gx, x, g, 1: the unit still comes first
     h = sweedler()
-    anon = FinHopfAlgebra(4, h.names, h.mul, h.unit, h.comul, h.counit,
-                          h.antipode, group_like_basis=None, verify=False)
-    with pytest.raises(DualNotCommutative):
-        group_likes(anon)
+    r = [3, 2, 1, 0]  # new basis element i is old basis element r[i]
+    rev = FinHopfAlgebra(
+        4, [h.names[k] for k in r],
+        [[[h.mul[r[i]][r[j]][r[k]] for k in range(4)] for j in range(4)] for i in range(4)],
+        [h.unit[k] for k in r],
+        [[h.comul[r[k]][r[i] * 4 + r[j]] for i in range(4) for j in range(4)]
+         for k in range(4)],
+        [h.counit[k] for k in r],
+        [[h.antipode[r[i], r[j]] for j in range(4)] for i in range(4)])
+    assert group_likes(rev) == [(F(0), F(0), F(0), F(1)), (F(0), F(0), F(1), F(0))]
 
 
 def test_group_likes_of_dual_z3_needs_conductor():

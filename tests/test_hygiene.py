@@ -4,6 +4,8 @@ A module-level import, assignment or private (underscore) def that nothing
 in the package reads, and a function-local name that is stored but never
 read, are reported.  `_` is exempt, and so is every name `hopfva/__init__.py`
 re-exports from the module that binds it (such as `scalars.Rational`).
+Every exception class of `errors.py` must be raised or caught somewhere in
+the package, so a deleted code path cannot leave its error behind.
 Every function the benchmark's tracer wraps by name must still exist.
 """
 
@@ -104,6 +106,50 @@ def test_no_assert_statements():
     found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
              for node in ast.walk(_parse(path)) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def unused_errors(package=PACKAGE):
+    """Exception classes of `errors.py` that no `raise` or `except` names."""
+    classes = {}  # class name -> its base names, in errors.py
+    for node in _parse(package / "errors.py").body:
+        if isinstance(node, ast.ClassDef):
+            classes[node.name] = {b.id for b in node.bases if isinstance(b, ast.Name)}
+
+    def is_exception(name):
+        return any(b == "Exception" or is_exception(b) for b in classes.get(name, ()))
+
+    used = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                used.update(n.id for n in ast.walk(exc) if isinstance(n, ast.Name))
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                used.update(n.id for n in ast.walk(node.type) if isinstance(n, ast.Name))
+    return sorted(name for name in classes if is_exception(name) and name not in used)
+
+
+def test_every_error_class_is_raised_or_caught():
+    assert unused_errors() == []
+
+
+def test_error_scan_finds_an_unused_class(tmp_path):
+    (tmp_path / "errors.py").write_text(
+        "class Base(Exception):\n    pass\n"
+        "class Raised(Base):\n    pass\n"
+        "class Caught(Base):\n    pass\n"
+        "class Orphan(Base):\n    pass\n"
+        "class Report(dict):\n    pass\n")
+    (tmp_path / "mod.py").write_text(
+        "from .errors import Base, Caught, Raised\n"
+        "def f():\n"
+        "    try:\n"
+        "        raise Raised('x')\n"
+        "    except (Caught, KeyError):\n"
+        "        raise\n"
+        "    except Base as exc:\n"
+        "        return exc\n")
+    assert unused_errors(tmp_path) == ["Orphan"]
 
 
 def test_scan_finds_each_kind_of_dead_name(tmp_path):

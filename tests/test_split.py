@@ -31,6 +31,7 @@ from hopfva.linalg import (
     _rational_roots,
     nonzero_pairs,
     solve,
+    split_commutative_algebra,
 )
 from hopfva.scalars import _fp_mul, as_scalar, cyclo_coords, euler_phi, zeta
 
@@ -137,7 +138,8 @@ def test_krylov_minimal_polynomial_matches_matrix_powers(name, factors, missing)
 def test_rational_roots_are_exact_and_complete():
     # products of chosen linear factors and quadratics without rational
     # roots, scaled by a rational; the last case has a constant term near
-    # 10^40, whose divisors no trial division would list
+    # 10^40, whose divisors no trial division would list.  A quadratic drawn
+    # twice makes the product not squarefree, and the verdict must say so.
     rng = random.Random(7)
     cases = []
     for _ in range(200):
@@ -146,17 +148,38 @@ def test_rational_roots_are_exact_and_complete():
         poly = [Fraction(1)]
         for r in roots:
             poly = _fp_mul(poly, [-r, Fraction(1)])
+        quadratics = []
         for _ in range(rng.randint(0, 2)):
             b, c = rng.randint(-9, 9), rng.randint(1, 30)
             if b * b < 4 * c:  # negative discriminant: no real roots
                 poly = _fp_mul(poly, [Fraction(c), Fraction(b), Fraction(1)])
+                quadratics.append((b, c))
         if len(poly) > 1:
             scale = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
-            cases.append(([c * scale for c in poly], roots))
+            squarefree = len(set(quadratics)) == len(quadratics)
+            cases.append(([c * scale for c in poly], roots, squarefree))
     big = [Fraction(10 ** 20 + 39, 3), Fraction(-(10 ** 20 + 7), 11)]
     poly = [Fraction(1)]
     for r in big:
         poly = _fp_mul(poly, [-r, Fraction(1)])
-    cases.append((_fp_mul(poly, [Fraction(2), Fraction(0), Fraction(1)]), sorted(big)))
-    for poly, roots in cases:
-        assert _rational_roots(poly) == roots, poly
+    cases.append((_fp_mul(poly, [Fraction(2), Fraction(0), Fraction(1)]), sorted(big), True))
+    assert not all(squarefree for _, _, squarefree in cases)
+    for poly, roots, squarefree in cases:
+        assert _rational_roots(poly) == (roots, squarefree), poly
+
+
+@pytest.mark.parametrize("factor", [[-1, 1], [1, 0, 1]], ids=["x-1", "x^2+1"])
+@pytest.mark.parametrize("conductor", [1, 4])
+def test_a_repeated_factor_is_not_semisimple(factor, conductor):
+    # Q[x]/(f^2) on the basis 1, x, ..., x^(n-1): x has the minimal
+    # polynomial f^2, which is not squarefree over any field
+    f = _fp_mul([Fraction(c) for c in factor], [Fraction(c) for c in factor])
+    n = len(f) - 1
+    powers = [[Fraction(int(k == e)) for k in range(n)] for e in range(n)]
+    while len(powers) < 2 * n - 1:  # x^e = x * x^(e-1) - f(x) x^(e-1)
+        prev = powers[-1]
+        powers.append([(prev[k - 1] if k else 0) - prev[-1] * f[k] for k in range(n)])
+    mult = [[powers[i + j] for j in range(n)] for i in range(n)]
+    with pytest.raises(SplitFailure) as exc:
+        split_commutative_algebra(mult, n, conductor=conductor)
+    assert exc.value.reason == "not-semisimple"
