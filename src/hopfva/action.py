@@ -106,7 +106,7 @@ class HopfAction:
             for j in range(h.dim):
                 for e in self.monomials:
                     lhs = _sum_columns((c, cols[i][t]) for t, c in cols[j][e].items())
-                    rhs = _sum_columns((c, bc[e]) for c, bc in zip(h.mul[i][j], cols) if c)
+                    rhs = _sum_columns((c, cols[k][e]) for k, c in h.mul_nonzero[i][j])
                     if lhs != rhs:
                         raise ValueError(
                             f"action is not multiplicative at ({h.names[i]}, {h.names[j]})")
@@ -158,10 +158,7 @@ class HopfAction:
                 rest[var] -= 1
                 rest = tuple(rest)
                 out = Poly.zero(nvars)
-                row = hopf.comul[bi]
-                for t, c in enumerate(row):
-                    if c == 0:
-                        continue
+                for t, c in hopf.comul_nonzero[bi]:
                     p, q = divmod(t, d)
                     left = img[p][var]
                     if left.is_zero():
@@ -196,9 +193,8 @@ def _coproduct_sum(act, bi, term):
     """sum c term(p, q) over Delta(b_bi) = sum c b_p (x) b_q, as a Poly."""
     h = act.hopf
     out = Poly.zero(act.backend.nvars)
-    for t, c in enumerate(h.comul[bi]):
-        if c:
-            out = out + term(*divmod(t, h.dim)).scale(c)
+    for t, c in h.comul_nonzero[bi]:
+        out = out + term(*divmod(t, h.dim)).scale(c)
     return out
 
 
@@ -457,11 +453,9 @@ def _iterated_comul(h: FinHopfAlgebra, b, s):
     for _ in range(s - 1):
         new = {}
         for idx, c in terms.items():
-            row = h.comul[idx[-1]]
-            for t, cc in enumerate(row):
-                if cc != 0:
-                    key = idx[:-1] + divmod(t, h.dim)
-                    new[key] = new.get(key, _ZERO) + c * cc
+            for t, cc in h.comul_nonzero[idx[-1]]:
+                key = idx[:-1] + divmod(t, h.dim)
+                new[key] = new.get(key, _ZERO) + c * cc
         terms = new
     return terms
 

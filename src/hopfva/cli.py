@@ -25,6 +25,7 @@ from .errors import (
     HopfvaError,
     HypothesesNotMet,
     NotGroupAlgebra,
+    NotHopfAlgebra,
     ParseError,
     Refusal,
     ShapeMismatch,
@@ -82,11 +83,38 @@ def _poly(text, variables, what):
 
 def _reference(ws, section, d, field, owner):
     """The object of `section` named by `d[field]`; a ParseError naming
-    `owner` and the field if that is not a string."""
-    ref = d[field]
+    `owner` and the field if that is missing or not a string."""
+    ref = _field(d, field, owner)
     if not isinstance(ref, str):
         raise ParseError(f"{owner}: {field} must name a {section[:-1]}, got {ref!r}")
     return ws.get(section, ref)
+
+
+def _field(d, field, owner):
+    """`d[field]`; a ParseError naming `owner` and the field if it is missing."""
+    if field not in d:
+        raise ParseError(f"{owner}: needs the field {field!r}")
+    return d[field]
+
+
+def _names(value, n, what):
+    """`value` if it is a list of names, of `n` of them unless `n` is None;
+    a ParseError naming `what` if not."""
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)
+            and n in (None, len(value))):
+        count = "" if n is None else f" {n}"
+        raise ParseError(f"{what} must be a list of{count} names, got {value!r}")
+    return value
+
+
+def _group_table(value, what):
+    """`value` if it is a list of rows of element indices; a ParseError
+    naming `what` if not.  The group axioms are checked where it is used."""
+    if not (isinstance(value, list) and all(
+            isinstance(row, list) and all(isinstance(x, int) and not isinstance(x, bool)
+                                          for x in row) for row in value)):
+        raise ParseError(f"{what} must be a list of rows of element indices, got {value!r}")
+    return value
 
 
 def _integer(value, least, what):
@@ -103,60 +131,77 @@ def _integer(value, least, what):
 # the fields each Hopf builder reads besides name and builder; any other is an input error
 HOPF_FIELDS = {
     "sweedler": (), "dual": ("of",), "group_algebra": ("table", "group", "element_names"),
-    "tensors": ("dim", "basis", "mul", "comul", "unit", "counit", "antipode", "verify")}
+    "tensors": ("dim", "basis", "mul", "comul", "unit", "counit", "antipode")}
 
 
 def _hopf(ws, name, d):
+    """The Hopf algebra `name`.  The builders of `hopf` make Hopf algebras by
+    construction; structure constants entered as `tensors` are checked
+    against the Hopf axioms here, once, unless they are the workspace's
+    `unchecked` object."""
+    what = f"Hopf algebra {name!r}"
     builder = d.get("builder", "tensors")
     if not isinstance(builder, str) or builder not in HOPF_FIELDS:
         raise ParseError(f"unknown Hopf builder {builder!r}")
     for field in d:
         if field not in ("name", "builder", *HOPF_FIELDS[builder]):
-            raise ParseError(f"Hopf algebra {name!r}: the {builder} builder reads "
-                             f"no field {field!r}")
+            raise ParseError(f"{what}: the {builder} builder reads no field {field!r}")
     if builder == "sweedler":
         return hopf_mod.sweedler()
     if builder == "group_algebra":
-        table = d["table"] if "table" in d else \
-            _reference(ws, "groups", d, "group", f"Hopf algebra {name!r}")
-        return hopf_mod.group_algebra(table, names=d.get("element_names"))
+        table = _group_table(d["table"], f"{what}: table") if "table" in d else \
+            _reference(ws, "groups", d, "group", what)
+        names = d.get("element_names")
+        if names is not None:
+            _names(names, len(table), f"{what}: element_names")
+        return hopf_mod.group_algebra(table, names=names)
     if builder == "dual":
-        return hopf_mod.dual_hopf(
-            _reference(ws, "hopf_algebras", d, "of", f"Hopf algebra {name!r}"))
-    return _hopf_from_tensors(name, d)
+        return hopf_mod.dual_hopf(_reference(ws, "hopf_algebras", d, "of", what))
+    h = _hopf_from_tensors(what, d)
+    if name != ws.unchecked:
+        for axiom, (ok, witness) in hopf_mod.verify_hopf_axioms(h).items():
+            if not ok:
+                raise NotHopfAlgebra(f"{what} fails the Hopf axiom {axiom} at {witness}")
+    return h
 
 
-def _hopf_from_tensors(name, d):
-    dim = _integer(d["dim"], 0, f"Hopf algebra {name!r}: dim")
-    names = d.get("basis", [f"b{i}" for i in range(dim)])
-    for field in ("mul", "comul", "antipode"):
-        for entry in d[field]:
+def _hopf_from_tensors(what, d):
+    """The structure constants of a `tensors` entry, not checked against the
+    Hopf axioms; a ParseError or ShapeMismatch naming what is malformed."""
+    dim = _integer(_field(d, "dim", what), 0, f"{what}: dim")
+    names = _names(d.get("basis", [f"b{i}" for i in range(dim)]), None, f"{what}: basis")
+
+    def entries(field, width):
+        value = _field(d, field, what)
+        if not isinstance(value, list):
+            raise ParseError(f"{what}: {field} must be a list of entries, got {value!r}")
+        out = []
+        for pos, entry in enumerate(value):
+            if not (isinstance(entry, list) and len(entry) == width):
+                raise ParseError(f"{what}: {field} entry {pos} must be a list of "
+                                 f"{width - 1} indices and a scalar, got {entry!r}")
             if any(not (isinstance(i, int) and 0 <= i < dim) for i in entry[:-1]):
                 raise ShapeMismatch(f"{field} entry {entry} has an index outside "
                                     f"0..{dim - 1}")
-    for field in ("unit", "counit"):
-        if len(d[field]) != dim:
-            raise ShapeMismatch(f"{field} has {len(d[field])} entries for "
-                                f"dimension {dim}")
+            out.append((*entry[:-1], _scalar(entry[-1], f"{what}: {field}")))
+        return out
 
-    def scalar(field, s):
-        return _scalar(s, f"Hopf algebra {name!r}: {field}")
+    def vector(field):
+        value = _field(d, field, what)
+        if not isinstance(value, list):
+            raise ParseError(f"{what}: {field} must be a list of {dim} scalars, "
+                             f"got {value!r}")
+        if len(value) != dim:
+            raise ShapeMismatch(f"{field} has {len(value)} entries for dimension {dim}")
+        return [_scalar(s, f"{what}: {field}") for s in value]
 
-    zero = scalar_from_text("0")
-    mul = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for i, j, k, s in d["mul"]:
-        mul[i][j][k] = scalar("mul", s)
-    comul = [[zero] * (dim * dim) for _ in range(dim)]
-    for k, i, j, s in d["comul"]:
-        comul[k][i * dim + j] = scalar("comul", s)
-    counit = [scalar("counit", s) for s in d["counit"]]
-    unit = [scalar("unit", s) for s in d["unit"]]
-    anti = [[zero] * dim for _ in range(dim)]
-    for i, j, s in d["antipode"]:
-        anti[i][j] = scalar("antipode", s)
-    return hopf_mod.FinHopfAlgebra(
-        dim, names, mul, unit, comul, counit, Matrix.from_rows(anti),
-        verify=d.get("verify", True))
+    mul, comul, antipode = entries("mul", 4), entries("comul", 4), entries("antipode", 3)
+    unit, counit = vector("unit"), vector("counit")
+    anti = [[scalar_from_text("0")] * dim for _ in range(dim)]
+    for i, j, c in antipode:
+        anti[i][j] = c
+    return hopf_mod.FinHopfAlgebra(dim, names, mul, unit, comul, counit,
+                                   Matrix.from_rows(anti))
 
 
 def _backend(ws, name, d):
@@ -242,7 +287,8 @@ def _chartable(ws, name, d):
 
 
 SECTIONS = {
-    "groups": lambda ws, name, d: [list(r) for r in d["table"]],
+    "groups": lambda ws, name, d: [list(r) for r in _group_table(
+        _field(d, "table", f"group {name!r}"), f"group {name!r}: table")],
     "hopf_algebras": _hopf,
     "backends": _backend,
     "actions": _action,
@@ -258,6 +304,9 @@ class Workspace:
         self.caps = caps
         self._cache = {}
         self._building = []   # the (section, name) keys being built, outermost first
+        # the one Hopf algebra built without its axiom check, for the commands
+        # that examine its structure constants themselves
+        self.unchecked = None
 
     def get(self, section, name):
         """The object `name` of `section`, built once; a ParseError naming the
@@ -348,6 +397,12 @@ def _kernel_rows(res, variables):
 # commands
 
 
+def _unchecked_hopf(ws, args):
+    """The named Hopf algebra as entered, its axioms not checked at load."""
+    ws.unchecked = args.object
+    return ws.get("hopf_algebras", args.object)
+
+
 def _group_rep(ws, args):
     return sw_mod.FinGroupRep.from_hopf_action(ws.get("actions", args.object))
 
@@ -357,11 +412,11 @@ class _Commands:
     order: (workspace, parsed arguments) -> (status, result dict, human lines)."""
 
     def verify_hopf(ws, args):
-        report = hopf_mod.verify_hopf_axioms(ws.get("hopf_algebras", args.object))
+        report = hopf_mod.verify_hopf_axioms(_unchecked_hopf(ws, args))
         return _report_outcome("axioms", report, "axiom ")
 
     def cocommutative(ws, args):
-        ok, witness = hopf_mod.is_cocommutative(ws.get("hopf_algebras", args.object))
+        ok, witness = hopf_mod.is_cocommutative(_unchecked_hopf(ws, args))
         return _status(ok), {"cocommutative": ok, "witness": witness}, \
             [f"cocommutative: {ok}" + (f" (witness {witness})" if witness else "")]
 

@@ -84,6 +84,11 @@ class NotGroupAlgebra(HopfvaError):
         super().__init__(reason)
 
 
+class NotHopfAlgebra(HopfvaError):
+    """Structure constants entered as input fail a Hopf axiom; the message
+    names the object, the first failing axiom and its witness."""
+
+
 class NotHopfIdeal(HopfvaError):
     """Quotient construction requires a verified Hopf ideal."""
 

@@ -1,14 +1,21 @@
-"""Finite-dimensional Hopf algebras presented by structure constants.
+"""Finite-dimensional Hopf algebras presented by sparse structure constants.
 
-A FinHopfAlgebra stores the five structure maps as exact tensors over the
-basis: mul[i][j] is the coordinate vector of b_i b_j, comul[k] is the d^2
-coordinate vector of Delta(b_k) over the lexicographic pair basis
-b_i (x) b_j, counit is a covector and the antipode a matrix.  Axioms are
-verified at construction unless explicitly deferred.  The nonzero
-(index, value) pairs of every mul[i][j] and comul[k] are derived once
-(`mul_nonzero`, `comul_nonzero`, integral values as ints); products,
-coproducts, tensor products and the axiom loops run over them, so a group
-algebra costs what its structure constants hold, not d^5.
+A FinHopfAlgebra holds the five structure maps over its basis b_0..b_{d-1}
+as their nonzero entries only: `mul_nonzero[i][j]` lists the (k, c) with
+b_i b_j = sum c b_k and `comul_nonzero[k]` the (i d + j, c) with
+Delta(b_k) = sum c b_i (x) b_j over the lexicographic pair basis, each
+ascending by index, integral values as ints.  The unit and counit are
+coordinate vectors and the antipode is a matrix.  Products, coproducts and
+the axiom loops run over the nonzero lists, so a group algebra costs what
+its structure constants hold: d^2 products and d coproducts, not d^3.
+
+The container checks shapes, not axioms.  `verify_hopf_axioms` checks the
+axioms where structure constants come from outside: the CLI runs it once
+on each `tensors` entry it loads.  The builders here are Hopf by
+construction and are not checked again: `group_algebra` (its group table
+is validated), `sweedler` (a constant), `dual_hopf` (each Hopf axiom of H,
+transposed, is one of H*) and `quotient_hopf` (H/I is Hopf once
+`is_hopf_ideal` has passed).
 
 Group-likes are computed for every H, as the characters of H*: G(H) =
 Alg(H*, F) = Alg(H*/I, F) for I the two-sided ideal of H* generated by its
@@ -53,36 +60,52 @@ _ONE = Fraction(1)
 
 
 class FinHopfAlgebra:
-    """A Hopf algebra of dimension d over Q or a cyclotomic field."""
+    """A Hopf algebra of dimension d over Q or a cyclotomic field.
 
-    __slots__ = ("dim", "names", "mul", "unit", "comul", "counit", "antipode",
-                 "group_table", "verified", "mul_nonzero", "comul_nonzero")
+    `mul` lists entries (i, j, k, c) of b_i b_j = sum c b_k and `comul`
+    entries (k, i, j, c) of Delta(b_k) = sum c b_i (x) b_j; every other
+    structure constant is 0, and a repeated index sets its entry again.
+    Indices and lengths are checked (ShapeMismatch); the Hopf axioms are
+    not, see `verify_hopf_axioms`.
+    """
 
-    def __init__(self, dim, names, mul, unit, comul, counit, antipode,
-                 group_table=None, verify=True):
-        self.dim = dim
+    __slots__ = ("dim", "names", "unit", "counit", "antipode", "group_table",
+                 "mul_nonzero", "comul_nonzero")
+
+    def __init__(self, dim, names, mul, unit, comul, counit, antipode, group_table=None):
+        d = self.dim = dim
         self.names = tuple(names)
-        if len(self.names) != dim:
-            raise ShapeMismatch(f"{len(self.names)} basis names for dimension {dim}")
-        self.mul = tuple(tuple(tuple(as_scalar(c) for c in mul[i][j])
-                               for j in range(dim)) for i in range(dim))
         self.unit = tuple(as_scalar(c) for c in unit)
-        self.comul = tuple(tuple(as_scalar(c) for c in comul[k]) for k in range(dim))
-        if any(len(row) != dim * dim for row in self.comul):
-            raise ShapeMismatch(f"a coproduct needs {dim * dim} entries for dimension {dim}")
-        # the nonzero (index, value) pairs of each b_i b_j and each Delta(b_k)
-        self.mul_nonzero = tuple(tuple(nonzero_pairs(v) for v in row) for row in self.mul)
-        self.comul_nonzero = tuple(nonzero_pairs(v) for v in self.comul)
         self.counit = tuple(as_scalar(c) for c in counit)
+        for what, n in (("basis names", len(self.names)), ("unit entries", len(self.unit)),
+                        ("counit entries", len(self.counit))):
+            if n != d:
+                raise ShapeMismatch(f"{n} {what} for dimension {d}")
+        products = _nonzero_rows(mul, d, d * d, lambda i, j, k: (i * d + j, k), "mul")
+        self.mul_nonzero = tuple(tuple(products[i * d:(i + 1) * d]) for i in range(d))
+        self.comul_nonzero = tuple(
+            _nonzero_rows(comul, d, d, lambda k, i, j: (k, i * d + j), "comul"))
         self.antipode = antipode if isinstance(antipode, Matrix) else Matrix.from_rows(antipode)
+        if (self.antipode.rows, self.antipode.cols) != (d, d):
+            raise ShapeMismatch(f"a {self.antipode.rows}x{self.antipode.cols} antipode "
+                                f"for dimension {d}")
         self.group_table = tuple(tuple(r) for r in group_table) if group_table is not None else None
-        self.verified = False
-        if verify:
-            report = verify_hopf_axioms(self)
-            if not report.passed:
-                bad = ", ".join(f"{k} (witness {w})" for k, (ok, w) in report.items() if not ok)
-                raise ValueError(f"Hopf axioms fail: {bad}")
-            self.verified = True
+
+    # -- the structure constants as entries, in the form the constructor takes
+
+    def mul_entries(self):
+        """(i, j, k, c) for each nonzero c in b_i b_j = sum c b_k."""
+        for i, row in enumerate(self.mul_nonzero):
+            for j, pairs in enumerate(row):
+                for k, c in pairs:
+                    yield i, j, k, c
+
+    def comul_entries(self):
+        """(k, i, j, c) for each nonzero c in Delta(b_k) = sum c b_i (x) b_j."""
+        d = self.dim
+        for k, pairs in enumerate(self.comul_nonzero):
+            for t, c in pairs:
+                yield (k, *divmod(t, d), c)
 
     # -- coordinate helpers
 
@@ -111,24 +134,6 @@ class FinHopfAlgebra:
     def antipode_of(self, vec):
         return self.antipode.apply(list(vec))
 
-    def tensor_multiply(self, s, t):
-        """Product in H (x) H of two d^2 coordinate vectors, each given by
-        the (index, value) pairs of its nonzero entries."""
-        d = self.dim
-        mul = self.mul_nonzero
-        out = [_ZERO] * (d * d)
-        nt = [(divmod(kt, d), b) for kt, b in t]
-        for it, a in s:
-            i, j = divmod(it, d)
-            for (k, l), b in nt:
-                ab = a * b
-                right = mul[j][l]
-                for p, cp in mul[i][k]:
-                    abp = ab * cp
-                    for q, cq in right:
-                        out[p * d + q] += abp * cq
-        return out
-
     def element_text(self, vec):
         parts = []
         for c, name in zip(vec, self.names):
@@ -140,8 +145,44 @@ class FinHopfAlgebra:
         return f"FinHopfAlgebra(dim {self.dim}, basis {list(self.names)})"
 
 
+def _nonzero_rows(entries, d, nrows, place, what):
+    """Per row, the ascending (column, value) pairs of the nonzero values of
+    `entries`, each a tuple of indices in 0..d-1 and a value that `place`
+    sends, from the indices, to (row, column)."""
+    rows = [{} for _ in range(nrows)]
+    for entry in entries:
+        *index, c = entry
+        if any(not 0 <= x < d for x in index):
+            raise ShapeMismatch(f"{what} entry {tuple(entry)} has an index outside 0..{d - 1}")
+        r, col = place(*index)
+        rows[r][col] = as_scalar(c)
+    return [_pairs(row) for row in rows]
+
+
+def _pairs(row):
+    """The ascending (index, value) pairs of a dict's nonzero values, integral
+    rationals as ints (which multiply far faster than Fractions)."""
+    return [(k, c.numerator if c.__class__ is Fraction and c.denominator == 1 else c)
+            for k, c in sorted(row.items()) if c]
+
+
+def _sum(terms):
+    """The sums of the (key, value) terms per key, as a dict without zeros."""
+    out = {}
+    for t, v in terms:
+        out[t] = out.get(t, 0) + v
+    return {t: v for t, v in out.items() if v}
+
+
 def _basis_vector(d, i):
     return [_ONE if j == i else _ZERO for j in range(d)]
+
+
+def _dense(pairs, d):
+    out = [_ZERO] * d
+    for k, c in pairs:
+        out[k] = as_scalar(c)
+    return out
 
 
 def _product(nonzero, u, v):
@@ -158,70 +199,100 @@ def _product(nonzero, u, v):
     return out
 
 
+def _tensor_product(mul, partners, d, s, t):
+    """The product in H (x) H of two elements given by the (i d + j, value)
+    pairs of their nonzero coordinates, as a dict without zeros.
+    `partners[i]` is the set of k with b_i b_k != 0; a term b_i (x) b_j of s
+    meets only the terms b_k (x) b_l of t with k among them."""
+    by_first = {}
+    for kt, b in t:
+        k, l = divmod(kt, d)
+        by_first.setdefault(k, []).append((l, b))
+    out = {}
+    for it, a in s:
+        i, j = divmod(it, d)
+        for k in partners[i] & by_first.keys():
+            left = mul[i][k]
+            for l, b in by_first[k]:
+                right = mul[j][l]
+                ab = a * b
+                for p, cp in left:
+                    abp = ab * cp
+                    base = p * d
+                    for q, cq in right:
+                        out[base + q] = out.get(base + q, 0) + abp * cq
+    return {t: v for t, v in out.items() if v}
+
+
 # ---------------------------------------------------------------------------
 # axiom verification
 
 
 def verify_hopf_axioms(h: FinHopfAlgebra) -> CheckReport:
-    """Check all Hopf axioms as exact tensor identities on basis elements."""
+    """Check all Hopf axioms as exact tensor identities on basis elements.
+
+    Each witness names the first failing basis element, pair or triple in
+    ascending index order.  Every side of every identity is accumulated as
+    a dict of its nonzero coordinates.
+    """
     d = h.dim
     names = h.names
-    basis = [h.basis_vector(i) for i in range(d)]
-    unit = list(h.unit)
+    mul, comul, counit = h.mul_nonzero, h.comul_nonzero, h.counit
+    unit = nonzero_pairs(h.unit)
     report = CheckReport()
     report.record("associativity", (
         f"({names[i]},{names[j]},{names[k]})"
         for i in range(d) for j in range(d) for k in range(d)
-        if not is_associative_at(h.mul_nonzero, i, j, k)))
-    report.record("unit", (
-        names[i] for i in range(d)
-        if h.multiply(unit, basis[i]) != basis[i] or h.multiply(basis[i], unit) != basis[i]))
+        if not is_associative_at(mul, i, j, k)))
+
+    def unit_ok(i):
+        return _sum((k, a * c) for p, a in unit for k, c in mul[p][i]) == {i: 1} == \
+            _sum((k, a * c) for p, a in unit for k, c in mul[i][p])
+
+    report.record("unit", (names[i] for i in range(d) if not unit_ok(i)))
 
     def coassoc_ok(k):
-        left = [_ZERO] * (d ** 3)   # (Delta (x) id) Delta
-        right = [_ZERO] * (d ** 3)  # (id (x) Delta) Delta
-        for t, a in h.comul_nonzero[k]:
+        left, right = [], []   # (Delta (x) id) Delta and (id (x) Delta) Delta
+        for t, a in comul[k]:
             i, j = divmod(t, d)
-            for t2, b in h.comul_nonzero[i]:
-                left[t2 * d + j] += a * b
-            for t2, b in h.comul_nonzero[j]:
-                right[i * d * d + t2] += a * b
-        return left == right
+            left += ((t2 * d + j, a * b) for t2, b in comul[i])
+            right += ((i * d * d + t2, a * b) for t2, b in comul[j])
+        return _sum(left) == _sum(right)
 
     report.record("coassociativity", (names[k] for k in range(d) if not coassoc_ok(k)))
 
     def counit_ok(k):
-        left = [_ZERO] * d
-        right = [_ZERO] * d
-        for t, a in h.comul_nonzero[k]:
+        left, right = [], []
+        for t, a in comul[k]:
             i, j = divmod(t, d)
-            left[j] += a * h.counit[i]
-            right[i] += a * h.counit[j]
-        return left == basis[k] and right == basis[k]
+            left.append((j, a * counit[i]))
+            right.append((i, a * counit[j]))
+        return _sum(left) == {k: 1} == _sum(right)
 
     report.record("counit", (names[k] for k in range(d) if not counit_ok(k)))
+    partners = [{k for k in range(d) if row[k]} for row in mul]
     report.record("comul-is-algebra-map", itertools.chain(
-        ["1"] if h.comul_of(unit) != _square(unit) else [],
+        ["1"] if _sum((t, a * c) for k, a in unit for t, c in comul[k]) !=
+        {p * d + q: a * b for p, a in unit for q, b in unit} else [],
         (f"({names[i]},{names[j]})" for i in range(d) for j in range(d)
-         if h.comul_of(h.mul[i][j]) != h.tensor_multiply(h.comul_nonzero[i], h.comul_nonzero[j]))))
+         if _sum((t, a * c) for k, a in mul[i][j] for t, c in comul[k]) !=
+         _tensor_product(mul, partners, d, comul[i], comul[j]))))
     report.record("counit-is-algebra-map", itertools.chain(
-        ["1"] if h.counit_of(unit) != 1 else [],
+        ["1"] if h.counit_of(h.unit) != 1 else [],
         (f"({names[i]},{names[j]})" for i in range(d) for j in range(d)
-         if h.counit_of(h.mul[i][j]) != h.counit[i] * h.counit[j])))
+         if sum(c * counit[k] for k, c in mul[i][j]) != counit[i] * counit[j])))
 
-    antipode = [h.antipode_of(b) for b in basis]
+    antipode = [nonzero_pairs(h.antipode.col(i)) for i in range(d)]  # S(b_i)
 
     def antipode_ok(k, side):
-        acc = [_ZERO] * d
-        for t, a in h.comul_nonzero[k]:
+        terms = []
+        for t, a in comul[k]:
             i, j = divmod(t, d)
-            if side == "left":
-                term = h.multiply(antipode[i], basis[j])
-            else:
-                term = h.multiply(basis[i], antipode[j])
-            for m, c in nonzero_pairs(term):
-                acc[m] += a * c
-        return acc == [h.counit[k] * u for u in h.unit]
+            if side == "left":    # S(b_i) b_j
+                terms += ((m, a * s * c) for p, s in antipode[i] for m, c in mul[p][j])
+            else:                 # b_i S(b_j)
+                terms += ((m, a * s * c) for p, s in antipode[j] for m, c in mul[i][p])
+        return _sum(terms) == {m: counit[k] * u for m, u in unit if counit[k]}
 
     for side in ("left", "right"):
         report.record(f"antipode-{side}",
@@ -237,12 +308,12 @@ def _square(v):
 def is_cocommutative(h: FinHopfAlgebra):
     """True iff flip o Delta = Delta; on failure returns a witness basis name."""
     d = h.dim
-    for k in range(d):
-        row = h.comul[k]
-        for i in range(d):
-            for j in range(i + 1, d):
-                if row[i * d + j] != row[j * d + i]:
-                    return False, h.names[k]
+    for k, pairs in enumerate(h.comul_nonzero):
+        row = dict(pairs)
+        for t, c in pairs:
+            i, j = divmod(t, d)
+            if row.get(j * d + i, 0) != c:
+                return False, h.names[k]
     return True, None
 
 
@@ -251,24 +322,17 @@ def is_cocommutative(h: FinHopfAlgebra):
 
 
 def dual_hopf(h: FinHopfAlgebra) -> FinHopfAlgebra:
-    """The dual Hopf algebra on the dual basis (transpose all tensors)."""
-    d = h.dim
-    mul_d = _dual_mul(h)
-    unit_d = list(h.counit)
-    comul_d = [[h.mul[i][j][k] for i in range(d) for j in range(d)]
-               for k in range(d)]
-    counit_d = list(h.unit)
-    antipode_d = h.antipode.transpose()
-    names = tuple(f"{n}*" for n in h.names)
-    return FinHopfAlgebra(d, names, mul_d, unit_d, comul_d, counit_d,
-                          antipode_d, verify=True)
+    """The dual Hopf algebra on the dual basis: every tensor transposed.
 
-
-def _dual_mul(h):
-    """Structure constants of the dual algebra: b*_i b*_j = sum_k Delta_k^{ij} b*_k."""
-    d = h.dim
-    return [[[h.comul[k][i * d + j] for k in range(d)] for j in range(d)]
-            for i in range(d)]
+    b*_i b*_j = sum_k Delta_k^{ij} b*_k, Delta(b*_k) = sum m_{ij}^k b*_i (x)
+    b*_j, the unit is eps, the counit 1 and the antipode S^T.  Each Hopf
+    axiom of H transposes to one of H*, so H* is Hopf whenever H is.
+    """
+    return FinHopfAlgebra(
+        h.dim, tuple(f"{n}*" for n in h.names),
+        ((i, j, k, c) for k, i, j, c in h.comul_entries()), h.counit,
+        ((k, i, j, c) for i, j, k, c in h.mul_entries()), h.unit,
+        h.antipode.transpose())
 
 
 # ---------------------------------------------------------------------------
@@ -285,21 +349,20 @@ def group_likes(h: FinHopfAlgebra, conductor=1):
     character, a p = chi(a) p, and the group-like g_j = chi(b*_j + I).
     """
     d = h.dim
-    dual_mult = _dual_mul(h)
-    commutators = [[x - y for x, y in zip(dual_mult[i][j], dual_mult[j][i])]
-                   for i in range(d) for j in range(i) if dual_mult[i][j] != dual_mult[j][i]]
-    ideal = _ideal_generated([[nonzero_pairs(v) for v in row] for row in dual_mult],
-                             commutators)
-    complement, projection, mult = _quotient_algebra(dual_mult, ideal)
+    dual = dual_hopf(h).mul_nonzero
+    commutators = [[x - y for x, y in zip(_dense(dual[i][j], d), _dense(dual[j][i], d))]
+                   for i in range(d) for j in range(i) if dual[i][j] != dual[j][i]]
+    ideal = _ideal_generated(dual, commutators)
+    complement, projection, quotient = _quotient_algebra(dual, ideal)
     dq = len(complement)
-    quotient_nonzero = [[nonzero_pairs(v) for v in row] for row in mult]
+    mult = [[_dense(pairs, dq) for pairs in row] for row in quotient]
     likes = []
     for p in split_commutative_algebra(mult, dq, conductor=conductor):
         ref = next(l for l, c in enumerate(p) if c != 0)
         inv = 1 / p[ref]
         chi = []
         for a in range(dq):
-            y = _product(quotient_nonzero, _basis_vector(dq, a), p)  # chi(b_a) p
+            y = _product(quotient, _basis_vector(dq, a), p)  # chi(b_a) p
             c = y[ref] * inv
             require(all(yc == c * pc if pc else not yc for yc, pc in zip(y, p)),
                     "idempotent block is not 1-dimensional")
@@ -339,7 +402,7 @@ def recognize_group_algebra(h: FinHopfAlgebra, conductor=1) -> GroupRecognition:
     # have equal coordinates, and rationals stay Fractions, which never
     # equal a canonical cyclotomic
     n = math.lcm(common_conductor(c for g in likes for c in g),
-                 common_conductor(c for row in h.mul for v in row for c in v))
+                 common_conductor(c for _, _, _, c in h.mul_entries()))
 
     def key(vec):
         return tuple(c.coeffs_at(n) if isinstance(c, Cyclotomic) else c for c in vec)
@@ -444,46 +507,50 @@ def _ideal_generated(nonzero, generators):
     return ideal
 
 
-def _quotient_algebra(mult, ideal):
+def _quotient_algebra(nonzero, ideal):
     """(complement, projection, products) of A/I on the basis elements off
-    I's pivots, for b_i b_j = `mult[i][j]`: projection column j is b_j + I."""
+    I's pivots, for b_i b_j with the nonzero pairs `nonzero[i][j]`:
+    projection column j is b_j + I, and products[a][b] holds the nonzero
+    pairs of the product of the a-th and b-th complement cosets."""
     d = ideal.ambient
     pivots = set(ideal.pivots)
     complement = tuple(j for j in range(d) if j not in pivots)
     projection = Matrix.from_columns(
         [[reduced[c] for c in complement]
          for reduced in (ideal.reduce(_basis_vector(d, j)) for j in range(d))])
-    products = [[projection.apply(mult[a][b]) for b in complement] for a in complement]
+    images = [nonzero_pairs(projection.col(j)) for j in range(d)]  # b_j + I
+    products = [[_pairs(_sum((r, c * cr) for k, c in nonzero[a][b] for r, cr in images[k]))
+                 for b in complement] for a in complement]
     return complement, projection, products
 
 
 def quotient_hopf(h: FinHopfAlgebra, ideal: Subspace) -> HopfQuotient:
-    """Structure constants of H/I on the complement basis of a Hopf ideal."""
+    """H/I on the complement basis of a Hopf ideal I, checked by
+    `is_hopf_ideal`; every Hopf axiom of H then holds in H/I."""
     ok, why = is_hopf_ideal(h, ideal)
     if not ok:
         raise NotHopfIdeal(why)
     d = h.dim
-    complement, projection, mul_q = _quotient_algebra(h.mul, ideal)
+    complement, projection, products = _quotient_algebra(h.mul_nonzero, ideal)
     dq = len(complement)
     project = projection.apply
     images = [nonzero_pairs(projection.col(j)) for j in range(d)]  # b_j + I
-    unit_q = project(h.unit)
-    counit_q = [h.counit[c] for c in complement]
-    antipode_q = Matrix.from_columns([project(h.antipode.col(c)) for c in complement])
-    comul_q = []
+    coproducts = []
     for c in complement:
-        out = [_ZERO] * (dq * dq)
+        terms = []
         for t, val in h.comul_nonzero[c]:
             i, j = divmod(t, d)
-            for r, cr in images[i]:
-                for s, cs in images[j]:
-                    out[r * dq + s] += val * cr * cs
-        comul_q.append(out)
-
-    names = tuple(h.names[j] for j in complement)
+            terms += ((r * dq + s, val * cr * cs) for r, cr in images[i] for s, cs in images[j])
+        coproducts.append(_sum(terms))
     return HopfQuotient(
-        hopf=FinHopfAlgebra(dq, names, mul_q, unit_q, comul_q, counit_q, antipode_q,
-                            verify=True),
+        hopf=FinHopfAlgebra(
+            dq, tuple(h.names[j] for j in complement),
+            ((a, b, k, v) for a, row in enumerate(products)
+             for b, pairs in enumerate(row) for k, v in pairs),
+            project(h.unit),
+            ((k, *divmod(t, dq), v) for k, out in enumerate(coproducts) for t, v in out.items()),
+            [h.counit[c] for c in complement],
+            Matrix.from_columns([project(h.antipode.col(c)) for c in complement])),
         ideal=ideal, complement=complement, projection=projection)
 
 
@@ -504,11 +571,12 @@ def _validate_group_table(table):
             break
     if identity is None:
         raise InvalidGroupTable("no identity element")
-    for i in range(n):
+    for i, ri in enumerate(rows):
         for j in range(n):
-            for k in range(n):
-                if rows[rows[i][j]][k] != rows[i][rows[j][k]]:
-                    raise InvalidGroupTable(f"not associative at ({i},{j},{k})")
+            # row (i j) must be row j followed by left multiplication with i
+            if rows[ri[j]] != [ri[x] for x in rows[j]]:
+                k = next(k for k in range(n) if rows[ri[j]][k] != ri[rows[j][k]])
+                raise InvalidGroupTable(f"not associative at ({i},{j},{k})")
     for i in range(n):
         if sorted(rows[i]) != list(range(n)) or \
                 sorted(rows[j][i] for j in range(n)) != list(range(n)):
@@ -534,7 +602,7 @@ def group_algebra(table, names=None) -> FinHopfAlgebra:
     """The group algebra Q[G] of a finite group given by its table.
 
     Basis elements are the group elements (identity first), Delta(g) = g(x)g,
-    eps(g) = 1 and S(g) = g^{-1}.
+    eps(g) = 1 and S(g) = g^{-1}.  The validated group table makes it Hopf.
     """
     order, tab = relabel_identity_first(table)
     n = len(tab)
@@ -542,49 +610,28 @@ def group_algebra(table, names=None) -> FinHopfAlgebra:
         names = ["e"] + [f"g{i}" for i in range(1, n)]
     else:
         names = [names[order[i]] for i in range(n)]
-
-    mul = [[[_ONE if k == tab[i][j] else _ZERO for k in range(n)]
-            for j in range(n)] for i in range(n)]
-    unit = [_ONE] + [_ZERO] * (n - 1)
-    comul = [[_ONE if t == k * n + k else _ZERO for t in range(n * n)]
-             for k in range(n)]
-    counit = [_ONE] * n
-    inverse = [tab[i].index(0) for i in range(n)]
-    antipode = Matrix(n, n, [_ONE if i == inverse[j] else _ZERO
-                             for i in range(n) for j in range(n)])
-    return FinHopfAlgebra(n, names, mul, unit, comul, counit, antipode,
-                          group_table=tab, verify=True)
+    inverse = [row.index(0) for row in tab]  # S is a permutation matrix and an involution
+    return FinHopfAlgebra(
+        n, names, ((i, j, k, 1) for i, row in enumerate(tab) for j, k in enumerate(row)),
+        [_ONE] + [_ZERO] * (n - 1), ((k, k, k, 1) for k in range(n)), [_ONE] * n,
+        Matrix.from_nonzero_rows(n, n, [[(inverse[i], _ONE)] for i in range(n)]),
+        group_table=tab)
 
 
 def sweedler() -> FinHopfAlgebra:
     """The 4-dimensional Sweedler Hopf algebra on basis {1, g, x, gx}."""
-    names = ("1", "g", "x", "gx")
+    one, g, x, gx = range(4)
+    mul = [(one, b, b, 1) for b in range(4)] + [(a, one, a, 1) for a in (g, x, gx)] + [
+        (g, g, one, 1), (g, x, gx, 1), (g, gx, x, 1),      # g^2 = 1
+        (x, g, gx, -1), (gx, g, x, -1)]                    # xg = -gx, x^2 = 0
+    comul = [(one, one, one, 1), (g, g, g, 1),
+             (x, x, one, 1), (x, g, x, 1),                 # Delta(x) = x(x)1 + g(x)x
+             (gx, gx, g, 1), (gx, one, gx, 1)]             # Delta(gx) = gx(x)g + 1(x)gx
     z, o = _ZERO, _ONE
-    e1, eg, ex, egx = ([o, z, z, z], [z, o, z, z], [z, z, o, z], [z, z, z, o])
-    zero = [z, z, z, z]
-    mul = [
-        [e1, eg, ex, egx],
-        [eg, e1, egx, ex],
-        [ex, [z, z, z, -o], zero, zero],
-        [egx, [z, z, -o, z], zero, zero],
-    ]
-    unit = e1
-    comul = [[z] * 16 for _ in range(4)]
-    comul[0][0 * 4 + 0] = o                       # Delta(1) = 1(x)1
-    comul[1][1 * 4 + 1] = o                       # Delta(g) = g(x)g
-    comul[2][2 * 4 + 0] = o                       # Delta(x) = x(x)1 + g(x)x
-    comul[2][1 * 4 + 2] = o
-    comul[3][3 * 4 + 1] = o                       # Delta(gx) = gx(x)g + 1(x)gx
-    comul[3][0 * 4 + 3] = o
-    counit = [o, o, z, z]
     # S(1)=1, S(g)=g, S(x)=-gx, S(gx)=x
-    antipode = Matrix.from_rows([
-        [o, z, z, z],
-        [z, o, z, z],
-        [z, z, z, o],
-        [z, z, -o, z],
-    ])
-    return FinHopfAlgebra(4, names, mul, unit, comul, counit, antipode, verify=True)
+    antipode = [[o, z, z, z], [z, o, z, z], [z, z, z, o], [z, z, -o, z]]
+    return FinHopfAlgebra(4, ("1", "g", "x", "gx"), mul, [o, z, z, z], comul,
+                          [o, o, z, z], antipode)
 
 
 # ---------------------------------------------------------------------------

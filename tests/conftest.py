@@ -9,7 +9,7 @@ from hopfva.hopf import (
     sweedler,
     symmetric_group_table,
 )
-from hopfva.scalars import zeta
+from hopfva.scalars import scalar_to_text, zeta
 from hopfva.vertexalg import CommDiffVA, Poly, single_variable_backend
 
 F = Fraction
@@ -119,3 +119,16 @@ def corpus_module_va_actions(cap=4):
         "trivial-s3": trivial_action(group_algebra(symmetric_group_table(3)),
                                      euler_backend(cap)),
     }
+
+
+def tensors_entry(h, name, **extra):
+    """A `tensors` workspace entry with the structure constants of `h`."""
+    text = scalar_to_text
+    d = h.dim
+    return {"name": name, "builder": "tensors", "dim": d, "basis": list(h.names),
+            "mul": [[i, j, k, text(c)] for i, j, k, c in h.mul_entries()],
+            "comul": [[k, i, j, text(c)] for k, i, j, c in h.comul_entries()],
+            "antipode": [[i, j, text(h.antipode[i, j])] for i in range(d) for j in range(d)
+                         if h.antipode[i, j]],
+            "unit": [text(c) for c in h.unit], "counit": [text(c) for c in h.counit],
+            **extra}

@@ -95,8 +95,8 @@ def test_criterion_1_hopf_axioms():
         hs = sweedler()
         assert verify_hopf_axioms(hs).passed
         bad_antipode = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
-        mutated = FinHopfAlgebra(4, hs.names, hs.mul, hs.unit, hs.comul,
-                                 hs.counit, bad_antipode, verify=False)
+        mutated = FinHopfAlgebra(4, hs.names, hs.mul_entries(), hs.unit, hs.comul_entries(),
+                                 hs.counit, bad_antipode)
         report = verify_hopf_axioms(mutated)
         assert not report.passed
         ok, witness = report["antipode-left"]

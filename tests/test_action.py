@@ -313,7 +313,7 @@ def _kronecker_table(act, s_max):
             for _ in range(s - 1):
                 longer = {}
                 for idx, c in terms.items():
-                    for t, cc in enumerate(h.comul[idx[-1]]):
+                    for t, cc in enumerate(h.comul_of(h.basis_vector(idx[-1]))):
                         if cc != 0:
                             key = idx[:-1] + divmod(t, d)
                             longer[key] = longer.get(key, F(0)) + c * cc
@@ -408,8 +408,9 @@ def test_faithful_tensor_action_forces_cocommutativity():
     pair_map = Matrix.from_rows(cols).transpose()
     assert pair_map.kernel().is_zero()  # rho (x) rho is injective on H (x) H
     for k in range(d):
-        flipped = [h.comul[k][j * d + i] for i in range(d) for j in range(d)]
-        diff = [a - b for a, b in zip(flipped, h.comul[k])]
+        row = h.comul_of(h.basis_vector(k))
+        flipped = [row[j * d + i] for i in range(d) for j in range(d)]
+        diff = [a - b for a, b in zip(flipped, row)]
         assert all(c == 0 for c in pair_map.apply(diff))
         assert all(c == 0 for c in diff)  # hence Delta is symmetric
 

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import tensors_entry
 from hopfva import cli
 from hopfva.errors import DuplicateName, ParseError, UnresolvedReference
 from hopfva.hopf import sweedler
-from hopfva.scalars import scalar_to_text
 
 
 def fixture(name):
@@ -610,26 +610,11 @@ def test_wrong_character_values_are_refused_under_O(tmp_path):
                 "message": "character table 'z2chars' fails row-orthogonality: (triv, sign)"}
 
 
-def _tensors_entry(h, name, **extra):
-    """A `tensors` workspace entry with the structure constants of `h`."""
-    text = scalar_to_text
-    d = h.dim
-    return {"name": name, "builder": "tensors", "dim": d, "basis": list(h.names),
-            "mul": [[i, j, k, text(c)] for i in range(d) for j in range(d)
-                    for k, c in enumerate(h.mul[i][j]) if c],
-            "comul": [[k, *divmod(t, d), text(c)] for k in range(d)
-                      for t, c in enumerate(h.comul[k]) if c],
-            "antipode": [[i, j, text(h.antipode[i, j])] for i in range(d) for j in range(d)
-                         if h.antipode[i, j]],
-            "unit": [text(c) for c in h.unit], "counit": [text(c) for c in h.counit],
-            **extra}
-
-
 def test_group_likes_of_sweedler_entered_as_tensors(capsys, tmp_path):
     # nothing but the structure constants: both group-likes, the unit first
     path = tmp_path / "raw.json"
     path.write_text(json.dumps({"schema_version": 1, "hopf_algebras": [
-        _tensors_entry(sweedler(), "sw")]}))
+        tensors_entry(sweedler(), "sw")]}))
     code, doc, _ = run_cli(capsys, ["group-likes", "--workspace", str(path), "--object", "sw"])
     assert code == 0
     assert doc["result"] == {"count": 2, "elements": [["1/1", "0/1", "0/1", "0/1"],
@@ -642,7 +627,7 @@ def test_group_like_basis_field_is_rejected(tmp_path):
     # either interpreter flag, whatever the builder: no builder reads it
     path = tmp_path / "declared.json"
     path.write_text(json.dumps({"schema_version": 1, "hopf_algebras": [
-        _tensors_entry(sweedler(), "sw", group_like_basis=[0]),
+        tensors_entry(sweedler(), "sw", group_like_basis=[0]),
         {"name": "sw2", "builder": "sweedler", "group_like_basis": [0, 1]}]}))
     for flags in ([], ["-O"]):
         for obj in ("sw", "sw2"):

@@ -4,7 +4,8 @@
 block line and exit status the CLI produced when the corpus was recorded.
 Passing, failing (with witnesses), refused and error verdicts are all
 covered: the bundled fixtures, `--cap-d` variants, `golden/broken.json`
-(Hopf algebras entered with `verify: false` that break each axiom, and
+(Hopf algebras entered as `tensors` that break each axiom, which
+`verify-hopf` reports and other commands refuse at load, and
 explicit-matrix actions that break the module and closure checks) and
 `golden/duals.json` (the duals of Q[S3] and Q[A4], whose own duals are not
 commutative, and a rejected `group_like_basis` field).

@@ -59,8 +59,8 @@ def _mutated_sweedler():
         [0, 0, 0, 1],
         [0, 0, 1, 0],  # S(x) = +gx instead of -gx
     ]
-    return FinHopfAlgebra(4, h.names, h.mul, h.unit, h.comul, h.counit,
-                          bad_antipode, verify=False)
+    return FinHopfAlgebra(4, h.names, h.mul_entries(), h.unit, h.comul_entries(), h.counit,
+                          bad_antipode)
 
 
 def test_mutated_antipode_fails_with_witness_x():
@@ -70,10 +70,6 @@ def test_mutated_antipode_fails_with_witness_x():
     assert not ok
     assert witness == "x"
     assert not report.passed
-    with pytest.raises(ValueError):
-        FinHopfAlgebra(4, sweedler().names, sweedler().mul, sweedler().unit,
-                       sweedler().comul, sweedler().counit,
-                       _mutated_sweedler().antipode, verify=True)
 
 
 def test_cocommutativity():
@@ -103,15 +99,15 @@ def test_group_likes_of_sweedler_are_computed():
 def test_group_likes_of_sweedler_in_reversed_basis():
     # the same tensors on the basis gx, x, g, 1: the unit still comes first
     h = sweedler()
-    r = [3, 2, 1, 0]  # new basis element i is old basis element r[i]
+    r = [3, 2, 1, 0]  # new basis element i is old basis element r[i], and r = r^-1
     rev = FinHopfAlgebra(
         4, [h.names[k] for k in r],
-        [[[h.mul[r[i]][r[j]][r[k]] for k in range(4)] for j in range(4)] for i in range(4)],
+        [(r[i], r[j], r[k], c) for i, j, k, c in h.mul_entries()],
         [h.unit[k] for k in r],
-        [[h.comul[r[k]][r[i] * 4 + r[j]] for i in range(4) for j in range(4)]
-         for k in range(4)],
+        [(r[k], r[i], r[j], c) for k, i, j, c in h.comul_entries()],
         [h.counit[k] for k in r],
         [[h.antipode[r[i], r[j]] for j in range(4)] for i in range(4)])
+    assert verify_hopf_axioms(rev).passed
     assert group_likes(rev) == [(F(0), F(0), F(0), F(1)), (F(0), F(0), F(1), F(0))]
 
 
@@ -177,8 +173,9 @@ def test_quotient_sweedler_by_radical_is_qz2():
     hq = q.hopf
     z2 = group_algebra(cyclic_group_table(2))
     assert hq.dim == 2
-    assert hq.mul == z2.mul
-    assert hq.comul == z2.comul
+    assert verify_hopf_axioms(hq).passed
+    assert hq.mul_nonzero == z2.mul_nonzero
+    assert hq.comul_nonzero == z2.comul_nonzero
     assert hq.counit == z2.counit
     assert hq.unit == z2.unit
     assert hq.antipode == z2.antipode
@@ -189,8 +186,9 @@ def test_quotient_sweedler_by_radical_is_qz2():
 def test_quotient_by_zero_is_identity():
     hs = sweedler()
     q = quotient_hopf(hs, Subspace.zero(4))
-    assert q.hopf.mul == hs.mul
-    assert q.hopf.comul == hs.comul
+    assert verify_hopf_axioms(q.hopf).passed
+    assert q.hopf.mul_nonzero == hs.mul_nonzero
+    assert q.hopf.comul_nonzero == hs.comul_nonzero
     assert q.hopf.antipode == hs.antipode
 
 
@@ -201,6 +199,7 @@ def test_quotient_z4_by_square_relation():
     assert is_hopf_ideal(h, ideal) == (True, None)
     q = quotient_hopf(h, ideal)
     assert q.hopf.dim == 2
+    assert verify_hopf_axioms(q.hopf).passed
     rec = recognize_group_algebra(q.hopf)
     assert groups_are_isomorphic([list(r) for r in rec.table], cyclic_group_table(2))
 
@@ -216,14 +215,15 @@ def test_quotient_projection_preserves_structure_maps():
     ideal = Subspace.from_vectors(4, [[0, 0, 1, 0], [0, 0, 0, 1]])
     q = quotient_hopf(hs, ideal)
     hq = q.hopf
+    assert verify_hopf_axioms(hq).passed
     for i in range(4):
         for j in range(4):
-            lhs = q.project(hs.mul[i][j])
+            lhs = q.project(hs.multiply(hs.basis_vector(i), hs.basis_vector(j)))
             rhs = hq.multiply(q.project(hs.basis_vector(i)),
                               q.project(hs.basis_vector(j)))
             assert lhs == rhs
     for k in range(4):
-        t = hs.comul[k]
+        t = hs.comul_of(hs.basis_vector(k))
         pushed = [F(0)] * (hq.dim ** 2)
         for it, val in enumerate(t):
             if val == 0:
@@ -250,8 +250,9 @@ def test_dual_hopf():
     assert d.multiply(d.basis_vector(0), d.basis_vector(0)) == d.basis_vector(0)
     assert d.multiply(d.basis_vector(0), d.basis_vector(1)) == [F(0), F(0)]
     dd = dual_hopf(d)
-    assert dd.mul == z2.mul
-    assert dd.comul == z2.comul
+    assert verify_hopf_axioms(dd).passed
+    assert dd.mul_nonzero == z2.mul_nonzero
+    assert dd.comul_nonzero == z2.comul_nonzero
     assert dd.counit == z2.counit
     assert dd.unit == z2.unit
     assert dd.antipode == z2.antipode
@@ -265,10 +266,14 @@ def test_invalid_group_tables_rejected():
         group_algebra([[0, 1], [1, 1]])  # second row is not a permutation
 
 
-def test_builder_output_is_verified():
-    for h in all_group_algebras().values():
-        assert h.verified
-    assert sweedler().verified
+def test_builder_output_passes_the_axioms():
+    # the builders do not check their output; each is Hopf by construction
+    for name, h in all_group_algebras().items():
+        for built in (h, dual_hopf(h), dual_hopf(dual_hopf(h)),
+                      quotient_hopf(h, augmentation_ideal(h)).hopf):
+            assert verify_hopf_axioms(built).passed, (name, built)
+    for built in (sweedler(), dual_hopf(sweedler())):
+        assert verify_hopf_axioms(built).passed
 
 
 def test_group_likes_closed_under_multiplication():

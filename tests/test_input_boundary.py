@@ -1,0 +1,231 @@
+"""Structure constants are checked once, where they enter the program.
+
+The builders of `hopfva.hopf` make Hopf algebras by construction and do not
+check them; a `tensors` entry of a workspace is checked against the Hopf
+axioms when it loads, and a failure is an input error (exit 4) naming the
+object, the first failing axiom and its witness.  `verify-hopf` and
+`cocommutative` build their object as entered and examine it themselves.
+"""
+
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+from conftest import tensors_entry
+from hopfva import cli, hopf
+from hopfva.hopf import (
+    augmentation_ideal,
+    dual_hopf,
+    group_algebra,
+    group_likes,
+    quotient_hopf,
+    recognize_group_algebra,
+    sweedler,
+    symmetric_group_table,
+)
+from hopfva.scalars import scalar_to_text
+
+QZ2 = {"name": "h", "builder": "tensors", "dim": 2, "basis": ["e", "g"],
+       "mul": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"], [1, 1, 0, "1"]],
+       "comul": [[0, 0, 0, "1"], [1, 1, 1, "1"]], "unit": ["1", "0"],
+       "counit": ["1", "1"], "antipode": [[0, 0, "1"], [1, 1, "1"]]}
+NO_ANTIPODE_OF_G = dict(QZ2, antipode=[[0, 0, "1"]])
+G_SQUARED_IS_G = dict(QZ2, mul=[[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"],
+                                [1, 1, 1, "1"]])
+
+
+def _workspace(tmp_path, *hopf_entries):
+    """A workspace with the given Hopf entries, the backend (Q[x], x d/dx)
+    and the action `a` of `h` on it by g x = -x."""
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "hopf_algebras": list(hopf_entries),
+        "backends": [{"name": "xddx", "variables": ["x"], "derivation": {"x": "x"},
+                      "degree_cap": 3}],
+        "actions": [{"name": "a", "hopf": "h", "backend": "xddx",
+                     "generator_images": {"g": {"x": "-1*x"}}}]}))
+    return str(path)
+
+
+def _run(capsys, command, ws, obj, *extra):
+    code = cli.main([command, "--workspace", ws, "--object", obj, "--json-only", *extra])
+    return code, json.loads(capsys.readouterr().out.splitlines()[0])
+
+
+# --- no answer on structure constants that fail an axiom -------------------------
+
+
+@pytest.mark.parametrize("command,obj", [
+    ("recognize-group-algebra", "h"), ("thm-5-1", "a"), ("inner-faithful", "a")])
+def test_a_missing_antipode_entry_is_an_input_error(capsys, tmp_path, command, obj):
+    # Q[Z/2] without S(g): these commands answered group_algebra true, PASS
+    # and inner faithful, with exit 0, while the structure is not Hopf
+    code, doc = _run(capsys, command, _workspace(tmp_path, NO_ANTIPODE_OF_G), obj)
+    assert code == 4
+    assert doc["result"] == {"error": "NotHopfAlgebra", "message":
+                             "Hopf algebra 'h' fails the Hopf axiom antipode-left at g"}
+
+
+def test_an_idempotent_g_is_an_input_error(capsys, tmp_path):
+    # with g g = g, group-likes listed two group-likes with exit 0
+    code, doc = _run(capsys, "group-likes", _workspace(tmp_path, G_SQUARED_IS_G), "h")
+    assert code == 4
+    assert doc["result"] == {"error": "NotHopfAlgebra", "message":
+                             "Hopf algebra 'h' fails the Hopf axiom antipode-left at g"}
+
+
+def test_verify_hopf_reports_every_axiom_of_the_entry_as_entered(capsys, tmp_path):
+    code, doc = _run(capsys, "verify-hopf", _workspace(tmp_path, NO_ANTIPODE_OF_G), "h")
+    assert code == 3
+    failed = {"antipode-left": "g", "antipode-right": "g"}
+    assert doc["result"]["axioms"] == {
+        axiom: {"ok": axiom not in failed, "witness": failed.get(axiom)}
+        for axiom in ("associativity", "unit", "coassociativity", "counit",
+                      "comul-is-algebra-map", "counit-is-algebra-map",
+                      "antipode-left", "antipode-right")}
+    # cocommutative reads the coproduct alone, which is that of Q[Z/2]
+    assert _run(capsys, "cocommutative", _workspace(tmp_path, NO_ANTIPODE_OF_G), "h") == (
+        0, {"command": "cocommutative", "object": "h", "schema_version": 1, "status": "pass",
+            "result": {"cocommutative": True, "witness": None}})
+
+
+def test_the_verify_field_is_gone(capsys, tmp_path):
+    code, doc = _run(capsys, "verify-hopf",
+                     _workspace(tmp_path, dict(NO_ANTIPODE_OF_G, verify=False)), "h")
+    assert code == 4
+    assert doc["result"] == {"error": "ParseError", "message":
+                             "Hopf algebra 'h': the tensors builder reads no field 'verify'"}
+
+
+# --- a malformed Hopf section is an input error, not a traceback -----------------
+
+QZ2_TABLE = {"name": "h", "builder": "group_algebra", "table": [[0, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize("entry,message", [
+    (dict(QZ2, basis=5), "basis must be a list of names, got 5"),
+    (dict(QZ2, mul=5), "mul must be a list of entries, got 5"),
+    (dict(QZ2, mul=[[0, 0, 0, "1"], 5]),
+     "mul entry 1 must be a list of 3 indices and a scalar, got 5"),
+    (dict(QZ2, unit=5), "unit must be a list of 2 scalars, got 5"),
+    (dict(QZ2_TABLE, element_names=5), "element_names must be a list of 2 names, got 5"),
+    (dict(QZ2_TABLE, element_names=["e"]),
+     "element_names must be a list of 2 names, got ['e']"),
+    (dict(QZ2_TABLE, table="ab"),
+     "table must be a list of rows of element indices, got 'ab'"),
+    (dict(QZ2, mul=[[0, 0, 0, "1"], [0, 1]]),
+     "mul entry 1 must be a list of 3 indices and a scalar, got [0, 1]"),
+    (dict(QZ2, comul=[[0, 0, 0]]),
+     "comul entry 0 must be a list of 3 indices and a scalar, got [0, 0, 0]"),
+    (dict(QZ2, antipode=[[0, 0, "1"], [1, "1"]]),
+     "antipode entry 1 must be a list of 2 indices and a scalar, got [1, '1']"),
+    ({k: v for k, v in QZ2.items() if k != "dim"}, "needs the field 'dim'"),
+    ({k: v for k, v in QZ2.items() if k != "counit"}, "needs the field 'counit'"),
+], ids=["number-basis", "number-mul", "number-mul-entry", "number-unit",
+        "number-element-names", "short-element-names", "string-table", "short-mul-entry",
+        "short-comul-entry", "short-antipode-entry", "no-dim", "no-counit"])
+def test_a_malformed_hopf_entry_is_a_parse_error(capsys, tmp_path, entry, message):
+    code, doc = _run(capsys, "verify-hopf", _workspace(tmp_path, entry), "h")
+    assert code == 4
+    assert doc["result"] == {"error": "ParseError", "message": f"Hopf algebra 'h': {message}"}
+
+
+def test_a_string_group_table_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"schema_version": 1, "groups": [{"name": "z2", "table": "ab"}],
+                                "hopf_algebras": [{"name": "h", "builder": "group_algebra",
+                                                   "group": "z2"}]}))
+    code, doc = _run(capsys, "verify-hopf", str(path), "h")
+    assert code == 4
+    assert doc["result"] == {"error": "ParseError", "message":
+                             "group 'z2': table must be a list of rows of element indices, "
+                             "got 'ab'"}
+
+
+# --- seeded single-entry corruptions are caught at load and by verify-hopf -------
+
+ALGEBRAS = {"qs3": lambda: group_algebra(symmetric_group_table(3)), "sweedler": sweedler,
+            "qs3-dual": lambda: dual_hopf(group_algebra(symmetric_group_table(3)))}
+
+
+def _corrupted(h, field, rng):
+    """A tensors entry of `h` with one entry of `field` moved by a nonzero
+    rational, its first index (product row, coproduct or antipode column)
+    off b_0, the unit of Q[S3] and of Sweedler's algebra."""
+    entry = tensors_entry(h, "c")
+    width = {"mul": 3, "comul": 3, "antipode": 2}[field]
+    index = [rng.randrange(1, h.dim)] + [rng.randrange(h.dim) for _ in range(width - 1)]
+    if field == "antipode":
+        index.reverse()   # [i, j] is the entry S(b_j) has at b_i
+    delta = Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 2, 3]))
+    old = next((e for e in entry[field] if e[:-1] == index), None)
+    value = delta + (Fraction(old[-1]) if old else 0)
+    entry[field] = [e for e in entry[field] if e is not old] + [[*index, scalar_to_text(value)]]
+    return entry
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("field", ["mul", "comul", "antipode"])
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_a_single_corrupted_entry_is_caught(capsys, tmp_path, name, field, seed):
+    entry = _corrupted(ALGEBRAS[name](), field, random.Random(f"{name}-{field}-{seed}"))
+    path = tmp_path / "corrupted.json"
+    path.write_text(json.dumps({"schema_version": 1, "hopf_algebras": [entry]}))
+    code, report = _run(capsys, "verify-hopf", str(path), "c")
+    assert code == 3
+    code, doc = _run(capsys, "group-likes", str(path), "c")
+    assert code == 4 and doc["result"]["error"] == "NotHopfAlgebra"
+    # the load check names the first axiom verify-hopf reports failing
+    axiom, witness = doc["result"]["message"].split(" fails the Hopf axiom ")[1].split(" at ")
+    assert report["result"]["axioms"][axiom] == {"ok": False, "witness": witness}
+
+
+# --- the work each structure costs ------------------------------------------------
+
+
+@pytest.fixture
+def axiom_checks(monkeypatch):
+    """The Hopf algebras `verify_hopf_axioms` is called on, in order."""
+    calls = []
+    check = hopf.verify_hopf_axioms
+    monkeypatch.setattr(hopf, "verify_hopf_axioms", lambda h: calls.append(h) or check(h))
+    return calls
+
+
+def test_builders_run_no_axiom_check(axiom_checks):
+    h = group_algebra(symmetric_group_table(3))
+    quotient_hopf(h, augmentation_ideal(h))
+    dual = dual_hopf(h)
+    group_likes(dual)
+    recognize_group_algebra(h)
+    dual_hopf(sweedler())
+    assert axiom_checks == []
+
+
+def test_cli_checks_each_entry_once(capsys, tmp_path, axiom_checks):
+    ws = _workspace(tmp_path, QZ2, {"name": "hd", "builder": "dual", "of": "h"},
+                    {"name": "q", "builder": "group_algebra", "table": [[0, 1], [1, 0]]},
+                    {"name": "qd", "builder": "dual", "of": "q"})
+    expected = [  # (command, object, checks)
+        ("group-likes", "h", 1),       # the tensors entry, at load
+        ("thm-5-1", "a", 1),           # the same, loaded for its action
+        ("verify-hopf", "h", 1),       # built as entered, checked by the command
+        ("cocommutative", "h", 0),
+        ("recognize-group-algebra", "qd", 0),
+        ("verify-hopf", "qd", 1),
+        ("verify-hopf", "hd", 2),      # h at load, then its dual
+    ]
+    for command, obj, checks in expected:
+        del axiom_checks[:]
+        code, _ = _run(capsys, command, ws, obj)
+        assert code == 0, (command, obj)
+        assert len(axiom_checks) == checks, (command, obj)
+
+
+def test_q_s5_is_built_sparse():
+    h = group_algebra(symmetric_group_table(5))
+    dual = dual_hopf(h)
+    assert [sum(1 for _ in a.mul_entries()) for a in (h, dual)] == [14_400, 120]
+    assert [sum(1 for _ in a.comul_entries()) for a in (h, dual)] == [120, 14_400]
