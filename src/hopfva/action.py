@@ -29,13 +29,14 @@ from .errors import (
 from .hopf import (
     FinHopfAlgebra,
     HopfQuotient,
+    QuotientMap,
+    ideal_escapes,
     is_cocommutative,
     is_hopf_ideal,
-    mixed_tensor_span,
     quotient_hopf,
     recognize_group_algebra,
 )
-from .linalg import Matrix, Subspace, linear_combination
+from .linalg import Matrix, Subspace, linear_combination, nonzero_pairs
 from .vertexalg import CommDiffVA, Poly, pi2_kernel, poly_to_text
 
 _ZERO = Fraction(0)
@@ -154,9 +155,7 @@ class HopfAction:
                 out = Poly.const(nvars, hopf.counit[bi])
             else:
                 var = next(i for i, k in enumerate(mono) if k)
-                rest = list(mono)
-                rest[var] -= 1
-                rest = tuple(rest)
+                rest = mono[:var] + (mono[var] - 1,) + mono[var + 1:]
                 out = Poly.zero(nvars)
                 for t, c in hopf.comul_nonzero[bi]:
                     p, q = divmod(t, d)
@@ -367,11 +366,8 @@ def action_annihilator(act: HopfAction) -> AnnihilatorResult:
 
     def annihilator_at(limit):
         keep = [i for i, e in enumerate(act.monomials) if sum(e) <= limit]
-        rows = []
-        for r in keep:
-            for c in keep:
-                rows.append([act.matrices[bi][r, c] for bi in range(h.dim)])
-        return Matrix.from_rows(rows).kernel()
+        return Matrix.from_rows([[act.matrices[bi][r, c] for bi in range(h.dim)]
+                                 for r in keep for c in keep]).kernel()
 
     cap = act.backend.degree_cap
     kern = annihilator_at(cap)
@@ -382,32 +378,26 @@ def action_annihilator(act: HopfAction) -> AnnihilatorResult:
 
 
 def maximal_hopf_ideal_in(hopf: FinHopfAlgebra, sub: Subspace) -> Subspace:
-    """Largest Hopf ideal inside a two-sided ideal, by shrinking iteration."""
-    d = hopf.dim
-    for v in sub.basis:
-        for i in range(d):
-            if not sub.contains(hopf.multiply(hopf.basis_vector(i), list(v))) or \
-                    not sub.contains(hopf.multiply(list(v), hopf.basis_vector(i))):
-                raise NotAnIdeal(
-                    f"subspace is not a two-sided ideal (fails at {hopf.names[i]})")
-    current = sub
-    while True:
-        if current.is_zero():
-            return current
-        r = current.dim
-        mixed = mixed_tensor_span(d, current.basis)
+    """Largest Hopf ideal inside a two-sided ideal, by shrinking iteration:
+    each step keeps the combinations of the current basis on which eps,
+    pi o S and (pi (x) pi) o Delta vanish, pi the current quotient map."""
+    current, pi = sub, QuotientMap(sub)
+    for i, _ in ideal_escapes(hopf, sub, pi):
+        raise NotAnIdeal(f"subspace is not a two-sided ideal (fails at {hopf.names[i]})")
+    while not current.is_zero():
+        columns = [{("S", a): c for a, c in pi.of(nonzero_pairs(hopf.antipode_of(v))).items()}
+                   | {("Delta", t): c for t, c in pi.of_tensor(hopf.comul_terms(v)).items()}
+                   for v in current.basis]
+        keys = sorted({key for col in columns for key in col})
         rows = [[hopf.counit_of(v) for v in current.basis]]
-        s_resid = [current.reduce(hopf.antipode_of(v)) for v in current.basis]
-        for coord in range(d):
-            rows.append([s_resid[c][coord] for c in range(r)])
-        c_resid = [mixed.reduce(hopf.comul_of(v)) for v in current.basis]
-        for coord in range(d * d):
-            rows.append([c_resid[c][coord] for c in range(r)])
+        rows += ([col.get(key, _ZERO) for col in columns] for key in keys)
         coeff_kernel = Matrix.from_rows(rows).kernel()
-        if coeff_kernel.dim == r:
-            return current
+        if coeff_kernel.dim == current.dim:
+            break
         current = Subspace.from_vectors(
-            d, [linear_combination(lam, current.basis) for lam in coeff_kernel.basis])
+            hopf.dim, [linear_combination(lam, current.basis) for lam in coeff_kernel.basis])
+        pi = QuotientMap(current)
+    return current
 
 
 def is_inner_faithful(act: HopfAction) -> bool:
@@ -429,7 +419,7 @@ def inner_faithful_quotient(act: HopfAction) -> InnerFaithfulQuotient:
     ideal = maximal_hopf_ideal_in(act.hopf, ann)
     q = quotient_hopf(act.hopf, ideal)
     # the quotient's basis element a is the coset of H's basis element complement[a]
-    mats = [act.rho(act.hopf.basis_vector(j)) for j in q.complement]
+    mats = [act.rho(act.hopf.basis_vector(j)) for j in q.pi.complement]
     induced = HopfAction(q.hopf, act.backend, mats)
     before, _ = fixed_subspace(act)
     after, _ = fixed_subspace(induced)
@@ -495,11 +485,7 @@ def tensor_power_faithfulness(act: HopfAction, s_max, budget=512) -> TensorFaith
         if table:
             require(dim <= table[-1], "tensor-power annihilators must shrink")
         table.append(dim)
-    s0 = 1
-    for s in range(len(table) - 1, 0, -1):
-        if table[s] != table[s - 1]:
-            s0 = s + 1
-            break
+    s0 = next((s + 1 for s in range(len(table) - 1, 0, -1) if table[s] != table[s - 1]), 1)
     return TensorFaithfulnessResult(table=table, stabilization_index=s0)
 
 

@@ -68,17 +68,23 @@ Caps = make_dataclass("Caps", [(o.field, int, o.default) for o in OPTIONS.values
 
 
 def _scalar(text, what):
-    """The scalar written as `text`; a ParseError naming `what` if it is not a string."""
+    """The scalar written as `text`; a ParseError naming `what` if it is not one."""
     if not isinstance(text, str):
         raise ParseError(f"{what}: a scalar must be a string such as \"1/2\", got {text!r}")
-    return scalar_from_text(text)
+    try:
+        return scalar_from_text(text)
+    except ValueError as exc:
+        raise ParseError(f"{what}: {exc}") from None
 
 
 def _poly(text, variables, what):
-    """The polynomial written as `text`; a ParseError naming `what` if it is not a string."""
+    """The polynomial written as `text`; a ParseError naming `what` if it is not one."""
     if not isinstance(text, str):
         raise ParseError(f"{what}: a polynomial must be a string such as \"x^2\", got {text!r}")
-    return poly_from_text(text, variables)
+    try:
+        return poly_from_text(text, variables)
+    except ValueError as exc:
+        raise ParseError(f"{what}: {exc}") from None
 
 
 def _reference(ws, section, d, field, owner):
@@ -115,6 +121,32 @@ def _group_table(value, what):
                                           for x in row) for row in value)):
         raise ParseError(f"{what} must be a list of rows of element indices, got {value!r}")
     return value
+
+
+def _of_type(value, kind, what, noun):
+    """`value` if it is a `kind` (list or dict); a ParseError saying that
+    `what` must be `noun` if not."""
+    if not isinstance(value, kind):
+        raise ParseError(f"{what} must be {noun}, got {value!r}")
+    return value
+
+
+def _basis_map(value, h, what):
+    """`value` if it is an object keyed by basis elements of `h`; a
+    ParseError naming `what` if not."""
+    _of_type(value, dict, what, "an object keyed by basis elements")
+    for key in value:
+        if key not in h.names:
+            raise ParseError(f"{what} names {key!r}, which is not a basis element "
+                             f"of the Hopf algebra {list(h.names)}")
+    return value
+
+
+def _matrix_rows(value, what):
+    """The rows of scalars of a matrix written as a list of rows of scalar
+    strings; a ParseError naming `what` if it is not one."""
+    return [[_scalar(c, what) for c in _of_type(row, list, what, "a list of rows of scalars")]
+            for row in _of_type(value, list, what, "a list of rows of scalars")]
 
 
 def _integer(value, least, what):
@@ -172,9 +204,7 @@ def _hopf_from_tensors(what, d):
     names = _names(d.get("basis", [f"b{i}" for i in range(dim)]), None, f"{what}: basis")
 
     def entries(field, width):
-        value = _field(d, field, what)
-        if not isinstance(value, list):
-            raise ParseError(f"{what}: {field} must be a list of entries, got {value!r}")
+        value = _of_type(_field(d, field, what), list, f"{what}: {field}", "a list of entries")
         out = []
         for pos, entry in enumerate(value):
             if not (isinstance(entry, list) and len(entry) == width):
@@ -187,10 +217,8 @@ def _hopf_from_tensors(what, d):
         return out
 
     def vector(field):
-        value = _field(d, field, what)
-        if not isinstance(value, list):
-            raise ParseError(f"{what}: {field} must be a list of {dim} scalars, "
-                             f"got {value!r}")
+        value = _of_type(_field(d, field, what), list, f"{what}: {field}",
+                         f"a list of {dim} scalars")
         if len(value) != dim:
             raise ShapeMismatch(f"{field} has {len(value)} entries for dimension {dim}")
         return [_scalar(s, f"{what}: {field}") for s in value]
@@ -227,26 +255,33 @@ def _backend(ws, name, d):
 
 
 def _action(ws, name, d):
-    h = _reference(ws, "hopf_algebras", d, "hopf", f"action {name!r}")
-    backend = _reference(ws, "backends", d, "backend", f"action {name!r}")
+    what = f"action {name!r}"
+    h = _reference(ws, "hopf_algebras", d, "hopf", what)
+    backend = _reference(ws, "backends", d, "backend", what)
+    variables = list(backend.variables)
     if "generator_images" in d:
         images = {}
-        for bname, per_var in d["generator_images"].items():
-            images[bname] = {v: _poly(t, list(backend.variables),
-                                      f"action {name!r}: the image of {v} under {bname}")
+        for bname, per_var in _basis_map(d["generator_images"], h,
+                                         f"{what}: generator_images").items():
+            field = f"{what}: generator_images of {bname}"
+            if set(_of_type(per_var, dict, field, "an object mapping variables to "
+                                                  "polynomials")) != set(variables):
+                raise ParseError(f"{field} must map exactly the variables {variables}, "
+                                 f"got {per_var!r}")
+            images[bname] = {v: _poly(t, variables, f"{what}: the image of {v} under {bname}")
                              for v, t in per_var.items()}
         return action_mod.HopfAction.from_generator_images(h, backend, images)
     if "matrices" in d:
         if ws.caps.degree is not None:
             raise ParseError(
                 f"action {name!r} has explicit matrices; --cap-d cannot re-cap it")
+        matrices = _basis_map(d["matrices"], h, f"{what}: matrices")
         n = len(backend.monomials())
         mats = []
         for bname in h.names:
-            if bname not in d["matrices"]:
+            if bname not in matrices:
                 raise ShapeMismatch(f"action {name!r}: no matrix for basis element {bname!r}")
-            rows = [[_scalar(c, f"action {name!r}: the matrix of {bname}") for c in row]
-                    for row in d["matrices"][bname]]
+            rows = _matrix_rows(matrices[bname], f"{what}: the matrix of {bname}")
             if len(rows) != n or any(len(row) != n for row in rows):
                 widths = sorted({len(row) for row in rows}) or [0]
                 shape = f"{len(rows)}x{'/'.join(map(str, widths))}"
@@ -259,26 +294,36 @@ def _action(ws, name, d):
 
 
 def _chartable(ws, name, d):
+    what = f"character table {name!r}"
     # index elements as the group algebra of this group does
-    order, table = hopf_mod.relabel_identity_first(
-        _reference(ws, "groups", d, "group", f"character table {name!r}"))
+    order, table = hopf_mod.relabel_identity_first(_reference(ws, "groups", d, "group", what))
     pos = {old: new for new, old in enumerate(order)}
-    classes = [[pos.get(g, g) for g in c] for c in d["classes"]]
+    classes = [[pos.get(g, g) for g in c]
+               for c in _group_table(_field(d, "classes", what), f"{what}: classes")]
     chars = []
-    for ch in d["characters"]:
-        what = f"character table {name!r}: character {ch['name']!r}"
+    entries = _of_type(_field(d, "characters", what), list, f"{what}: characters",
+                       "a list of objects")
+    for k, ch in enumerate(entries):
+        ch = _of_type(ch, dict, f"{what}: character {k}", "an object")
+        ch_name = _field(ch, "name", f"{what}: character {k}")
+        if not isinstance(ch_name, str):
+            raise ParseError(f"{what}: character {k}: name must be a string, got {ch_name!r}")
+        owner = f"{what}: character {ch_name!r}"
         mats = None
         if "matrices" in ch:
-            if len(ch["matrices"]) != len(order):
-                raise ParseError(f"character {ch['name']!r} needs one matrix "
+            if not (isinstance(ch["matrices"], list) and len(ch["matrices"]) == len(order)):
+                raise ParseError(f"{owner}: matrices must be a list of one matrix "
                                  f"per group element")
-            mats = tuple(Matrix.from_rows(
-                [[_scalar(c, what) for c in row] for row in ch["matrices"][old]])
-                for old in order)
+            mats = tuple(Matrix.from_rows(_matrix_rows(ch["matrices"][old], f"{owner}: matrices"))
+                         for old in order)
+        values = _of_type(_field(ch, "values", owner), list, f"{owner}: values",
+                          "a list of scalars")
+        if len(values) != len(classes):
+            raise ParseError(f"{owner}: values must give one scalar for each of the "
+                             f"{len(classes)} classes, got {values!r}")
         chars.append(sw_mod.IrrepCharacter(
-            name=ch["name"], degree=ch["degree"],
-            values=tuple(_scalar(v, what) for v in ch["values"]),
-            matrices=mats))
+            name=ch_name, degree=_integer(_field(ch, "degree", owner), 1, f"{owner}: degree"),
+            values=tuple(_scalar(v, f"{owner}: values") for v in values), matrices=mats))
     table = sw_mod.CharacterTable(table, classes, chars)
     for check, (ok, witness) in sw_mod.verify_character_table(table).items():
         if not ok:
@@ -534,7 +579,7 @@ class _Commands:
 
     def reach(ws, args):
         rep = _group_rep(ws, args)
-        seed_poly = poly_from_text(args.seed, list(rep.backend.variables))
+        seed_poly = _poly(args.seed, list(rep.backend.variables), "--seed")
         res = sw_mod.cyclic_reachability(rep, ws.get("character_tables", args.characters),
                                          args.irrep, seed_poly, ws.caps.mode_budget)
         return "pass", {"reachable_dim": res.reachable.dim, "isotype_dim": res.isotype.dim,

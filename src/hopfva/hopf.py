@@ -17,6 +17,13 @@ is validated), `sweedler` (a constant), `dual_hopf` (each Hopf axiom of H,
 transposed, is one of H*) and `quotient_hopf` (H/I is Hopf once
 `is_hopf_ideal` has passed).
 
+Every test modulo an ideal I, held as its RREF Subspace, reads one
+`QuotientMap` pi: H -> H/I, each b_j sent to its coset over the basis
+elements off I's pivots: x is in I iff pi(x) = 0, and Delta(x) is in
+H(x)I + I(x)H iff (pi (x) pi)(Delta(x)) = 0, as ker(pi (x) pi) is that
+span (Montgomery, CBMS 82, ch. 1), so nothing is built over H (x) H.
+`quotient_hopf` and `group_likes` read H/I through the same map.
+
 Group-likes are computed for every H, as the characters of H*: G(H) =
 Alg(H*, F) = Alg(H*/I, F) for I the two-sided ideal of H* generated by its
 commutators.  The commutative algebra H*/I splits into primitive
@@ -43,7 +50,6 @@ from .linalg import (
     Matrix,
     Subspace,
     is_associative_at,
-    linear_combination,
     nonzero_pairs,
     split_commutative_algebra,
 )
@@ -116,30 +122,26 @@ class FinHopfAlgebra:
         return _product(self.mul_nonzero, u, v)
 
     def comul_of(self, vec):
-        d = self.dim
-        out = [_ZERO] * (d * d)
-        for k, a in enumerate(vec):
-            if a:
-                for t, c in self.comul_nonzero[k]:
-                    out[t] += a * c
+        out = [_ZERO] * (self.dim * self.dim)
+        for t, v in self.comul_terms(vec):
+            out[t] += v
         return out
 
+    def comul_terms(self, vec):
+        """The (i d + j, value) terms of Delta(vec), one per nonzero
+        coordinate of vec and entry of its coproduct, not summed."""
+        comul = self.comul_nonzero
+        return [(t, a * c) for k, a in nonzero_pairs(vec) for t, c in comul[k]]
+
     def counit_of(self, vec):
-        out = _ZERO
-        for a, e in zip(vec, self.counit):
-            if a != 0 and e != 0:
-                out = out + a * e
-        return out
+        return sum((a * e for a, e in zip(vec, self.counit) if a != 0 and e != 0), _ZERO)
 
     def antipode_of(self, vec):
         return self.antipode.apply(list(vec))
 
     def element_text(self, vec):
-        parts = []
-        for c, name in zip(vec, self.names):
-            if c != 0:
-                parts.append(f"{scalar_pretty(c)}*{name}")
-        return " + ".join(parts) if parts else "0"
+        return " + ".join(f"{scalar_pretty(c)}*{name}"
+                          for c, name in zip(vec, self.names) if c != 0) or "0"
 
     def __repr__(self):
         return f"FinHopfAlgebra(dim {self.dim}, basis {list(self.names)})"
@@ -352,9 +354,9 @@ def group_likes(h: FinHopfAlgebra, conductor=1):
     dual = dual_hopf(h).mul_nonzero
     commutators = [[x - y for x, y in zip(_dense(dual[i][j], d), _dense(dual[j][i], d))]
                    for i in range(d) for j in range(i) if dual[i][j] != dual[j][i]]
-    ideal = _ideal_generated(dual, commutators)
-    complement, projection, quotient = _quotient_algebra(dual, ideal)
-    dq = len(complement)
+    pi = QuotientMap(_ideal_generated(dual, commutators))
+    quotient = pi.products(dual)
+    dq = len(pi.complement)
     mult = [[_dense(pairs, dq) for pairs in row] for row in quotient]
     likes = []
     for p in split_commutative_algebra(mult, dq, conductor=conductor):
@@ -367,7 +369,7 @@ def group_likes(h: FinHopfAlgebra, conductor=1):
             require(all(yc == c * pc if pc else not yc for yc, pc in zip(y, p)),
                     "idempotent block is not 1-dimensional")
             chi.append(c)
-        g = linear_combination(chi, projection.row_lists())  # g_j = chi(b*_j + I)
+        g = [sum((chi[a] * c for a, c in image), _ZERO) for image in pi.images]
         require(h.comul_of(g) == _square(g) and h.counit_of(g) == 1,
                 "a character of the dual failed the group-like check")
         likes.append(tuple(g))
@@ -432,61 +434,100 @@ def augmentation_ideal(h: FinHopfAlgebra) -> Subspace:
     return Matrix.from_rows([list(h.counit)]).kernel()
 
 
+class QuotientMap:
+    """The quotient map pi: H -> H/I of an ideal I held as its RREF Subspace.
+
+    H/I has the basis b_c + I for the indices c off I's pivots, listed in
+    `complement`, and `images[j]` holds the nonzero (a, value) pairs of
+    b_j + I over it: a complement index maps to its own coset, the pivot p
+    of basis row r to -sum_c row_r[c] (b_c + I).
+    """
+
+    __slots__ = ("complement", "images")
+
+    def __init__(self, ideal: Subspace):
+        rows = dict(zip(ideal.pivots, ideal.basis))
+        self.complement = tuple(j for j in range(ideal.ambient) if j not in rows)
+        position = {c: a for a, c in enumerate(self.complement)}
+        self.images = tuple(
+            [(position[j], 1)] if j in position else
+            nonzero_pairs([-rows[j][c] for c in self.complement])
+            for j in range(ideal.ambient))
+
+    def of(self, terms):
+        """pi(sum v b_k) for the (k, v) pairs `terms`, as a dict without zeros."""
+        images = self.images
+        return _sum((a, v * c) for k, v in terms for a, c in images[k])
+
+    def of_tensor(self, terms):
+        """(pi (x) pi)(sum v b_i (x) b_j) for the (i d + j, v) pairs `terms`,
+        as a dict over the pair basis of H/I without zeros."""
+        images, d, dq = self.images, len(self.images), len(self.complement)
+        return _sum((a * dq + b, v * ca * cb) for t, v in terms
+                    for a, ca in images[t // d] for b, cb in images[t % d])
+
+    def project(self, vec):
+        """pi(vec) as a coordinate list over the complement basis."""
+        return _dense(self.of(nonzero_pairs(vec)).items(), len(self.complement))
+
+    def products(self, nonzero):
+        """The nonzero pairs of each product of two complement cosets, for
+        the algebra whose b_i b_j has the nonzero pairs `nonzero[i][j]`."""
+        return [[_pairs(self.of(nonzero[a][b])) for b in self.complement]
+                for a in self.complement]
+
+
+def ideal_escapes(h: FinHopfAlgebra, ideal: Subspace, pi: QuotientMap):
+    """(i, witness) where b_i v and then where v b_i leaves I, for v over
+    I's basis and then i ascending; pi is I's quotient map."""
+    mul = h.mul_nonzero
+    for v in ideal.basis:
+        nv = nonzero_pairs(v)
+        for i, row in enumerate(mul):
+            if pi.of((k, a * c) for j, a in nv for k, c in row[j]):
+                yield i, f"HI escapes I at ({h.names[i]}, {h.element_text(v)})"
+            if pi.of((k, a * c) for j, a in nv for k, c in mul[j][i]):
+                yield i, f"IH escapes I at ({h.element_text(v)}, {h.names[i]})"
+
+
+def _bialgebra_failures(h, ideal, pi):
+    """The witness texts of the bialgebra-ideal conditions I fails, in order."""
+    yield from (why for _, why in ideal_escapes(h, ideal, pi))
+    yield from (f"eps({h.element_text(v)}) != 0" for v in ideal.basis if h.counit_of(v) != 0)
+    yield from (f"Delta({h.element_text(v)}) escapes H(x)I + I(x)H"
+                for v in ideal.basis if pi.of_tensor(h.comul_terms(v)))
+
+
+def _hopf_failures(h, ideal, pi):
+    """The witness texts of the Hopf-ideal conditions I fails, in order."""
+    yield from _bialgebra_failures(h, ideal, pi)
+    yield from (f"S({h.element_text(v)}) escapes I"
+                for v in ideal.basis if pi.of(nonzero_pairs(h.antipode_of(v))))
+
+
 def is_bialgebra_ideal(h: FinHopfAlgebra, ideal: Subspace):
-    """Checks HI, IH, eps(I) = 0 and Delta(I) in H(x)I + I(x)H; returns
-    (ok, failing-condition description)."""
-    d = h.dim
-    for v in ideal.basis:
-        for i in range(d):
-            if not ideal.contains(h.multiply(h.basis_vector(i), list(v))):
-                return False, f"HI escapes I at ({h.names[i]}, {h.element_text(v)})"
-            if not ideal.contains(h.multiply(list(v), h.basis_vector(i))):
-                return False, f"IH escapes I at ({h.element_text(v)}, {h.names[i]})"
-    for v in ideal.basis:
-        if h.counit_of(v) != 0:
-            return False, f"eps({h.element_text(v)}) != 0"
-    mixed = mixed_tensor_span(d, ideal.basis)
-    for v in ideal.basis:
-        if not mixed.contains(h.comul_of(v)):
-            return False, f"Delta({h.element_text(v)}) escapes H(x)I + I(x)H"
-    return True, None
-
-
-def mixed_tensor_span(d, vectors):
-    """H (x) I + I (x) H over the pair basis, for I spanned by `vectors`."""
-    rows = []
-    for v in vectors:
-        for j in range(d):
-            left = [_ZERO] * (d * d)
-            right = [_ZERO] * (d * d)
-            for p, c in enumerate(v):
-                left[p * d + j] = c
-                right[j * d + p] = c
-            rows += (left, right)
-    return Subspace.from_vectors(d * d, rows)
+    """Checks HI, IH, eps(I) = 0 and Delta(I) in H(x)I + I(x)H as zero images
+    under pi and pi (x) pi; returns (ok, the first failing condition)."""
+    why = next(_bialgebra_failures(h, ideal, QuotientMap(ideal)), None)
+    return why is None, why
 
 
 def is_hopf_ideal(h: FinHopfAlgebra, ideal: Subspace):
-    ok, why = is_bialgebra_ideal(h, ideal)
-    if not ok:
-        return False, why
-    for v in ideal.basis:
-        if not ideal.contains(h.antipode_of(v)):
-            return False, f"S({h.element_text(v)}) escapes I"
-    return True, None
+    """`is_bialgebra_ideal` and then S(I) in I, as pi(S(I)) = 0."""
+    why = next(_hopf_failures(h, ideal, QuotientMap(ideal)), None)
+    return why is None, why
 
 
 @dataclass
 class HopfQuotient:
-    """H/I on the basis elements of H off I's pivots, and the projection map."""
+    """H/I on the basis elements of H off I's pivots, and the quotient map."""
 
     hopf: FinHopfAlgebra
     ideal: Subspace
-    complement: tuple
-    projection: Matrix  # (dim H/I) x (dim H)
+    pi: QuotientMap
 
     def project(self, vec):
-        return self.projection.apply(list(vec))
+        return self.pi.project(vec)
 
 
 def _ideal_generated(nonzero, generators):
@@ -507,51 +548,27 @@ def _ideal_generated(nonzero, generators):
     return ideal
 
 
-def _quotient_algebra(nonzero, ideal):
-    """(complement, projection, products) of A/I on the basis elements off
-    I's pivots, for b_i b_j with the nonzero pairs `nonzero[i][j]`:
-    projection column j is b_j + I, and products[a][b] holds the nonzero
-    pairs of the product of the a-th and b-th complement cosets."""
-    d = ideal.ambient
-    pivots = set(ideal.pivots)
-    complement = tuple(j for j in range(d) if j not in pivots)
-    projection = Matrix.from_columns(
-        [[reduced[c] for c in complement]
-         for reduced in (ideal.reduce(_basis_vector(d, j)) for j in range(d))])
-    images = [nonzero_pairs(projection.col(j)) for j in range(d)]  # b_j + I
-    products = [[_pairs(_sum((r, c * cr) for k, c in nonzero[a][b] for r, cr in images[k]))
-                 for b in complement] for a in complement]
-    return complement, projection, products
-
-
 def quotient_hopf(h: FinHopfAlgebra, ideal: Subspace) -> HopfQuotient:
-    """H/I on the complement basis of a Hopf ideal I, checked by
-    `is_hopf_ideal`; every Hopf axiom of H then holds in H/I."""
-    ok, why = is_hopf_ideal(h, ideal)
-    if not ok:
+    """H/I on the complement basis of a Hopf ideal I, checked as
+    `is_hopf_ideal` does; every Hopf axiom of H then holds in H/I.  Every
+    structure map of H/I is read through the one quotient map pi."""
+    pi = QuotientMap(ideal)
+    why = next(_hopf_failures(h, ideal, pi), None)
+    if why is not None:
         raise NotHopfIdeal(why)
-    d = h.dim
-    complement, projection, products = _quotient_algebra(h.mul_nonzero, ideal)
+    complement = pi.complement
     dq = len(complement)
-    project = projection.apply
-    images = [nonzero_pairs(projection.col(j)) for j in range(d)]  # b_j + I
-    coproducts = []
-    for c in complement:
-        terms = []
-        for t, val in h.comul_nonzero[c]:
-            i, j = divmod(t, d)
-            terms += ((r * dq + s, val * cr * cs) for r, cr in images[i] for s, cs in images[j])
-        coproducts.append(_sum(terms))
     return HopfQuotient(
         hopf=FinHopfAlgebra(
             dq, tuple(h.names[j] for j in complement),
-            ((a, b, k, v) for a, row in enumerate(products)
+            ((a, b, k, v) for a, row in enumerate(pi.products(h.mul_nonzero))
              for b, pairs in enumerate(row) for k, v in pairs),
-            project(h.unit),
-            ((k, *divmod(t, dq), v) for k, out in enumerate(coproducts) for t, v in out.items()),
+            pi.project(h.unit),
+            ((k, *divmod(t, dq), v) for k, c in enumerate(complement)
+             for t, v in pi.of_tensor(h.comul_nonzero[c]).items()),
             [h.counit[c] for c in complement],
-            Matrix.from_columns([project(h.antipode.col(c)) for c in complement])),
-        ideal=ideal, complement=complement, projection=projection)
+            Matrix.from_columns([pi.project(h.antipode.col(c)) for c in complement])),
+        ideal=ideal, pi=pi)
 
 
 # ---------------------------------------------------------------------------
@@ -643,15 +660,9 @@ def cyclic_group_table(n):
 
 
 def product_group_table(ta, tb):
-    na, nb = len(ta), len(tb)
-    idx = lambda a, b: a * nb + b
-    out = [[0] * (na * nb) for _ in range(na * nb)]
-    for a1 in range(na):
-        for b1 in range(nb):
-            for a2 in range(na):
-                for b2 in range(nb):
-                    out[idx(a1, b1)][idx(a2, b2)] = idx(ta[a1][a2], tb[b1][b2])
-    return out
+    """The table of G x H, element (a, b) at index a |H| + b."""
+    pairs = [(a, b) for a in range(len(ta)) for b in range(len(tb))]
+    return [[ta[a1][a2] * len(tb) + tb[b1][b2] for a2, b2 in pairs] for a1, b1 in pairs]
 
 
 def symmetric_group_table(n):

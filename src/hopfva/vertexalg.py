@@ -219,7 +219,11 @@ def poly_from_text(text, variables):
                 base = base.strip()
                 if base not in index:
                     raise ValueError(f"unknown variable {base!r}")
-                expo[index[base]] += int(power)
+                try:
+                    expo[index[base]] += int(power)
+                except ValueError:
+                    raise ValueError(f"exponent {power.strip()!r} of {base!r} is not "
+                                     f"an integer") from None
             elif factor in index:
                 expo[index[factor]] += 1
             else:

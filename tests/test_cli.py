@@ -517,8 +517,8 @@ VERIFY_H = ("verify-hopf", "h")
      "Hopf algebra 'h': dim must be an integer of at least 0, got '2'", VERIFY_H),
     ('{"schema_version": 1, "hopf_algebras": [{"name": "h", "dim": 1,'
      ' "mul": [[0, 0, 0, "1/0"]], "comul": [[0, 0, 0, "1"]], "counit": ["1"],'
-     ' "unit": ["1"], "antipode": [[0, 0, "1"]]}]}', "ValueError",
-     "zero denominator in scalar '1/0'", VERIFY_H),
+     ' "unit": ["1"], "antipode": [[0, 0, "1"]]}]}', "ParseError",
+     "Hopf algebra 'h': mul: zero denominator in scalar '1/0'", VERIFY_H),
     ('{"schema_version": 1, "hopf_algebras": [{"name": "h", "builder": "dual", "of": "h"}]}',
      "ParseError", "cyclic reference: hopf_algebra 'h' -> hopf_algebra 'h'", VERIFY_H),
     ('{"schema_version": 1, "hopf_algebras": [{"name": "h", "dim": 1,'
@@ -572,6 +572,106 @@ def test_malformed_workspace_is_an_input_error(capsys, tmp_path, text, error, me
     assert doc["status"] == "error"
     assert doc["result"]["error"] == error
     assert message in doc["result"]["message"]
+
+
+def _mutated_z2(tmp_path, mutate):
+    """The z2_on_xddx fixture with `mutate` applied to its parsed JSON, as a file."""
+    ws = json.loads(Path(Z2).read_text())
+    mutate(ws)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(ws))
+    return str(path)
+
+
+def _z2_sign(ws):
+    return ws["character_tables"][0]["characters"][1]
+
+
+CHARS = "character table 'z2chars'"
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (lambda ws: ws["character_tables"][0].update(characters=3),
+     f"{CHARS}: characters must be a list of objects, got 3"),
+    (lambda ws: ws["character_tables"][0].update(classes=3),
+     f"{CHARS}: classes must be a list of rows of element indices, got 3"),
+    (lambda ws: ws["character_tables"][0].update(classes=[[0], ["1"]]),
+     f"{CHARS}: classes must be a list of rows of element indices, got [[0], ['1']]"),
+    (lambda ws: _z2_sign(ws).update(values=3),
+     f"{CHARS}: character 'sign': values must be a list of scalars, got 3"),
+    (lambda ws: _z2_sign(ws).update(degree="1"),
+     f"{CHARS}: character 'sign': degree must be an integer of at least 1, got '1'"),
+    (lambda ws: _z2_sign(ws).pop("name"), f"{CHARS}: character 1: needs the field 'name'"),
+    (lambda ws: _z2_sign(ws).update(values=["1", "ab"]),
+     f"{CHARS}: character 'sign': values: cannot parse scalar 'ab'"),
+    (lambda ws: _z2_sign(ws).update(values=["1"]),
+     f"{CHARS}: character 'sign': values must give one scalar for each of the 2 classes, "
+     "got ['1']"),
+], ids=["characters-number", "classes-number", "classes-string", "values-number",
+        "degree-string", "name-missing", "values-text", "values-short"])
+def test_malformed_character_table_is_an_input_error(capsys, tmp_path, mutate, message):
+    # each of these ended in a traceback, a bare KeyError or an error class that does
+    # not name the table and the field
+    code, doc, _ = run_cli(capsys, [
+        "decompose", "--workspace", _mutated_z2(tmp_path, mutate), "--object", "z2_on_xddx",
+        "--characters", "z2chars"])
+    assert code == 4
+    assert doc["result"] == {"error": "ParseError", "message": message}
+
+
+def _matrices_instead(ws, matrices):
+    action = ws["actions"][0]
+    del action["generator_images"]
+    action["matrices"] = matrices
+
+
+ACTION = "action 'z2_on_xddx'"
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (lambda ws: ws["actions"][0].update(generator_images=3),
+     f"{ACTION}: generator_images must be an object keyed by basis elements, got 3"),
+    (lambda ws: ws["actions"][0]["generator_images"].update(g=3),
+     f"{ACTION}: generator_images of g must be an object mapping variables to "
+     "polynomials, got 3"),
+    (lambda ws: ws["actions"][0]["generator_images"].update(h={"x": "x"}),
+     f"{ACTION}: generator_images names 'h', which is not a basis element of the "
+     "Hopf algebra ['e', 'g']"),
+    (lambda ws: ws["actions"][0]["generator_images"].update(g={}),
+     f"{ACTION}: generator_images of g must map exactly the variables ['x'], got {{}}"),
+    (lambda ws: ws["actions"][0]["generator_images"]["g"].update(y="x"),
+     f"{ACTION}: generator_images of g must map exactly the variables ['x'], "
+     "got {'x': '-1*x', 'y': 'x'}"),
+    (lambda ws: ws["actions"][0]["generator_images"].update(g={"x": "x^"}),
+     f"{ACTION}: the image of x under g: exponent '' of 'x' is not an integer"),
+    (lambda ws: _matrices_instead(ws, 3),
+     f"{ACTION}: matrices must be an object keyed by basis elements, got 3"),
+    (lambda ws: _matrices_instead(ws, {"e": [], "g": [], "h": []}),
+     f"{ACTION}: matrices names 'h', which is not a basis element of the "
+     "Hopf algebra ['e', 'g']"),
+    (lambda ws: _matrices_instead(ws, {"e": 1, "g": 1}),
+     f"{ACTION}: the matrix of e must be a list of rows of scalars, got 1"),
+], ids=["images-number", "image-map-number", "images-unknown-element", "image-missing-var",
+        "image-unknown-var", "image-text", "matrices-number", "matrices-unknown-element",
+        "matrix-number"])
+def test_malformed_action_is_an_input_error(capsys, tmp_path, mutate, message):
+    # the numbers ended in a traceback, the unknown keys were ignored with exit 0
+    # and the missing variable was a bare KeyError
+    code, doc, _ = run_cli(capsys, [
+        "fixed-points", "--workspace", _mutated_z2(tmp_path, mutate), "--object", "z2_on_xddx"])
+    assert code == 4
+    assert doc["result"] == {"error": "ParseError", "message": message}
+
+
+@pytest.mark.parametrize("seed,message", [
+    (["--seed", "x^"], "--seed: exponent '' of 'x' is not an integer"),
+    ([], "--seed: a polynomial must be a string such as \"x^2\", got None")])
+def test_reach_seed_is_read_as_a_polynomial(capsys, seed, message):
+    code, doc, _ = run_cli(capsys, [
+        "reach", "--workspace", Z2, "--object", "z2_on_xddx", "--characters", "z2chars",
+        "--irrep", "sign", *seed])
+    assert code == 4
+    assert doc["result"] == {"error": "ParseError", "message": message}
 
 
 def test_dual_cycle_names_every_link(capsys, tmp_path):

@@ -183,6 +183,8 @@ def test_every_traced_benchmark_target_resolves():
     spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    import hopfva.action as action
+    import hopfva.hopf as hopf
     import hopfva.linalg as linalg
 
     before = (linalg._minimal_polynomial, linalg.Matrix.__dict__["__mul__"])
@@ -192,6 +194,14 @@ def test_every_traced_benchmark_target_resolves():
         wrapped = {(layer, name) for layer, names in spans.TARGETS.items() for name in names}
         assert set(tracer.stats) == wrapped
         assert linalg._minimal_polynomial is not before[0]
+        # the ideal tests run through the names the tracer wraps
+        h = hopf.sweedler()
+        ideal = action.maximal_hopf_ideal_in(h, hopf.augmentation_ideal(h))
+        hopf.quotient_hopf(h, ideal)
+        assert hopf.is_bialgebra_ideal(h, ideal) == (True, None)
+        for layer, name in [("action", "maximal_hopf_ideal_in"), ("hopf", "quotient_hopf"),
+                            ("hopf", "is_bialgebra_ideal"), ("hopf", "sweedler")]:
+            assert tracer.stats[layer, name][0] >= 1, name
     finally:
         tracer.uninstall()
     assert (linalg._minimal_polynomial, linalg.Matrix.__dict__["__mul__"]) == before
