@@ -36,7 +36,7 @@ from .hopf import (
     quotient_hopf,
     recognize_group_algebra,
 )
-from .linalg import Matrix, Subspace, linear_combination, nonzero_pairs
+from .linalg import Matrix, Subspace, _kernel_of_columns, linear_combination, nonzero_pairs
 from .vertexalg import CommDiffVA, Poly, pi2_kernel, poly_to_text
 
 _ZERO = Fraction(0)
@@ -310,12 +310,11 @@ def verify_module_vertex_algebra(act: HopfAction, order=None) -> CheckReport:
 def fixed_subspace(act: HopfAction):
     """V^H = {v : h v = eps(h) v} plus vertex-subalgebra closure evidence."""
     h, a = act.hopf, act.backend
-    n = len(act.monomials)
-    rows = []
-    for bi in range(h.dim):
-        diff = act.matrices[bi] - Matrix.identity(n).scale(h.counit[bi])
-        rows.extend(diff.row_lists())
-    fixed = Matrix.from_rows(rows).kernel() if rows else Subspace.full(n)
+    # column e holds the rows (b, t) of rho(b) e - eps(b) e
+    fixed = _kernel_of_columns(
+        [{(bi, t): c for bi, bc in enumerate(act._columns)
+          for t, c in _sum_columns([(_ONE, bc[e]), (-h.counit[bi], {e: _ONE})]).items()}
+         for e in act.monomials], len(act.monomials))
 
     report = CheckReport()
     one = Poly.const(a.nvars, _ONE)
@@ -365,9 +364,10 @@ def action_annihilator(act: HopfAction) -> AnnihilatorResult:
     h = act.hopf
 
     def annihilator_at(limit):
-        keep = [i for i, e in enumerate(act.monomials) if sum(e) <= limit]
-        return Matrix.from_rows([[act.matrices[bi][r, c] for bi in range(h.dim)]
-                                 for r in keep for c in keep]).kernel()
+        keep = {i for i, e in enumerate(act.monomials) if sum(e) <= limit}
+        return _kernel_of_columns(
+            [{(r, c): v for r, row in enumerate(m.nonzero_rows()) if r in keep
+              for c, v in row if c in keep} for m in act.matrices], h.dim)
 
     cap = act.backend.degree_cap
     kern = annihilator_at(cap)
@@ -387,11 +387,9 @@ def maximal_hopf_ideal_in(hopf: FinHopfAlgebra, sub: Subspace) -> Subspace:
     while not current.is_zero():
         columns = [{("S", a): c for a, c in pi.of(nonzero_pairs(hopf.antipode_of(v))).items()}
                    | {("Delta", t): c for t, c in pi.of_tensor(hopf.comul_terms(v)).items()}
+                   | {("eps", 0): hopf.counit_of(v)}
                    for v in current.basis]
-        keys = sorted({key for col in columns for key in col})
-        rows = [[hopf.counit_of(v) for v in current.basis]]
-        rows += ([col.get(key, _ZERO) for col in columns] for key in keys)
-        coeff_kernel = Matrix.from_rows(rows).kernel()
+        coeff_kernel = _kernel_of_columns(columns, current.dim)
         if coeff_kernel.dim == current.dim:
             break
         current = Subspace.from_vectors(
@@ -478,10 +476,8 @@ def tensor_power_faithfulness(act: HopfAction, s_max, budget=512) -> TensorFaith
                 for pos, v in prod:
                     x = acc.get(pos)
                     acc[pos] = v if x is None else x + v
-            images.append(acc)
-        positions = sorted({pos for acc in images for pos, v in acc.items() if v})
-        flat = [acc.get(pos, _ZERO) for pos in positions for acc in images]
-        dim = Matrix(len(positions), h.dim, flat).kernel().dim
+            images.append({pos: v for pos, v in acc.items() if v})
+        dim = _kernel_of_columns(images, h.dim).dim
         if table:
             require(dim <= table[-1], "tensor-power annihilators must shrink")
         table.append(dim)

@@ -298,8 +298,12 @@ def _chartable(ws, name, d):
     # index elements as the group algebra of this group does
     order, table = hopf_mod.relabel_identity_first(_reference(ws, "groups", d, "group", what))
     pos = {old: new for new, old in enumerate(order)}
-    classes = [[pos.get(g, g) for g in c]
-               for c in _group_table(_field(d, "classes", what), f"{what}: classes")]
+    classes = _group_table(_field(d, "classes", what), f"{what}: classes")
+    for g in (g for c in classes for g in c):
+        if g not in pos:
+            raise ParseError(f"{what}: classes name element {g}, which is not in "
+                             f"0..{len(order) - 1}")
+    classes = [[pos[g] for g in c] for c in classes]
     chars = []
     entries = _of_type(_field(d, "characters", what), list, f"{what}: characters",
                        "a list of objects")
@@ -324,7 +328,10 @@ def _chartable(ws, name, d):
         chars.append(sw_mod.IrrepCharacter(
             name=ch_name, degree=_integer(_field(ch, "degree", owner), 1, f"{owner}: degree"),
             values=tuple(_scalar(v, f"{owner}: values") for v in values), matrices=mats))
-    table = sw_mod.CharacterTable(table, classes, chars)
+    try:
+        table = sw_mod.CharacterTable(table, classes, chars)
+    except ValueError as exc:  # classes that do not partition or are not conjugation-closed
+        raise ParseError(f"{what}: {exc}") from None
     for check, (ok, witness) in sw_mod.verify_character_table(table).items():
         if not ok:
             raise ParseError(f"character table {name!r} fails {check}: {witness}")

@@ -357,9 +357,8 @@ def group_likes(h: FinHopfAlgebra, conductor=1):
     pi = QuotientMap(_ideal_generated(dual, commutators))
     quotient = pi.products(dual)
     dq = len(pi.complement)
-    mult = [[_dense(pairs, dq) for pairs in row] for row in quotient]
     likes = []
-    for p in split_commutative_algebra(mult, dq, conductor=conductor):
+    for p in split_commutative_algebra(quotient, dq, conductor=conductor):
         ref = next(l for l, c in enumerate(p) if c != 0)
         inv = 1 / p[ref]
         chi = []

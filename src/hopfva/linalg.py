@@ -12,8 +12,8 @@ and a row holding Fractions is cleared of denominators there, once, so
 callers that can build their rows over Z never create a Fraction before the
 result.  Cyclotomic entries switch to plain field elimination.  Subspace
 bases are kept in reduced row-echelon form so subspace equality is
-representation equality; a null space comes out in that form from a single
-reduction (`_kernel_rref`).
+representation equality.  Every null space, in linalg, vertexalg and action,
+comes from `_kernel_of_columns`: one reduction per component of its columns.
 
 Also hosts the primitive-idempotent splitter for commutative associative
 algebras, which drives group-like enumeration in the Hopf layer.  It builds
@@ -208,6 +208,53 @@ def _kernel_rref(rows, ncols):
         basis.append(tuple(v))
         free.append(last - fr)
     return tuple(basis), tuple(free)
+
+
+def _kernel_of_columns(columns, ncols):
+    """Null space of a sparse column family {rowkey: scalar}, as a Subspace.
+
+    Columns that never share a row key live in independent blocks, so the
+    kernel is assembled per connected component; this is what keeps the
+    graded backends fast.  Each component's rows, in sorted key order, are
+    reduced once, to the echelon basis of its kernel.  The components have
+    disjoint column supports, so the union of their echelon bases, sorted
+    by pivot, is already the echelon basis of the whole kernel.
+    """
+    parent = list(range(ncols))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    row_owner = {}
+    for ci, col in enumerate(columns):
+        for key in col:
+            owner = row_owner.setdefault(key, ci)
+            if owner != ci:
+                union(owner, ci)
+    comps = {}
+    for ci in range(ncols):
+        comps.setdefault(find(ci), []).append(ci)
+
+    found = []  # (global pivot, vector)
+    for cols_idx in comps.values():
+        keys = sorted({k for ci in cols_idx for k in columns[ci]})
+        rows = [[columns[ci].get(key, 0) for ci in cols_idx] for key in keys]
+        basis, pivots = _kernel_rref(rows, len(cols_idx))
+        for lv, lp in zip(basis, pivots):
+            v = [_ZERO] * ncols
+            for ci, c in zip(cols_idx, lv):
+                v[ci] = c
+            found.append((cols_idx[lp], tuple(v)))
+    found.sort(key=lambda t: t[0])
+    return Subspace(ncols, tuple(v for _, v in found), tuple(p for p, _ in found))
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +455,11 @@ class Matrix:
 
     def kernel(self):
         """The full null space {v : M v = 0} as a Subspace of dim-cols space."""
-        return Subspace(self.cols, *_kernel_rref(self.row_lists(), self.cols))
+        columns = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.nonzero_rows()):
+            for j, a in row:
+                columns[j][i] = a
+        return _kernel_of_columns(columns, self.cols)
 
     def det(self):
         """Exact determinant via Bareiss-style fraction-free elimination."""
@@ -798,10 +849,10 @@ def is_associative_at(nonzero, i, j, k):
     return {t: c for t, c in left.items() if c} == {t: c for t, c in right.items() if c}
 
 
-def split_commutative_algebra(mult, dim, conductor=1):
+def split_commutative_algebra(nonzero, dim, conductor=1):
     """Primitive idempotents of a commutative associative unital algebra.
 
-    `mult[i][j]` is the coordinate vector of b_i * b_j.  Returns the
+    `nonzero[i][j]` lists the nonzero (k, c) pairs of b_i * b_j.  Returns the
     idempotents as coordinate vectors over the original basis when every
     block is 1-dimensional over the field Q(zeta_conductor); raises
     SplitFailure("extend-conductor") when an irreducible factor of degree
@@ -816,29 +867,26 @@ def split_commutative_algebra(mult, dim, conductor=1):
     """
     if dim == 0:
         return []  # the zero algebra has no primitive idempotent
-    mult = [[[as_scalar(c) for c in mult[i][j]] for j in range(dim)]
-            for i in range(dim)]
-    n_field = math.lcm(conductor,
-                       common_conductor(c for row in mult for v in row for c in v))
-    nonzero = [[nonzero_pairs(v) for v in row] for row in mult]
+    n_field = math.lcm(conductor, common_conductor(
+        c for row in nonzero for pairs in row for _, c in pairs))
 
     # precondition checks: commutative, associative, unital
     for i in range(dim):
         for j in range(i):
-            if mult[i][j] != mult[j][i]:
+            if dict(nonzero[i][j]) != dict(nonzero[j][i]):
                 raise ValueError("structure tensor is not commutative")
     for i in range(dim):
         for j in range(dim):
             for k in range(dim):
                 if not is_associative_at(nonzero, i, j, k):
                     raise ValueError("structure tensor is not associative")
-    unit_rows = []
-    unit_rhs = []
-    for j in range(dim):
-        for m in range(dim):
-            unit_rows.append([mult[i][j][m] for i in range(dim)])
-            unit_rhs.append(_ONE if m == j else _ZERO)
-    unit_f = solve(Matrix.from_rows(unit_rows), unit_rhs)
+    unit_rows = [[_ZERO] * dim for _ in range(dim * dim)]  # row (j, m): (b_i b_j)_m
+    for i, row in enumerate(nonzero):
+        for j, pairs in enumerate(row):
+            for m, c in pairs:
+                unit_rows[j * dim + m][i] = c
+    unit_f = solve(Matrix.from_rows(unit_rows),
+                   [_ONE if m == j else _ZERO for j in range(dim) for m in range(dim)])
     if unit_f is None:
         raise ValueError("structure tensor has no unit element")
 

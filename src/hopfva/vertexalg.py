@@ -9,7 +9,8 @@ of monomials, one per tensor slot, plus Laurent shifts for Z_2, and one
 assembler (`_coefficient_columns`) builds the columns of all three from the
 per-slot order tops.  Their kernels are computed in automatically enlarged
 scratch degrees, so truncation never loses kernel vectors, and come back as
-one `CoefficientKernel`.
+one `CoefficientKernel`; their columns, and those of the order-K
+restriction in `_impose_order`, go as they are to `linalg._kernel_of_columns`.
 
 The columns are assembled over the integers.  Let L be the lcm of the
 denominators in the derivation, so d' = L d sends monomials to integer
@@ -40,7 +41,7 @@ from fractions import Fraction
 from operator import add as _add
 
 from .errors import CheckReport, MalformedPairs, TruncationOverflow
-from .linalg import Matrix, Subspace, _cleared, _kernel_rref, linear_combination
+from .linalg import Matrix, Subspace, _cleared, _kernel_of_columns, linear_combination
 from .scalars import Cyclotomic, as_scalar, scalar_pretty, scalar_to_text
 
 _ZERO = Fraction(0)
@@ -173,7 +174,8 @@ def poly_pretty(poly, variables):
 
 
 def _split_top_level(text):
-    """Split on top-level +/- (signs inside brackets belong to scalars)."""
+    """Split on top-level +/- (signs inside brackets belong to scalars, and
+    a sign right after ^ to its exponent)."""
     chunks = []
     depth = 0
     cur = ""
@@ -183,7 +185,7 @@ def _split_top_level(text):
             depth += 1
         elif ch in "])":
             depth -= 1
-        if depth == 0 and ch in "+-":
+        if depth == 0 and ch in "+-" and not cur.rstrip().endswith("^"):
             if cur.strip():
                 chunks.append((sign, cur))
                 cur = ""
@@ -220,10 +222,13 @@ def poly_from_text(text, variables):
                 if base not in index:
                     raise ValueError(f"unknown variable {base!r}")
                 try:
-                    expo[index[base]] += int(power)
+                    k = int(power)
                 except ValueError:
                     raise ValueError(f"exponent {power.strip()!r} of {base!r} is not "
                                      f"an integer") from None
+                if k < 0:
+                    raise ValueError(f"exponent {k} of {base!r} is negative")
+                expo[index[base]] += k
             elif factor in index:
                 expo[index[factor]] += 1
             else:
@@ -385,54 +390,7 @@ def single_variable_backend(m, cap, name="x"):
 
 
 # ---------------------------------------------------------------------------
-# kernels of the coefficient maps, with connected-component decomposition
-
-
-def _kernel_of_columns(columns, ncols):
-    """Null space of a sparse column family {rowkey: scalar}.
-
-    Columns that never share a row key live in independent blocks, so the
-    kernel is assembled per connected component; this is what keeps the
-    graded backends fast.  Each component is reduced once, to the echelon
-    basis of its kernel.  The components have disjoint column supports, so
-    the union of their echelon bases, sorted by pivot, is already the
-    echelon basis of the whole kernel.
-    """
-    parent = list(range(ncols))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    row_owner = {}
-    for ci, col in enumerate(columns):
-        for key in col:
-            owner = row_owner.setdefault(key, ci)
-            if owner != ci:
-                union(owner, ci)
-    comps = {}
-    for ci in range(ncols):
-        comps.setdefault(find(ci), []).append(ci)
-
-    found = []  # (global pivot, vector)
-    for cols_idx in comps.values():
-        keys = sorted({k for ci in cols_idx for k in columns[ci]})
-        rows = [[columns[ci].get(key, 0) for ci in cols_idx] for key in keys]
-        basis, pivots = _kernel_rref(rows, len(cols_idx))
-        for lv, lp in zip(basis, pivots):
-            v = [_ZERO] * ncols
-            for ci, c in zip(cols_idx, lv):
-                v[ci] = c
-            found.append((cols_idx[lp], tuple(v)))
-    found.sort(key=lambda t: t[0])
-    return Subspace(ncols, tuple(v for _, v in found), tuple(p for p, _ in found))
+# kernels of the coefficient maps
 
 
 def _mul(p, q):
@@ -629,13 +587,11 @@ def _impose_order(monos, kern, derivs, order):
                     key = tuple(map(_add, e, mj))
                     acc[key] = acc.get(key, 0) + c * dc
         cols.append({e: c for e, c in acc.items() if c != 0})
-    keys = sorted({e for col in cols for e in col})
-    if not keys:
+    if not any(cols):
         return True, kern
-    rows = [[col.get(key, 0) for col in cols] for key in keys]
-    local, _ = _kernel_rref(rows, len(cols))
+    local = _kernel_of_columns(cols, len(cols))
     return False, Subspace.from_vectors(
-        n * n, [linear_combination(lv, vectors) for lv in local])
+        n * n, [linear_combination(lv, vectors) for lv in local.basis])
 
 
 def pin_injectivity_check(backend, arity, cap=None, order=None) -> CoefficientKernel:

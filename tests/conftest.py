@@ -9,6 +9,7 @@ from hopfva.hopf import (
     sweedler,
     symmetric_group_table,
 )
+from hopfva.linalg import nonzero_pairs, split_commutative_algebra
 from hopfva.scalars import scalar_to_text, zeta
 from hopfva.vertexalg import CommDiffVA, Poly, single_variable_backend
 
@@ -132,3 +133,10 @@ def tensors_entry(h, name, **extra):
                          if h.antipode[i, j]],
             "unit": [text(c) for c in h.unit], "counit": [text(c) for c in h.counit],
             **extra}
+
+
+def split_dense(mult, dim, conductor=1):
+    """`split_commutative_algebra` on a dense structure tensor, mult[i][j]
+    the coordinate vector of b_i * b_j."""
+    return split_commutative_algebra([[nonzero_pairs(v) for v in row] for row in mult], dim,
+                                     conductor)

@@ -10,7 +10,7 @@ import pytest
 from conftest import tensors_entry
 from hopfva import cli
 from hopfva.errors import DuplicateName, ParseError, UnresolvedReference
-from hopfva.hopf import sweedler
+from hopfva.hopf import sweedler, symmetric_group_table
 
 
 def fixture(name):
@@ -590,6 +590,13 @@ def _z2_sign(ws):
 CHARS = "character table 'z2chars'"
 
 
+def _on_s3(ws, classes):
+    """The character table on S3 (elements in sorted permutation order), with
+    `classes` and no characters."""
+    ws["groups"].append({"name": "s3", "table": symmetric_group_table(3)})
+    ws["character_tables"][0].update(group="s3", classes=classes, characters=[])
+
+
 @pytest.mark.parametrize("mutate,message", [
     (lambda ws: ws["character_tables"][0].update(characters=3),
      f"{CHARS}: characters must be a list of objects, got 3"),
@@ -607,8 +614,17 @@ CHARS = "character table 'z2chars'"
     (lambda ws: _z2_sign(ws).update(values=["1"]),
      f"{CHARS}: character 'sign': values must give one scalar for each of the 2 classes, "
      "got ['1']"),
+    (lambda ws: ws["character_tables"][0].update(classes=[[0], [5]]),
+     f"{CHARS}: classes name element 5, which is not in 0..1"),
+    (lambda ws: ws["character_tables"][0].update(classes=[[0], [-1]]),
+     f"{CHARS}: classes name element -1, which is not in 0..1"),
+    (lambda ws: ws["character_tables"][0].update(classes=[[0], [0]]),
+     f"{CHARS}: classes do not partition the group"),
+    (lambda ws: _on_s3(ws, [[0], [1, 2], [3, 4, 5]]),
+     f"{CHARS}: classes are not conjugation-closed"),
 ], ids=["characters-number", "classes-number", "classes-string", "values-number",
-        "degree-string", "name-missing", "values-text", "values-short"])
+        "degree-string", "name-missing", "values-text", "values-short", "classes-outside",
+        "classes-negative", "classes-overlap", "classes-not-conjugation-closed"])
 def test_malformed_character_table_is_an_input_error(capsys, tmp_path, mutate, message):
     # each of these ended in a traceback, a bare KeyError or an error class that does
     # not name the table and the field
@@ -644,6 +660,8 @@ ACTION = "action 'z2_on_xddx'"
      "got {'x': '-1*x', 'y': 'x'}"),
     (lambda ws: ws["actions"][0]["generator_images"].update(g={"x": "x^"}),
      f"{ACTION}: the image of x under g: exponent '' of 'x' is not an integer"),
+    (lambda ws: ws["actions"][0]["generator_images"].update(g={"x": "x^-1"}),
+     f"{ACTION}: the image of x under g: exponent -1 of 'x' is negative"),
     (lambda ws: _matrices_instead(ws, 3),
      f"{ACTION}: matrices must be an object keyed by basis elements, got 3"),
     (lambda ws: _matrices_instead(ws, {"e": [], "g": [], "h": []}),
@@ -652,8 +670,8 @@ ACTION = "action 'z2_on_xddx'"
     (lambda ws: _matrices_instead(ws, {"e": 1, "g": 1}),
      f"{ACTION}: the matrix of e must be a list of rows of scalars, got 1"),
 ], ids=["images-number", "image-map-number", "images-unknown-element", "image-missing-var",
-        "image-unknown-var", "image-text", "matrices-number", "matrices-unknown-element",
-        "matrix-number"])
+        "image-unknown-var", "image-text", "image-negative-exponent", "matrices-number",
+        "matrices-unknown-element", "matrix-number"])
 def test_malformed_action_is_an_input_error(capsys, tmp_path, mutate, message):
     # the numbers ended in a traceback, the unknown keys were ignored with exit 0
     # and the missing variable was a bare KeyError

@@ -6,7 +6,8 @@ read, are reported.  `_` is exempt, and so is every name `hopfva/__init__.py`
 re-exports from the module that binds it (such as `scalars.Rational`).
 Every exception class of `errors.py` must be raised or caught somewhere in
 the package, so a deleted code path cannot leave its error behind.
-Every function the benchmark's tracer wraps by name must still exist.
+Every function the benchmark's tracer wraps by name must still exist, and
+every null space must enter the one traced kernel routine.
 """
 
 import ast
@@ -186,6 +187,7 @@ def test_every_traced_benchmark_target_resolves():
     import hopfva.action as action
     import hopfva.hopf as hopf
     import hopfva.linalg as linalg
+    import hopfva.vertexalg as vertexalg
 
     before = (linalg._minimal_polynomial, linalg.Matrix.__dict__["__mul__"])
     tracer = spans.Tracer()
@@ -202,6 +204,15 @@ def test_every_traced_benchmark_target_resolves():
         for layer, name in [("action", "maximal_hopf_ideal_in"), ("hopf", "quotient_hopf"),
                             ("hopf", "is_bialgebra_ideal"), ("hopf", "sweedler")]:
             assert tracer.stats[layer, name][0] >= 1, name
+        # every null space goes through the one sparse kernel routine, whose
+        # span counts the columns of each kernel
+        act = action.trivial_action(h, vertexalg.single_variable_backend(1, 1))
+        for name, run in [("Matrix.kernel", linalg.Matrix.identity(2).kernel),
+                          ("action_annihilator", lambda: action.action_annihilator(act)),
+                          ("fixed_subspace", lambda: action.fixed_subspace(act))]:
+            calls = tracer.stats["vertexalg", "_kernel_of_columns"][0]
+            run()
+            assert tracer.stats["vertexalg", "_kernel_of_columns"][0] > calls, name
     finally:
         tracer.uninstall()
     assert (linalg._minimal_polynomial, linalg.Matrix.__dict__["__mul__"]) == before

@@ -3,18 +3,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import split_dense
 
 from hopfva.errors import InvariantViolation, SplitFailure
 from hopfva.linalg import (
     Matrix,
     Subspace,
+    _kernel_of_columns,
     _kernel_rref,
     _leading_ones,
     _rref_rows,
     kronecker,
     linear_combination,
     solve,
-    split_commutative_algebra,
 )
 from hopfva.scalars import scalar_to_text, zeta
 
@@ -168,14 +169,14 @@ def _pointwise_algebra(n):
 
 
 def test_split_pointwise_q2():
-    idems = split_commutative_algebra(_pointwise_algebra(2), 2)
+    idems = split_dense(_pointwise_algebra(2), 2)
     assert sorted(idems) == [(F(0), F(1)), (F(1), F(0))]
 
 
 def test_split_dual_of_group_algebra_z2():
     # the dual of Q[Z/2] multiplies pointwise in the dual basis, so its
     # primitive idempotents are the two delta functionals
-    idems = split_commutative_algebra(_pointwise_algebra(2), 2)
+    idems = split_dense(_pointwise_algebra(2), 2)
     assert len(idems) == 2
 
 
@@ -186,7 +187,7 @@ def test_split_group_algebra_z2_itself():
         [[F(1), F(0)], [F(0), F(1)]],
         [[F(0), F(1)], [F(1), F(0)]],
     ]
-    idems = split_commutative_algebra(mult, 2)
+    idems = split_dense(mult, 2)
     assert sorted(idems) == [(F(1, 2), F(-1, 2)), (F(1, 2), F(1, 2))]
 
 
@@ -197,7 +198,7 @@ def test_split_nilpotent_fails():
         [[F(0), F(1)], [F(0), F(0)]],
     ]
     with pytest.raises(SplitFailure) as exc:
-        split_commutative_algebra(mult, 2)
+        split_dense(mult, 2)
     assert exc.value.reason == "not-semisimple"
 
 
@@ -212,9 +213,9 @@ def _cyclic_group_algebra_tensor(n):
 def test_split_z3_needs_conductor_three():
     mult = _cyclic_group_algebra_tensor(3)
     with pytest.raises(SplitFailure) as exc:
-        split_commutative_algebra(mult, 3)
+        split_dense(mult, 3)
     assert exc.value.reason == "extend-conductor"
-    idems = split_commutative_algebra(mult, 3, conductor=3)
+    idems = split_dense(mult, 3, conductor=3)
     assert len(idems) == 3
     # spot check: each idempotent is (1/3) sum_k zeta^{-jk} g^k for some j
     z = zeta(3)
@@ -227,8 +228,8 @@ def test_split_z3_needs_conductor_three():
 def test_split_z4_over_conductor_four():
     mult = _cyclic_group_algebra_tensor(4)
     with pytest.raises(SplitFailure):
-        split_commutative_algebra(mult, 4)  # x^2+1 resists over Q
-    idems = split_commutative_algebra(mult, 4, conductor=4)
+        split_dense(mult, 4)  # x^2+1 resists over Q
+    idems = split_dense(mult, 4, conductor=4)
     assert len(idems) == 4
 
 
@@ -238,7 +239,7 @@ def test_split_rejects_bad_tensors():
         [[F(1), F(0)], [F(1), F(0)]],
     ]
     with pytest.raises(ValueError):
-        split_commutative_algebra(noncomm, 2)
+        split_dense(noncomm, 2)
 
 
 # --- one entry point for row reduction -------------------------------------------
@@ -269,6 +270,28 @@ def test_kernel_rref_matches_naive_kernel():
         assert basis == expected.basis and pivots == expected.pivots
         if rows:
             assert Matrix.from_rows(rows).kernel() == expected
+
+
+def test_kernel_of_columns_returns_rref_over_components():
+    # three components with disjoint row keys, holding ints, Fractions, and
+    # ints beside zeta_3 (which sends that component alone to field
+    # elimination), then an empty column, whose unit vector is in the kernel
+    rng = random.Random(11)
+    z = zeta(3)
+    draw = [lambda: rng.randint(-2, 2), lambda: F(rng.randint(-2, 2), rng.randint(1, 3)),
+            lambda: rng.choice([0, 1, -2, z, -z, z * z])]
+    for _ in range(10):
+        ncols = 13
+        columns = [{(ci // 4, r): draw[ci // 4]() for r in range(3) if rng.random() < 0.6}
+                   for ci in range(ncols - 1)] + [{}]
+        kern = _kernel_of_columns(columns, ncols)
+        keys = sorted({k for col in columns for k in col})
+        rows = [[col.get(k, 0) for col in columns] for k in keys]
+        expected = _naive_kernel(rows, ncols)
+        assert kern == expected and kern.pivots == expected.pivots
+        assert expected.contains([0] * (ncols - 1) + [1])
+        # the same null space as a block-diagonal Matrix mixing the three kinds
+        assert Matrix.from_rows(rows).kernel() == expected
 
 
 def test_rref_rows_takes_ints_fractions_and_mixed_rows_alike():

@@ -15,6 +15,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from conftest import split_dense
 
 from hopfva.errors import SplitFailure
 from hopfva.hopf import (
@@ -31,7 +32,6 @@ from hopfva.linalg import (
     _rational_roots,
     nonzero_pairs,
     solve,
-    split_commutative_algebra,
 )
 from hopfva.scalars import _fp_mul, as_scalar, cyclo_coords, euler_phi, zeta
 
@@ -181,5 +181,5 @@ def test_a_repeated_factor_is_not_semisimple(factor, conductor):
         powers.append([(prev[k - 1] if k else 0) - prev[-1] * f[k] for k in range(n)])
     mult = [[powers[i + j] for j in range(n)] for i in range(n)]
     with pytest.raises(SplitFailure) as exc:
-        split_commutative_algebra(mult, n, conductor=conductor)
+        split_dense(mult, n, conductor=conductor)
     assert exc.value.reason == "not-semisimple"

@@ -1,6 +1,5 @@
 import itertools
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +11,6 @@ from hopfva.vertexalg import (
     CommDiffVA,
     Poly,
     _derivative_chains,
-    _kernel_of_columns,
     falling_bracket,
     flip_skew_check,
     pi2_kernel,
@@ -613,22 +611,6 @@ def test_derivative_chains_are_integral():
     # d'^k = 2^k d^k
     x = Poly.monomial((1,))
     assert Poly(1, chains[1][3]) == backend.derive_k(x, 3).scale(8)
-
-
-def test_kernel_of_columns_returns_rref_over_components():
-    rng = random.Random(11)
-    for _ in range(10):
-        ncols = 12
-        columns = []
-        for ci in range(ncols):
-            block = ci % 3  # three components with disjoint row keys
-            columns.append({(block, r): rng.randint(-2, 2) for r in range(3)
-                            if rng.random() < 0.6})
-        kern = _kernel_of_columns(columns, ncols)
-        assert Subspace.from_vectors(ncols, kern.basis) == kern
-        dense = _stacked({ci: {k: F(c) for k, c in col.items()}
-                          for ci, col in enumerate(columns)}, ncols)
-        assert kern == dense.kernel()
 
 
 def test_zeta3_pi2_and_z2_dimensions():
