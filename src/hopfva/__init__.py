@@ -10,7 +10,7 @@ from .scalars import (
     field_arithmetic,
     zeta,
 )
-from .linalg import Matrix, Subspace, kronecker, solve, split_commutative_algebra
+from .linalg import Matrix, Subspace, solve, split_commutative_algebra
 from .hopf import (
     FinHopfAlgebra,
     dual_hopf,

@@ -307,15 +307,20 @@ def verify_module_vertex_algebra(act: HopfAction, order=None) -> CheckReport:
 # fixed points
 
 
-def fixed_subspace(act: HopfAction):
-    """V^H = {v : h v = eps(h) v} plus vertex-subalgebra closure evidence."""
-    h, a = act.hopf, act.backend
+def invariants(act: HopfAction) -> Subspace:
+    """V^H = {v : h v = eps(h) v} over the monomial basis, in RREF."""
+    counit = act.hopf.counit
     # column e holds the rows (b, t) of rho(b) e - eps(b) e
-    fixed = _kernel_of_columns(
+    return _kernel_of_columns(
         [{(bi, t): c for bi, bc in enumerate(act._columns)
-          for t, c in _sum_columns([(_ONE, bc[e]), (-h.counit[bi], {e: _ONE})]).items()}
+          for t, c in _sum_columns([(_ONE, bc[e]), (-counit[bi], {e: _ONE})]).items()}
          for e in act.monomials], len(act.monomials))
 
+
+def fixed_subspace(act: HopfAction):
+    """V^H plus vertex-subalgebra closure evidence."""
+    a = act.backend
+    fixed = invariants(act)
     report = CheckReport()
     one = Poly.const(a.nvars, _ONE)
     report.record("contains-vacuum", [] if fixed.contains(a.coords_of(one)) else [None])
@@ -419,11 +424,9 @@ def inner_faithful_quotient(act: HopfAction) -> InnerFaithfulQuotient:
     # the quotient's basis element a is the coset of H's basis element complement[a]
     mats = [act.rho(act.hopf.basis_vector(j)) for j in q.pi.complement]
     induced = HopfAction(q.hopf, act.backend, mats)
-    before, _ = fixed_subspace(act)
-    after, _ = fixed_subspace(induced)
     require(is_inner_faithful(induced), "quotient action must be inner faithful")
     return InnerFaithfulQuotient(quotient=q, action=induced,
-                                 fixed_preserved=before.basis == after.basis)
+                                 fixed_preserved=invariants(act) == invariants(induced))
 
 
 # ---------------------------------------------------------------------------

@@ -506,10 +506,6 @@ def linear_combination(coeffs, rows):
     return [0] * len(rows[0]) if out is None else out
 
 
-def kronecker(a: Matrix, b: Matrix) -> Matrix:
-    return a.kron(b)
-
-
 def solve(a: Matrix, b):
     """One solution x of A x = b, or None if the system is inconsistent."""
     require(len(b) == a.rows, "right-hand side length does not match the matrix")

@@ -1,5 +1,10 @@
 """Finite-group Schur-Weyl machinery on graded backends.
 
+A representation comes only from a Hopf action: its group elements (the
+basis of a group algebra, or the recognised group-likes) and their
+matrices, read from the action's sparse map.  The action has already been
+checked to be an algebra map, so only the grading is checked here.
+
 Character tables are input (and verified exactly), never computed.  The
 isotypic projectors are the classical averaging operators; multiplicity
 spaces are extracted as exact intertwiner solution spaces when explicit
@@ -14,9 +19,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .action import _matrix, invariants
 from .errors import CheckReport, MatricesRequired, require
 from .hopf import _validate_group_table, recognize_group_algebra
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, _kernel_of_columns
 from .scalars import as_scalar, scalar_conjugate
 from .vertexalg import Poly, poly_to_text
 
@@ -24,49 +30,23 @@ _ZERO = Fraction(0)
 
 
 class FinGroupRep:
-    """A finite group acting degree-preservingly on a graded carrier."""
+    """The group elements of a Hopf action on a graded carrier, as a view
+    over the action: the group table (identity first), the element names
+    and each element's matrix over the carrier's monomials."""
 
-    __slots__ = ("table", "identity", "element_names", "backend", "monomials",
-                 "degree_dims", "full", "blocks")
+    __slots__ = ("action", "table", "element_names", "matrices", "degree_dims")
 
-    def __init__(self, table, element_names, matrices, backend=None):
-        self.table = tuple(tuple(r) for r in table)
-        self.identity = _validate_group_table(self.table)[1]
-        self.element_names = tuple(element_names)
-        self.backend = backend
-        self.monomials = backend.monomials() if backend is not None else None
-        self.full = tuple(matrices)
-        n = self.full[0].rows
-        if backend is not None:
-            degrees = [sum(e) for e in self.monomials]
-        else:
-            degrees = [0] * n
-        for g, m in enumerate(self.full):
+    def __init__(self, action, table, element_names, matrices):
+        self.action = action
+        self.table = table
+        self.element_names = element_names
+        self.matrices = matrices
+        degrees = [sum(e) for e in action.monomials]
+        for name, m in zip(element_names, matrices):
             if any(degrees[i] != degrees[j]
                    for i, row in enumerate(m.nonzero_rows()) for j, _ in row):
-                raise ValueError(
-                    f"element {self.element_names[g]} does not preserve the grading")
-        cap = max(degrees) if degrees else 0
-        self.degree_dims = tuple(sum(1 for d in degrees if d == k)
-                                 for k in range(cap + 1))
-        offsets = self._offsets()
-        self.blocks = []
-        for m in self.full:
-            per_degree = []
-            for k, dim in enumerate(self.degree_dims):
-                start = offsets[k]
-                rows = [[m[i, j] for j in range(start, start + dim)]
-                        for i in range(start, start + dim)]
-                per_degree.append(Matrix.from_rows(rows) if dim else Matrix.zeros(0, 0))
-            self.blocks.append(tuple(per_degree))
-        self.blocks = tuple(self.blocks)
-        ident = Matrix.identity(n)
-        if self.full[self.identity] != ident:
-            raise ValueError("the identity element must act as the identity")
-        for a in range(len(self.table)):
-            for b in range(len(self.table)):
-                if self.full[a] * self.full[b] != self.full[self.table[a][b]]:
-                    raise ValueError("matrices do not satisfy the group table")
+                raise ValueError(f"element {name} does not preserve the grading")
+        self.degree_dims = tuple(degrees.count(k) for k in range(max(degrees) + 1))
 
     def _offsets(self):
         out = [0]
@@ -75,15 +55,19 @@ class FinGroupRep:
         return out
 
     @property
+    def backend(self):
+        return self.action.backend
+
+    @property
     def order(self):
         return len(self.table)
 
     @property
     def carrier_dim(self):
-        return self.full[0].rows
+        return len(self.action.monomials)
 
     def inverse(self, g):
-        return self.table[g].index(self.identity)
+        return self.table[g].index(0)
 
     @classmethod
     def from_hopf_action(cls, act):
@@ -91,21 +75,26 @@ class FinGroupRep:
         h = act.hopf
         if h.group_table is not None:
             # the group elements are the basis: their matrices are the action's
-            return cls(h.group_table, h.names, act.matrices, backend=act.backend)
-        rec = recognize_group_algebra(h)
+            return cls(act, h.group_table, h.names, act.matrices)
+        rec = recognize_group_algebra(h)  # the unit is its first group-like
         names = tuple(f"gl{i}" for i in range(len(rec.table)))
         mats = [act.rho(list(v)) for v in rec.elements]
-        return cls(rec.table, names, mats, backend=act.backend)
+        return cls(act, rec.table, names, mats)
+
+    def block_rows(self, g, deg):
+        """The nonzero rows of rho(g) on the degree-`deg` monomials, indexed
+        within that degree; the grading check keeps each row inside it."""
+        start = self._offsets()[deg]
+        rows = self.matrices[g].nonzero_rows()[start:start + self.degree_dims[deg]]
+        return [[(j - start, a) for j, a in row] for row in rows]
+
+    def block(self, g, deg):
+        dim = self.degree_dims[deg]
+        return Matrix.from_nonzero_rows(dim, dim, self.block_rows(g, deg))
 
     def fixed_points(self) -> Subspace:
-        n = self.carrier_dim
-        rows = []
-        for g, m in enumerate(self.full):
-            if g != self.identity:
-                rows.extend((m - Matrix.identity(n)).row_lists())
-        if not rows:
-            return Subspace.full(n)
-        return Matrix.from_rows(rows).kernel()
+        """V^G, which is V^H: the group elements span H and eps(g) = 1."""
+        return invariants(self.action)
 
 
 @dataclass
@@ -217,6 +206,11 @@ def verify_character_table(table: CharacterTable, rep: FinGroupRep = None) -> Ch
 # projectors and decomposition
 
 
+def _require_same_group(table: CharacterTable, rep: FinGroupRep):
+    if rep.table != table.group_table:
+        raise ValueError("character table and representation use different groups")
+
+
 def isotypic_projector(table: CharacterTable, rep: FinGroupRep, name):
     """P = (d/|G|) sum_g chi(g^{-1}) rho(g) per degree block, verified."""
     ch = table.char(name)
@@ -224,15 +218,15 @@ def isotypic_projector(table: CharacterTable, rep: FinGroupRep, name):
     factor = Fraction(ch.degree, n)
     out = []
     for deg, dim in enumerate(rep.degree_dims):
+        rho = [rep.block(g, deg) for g in range(n)]
         acc = Matrix.zeros(dim, dim)
-        for g in range(n):
+        for g, m in enumerate(rho):
             coeff = table.value_at_element(ch, rep.inverse(g)) * factor
             if coeff != 0:
-                acc = acc + rep.blocks[g][deg].scale(coeff)
+                acc = acc + m.scale(coeff)
         require(acc * acc == acc, "isotypic projector must be idempotent")
-        for g in range(n):
-            require(acc * rep.blocks[g][deg] == rep.blocks[g][deg] * acc,
-                    "projector must centralise the group action")
+        for m in rho:
+            require(acc * m == m * acc, "projector must centralise the group action")
         out.append(acc)
     return out
 
@@ -261,8 +255,7 @@ class IsotypicDecomposition:
 
 def decompose(table: CharacterTable, rep: FinGroupRep) -> IsotypicDecomposition:
     """Exact multiplicities and isotype bases, with full bookkeeping checks."""
-    if rep.table != table.group_table:
-        raise ValueError("character table and representation use different groups")
+    _require_same_group(table, rep)
     mults = {}
     projectors = {}
     isotypes = {}
@@ -298,10 +291,11 @@ def _multiplicities(table, rep, ch):
     """<chi, rho> on each degree block, by the character inner product."""
     n = rep.order
     out = []
-    for deg, dim in enumerate(rep.degree_dims):
+    for deg in range(len(rep.degree_dims)):
         total = _ZERO
         for g in range(n):
-            tr = sum((rep.blocks[g][deg][i, i] for i in range(dim)), _ZERO)
+            tr = sum((a for i, row in enumerate(rep.block_rows(g, deg))
+                      for j, a in row if j == i), _ZERO)
             total = total + tr * table.value_at_element(ch, rep.inverse(g))
         mult = total / n
         require(isinstance(mult, Fraction) and mult.denominator == 1 and mult >= 0,
@@ -311,29 +305,36 @@ def _multiplicities(table, rep, ch):
 
 
 def multiplicity_space(table: CharacterTable, rep: FinGroupRep, name):
-    """Bases of Hom_G(W, M) per degree, solved as exact intertwiner systems."""
+    """Bases of Hom_G(W, M) per degree, solved as exact intertwiner systems.
+
+    The unknowns are f[r][k], row-major; equation (g, r, c) is entry (r, c)
+    of f rho_W(g) - rho_M(g) f, so f[r][k] enters it with rho_W(g)[k, c] and
+    equation (g, i, k) with -rho_M(g)[i, r].
+    """
+    _require_same_group(table, rep)
     ch = table.char(name)
     if ch.matrices is None:
         raise MatricesRequired(f"irreducible {name!r} carries no matrices")
     d = ch.degree
-    n = rep.order
     expected = _multiplicities(table, rep, ch)
+    w_rows = [m.nonzero_rows() for m in ch.matrices]
     out = []
     for deg, dim in enumerate(rep.degree_dims):
-        rows = []
-        for g in range(n):
-            rho_w = ch.matrices[g]
-            rho_m = rep.blocks[g][deg]
-            # unknowns f[r][c], row-major; equation block (r, c) for each g
+        columns = [{} for _ in range(dim * d)]
+        for g in range(rep.order):
             for r in range(dim):
-                for c in range(d):
-                    row = [_ZERO] * (dim * d)
+                for k, row in enumerate(w_rows[g]):
+                    col = columns[r * d + k]
+                    for c, a in row:
+                        col[g, r, c] = a
+            for i, row in enumerate(rep.block_rows(g, deg)):
+                for r, a in row:
                     for k in range(d):
-                        row[r * d + k] = row[r * d + k] + rho_w[k, c]
-                    for k in range(dim):
-                        row[k * d + c] = row[k * d + c] - rho_m[r, k]
-                    rows.append(row)
-        kern = Matrix.from_rows(rows).kernel() if rows else Subspace.full(dim * d)
+                        col = columns[r * d + k]
+                        x = col.get((g, i, k))
+                        col[g, i, k] = -a if x is None else x - a
+        kern = _kernel_of_columns(
+            [{key: c for key, c in col.items() if c} for col in columns], dim * d)
         basis = [Matrix(dim, d, list(v)) for v in kern.basis]
         require(len(basis) == expected[deg],
                 "intertwiner count must equal the character multiplicity")
@@ -347,18 +348,21 @@ def multiplicity_space(table: CharacterTable, rep: FinGroupRep, name):
 
 def _mode_matrix(rep: FinGroupRep, poly: Poly):
     """Truncated multiplication by `poly` as a matrix on the carrier."""
-    backend = rep.backend
-    monos = rep.monomials
-    index = {e: i for i, e in enumerate(monos)}
-    n = len(monos)
-    cols = []
-    for e in monos:
-        prod = poly.shift(e).truncated(backend.degree_cap)
-        col = [_ZERO] * n
-        for ee, c in prod.terms.items():
-            col[index[ee]] = c
-        cols.append(col)
-    return Matrix.from_columns(cols)
+    monos = rep.action.monomials
+    cap = rep.backend.degree_cap
+    return _matrix(monos, [poly.shift(e).truncated(cap).terms for e in monos])
+
+
+def _modes(rep: FinGroupRep, u: Poly, order):
+    """(k, deg d^k u, the operator of d^k u / k!) for k <= order, up to the
+    first zero derivative."""
+    dku = u
+    for k in range(order + 1):
+        if k:
+            dku = rep.backend.derive(dku)
+        if dku.is_zero():
+            return
+        yield k, dku.degree(), _mode_matrix(rep, dku.scale(Fraction(1, math.factorial(k))))
 
 
 def check_commutant(rep: FinGroupRep, samples, max_order) -> CheckReport:
@@ -368,19 +372,12 @@ def check_commutant(rep: FinGroupRep, samples, max_order) -> CheckReport:
     cap = backend.degree_cap
 
     def failures(u):
-        dku = u
-        for k in range(max_order + 1):
-            if k:
-                dku = backend.derive(dku)
-            if dku.is_zero():
-                return
-            op = _mode_matrix(rep, dku.scale(Fraction(1, math.factorial(k))))
-            deg_u = dku.degree()
+        for k, deg_u, op in _modes(rep, u, max_order):
             # only the columns where the product stays within the cap count
-            within = [sum(e) + deg_u <= cap for e in rep.monomials]
-            for g in range(rep.order):
-                lhs = (rep.full[g] * op).nonzero_rows()
-                rhs = (op * rep.full[g]).nonzero_rows()
+            within = [sum(e) + deg_u <= cap for e in rep.action.monomials]
+            for g, m in enumerate(rep.matrices):
+                lhs = (m * op).nonzero_rows()
+                rhs = (op * m).nonzero_rows()
                 if any([t for t in left if within[t[0]]] != [t for t in right if within[t[0]]]
                        for left, right in zip(lhs, rhs)):
                     yield f"element {rep.element_names[g]} at order {k}"
@@ -414,16 +411,8 @@ def cyclic_reachability(rep: FinGroupRep, table: CharacterTable, name,
     if not isotype.contains(seed_coords):
         raise ValueError("seed does not lie in the requested isotype")
 
-    ops = []
-    for v in rep.fixed_points().basis:
-        vp = backend.poly_from_coords(list(v))
-        dkv = vp
-        for k in range(mode_order + 1):
-            if k:
-                dkv = backend.derive(dkv)
-            if dkv.is_zero():
-                break
-            ops.append(_mode_matrix(rep, dkv.scale(Fraction(1, math.factorial(k)))))
+    ops = [op for v in rep.fixed_points().basis
+           for _, _, op in _modes(rep, backend.poly_from_coords(list(v)), mode_order)]
 
     current = Subspace.from_vectors(len(seed_coords), [seed_coords])
     while True:
@@ -453,29 +442,22 @@ def _isotype_fingerprints(decomp: IsotypicDecomposition, name, mode_order):
     backend = rep.backend
     d = decomp.table.char(name).degree
     iso = decomp.isotype_full(name)
-    degrees = [sum(e) for e in rep.monomials]
+    # the degree of each isotype basis vector, read at its pivot
+    basis_degrees = [sum(rep.action.monomials[p]) for p in iso.pivots]
     prints = []
     for v in rep.fixed_points().basis:  # RREF order, already canonical
-        vp = backend.poly_from_coords(list(v))
-        dkv = vp
-        for k in range(mode_order + 1):
-            if k:
-                dkv = backend.derive(dkv)
-            if dkv.is_zero():
-                break
-            op = _mode_matrix(rep, dkv.scale(Fraction(1, math.factorial(k))))
+        for k, _, op in _modes(rep, backend.poly_from_coords(list(v)), mode_order):
             images = [op.apply(list(b)) for b in iso.basis]
             coords = [iso.coordinates_of(img) for img in images]
             require(all(c is not None for c in coords), "mode left the isotype")
-            square = Matrix.from_columns(coords)
-            trace = sum((square[i, i] for i in range(iso.dim)), _ZERO) / d
+            # column i of the mode on the isotype holds coords[i]
+            trace = sum((c[i] for i, c in enumerate(coords)), _ZERO) / d
             rank_profile = []
             for deg in range(len(rep.degree_dims)):
-                rows = [img for b, img in zip(iso.basis, images)
-                        if degrees[next(i for i, c in enumerate(b) if c != 0)] == deg]
+                rows = [img for img, bd in zip(images, basis_degrees) if bd == deg]
                 if not rows:
                     continue
-                r = Matrix.from_rows(rows).rank()
+                r = Subspace.from_vectors(iso.ambient, rows).dim
                 require(r % d == 0, "a mode rank is not a multiple of the irrep degree")
                 rank_profile.append((deg, r // d))
             prints.append((k, trace, tuple(rank_profile)))

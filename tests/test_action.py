@@ -33,7 +33,7 @@ from hopfva.hopf import (
     recognize_group_algebra,
     sweedler,
 )
-from hopfva.linalg import Matrix, Subspace, kronecker
+from hopfva.linalg import Matrix, Subspace
 from hopfva.scalars import zeta
 from hopfva.vertexalg import CommDiffVA, Poly
 
@@ -322,7 +322,7 @@ def _kronecker_table(act, s_max):
             for idx, c in terms.items():
                 mat = act.matrices[idx[0]]
                 for slot in idx[1:]:
-                    mat = kronecker(mat, act.matrices[slot])
+                    mat = mat.kron(act.matrices[slot])
                 scaled = [c * a for a in mat.entries]
                 total = scaled if total is None else [x + y for x, y in zip(total, scaled)]
             rhos.append(total)
@@ -404,7 +404,7 @@ def test_faithful_tensor_action_forces_cocommutativity():
     cols = []
     for i in range(d):
         for j in range(d):
-            cols.append(kronecker(act.matrices[i], act.matrices[j]).vec())
+            cols.append(act.matrices[i].kron(act.matrices[j]).vec())
     pair_map = Matrix.from_rows(cols).transpose()
     assert pair_map.kernel().is_zero()  # rho (x) rho is injective on H (x) H
     for k in range(d):

@@ -449,6 +449,67 @@ def test_decompose_with_identity_listed_second(capsys, tmp_path):
     assert doc2["result"] == doc["result"]
 
 
+# --- Schur-Weyl commands check their inputs --------------------------------------
+
+BROKEN = str(Path(__file__).parent / "golden" / "broken.json")
+
+
+@pytest.mark.parametrize("command", [
+    ["decompose", "--characters", "z2chars"],
+    ["multiplicity", "--characters", "z2chars", "--irrep", "sign"],
+    ["commutant"],
+    ["reach", "--characters", "z2chars", "--irrep", "sign", "--seed", "x"],
+])
+def test_schur_weyl_refuses_an_action_that_breaks_the_grading(capsys, command):
+    # swap_1_x exchanges 1 and x, so g mixes degrees 0 and 1
+    code = cli.main([command[0], "--workspace", BROKEN, "--object", "swap_1_x",
+                     *command[1:], "--json-only"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 4 and len(lines) == 1
+    assert json.loads(lines[0])["result"] == {
+        "error": "ValueError", "message": "element g does not preserve the grading"}
+
+
+def v4_workspace(tmp_path):
+    """Z2 x Z2, its group algebra changing the signs of x and y in Q[x, y],
+    and its four characters, each named after the generators it negates."""
+    signs = {"triv": (1, 1, 1, 1), "sb": (1, -1, 1, -1), "sa": (1, 1, -1, -1),
+             "sab": (1, -1, -1, 1)}
+    path = tmp_path / "v4.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "groups": [{"name": "v4", "table": [[0, 1, 2, 3], [1, 0, 3, 2],
+                                            [2, 3, 0, 1], [3, 2, 1, 0]]}],
+        "hopf_algebras": [{"name": "qv4", "builder": "group_algebra", "group": "v4"}],
+        "backends": [{"name": "xy", "variables": ["x", "y"],
+                      "derivation": {"x": "x", "y": "y"}, "degree_cap": 2}],
+        "actions": [{"name": "v4_signs", "hopf": "qv4", "backend": "xy",
+                     "generator_images": {"g1": {"x": "x", "y": "-1*y"},
+                                          "g2": {"x": "-1*x", "y": "y"},
+                                          "g3": {"x": "-1*x", "y": "-1*y"}}}],
+        "character_tables": [{
+            "name": "v4chars", "group": "v4", "classes": [[0], [1], [2], [3]],
+            "characters": [{"name": name, "degree": 1, "values": [str(v) for v in vals],
+                            "matrices": [[[str(v)]] for v in vals]}
+                           for name, vals in signs.items()]}],
+    }))
+    return str(path)
+
+
+def test_multiplicity_needs_the_character_table_of_the_acting_group(capsys, tmp_path):
+    ws = ["--workspace", Z2, v4_workspace(tmp_path), "--json-only"]
+    code, doc, _ = run_cli(capsys, ["multiplicity", "--object", "v4_signs",
+                                    "--characters", "v4chars", "--irrep", "sa", *ws])
+    assert (code, doc["result"]["dims_per_degree"]) == (0, [0, 1, 0])
+    for obj, chars, irrep in [("z2_on_xddx", "v4chars", "sa"), ("v4_signs", "z2chars", "sign")]:
+        code, doc, _ = run_cli(capsys, ["multiplicity", "--object", obj, "--characters", chars,
+                                        "--irrep", irrep, *ws])
+        assert code == 4, (obj, doc)
+        assert doc["result"] == {
+            "error": "ValueError",
+            "message": "character table and representation use different groups"}
+
+
 # --- malformed workspaces are input errors with a machine block ----------------
 
 

@@ -187,6 +187,7 @@ def test_every_traced_benchmark_target_resolves():
     import hopfva.action as action
     import hopfva.hopf as hopf
     import hopfva.linalg as linalg
+    import hopfva.schurweyl as schurweyl
     import hopfva.vertexalg as vertexalg
 
     before = (linalg._minimal_polynomial, linalg.Matrix.__dict__["__mul__"])
@@ -213,6 +214,23 @@ def test_every_traced_benchmark_target_resolves():
             calls = tracer.stats["vertexalg", "_kernel_of_columns"][0]
             run()
             assert tracer.stats["vertexalg", "_kernel_of_columns"][0] > calls, name
+        # the Schur-Weyl kernels pass sparse columns to it, not dense rows
+        # through Matrix.kernel
+        z2 = action.HopfAction.from_generator_images(
+            hopf.group_algebra([[0, 1], [1, 0]]), vertexalg.single_variable_backend(1, 2),
+            {"g1": {"x": vertexalg.Poly.monomial((1,), -1)}})
+        rep = schurweyl.FinGroupRep.from_hopf_action(z2)
+        one = (linalg.Matrix.from_rows([[1]]),) * 2
+        table = schurweyl.CharacterTable([[0, 1], [1, 0]], [[0], [1]], [
+            schurweyl.IrrepCharacter("triv", 1, (1, 1), one)])
+        for name, run in [("fixed_points", rep.fixed_points),
+                          ("multiplicity_space",
+                           lambda: schurweyl.multiplicity_space(table, rep, "triv"))]:
+            calls = tracer.stats["vertexalg", "_kernel_of_columns"][0]
+            dense = tracer.stats["linalg", "Matrix.kernel"][0]
+            run()
+            assert tracer.stats["vertexalg", "_kernel_of_columns"][0] > calls, name
+            assert tracer.stats["linalg", "Matrix.kernel"][0] == dense, name
     finally:
         tracer.uninstall()
     assert (linalg._minimal_polynomial, linalg.Matrix.__dict__["__mul__"]) == before

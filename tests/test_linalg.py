@@ -13,7 +13,6 @@ from hopfva.linalg import (
     _kernel_rref,
     _leading_ones,
     _rref_rows,
-    kronecker,
     linear_combination,
     solve,
 )
@@ -92,16 +91,16 @@ def test_kernel_with_cyclotomic_entries():
 
 def test_kron_examples():
     i2 = Matrix.identity(2)
-    assert kronecker(i2, i2) == Matrix.identity(4)
+    assert i2.kron(i2) == Matrix.identity(4)
     swap = Matrix.from_rows([[0, 1], [1, 0]])
-    got = kronecker(swap, i2)
+    got = swap.kron(i2)
     assert got == Matrix.from_rows([
         [0, 0, 1, 0],
         [0, 0, 0, 1],
         [1, 0, 0, 0],
         [0, 1, 0, 0],
     ])
-    assert kronecker(Matrix.from_rows([[2]]), Matrix.from_rows([[3]])) == \
+    assert Matrix.from_rows([[2]]).kron(Matrix.from_rows([[3]])) == \
         Matrix.from_rows([[6]])
 
 
@@ -110,7 +109,7 @@ def test_kron_is_associative():
     mats = [Matrix.from_rows([[F(rng.randint(-2, 2)) for _ in range(2)]
                               for _ in range(2)]) for _ in range(3)]
     a, b, c = mats
-    assert kronecker(kronecker(a, b), c) == kronecker(a, kronecker(b, c))
+    assert a.kron(b).kron(c) == a.kron(b.kron(c))
 
 
 def test_kron_respects_tensor_action():
@@ -121,7 +120,7 @@ def test_kron_respects_tensor_action():
     v = [F(rng.randint(-2, 2)) for _ in range(3)]
     uv = [x * y for x in u for y in v]
     au, bv = a.apply(u), b.apply(v)
-    assert kronecker(a, b).apply(uv) == [x * y for x in au for y in bv]
+    assert a.kron(b).apply(uv) == [x * y for x in au for y in bv]
 
 
 def test_det_against_laplace():
@@ -408,7 +407,7 @@ def test_kron_matches_entrywise_products():
         ra, ca, rb, cb = (rng.randint(1, 3) for _ in range(4))
         a_rows = _random_sparse(rng, ra, ca, pool)
         b_rows = _random_sparse(rng, rb, cb, pool)
-        got = kronecker(_as_matrix(a_rows, ca), _as_matrix(b_rows, cb))
+        got = _as_matrix(a_rows, ca).kron(_as_matrix(b_rows, cb))
         assert got.row_lists() == [[a_rows[i][j] * b_rows[k][l]
                                     for j in range(ca) for l in range(cb)]
                                    for i in range(ra) for k in range(rb)]

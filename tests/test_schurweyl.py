@@ -3,10 +3,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import cyclic_scaling_action, euler_backend, s3_action, s3_perms
-from hopfva.action import HopfAction
+from hopfva.action import HopfAction, trivial_action
 from hopfva.errors import MatricesRequired
-from hopfva.hopf import group_algebra, symmetric_group_table
-from hopfva.linalg import Matrix
+from hopfva.hopf import cyclic_group_table, dual_hopf, group_algebra, symmetric_group_table
+from hopfva.linalg import Matrix, Subspace
 from hopfva.scalars import zeta
 from hopfva.schurweyl import (
     CharacterTable,
@@ -179,8 +179,6 @@ def test_sign_projector_z2():
 
 def test_trivial_group_projector_is_identity():
     h = group_algebra([[0]])
-    from hopfva.action import trivial_action
-
     act = trivial_action(h, euler_backend(3))
     rep = FinGroupRep.from_hopf_action(act)
     t = CharacterTable([[0]], [[0]],
@@ -212,8 +210,6 @@ def test_decompose_z2_even_odd():
 
 def test_decompose_trivial_action_single_isotype():
     h = group_algebra([[0]])
-    from hopfva.action import trivial_action
-
     rep = FinGroupRep.from_hopf_action(trivial_action(h, euler_backend(4)))
     t = CharacterTable([[0]], [[0]], [IrrepCharacter("triv", 1, (F(1),))])
     decomp = decompose(t, rep)
@@ -257,7 +253,7 @@ def test_multiplicity_space_s3_std_degree_one():
     t = s3_chartable()
     rep = s3_rep(2)
     for g in range(6):
-        assert f * t.char("std").matrices[g] == rep.blocks[g][1] * f
+        assert f * t.char("std").matrices[g] == _dense_block(rep, g, 1) * f
 
 
 def test_theta_dimension_bookkeeping():
@@ -304,8 +300,8 @@ def test_s3_commutant_at_cap_3():
 def test_group_rep_of_a_group_algebra_uses_the_action_matrices():
     act = s3_action(2)
     rep = FinGroupRep.from_hopf_action(act)
-    assert rep.full == act.matrices
-    assert rep.full == tuple(act.rho(act.hopf.basis_vector(g)) for g in range(act.hopf.dim))
+    assert rep.matrices is act.matrices
+    assert rep.matrices == tuple(act.rho(act.hopf.basis_vector(g)) for g in range(act.hopf.dim))
 
 
 # --- cyclic reachability -------------------------------------------------------------
@@ -327,8 +323,6 @@ def test_reach_trivial_isotype_from_vacuum():
 
 def test_reach_trivial_group_everything():
     h = group_algebra([[0]])
-    from hopfva.action import trivial_action
-
     rep = FinGroupRep.from_hopf_action(trivial_action(h, euler_backend(4)))
     t = CharacterTable([[0]], [[0]], [IrrepCharacter("triv", 1, (F(1),))])
     res = cyclic_reachability(rep, t, "triv", Poly.const(1, F(1)), 2)
@@ -404,12 +398,7 @@ def test_reach_is_contained_in_isotype():
 
 
 def test_identity_need_not_be_element_zero():
-    # Z/2 with its elements listed as (g, e): same multiplicities as (e, g)
-    act = cyclic_scaling_action(2, 6)
-    rho = FinGroupRep.from_hopf_action(act)
-    rep = FinGroupRep([[1, 0], [0, 1]], ("g", "e"), (rho.full[1], rho.full[0]),
-                      backend=act.backend)
-    assert rep.identity == 1 and rep.inverse(0) == 0
+    # Z/2 with its elements listed as (g, e): the table finds the identity at 1
     table = CharacterTable(
         [[1, 0], [0, 1]],
         [[1], [0]],
@@ -417,7 +406,119 @@ def test_identity_need_not_be_element_zero():
                         (Matrix.from_rows([[1]]), Matrix.from_rows([[1]]))),
          IrrepCharacter("sign", 1, (F(1), F(-1)),
                         (Matrix.from_rows([[-1]]), Matrix.from_rows([[1]])))])
-    assert verify_character_table(table, rep).passed
-    assert decompose(table, rep).multiplicities == \
-        decompose(z2_chartable(), rho).multiplicities
-    assert rep.fixed_points() == rho.fixed_points()
+    assert table.identity == 1
+    assert verify_character_table(table).passed
+
+
+# --- dense oracles: the formulations the sparse view replaced ---------------------
+
+
+def _dense_block(rep, g, deg):
+    """rho(g) on the degree-`deg` monomials, read entry by entry."""
+    start = sum(rep.degree_dims[:deg])
+    m = rep.matrices[g]
+    span = range(start, start + rep.degree_dims[deg])
+    return Matrix.from_rows([[m[i, j] for j in span] for i in span])
+
+
+def _dense_fixed_points(rep):
+    """V^G as the kernel of the stacked rows of rho(g) - I, g != e."""
+    n = rep.carrier_dim
+    rows = [row for m in rep.matrices[1:] for row in (m - Matrix.identity(n)).row_lists()]
+    return Matrix.from_rows(rows).kernel() if rows else Subspace.full(n)
+
+
+def _dense_intertwiners(table, rep, name, deg):
+    """Hom_G(W, M) in degree `deg`: one dense row per entry (r, c) of
+    f rho_W(g) - rho_M(g) f, the unknowns f[r][k] row-major."""
+    ch = table.char(name)
+    d, dim = ch.degree, rep.degree_dims[deg]
+    rows = []
+    for g in range(rep.order):
+        rho_w, rho_m = ch.matrices[g], _dense_block(rep, g, deg)
+        for r in range(dim):
+            for c in range(d):
+                row = [F(0)] * (dim * d)
+                for k in range(d):
+                    row[r * d + k] = row[r * d + k] + rho_w[k, c]
+                for k in range(dim):
+                    row[k * d + c] = row[k * d + c] - rho_m[r, k]
+                rows.append(row)
+    return Matrix.from_rows(rows).kernel() if rows else Subspace.full(dim * d)
+
+
+def _dense_projector(table, rep, name, deg):
+    ch = table.char(name)
+    dim = rep.degree_dims[deg]
+    acc = Matrix.zeros(dim, dim)
+    for g in range(rep.order):
+        coeff = table.value_at_element(ch, rep.inverse(g)) * F(ch.degree, rep.order)
+        acc = acc + _dense_block(rep, g, deg).scale(coeff)
+    return acc
+
+
+def _dense_multiplicity(table, rep, name, deg):
+    ch = table.char(name)
+    dim = rep.degree_dims[deg]
+    total = sum((sum((_dense_block(rep, g, deg)[i, i] for i in range(dim)), F(0))
+                 * table.value_at_element(ch, rep.inverse(g)) for g in range(rep.order)), F(0))
+    return total / rep.order
+
+
+def z3_chartable_with_matrices():
+    z = zeta(3)
+    table = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+    chars = [IrrepCharacter(f"chi{j}", 1, tuple(z ** (j * k) for k in range(3)),
+                            tuple(Matrix.from_rows([[z ** (j * k)]]) for k in range(3)))
+             for j in range(3)]
+    return CharacterTable(table, [[0], [1], [2]], chars)
+
+
+def trivial_group_case(cap=3):
+    rep = FinGroupRep.from_hopf_action(trivial_action(group_algebra([[0]]), euler_backend(cap)))
+    table = CharacterTable([[0]], [[0]], [IrrepCharacter("triv", 1, (F(1),),
+                                                        (Matrix.from_rows([[1]]),))])
+    return table, rep
+
+
+def dual_z2_case(cap=4):
+    """Q[Z2]* acting on Q[x] by its two idempotents, the even and odd parts;
+    its group-likes 1 and delta_e - delta_g are recognised, not given."""
+    h = dual_hopf(group_algebra(cyclic_group_table(2)))
+    n = cap + 1
+    mats = [Matrix.from_rows([[F(int(i == j and i % 2 == parity)) for j in range(n)]
+                              for i in range(n)]) for parity in (0, 1)]
+    return z2_chartable(), FinGroupRep.from_hopf_action(HopfAction(h, euler_backend(cap), mats))
+
+
+ORACLE_CASES = {
+    "z2-cap6": lambda: (z2_chartable(), z2_rep(6)),
+    "z3-xy-zeta3": lambda: (z3_chartable_with_matrices(),
+                            FinGroupRep.from_hopf_action(_z3_xy_action(3))),
+    "s3-cap2": lambda: (s3_chartable(), s3_rep(2)),
+    "s3-cap3": lambda: (s3_chartable(), s3_rep(3)),
+    "trivial-group": trivial_group_case,
+    "dual-z2-group-likes": dual_z2_case,
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_sparse_view_matches_dense_oracles(case):
+    table, rep = ORACLE_CASES[case]()
+    assert rep.fixed_points() == _dense_fixed_points(rep)
+    decomp = decompose(table, rep)
+    for ch in table.chars:
+        projectors = isotypic_projector(table, rep, ch.name)
+        spaces = multiplicity_space(table, rep, ch.name)
+        for deg in range(len(rep.degree_dims)):
+            assert projectors[deg] == _dense_projector(table, rep, ch.name, deg)
+            assert decomp.multiplicities[ch.name][deg] == \
+                _dense_multiplicity(table, rep, ch.name, deg)
+            assert [f.vec() for f in spaces[deg]] == \
+                [list(v) for v in _dense_intertwiners(table, rep, ch.name, deg).basis]
+
+
+def test_recognised_group_likes_act_like_the_group_algebra():
+    table, rep = dual_z2_case(4)
+    assert rep.element_names == ("gl0", "gl1")
+    assert decompose(table, rep).multiplicities == decompose(table, z2_rep(4)).multiplicities
