@@ -1,12 +1,17 @@
 """Hopf actions on truncated commutative differential backends.
 
 An action stores, for each Hopf basis element, its image of each monomial
-of the carrier A_{<=D} as a sparse column (monomial -> coefficient), and the
-same map as a Matrix over the monomial basis.  Polynomials are acted on
-from the columns, term by term, and the tensor-power test multiplies only
-nonzero entries.  Actions can be entered as full matrices or as generator
-images extended through the coproduct (the module-algebra rule), which is
-how non-group examples like the Sweedler action on Q[z] are specified.
+of the carrier A_{<=D} as a sparse column (monomial -> coefficient, integral
+rationals held as ints, which multiply far faster than Fractions), and the
+same map as a Matrix over the monomial basis.  Actions can be entered as
+full matrices or as generator images extended through the coproduct (the
+module-algebra rule), which is how non-group examples like the Sweedler
+action on Q[z] are specified.
+
+The generator extension, the algebra-map check and the module-vertex-algebra
+checks run on those columns as {exponent: coefficient} dicts, with the
+derivation read from the backend as the same kind of dict; no Poly is built
+unless a witness is reported.
 
 The theorem checkers at the bottom refuse (raise HypothesesNotMet) rather
 than report vacuous passes when the stated hypotheses fail.
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add as _add
 
 from .errors import (
     BudgetExceeded,
@@ -37,7 +43,8 @@ from .hopf import (
     recognize_group_algebra,
 )
 from .linalg import Matrix, Subspace, _kernel_of_columns, linear_combination, nonzero_pairs
-from .vertexalg import CommDiffVA, Poly, pi2_kernel, poly_to_text
+from .scalars import as_scalar, demoted
+from .vertexalg import CommDiffVA, Poly, _mul, pi2_kernel, poly_to_text
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -61,14 +68,24 @@ def _matrix(monos, images):
     nonzero = [[] for _ in monos]
     for j, col in enumerate(images):
         for t, c in col.items():
-            nonzero[index[t]].append((j, c))
+            nonzero[index[t]].append((j, as_scalar(c)))
     return Matrix.from_nonzero_rows(len(monos), len(monos), nonzero)
+
+
+def _monomial_text(e, variables):
+    return poly_to_text(Poly.monomial(e), variables)
+
+
+def _coproduct_pairs(h, bi):
+    """((p, q), c) for Delta(b_bi) = sum c b_p (x) b_q."""
+    return [(divmod(t, h.dim), c) for t, c in h.comul_nonzero[bi]]
 
 
 class HopfAction:
     """A Hopf algebra acting on A_{<=D}, one sparse column per basis element
     and monomial: `_columns[b][e]` is b.e as a monomial -> coefficient dict,
-    and `matrices[b]` is the same map as a Matrix over the monomial basis."""
+    integral rationals as ints, and `matrices[b]` is the same map as a
+    Matrix over the monomial basis."""
 
     __slots__ = ("hopf", "backend", "matrices", "filtration_compatible",
                  "monomials", "_columns")
@@ -88,7 +105,7 @@ class HopfAction:
             cols = {e: {} for e in monos}
             for i, row in enumerate(m.nonzero_rows()):
                 for j, a in row:
-                    cols[monos[j]][monos[i]] = a
+                    cols[monos[j]][monos[i]] = demoted(a)
             columns.append(cols)
         self._columns = tuple(columns)
         self.filtration_compatible = all(
@@ -100,8 +117,9 @@ class HopfAction:
     def _check_algebra_map(self):
         h = self.hopf
         cols = self._columns
+        unit = nonzero_pairs(h.unit)
         for e in self.monomials:
-            if _sum_columns((c, bc[e]) for c, bc in zip(h.unit, cols) if c) != {e: _ONE}:
+            if _sum_columns((c, cols[k][e]) for k, c in unit) != {e: 1}:
                 raise ValueError("action of the Hopf unit is not the identity")
         for i in range(h.dim):
             for j in range(h.dim):
@@ -120,12 +138,16 @@ class HopfAction:
             _sum_columns((c, bc[e]) for c, bc in zip(hvec, self._columns) if c)
             for e in self.monomials])
 
-    def act_basis_on_poly(self, b_index, poly):
+    def _apply(self, b_index, terms):
+        """b.f for an {exponent: coefficient} polynomial f within the cap."""
         cols = self._columns[b_index]
-        for e in poly.terms:
+        for e in terms:
             if e not in cols:
                 raise TruncationOverflow(sum(e), self.backend.degree_cap)
-        return Poly(poly.nvars, _sum_columns((c, cols[e]) for e, c in poly.terms.items()))
+        return _sum_columns((c, cols[e]) for e, c in terms.items())
+
+    def act_basis_on_poly(self, b_index, poly):
+        return Poly(poly.nvars, self._apply(b_index, poly.terms))
 
     @classmethod
     def from_generator_images(cls, hopf, backend, images, check=True):
@@ -136,44 +158,48 @@ class HopfAction:
         """
         d = hopf.dim
         nvars = backend.nvars
+        cap = backend.degree_cap
         img = {}
         for bi, name in enumerate(hopf.names):
             if name in images:
-                img[bi] = [images[name][v] for v in backend.variables]
+                img[bi] = [{e: demoted(c) for e, c in images[name][v].terms.items()}
+                           for v in backend.variables]
             elif list(hopf.unit) == [_ONE if k == bi else _ZERO for k in range(d)]:
-                img[bi] = [Poly.variable(nvars, i) for i in range(nvars)]
+                img[bi] = [{tuple(int(k == i) for k in range(nvars)): 1} for i in range(nvars)]
             else:
                 raise ValueError(f"no generator images for basis element {name}")
-
+        coproducts = [_coproduct_pairs(hopf, bi) for bi in range(d)]
         memo = {}
 
         def act(bi, mono):
-            key = (bi, mono)
-            if key in memo:
-                return memo[key]
+            """b_bi . mono = sum c (b_p x_var)(b_q rest) over Delta(b_bi),
+            for mono = x_var rest with var its first variable."""
+            out = memo.get((bi, mono))
+            if out is not None:
+                return out
             if sum(mono) == 0:
-                out = Poly.const(nvars, hopf.counit[bi])
+                eps = demoted(hopf.counit[bi])
+                out = {mono: eps} if eps else {}
             else:
                 var = next(i for i, k in enumerate(mono) if k)
                 rest = mono[:var] + (mono[var] - 1,) + mono[var + 1:]
-                out = Poly.zero(nvars)
-                for t, c in hopf.comul_nonzero[bi]:
-                    p, q = divmod(t, d)
+                terms = []
+                for (p, q), c in coproducts[bi]:
                     left = img[p][var]
-                    if left.is_zero():
+                    if not left:
                         continue
                     right = act(q, rest)
-                    if right.is_zero():
-                        continue
-                    out = out + (left * right).scale(c)
-            if out.degree() > backend.degree_cap:
-                raise TruncationOverflow(out.degree(), backend.degree_cap,
-                                         f"extending {hopf.names[bi]} to monomials")
-            memo[key] = out
+                    if right:
+                        terms.append((c, _mul(left, right)))
+                out = _sum_columns(terms)
+            degree = max(map(sum, out), default=-1)
+            if degree > cap:
+                raise TruncationOverflow(degree, cap, f"extending {hopf.names[bi]} to monomials")
+            memo[bi, mono] = out
             return out
 
         monos = backend.monomials()
-        mats = [_matrix(monos, [act(bi, e).terms for e in monos]) for bi in range(d)]
+        mats = [_matrix(monos, [act(bi, e) for e in monos]) for bi in range(d)]
         return cls(hopf, backend, mats, check=check)
 
 
@@ -186,52 +212,38 @@ def trivial_action(hopf, backend) -> HopfAction:
 
 # ---------------------------------------------------------------------------
 # module-algebra and module-vertex-algebra axioms
-
-
-def _coproduct_sum(act, bi, term):
-    """sum c term(p, q) over Delta(b_bi) = sum c b_p (x) b_q, as a Poly."""
-    h = act.hopf
-    out = Poly.zero(act.backend.nvars)
-    for t, c in h.comul_nonzero[bi]:
-        out = out + term(*divmod(t, h.dim)).scale(c)
-    return out
-
-
-def _monomial_images(act):
-    """(b, e) -> b.e as a Poly for a carrier monomial e, each built once."""
-    memo = {}
-
-    def image(b, e):
-        out = memo.get((b, e))
-        if out is None:
-            out = memo[b, e] = act.act_basis_on_poly(b, Poly.monomial(e))
-        return out
-
-    return image
+#
+# Each check walks (basis element, monomial, ...) in a fixed order and
+# reports its first failure.  Both sides of an identity are built from the
+# action's columns as {exponent: coefficient} dicts, and it holds where
+# their difference sums to the empty dict.
 
 
 def verify_module_algebra(act: HopfAction) -> CheckReport:
     """h 1 = eps(h) 1 and h(fg) = sum (h1 f)(h2 g) on monomial pairs."""
     h, a = act.hopf, act.backend
+    cols = act._columns
     report = CheckReport()
-    one = Poly.const(a.nvars, _ONE)
+    one = (0,) * a.nvars
     report.record("unit-compatibility", (
         h.names[bi] for bi in range(h.dim)
-        if act.act_basis_on_poly(bi, one) != one.scale(h.counit[bi])))
+        if act._apply(bi, {one: 1}) != ({one: h.counit[bi]} if h.counit[bi] else {})))
 
     def leibniz_failures():
         monos = act.monomials
-        image = _monomial_images(act)
+        cap = a.degree_cap
         for bi in range(h.dim):
+            col = cols[bi]
+            coproduct = _coproduct_pairs(h, bi)
             for e1 in monos:
-                for e2 in monos:
-                    if sum(e1) + sum(e2) > a.degree_cap:
-                        continue
-                    lhs = image(bi, tuple(x + y for x, y in zip(e1, e2)))
-                    rhs = _coproduct_sum(act, bi, lambda p, q: image(p, e1) * image(q, e2))
-                    if lhs != rhs:
-                        yield (f"({h.names[bi]}, {poly_to_text(Poly.monomial(e1), a.variables)}, "
-                               f"{poly_to_text(Poly.monomial(e2), a.variables)})")
+                # the monomials of degree <= D - |e1|, a prefix of the deglex basis
+                for e2 in a.monomials(cap - sum(e1)):
+                    # h(e1 e2) - sum (h1 e1)(h2 e2), zero where the rule holds
+                    residual = [(1, col[tuple(map(_add, e1, e2))])]
+                    residual += [(-c, _mul(cols[p][e1], cols[q][e2])) for (p, q), c in coproduct]
+                    if _sum_columns(residual):
+                        yield (f"({h.names[bi]}, {_monomial_text(e1, a.variables)}, "
+                               f"{_monomial_text(e2, a.variables)})")
 
     report.record("module-algebra-rule", leibniz_failures())
     return report
@@ -242,14 +254,12 @@ def check_D_commute(act: HopfAction):
     h, a = act.hopf, act.backend
     wplus = max(a.weight, 0)
     for bi in range(h.dim):
-        for mono in act.monomials:
-            if sum(mono) + wplus > a.degree_cap:
-                continue
-            m_poly = Poly.monomial(mono)
-            lhs = act.act_basis_on_poly(bi, a.derive(m_poly))
-            rhs = a.derive(act.act_basis_on_poly(bi, m_poly))
+        col = act._columns[bi]
+        for mono in a.monomials(a.degree_cap - wplus):
+            lhs = act._apply(bi, a.derive_terms({mono: 1}))
+            rhs = a.derive_terms(col[mono])
             if lhs != rhs:
-                return False, (h.names[bi], poly_to_text(m_poly, a.variables))
+                return False, (h.names[bi], _monomial_text(mono, a.variables))
     return True, None
 
 
@@ -261,43 +271,45 @@ def verify_module_vertex_algebra(act: HopfAction, order=None) -> CheckReport:
     with the combined identity checked directly as well.
     """
     h, a = act.hopf, act.backend
+    cols = act._columns
     order = len(act.monomials) if order is None else order
     report = verify_module_algebra(act)
     report["derivation-commutation"] = check_D_commute(act)
 
+    def chain(chains, key, start, k):
+        """d^k start, the derivatives of each key taken once, in order."""
+        out = chains.get(key)
+        if out is None:
+            out = chains[key] = [start]
+        while len(out) <= k:
+            out.append(a.derive_terms(out[-1]))
+        return out[k]
+
     def identity_failures():
         monos = act.monomials
-        image = _monomial_images(act)
-        chains = {}
-
-        def derived(p, e, k):
-            """d^k (b_p e), each derivative taken once."""
-            chain = chains.get((p, e))
-            if chain is None:
-                chain = chains[p, e] = [image(p, e)]
-            while len(chain) <= k:
-                chain.append(a.derive(chain[-1]))
-            return chain[k]
-
+        cap = a.degree_cap
+        powers = {}   # e1 -> [d^k e1]
+        images = {}   # (p, e1) -> [d^k (b_p e1)]
         for bi in range(h.dim):
+            col = cols[bi]
+            coproduct = _coproduct_pairs(h, bi)
             for e1 in monos:
-                u = Poly.monomial(e1)
-                dku = u
                 for k in range(order + 1):
-                    if k:
-                        dku = a.derive(dku)
-                    if dku.is_zero():
+                    dku = chain(powers, e1, {e1: 1}, k)
+                    if not dku:
                         break
-                    room = a.degree_cap - dku.degree()
-                    for e2 in monos:
-                        if sum(e2) > room:
-                            continue
-                        lhs = act.act_basis_on_poly(bi, dku.shift(e2))
-                        rhs = _coproduct_sum(
-                            act, bi, lambda p, q: derived(p, e1, k) * image(q, e2))
-                        if lhs != rhs:
-                            yield (f"({h.names[bi]}, {poly_to_text(u, a.variables)}, "
-                                   f"{poly_to_text(Poly.monomial(e2), a.variables)}) at order {k}")
+                    room = cap - max(map(sum, dku))
+                    if room < 0:
+                        continue
+                    left = [(q, c, chain(images, (p, e1), cols[p][e1], k))
+                            for (p, q), c in coproduct]
+                    for e2 in a.monomials(room):
+                        # h((d^k e1) e2) - sum (d^k(h1 e1))(h2 e2), zero where it holds
+                        residual = [(c, col[tuple(map(_add, t, e2))]) for t, c in dku.items()]
+                        residual += [(-c, _mul(dkp, cols[q][e2])) for q, c, dkp in left]
+                        if _sum_columns(residual):
+                            yield (f"({h.names[bi]}, {_monomial_text(e1, a.variables)}, "
+                                   f"{_monomial_text(e2, a.variables)}) at order {k}")
 
     report.record("hopf-vertex-identity", identity_failures())
     return report

@@ -57,6 +57,7 @@ from .scalars import (
     Cyclotomic,
     as_scalar,
     common_conductor,
+    demoted,
     scalar_pretty,
     scalar_sort_key,
 )
@@ -164,8 +165,7 @@ def _nonzero_rows(entries, d, nrows, place, what):
 def _pairs(row):
     """The ascending (index, value) pairs of a dict's nonzero values, integral
     rationals as ints (which multiply far faster than Fractions)."""
-    return [(k, c.numerator if c.__class__ is Fraction and c.denominator == 1 else c)
-            for k, c in sorted(row.items()) if c]
+    return [(k, demoted(c)) for k, c in sorted(row.items()) if c]
 
 
 def _sum(terms):

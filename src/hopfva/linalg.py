@@ -40,6 +40,7 @@ from .scalars import (
     as_scalar,
     common_conductor,
     cyclo_coords,
+    demoted,
     euler_phi,
     from_cyclo_coords,
     scalar_sort_key,
@@ -758,8 +759,7 @@ def nonzero_pairs(vec):
     Integral rationals come out as ints, which multiply far faster than
     Fractions; sums with the Fraction entries of a result stay Fractions.
     """
-    return [(k, c.numerator if c.__class__ is Fraction and c.denominator == 1 else c)
-            for k, c in enumerate(vec) if c]
+    return [(k, demoted(c)) for k, c in enumerate(vec) if c]
 
 
 class _AlgebraQ:

@@ -428,6 +428,12 @@ def as_scalar(x):
     raise TypeError(f"not a scalar: {x!r}")
 
 
+def demoted(s):
+    """An integral rational as an int, which multiplies far faster than a
+    Fraction; every other scalar as it is."""
+    return s.numerator if s.__class__ is Fraction and s.denominator == 1 else s
+
+
 def scalar_conductor(s):
     return s.conductor if isinstance(s, Cyclotomic) else 1
 

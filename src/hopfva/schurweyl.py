@@ -365,6 +365,13 @@ def _modes(rep: FinGroupRep, u: Poly, order):
         yield k, dku.degree(), _mode_matrix(rep, dku.scale(Fraction(1, math.factorial(k))))
 
 
+def _invariant_modes(rep: FinGroupRep, order):
+    """(k, operator of d^k v / k!) for the RREF basis vectors v of V^G, k <= order."""
+    backend = rep.backend
+    return [(k, op) for v in rep.fixed_points().basis
+            for k, _, op in _modes(rep, backend.poly_from_coords(list(v)), order)]
+
+
 def check_commutant(rep: FinGroupRep, samples, max_order) -> CheckReport:
     """[rho(g), multiplication by d^k u / k!] = 0 within cap, per sample u."""
     backend = rep.backend
@@ -411,8 +418,7 @@ def cyclic_reachability(rep: FinGroupRep, table: CharacterTable, name,
     if not isotype.contains(seed_coords):
         raise ValueError("seed does not lie in the requested isotype")
 
-    ops = [op for v in rep.fixed_points().basis
-           for _, _, op in _modes(rep, backend.poly_from_coords(list(v)), mode_order)]
+    ops = [op for _, op in _invariant_modes(rep, mode_order)]
 
     current = Subspace.from_vectors(len(seed_coords), [seed_coords])
     while True:
@@ -435,32 +441,31 @@ class DistinguishVerdict:
     detail: str = ""
 
 
-def _isotype_fingerprints(decomp: IsotypicDecomposition, name, mode_order):
-    """Traces and per-degree ranks of the canonical mode family, scaled by
-    the irrep degree so different-degree isotypes are comparable."""
+def _isotype_fingerprints(decomp: IsotypicDecomposition, name, modes):
+    """Traces and per-degree ranks of the canonical mode family `modes`
+    (from `_invariant_modes`) on one isotype, scaled by the irrep degree so
+    different-degree isotypes are comparable."""
     rep = decomp.rep
-    backend = rep.backend
     d = decomp.table.char(name).degree
     iso = decomp.isotype_full(name)
     # the degree of each isotype basis vector, read at its pivot
     basis_degrees = [sum(rep.action.monomials[p]) for p in iso.pivots]
     prints = []
-    for v in rep.fixed_points().basis:  # RREF order, already canonical
-        for k, _, op in _modes(rep, backend.poly_from_coords(list(v)), mode_order):
-            images = [op.apply(list(b)) for b in iso.basis]
-            coords = [iso.coordinates_of(img) for img in images]
-            require(all(c is not None for c in coords), "mode left the isotype")
-            # column i of the mode on the isotype holds coords[i]
-            trace = sum((c[i] for i, c in enumerate(coords)), _ZERO) / d
-            rank_profile = []
-            for deg in range(len(rep.degree_dims)):
-                rows = [img for img, bd in zip(images, basis_degrees) if bd == deg]
-                if not rows:
-                    continue
-                r = Subspace.from_vectors(iso.ambient, rows).dim
-                require(r % d == 0, "a mode rank is not a multiple of the irrep degree")
-                rank_profile.append((deg, r // d))
-            prints.append((k, trace, tuple(rank_profile)))
+    for k, op in modes:
+        images = [op.apply(list(b)) for b in iso.basis]
+        coords = [iso.coordinates_of(img) for img in images]
+        require(all(c is not None for c in coords), "mode left the isotype")
+        # column i of the mode on the isotype holds coords[i]
+        trace = sum((c[i] for i, c in enumerate(coords)), _ZERO) / d
+        rank_profile = []
+        for deg in range(len(rep.degree_dims)):
+            rows = [img for img, bd in zip(images, basis_degrees) if bd == deg]
+            if not rows:
+                continue
+            r = Subspace.from_vectors(iso.ambient, rows).dim
+            require(r % d == 0, "a mode rank is not a multiple of the irrep degree")
+            rank_profile.append((deg, r // d))
+        prints.append((k, trace, tuple(rank_profile)))
     return prints
 
 
@@ -472,8 +477,10 @@ def distinguish_isotypes(decomp: IsotypicDecomposition, name_a, name_b,
     if dims_a != dims_b:
         return DistinguishVerdict(kind="degreewise-dims",
                                   detail=f"{dims_a} vs {dims_b}")
-    fp_a = _isotype_fingerprints(decomp, name_a, mode_order)
-    fp_b = _isotype_fingerprints(decomp, name_b, mode_order)
+    # V^G and its mode operators are shared by both isotypes
+    modes = _invariant_modes(decomp.rep, mode_order)
+    fp_a = _isotype_fingerprints(decomp, name_a, modes)
+    fp_b = _isotype_fingerprints(decomp, name_b, modes)
     if fp_a != fp_b:
         return DistinguishVerdict(kind="mode-fingerprint",
                                   detail="a canonical mode operator separates them")

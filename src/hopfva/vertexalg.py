@@ -42,7 +42,7 @@ from operator import add as _add
 
 from .errors import CheckReport, MalformedPairs, TruncationOverflow
 from .linalg import Matrix, Subspace, _cleared, _kernel_of_columns, linear_combination
-from .scalars import Cyclotomic, as_scalar, scalar_pretty, scalar_to_text
+from .scalars import Cyclotomic, as_scalar, demoted, scalar_pretty, scalar_to_text
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -311,28 +311,39 @@ class CommDiffVA:
     # -- derivation
 
     def _monomial_derivative(self, mono):
-        if mono in self._dmemo:
-            return self._dmemo[mono]
-        if self._table is not None:
-            if mono not in self._table:
-                raise ValueError(f"derivation table does not cover monomial {mono}")
-            out = self._table[mono]
-        else:
-            out = Poly.zero(self.nvars)
-            for i, k in enumerate(mono):
-                if k:
-                    lowered = list(mono)
-                    lowered[i] -= 1
-                    out = out + self.images[i].shift(tuple(lowered)).scale(k)
-        self._dmemo[mono] = out
+        """d(mono) as {exponent: coefficient} without zeros, integral
+        rationals as ints; each monomial is derived once per backend."""
+        out = self._dmemo.get(mono)
+        if out is None:
+            if self._table is not None:
+                if mono not in self._table:
+                    raise ValueError(f"derivation table does not cover monomial {mono}")
+                terms = self._table[mono].terms.items()
+            else:
+                acc = {}
+                for i, k in enumerate(mono):
+                    if k:
+                        lowered = mono[:i] + (k - 1,) + mono[i + 1:]
+                        for g, c in self.images[i].terms.items():
+                            t = tuple(map(_add, g, lowered))
+                            acc[t] = acc.get(t, 0) + k * c
+                terms = acc.items()
+            out = self._dmemo[mono] = {t: demoted(c) for t, c in terms if c}
         return out
+
+    def derive_terms(self, terms):
+        """d of an {exponent: coefficient} polynomial, as such a dict
+        without zeros (no cap)."""
+        out = {}
+        for e, c in terms.items():
+            for g, a in self._monomial_derivative(e).items():
+                x = out.get(g)
+                out[g] = c * a if x is None else x + c * a
+        return {g: v for g, v in out.items() if v}
 
     def derive(self, poly):
         """One exact application of the derivation (no cap)."""
-        out = Poly.zero(self.nvars)
-        for e, c in poly.terms.items():
-            out = out + self._monomial_derivative(e).scale(c)
-        return out
+        return Poly(self.nvars, self.derive_terms(poly.terms))
 
     def derive_k(self, poly, k):
         for _ in range(k):
@@ -542,13 +553,8 @@ def _derivative_chains(backend, monos, order):
     def step(e):
         out = steps.get(e)
         if out is None:
-            out = {}
-            for g, c in backend._monomial_derivative(e).terms.items():
-                c = c * scale
-                if isinstance(c, Fraction) and c.denominator == 1:
-                    c = c.numerator
-                out[g] = c
-            steps[e] = out
+            out = steps[e] = {g: demoted(c * scale)
+                              for g, c in backend._monomial_derivative(e).items()}
         return out
 
     derivs = []

@@ -134,6 +134,22 @@ def test_schur_weyl_commands(capsys):
     assert doc["result"]["verdict"] == "degreewise-dims"
 
 
+def test_distinguish_builds_the_mode_family_once(capsys, monkeypatch):
+    # V^G and its mode operators serve both isotypes: on z2_on_xddx the
+    # invariants 1, x^2, x^4, x^6 give 10 mode operators up to order 2
+    from hopfva import schurweyl
+
+    calls = []
+    mode_matrix = schurweyl._mode_matrix
+    monkeypatch.setattr(schurweyl, "_mode_matrix",
+                        lambda *args: calls.append(1) or mode_matrix(*args))
+    code, doc, _ = run_cli(capsys, [
+        "distinguish", "--workspace", Z2, "--object", "z2_on_xddx",
+        "--characters", "z2chars", "--irrep", "sign", "--irrep2", "sign"])
+    assert (code, doc["result"]["verdict"]) == (3, "inconclusive")
+    assert len(calls) == 10
+
+
 def test_group_likes_and_recognition(capsys):
     code, doc, _ = run_cli(capsys, [
         "group-likes", "--workspace", Z2, "--object", "qz2"])

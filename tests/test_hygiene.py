@@ -6,8 +6,9 @@ read, are reported.  `_` is exempt, and so is every name `hopfva/__init__.py`
 re-exports from the module that binds it (such as `scalars.Rational`).
 Every exception class of `errors.py` must be raised or caught somewhere in
 the package, so a deleted code path cannot leave its error behind.
-Every function the benchmark's tracer wraps by name must still exist, and
-every null space must enter the one traced kernel routine.
+Every function the benchmark's tracer wraps by name must still exist (read
+from `bench/spans.py` without installing it, and again through its tracer),
+and every null space must enter the one traced kernel routine.
 """
 
 import ast
@@ -177,13 +178,37 @@ def test_scan_finds_each_kind_of_dead_name(tmp_path):
     assert dead_names(tmp_path) == ["mod.pi", "mod.UNUSED", "mod.public: width (line 10)"]
 
 
-def test_every_traced_benchmark_target_resolves():
-    # the benchmark's tracer patches hot functions by name; a rename must
-    # fail here rather than break traced benchmark runs
+def _bench_spans():
+    """The benchmark's `bench/spans.py`, loaded from its file (read only)."""
     path = Path(__file__).parents[1] / "bench" / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_benchmark_target_names_a_package_attribute():
+    # each TARGETS entry is a function of its layer's module, or a method
+    # defined on a class there ("Class.method"), which is where the tracer
+    # looks it up; a refactor that renames or moves one must fail here
+    missing = []
+    for layer, names in _bench_spans().TARGETS.items():
+        module = importlib.import_module(f"hopfva.{layer}")
+        for name in names:
+            owner, _, attr = name.rpartition(".")
+            if owner:
+                found = attr in vars(getattr(module, owner, object))
+            else:
+                found = callable(getattr(module, attr, None))
+            if not found:
+                missing.append(f"{layer}: {name}")
+    assert missing == []
+
+
+def test_every_traced_benchmark_target_resolves():
+    # the benchmark's tracer patches hot functions by name; a rename must
+    # fail here rather than break traced benchmark runs
+    spans = _bench_spans()
     import hopfva.action as action
     import hopfva.hopf as hopf
     import hopfva.linalg as linalg

@@ -356,11 +356,12 @@ def test_distinguish_z3_characters_by_dims():
 
 
 def test_distinguish_control_same_isotype():
-    from hopfva.schurweyl import _isotype_fingerprints
+    from hopfva.schurweyl import _invariant_modes, _isotype_fingerprints
 
     decomp = decompose(z2_chartable(), z2_rep(4))
-    fp1 = _isotype_fingerprints(decomp, "sign", 2)
-    fp2 = _isotype_fingerprints(decomp, "sign", 2)
+    modes = _invariant_modes(decomp.rep, 2)
+    fp1 = _isotype_fingerprints(decomp, "sign", modes)
+    fp2 = _isotype_fingerprints(decomp, "sign", modes)
     assert fp1 == fp2  # no false distinction
 
 
