@@ -9,8 +9,21 @@ of monomials, one per tensor slot, plus Laurent shifts for Z_2, and one
 assembler (`_coefficient_columns`) builds the columns of all three from the
 per-slot order tops.  Their kernels are computed in automatically enlarged
 scratch degrees, so truncation never loses kernel vectors, and come back as
-one `CoefficientKernel`; their columns, and those of the order-K
-restriction in `_impose_order`, go as they are to `linalg._kernel_of_columns`.
+one `CoefficientKernel`; their columns, and those of the kernel-restricted
+rows of `_impose_order`, go as they are to `linalg._kernel_of_columns`.
+
+pi_2 and pi_n share one order ladder (`_order_ladder`).  The kernels only
+shrink as the order bound K grows.  When d maps A_{<=D} into itself, its
+minimal polynomial there has some degree r <= m (m monomials), found by a
+Krylov search over the derivative chains, and rows of order >= r are
+combinations of lower ones, so the kernel at order r - 1 is the
+untruncated one: both maps start at order min(K - 1, r - 1), and stop
+there once K >= r.  When d raises degree they start at min(K - 1, m - 1).
+A zero kernel stops the ladder too; otherwise pi_2 imposes the orders up
+to K on the surviving kernel, and pi_n recomputes at K.  The
+derivative chains are derived once, one order at a time, only as far as
+the ladder climbs.  Z_2 rows mix orders across slots and are always
+computed at K.
 
 The columns are assembled over the integers.  Let L be the lcm of the
 denominators in the derivation, so d' = L d sends monomials to integer
@@ -350,34 +363,6 @@ class CommDiffVA:
             poly = self.derive(poly)
         return poly
 
-    def apply_derivation(self, poly, k=1):
-        """k-fold derivation, erroring when a step leaves the carrier."""
-        for _ in range(k):
-            poly = self.derive(poly)
-            if poly.degree() > self.degree_cap:
-                raise TruncationOverflow(poly.degree(), self.degree_cap,
-                                         "derivation left the degree cap")
-        return poly
-
-    # -- vertex structure
-
-    def vertex_coefficients(self, a, b, order):
-        """c_0..c_order with Y(a,z)b = sum c_k z^k, c_k = (d^k a) b / k!."""
-        out = []
-        da = a
-        for k in range(order + 1):
-            if k:
-                da = self.derive(da)
-                if da.degree() > self.degree_cap:
-                    raise TruncationOverflow(da.degree(), self.degree_cap,
-                                             f"d^{k} of the left argument")
-            ck = (da * b).scale(Fraction(1, math.factorial(k)))
-            if ck.degree() > self.degree_cap:
-                raise TruncationOverflow(ck.degree(), self.degree_cap,
-                                         f"coefficient {k} of the product")
-            out.append(ck)
-        return out
-
     def exp_derivation_series(self, poly, order):
         """Raw coefficients of e^{z d} poly up to z^order (no cap)."""
         out = [poly]
@@ -528,18 +513,28 @@ def pi2_kernel(backend, cap=None, order=None) -> CoefficientKernel:
     Products are computed in an enlarged scratch degree, so the result is the
     exact kernel of the truncated map.  The stabilisation flag records
     whether the order-(K) kernel equals the order-(K-1) kernel.
+
+    K = `order` (default m^2 for m monomials) caps the orders; the kernel is
+    computed on the ladder of `_order_ladder`.  When d maps A_{<=cap} into
+    itself, with minimal polynomial of degree r there, the order-k kernel is
+    the same for every k >= r - 1, so at K >= r - 1 the result is the kernel
+    of the untruncated map, computed at order r - 1.
     """
     monos = backend.monomials(cap)
     order = len(monos) ** 2 if order is None else order
-    derivs = _derivative_chains(backend, monos, order)
-    columns = _coefficient_columns(derivs, monos, (order - 1, 0))  # orders 0..K-1 first
-    stabilized, kern = _impose_order(monos, _kernel_of_columns(columns, len(columns)),
-                                     derivs, order)
-    return CoefficientKernel(kern, monos, 2, order, stabilized=stabilized)
+    chains, start, exact = _order_ladder(backend, monos, order)
+    columns = _coefficient_columns(chains.upto(start), monos, (start, 0))
+    kern, stable = _kernel_of_columns(columns, len(columns)), True
+    if not (exact or kern.is_zero()):
+        # impose the orders up to K - 1 on the surviving kernel, then K alone
+        _, kern = _impose_order(monos, kern, chains.upto(order - 1), range(start + 1, order))
+        stable, kern = _impose_order(monos, kern, chains.upto(order), range(order, order + 1))
+    return CoefficientKernel(kern, monos, 2, order, stabilized=stable)
 
 
-def _derivative_chains(backend, monos, order):
-    """d'^k m for k = 0..order and each monomial m, as {exponent: coefficient}.
+def _derivative_chains(backend, monos):
+    """The levels [d'^k m for each monomial m], as {exponent: coefficient},
+    for k = 0, 1, 2, ...: one level per step, as far as the caller reads.
 
     d' = L d, where L is the backend's `denominator`; for a rational
     derivation every coefficient is then a Python int.  A cyclotomic
@@ -557,21 +552,89 @@ def _derivative_chains(backend, monos, order):
                               for g, c in backend._monomial_derivative(e).items()}
         return out
 
-    derivs = []
-    for m in monos:
-        chain = [{m: 1}]
-        for _ in range(order):
+    level = [{m: 1} for m in monos]
+    while True:
+        yield level
+        nexts = []
+        for p in level:
             nxt = {}
-            for e, c in chain[-1].items():
+            for e, c in p.items():
                 for g, dc in step(e).items():
                     nxt[g] = nxt.get(g, 0) + c * dc
-            chain.append({g: c for g, c in nxt.items() if c != 0})
-        derivs.append(chain)
-    return derivs
+            nexts.append({g: c for g, c in nxt.items() if c != 0})
+        level = nexts
 
 
-def _impose_order(monos, kern, derivs, order):
-    """Restrict the order-K map to the current kernel; returns (stable, new).
+class _Chains:
+    """The chains d'^k m of each monomial m, read from one
+    `_derivative_chains` pass as far as `upto` has asked."""
+
+    def __init__(self, backend, monos):
+        self._levels = _derivative_chains(backend, monos)
+        self.derivs = [[] for _ in monos]
+
+    def upto(self, order):
+        """The chains, each extended to hold d'^k m for k = 0..order."""
+        while len(self.derivs[0]) <= order:
+            for chain, dk in zip(self.derivs, next(self._levels)):
+                chain.append(dk)
+        return self.derivs
+
+
+def _order_ladder(backend, monos, order):
+    """Where pi_2 and pi_n start: (chains, K0, exact) for order bound K.
+
+    The order-k kernels only shrink as k grows.  When every d'm, m in the
+    carrier, is supported on carrier monomials (read from the chains, since
+    a derivation table need not follow the images), d preserves A_{<=cap}
+    and has a minimal polynomial mu there of degree r <= m.  A row of order
+    k >= r is then a combination of rows of lower order, one slot at a
+    time, so the kernel at any order k >= r - 1 is the untruncated one.
+    K0 = min(K - 1, r - 1), and `exact` says K0 = r - 1: nothing above K0
+    can change the kernel.  When d leaves the carrier, K0 = min(K - 1, m - 1)
+    and K stays a truncation.  The chains are derived to order min(r, K)
+    at most.
+    """
+    chains = _Chains(backend, monos)
+    carrier = set(monos)
+    if order >= 1 and all(e in carrier for chain in chains.upto(1) for e in chain[1]):
+        r = _minimal_order(chains, order)
+        return chains, min(order - 1, r - 1), r <= order
+    return chains, min(order - 1, len(monos) - 1), False
+
+
+def _minimal_order(chains, limit):
+    """deg mu(d) on the carrier if it is at most `limit`, else limit + 1.
+
+    Krylov search, as in `linalg._minimal_polynomial`: the operator d'^k,
+    flattened to {(i, exponent): entry} over the chains d'^k m_i, is
+    reduced fraction-free against the lower powers until the first that
+    depends on them; its order is deg mu (d' = L d has the same degree).
+    A non-integer entry ends the search at the Cayley-Hamilton bound m.
+    """
+    reduced = []  # (pivot key, primitive integer row), zero at earlier pivots
+    for k in range(limit + 1):
+        row = {(i, e): c for i, chain in enumerate(chains.upto(k))
+               for e, c in chain[k].items()}
+        if any(type(c) is not int for c in row.values()):
+            return len(chains.derivs)
+        for p, b in reduced:
+            c = row.get(p)
+            if c:
+                g = math.gcd(c, b[p])
+                x, y = b[p] // g, c // g
+                row = {key: v for key in row.keys() | b.keys()
+                       if (v := x * row.get(key, 0) - y * b.get(key, 0))}
+        if not row:
+            return k
+        g = math.gcd(*row.values())
+        reduced.append((min(row), {key: v // g for key, v in row.items()}))
+    return limit + 1
+
+
+def _impose_order(monos, kern, derivs, orders):
+    """Restrict the rows of the given orders to the current kernel; returns
+    (stable, new), stable when they vanish on it.
 
     Each kernel vector is scaled to an integral one before it is mapped,
     which rescales the columns of the restricted map; the new kernel is
@@ -589,9 +652,10 @@ def _impose_order(monos, kern, derivs, order):
             if c != 0:
                 i, j = divmod(t, n)
                 mj = monos[j]
-                for e, dc in derivs[i][order].items():
-                    key = tuple(map(_add, e, mj))
-                    acc[key] = acc.get(key, 0) + c * dc
+                for k in orders:
+                    for e, dc in derivs[i][k].items():
+                        key = (k, tuple(map(_add, e, mj)))
+                        acc[key] = acc.get(key, 0) + c * dc
         cols.append({e: c for e, c in acc.items() if c != 0})
     if not any(cols):
         return True, kern
@@ -601,14 +665,28 @@ def _impose_order(monos, kern, derivs, order):
 
 
 def pin_injectivity_check(backend, arity, cap=None, order=None) -> CoefficientKernel:
-    """Ker(pi_n) on A^{(x) n}, n >= 2; pi_n is injective when it is zero."""
+    """Ker(pi_n) on A^{(x) n}, n >= 2; pi_n is injective when it is zero.
+
+    Each of the first n - 1 slots takes the orders 0..K, K = `order`
+    (default m^2).  The kernel is computed at the start order K0 of
+    `_order_ladder`, and again at K only when it is nonzero there and K0 is
+    not already exact; when d preserves A_{<=cap} and K >= r - 1, the
+    result is the kernel of the untruncated map.
+    """
     if arity < 2:
         raise ValueError("pi_n requires n >= 2")
     monos = backend.monomials(cap)
     order = len(monos) ** 2 if order is None else order
-    derivs = _derivative_chains(backend, monos, order)
-    columns = _coefficient_columns(derivs, monos, (order,) * (arity - 1) + (0,))
-    return CoefficientKernel(_kernel_of_columns(columns, len(columns)), monos, arity, order)
+    chains, start, exact = _order_ladder(backend, monos, order)
+
+    def kernel_at(k):
+        columns = _coefficient_columns(chains.upto(k), monos, (k,) * (arity - 1) + (0,))
+        return _kernel_of_columns(columns, len(columns))
+
+    kern = kernel_at(start)
+    if not (exact or kern.is_zero()):
+        kern = kernel_at(order)
+    return CoefficientKernel(kern, monos, arity, order)
 
 
 def z2_kernel(backend, cap=None, order=None, laurent_bound=1) -> CoefficientKernel:
@@ -631,7 +709,7 @@ def z2_kernel(backend, cap=None, order=None, laurent_bound=1) -> CoefficientKern
         return fact[top] // math.prod(fact[k] for k in ks) * \
             backend.denominator ** (top - sum(ks))
 
-    derivs = _derivative_chains(backend, monos, top)
+    derivs = _Chains(backend, monos).upto(top)
     columns = _coefficient_columns(derivs, monos, (top, top), laurent_bound, order, weight)
     return CoefficientKernel(_kernel_of_columns(columns, len(columns)), monos, 2, order,
                              laurent_bound)

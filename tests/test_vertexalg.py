@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from hopfva import vertexalg
 from hopfva.errors import MalformedPairs, TruncationOverflow
 from hopfva.linalg import Matrix, Subspace
 from hopfva.scalars import zeta
 from hopfva.vertexalg import (
     CommDiffVA,
     Poly,
-    _derivative_chains,
+    _Chains,
+    _order_ladder,
     falling_bracket,
     flip_skew_check,
     pi2_kernel,
@@ -39,23 +41,51 @@ def xy_diagonal(cap):
 # --- derivation and coefficients ---------------------------------------------
 
 
+def apply_derivation(backend, poly, k=1):
+    """k-fold derivation, erroring when a step leaves the carrier."""
+    for _ in range(k):
+        poly = backend.derive(poly)
+        if poly.degree() > backend.degree_cap:
+            raise TruncationOverflow(poly.degree(), backend.degree_cap,
+                                     "derivation left the degree cap")
+    return poly
+
+
+def vertex_coefficients(backend, a, b, order):
+    """c_0..c_order with Y(a,z)b = sum c_k z^k, c_k = (d^k a) b / k!."""
+    out = []
+    da = a
+    for k in range(order + 1):
+        if k:
+            da = backend.derive(da)
+            if da.degree() > backend.degree_cap:
+                raise TruncationOverflow(da.degree(), backend.degree_cap,
+                                         f"d^{k} of the left argument")
+        ck = (da * b).scale(F(1, math.factorial(k)))
+        if ck.degree() > backend.degree_cap:
+            raise TruncationOverflow(ck.degree(), backend.degree_cap,
+                                     f"coefficient {k} of the product")
+        out.append(ck)
+    return out
+
+
 def test_apply_derivation_ddx():
     a = single_variable_backend(0, 6)
-    assert a.apply_derivation(x_poly(3), 2) == x_poly(1, 6)
+    assert apply_derivation(a, x_poly(3), 2) == x_poly(1, 6)
 
 
 def test_apply_derivation_euler():
     a = single_variable_backend(1, 8)
     for n in range(1, 8):
         for k in range(4):
-            assert a.apply_derivation(x_poly(n), k) == x_poly(n, n ** k)
+            assert apply_derivation(a, x_poly(n), k) == x_poly(n, n ** k)
 
 
 def test_apply_derivation_overflow():
     a = single_variable_backend(2, 3)
-    assert a.apply_derivation(x_poly(2)) == x_poly(3, 2)
+    assert apply_derivation(a, x_poly(2)) == x_poly(3, 2)
     with pytest.raises(TruncationOverflow) as exc:
-        a.apply_derivation(x_poly(2), 2)
+        apply_derivation(a, x_poly(2), 2)
     assert exc.value.degree == 4
 
 
@@ -63,7 +93,7 @@ def test_vertex_coefficients_vacuum():
     a = single_variable_backend(1, 5)
     one = Poly.const(1, F(1))
     b = x_poly(2, 3)
-    coeffs = a.vertex_coefficients(one, b, 5)
+    coeffs = vertex_coefficients(a, one, b, 5)
     assert coeffs[0] == b
     assert all(c.is_zero() for c in coeffs[1:])
 
@@ -71,21 +101,21 @@ def test_vertex_coefficients_vacuum():
 def test_vertex_coefficients_ddx():
     # oracle: (x+z)*x = x^2 + z x, so coefficients are (x^2, x, 0)
     a = single_variable_backend(0, 4)
-    coeffs = a.vertex_coefficients(x_poly(1), x_poly(1), 2)
+    coeffs = vertex_coefficients(a, x_poly(1), x_poly(1), 2)
     assert coeffs == [x_poly(2), x_poly(1), Poly.zero(1)]
 
 
 def test_vertex_coefficients_euler():
     a = single_variable_backend(1, 4)
     one = Poly.const(1, F(1))
-    coeffs = a.vertex_coefficients(x_poly(1), one, 3)
+    coeffs = vertex_coefficients(a, x_poly(1), one, 3)
     assert coeffs == [x_poly(1), x_poly(1), x_poly(1, F(1, 2)), x_poly(1, F(1, 6))]
 
 
 def test_vertex_coefficients_overflow():
     a = single_variable_backend(1, 3)
     with pytest.raises(TruncationOverflow):
-        a.vertex_coefficients(x_poly(2), x_poly(2), 1)
+        vertex_coefficients(a, x_poly(2), x_poly(2), 1)
 
 
 # --- axiom checks -------------------------------------------------------------
@@ -378,7 +408,7 @@ def test_translation_operator_equals_derivation():
     one = Poly.const(1, F(1))
     for k in (0, 1, 2):
         f = x_poly(k, 3)
-        coeffs = a.vertex_coefficients(f, one, 1)
+        coeffs = vertex_coefficients(a, f, one, 1)
         assert coeffs[1] == a.derive(f)
 
 
@@ -603,7 +633,7 @@ def test_derivative_chains_are_integral():
     backend = _half_square_backend(3)
     assert backend.denominator == 2
     assert _third_table_backend(2).denominator == 6
-    chains = _derivative_chains(backend, backend.monomials(), 4)
+    chains = _Chains(backend, backend.monomials()).upto(4)
     for chain in chains:
         for k, dk in enumerate(chain):
             for c in dk.values():
@@ -618,3 +648,124 @@ def test_zeta3_pi2_and_z2_dimensions():
     res = pi2_kernel(backend)
     assert res.kernel.dim == 0 and res.stabilized
     assert z2_kernel(backend, order=3, laurent_bound=1).kernel.dim == 57
+
+
+# --- the order ladder against the stacked maps -------------------------------------
+
+
+def _euler(nvars, cap):
+    names = [f"x{i}" for i in range(1, nvars + 1)]
+    return CommDiffVA(names, {v: Poly.variable(nvars, i) for i, v in enumerate(names)}, cap)
+
+
+def _rotation(cap):
+    # d x = y, d y = -x: eigenvalues 0, +-i, +-2i, ... on the carrier
+    return CommDiffVA(["x", "y"], {"x": Poly.variable(2, 1), "y": Poly.variable(2, 0).scale(-1)},
+                      cap)
+
+
+def _zeta_scaling(cap):
+    # d x = zeta_3 x, d y = zeta_3 y: r = 2 at D = 1, below the bound m = 3
+    z = zeta(3)
+    return CommDiffVA(["x", "y"], {"x": Poly(2, {(1, 0): z}), "y": Poly(2, {(0, 1): z})}, cap)
+
+
+# name -> (backend, deg mu(d) on the carrier or None where d raises degree,
+# the order the ladder starts at for K = m^2)
+LADDER_BACKENDS = {
+    "ddx": lambda: (single_variable_backend(0, 3), 4, 3),
+    "xy": lambda: (xy_diagonal(1), 2, 1),
+    "euler2": lambda: (_euler(2, 1), 2, 1),
+    "rotation": lambda: (_rotation(1), 3, 2),
+    # cyclotomic entries: the search stops at the Cayley-Hamilton bound m
+    "zeta-scaling": lambda: (_zeta_scaling(1), 2, 2),
+    # d raises degree: K stays a truncation, and the ladder starts at m - 1
+    "x2ddx": lambda: (single_variable_backend(2, 3), None, 3),
+    "zeta3": lambda: (_zeta3_backend(1), None, 2),
+}
+
+
+def _krylov_degree(backend, chains):
+    """deg mu(d) on the carrier by dense ranks of the flattened powers d^k."""
+    monos = backend.monomials()
+    flat = [[chain[k].get(e, F(0)) for chain in chains for e in monos]
+            for k in range(len(monos) + 1)]
+    return next(k for k in range(1, len(flat))
+                if Matrix.from_rows(flat[:k + 1]).rank() == k)
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_BACKENDS))
+def test_order_ladder_matches_stacked_maps(name):
+    backend, r, start = LADDER_BACKENDS[name]()
+    m = len(backend.monomials())
+    chains = _naive_chains(backend, backend.images, backend._table, m * m)
+    if r is None:
+        assert any(e not in backend.monomials() for chain in chains for e in chain[1])
+    else:
+        assert _krylov_degree(backend, chains) == r
+    # the ladder stops at its start order exactly when d preserves the carrier
+    assert _order_ladder(backend, backend.monomials(), m * m)[1:] == (start, r is not None)
+    top = r or m
+    for k in sorted({1, top - 1, top, top + 1, m * m}):
+        res = pi2_kernel(backend, order=k)
+        stacked = _naive_pi2(backend, chains, k)
+        _assert_same_kernel(res.kernel, stacked)
+        assert res.order == k
+        assert res.stabilized == (_naive_pi2(backend, chains, k - 1).kernel() ==
+                                  stacked.kernel())
+        res = pin_injectivity_check(backend, 3, order=k)
+        _assert_same_kernel(res.kernel, _naive_pi3(backend, chains, k))
+        assert res.order == k
+
+
+def test_ladder_derives_no_further_than_the_minimal_polynomial(monkeypatch):
+    derived = []
+    chains = vertexalg._derivative_chains
+
+    def counted(backend, monos):
+        for k, level in enumerate(chains(backend, monos)):
+            derived.append(k)
+            yield level
+
+    monkeypatch.setattr(vertexalg, "_derivative_chains", counted)
+    # Euler on Q[x1, x2, x3] at D = 4: m = 35 monomials, d has the
+    # eigenvalues 0..4 there, so r = 5 and the default K is 35^2
+    backend = _euler(3, 4)
+    res = pi2_kernel(backend)
+    assert max(derived) <= 5
+    assert (res.order, res.stabilized) == (35 ** 2, True)
+    # d u = deg(u) u, so the pairs (u, v) with one product uv and one deg(u)
+    # form a block, on which the kernel is the hyperplane of coefficient sum 0
+    blocks = {}
+    for u in backend.monomials():
+        for v in backend.monomials():
+            key = (tuple(map(sum, zip(u, v))), sum(u))
+            blocks[key] = blocks.get(key, 0) + 1
+    assert res.kernel.dim == sum(n - 1 for n in blocks.values()) == 800
+
+    derived.clear()
+    res = pin_injectivity_check(single_variable_backend(1, 4), 4)
+    assert max(derived) <= 5
+    assert res.order == 25 and res.kernel.is_zero()
+
+
+@pytest.mark.parametrize("name", ["ddx", "xy", "x2ddx"])
+def test_climbing_from_any_start_order_keeps_kernel_and_flag(name, monkeypatch):
+    # the ladder may start at any order below K: the orders above its start
+    # are imposed on the surviving kernel, and K alone decides the flag
+    backend, _, _ = LADDER_BACKENDS[name]()
+    m = len(backend.monomials())
+    orders = (1, 2, m, m * m)
+    expected = {k: (pi2_kernel(backend, order=k), pin_injectivity_check(backend, 3, order=k))
+                for k in orders}
+    ladder = vertexalg._order_ladder
+    for k in orders:
+        for start in range(k):
+            monkeypatch.setattr(vertexalg, "_order_ladder",
+                                lambda b, monos, order, s=start: (ladder(b, monos, order)[0],
+                                                                  s, False))
+            p2, p3 = expected[k]
+            res = pi2_kernel(backend, order=k)
+            assert (res.kernel, res.kernel.pivots, res.stabilized) == \
+                (p2.kernel, p2.kernel.pivots, p2.stabilized)
+            assert pin_injectivity_check(backend, 3, order=k).kernel == p3.kernel
