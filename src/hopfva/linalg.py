@@ -627,6 +627,51 @@ def _integral(vec):
     return Fraction(content, denom), ints
 
 
+def _combine(a, x, b, y):
+    """a x - b y for sparse rows {key: int}, zero entries dropped."""
+    return {key: v for key in x.keys() | y.keys() if (v := a * x.get(key, 0) - b * y.get(key, 0))}
+
+
+def _reduce_krylov(row, combo, reduced):
+    """One step of a fraction-free Krylov search.
+
+    Clears each earlier pivot of `reduced`, a list of (pivot, row, combo)
+    whose rows vanish at the pivots before their own, from the sparse
+    integer row {key: int}, applies the same steps to `combo` (the
+    combination of the search's vectors that the row is), and divides both
+    by their common content.  Returns (row, combo); the row is empty
+    exactly when it depends on the reduced ones.
+    """
+    for p, r, cb in reduced:
+        c = row.get(p)
+        if c:
+            k = math.gcd(c, r[p])
+            a, b = r[p] // k, c // k
+            row = _combine(a, row, b, r)
+            combo = _combine(a, combo, b, cb)
+    content = math.gcd(*row.values(), *combo.values())
+    if content > 1:
+        row = {key: v // content for key, v in row.items()}
+        combo = {key: v // content for key, v in combo.items()}
+    return row, combo
+
+
+def _first_dependence(rows):
+    """Index of the first sparse integer row {key: int} of `rows` that lies
+    in the span of those before it, or None when `rows` runs out first.
+
+    The Krylov search of `_minimal_polynomial` without the relation: it
+    reads `rows` lazily and stops at the first dependence.
+    """
+    reduced = []
+    for k, row in enumerate(rows):
+        row, _ = _reduce_krylov(row, {}, reduced)
+        if not row:
+            return k
+        reduced.append((min(row), row, {}))
+    return None
+
+
 def _minimal_polynomial(alg, e, g):
     """Monic minimal polynomial of y = g e in the block e.A, and its powers.
 
@@ -636,35 +681,23 @@ def _minimal_polynomial(alg, e, g):
     coefficients).  This is exact because e is the unit of e.A, which acts
     faithfully on itself: mu(L_y) vanishes on e.A exactly when mu(y) = 0.
     Each y^k is kept as t_k w_k, w_k a primitive integer vector, and the
-    reduction is fraction-free, so the search runs on ints.  Returns
-    (mu, [(t_0, w_0), ..., (t_(deg mu - 1), w_(deg mu - 1))]).
+    reduction (`_reduce_krylov`) is fraction-free, so the search runs on
+    ints.  Returns (mu, [(t_0, w_0), ..., (t_(deg mu - 1), w_(deg mu - 1))]).
     """
     g_scale, g_int = _integral(g)
     t, w = _integral(e)
     powers = []
-    reduced = []  # (pivot, row, the integer combination of the w_k that it is)
+    reduced = []  # (pivot, row, {k: the integer coefficient of w_k in it})
     while len(powers) <= alg.qdim:
+        top = len(powers)
         powers.append((t, w))
-        row = w
-        combo = [0] * (len(powers) - 1) + [1]
-        for p, r, cb in reduced:
-            c = row[p]
-            if c:
-                k = math.gcd(c, r[p])
-                a, b = r[p] // k, c // k
-                row = [a * x - b * y for x, y in zip(row, r)]
-                combo = [a * x - b * y for x, y in zip(combo, cb)] + \
-                    [a * x for x in combo[len(cb):]]
-        content = math.gcd(*row, *combo)
-        if content != 1:
-            row = [x // content for x in row]
-            combo = [x // content for x in combo]
-        pivot = next((j for j, c in enumerate(row) if c), None)
-        if pivot is None:
+        row, combo = _reduce_krylov({j: c for j, c in enumerate(w) if c}, {top: 1}, reduced)
+        if not row:
             # sum_k combo_k w_k = 0 with w_k = y^k / t_k; divide by the top term
-            top = Fraction(t, combo[-1])
-            return [c * top / tk for c, (tk, _) in zip(combo, powers)], powers[:-1]
-        reduced.append((pivot, row, combo))
+            scale = Fraction(t, combo[top])
+            return [combo.get(k, 0) * scale / tk for k, (tk, _) in enumerate(powers)], \
+                powers[:-1]
+        reduced.append((min(row), row, combo))
         s, w = _integral(alg.qmul(g_int, w))
         t = g_scale * t * s
     raise InvariantViolation("minimal polynomial search ran past the dimension")

@@ -19,8 +19,9 @@ Krylov search over the derivative chains, and rows of order >= r are
 combinations of lower ones, so the kernel at order r - 1 is the
 untruncated one: both maps start at order min(K - 1, r - 1), and stop
 there once K >= r.  When d raises degree they start at min(K - 1, m - 1).
-A zero kernel stops the ladder too; otherwise pi_2 imposes the orders up
-to K on the surviving kernel, and pi_n recomputes at K.  The
+For pi_2 a zero kernel stops the ladder too; otherwise it imposes the
+orders up to K on the surviving kernel.  pi_n, whose slots are capped
+separately, is computed at r - 1 when that is exact and at K otherwise.  The
 derivative chains are derived once, one order at a time, only as far as
 the ladder climbs.  Z_2 rows mix orders across slots and are always
 computed at K.
@@ -54,7 +55,14 @@ from fractions import Fraction
 from operator import add as _add
 
 from .errors import CheckReport, MalformedPairs, TruncationOverflow
-from .linalg import Matrix, Subspace, _cleared, _kernel_of_columns, linear_combination
+from .linalg import (
+    Matrix,
+    Subspace,
+    _cleared,
+    _first_dependence,
+    _kernel_of_columns,
+    linear_combination,
+)
 from .scalars import Cyclotomic, as_scalar, demoted, scalar_pretty, scalar_to_text
 
 _ZERO = Fraction(0)
@@ -582,7 +590,8 @@ class _Chains:
 
 
 def _order_ladder(backend, monos, order):
-    """Where pi_2 and pi_n start: (chains, K0, exact) for order bound K.
+    """Where pi_2 starts: (chains, K0, exact) for order bound K; pi_n
+    reads K0 only when it is exact.
 
     The order-k kernels only shrink as k grows.  When every d'm, m in the
     carrier, is supported on carrier monomials (read from the chains, since
@@ -606,30 +615,20 @@ def _order_ladder(backend, monos, order):
 def _minimal_order(chains, limit):
     """deg mu(d) on the carrier if it is at most `limit`, else limit + 1.
 
-    Krylov search, as in `linalg._minimal_polynomial`: the operator d'^k,
-    flattened to {(i, exponent): entry} over the chains d'^k m_i, is
-    reduced fraction-free against the lower powers until the first that
-    depends on them; its order is deg mu (d' = L d has the same degree).
-    A non-integer entry ends the search at the Cayley-Hamilton bound m.
+    `linalg._first_dependence` on the operators d'^k, each flattened to
+    {(i, exponent): entry} over the chains d'^k m_i: the first power that
+    depends on the lower ones has order deg mu (d' = L d has the same
+    degree).  The search is fraction-free, so a non-integer entry of d'
+    (cyclotomic, or an uncleared Fraction) gives the Cayley-Hamilton bound
+    m instead; when d' is integral on the carrier, so are its powers.
     """
-    reduced = []  # (pivot key, primitive integer row), zero at earlier pivots
-    for k in range(limit + 1):
-        row = {(i, e): c for i, chain in enumerate(chains.upto(k))
-               for e, c in chain[k].items()}
-        if any(type(c) is not int for c in row.values()):
-            return len(chains.derivs)
-        for p, b in reduced:
-            c = row.get(p)
-            if c:
-                g = math.gcd(c, b[p])
-                x, y = b[p] // g, c // g
-                row = {key: v for key in row.keys() | b.keys()
-                       if (v := x * row.get(key, 0) - y * b.get(key, 0))}
-        if not row:
-            return k
-        g = math.gcd(*row.values())
-        reduced.append((min(row), {key: v // g for key, v in row.items()}))
-    return limit + 1
+    derivs = chains.upto(1)
+    if any(type(c) is not int for chain in derivs for c in chain[1].values()):
+        return len(derivs)
+    powers = ({(i, e): c for i, chain in enumerate(chains.upto(k)) for e, c in chain[k].items()}
+              for k in range(limit + 1))
+    r = _first_dependence(powers)
+    return limit + 1 if r is None else r
 
 
 def _impose_order(monos, kern, derivs, orders):
@@ -668,25 +667,19 @@ def pin_injectivity_check(backend, arity, cap=None, order=None) -> CoefficientKe
     """Ker(pi_n) on A^{(x) n}, n >= 2; pi_n is injective when it is zero.
 
     Each of the first n - 1 slots takes the orders 0..K, K = `order`
-    (default m^2).  The kernel is computed at the start order K0 of
-    `_order_ladder`, and again at K only when it is nonzero there and K0 is
-    not already exact; when d preserves A_{<=cap} and K >= r - 1, the
-    result is the kernel of the untruncated map.
+    (default m^2).  Each slot is capped separately, so when d preserves
+    A_{<=cap} with minimal polynomial of degree r <= K there, the kernel is
+    computed once at the start order r - 1 of `_order_ladder` and is the
+    kernel of the untruncated map; otherwise it is computed at K.
     """
     if arity < 2:
         raise ValueError("pi_n requires n >= 2")
     monos = backend.monomials(cap)
     order = len(monos) ** 2 if order is None else order
     chains, start, exact = _order_ladder(backend, monos, order)
-
-    def kernel_at(k):
-        columns = _coefficient_columns(chains.upto(k), monos, (k,) * (arity - 1) + (0,))
-        return _kernel_of_columns(columns, len(columns))
-
-    kern = kernel_at(start)
-    if not (exact or kern.is_zero()):
-        kern = kernel_at(order)
-    return CoefficientKernel(kern, monos, arity, order)
+    top = start if exact else order
+    columns = _coefficient_columns(chains.upto(top), monos, (top,) * (arity - 1) + (0,))
+    return CoefficientKernel(_kernel_of_columns(columns, len(columns)), monos, arity, order)
 
 
 def z2_kernel(backend, cap=None, order=None, laurent_bound=1) -> CoefficientKernel:

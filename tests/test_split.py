@@ -28,6 +28,7 @@ from hopfva.hopf import (
 from hopfva.linalg import (
     Matrix,
     _AlgebraQ,
+    _first_dependence,
     _minimal_polynomial,
     _rational_roots,
     nonzero_pairs,
@@ -133,6 +134,23 @@ def test_krylov_minimal_polynomial_matches_matrix_powers(name, factors, missing)
     mu, powers = _minimal_polynomial(alg, unit, alg.f_to_q(y))
     assert mu == dense
     assert len(powers) == len(mu) - 1
+
+
+def test_first_dependence_reads_rows_lazily():
+    # the first three rows lie in span{e, f}, so the third depends on the others
+    rows = [{"e": 1}, {"e": 2, "f": 3}, {"e": -7, "f": 5}, {"g": 1}]
+    read = []
+
+    def lazily():
+        for row in rows:
+            read.append(row)
+            yield row
+
+    assert _first_dependence(lazily()) == 2
+    assert len(read) == 3
+    assert _first_dependence(iter(rows[:2] + rows[3:])) is None
+    assert _first_dependence(iter([{"e": 2}, {"e": -6}])) == 1
+    assert _first_dependence(iter([{}])) == 0
 
 
 def test_rational_roots_are_exact_and_complete():
