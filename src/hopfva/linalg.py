@@ -628,8 +628,16 @@ def _integral(vec):
 
 
 def _combine(a, x, b, y):
-    """a x - b y for sparse rows {key: int}, zero entries dropped."""
-    return {key: v for key in x.keys() | y.keys() if (v := a * x.get(key, 0) - b * y.get(key, 0))}
+    """a x - b y for sparse rows {key: int} with no zero entries, a and b
+    nonzero; the result has no zero entries either."""
+    out = {key: a * v for key, v in x.items()} if a != 1 else dict(x)
+    for key, v in y.items():
+        w = out.get(key, 0) - b * v
+        if w:
+            out[key] = w
+        else:
+            del out[key]
+    return out
 
 
 def _reduce_krylov(row, combo, reduced):
