@@ -2,16 +2,17 @@
 
 An action stores, for each Hopf basis element, its image of each monomial
 of the carrier A_{<=D} as a sparse column (monomial -> coefficient, integral
-rationals held as ints, which multiply far faster than Fractions), and the
-same map as a Matrix over the monomial basis.  Actions can be entered as
-full matrices or as generator images extended through the coproduct (the
-module-algebra rule), which is how non-group examples like the Sweedler
-action on Q[z] are specified.
+rationals held as ints, which multiply far faster than Fractions); these
+columns are the action's only store.  Actions can be entered as columns
+(the CLI converts a workspace's full matrices once) or as generator images
+extended through the coproduct (the module-algebra rule), which is how
+non-group examples like the Sweedler action on Q[z] are specified.
 
-The generator extension, the algebra-map check and the module-vertex-algebra
-checks run on those columns as {exponent: coefficient} dicts, with the
-derivation read from the backend as the same kind of dict; no Poly is built
-unless a witness is reported.
+The generator extension, the algebra-map check, the module-vertex-algebra
+checks, the annihilators and the tensor powers run on those columns as
+{exponent: coefficient} dicts, with the derivation read from the backend as
+the same kind of dict; no Matrix is built, and no Poly unless a witness is
+reported.
 
 The theorem checkers at the bottom refuse (raise HypothesesNotMet) rather
 than report vacuous passes when the stated hypotheses fail.
@@ -42,8 +43,8 @@ from .hopf import (
     quotient_hopf,
     recognize_group_algebra,
 )
-from .linalg import Matrix, Subspace, _kernel_of_columns, linear_combination, nonzero_pairs
-from .scalars import as_scalar, demoted
+from .linalg import Subspace, _kernel_of_columns, linear_combination, nonzero_pairs
+from .scalars import demoted
 from .vertexalg import CommDiffVA, Poly, _mul, pi2_kernel, poly_to_text
 
 _ZERO = Fraction(0)
@@ -61,17 +62,6 @@ def _sum_columns(scaled):
     return {t: v for t, v in out.items() if v}
 
 
-def _matrix(monos, images):
-    """The Matrix over the monomial basis `monos` whose j-th column is
-    images[j], a monomial -> nonzero coefficient dict."""
-    index = {e: i for i, e in enumerate(monos)}
-    nonzero = [[] for _ in monos]
-    for j, col in enumerate(images):
-        for t, c in col.items():
-            nonzero[index[t]].append((j, as_scalar(c)))
-    return Matrix.from_nonzero_rows(len(monos), len(monos), nonzero)
-
-
 def _monomial_text(e, variables):
     return poly_to_text(Poly.monomial(e), variables)
 
@@ -84,30 +74,21 @@ def _coproduct_pairs(h, bi):
 class HopfAction:
     """A Hopf algebra acting on A_{<=D}, one sparse column per basis element
     and monomial: `_columns[b][e]` is b.e as a monomial -> coefficient dict,
-    integral rationals as ints, and `matrices[b]` is the same map as a
-    Matrix over the monomial basis."""
+    integral rationals as ints.  `columns` gives, per basis element, such a
+    dict for every monomial of the carrier."""
 
-    __slots__ = ("hopf", "backend", "matrices", "filtration_compatible",
-                 "monomials", "_columns")
+    __slots__ = ("hopf", "backend", "filtration_compatible", "monomials", "_columns")
 
-    def __init__(self, hopf: FinHopfAlgebra, backend: CommDiffVA, matrices,
-                 check=True):
+    def __init__(self, hopf: FinHopfAlgebra, backend: CommDiffVA, columns, check=True):
         self.hopf = hopf
         self.backend = backend
         self.monomials = monos = backend.monomials()
-        n = len(monos)
-        self.matrices = tuple(matrices)
-        require(len(self.matrices) == hopf.dim, "one action matrix per Hopf basis element")
-        require(all(m.rows == n and m.cols == n for m in self.matrices),
-                "action matrices must be square over the carrier's monomials")
-        columns = []
-        for m in self.matrices:
-            cols = {e: {} for e in monos}
-            for i, row in enumerate(m.nonzero_rows()):
-                for j, a in row:
-                    cols[monos[j]][monos[i]] = demoted(a)
-            columns.append(cols)
-        self._columns = tuple(columns)
+        carrier = set(monos)
+        require(len(columns) == hopf.dim and all(
+            cols.keys() == carrier and all(map(carrier.issuperset, cols.values()))
+            for cols in columns), "one column map per Hopf basis element, from the carrier to it")
+        self._columns = tuple({e: {t: demoted(c) for t, c in cols[e].items() if c} for e in monos}
+                              for cols in columns)
         self.filtration_compatible = all(
             sum(t) <= sum(e)
             for cols in self._columns for e, col in cols.items() for t in col)
@@ -133,10 +114,9 @@ class HopfAction:
     # -- basic application
 
     def rho(self, hvec):
-        """The matrix of an arbitrary element of H."""
-        return _matrix(self.monomials, [
-            _sum_columns((c, bc[e]) for c, bc in zip(hvec, self._columns) if c)
-            for e in self.monomials])
+        """The columns of an arbitrary element of H, keyed like `_columns[b]`."""
+        terms = [(demoted(c), bc) for c, bc in zip(hvec, self._columns) if c]
+        return {e: _sum_columns((c, bc[e]) for c, bc in terms) for e in self.monomials}
 
     def _apply(self, b_index, terms):
         """b.f for an {exponent: coefficient} polynomial f within the cap."""
@@ -199,15 +179,14 @@ class HopfAction:
             return out
 
         monos = backend.monomials()
-        mats = [_matrix(monos, [act(bi, e) for e in monos]) for bi in range(d)]
-        return cls(hopf, backend, mats, check=check)
+        return cls(hopf, backend, [{e: act(bi, e) for e in monos} for bi in range(d)],
+                   check=check)
 
 
 def trivial_action(hopf, backend) -> HopfAction:
     """h v = eps(h) v."""
-    n = len(backend.monomials())
-    mats = [Matrix.identity(n).scale(hopf.counit[i]) for i in range(hopf.dim)]
-    return HopfAction(hopf, backend, mats)
+    return HopfAction(hopf, backend, [{e: {e: eps} for e in backend.monomials()}
+                                      for eps in hopf.counit])
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +360,9 @@ def action_annihilator(act: HopfAction) -> AnnihilatorResult:
     h = act.hopf
 
     def annihilator_at(limit):
-        keep = {i for i, e in enumerate(act.monomials) if sum(e) <= limit}
         return _kernel_of_columns(
-            [{(r, c): v for r, row in enumerate(m.nonzero_rows()) if r in keep
-              for c, v in row if c in keep} for m in act.matrices], h.dim)
+            [{(t, e): v for e, col in cols.items() if sum(e) <= limit
+              for t, v in col.items() if sum(t) <= limit} for cols in act._columns], h.dim)
 
     cap = act.backend.degree_cap
     kern = annihilator_at(cap)
@@ -434,8 +412,7 @@ def inner_faithful_quotient(act: HopfAction) -> InnerFaithfulQuotient:
     ideal = maximal_hopf_ideal_in(act.hopf, ann)
     q = quotient_hopf(act.hopf, ideal)
     # the quotient's basis element a is the coset of H's basis element complement[a]
-    mats = [act.rho(act.hopf.basis_vector(j)) for j in q.pi.complement]
-    induced = HopfAction(q.hopf, act.backend, mats)
+    induced = HopfAction(q.hopf, act.backend, [act._columns[j] for j in q.pi.complement])
     require(is_inner_faithful(induced), "quotient action must be inner faithful")
     return InnerFaithfulQuotient(quotient=q, action=induced,
                                  fixed_preserved=invariants(act) == invariants(induced))
@@ -474,8 +451,9 @@ def tensor_power_faithfulness(act: HopfAction, s_max, budget=512) -> TensorFaith
     """
     h = act.hopf
     n = len(act.monomials)
-    entries = [[((i, j), a) for i, row in enumerate(m.nonzero_rows()) for j, a in row]
-               for m in act.matrices]
+    index = {e: i for i, e in enumerate(act.monomials)}
+    entries = [[((index[t], index[e]), a) for e, col in cols.items() for t, a in col.items()]
+               for cols in act._columns]
     table = []
     for s in range(1, s_max + 1):
         if n ** s > budget:

@@ -233,23 +233,24 @@ def _hopf_from_tensors(what, d):
 
 
 def _backend(ws, name, d):
+    what = f"backend {name!r}"
     cap = ws.caps.degree
     if cap is None:
-        cap = _integer(d["degree_cap"], OPTIONS["--cap-d"].least,
-                       f"backend {name!r}: degree_cap")
-    variables, derivation = d["variables"], d["derivation"]
+        cap = _integer(_field(d, "degree_cap", what), OPTIONS["--cap-d"].least,
+                       f"{what}: degree_cap")
+    variables, derivation = _field(d, "variables", what), _field(d, "derivation", what)
     if not (isinstance(variables, list) and all(isinstance(v, str) for v in variables)
             and len(set(variables)) == len(variables)):
-        raise ParseError(f"backend {name!r}: variables must be a list of distinct names, "
+        raise ParseError(f"{what}: variables must be a list of distinct names, "
                          f"got {variables!r}")
     for v in variables:
         if not VARIABLE_RE.fullmatch(v):
-            raise ParseError(f"backend {name!r}: variable {v!r} must match "
+            raise ParseError(f"{what}: variable {v!r} must match "
                              f"[A-Za-z_][A-Za-z0-9_]* and not start with zeta")
     if not (isinstance(derivation, dict) and set(derivation) <= set(variables)):
-        raise ParseError(f"backend {name!r}: derivation must map some of the variables "
+        raise ParseError(f"{what}: derivation must map some of the variables "
                          f"{variables} to polynomials, got {derivation!r}")
-    images = {v: _poly(derivation.get(v, "0"), variables, f"backend {name!r}: derivation of {v}")
+    images = {v: _poly(derivation.get(v, "0"), variables, f"{what}: derivation of {v}")
               for v in variables}
     return va_mod.CommDiffVA(variables, images, cap)
 
@@ -276,8 +277,9 @@ def _action(ws, name, d):
             raise ParseError(
                 f"action {name!r} has explicit matrices; --cap-d cannot re-cap it")
         matrices = _basis_map(d["matrices"], h, f"{what}: matrices")
-        n = len(backend.monomials())
-        mats = []
+        monos = backend.monomials()
+        n = len(monos)
+        columns = []
         for bname in h.names:
             if bname not in matrices:
                 raise ShapeMismatch(f"action {name!r}: no matrix for basis element {bname!r}")
@@ -288,8 +290,10 @@ def _action(ws, name, d):
                 raise ShapeMismatch(
                     f"action {name!r}: the matrix of {bname} is {shape}, but the "
                     f"carrier has {n} monomials")
-            mats.append(Matrix.from_rows(rows))
-        return action_mod.HopfAction(h, backend, mats)
+            # column j of the entered matrix is the image of the monomial monos[j]
+            columns.append({e: dict(zip(monos, (row[j] for row in rows)))
+                            for j, e in enumerate(monos)})
+        return action_mod.HopfAction(h, backend, columns)
     raise ParseError(f"action {name!r} needs generator_images or matrices")
 
 

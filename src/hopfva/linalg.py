@@ -2,8 +2,10 @@
 
 Matrices and subspaces over Q or Q(zeta_N).  A Matrix stores every entry
 and derives, once, the nonzero (column, value) pairs of each row; products,
-sums, scalings and matrix-vector products run over those pairs only, so
-the sparse maps of Hopf actions cost what they hold, not n^3.
+sums, scalings and matrix-vector products run over those pairs only, so a
+sparse matrix costs what it holds, not n^3.  The maps of Hopf actions and
+their isotypic projectors are not Matrices: they are {monomial: coefficient}
+columns (`action`), whose null spaces come here through `_kernel_of_columns`.
 
 Every row reduction goes through `_rref_rows`.  Rational input is reduced
 fraction-free (integer rows with gcd normalisation, which is the

@@ -1,16 +1,20 @@
 """Finite-group Schur-Weyl machinery on graded backends.
 
 A representation comes only from a Hopf action: its group elements (the
-basis of a group algebra, or the recognised group-likes) and their
-matrices, read from the action's sparse map.  The action has already been
-checked to be an algebra map, so only the grading is checked here.
+basis of a group algebra, or the recognised group-likes) and their sparse
+columns, read from the action.  The action has already been checked to be
+an algebra map, so g -> rho(g) is a group homomorphism and only the grading
+is checked here.
 
 Character tables are input (and verified exactly), never computed.  The
-isotypic projectors are the classical averaging operators; multiplicity
+isotypic projectors are rho(e_chi) for the central idempotents e_chi of the
+group algebra, whose identities are checked on the group table; multiplicity
 spaces are extracted as exact intertwiner solution spaces when explicit
 irrep matrices are supplied.  Dual-pair evidence at truncation consists of
 decomposition bookkeeping, commutant checks, cyclic reachability inside an
 isotype, and pairwise distinguishability with an honest "inconclusive".
+Projectors and mode operators are columns too, so no Matrix and no Poly
+sits between an action and its isotypes.
 """
 
 from __future__ import annotations
@@ -19,78 +23,56 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .action import _matrix, invariants
+from .action import _sum_columns, invariants
 from .errors import CheckReport, MatricesRequired, require
 from .hopf import _validate_group_table, recognize_group_algebra
 from .linalg import Matrix, Subspace, _kernel_of_columns
-from .scalars import as_scalar, scalar_conjugate
-from .vertexalg import Poly, poly_to_text
+from .scalars import as_scalar, demoted, scalar_conjugate
+from .vertexalg import Poly, _mul, poly_to_text
 
 _ZERO = Fraction(0)
+
+
+def _apply(columns, monos, vec):
+    """The column map applied to a coordinate vector over `monos`, as one."""
+    image = _sum_columns((c, columns[e]) for e, c in zip(monos, vec) if c)
+    return [image.get(e, 0) for e in monos]
 
 
 class FinGroupRep:
     """The group elements of a Hopf action on a graded carrier, as a view
     over the action: the group table (identity first), the element names
-    and each element's matrix over the carrier's monomials."""
+    and each element's columns, keyed like the action's `_columns[b]`.
+    `graded[k]` lists the carrier's monomials of degree k in basis order."""
 
-    __slots__ = ("action", "table", "element_names", "matrices", "degree_dims")
+    __slots__ = ("action", "table", "element_names", "columns", "graded")
 
-    def __init__(self, action, table, element_names, matrices):
+    def __init__(self, action, table, element_names, columns):
         self.action = action
         self.table = table
         self.element_names = element_names
-        self.matrices = matrices
-        degrees = [sum(e) for e in action.monomials]
-        for name, m in zip(element_names, matrices):
-            if any(degrees[i] != degrees[j]
-                   for i, row in enumerate(m.nonzero_rows()) for j, _ in row):
+        self.columns = columns
+        for name, cols in zip(element_names, columns):
+            if any(sum(t) != sum(e) for e, col in cols.items() for t in col):
                 raise ValueError(f"element {name} does not preserve the grading")
-        self.degree_dims = tuple(degrees.count(k) for k in range(max(degrees) + 1))
-
-    def _offsets(self):
-        out = [0]
-        for d in self.degree_dims:
-            out.append(out[-1] + d)
-        return out
+        monos = action.monomials
+        self.graded = tuple([e for e in monos if sum(e) == k]
+                            for k in range(max(map(sum, monos)) + 1))
 
     @property
     def backend(self):
         return self.action.backend
-
-    @property
-    def order(self):
-        return len(self.table)
-
-    @property
-    def carrier_dim(self):
-        return len(self.action.monomials)
-
-    def inverse(self, g):
-        return self.table[g].index(0)
 
     @classmethod
     def from_hopf_action(cls, act):
         """Restrict a group-algebra Hopf action to its group elements."""
         h = act.hopf
         if h.group_table is not None:
-            # the group elements are the basis: their matrices are the action's
-            return cls(act, h.group_table, h.names, act.matrices)
+            # the group elements are the basis: their columns are the action's
+            return cls(act, h.group_table, h.names, act._columns)
         rec = recognize_group_algebra(h)  # the unit is its first group-like
         names = tuple(f"gl{i}" for i in range(len(rec.table)))
-        mats = [act.rho(list(v)) for v in rec.elements]
-        return cls(act, rec.table, names, mats)
-
-    def block_rows(self, g, deg):
-        """The nonzero rows of rho(g) on the degree-`deg` monomials, indexed
-        within that degree; the grading check keeps each row inside it."""
-        start = self._offsets()[deg]
-        rows = self.matrices[g].nonzero_rows()[start:start + self.degree_dims[deg]]
-        return [[(j - start, a) for j, a in row] for row in rows]
-
-    def block(self, g, deg):
-        dim = self.degree_dims[deg]
-        return Matrix.from_nonzero_rows(dim, dim, self.block_rows(g, deg))
+        return cls(act, rec.table, names, [act.rho(v) for v in rec.elements])
 
     def fixed_points(self) -> Subspace:
         """V^G, which is V^H: the group elements span H and eps(g) = 1."""
@@ -108,7 +90,7 @@ class IrrepCharacter:
 class CharacterTable:
     """Conjugacy classes plus one exact character row per irreducible."""
 
-    __slots__ = ("group_table", "identity", "classes", "chars", "class_of")
+    __slots__ = ("group_table", "identity", "inverse", "classes", "chars", "class_of")
 
     def __init__(self, group_table, classes, chars):
         self.group_table = tuple(tuple(r) for r in group_table)
@@ -118,7 +100,7 @@ class CharacterTable:
         seen = sorted(g for c in self.classes for g in c)
         if seen != list(range(n)):
             raise ValueError("classes do not partition the group")
-        inverse = [self.group_table[g].index(self.identity) for g in range(n)]
+        self.inverse = inverse = tuple(row.index(self.identity) for row in self.group_table)
         self.class_of = {}
         for ci, cls_ in enumerate(self.classes):
             for g in cls_:
@@ -197,6 +179,7 @@ def verify_character_table(table: CharacterTable, rep: FinGroupRep = None) -> Ch
             break
     report.update(matrices)
 
+    report.record("central-idempotents", (w for _, w in _idempotent_failures(table)))
     if rep is not None:
         report.record("rep-table-match", [] if rep.table == table.group_table else [None])
     return report
@@ -211,24 +194,66 @@ def _require_same_group(table: CharacterTable, rep: FinGroupRep):
         raise ValueError("character table and representation use different groups")
 
 
-def isotypic_projector(table: CharacterTable, rep: FinGroupRep, name):
-    """P = (d/|G|) sum_g chi(g^{-1}) rho(g) per degree block, verified."""
-    ch = table.char(name)
-    n = rep.order
-    factor = Fraction(ch.degree, n)
-    out = []
-    for deg, dim in enumerate(rep.degree_dims):
-        rho = [rep.block(g, deg) for g in range(n)]
-        acc = Matrix.zeros(dim, dim)
-        for g, m in enumerate(rho):
-            coeff = table.value_at_element(ch, rep.inverse(g)) * factor
-            if coeff != 0:
-                acc = acc + m.scale(coeff)
-        require(acc * acc == acc, "isotypic projector must be idempotent")
-        for m in rho:
-            require(acc * m == m * acc, "projector must centralise the group action")
-        out.append(acc)
+def _class_sum(table, ch):
+    """f_chi = sum_g chi(g^{-1}) g = (|G|/d) e_chi as {element: value}, zeros left out."""
+    return {g: v for g in range(table.order)
+            if (v := demoted(table.value_at_element(ch, table.inverse[g])))}
+
+
+def _idempotent_failures(table: CharacterTable):
+    """(require message, witness) for each failed identity of the central
+    idempotents e_chi = (d/|G|) sum_g chi(g^{-1}) g of the group algebra, in
+    order: each e_chi idempotent and central, distinct ones orthogonal, their
+    sum 1.  They run on f_chi = (|G|/d) e_chi, so an integral table stays on
+    ints: e_chi^2 = e_chi is d f_chi^2 = |G| f_chi.  Each identity is tested
+    given those before it, as every caller stops at the first failure: the
+    product p of two commuting idempotents is one, and p = 0 exactly where
+    its coefficient at 1, rank(h -> p h) / |G|, is 0."""
+    gt, n, inv = table.group_table, table.order, table.inverse
+
+    def product(a, b):
+        # sum_g a(g) (g b), g b the translate of b by g
+        return _sum_columns((x, {gt[g][h]: y for h, y in b.items()}) for g, x in a.items())
+
+    fs = [(ch, _class_sum(table, ch)) for ch in table.chars]
+    for ch, f in fs:
+        square = product(f, f)
+        if {g: ch.degree * v for g, v in square.items()} != {g: n * v for g, v in f.items()}:
+            yield "isotypic projector must be idempotent", f"e_{ch.name}^2 != e_{ch.name}"
+        # central where each conjugation g -> h g h^{-1} keeps f; as it permutes
+        # the group, it does so where it keeps f on f's support
+        h = next((h for h in range(n) if any(f.get(gt[gt[h][g]][inv[h]]) != v
+                                              for g, v in f.items())), None)
+        if h is not None:
+            yield ("projector must centralise the group action",
+                   f"e_{ch.name} g != g e_{ch.name} at g = {h}")
+    for i, (a, fa) in enumerate(fs):
+        for b, fb in fs[i + 1:]:
+            if sum(v * fb.get(inv[g], 0) for g, v in fa.items()):
+                yield "distinct projectors must be orthogonal", f"e_{a.name} e_{b.name} != 0"
+    if _sum_columns((ch.degree, f) for ch, f in fs) != {table.identity: n}:
+        yield "projectors must sum to the identity", "the sum of the e_chi != 1"
+
+
+def _projectors(table: CharacterTable, rep: FinGroupRep):
+    """{name: rho(e_chi)} as columns keyed like the action's, each e_chi
+    summed on the group elements' columns once its identities hold."""
+    _require_same_group(table, rep)
+    for message, _ in _idempotent_failures(table):
+        require(False, message)
+    out = {}
+    for ch in table.chars:
+        factor = Fraction(ch.degree, table.order)
+        terms = [(demoted(factor * v), rep.columns[g]) for g, v in _class_sum(table, ch).items()]
+        out[ch.name] = {e: _sum_columns((c, cols[e]) for c, cols in terms)
+                        for e in rep.action.monomials}
     return out
+
+
+def isotypic_projector(table: CharacterTable, rep: FinGroupRep, name):
+    """rho(e_chi) for e_chi = (d/|G|) sum_g chi(g^{-1}) g, as columns keyed
+    like the action's, verified on the group table."""
+    return _projectors(table, rep)[table.char(name).name]
 
 
 @dataclass
@@ -237,66 +262,50 @@ class IsotypicDecomposition:
     table: CharacterTable
     multiplicities: dict     # name -> tuple of multiplicities per degree
     isotypes: dict           # name -> list of Subspace per degree
-    projectors: dict         # name -> list of Matrix per degree
 
     def isotype_full(self, name) -> Subspace:
         """The isotypic component embedded in the full carrier."""
-        n = self.rep.carrier_dim
-        offsets = self.rep._offsets()
-        vecs = []
-        for deg, sub in enumerate(self.isotypes[name]):
-            for row in sub.basis:
-                v = [_ZERO] * n
-                for k, c in enumerate(row):
-                    v[offsets[deg] + k] = c
-                vecs.append(v)
+        n = len(self.rep.action.monomials)
+        vecs, offset = [], 0
+        for sub in self.isotypes[name]:
+            after = n - offset - sub.ambient
+            vecs += [[_ZERO] * offset + list(row) + [_ZERO] * after for row in sub.basis]
+            offset += sub.ambient
         return Subspace.from_vectors(n, vecs)
 
 
 def decompose(table: CharacterTable, rep: FinGroupRep) -> IsotypicDecomposition:
     """Exact multiplicities and isotype bases, with full bookkeeping checks."""
-    _require_same_group(table, rep)
+    projectors = _projectors(table, rep)
     mults = {}
-    projectors = {}
     isotypes = {}
     for ch in table.chars:
         per_degree = mults[ch.name] = _multiplicities(table, rep, ch)
-        projectors[ch.name] = isotypic_projector(table, rep, ch.name)
+        p = projectors[ch.name]
         per_iso = []
-        for deg, dim in enumerate(rep.degree_dims):
-            p = projectors[ch.name][deg]
-            cols = [list(p.col(j)) for j in range(dim)]
-            sub = Subspace.from_vectors(dim, cols)
+        for deg, monos in enumerate(rep.graded):
+            # the columns of p on the degree-deg monomials, which it keeps in degree deg
+            sub = Subspace.from_vectors(len(monos), [[p[e].get(t, 0) for t in monos]
+                                                     for e in monos])
             require(sub.dim == ch.degree * per_degree[deg],
                     "projector rank must match d * multiplicity")
             per_iso.append(sub)
         isotypes[ch.name] = per_iso
-
-    for deg, dim in enumerate(rep.degree_dims):
-        total = Matrix.zeros(dim, dim)
-        for ch in table.chars:
-            total = total + projectors[ch.name][deg]
-            for other in table.chars:
-                if other.name != ch.name:
-                    prod = projectors[ch.name][deg] * projectors[other.name][deg]
-                    require(prod.is_zero(), "distinct projectors must be orthogonal")
-        require(total == Matrix.identity(dim), "projectors must sum to the identity")
-        require(sum(ch.degree * mults[ch.name][deg] for ch in table.chars) == dim,
+    for deg, monos in enumerate(rep.graded):
+        require(sum(ch.degree * mults[ch.name][deg] for ch in table.chars) == len(monos),
                 "dimension bookkeeping failed")
-    return IsotypicDecomposition(rep=rep, table=table, multiplicities=mults,
-                                 isotypes=isotypes, projectors=projectors)
+    return IsotypicDecomposition(rep=rep, table=table, multiplicities=mults, isotypes=isotypes)
 
 
 def _multiplicities(table, rep, ch):
     """<chi, rho> on each degree block, by the character inner product."""
-    n = rep.order
+    n = table.order
     out = []
-    for deg in range(len(rep.degree_dims)):
+    for monos in rep.graded:
         total = _ZERO
-        for g in range(n):
-            tr = sum((a for i, row in enumerate(rep.block_rows(g, deg))
-                      for j, a in row if j == i), _ZERO)
-            total = total + tr * table.value_at_element(ch, rep.inverse(g))
+        for g, cols in enumerate(rep.columns):
+            tr = sum((cols[e].get(e, 0) for e in monos), _ZERO)
+            total = total + tr * table.value_at_element(ch, table.inverse[g])
         mult = total / n
         require(isinstance(mult, Fraction) and mult.denominator == 1 and mult >= 0,
                 f"character multiplicity must be a nonnegative integer, got {mult}")
@@ -319,16 +328,20 @@ def multiplicity_space(table: CharacterTable, rep: FinGroupRep, name):
     expected = _multiplicities(table, rep, ch)
     w_rows = [m.nonzero_rows() for m in ch.matrices]
     out = []
-    for deg, dim in enumerate(rep.degree_dims):
+    for deg, monos in enumerate(rep.graded):
+        dim = len(monos)
+        index = {e: i for i, e in enumerate(monos)}
         columns = [{} for _ in range(dim * d)]
-        for g in range(rep.order):
+        for g, cols in enumerate(rep.columns):
             for r in range(dim):
                 for k, row in enumerate(w_rows[g]):
                     col = columns[r * d + k]
                     for c, a in row:
                         col[g, r, c] = a
-            for i, row in enumerate(rep.block_rows(g, deg)):
-                for r, a in row:
+            # rho_M(g)[i, r] is the coefficient of monos[i] in the image of monos[r]
+            for r, e in enumerate(monos):
+                for t, a in cols[e].items():
+                    i = index[t]
                     for k in range(d):
                         col = columns[r * d + k]
                         x = col.get((g, i, k))
@@ -346,30 +359,33 @@ def multiplicity_space(table: CharacterTable, rep: FinGroupRep, name):
 # commutant, reachability, distinguishability
 
 
-def _mode_matrix(rep: FinGroupRep, poly: Poly):
-    """Truncated multiplication by `poly` as a matrix on the carrier."""
-    monos = rep.action.monomials
+def _mode_matrix(rep: FinGroupRep, terms):
+    """Truncated multiplication by the {exponent: coefficient} polynomial
+    `terms` as columns on the carrier."""
     cap = rep.backend.degree_cap
-    return _matrix(monos, [poly.shift(e).truncated(cap).terms for e in monos])
+    return {e: {t: c for t, c in _mul(terms, {e: 1}).items() if sum(t) <= cap}
+            for e in rep.action.monomials}
 
 
-def _modes(rep: FinGroupRep, u: Poly, order):
-    """(k, deg d^k u, the operator of d^k u / k!) for k <= order, up to the
-    first zero derivative."""
-    dku = u
+def _modes(rep: FinGroupRep, terms, order):
+    """(k, deg d^k u, the columns of d^k u / k!) for k <= order, up to the
+    first zero derivative, u given by its {exponent: coefficient} terms."""
+    dku = {e: demoted(c) for e, c in terms.items()}
     for k in range(order + 1):
         if k:
-            dku = rep.backend.derive(dku)
-        if dku.is_zero():
+            dku = rep.backend.derive_terms(dku)
+        if not dku:
             return
-        yield k, dku.degree(), _mode_matrix(rep, dku.scale(Fraction(1, math.factorial(k))))
+        inv = Fraction(1, math.factorial(k))
+        yield k, max(map(sum, dku)), _mode_matrix(
+            rep, {e: demoted(c * inv) for e, c in dku.items()})
 
 
 def _invariant_modes(rep: FinGroupRep, order):
-    """(k, operator of d^k v / k!) for the RREF basis vectors v of V^G, k <= order."""
-    backend = rep.backend
+    """(k, columns of d^k v / k!) for the RREF basis vectors v of V^G, k <= order."""
+    monos = rep.action.monomials
     return [(k, op) for v in rep.fixed_points().basis
-            for k, _, op in _modes(rep, backend.poly_from_coords(list(v)), order)]
+            for k, _, op in _modes(rep, {e: c for e, c in zip(monos, v) if c}, order)]
 
 
 def check_commutant(rep: FinGroupRep, samples, max_order) -> CheckReport:
@@ -379,14 +395,13 @@ def check_commutant(rep: FinGroupRep, samples, max_order) -> CheckReport:
     cap = backend.degree_cap
 
     def failures(u):
-        for k, deg_u, op in _modes(rep, u, max_order):
+        for k, deg_u, op in _modes(rep, u.terms, max_order):
             # only the columns where the product stays within the cap count
-            within = [sum(e) + deg_u <= cap for e in rep.action.monomials]
-            for g, m in enumerate(rep.matrices):
-                lhs = (m * op).nonzero_rows()
-                rhs = (op * m).nonzero_rows()
-                if any([t for t in left if within[t[0]]] != [t for t in right if within[t[0]]]
-                       for left, right in zip(lhs, rhs)):
+            within = [e for e in rep.action.monomials if sum(e) + deg_u <= cap]
+            for g, cols in enumerate(rep.columns):
+                # column e of rho(g) op against column e of op rho(g)
+                if any(_sum_columns((c, cols[t]) for t, c in op[e].items())
+                       != _sum_columns((c, op[t]) for t, c in cols[e].items()) for e in within):
                     yield f"element {rep.element_names[g]} at order {k}"
 
     for u in samples:
@@ -418,6 +433,7 @@ def cyclic_reachability(rep: FinGroupRep, table: CharacterTable, name,
     if not isotype.contains(seed_coords):
         raise ValueError("seed does not lie in the requested isotype")
 
+    monos = rep.action.monomials
     ops = [op for _, op in _invariant_modes(rep, mode_order)]
 
     current = Subspace.from_vectors(len(seed_coords), [seed_coords])
@@ -425,7 +441,7 @@ def cyclic_reachability(rep: FinGroupRep, table: CharacterTable, name,
         vecs = list(current.basis)
         for op in ops:
             for b in current.basis:
-                vecs.append(op.apply(list(b)))
+                vecs.append(_apply(op, monos, b))
         bigger = Subspace.from_vectors(len(seed_coords), vecs)
         if bigger.dim == current.dim:
             break
@@ -449,16 +465,17 @@ def _isotype_fingerprints(decomp: IsotypicDecomposition, name, modes):
     d = decomp.table.char(name).degree
     iso = decomp.isotype_full(name)
     # the degree of each isotype basis vector, read at its pivot
-    basis_degrees = [sum(rep.action.monomials[p]) for p in iso.pivots]
+    monos = rep.action.monomials
+    basis_degrees = [sum(monos[p]) for p in iso.pivots]
     prints = []
     for k, op in modes:
-        images = [op.apply(list(b)) for b in iso.basis]
+        images = [_apply(op, monos, b) for b in iso.basis]
         coords = [iso.coordinates_of(img) for img in images]
         require(all(c is not None for c in coords), "mode left the isotype")
         # column i of the mode on the isotype holds coords[i]
         trace = sum((c[i] for i, c in enumerate(coords)), _ZERO) / d
         rank_profile = []
-        for deg in range(len(rep.degree_dims)):
+        for deg in range(len(rep.graded)):
             rows = [img for img, bd in zip(images, basis_degrees) if bd == deg]
             if not rows:
                 continue

@@ -141,15 +141,6 @@ class Poly:
 
     __rmul__ = scale
 
-    def shift(self, mono):
-        """Multiply by a single monomial."""
-        return Poly(self.nvars, {tuple(a + b for a, b in zip(e, mono)): c
-                                 for e, c in self.terms.items()})
-
-    def truncated(self, cap):
-        return Poly(self.nvars, {e: c for e, c in self.terms.items()
-                                 if sum(e) <= cap})
-
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented

@@ -9,7 +9,7 @@ from hopfva.hopf import (
     sweedler,
     symmetric_group_table,
 )
-from hopfva.linalg import nonzero_pairs, split_commutative_algebra
+from hopfva.linalg import Matrix, nonzero_pairs, split_commutative_algebra
 from hopfva.scalars import scalar_to_text, zeta
 from hopfva.vertexalg import CommDiffVA, Poly, single_variable_backend
 
@@ -38,6 +38,29 @@ def groups_are_isomorphic(ta, tb):
         if all(p[ta[i][j]] == tb[p[i]][p[j]] for i in range(n) for j in range(n)):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# dense oracles: an action's sparse columns as Matrices
+
+
+def columns_matrix(monos, columns):
+    """The Matrix over the monomial basis `monos` whose j-th column is
+    columns[monos[j]], a monomial -> coefficient dict."""
+    return Matrix.from_columns([[columns[e].get(t, 0) for t in monos] for e in monos])
+
+
+def action_matrices(act):
+    """The Matrix of each basis element of an action, over its monomials."""
+    return [columns_matrix(act.monomials, cols) for cols in act._columns]
+
+
+def edited_action(act, bi, e, t, value):
+    """`act` with the coefficient of t in b_bi . e set to `value`, built
+    unchecked."""
+    columns = list(act._columns)
+    columns[bi] = {**columns[bi], e: {**columns[bi][e], t: value}}
+    return HopfAction(act.hopf, act.backend, columns, check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    action_matrices,
+    columns_matrix,
     cyclic_scaling_action,
+    edited_action,
     euler_backend,
     groups_are_isomorphic,
     s3_action,
@@ -60,15 +63,11 @@ def test_sweedler_extension_matches_hand_computation():
 def test_construction_rejects_non_multiplicative_matrices():
     h = group_algebra(cyclic_group_table(2))
     backend = euler_backend(2)
-    n = len(backend.monomials())
-    bad = Matrix.from_rows([[F(1) if i == j else F(0) for j in range(n)]
-                            for i in range(n)])
-    shift = Matrix.zeros(n, n)
-    rows = shift.row_lists()
-    rows[0][1] = F(1)
-    shift = Matrix.from_rows(rows)
+    monos = backend.monomials()
+    identity = {e: {e: 1} for e in monos}
+    shift = {e: {} for e in monos} | {monos[1]: {monos[0]: 1}}  # the entry (0, 1)
     with pytest.raises(ValueError):
-        HopfAction(h, backend, [bad, shift])
+        HopfAction(h, backend, [identity, shift])
 
 
 # --- module algebra / module vertex algebra ------------------------------------
@@ -87,14 +86,8 @@ def test_sign_action_is_module_algebra():
 def test_corrupted_action_fails_module_algebra():
     act = sweedler_poly_action(m=0, cap=3)
     x_idx = act.hopf.names.index("x")
-    mats = list(act.matrices)
-    rows = mats[x_idx].row_lists()
-    monos = list(act.monomials)
     # overwrite x . z^2 := 1 instead of 0
-    col = monos.index((2,))
-    rows[monos.index((0,))][col] = F(1)
-    mats[x_idx] = Matrix.from_rows(rows)
-    broken = HopfAction(act.hopf, act.backend, mats, check=False)
+    broken = edited_action(act, x_idx, (2,), (0,), F(1))
     report = verify_module_algebra(broken)
     ok, witness = report["module-algebra-rule"]
     assert not ok
@@ -305,6 +298,7 @@ def _kronecker_table(act, s_max):
     the action matrices over an iterated coproduct computed here."""
     h = act.hopf
     d = h.dim
+    matrices = action_matrices(act)
     table = []
     for s in range(1, s_max + 1):
         rhos = []
@@ -320,9 +314,9 @@ def _kronecker_table(act, s_max):
                 terms = longer
             total = None
             for idx, c in terms.items():
-                mat = act.matrices[idx[0]]
+                mat = matrices[idx[0]]
                 for slot in idx[1:]:
-                    mat = mat.kron(act.matrices[slot])
+                    mat = mat.kron(matrices[slot])
                 scaled = [c * a for a in mat.entries]
                 total = scaled if total is None else [x + y for x, y in zip(total, scaled)]
             rhos.append(total)
@@ -401,10 +395,11 @@ def test_faithful_tensor_action_forces_cocommutativity():
     act = cyclic_scaling_action(3, cap=3)
     h = act.hopf
     d = h.dim
+    matrices = action_matrices(act)
     cols = []
     for i in range(d):
         for j in range(d):
-            cols.append(act.matrices[i].kron(act.matrices[j]).vec())
+            cols.append(matrices[i].kron(matrices[j]).vec())
     pair_map = Matrix.from_rows(cols).transpose()
     assert pair_map.kernel().is_zero()  # rho (x) rho is injective on H (x) H
     for k in range(d):
@@ -477,7 +472,7 @@ def _dense_route(act, bi, poly):
     """coords_of, a dense matrix-vector loop over every entry, poly_from_coords."""
     a = act.backend
     coords = a.coords_of(poly)
-    m = act.matrices[bi]
+    m = columns_matrix(act.monomials, act._columns[bi])
     n = len(coords)
     return a.poly_from_coords([sum((m[i, j] * coords[j] for j in range(n)), F(0))
                                for i in range(n)])
@@ -508,20 +503,21 @@ def test_rho_is_the_combination_of_the_matrices(name):
     h = act.hopf
     n = len(act.monomials)
     hvec = [F(k + 1, 3) * (-1) ** k for k in range(h.dim)]
-    got = act.rho(hvec)
+    got = columns_matrix(act.monomials, act.rho(hvec))
+    mats = action_matrices(act)
     assert got.row_lists() == [
-        [sum((c * m[i, j] for c, m in zip(hvec, act.matrices)), F(0)) for j in range(n)]
+        [sum((c * m[i, j] for c, m in zip(hvec, mats)), F(0)) for j in range(n)]
         for i in range(n)]
 
 
 def test_non_multiplicative_witness_keeps_the_first_pair():
     # Sweedler's x acting as g would: multiplicativity first fails at (g, x)
     act = sweedler_poly_action(m=0, cap=2)
-    mats = list(act.matrices)
+    columns = list(act._columns)
     names = act.hopf.names
-    mats[names.index("x")] = mats[names.index("g")]
+    columns[names.index("x")] = columns[names.index("g")]
     with pytest.raises(ValueError, match=r"not multiplicative at \(g, x\)"):
-        HopfAction(act.hopf, act.backend, mats)
+        HopfAction(act.hopf, act.backend, columns)
 
 
 # --- known answers at caps beyond the desk-scale corpus -------------------------

@@ -4,10 +4,11 @@
 the generator extension, the algebra-map check, the module-algebra rule,
 [rho(h), d] = 0 and the direct vertex identity are dict convolutions.  The
 oracle here is the direct formulation on `Poly` objects: each basis element
-acts through its Matrix (coordinates in, coordinates out), the derivation is
-re-derived from the backend's generator images by the Leibniz rule, and the
-algebra map is checked with dense matrix products.  On seeded single-entry
-corruptions of S3 permuting three variables, the Z3 and Z4 scalings, the
+acts through the dense Matrix of its columns (coordinates in, coordinates
+out), the derivation is re-derived from the backend's generator images by
+the Leibniz rule, and the algebra map is checked with dense matrix
+products.  On seeded single-entry corruptions of the columns (built
+unchecked) of S3 permuting three variables, the Z3 and Z4 scalings, the
 Sweedler actions on z^m (m = 0, 1, 2), a trivial action and S3 conjugated by
 a rational change of variables, the reports (verdicts and witnesses, in
 order) and the ValueError messages of construction must agree.
@@ -20,7 +21,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cyclic_scaling_action, euler_backend, s3_action, sweedler_poly_action
+from conftest import (
+    action_matrices,
+    cyclic_scaling_action,
+    edited_action,
+    euler_backend,
+    s3_action,
+    sweedler_poly_action,
+)
 from hopfva.action import HopfAction, trivial_action, verify_module_vertex_algebra
 from hopfva.errors import CheckReport, TruncationOverflow
 from hopfva.hopf import group_algebra, sweedler, symmetric_group_table
@@ -34,10 +42,13 @@ F = Fraction
 # --- the Poly oracle ---------------------------------------------------------------
 
 
+dense_matrices = functools.cache(action_matrices)
+
+
 def image(act, bi, poly):
     """b_bi . poly through the dense coordinates of the action matrix."""
     a = act.backend
-    return a.poly_from_coords(act.matrices[bi].apply(a.coords_of(poly)))
+    return a.poly_from_coords(dense_matrices(act)[bi].apply(a.coords_of(poly)))
 
 
 def derive(a, poly):
@@ -47,7 +58,7 @@ def derive(a, poly):
         for i, k in enumerate(e):
             if k:
                 lowered = e[:i] + (k - 1,) + e[i + 1:]
-                out = out + a.images[i].shift(lowered).scale(c * k)
+                out = out + (a.images[i] * Poly.monomial(lowered)).scale(c * k)
     return out
 
 
@@ -139,7 +150,7 @@ def oracle_module_vertex_algebra(act, order=None):
 
 def oracle_algebra_map(act):
     """The ValueError message of construction, or None, by dense products."""
-    h, mats = act.hopf, act.matrices
+    h, mats = act.hopf, dense_matrices(act)
     n = len(act.monomials)
 
     def combination(vec):
@@ -229,23 +240,21 @@ CORRUPTIONS = 6
 
 
 def corrupted(name, seed):
-    """The action with one entry of one matrix set to a value from its pool,
-    built unchecked."""
+    """The action with one entry (row i, column j) of the matrix of one basis
+    element set to a value from its pool, built unchecked."""
     make, pool = ACTIONS[name]
     act = make()
     rng = random.Random(f"{name}-{seed}")
     n = len(act.monomials)
     bi = rng.randrange(act.hopf.dim)
-    mats = list(act.matrices)
-    rows = mats[bi].row_lists()
-    rows[rng.randrange(n)][rng.randrange(n)] = rng.choice(pool)
-    mats[bi] = Matrix.from_rows(rows)
-    return HopfAction(act.hopf, act.backend, mats, check=False)
+    value = rng.choice(pool)
+    i, j = rng.randrange(n), rng.randrange(n)
+    return edited_action(act, bi, act.monomials[j], act.monomials[i], value)
 
 
 def construction_error(act):
     try:
-        HopfAction(act.hopf, act.backend, act.matrices)
+        HopfAction(act.hopf, act.backend, act._columns)
     except ValueError as exc:
         return str(exc)
     return None
@@ -344,7 +353,7 @@ def test_generator_extension_matches_the_poly_oracle(make):
         assert str(got.value) == str(exc)
         return
     act = HopfAction.from_generator_images(h, backend, images, check=False)
-    assert list(act.matrices) == expected
+    assert action_matrices(act) == expected
 
 
 # --- the work the checks do --------------------------------------------------------
@@ -361,7 +370,7 @@ def test_building_and_checking_an_action_builds_no_poly(monkeypatch):
 
     monkeypatch.setattr(Poly, "__init__", counting)
     act = HopfAction.from_generator_images(h, backend, images)
-    HopfAction(act.hopf, act.backend, act.matrices)
+    HopfAction(act.hopf, act.backend, act._columns)
     report = verify_module_vertex_algebra(act)
     monkeypatch.undo()
     assert report.passed
@@ -386,9 +395,9 @@ def test_s4_permutations_form_a_module_vertex_algebra_at_cap_2():
     assert verify_module_vertex_algebra(act).passed
     # negate the image of one transposition, (x3 x4)
     t = sorted(itertools.permutations(range(4))).index((0, 1, 3, 2))
-    mats = list(act.matrices)
-    mats[t] = mats[t].scale(-1)
-    broken = HopfAction(act.hopf, act.backend, mats, check=False)
+    columns = list(act._columns)
+    columns[t] = {e: {m: -c for m, c in col.items()} for e, col in columns[t].items()}
+    broken = HopfAction(act.hopf, act.backend, columns, check=False)
     report = verify_module_vertex_algebra(broken)
     assert not report.passed
     assert list(report.items()) == list(oracle_module_vertex_algebra(broken).items())

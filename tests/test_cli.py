@@ -341,6 +341,35 @@ def test_action_from_explicit_matrices(capsys, tmp_path):
     assert code == 4
 
 
+def test_explicit_matrices_read_column_j_as_the_image_of_monomial_j(capsys, tmp_path):
+    # Sweedler on Q[z]_{<=2}: x z = 1 is the entry in row 1, column z; the
+    # same action as generator images, and its transpose is no action
+    x = [["0", "1", "0"], ["0", "0", "0"], ["0", "0", "0"]]
+    matrices = {"1": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                "g": [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1"]], "x": x, "gx": x}
+    transposed = dict(matrices, x=[list(r) for r in zip(*x)], gx=[list(r) for r in zip(*x)])
+    ws = tmp_path / "sweedler.json"
+    ws.write_text(json.dumps({
+        "schema_version": 1, "hopf_algebras": [{"name": "sw", "builder": "sweedler"}],
+        "backends": [{"name": "z", "variables": ["z"], "derivation": {"z": "1"},
+                      "degree_cap": 2}],
+        "actions": [{"name": "images", "hopf": "sw", "backend": "z", "generator_images": {
+                         "g": {"z": "-1*z"}, "x": {"z": "1"}, "gx": {"z": "1"}}},
+                    {"name": "matrices", "hopf": "sw", "backend": "z", "matrices": matrices},
+                    {"name": "transposed", "hopf": "sw", "backend": "z",
+                     "matrices": transposed}]}))
+    results = []
+    for obj in ("images", "matrices"):
+        code, doc, _ = run_cli(capsys, ["annihilator", "--workspace", str(ws), "--object", obj])
+        assert code == 0
+        results.append(doc["result"])
+    assert results[0] == results[1]
+    code, doc, _ = run_cli(capsys, ["annihilator", "--workspace", str(ws),
+                                    "--object", "transposed"])
+    assert code == 4
+    assert doc["result"]["message"] == "action is not multiplicative at (g, x)"
+
+
 # --- caps are validated before anything runs ---------------------------------
 
 
@@ -803,6 +832,43 @@ def test_wrong_character_values_are_refused_under_O(tmp_path):
             assert doc["result"] == {
                 "error": "ParseError",
                 "message": "character table 'z2chars' fails row-orthogonality: (triv, sign)"}
+
+
+def non_character_workspace():
+    """Z/4 scaling (Q(zeta_4)[x], x d/dx), and a table whose rows are
+    zeta_4^(j s(g)) for s swapping g and g^2: orthonormal rows of degree 1,
+    but no row other than chi0 is a homomorphism."""
+    powers = ["1", "zeta(4):[0,1]", "-1", "zeta(4):[0,-1]"]  # zeta_4^k
+    swap = [0, 2, 1, 3]
+    return {
+        "schema_version": 1,
+        "groups": [{"name": "z4", "table": [[(a + b) % 4 for b in range(4)] for a in range(4)]}],
+        "hopf_algebras": [{"name": "qz4", "builder": "group_algebra", "group": "z4"}],
+        "backends": [{"name": "xddx", "variables": ["x"], "derivation": {"x": "x"},
+                      "degree_cap": 3}],
+        "actions": [{"name": "z4scale", "hopf": "qz4", "backend": "xddx", "generator_images": {
+            f"g{k}": {"x": f"{powers[k]}*x"} for k in (1, 2, 3)}}],
+        "character_tables": [{
+            "name": "z4chars", "group": "z4", "classes": [[g] for g in range(4)],
+            "characters": [{"name": f"chi{j}", "degree": 1,
+                            "values": [powers[j * swap[g] % 4] for g in range(4)]}
+                           for j in range(4)]}]}
+
+
+def test_a_table_of_non_characters_is_an_input_error(capsys, tmp_path):
+    # chi1 = (1, -1, i, -i) passes every other table check; decompose used to
+    # stop at a multiplicity of 1/2 and report it as an internal error.  Now
+    # e_chi1 = (1/4) sum chi1(g^-1) g fails to be idempotent when the table loads
+    path = tmp_path / "z4.json"
+    path.write_text(json.dumps(non_character_workspace()))
+    code, doc, _ = run_cli(capsys, ["decompose", "--workspace", str(path), "--object",
+                                    "z4scale", "--characters", "z4chars", "--json-only"])
+    assert code == 4
+    assert doc["result"] == {
+        "error": "ParseError",
+        "message": "character table 'z4chars' fails central-idempotents: e_chi1^2 != e_chi1"}
+    assert non_character_workspace()["character_tables"][0]["characters"][1]["values"] == [
+        "1", "-1", "zeta(4):[0,1]", "zeta(4):[0,-1]"]
 
 
 def test_group_likes_of_sweedler_entered_as_tensors(capsys, tmp_path):

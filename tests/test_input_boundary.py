@@ -5,11 +5,13 @@ check them; a `tensors` entry of a workspace is checked against the Hopf
 axioms when it loads, and a failure is an input error (exit 4) naming the
 object, the first failing axiom and its witness.  `verify-hopf` and
 `cocommutative` build their object as entered and examine it themselves.
+A backend without one of its fields is an input error naming the field.
 """
 
 import json
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -229,3 +231,18 @@ def test_q_s5_is_built_sparse():
     dual = dual_hopf(h)
     assert [sum(1 for _ in a.mul_entries()) for a in (h, dual)] == [14_400, 120]
     assert [sum(1 for _ in a.comul_entries()) for a in (h, dual)] == [120, 14_400]
+
+
+# --- a backend's fields -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", ["variables", "derivation", "degree_cap"])
+def test_a_missing_backend_field_is_named(capsys, tmp_path, field):
+    data = json.loads((resources.files("hopfva") / "fixtures" / "xy_diagonal.json").read_text())
+    del data["backends"][0][field]
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(data))
+    code, doc = _run(capsys, "pin-check", str(path), "xy_diag")
+    assert code == 4
+    assert doc["result"] == {"error": "ParseError",
+                             "message": f"backend 'xy_diag': needs the field {field!r}"}

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cyclic_scaling_action, euler_backend, s3_action, s3_perms
+from conftest import columns_matrix, cyclic_scaling_action, euler_backend, s3_action, s3_perms
 from hopfva.action import HopfAction, trivial_action
-from hopfva.errors import MatricesRequired
+from hopfva.errors import InvariantViolation, MatricesRequired
 from hopfva.hopf import cyclic_group_table, dual_hopf, group_algebra, symmetric_group_table
 from hopfva.linalg import Matrix, Subspace
 from hopfva.scalars import zeta
@@ -121,6 +121,7 @@ def test_duplicated_row_fails_orthogonality():
         ("degree-matches-identity-value", (True, None)),
         ("matrices-multiplicative", (True, None)),
         ("trace-consistency", (True, None)),
+        ("central-idempotents", (False, "e_a e_b != 0")),
     ]
 
 
@@ -136,7 +137,8 @@ def _one_by_one(*values):
     # a degree that breaks the degree sum and the value at the identity
     ((IrrepCharacter("triv", 1, (F(1), F(1))),
       IrrepCharacter("sign", 2, (F(1), F(-1)))),
-     {"degree-sum": "sum 5 != 2", "degree-matches-identity-value": "sign"}),
+     {"degree-sum": "sum 5 != 2", "degree-matches-identity-value": "sign",
+      "central-idempotents": "e_sign^2 != e_sign"}),
     # the first irrep with matrices to fail stops the matrix checks: the
     # trace of triv is wrong, so sign's non-multiplicative matrices go unseen
     ((IrrepCharacter("triv", 1, (F(1), F(1)), _one_by_one(1, -1)),
@@ -151,13 +153,31 @@ def _one_by_one(*values):
       IrrepCharacter("sign", 1, (F(1), F(-1)), _one_by_one(1, 3))),
      {"matrices-multiplicative": "sign at (1,1)",
       "trace-consistency": "sign at element 1"}),
+    # a missing irrep: e_triv alone is a central idempotent, but not 1
+    ((IrrepCharacter("triv", 1, (F(1), F(1))),),
+     {"degree-sum": "sum 1 != 2", "central-idempotents": "the sum of the e_chi != 1"}),
 ])
 def test_character_table_report_witnesses(chars, failures):
     names = ["row-orthogonality", "degree-sum", "degree-matches-identity-value",
-             "matrices-multiplicative", "trace-consistency"]
+             "matrices-multiplicative", "trace-consistency", "central-idempotents"]
     report = verify_character_table(_z2_table(*chars))
     assert list(report.items()) == [
         (k, (False, failures[k]) if k in failures else (True, None)) for k in names]
+
+
+def test_decompose_requires_central_idempotents():
+    # Z/4 rows zeta_4^(j s(g)), s swapping g and g^2: orthonormal, of degree 1,
+    # but chi1 = (1, -1, i, -i) is no homomorphism, so e_chi1^2 != e_chi1
+    z, swap = zeta(4), [0, 2, 1, 3]
+    chars = [IrrepCharacter(f"chi{j}", 1, tuple(z ** (j * swap[g]) for g in range(4)))
+             for j in range(4)]
+    table = CharacterTable(cyclic_group_table(4), [[g] for g in range(4)], chars)
+    report = verify_character_table(table)
+    assert [k for k, (ok, _) in report.items() if not ok] == ["central-idempotents"]
+    assert report["central-idempotents"] == (False, "e_chi1^2 != e_chi1")
+    rep = FinGroupRep.from_hopf_action(cyclic_scaling_action(4, cap=3))
+    with pytest.raises(InvariantViolation, match="isotypic projector must be idempotent"):
+        decompose(table, rep)
 
 
 def test_chartable_rejects_bad_classes():
@@ -170,9 +190,14 @@ def test_chartable_rejects_bad_classes():
 # --- projectors ------------------------------------------------------------------
 
 
+def _degree_blocks(rep, columns):
+    """The Matrix of a grading-preserving column map on each degree."""
+    return [columns_matrix(monos, columns) for monos in rep.graded]
+
+
 def test_sign_projector_z2():
     rep = z2_rep(3)
-    projs = isotypic_projector(z2_chartable(), rep, "sign")
+    projs = _degree_blocks(rep, isotypic_projector(z2_chartable(), rep, "sign"))
     # image should be x and x^3; degree dims are (1,1,1,1) for one variable
     assert [p.rank() for p in projs] == [0, 1, 0, 1]
 
@@ -184,14 +209,14 @@ def test_trivial_group_projector_is_identity():
     t = CharacterTable([[0]], [[0]],
                        [IrrepCharacter("triv", 1, (F(1),),
                                        (Matrix.from_rows([[1]]),))])
-    projs = isotypic_projector(t, rep, "triv")
+    projs = _degree_blocks(rep, isotypic_projector(t, rep, "triv"))
     for deg, p in enumerate(projs):
-        assert p == Matrix.identity(rep.degree_dims[deg])
+        assert p == Matrix.identity(len(rep.graded[deg]))
 
 
 def test_z3_projector_over_cyclotomics():
     rep = FinGroupRep.from_hopf_action(cyclic_scaling_action(3, cap=3))
-    projs = isotypic_projector(z3_chartable(), rep, "chi1")
+    projs = _degree_blocks(rep, isotypic_projector(z3_chartable(), rep, "chi1"))
     # exponent k has eigenvalue zeta^k, so chi1 catches only x^1 here
     assert [p.rank() for p in projs] == [0, 1, 0, 0]
 
@@ -300,8 +325,8 @@ def test_s3_commutant_at_cap_3():
 def test_group_rep_of_a_group_algebra_uses_the_action_matrices():
     act = s3_action(2)
     rep = FinGroupRep.from_hopf_action(act)
-    assert rep.matrices is act.matrices
-    assert rep.matrices == tuple(act.rho(act.hopf.basis_vector(g)) for g in range(act.hopf.dim))
+    assert rep.columns is act._columns
+    assert rep.columns == tuple(act.rho(act.hopf.basis_vector(g)) for g in range(act.hopf.dim))
 
 
 # --- cyclic reachability -------------------------------------------------------------
@@ -416,16 +441,17 @@ def test_identity_need_not_be_element_zero():
 
 def _dense_block(rep, g, deg):
     """rho(g) on the degree-`deg` monomials, read entry by entry."""
-    start = sum(rep.degree_dims[:deg])
-    m = rep.matrices[g]
-    span = range(start, start + rep.degree_dims[deg])
+    start = sum(map(len, rep.graded[:deg]))
+    m = columns_matrix(rep.action.monomials, rep.columns[g])
+    span = range(start, start + len(rep.graded[deg]))
     return Matrix.from_rows([[m[i, j] for j in span] for i in span])
 
 
 def _dense_fixed_points(rep):
     """V^G as the kernel of the stacked rows of rho(g) - I, g != e."""
-    n = rep.carrier_dim
-    rows = [row for m in rep.matrices[1:] for row in (m - Matrix.identity(n)).row_lists()]
+    n = len(rep.action.monomials)
+    mats = [columns_matrix(rep.action.monomials, cols) for cols in rep.columns[1:]]
+    rows = [row for m in mats for row in (m - Matrix.identity(n)).row_lists()]
     return Matrix.from_rows(rows).kernel() if rows else Subspace.full(n)
 
 
@@ -433,9 +459,9 @@ def _dense_intertwiners(table, rep, name, deg):
     """Hom_G(W, M) in degree `deg`: one dense row per entry (r, c) of
     f rho_W(g) - rho_M(g) f, the unknowns f[r][k] row-major."""
     ch = table.char(name)
-    d, dim = ch.degree, rep.degree_dims[deg]
+    d, dim = ch.degree, len(rep.graded[deg])
     rows = []
-    for g in range(rep.order):
+    for g in range(table.order):
         rho_w, rho_m = ch.matrices[g], _dense_block(rep, g, deg)
         for r in range(dim):
             for c in range(d):
@@ -450,20 +476,20 @@ def _dense_intertwiners(table, rep, name, deg):
 
 def _dense_projector(table, rep, name, deg):
     ch = table.char(name)
-    dim = rep.degree_dims[deg]
+    dim = len(rep.graded[deg])
     acc = Matrix.zeros(dim, dim)
-    for g in range(rep.order):
-        coeff = table.value_at_element(ch, rep.inverse(g)) * F(ch.degree, rep.order)
+    for g in range(table.order):
+        coeff = table.value_at_element(ch, table.inverse[g]) * F(ch.degree, table.order)
         acc = acc + _dense_block(rep, g, deg).scale(coeff)
     return acc
 
 
 def _dense_multiplicity(table, rep, name, deg):
     ch = table.char(name)
-    dim = rep.degree_dims[deg]
+    dim = len(rep.graded[deg])
     total = sum((sum((_dense_block(rep, g, deg)[i, i] for i in range(dim)), F(0))
-                 * table.value_at_element(ch, rep.inverse(g)) for g in range(rep.order)), F(0))
-    return total / rep.order
+                 * table.value_at_element(ch, table.inverse[g]) for g in range(table.order)), F(0))
+    return total / table.order
 
 
 def z3_chartable_with_matrices():
@@ -486,10 +512,10 @@ def dual_z2_case(cap=4):
     """Q[Z2]* acting on Q[x] by its two idempotents, the even and odd parts;
     its group-likes 1 and delta_e - delta_g are recognised, not given."""
     h = dual_hopf(group_algebra(cyclic_group_table(2)))
-    n = cap + 1
-    mats = [Matrix.from_rows([[F(int(i == j and i % 2 == parity)) for j in range(n)]
-                              for i in range(n)]) for parity in (0, 1)]
-    return z2_chartable(), FinGroupRep.from_hopf_action(HopfAction(h, euler_backend(cap), mats))
+    backend = euler_backend(cap)
+    columns = [{e: {e: 1} if e[0] % 2 == parity else {} for e in backend.monomials()}
+               for parity in (0, 1)]
+    return z2_chartable(), FinGroupRep.from_hopf_action(HopfAction(h, backend, columns))
 
 
 ORACLE_CASES = {
@@ -509,9 +535,9 @@ def test_sparse_view_matches_dense_oracles(case):
     assert rep.fixed_points() == _dense_fixed_points(rep)
     decomp = decompose(table, rep)
     for ch in table.chars:
-        projectors = isotypic_projector(table, rep, ch.name)
+        projectors = _degree_blocks(rep, isotypic_projector(table, rep, ch.name))
         spaces = multiplicity_space(table, rep, ch.name)
-        for deg in range(len(rep.degree_dims)):
+        for deg in range(len(rep.graded)):
             assert projectors[deg] == _dense_projector(table, rep, ch.name, deg)
             assert decomp.multiplicities[ch.name][deg] == \
                 _dense_multiplicity(table, rep, ch.name, deg)
@@ -523,3 +549,46 @@ def test_recognised_group_likes_act_like_the_group_algebra():
     table, rep = dual_z2_case(4)
     assert rep.element_names == ("gl0", "gl1")
     assert decompose(table, rep).multiplicities == decompose(table, z2_rep(4)).multiplicities
+
+
+# --- the work the isotype paths do -------------------------------------------------
+
+
+def test_isotype_paths_build_no_matrix_and_no_poly(monkeypatch):
+    # S3 permuting Q[x1, x2, x3] at D=3: from the action to its isotypes every
+    # map is a column dict, so the only Matrices built are the character
+    # table's irrep matrices and the intertwiners multiplicity_space returns
+    rep = s3_rep(3)
+    samples = [rep.backend.poly_from_coords(list(v)) for v in rep.fixed_points().basis]
+    seed = Poly.variable(3, 0) - Poly.variable(3, 1)
+    built = {"Matrix": 0, "Poly": 0}
+    init, exact, poly_init = Matrix.__init__, Matrix.__dict__["_exact"].__func__, Poly.__init__
+
+    def counting_init(self, *args):
+        built["Matrix"] += 1
+        init(self, *args)
+
+    def counting_exact(cls, *args):
+        built["Matrix"] += 1
+        return exact(cls, *args)
+
+    def counting_poly(self, *args):
+        built["Poly"] += 1
+        poly_init(self, *args)
+
+    monkeypatch.setattr(Matrix, "__init__", counting_init)
+    monkeypatch.setattr(Matrix, "_exact", classmethod(counting_exact))
+    monkeypatch.setattr(Poly, "__init__", counting_poly)
+    table = s3_chartable()
+    decomp = decompose(table, rep)
+    spaces = [multiplicity_space(table, rep, ch.name) for ch in table.chars]
+    report = check_commutant(rep, samples, 2)
+    reach = cyclic_reachability(rep, table, "std", seed, 2)
+    verdict = distinguish_isotypes(decomp, "std", "std")
+    monkeypatch.undo()
+    assert report.passed and reach.isotype.contains_subspace(reach.reachable)
+    assert verdict.kind == "inconclusive"
+    irrep_matrices = sum(len(ch.matrices) for ch in table.chars)
+    intertwiners = sum(len(basis) for per_degree in spaces for basis in per_degree)
+    assert intertwiners == 7 + 1 + 6  # triv (1, 1, 2, 3), sign (0, 0, 0, 1), std (0, 1, 2, 3)
+    assert built == {"Matrix": irrep_matrices + intertwiners, "Poly": 0}
