@@ -7,15 +7,20 @@ sparse matrix costs what it holds, not n^3.  The maps of Hopf actions and
 their isotypic projectors are not Matrices: they are {monomial: coefficient}
 columns (`action`), whose null spaces come here through `_kernel_of_columns`.
 
-Every row reduction goes through `_rref_rows`.  Rational input is reduced
-fraction-free (integer rows with gcd normalisation, which is the
+Every exact row reduction goes through `_rref_rows`.  Rational input is
+reduced fraction-free (integer rows with gcd normalisation, which is the
 Bareiss-style growth control); rows of Python ints are taken as they are,
 and a row holding Fractions is cleared of denominators there, once, so
 callers that can build their rows over Z never create a Fraction before the
 result.  Cyclotomic entries switch to plain field elimination.  Subspace
 bases are kept in reduced row-echelon form so subspace equality is
-representation equality.  Every null space, in linalg, vertexalg and action,
-comes from `_kernel_of_columns`: one reduction per component of its columns.
+representation equality.  Every null space, in linalg, vertexalg, action and
+schurweyl, comes from `_kernel_of_columns`, per connected component of its
+columns.  There the rows of a rational component with at least as many
+rows as columns are first reduced modulo one fixed prime, which selects the
+rows that the exact reduction needs or certifies a zero kernel with no exact
+reduction at all; exact dot products confirm the selection, and the
+reduction of all rows is the fallback.
 
 Also hosts the primitive-idempotent splitter for commutative associative
 algebras, which drives group-like enumeration in the Hopf layer.  It builds
@@ -58,13 +63,18 @@ _INT = {int}
 # row reduction engines
 
 
-def _cleared(row):
-    """The rational row times the lcm of its denominators, as Python ints."""
+def _denominator_lcm(values):
     denom = 1
-    for c in row:
+    for c in values:
         d = c.denominator
         if d != 1:
             denom = denom * d // math.gcd(denom, d)
+    return denom
+
+
+def _cleared(row):
+    """The rational row times the lcm of its denominators, as Python ints."""
+    denom = _denominator_lcm(row)
     return [c.numerator * (denom // c.denominator) for c in row]
 
 
@@ -213,15 +223,108 @@ def _kernel_rref(rows, ncols):
     return tuple(basis), tuple(free)
 
 
+# the largest prime below 2^30; the rows independent modulo it are the rows
+# that exact elimination needs (`_kernel_of_columns`)
+_PRIME = 1073741789
+
+
+def _independent_mod_p(rows, ncols):
+    """Indices of the rows, taken in order, that are independent of the
+    rows before them modulo `_PRIME`; the search stops at `ncols` of them.
+
+    `rows` are sparse integer rows {column: int}.  The kept rows are held in
+    reduced echelon form mod p, {pivot: row} with each row 1 at its pivot
+    and 0 at every other pivot, so a new row is reduced by one pass over
+    the pivots it holds.
+    """
+    p = _PRIME
+    basis = {}
+    chosen = []
+    for i, row in enumerate(rows):
+        r = {}
+        for j, v in row.items():
+            v %= p
+            if v:
+                r[j] = v
+        for q in [q for q in r if q in basis]:
+            c = r[q]
+            for j, v in basis[q].items():
+                w = (r.get(j, 0) - c * v) % p
+                if w:
+                    r[j] = w
+                else:
+                    del r[j]
+        if r:
+            q = min(r)
+            inv = pow(r[q], -1, p)
+            r = {j: v * inv % p for j, v in r.items()}
+            for b in basis.values():
+                c = b.get(q)
+                if c:
+                    for j, v in r.items():
+                        w = (b.get(j, 0) - c * v) % p
+                        if w:
+                            b[j] = w
+                        else:
+                            del b[j]
+            basis[q] = r
+            chosen.append(i)
+            if len(chosen) == ncols:
+                break
+    return chosen
+
+
+def _dense(row, ncols):
+    out = [0] * ncols
+    for j, c in row.items():
+        out[j] = c
+    return out
+
+
+def _component_kernel(rows, ncols, kinds):
+    """(RREF basis, pivots) of the null space of one component's sparse rows
+    {column: scalar}, whose entries have the types `kinds`; see
+    `_kernel_of_columns` for the modular row selection and its soundness."""
+    if Cyclotomic not in kinds and len(rows) >= ncols:
+        if not kinds <= _INT:
+            rows = [dict(zip(row, _cleared(row.values()))) for row in rows]
+        chosen = _independent_mod_p(rows, ncols)
+        if len(chosen) == ncols:
+            return (), ()
+        basis, pivots = _kernel_rref([_dense(rows[i], ncols) for i in chosen], ncols)
+        vectors = [_integral(v)[1] for v in basis]
+        kept = set(chosen)
+        if not any(sum(c * w[j] for j, c in row.items())
+                   for i, row in enumerate(rows) if i not in kept for w in vectors):
+            return basis, pivots
+    return _kernel_rref([_dense(row, ncols) for row in rows], ncols)
+
+
 def _kernel_of_columns(columns, ncols):
     """Null space of a sparse column family {rowkey: scalar}, as a Subspace.
 
     Columns that never share a row key live in independent blocks, so the
     kernel is assembled per connected component; this is what keeps the
-    graded backends fast.  Each component's rows, in sorted key order, are
-    reduced once, to the echelon basis of its kernel.  The components have
-    disjoint column supports, so the union of their echelon bases, sorted
-    by pivot, is already the echelon basis of the whole kernel.
+    graded backends fast.  Each component's rows are built once, as sparse
+    {local column: scalar} dicts in sorted key order, and the components
+    have disjoint column supports, so the union of their echelon bases,
+    sorted by pivot, is already the echelon basis of the whole kernel.
+
+    Exact elimination runs only on the rows that decide the answer.  A
+    rational component with at least as many rows as columns has its rows
+    cleared to integers and reduced modulo `_PRIME`, in order, to select
+    the rows independent mod p (`_independent_mod_p`).  When there are n of
+    them, n the component's column count, the n-minor they form is nonzero
+    mod p, so nonzero over Z: the component has full column rank, its
+    kernel is zero, and no exact reduction runs.  Otherwise `_kernel_rref`
+    reduces the selected rows only.  ker(all rows) lies in ker(selected),
+    and the two are equal when every other row vanishes on each basis
+    vector of ker(selected), which exact integer dot products with the
+    vector's primitive integer form check.  The reduced echelon basis of a
+    subspace is unique, so the result is the one the reduction of all rows
+    gives.  When a check fails (a prime unlucky for these rows), that
+    reduction runs instead.  Cyclotomic components, and wide ones where
+    every row may be needed, go straight to it.
     """
     parent = list(range(ncols))
 
@@ -231,26 +334,37 @@ def _kernel_of_columns(columns, ncols):
             a = parent[a]
         return a
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
     row_owner = {}
     for ci, col in enumerate(columns):
+        root = ci  # the root of ci's set: the least column in it
         for key in col:
             owner = row_owner.setdefault(key, ci)
             if owner != ci:
-                union(owner, ci)
+                r = find(owner)
+                if r < root:
+                    parent[root] = r
+                    root = r
+                elif r > root:
+                    parent[r] = root
     comps = {}
     for ci in range(ncols):
         comps.setdefault(find(ci), []).append(ci)
 
     found = []  # (global pivot, vector)
     for cols_idx in comps.values():
-        keys = sorted({k for ci in cols_idx for k in columns[ci]})
-        rows = [[columns[ci].get(key, 0) for ci in cols_idx] for key in keys]
-        basis, pivots = _kernel_rref(rows, len(cols_idx))
+        sparse = {}  # row key -> {local column: entry}
+        kinds = set()
+        for local, ci in enumerate(cols_idx):
+            col = columns[ci]
+            kinds.update(map(type, col.values()))
+            for key, c in col.items():
+                row = sparse.get(key)
+                if row is None:
+                    sparse[key] = {local: c}
+                else:
+                    row[local] = c
+        basis, pivots = _component_kernel([sparse[key] for key in sorted(sparse)],
+                                          len(cols_idx), kinds)
         for lv, lp in zip(basis, pivots):
             v = [_ZERO] * ncols
             for ci, c in zip(cols_idx, lv):
@@ -617,11 +731,7 @@ class Subspace:
 
 def _integral(vec):
     """(t, w) with vec = t * w, w a primitive integer vector and t > 0 rational."""
-    denom = 1
-    for c in vec:
-        d = c.denominator
-        if d != 1:
-            denom = denom * d // math.gcd(denom, d)
+    denom = _denominator_lcm(vec)
     ints = [c.numerator * (denom // c.denominator) for c in vec]
     content = math.gcd(*ints) or 1
     if content != 1:

@@ -19,6 +19,7 @@ sits between an action and its isotypes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,7 +91,8 @@ class IrrepCharacter:
 class CharacterTable:
     """Conjugacy classes plus one exact character row per irreducible."""
 
-    __slots__ = ("group_table", "identity", "inverse", "classes", "chars", "class_of")
+    __slots__ = ("group_table", "identity", "inverse", "classes", "chars", "class_of",
+                 "_idempotent_check")
 
     def __init__(self, group_table, classes, chars):
         self.group_table = tuple(tuple(r) for r in group_table)
@@ -120,6 +122,16 @@ class CharacterTable:
             out.append(IrrepCharacter(name=ch.name, degree=ch.degree,
                                       values=values, matrices=mats))
         self.chars = tuple(out)
+        self._idempotent_check = None
+
+    def idempotent_check(self):
+        """[(require message, witness)] for the first identity of the central
+        idempotents e_chi that fails (`_idempotent_failures`), or [] when all
+        hold.  The table check and the projectors both read it, so it is
+        computed once per table."""
+        if self._idempotent_check is None:
+            self._idempotent_check = list(itertools.islice(_idempotent_failures(self), 1))
+        return self._idempotent_check
 
     @property
     def order(self):
@@ -179,7 +191,7 @@ def verify_character_table(table: CharacterTable, rep: FinGroupRep = None) -> Ch
             break
     report.update(matrices)
 
-    report.record("central-idempotents", (w for _, w in _idempotent_failures(table)))
+    report.record("central-idempotents", (w for _, w in table.idempotent_check()))
     if rep is not None:
         report.record("rep-table-match", [] if rep.table == table.group_table else [None])
     return report
@@ -206,9 +218,10 @@ def _idempotent_failures(table: CharacterTable):
     order: each e_chi idempotent and central, distinct ones orthogonal, their
     sum 1.  They run on f_chi = (|G|/d) e_chi, so an integral table stays on
     ints: e_chi^2 = e_chi is d f_chi^2 = |G| f_chi.  Each identity is tested
-    given those before it, as every caller stops at the first failure: the
-    product p of two commuting idempotents is one, and p = 0 exactly where
-    its coefficient at 1, rank(h -> p h) / |G|, is 0."""
+    given those before it, as `CharacterTable.idempotent_check` keeps only
+    the first failure: the product p of two commuting idempotents is one,
+    and p = 0 exactly where its coefficient at 1, rank(h -> p h) / |G|, is
+    0."""
     gt, n, inv = table.group_table, table.order, table.inverse
 
     def product(a, b):
@@ -239,7 +252,7 @@ def _projectors(table: CharacterTable, rep: FinGroupRep):
     """{name: rho(e_chi)} as columns keyed like the action's, each e_chi
     summed on the group elements' columns once its identities hold."""
     _require_same_group(table, rep)
-    for message, _ in _idempotent_failures(table):
+    for message, _ in table.idempotent_check():
         require(False, message)
     out = {}
     for ch in table.chars:

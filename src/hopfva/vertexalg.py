@@ -433,8 +433,19 @@ class CoefficientKernel:
 
     def entries(self, vec):
         """[(key, coefficient)] for the nonzero coordinates of `vec`, in index
-        order: the inverse of `vector`."""
-        return [(key, c) for key, c in zip(itertools.product(*self._axes()), vec) if c != 0]
+        order: the inverse of `vector`.  Each key is read off its flat index,
+        whose digits in the axes' radices, last axis lowest, are the key's
+        positions on its axes."""
+        axes = self._axes()[::-1]
+        out = []
+        for t, c in enumerate(vec):
+            if c:
+                key = []
+                for axis in axes:
+                    t, r = divmod(t, len(axis))
+                    key.append(axis[r])
+                out.append((tuple(reversed(key)), c))
+        return out
 
 
 def _coefficient_columns(derivs, monos, tops, laurent_bound=0, order=None, weight=None):

@@ -915,3 +915,27 @@ def test_readme_names_every_command_and_flag():
     missing = [name for name in [*cli.COMMANDS, *flags]
                if not re.search(rf"`{re.escape(name)}[` ]", cli_section)]
     assert missing == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose"], ["reach", "--irrep", "sign", "--seed", "x"],
+    ["distinguish", "--irrep", "sign", "--irrep2", "triv"]])
+def test_a_query_checks_the_central_idempotents_once(capsys, monkeypatch, argv):
+    # the table check at load and the projectors read one result per table,
+    # and nothing carries it from one query to the next
+    from hopfva import schurweyl
+    runs = []
+    original = schurweyl._idempotent_failures
+
+    def counted(table):
+        runs.append(table)
+        return original(table)
+
+    monkeypatch.setattr(schurweyl, "_idempotent_failures", counted)
+    full = [argv[0], "--workspace", Z2, "--object", "z2_on_xddx",
+            "--characters", "z2chars"] + argv[1:]
+    for query in (1, 2):
+        code, _, _ = run_cli(capsys, full)
+        assert code in (0, 3)
+        assert len(runs) == query
+    assert runs[0] is not runs[1]

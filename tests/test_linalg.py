@@ -5,10 +5,13 @@ from fractions import Fraction
 import pytest
 from conftest import split_dense
 
+from hopfva import linalg
 from hopfva.errors import InvariantViolation, SplitFailure
 from hopfva.linalg import (
+    _PRIME,
     Matrix,
     Subspace,
+    _independent_mod_p,
     _kernel_of_columns,
     _kernel_rref,
     _leading_ones,
@@ -17,6 +20,7 @@ from hopfva.linalg import (
     solve,
 )
 from hopfva.scalars import scalar_to_text, zeta
+from hopfva.vertexalg import CommDiffVA, Poly, pi2_kernel, single_variable_backend, z2_kernel
 
 F = Fraction
 
@@ -291,6 +295,149 @@ def test_kernel_of_columns_returns_rref_over_components():
         assert expected.contains([0] * (ncols - 1) + [1])
         # the same null space as a block-diagonal Matrix mixing the three kinds
         assert Matrix.from_rows(rows).kernel() == expected
+
+
+# --- the modular row selection in _kernel_of_columns ----------------------------
+
+
+def _gauss_jordan(rows, ncols):
+    """Textbook Fraction Gauss-Jordan: (reduced rows with leading 1s, pivots)."""
+    rows = [[F(c) for c in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        k = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        lead = rows[r][c]
+        rows[r] = [x / lead for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
+
+
+def _oracle_kernel(columns, ncols):
+    """(RREF basis, pivots) of the null space of a sparse column family,
+    from Gauss-Jordan alone: the free-variable vectors, reduced again."""
+    keys = sorted({k for col in columns for k in col})
+    red, pivots = _gauss_jordan([[col.get(k, 0) for col in columns] for k in keys], ncols)
+    vecs = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        v = [F(0)] * ncols
+        v[f] = F(1)
+        for row, p in zip(red, pivots):
+            v[p] = -row[f]
+        vecs.append(v)
+    return _gauss_jordan(vecs, ncols)
+
+
+def _kernel_rref_of_all_rows(columns, ncols):
+    """The exact reduction of every row at once, with no row selection."""
+    keys = sorted({k for col in columns for k in col})
+    return _kernel_rref([[col.get(k, 0) for col in columns] for k in keys], ncols)
+
+
+@pytest.mark.parametrize("columns, ncols, kernel_dim", [
+    # one column, rows [p] and [p]: both vanish mod p, not over Q
+    ([{0: _PRIME, 1: _PRIME}], 1, 0),
+    # rows (1, 1) and (1, 1 + p) agree mod p; over Q they have full rank
+    ([{0: 1, 1: 1, 2: 2}, {0: 1, 1: 1 + _PRIME, 2: 2}], 2, 0),
+    # the same, as Fractions, beside a third column no row reaches
+    ([{0: F(1, 3), 1: F(1, 3), 2: F(2, 3)}, {0: F(1, 3), 1: F(1 + _PRIME, 3), 2: F(2, 3)},
+      {0: 0, 1: 0, 2: 0}], 3, 1),
+    # rows (p, 0, 0), (1, 1, 1), (2, 2, 2): the selected row alone leaves a
+    # plane, the exact kernel is the line through (0, 1, -1)
+    ([{0: _PRIME, 1: 1, 2: 2}, {1: 1, 2: 2}, {1: 1, 2: 2}], 3, 1),
+])
+def test_unlucky_prime_falls_back_to_the_exact_kernel(columns, ncols, kernel_dim):
+    keys = sorted({k for col in columns for k in col})
+    rows = [{j: c for j, col in enumerate(columns) if (c := col.get(k, 0))} for k in keys]
+    # the prime loses rank on these rows (scaled by 3, which clears every
+    # denominator here), so the selection alone would give a larger kernel
+    assert len(_independent_mod_p([{j: int(c * 3) for j, c in r.items()} for r in rows],
+                                  ncols)) < ncols - kernel_dim
+    kern = _kernel_of_columns(columns, ncols)
+    assert kern.dim == kernel_dim
+    assert (kern.basis, kern.pivots) == _oracle_kernel(columns, ncols)
+    assert (kern.basis, kern.pivots) == _kernel_rref_of_all_rows(columns, ncols)
+
+
+def _random_family(rng):
+    """Sparse columns over a few row keys: int, Fraction or big-int entries,
+    tall, square or wide, some columns combinations of others, some rows
+    repeated under another key."""
+    nkeys, ncols = rng.choice([(9, 4), (6, 6), (4, 7), (12, 5), (5, 2), (8, 8)])
+    kind = rng.choice(["int", "fraction", "big", "prime"])
+
+    def draw():
+        if kind == "int":
+            return rng.randint(-3, 3)
+        if kind == "fraction":
+            return F(rng.randint(-5, 5), rng.randint(1, 6))
+        if kind == "big":
+            return rng.choice([0, 1, -1]) * rng.getrandbits(90)
+        return rng.choice([0, 1, -1, _PRIME, 2 * _PRIME, _PRIME + 1])
+
+    columns = []
+    for _ in range(ncols):
+        if columns and rng.random() < 0.3:
+            a, b = rng.sample(range(len(columns)), 2) if len(columns) > 1 else (0, 0)
+            ca, cb = rng.randint(-2, 2), rng.randint(-2, 2)
+            col = {k: ca * columns[a].get(k, 0) + cb * columns[b].get(k, 0)
+                   for k in set(columns[a]) | set(columns[b])}
+        else:
+            col = {k: draw() for k in range(nkeys) if rng.random() < 0.5}
+        columns.append({k: c for k, c in col.items() if c})
+    for k in range(nkeys):
+        if rng.random() < 0.3:  # a repeated row
+            for col in columns:
+                if k in col:
+                    col[nkeys + k] = col[k]
+    return columns, ncols
+
+
+def test_kernel_of_columns_matches_gauss_jordan_on_random_families():
+    rng = random.Random(18)
+    for _ in range(300):
+        columns, ncols = _random_family(rng)
+        kern = _kernel_of_columns(columns, ncols)
+        basis, pivots = _oracle_kernel(columns, ncols)
+        assert kern.basis == basis and kern.pivots == pivots
+        assert all(type(c) is Fraction for v in kern.basis for c in v)
+        assert (kern.basis, kern.pivots) == _kernel_rref_of_all_rows(columns, ncols)
+
+
+@pytest.mark.parametrize("kernel", [
+    *[lambda m=m: pi2_kernel(single_variable_backend(m, 6)) for m in range(4)],
+    lambda: z2_kernel(CommDiffVA(["x"], {"x": Poly.monomial((1,))}, 3),
+                      order=16, laurent_bound=1),
+], ids=["pi2-x0", "pi2-x1", "pi2-x2", "pi2-x3", "z2-euler"])
+def test_certified_components_skip_exact_reduction(monkeypatch, kernel):
+    # a component whose kernel is zero is closed by its n rows independent
+    # mod p; exact reduction only runs on fewer rows than columns
+    closed, reductions = [], []
+    select, reduce = linalg._independent_mod_p, linalg._rref_rows
+
+    def counted_select(rows, ncols):
+        chosen = select(rows, ncols)
+        closed.append(len(chosen) == ncols)
+        return chosen
+
+    def counted_reduce(rows, ncols, stop_at_full_rank=False):
+        red, pivots = reduce(rows, ncols, stop_at_full_rank)
+        reductions.append((len(rows), ncols, len(pivots)))
+        return red, pivots
+
+    monkeypatch.setattr(linalg, "_independent_mod_p", counted_select)
+    monkeypatch.setattr(linalg, "_rref_rows", counted_reduce)
+    kernel()
+    assert any(closed)
+    assert all(rows < ncols and rank < ncols for rows, ncols, rank in reductions)
 
 
 def test_rref_rows_takes_ints_fractions_and_mixed_rows_alike():

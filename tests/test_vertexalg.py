@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -312,6 +313,32 @@ def test_z2_nonzero_for_xy_diagonal_and_pi2_linkage():
     for vec in p2.kernel.basis:
         emb = {key + (0, 0): c for key, c in p2.entries(vec)}
         assert res.kernel.contains(res.vector(emb))
+
+
+@pytest.mark.parametrize("arity, laurent_bound", [(2, None), (3, None), (2, 2), (3, 1)])
+def test_entries_inverts_vector(arity, laurent_bound):
+    # the flat index puts the monomial axes first and varies the last axis
+    # fastest; shifts run over [-B, B], so negative ones occur
+    monos = ((0, 0), (1, 0), (0, 1))
+    res = vertexalg.CoefficientKernel(Subspace.zero(0), monos, arity, 4, laurent_bound)
+    axes = [range(len(monos))] * arity
+    if laurent_bound is not None:
+        axes += [range(-laurent_bound, laurent_bound + 1)] * arity
+    keys = list(itertools.product(*axes))
+    for t, key in enumerate(keys):
+        vec = res.vector({key: 3})
+        assert vec[t] == 3 and sum(map(bool, vec)) == 1
+        assert res.entries(vec) == [(key, 3)]
+    rng = random.Random(arity * 10 + (laurent_bound or 0))
+    for _ in range(20):
+        chosen = rng.sample(keys, rng.randint(0, min(6, len(keys))))
+        entries = {key: F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)) for key in chosen}
+        vec = res.vector(entries)
+        assert res.entries(vec) == sorted(entries.items(), key=lambda kc: keys.index(kc[0]))
+        assert res.entries(vec) == [(key, c) for key, c in zip(keys, vec) if c != 0]
+    if laurent_bound is not None:
+        low = (0,) * arity + (-laurent_bound,) * arity
+        assert res.entries(res.vector({low: 1})) == [(low, 1)]
 
 
 # --- Vandermonde certificate ---------------------------------------------------
