@@ -380,7 +380,7 @@ def maximal_hopf_ideal_in(hopf: FinHopfAlgebra, sub: Subspace) -> Subspace:
     for i, _ in ideal_escapes(hopf, sub, pi):
         raise NotAnIdeal(f"subspace is not a two-sided ideal (fails at {hopf.names[i]})")
     while not current.is_zero():
-        columns = [{("S", a): c for a, c in pi.of(nonzero_pairs(hopf.antipode_of(v))).items()}
+        columns = [{("S", a): c for a, c in pi.of(hopf.antipode_terms(v)).items()}
                    | {("Delta", t): c for t, c in pi.of_tensor(hopf.comul_terms(v)).items()}
                    | {("eps", 0): hopf.counit_of(v)}
                    for v in current.basis]

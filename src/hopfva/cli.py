@@ -31,7 +31,6 @@ from .errors import (
     ShapeMismatch,
     UnresolvedReference,
 )
-from .linalg import Matrix
 from .scalars import scalar_from_text, scalar_to_text
 from .vertexalg import Poly, poly_from_text, poly_to_text
 
@@ -224,12 +223,8 @@ def _hopf_from_tensors(what, d):
         return [_scalar(s, f"{what}: {field}") for s in value]
 
     mul, comul, antipode = entries("mul", 4), entries("comul", 4), entries("antipode", 3)
-    unit, counit = vector("unit"), vector("counit")
-    anti = [[scalar_from_text("0")] * dim for _ in range(dim)]
-    for i, j, c in antipode:
-        anti[i][j] = c
-    return hopf_mod.FinHopfAlgebra(dim, names, mul, unit, comul, counit,
-                                   Matrix.from_rows(anti))
+    return hopf_mod.FinHopfAlgebra(dim, names, mul, vector("unit"), comul, vector("counit"),
+                                   antipode)
 
 
 def _backend(ws, name, d):
@@ -322,7 +317,7 @@ def _chartable(ws, name, d):
             if not (isinstance(ch["matrices"], list) and len(ch["matrices"]) == len(order)):
                 raise ParseError(f"{owner}: matrices must be a list of one matrix "
                                  f"per group element")
-            mats = tuple(Matrix.from_rows(_matrix_rows(ch["matrices"][old], f"{owner}: matrices"))
+            mats = tuple(_matrix_rows(ch["matrices"][old], f"{owner}: matrices")
                          for old in order)
         values = _of_type(_field(ch, "values", owner), list, f"{owner}: values",
                           "a list of scalars")

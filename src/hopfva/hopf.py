@@ -2,12 +2,13 @@
 
 A FinHopfAlgebra holds the five structure maps over its basis b_0..b_{d-1}
 as their nonzero entries only: `mul_nonzero[i][j]` lists the (k, c) with
-b_i b_j = sum c b_k and `comul_nonzero[k]` the (i d + j, c) with
-Delta(b_k) = sum c b_i (x) b_j over the lexicographic pair basis, each
-ascending by index, integral values as ints.  The unit and counit are
-coordinate vectors and the antipode is a matrix.  Products, coproducts and
-the axiom loops run over the nonzero lists, so a group algebra costs what
-its structure constants hold: d^2 products and d coproducts, not d^3.
+b_i b_j = sum c b_k, `comul_nonzero[k]` the (i d + j, c) with
+Delta(b_k) = sum c b_i (x) b_j over the lexicographic pair basis and
+`antipode_nonzero[j]` the (i, c) with S(b_j) = sum c b_i, each ascending by
+index, integral values as ints.  The unit and counit are coordinate
+vectors.  Products, coproducts, antipodes and the axiom loops run over the
+nonzero lists, so a group algebra costs what its structure constants hold:
+d^2 products and d coproducts, not d^3.
 
 The container checks shapes, not axioms.  `verify_hopf_axioms` checks the
 axioms where structure constants come from outside: the CLI runs it once
@@ -47,8 +48,8 @@ from .errors import (
     require,
 )
 from .linalg import (
-    Matrix,
     Subspace,
+    _kernel_of_columns,
     is_associative_at,
     nonzero_pairs,
     split_commutative_algebra,
@@ -69,15 +70,16 @@ _ONE = Fraction(1)
 class FinHopfAlgebra:
     """A Hopf algebra of dimension d over Q or a cyclotomic field.
 
-    `mul` lists entries (i, j, k, c) of b_i b_j = sum c b_k and `comul`
-    entries (k, i, j, c) of Delta(b_k) = sum c b_i (x) b_j; every other
-    structure constant is 0, and a repeated index sets its entry again.
+    `mul` lists entries (i, j, k, c) of b_i b_j = sum c b_k, `comul`
+    entries (k, i, j, c) of Delta(b_k) = sum c b_i (x) b_j and `antipode`
+    entries (i, j, c) of S(b_j) = sum c b_i (row i, column j of S); every
+    other structure constant is 0, and a repeated index sets its entry again.
     Indices and lengths are checked (ShapeMismatch); the Hopf axioms are
     not, see `verify_hopf_axioms`.
     """
 
-    __slots__ = ("dim", "names", "unit", "counit", "antipode", "group_table",
-                 "mul_nonzero", "comul_nonzero")
+    __slots__ = ("dim", "names", "unit", "counit", "group_table",
+                 "mul_nonzero", "comul_nonzero", "antipode_nonzero")
 
     def __init__(self, dim, names, mul, unit, comul, counit, antipode, group_table=None):
         d = self.dim = dim
@@ -92,10 +94,8 @@ class FinHopfAlgebra:
         self.mul_nonzero = tuple(tuple(products[i * d:(i + 1) * d]) for i in range(d))
         self.comul_nonzero = tuple(
             _nonzero_rows(comul, d, d, lambda k, i, j: (k, i * d + j), "comul"))
-        self.antipode = antipode if isinstance(antipode, Matrix) else Matrix.from_rows(antipode)
-        if (self.antipode.rows, self.antipode.cols) != (d, d):
-            raise ShapeMismatch(f"a {self.antipode.rows}x{self.antipode.cols} antipode "
-                                f"for dimension {d}")
+        self.antipode_nonzero = tuple(
+            _nonzero_rows(antipode, d, d, lambda i, j: (j, i), "antipode"))
         self.group_table = tuple(tuple(r) for r in group_table) if group_table is not None else None
 
     # -- the structure constants as entries, in the form the constructor takes
@@ -137,8 +137,14 @@ class FinHopfAlgebra:
     def counit_of(self, vec):
         return sum((a * e for a, e in zip(vec, self.counit) if a != 0 and e != 0), _ZERO)
 
+    def antipode_terms(self, vec):
+        """The (i, value) terms of S(vec), one per nonzero coordinate of vec
+        and entry of its antipode, not summed."""
+        antipode = self.antipode_nonzero
+        return [(i, a * c) for j, a in nonzero_pairs(vec) for i, c in antipode[j]]
+
     def antipode_of(self, vec):
-        return self.antipode.apply(list(vec))
+        return _dense(_sum(self.antipode_terms(vec)).items(), self.dim)
 
     def element_text(self, vec):
         return " + ".join(f"{scalar_pretty(c)}*{name}"
@@ -283,8 +289,7 @@ def verify_hopf_axioms(h: FinHopfAlgebra) -> CheckReport:
         ["1"] if h.counit_of(h.unit) != 1 else [],
         (f"({names[i]},{names[j]})" for i in range(d) for j in range(d)
          if sum(c * counit[k] for k, c in mul[i][j]) != counit[i] * counit[j])))
-
-    antipode = [nonzero_pairs(h.antipode.col(i)) for i in range(d)]  # S(b_i)
+    antipode = h.antipode_nonzero
 
     def antipode_ok(k, side):
         terms = []
@@ -300,11 +305,6 @@ def verify_hopf_axioms(h: FinHopfAlgebra) -> CheckReport:
         report.record(f"antipode-{side}",
                       (names[k] for k in range(d) if not antipode_ok(k, side)))
     return report
-
-
-def _square(v):
-    """v (x) v over the lexicographic pair basis."""
-    return [a * b for a in v for b in v]
 
 
 def is_cocommutative(h: FinHopfAlgebra):
@@ -334,7 +334,7 @@ def dual_hopf(h: FinHopfAlgebra) -> FinHopfAlgebra:
         h.dim, tuple(f"{n}*" for n in h.names),
         ((i, j, k, c) for k, i, j, c in h.comul_entries()), h.counit,
         ((k, i, j, c) for i, j, k, c in h.mul_entries()), h.unit,
-        h.antipode.transpose())
+        ((j, i, c) for j, pairs in enumerate(h.antipode_nonzero) for i, c in pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +369,9 @@ def group_likes(h: FinHopfAlgebra, conductor=1):
                     "idempotent block is not 1-dimensional")
             chi.append(c)
         g = [sum((chi[a] * c for a, c in image), _ZERO) for image in pi.images]
-        require(h.comul_of(g) == _square(g) and h.counit_of(g) == 1,
+        ng = nonzero_pairs(g)
+        require(_sum(h.comul_terms(g)) == {i * d + j: a * b for i, a in ng for j, b in ng}
+                and h.counit_of(g) == 1,
                 "a character of the dual failed the group-like check")
         likes.append(tuple(g))
     unit = tuple(h.unit)
@@ -394,7 +396,7 @@ def recognize_group_algebra(h: FinHopfAlgebra, conductor=1) -> GroupRecognition:
     if len(likes) != h.dim:
         raise NotGroupAlgebra(
             f"only {len(likes)} group-like elements in dimension {h.dim}")
-    require(Matrix.from_rows([list(g) for g in likes]).rank() == h.dim,
+    require(_kernel_of_columns([dict(nonzero_pairs(g)) for g in likes], h.dim).is_zero(),
             "group-like elements are always linearly independent")
     if likes[:1] != [tuple(h.unit)]:  # group_likes lists the unit first
         raise NotGroupAlgebra("unit is not among the group-likes")
@@ -430,7 +432,7 @@ def recognize_group_algebra(h: FinHopfAlgebra, conductor=1) -> GroupRecognition:
 
 def augmentation_ideal(h: FinHopfAlgebra) -> Subspace:
     """ker(eps) as a canonical subspace."""
-    return Matrix.from_rows([list(h.counit)]).kernel()
+    return _kernel_of_columns([{0: c} if c else {} for c in h.counit], h.dim)
 
 
 class QuotientMap:
@@ -501,7 +503,7 @@ def _hopf_failures(h, ideal, pi):
     """The witness texts of the Hopf-ideal conditions I fails, in order."""
     yield from _bialgebra_failures(h, ideal, pi)
     yield from (f"S({h.element_text(v)}) escapes I"
-                for v in ideal.basis if pi.of(nonzero_pairs(h.antipode_of(v))))
+                for v in ideal.basis if pi.of(h.antipode_terms(v)))
 
 
 def is_bialgebra_ideal(h: FinHopfAlgebra, ideal: Subspace):
@@ -566,7 +568,8 @@ def quotient_hopf(h: FinHopfAlgebra, ideal: Subspace) -> HopfQuotient:
             ((k, *divmod(t, dq), v) for k, c in enumerate(complement)
              for t, v in pi.of_tensor(h.comul_nonzero[c]).items()),
             [h.counit[c] for c in complement],
-            Matrix.from_columns([pi.project(h.antipode.col(c)) for c in complement])),
+            ((k, a, v) for a, c in enumerate(complement)
+             for k, v in pi.of(h.antipode_nonzero[c]).items())),
         ideal=ideal, pi=pi)
 
 
@@ -626,12 +629,10 @@ def group_algebra(table, names=None) -> FinHopfAlgebra:
         names = ["e"] + [f"g{i}" for i in range(1, n)]
     else:
         names = [names[order[i]] for i in range(n)]
-    inverse = [row.index(0) for row in tab]  # S is a permutation matrix and an involution
     return FinHopfAlgebra(
         n, names, ((i, j, k, 1) for i, row in enumerate(tab) for j, k in enumerate(row)),
         [_ONE] + [_ZERO] * (n - 1), ((k, k, k, 1) for k in range(n)), [_ONE] * n,
-        Matrix.from_nonzero_rows(n, n, [[(inverse[i], _ONE)] for i in range(n)]),
-        group_table=tab)
+        ((row.index(0), j, 1) for j, row in enumerate(tab)), group_table=tab)
 
 
 def sweedler() -> FinHopfAlgebra:
@@ -643,11 +644,9 @@ def sweedler() -> FinHopfAlgebra:
     comul = [(one, one, one, 1), (g, g, g, 1),
              (x, x, one, 1), (x, g, x, 1),                 # Delta(x) = x(x)1 + g(x)x
              (gx, gx, g, 1), (gx, one, gx, 1)]             # Delta(gx) = gx(x)g + 1(x)gx
-    z, o = _ZERO, _ONE
-    # S(1)=1, S(g)=g, S(x)=-gx, S(gx)=x
-    antipode = [[o, z, z, z], [z, o, z, z], [z, z, z, o], [z, z, -o, z]]
-    return FinHopfAlgebra(4, ("1", "g", "x", "gx"), mul, [o, z, z, z], comul,
-                          [o, o, z, z], antipode)
+    antipode = [(one, one, 1), (g, g, 1), (gx, x, -1), (x, gx, 1)]  # S(x) = -gx, S(gx) = x
+    return FinHopfAlgebra(4, ("1", "g", "x", "gx"), mul, [1, 0, 0, 0], comul,
+                          [1, 1, 0, 0], antipode)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ spaces are extracted as exact intertwiner solution spaces when explicit
 irrep matrices are supplied.  Dual-pair evidence at truncation consists of
 decomposition bookkeeping, commutant checks, cyclic reachability inside an
 isotype, and pairwise distinguishability with an honest "inconclusive".
-Projectors and mode operators are columns too, so no Matrix and no Poly
-sits between an action and its isotypes.
+Projectors, mode operators and irrep matrices are columns too, so no Matrix
+and no Poly sits between an action or a character table and its isotypes.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from fractions import Fraction
 from .action import _sum_columns, invariants
 from .errors import CheckReport, MatricesRequired, require
 from .hopf import _validate_group_table, recognize_group_algebra
-from .linalg import Matrix, Subspace, _kernel_of_columns
+from .linalg import Subspace, _kernel_of_columns
 from .scalars import as_scalar, demoted, scalar_conjugate
 from .vertexalg import Poly, _mul, poly_to_text
 
@@ -85,7 +85,22 @@ class IrrepCharacter:
     name: str
     degree: int
     values: tuple            # one scalar per conjugacy class
-    matrices: tuple = None   # optional: one Matrix per group element
+    matrices: tuple = None   # optional: rows per group element; a table holds columns
+
+
+def _irrep_columns(ch, n):
+    """`ch.matrices`, one degree x degree matrix of scalar rows per group
+    element, as columns {c: {r: entry}} without zeros; a ValueError if not."""
+    d, mats = ch.degree, ch.matrices
+    if len(mats) != n:
+        raise ValueError(f"character {ch.name!r}: {len(mats)} matrices for {n} group elements")
+    for rows in mats:
+        if len(rows) != d or any(len(row) != d for row in rows):
+            widths = sorted({len(row) for row in rows}) or [0]
+            raise ValueError(f"character {ch.name!r}: a matrix is {len(rows)}x"
+                             f"{'/'.join(map(str, widths))}, but degree {d} needs {d}x{d}")
+    return tuple({c: {r: v for r, row in enumerate(rows) if (v := demoted(as_scalar(row[c])))}
+                  for c in range(d)} for rows in mats)
 
 
 class CharacterTable:
@@ -116,9 +131,9 @@ class CharacterTable:
         out = []
         for ch in chars:
             values = tuple(as_scalar(v) for v in ch.values)
-            require(len(values) == len(self.classes),
-                    f"character {ch.name!r} needs one value per conjugacy class")
-            mats = tuple(ch.matrices) if ch.matrices is not None else None
+            if len(values) != len(self.classes):
+                raise ValueError(f"character {ch.name!r} needs one value per conjugacy class")
+            mats = None if ch.matrices is None else _irrep_columns(ch, n)
             out.append(IrrepCharacter(name=ch.name, degree=ch.degree,
                                       values=values, matrices=mats))
         self.chars = tuple(out)
@@ -176,16 +191,18 @@ def verify_character_table(table: CharacterTable, rep: FinGroupRep = None) -> Ch
     for ch in table.chars:
         if ch.matrices is None:
             continue
-        mats = ch.matrices
-        if mats[table.identity] != Matrix.identity(ch.degree):
+        mats, degree = ch.matrices, range(ch.degree)
+        if mats[table.identity] != {c: {c: 1} for c in degree}:
             matrices.record("matrices-multiplicative", [f"{ch.name} at identity"])
             break
+        # column c of rho(a) rho(b) against column c of rho(ab)
         matrices.record("matrices-multiplicative", (
             f"{ch.name} at ({a},{b})" for a in range(n) for b in range(n)
-            if mats[a] * mats[b] != mats[table.group_table[a][b]]))
+            if any(_sum_columns((x, mats[a][r]) for r, x in mats[b][c].items())
+                   != mats[table.group_table[a][b]][c] for c in degree)))
         matrices.record("trace-consistency", (
             f"{ch.name} at element {g}" for g in range(n)
-            if sum((mats[g][i, i] for i in range(ch.degree)), _ZERO)
+            if sum((mats[g][i].get(i, 0) for i in degree), _ZERO)
             != table.value_at_element(ch, g)))
         if not matrices.passed:
             break
@@ -329,9 +346,9 @@ def _multiplicities(table, rep, ch):
 def multiplicity_space(table: CharacterTable, rep: FinGroupRep, name):
     """Bases of Hom_G(W, M) per degree, solved as exact intertwiner systems.
 
-    The unknowns are f[r][k], row-major; equation (g, r, c) is entry (r, c)
-    of f rho_W(g) - rho_M(g) f, so f[r][k] enters it with rho_W(g)[k, c] and
-    equation (g, i, k) with -rho_M(g)[i, r].
+    Each f is its vector of unknowns f[r][k], row-major; equation (g, r, c)
+    is entry (r, c) of f rho_W(g) - rho_M(g) f, so f[r][k] enters it with
+    rho_W(g)[k, c] and equation (g, i, k) with -rho_M(g)[i, r].
     """
     _require_same_group(table, rep)
     ch = table.char(name)
@@ -339,7 +356,6 @@ def multiplicity_space(table: CharacterTable, rep: FinGroupRep, name):
         raise MatricesRequired(f"irreducible {name!r} carries no matrices")
     d = ch.degree
     expected = _multiplicities(table, rep, ch)
-    w_rows = [m.nonzero_rows() for m in ch.matrices]
     out = []
     for deg, monos in enumerate(rep.graded):
         dim = len(monos)
@@ -347,10 +363,9 @@ def multiplicity_space(table: CharacterTable, rep: FinGroupRep, name):
         columns = [{} for _ in range(dim * d)]
         for g, cols in enumerate(rep.columns):
             for r in range(dim):
-                for k, row in enumerate(w_rows[g]):
-                    col = columns[r * d + k]
-                    for c, a in row:
-                        col[g, r, c] = a
+                for c, w_col in ch.matrices[g].items():
+                    for k, a in w_col.items():
+                        columns[r * d + k][g, r, c] = a
             # rho_M(g)[i, r] is the coefficient of monos[i] in the image of monos[r]
             for r, e in enumerate(monos):
                 for t, a in cols[e].items():
@@ -361,10 +376,9 @@ def multiplicity_space(table: CharacterTable, rep: FinGroupRep, name):
                         col[g, i, k] = -a if x is None else x - a
         kern = _kernel_of_columns(
             [{key: c for key, c in col.items() if c} for col in columns], dim * d)
-        basis = [Matrix(dim, d, list(v)) for v in kern.basis]
-        require(len(basis) == expected[deg],
+        require(len(kern.basis) == expected[deg],
                 "intertwiner count must equal the character multiplicity")
-        out.append(basis)
+        out.append(list(kern.basis))
     return out
 
 

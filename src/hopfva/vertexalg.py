@@ -306,17 +306,17 @@ class CommDiffVA:
             self._mono_cache[cap] = tuple(out)
         return self._mono_cache[cap]
 
-    def poly_from_coords(self, coords, cap=None):
-        monos = self.monomials(cap)
+    def poly_from_coords(self, coords):
+        monos = self.monomials()
         return Poly(self.nvars, {e: c for e, c in zip(monos, coords)})
 
-    def coords_of(self, poly, cap=None):
-        monos = self.monomials(cap)
+    def coords_of(self, poly):
+        monos = self.monomials()
         index = {e: i for i, e in enumerate(monos)}
         out = [_ZERO] * len(monos)
         for e, c in poly.terms.items():
             if e not in index:
-                raise TruncationOverflow(sum(e), self.degree_cap if cap is None else cap)
+                raise TruncationOverflow(sum(e), self.degree_cap)
             out[index[e]] = c
         return out
 
@@ -517,20 +517,20 @@ def _coefficient_columns(derivs, monos, tops, laurent_bound=0, order=None, weigh
     return columns
 
 
-def pi2_kernel(backend, cap=None, order=None) -> CoefficientKernel:
-    """Ker(pi_2) on A_{<=cap} (x) A_{<=cap}, coefficients to z^order.
+def pi2_kernel(backend, order=None) -> CoefficientKernel:
+    """Ker(pi_2) on A_{<=D} (x) A_{<=D}, coefficients to z^order.
 
     Products are computed in an enlarged scratch degree, so the result is the
     exact kernel of the truncated map.  The stabilisation flag records
     whether the order-(K) kernel equals the order-(K-1) kernel.
 
     K = `order` (default m^2 for m monomials) caps the orders; the kernel is
-    computed on the ladder of `_order_ladder`.  When d maps A_{<=cap} into
+    computed on the ladder of `_order_ladder`.  When d maps A_{<=D} into
     itself, with minimal polynomial of degree r there, the order-k kernel is
     the same for every k >= r - 1, so at K >= r - 1 the result is the kernel
     of the untruncated map, computed at order r - 1.
     """
-    monos = backend.monomials(cap)
+    monos = backend.monomials()
     order = len(monos) ** 2 if order is None else order
     chains, start, exact = _order_ladder(backend, monos, order)
     columns = _coefficient_columns(chains.upto(start), monos, (start, 0))
@@ -597,7 +597,7 @@ def _order_ladder(backend, monos, order):
 
     The order-k kernels only shrink as k grows.  When every d'm, m in the
     carrier, is supported on carrier monomials (read from the chains, since
-    a derivation table need not follow the images), d preserves A_{<=cap}
+    a derivation table need not follow the images), d preserves A_{<=D}
     and has a minimal polynomial mu there of degree r <= m.  A row of order
     k >= r is then a combination of rows of lower order, one slot at a
     time, so the kernel at any order k >= r - 1 is the untruncated one.
@@ -665,18 +665,18 @@ def _impose_order(monos, kern, derivs, orders):
         n * n, [linear_combination(lv, vectors) for lv in local.basis])
 
 
-def pin_injectivity_check(backend, arity, cap=None, order=None) -> CoefficientKernel:
+def pin_injectivity_check(backend, arity, order=None) -> CoefficientKernel:
     """Ker(pi_n) on A^{(x) n}, n >= 2; pi_n is injective when it is zero.
 
     Each of the first n - 1 slots takes the orders 0..K, K = `order`
     (default m^2).  Each slot is capped separately, so when d preserves
-    A_{<=cap} with minimal polynomial of degree r <= K there, the kernel is
+    A_{<=D} with minimal polynomial of degree r <= K there, the kernel is
     computed once at the start order r - 1 of `_order_ladder` and is the
     kernel of the untruncated map; otherwise it is computed at K.
     """
     if arity < 2:
         raise ValueError("pi_n requires n >= 2")
-    monos = backend.monomials(cap)
+    monos = backend.monomials()
     order = len(monos) ** 2 if order is None else order
     chains, start, exact = _order_ladder(backend, monos, order)
     top = start if exact else order
@@ -684,7 +684,7 @@ def pin_injectivity_check(backend, arity, cap=None, order=None) -> CoefficientKe
     return CoefficientKernel(_kernel_of_columns(columns, len(columns)), monos, arity, order)
 
 
-def z2_kernel(backend, cap=None, order=None, laurent_bound=1) -> CoefficientKernel:
+def z2_kernel(backend, order=None, laurent_bound=1) -> CoefficientKernel:
     """Kernel of (u, v, f) -> f (e^{z1 d}u)(e^{z2 d}v), orders p+q <= K.
 
     f ranges over span{z1^a z2^b : |a|, |b| <= laurent_bound}.  With n = 2
@@ -695,7 +695,7 @@ def z2_kernel(backend, cap=None, order=None, laurent_bound=1) -> CoefficientKern
     and (sum s_i)! divides F since sum s_i <= top.  Every entry is then
     F L^top times the true one.
     """
-    monos = backend.monomials(cap)
+    monos = backend.monomials()
     order = len(monos) ** 2 if order is None else order
     top = order + 2 * laurent_bound
     fact = [math.factorial(k) for k in range(top + 1)]

@@ -145,6 +145,30 @@ def corpus_module_va_actions(cap=4):
     }
 
 
+def count_constructions(monkeypatch):
+    """{"Matrix": n, "Poly": m}, the Matrices and Polys built from now until
+    `monkeypatch.undo()`."""
+    built = {"Matrix": 0, "Poly": 0}
+    init, exact, poly_init = Matrix.__init__, Matrix.__dict__["_exact"].__func__, Poly.__init__
+
+    def counting_init(self, *args):
+        built["Matrix"] += 1
+        init(self, *args)
+
+    def counting_exact(cls, *args):
+        built["Matrix"] += 1
+        return exact(cls, *args)
+
+    def counting_poly(self, *args):
+        built["Poly"] += 1
+        poly_init(self, *args)
+
+    monkeypatch.setattr(Matrix, "__init__", counting_init)
+    monkeypatch.setattr(Matrix, "_exact", classmethod(counting_exact))
+    monkeypatch.setattr(Poly, "__init__", counting_poly)
+    return built
+
+
 def tensors_entry(h, name, **extra):
     """A `tensors` workspace entry with the structure constants of `h`."""
     text = scalar_to_text
@@ -152,8 +176,8 @@ def tensors_entry(h, name, **extra):
     return {"name": name, "builder": "tensors", "dim": d, "basis": list(h.names),
             "mul": [[i, j, k, text(c)] for i, j, k, c in h.mul_entries()],
             "comul": [[k, i, j, text(c)] for k, i, j, c in h.comul_entries()],
-            "antipode": [[i, j, text(h.antipode[i, j])] for i in range(d) for j in range(d)
-                         if h.antipode[i, j]],
+            "antipode": [[i, j, text(c)] for j, pairs in enumerate(h.antipode_nonzero)
+                         for i, c in pairs],
             "unit": [text(c) for c in h.unit], "counit": [text(c) for c in h.counit],
             **extra}
 

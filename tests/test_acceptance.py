@@ -94,7 +94,7 @@ def test_criterion_1_hopf_axioms():
             assert verify_hopf_axioms(group_algebra(table)).passed, name
         hs = sweedler()
         assert verify_hopf_axioms(hs).passed
-        bad_antipode = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+        bad_antipode = [(0, 0, 1), (1, 1, 1), (2, 3, 1), (3, 2, 1)]  # S(x) = +gx
         mutated = FinHopfAlgebra(4, hs.names, hs.mul_entries(), hs.unit, hs.comul_entries(),
                                  hs.counit, bad_antipode)
         report = verify_hopf_axioms(mutated)

@@ -473,6 +473,31 @@ def test_action_matrix_size_is_an_input_error_under_O(tmp_path):
                        "but the carrier has 2 monomials"}
 
 
+@pytest.mark.parametrize("matrix,shape", [
+    ([["1/1", "0"], ["1/1"]], "2x1/2"),
+    ([["1/1", "0"]], "1x2"),
+    ([], "0x0"),
+    ([["1/1", "0"], ["0", "1/1"]], "2x2"),
+], ids=["ragged", "1x2", "empty", "2x2"])
+def test_irrep_matrix_shape_is_an_input_error_under_O(tmp_path, matrix, shape):
+    with open(Z2) as fh:
+        data = json.load(fh)
+    data["character_tables"][0]["characters"][1]["matrices"][1] = matrix
+    ws = tmp_path / "bad_irrep.json"
+    ws.write_text(json.dumps(data))
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "hopfva.cli", "decompose", "--workspace", str(ws),
+             "--object", "z2_on_xddx", "--characters", "z2chars", "--json-only"],
+            capture_output=True, text=True)
+        assert proc.returncode == 4, proc.stderr
+        doc = json.loads(proc.stdout.strip())
+        assert doc["result"] == {
+            "error": "ParseError",
+            "message": f"character table 'z2chars': character 'sign': a matrix is {shape}, "
+                       f"but degree 1 needs 1x1"}
+
+
 # --- element order of groups -----------------------------------------------------
 
 

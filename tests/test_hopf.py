@@ -1,8 +1,11 @@
+import json
 from fractions import Fraction
 
 import pytest
 
-from conftest import groups_are_isomorphic
+from conftest import count_constructions, groups_are_isomorphic, tensors_entry
+from hopfva import cli
+from hopfva.action import maximal_hopf_ideal_in
 from hopfva.errors import (
     InvalidGroupTable,
     NotGroupAlgebra,
@@ -53,12 +56,8 @@ def test_axioms_pass_for_group_algebras_and_sweedler():
 def _mutated_sweedler():
     """Sweedler with S(x) redefined to +gx; breaks the antipode axiom."""
     h = sweedler()
-    bad_antipode = [
-        [1, 0, 0, 0],
-        [0, 1, 0, 0],
-        [0, 0, 0, 1],
-        [0, 0, 1, 0],  # S(x) = +gx instead of -gx
-    ]
+    bad_antipode = [(0, 0, 1), (1, 1, 1), (2, 3, 1),
+                    (3, 2, 1)]  # S(x) = +gx instead of -gx
     return FinHopfAlgebra(4, h.names, h.mul_entries(), h.unit, h.comul_entries(), h.counit,
                           bad_antipode)
 
@@ -106,7 +105,7 @@ def test_group_likes_of_sweedler_in_reversed_basis():
         [h.unit[k] for k in r],
         [(r[k], r[i], r[j], c) for k, i, j, c in h.comul_entries()],
         [h.counit[k] for k in r],
-        [[h.antipode[r[i], r[j]] for j in range(4)] for i in range(4)])
+        [(r[i], r[j], c) for j, pairs in enumerate(h.antipode_nonzero) for i, c in pairs])
     assert verify_hopf_axioms(rev).passed
     assert group_likes(rev) == [(F(0), F(0), F(0), F(1)), (F(0), F(0), F(1), F(0))]
 
@@ -178,7 +177,7 @@ def test_quotient_sweedler_by_radical_is_qz2():
     assert hq.comul_nonzero == z2.comul_nonzero
     assert hq.counit == z2.counit
     assert hq.unit == z2.unit
-    assert hq.antipode == z2.antipode
+    assert hq.antipode_nonzero == z2.antipode_nonzero
     rec = recognize_group_algebra(hq)
     assert groups_are_isomorphic([list(r) for r in rec.table], cyclic_group_table(2))
 
@@ -189,7 +188,7 @@ def test_quotient_by_zero_is_identity():
     assert verify_hopf_axioms(q.hopf).passed
     assert q.hopf.mul_nonzero == hs.mul_nonzero
     assert q.hopf.comul_nonzero == hs.comul_nonzero
-    assert q.hopf.antipode == hs.antipode
+    assert q.hopf.antipode_nonzero == hs.antipode_nonzero
 
 
 def test_quotient_z4_by_square_relation():
@@ -255,7 +254,7 @@ def test_dual_hopf():
     assert dd.comul_nonzero == z2.comul_nonzero
     assert dd.counit == z2.counit
     assert dd.unit == z2.unit
-    assert dd.antipode == z2.antipode
+    assert dd.antipode_nonzero == z2.antipode_nonzero
     assert verify_hopf_axioms(dual_hopf(sweedler())).passed
 
 
@@ -283,3 +282,51 @@ def test_group_likes_closed_under_multiplication():
         for a in likes:
             for b in likes:
                 assert tuple(h.multiply(list(a), list(b))) in like_set
+
+
+# --- the sparse antipode ---------------------------------------------------------
+
+
+def _loaded(tmp_path, h):
+    """h written as a `tensors` workspace entry and loaded back, axioms checked."""
+    ws = tmp_path / "tensors.json"
+    ws.write_text(json.dumps({"schema_version": 1, "hopf_algebras": [tensors_entry(h, "h")]}))
+    return cli.load([str(ws)]).get("hopf_algebras", "h")
+
+
+def test_tensors_entry_round_trip_keeps_every_structure_map(tmp_path):
+    s3 = group_algebra(symmetric_group_table(3))
+    hs = sweedler()
+    radical = Subspace.from_vectors(4, [[0, 0, 1, 0], [0, 0, 0, 1]])
+    for h in (s3, dual_hopf(s3), hs, quotient_hopf(hs, radical).hopf):
+        back = _loaded(tmp_path, h)
+        assert (back.names, back.unit, back.counit) == (h.names, h.unit, h.counit)
+        assert back.mul_nonzero == h.mul_nonzero
+        assert back.comul_nonzero == h.comul_nonzero
+        assert back.antipode_nonzero == h.antipode_nonzero
+
+
+def test_antipode_of_group_algebras_and_sweedler():
+    s3 = group_algebra(symmetric_group_table(3))
+    inverse = [row.index(0) for row in s3.group_table]
+    assert s3.antipode_nonzero == tuple([(inverse[j], 1)] for j in range(6))
+    # S(1) = 1, S(g) = g, S(x) = -gx, S(gx) = x
+    assert sweedler().antipode_nonzero == ([(0, 1)], [(1, 1)], [(3, -1)], [(2, 1)])
+    assert dual_hopf(sweedler()).antipode_nonzero == ([(0, 1)], [(1, 1)], [(3, 1)], [(2, -1)])
+
+
+def test_hopf_paths_build_no_matrix(monkeypatch, tmp_path):
+    # every structure map is held as nonzero pairs, so building, loading,
+    # the axiom check and the Hopf-ideal tests construct no dense Matrix
+    built = count_constructions(monkeypatch)
+    s3 = group_algebra(symmetric_group_table(3))
+    hs = sweedler()
+    radical = Subspace.from_vectors(4, [[0, 0, 1, 0], [0, 0, 0, 1]])
+    for h in (s3, dual_hopf(s3), quotient_hopf(hs, radical).hopf, _loaded(tmp_path, hs)):
+        assert verify_hopf_axioms(h).passed
+    assert is_hopf_ideal(hs, radical) == (True, None)
+    assert maximal_hopf_ideal_in(hs, radical) == radical
+    augmentation = augmentation_ideal(s3)
+    assert maximal_hopf_ideal_in(s3, augmentation) == augmentation
+    monkeypatch.undo()
+    assert built["Matrix"] == 0

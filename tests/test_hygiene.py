@@ -8,7 +8,8 @@ Every exception class of `errors.py` must be raised or caught somewhere in
 the package, so a deleted code path cannot leave its error behind.
 Every function the benchmark's tracer wraps by name must still exist (read
 from `bench/spans.py` without installing it, and again through its tracer),
-and every null space must enter the one traced kernel routine.
+and every null space must enter the one traced kernel routine.  Only
+`linalg`, `vertexalg` and the package namespace may name the dense `Matrix`.
 """
 
 import ast
@@ -108,6 +109,40 @@ def test_no_assert_statements():
     found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
              for node in ast.walk(_parse(path)) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# the modules that may name the dense Matrix: linalg defines it (for `solve`,
+# `Subspace` and the Matrix methods), vertexalg takes a determinant with it,
+# and the package namespace re-exports it
+MATRIX_MODULES = {"linalg", "vertexalg", "__init__"}
+
+
+def matrix_importers(package=PACKAGE):
+    """`module:line` of each import of `Matrix`, or read of an attribute
+    `.Matrix`, in a module of `package` outside MATRIX_MODULES."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem in MATRIX_MODULES:
+            continue
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ImportFrom) and any(a.name == "Matrix" for a in node.names) \
+                    or isinstance(node, ast.Attribute) and node.attr == "Matrix":
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_structure_maps_import_no_matrix():
+    # Hopf structure maps, actions and irrep matrices are sparse columns; a
+    # dense Matrix coming back into one of their modules must be a decision
+    assert matrix_importers() == []
+
+
+def test_matrix_scan_finds_an_importer(tmp_path):
+    (tmp_path / "linalg.py").write_text("class Matrix:\n    pass\n")
+    (tmp_path / "hopf.py").write_text("from .linalg import Subspace, Matrix\n")
+    (tmp_path / "action.py").write_text("from . import linalg\n\n\n"
+                                        "def f():\n    return linalg.Matrix\n")
+    assert matrix_importers(tmp_path) == ["action:5", "hopf:1"]
 
 
 def unused_errors(package=PACKAGE):
@@ -245,7 +280,7 @@ def test_every_traced_benchmark_target_resolves():
             hopf.group_algebra([[0, 1], [1, 0]]), vertexalg.single_variable_backend(1, 2),
             {"g1": {"x": vertexalg.Poly.monomial((1,), -1)}})
         rep = schurweyl.FinGroupRep.from_hopf_action(z2)
-        one = (linalg.Matrix.from_rows([[1]]),) * 2
+        one = ([[1]],) * 2
         table = schurweyl.CharacterTable([[0, 1], [1, 0]], [[0], [1]], [
             schurweyl.IrrepCharacter("triv", 1, (1, 1), one)])
         for name, run in [("fixed_points", rep.fixed_points),

@@ -2,7 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import columns_matrix, cyclic_scaling_action, euler_backend, s3_action, s3_perms
+from conftest import (
+    columns_matrix,
+    count_constructions,
+    cyclic_scaling_action,
+    euler_backend,
+    s3_action,
+    s3_perms,
+)
 from hopfva.action import HopfAction, trivial_action
 from hopfva.errors import InvariantViolation, MatricesRequired
 from hopfva.hopf import cyclic_group_table, dual_hopf, group_algebra, symmetric_group_table
@@ -29,14 +36,13 @@ def x_pow(k):
     return Poly.monomial((k,))
 
 
+def z2_irreps():
+    return [IrrepCharacter("triv", 1, (F(1), F(1)), ([[1]], [[1]])),
+            IrrepCharacter("sign", 1, (F(1), F(-1)), ([[1]], [[-1]]))]
+
+
 def z2_chartable():
-    return CharacterTable(
-        [[0, 1], [1, 0]],
-        [[0], [1]],
-        [IrrepCharacter("triv", 1, (F(1), F(1)),
-                        (Matrix.from_rows([[1]]), Matrix.from_rows([[1]]))),
-         IrrepCharacter("sign", 1, (F(1), F(-1)),
-                        (Matrix.from_rows([[1]]), Matrix.from_rows([[-1]])))])
+    return CharacterTable([[0, 1], [1, 0]], [[0], [1]], z2_irreps())
 
 
 def z2_rep(cap=6):
@@ -65,29 +71,33 @@ def _std_rep_matrix(perm):
 
     c1 = coords(perm[0], perm[1])
     c2 = coords(perm[1], perm[2])
-    return Matrix.from_rows([[F(c1[0]), F(c2[0])], [F(c1[1]), F(c2[1])]])
+    return [[F(c1[0]), F(c2[0])], [F(c1[1]), F(c2[1])]]
 
 
-def s3_chartable():
+S3_CLASSES = [[0], [1, 2, 5], [3, 4]]  # identity, transpositions, 3-cycles
+
+
+def s3_irreps():
     perms = s3_perms()
-    table = symmetric_group_table(3)
-    classes = [[0], [1, 2, 5], [3, 4]]  # identity, transpositions, 3-cycles
-    trivial = IrrepCharacter("triv", 1, (F(1), F(1), F(1)),
-                             tuple(Matrix.from_rows([[1]]) for _ in perms))
+    classes = S3_CLASSES
+    trivial = IrrepCharacter("triv", 1, (F(1), F(1), F(1)), tuple([[1]] for _ in perms))
     sign_vals = []
     sign_mats = []
     for p in perms:
         inv = sum(1 for a in range(3) for b in range(a + 1, 3) if p[a] > p[b])
-        sign_mats.append(Matrix.from_rows([[F(-1) ** inv]]))
+        sign_mats.append([[F(-1) ** inv]])
     for c in classes:
         p = perms[c[0]]
         inv = sum(1 for a in range(3) for b in range(a + 1, 3) if p[a] > p[b])
         sign_vals.append(F(-1) ** inv)
     sign = IrrepCharacter("sign", 1, tuple(sign_vals), tuple(sign_mats))
     std_mats = tuple(_std_rep_matrix(p) for p in perms)
-    std_vals = tuple(std_mats[c[0]][0, 0] + std_mats[c[0]][1, 1] for c in classes)
-    std = IrrepCharacter("std", 2, std_vals, std_mats)
-    return CharacterTable(table, classes, [trivial, sign, std])
+    std_vals = tuple(std_mats[c[0]][0][0] + std_mats[c[0]][1][1] for c in classes)
+    return [trivial, sign, IrrepCharacter("std", 2, std_vals, std_mats)]
+
+
+def s3_chartable():
+    return CharacterTable(symmetric_group_table(3), S3_CLASSES, s3_irreps())
 
 
 def s3_rep(cap=2):
@@ -130,7 +140,7 @@ def _z2_table(*chars):
 
 
 def _one_by_one(*values):
-    return tuple(Matrix.from_rows([[F(v)]]) for v in values)
+    return tuple([[F(v)]] for v in values)
 
 
 @pytest.mark.parametrize("chars,failures", [
@@ -187,6 +197,25 @@ def test_chartable_rejects_bad_classes():
         CharacterTable(symmetric_group_table(3), [[0], [1, 2], [3, 4, 5]], [])
 
 
+@pytest.mark.parametrize("char,message", [
+    (IrrepCharacter("a", 1, (F(1),)), "character 'a' needs one value per conjugacy class"),
+    (IrrepCharacter("a", 1, (F(1), F(1)), ([[1]],)), "character 'a': 1 matrices for 2 group"),
+    (IrrepCharacter("a", 2, (F(2), F(0)), ([[1, 0], [0, 1]], [[1], [0, 1]])),
+     "character 'a': a matrix is 2x1/2, but degree 2 needs 2x2"),
+], ids=["values", "matrix-count", "matrix-shape"])
+def test_chartable_rejects_malformed_characters(char, message):
+    with pytest.raises(ValueError, match=message):
+        _z2_table(char)
+
+
+def test_irrep_matrices_are_held_as_columns():
+    std = s3_chartable().char("std")
+    rows = _std_rep_matrix(s3_perms()[1])
+    assert std.matrices[1] == {c: {r: row[c] for r, row in enumerate(rows) if row[c]}
+                               for c in range(2)}
+    assert std.matrices[0] == {0: {0: 1}, 1: {1: 1}}
+
+
 # --- projectors ------------------------------------------------------------------
 
 
@@ -206,9 +235,7 @@ def test_trivial_group_projector_is_identity():
     h = group_algebra([[0]])
     act = trivial_action(h, euler_backend(3))
     rep = FinGroupRep.from_hopf_action(act)
-    t = CharacterTable([[0]], [[0]],
-                       [IrrepCharacter("triv", 1, (F(1),),
-                                       (Matrix.from_rows([[1]]),))])
+    t = CharacterTable([[0]], [[0]], [IrrepCharacter("triv", 1, (F(1),), ([[1]],))])
     projs = _degree_blocks(rep, isotypic_projector(t, rep, "triv"))
     for deg, p in enumerate(projs):
         assert p == Matrix.identity(len(rep.graded[deg]))
@@ -274,11 +301,10 @@ def test_multiplicity_space_requires_matrices():
 def test_multiplicity_space_s3_std_degree_one():
     spaces = multiplicity_space(s3_chartable(), s3_rep(2), "std")
     assert len(spaces[1]) == 1  # one intertwiner in degree 1
-    f = spaces[1][0]
-    t = s3_chartable()
     rep = s3_rep(2)
-    for g in range(6):
-        assert f * t.char("std").matrices[g] == _dense_block(rep, g, 1) * f
+    f = Matrix(len(rep.graded[1]), 2, list(spaces[1][0]))  # f[r][k] at 2 r + k
+    for g, p in enumerate(s3_perms()):
+        assert f * Matrix.from_rows(_std_rep_matrix(p)) == _dense_block(rep, g, 1) * f
 
 
 def test_theta_dimension_bookkeeping():
@@ -428,10 +454,8 @@ def test_identity_need_not_be_element_zero():
     table = CharacterTable(
         [[1, 0], [0, 1]],
         [[1], [0]],
-        [IrrepCharacter("triv", 1, (F(1), F(1)),
-                        (Matrix.from_rows([[1]]), Matrix.from_rows([[1]]))),
-         IrrepCharacter("sign", 1, (F(1), F(-1)),
-                        (Matrix.from_rows([[-1]]), Matrix.from_rows([[1]])))])
+        [IrrepCharacter("triv", 1, (F(1), F(1)), ([[1]], [[1]])),
+         IrrepCharacter("sign", 1, (F(1), F(-1)), ([[-1]], [[1]]))])
     assert table.identity == 1
     assert verify_character_table(table).passed
 
@@ -455,14 +479,14 @@ def _dense_fixed_points(rep):
     return Matrix.from_rows(rows).kernel() if rows else Subspace.full(n)
 
 
-def _dense_intertwiners(table, rep, name, deg):
-    """Hom_G(W, M) in degree `deg`: one dense row per entry (r, c) of
-    f rho_W(g) - rho_M(g) f, the unknowns f[r][k] row-major."""
-    ch = table.char(name)
-    d, dim = ch.degree, len(rep.graded[deg])
+def _dense_intertwiners(matrices, rep, deg):
+    """Hom_G(W, M) in degree `deg`, for W given by its `matrices` as entered
+    (rows of scalars): one dense row per entry (r, c) of f rho_W(g) -
+    rho_M(g) f, the unknowns f[r][k] row-major."""
+    d, dim = len(matrices[0]), len(rep.graded[deg])
     rows = []
-    for g in range(table.order):
-        rho_w, rho_m = ch.matrices[g], _dense_block(rep, g, deg)
+    for g, entered in enumerate(matrices):
+        rho_w, rho_m = Matrix.from_rows(entered), _dense_block(rep, g, deg)
         for r in range(dim):
             for c in range(d):
                 row = [F(0)] * (dim * d)
@@ -492,20 +516,22 @@ def _dense_multiplicity(table, rep, name, deg):
     return total / table.order
 
 
-def z3_chartable_with_matrices():
+def z3_irreps_with_matrices():
     z = zeta(3)
+    return [IrrepCharacter(f"chi{j}", 1, tuple(z ** (j * k) for k in range(3)),
+                           tuple([[z ** (j * k)]] for k in range(3)))
+            for j in range(3)]
+
+
+def z3_chartable_with_matrices():
     table = [[(i + j) % 3 for j in range(3)] for i in range(3)]
-    chars = [IrrepCharacter(f"chi{j}", 1, tuple(z ** (j * k) for k in range(3)),
-                            tuple(Matrix.from_rows([[z ** (j * k)]]) for k in range(3)))
-             for j in range(3)]
-    return CharacterTable(table, [[0], [1], [2]], chars)
+    return CharacterTable(table, [[0], [1], [2]], z3_irreps_with_matrices())
 
 
 def trivial_group_case(cap=3):
     rep = FinGroupRep.from_hopf_action(trivial_action(group_algebra([[0]]), euler_backend(cap)))
-    table = CharacterTable([[0]], [[0]], [IrrepCharacter("triv", 1, (F(1),),
-                                                        (Matrix.from_rows([[1]]),))])
-    return table, rep
+    irreps = [IrrepCharacter("triv", 1, (F(1),), ([[1]],))]
+    return irreps, CharacterTable([[0]], [[0]], irreps), rep
 
 
 def dual_z2_case(cap=4):
@@ -518,20 +544,22 @@ def dual_z2_case(cap=4):
     return z2_chartable(), FinGroupRep.from_hopf_action(HopfAction(h, backend, columns))
 
 
+# each case: the irreps as entered, their character table and a representation
 ORACLE_CASES = {
-    "z2-cap6": lambda: (z2_chartable(), z2_rep(6)),
-    "z3-xy-zeta3": lambda: (z3_chartable_with_matrices(),
+    "z2-cap6": lambda: (z2_irreps(), z2_chartable(), z2_rep(6)),
+    "z3-xy-zeta3": lambda: (z3_irreps_with_matrices(), z3_chartable_with_matrices(),
                             FinGroupRep.from_hopf_action(_z3_xy_action(3))),
-    "s3-cap2": lambda: (s3_chartable(), s3_rep(2)),
-    "s3-cap3": lambda: (s3_chartable(), s3_rep(3)),
+    "s3-cap2": lambda: (s3_irreps(), s3_chartable(), s3_rep(2)),
+    "s3-cap3": lambda: (s3_irreps(), s3_chartable(), s3_rep(3)),
     "trivial-group": trivial_group_case,
-    "dual-z2-group-likes": dual_z2_case,
+    "dual-z2-group-likes": lambda: (z2_irreps(), *dual_z2_case()),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_sparse_view_matches_dense_oracles(case):
-    table, rep = ORACLE_CASES[case]()
+    irreps, table, rep = ORACLE_CASES[case]()
+    entered = {ch.name: ch.matrices for ch in irreps}
     assert rep.fixed_points() == _dense_fixed_points(rep)
     decomp = decompose(table, rep)
     for ch in table.chars:
@@ -541,8 +569,8 @@ def test_sparse_view_matches_dense_oracles(case):
             assert projectors[deg] == _dense_projector(table, rep, ch.name, deg)
             assert decomp.multiplicities[ch.name][deg] == \
                 _dense_multiplicity(table, rep, ch.name, deg)
-            assert [f.vec() for f in spaces[deg]] == \
-                [list(v) for v in _dense_intertwiners(table, rep, ch.name, deg).basis]
+            assert [list(f) for f in spaces[deg]] == \
+                [list(v) for v in _dense_intertwiners(entered[ch.name], rep, deg).basis]
 
 
 def test_recognised_group_likes_act_like_the_group_algebra():
@@ -555,30 +583,13 @@ def test_recognised_group_likes_act_like_the_group_algebra():
 
 
 def test_isotype_paths_build_no_matrix_and_no_poly(monkeypatch):
-    # S3 permuting Q[x1, x2, x3] at D=3: from the action to its isotypes every
-    # map is a column dict, so the only Matrices built are the character
-    # table's irrep matrices and the intertwiners multiplicity_space returns
+    # S3 permuting Q[x1, x2, x3] at D=3: from the action and the character
+    # table to the isotypes every map is a column dict, the irrep matrices
+    # included, and each intertwiner is a coordinate vector
     rep = s3_rep(3)
     samples = [rep.backend.poly_from_coords(list(v)) for v in rep.fixed_points().basis]
     seed = Poly.variable(3, 0) - Poly.variable(3, 1)
-    built = {"Matrix": 0, "Poly": 0}
-    init, exact, poly_init = Matrix.__init__, Matrix.__dict__["_exact"].__func__, Poly.__init__
-
-    def counting_init(self, *args):
-        built["Matrix"] += 1
-        init(self, *args)
-
-    def counting_exact(cls, *args):
-        built["Matrix"] += 1
-        return exact(cls, *args)
-
-    def counting_poly(self, *args):
-        built["Poly"] += 1
-        poly_init(self, *args)
-
-    monkeypatch.setattr(Matrix, "__init__", counting_init)
-    monkeypatch.setattr(Matrix, "_exact", classmethod(counting_exact))
-    monkeypatch.setattr(Poly, "__init__", counting_poly)
+    built = count_constructions(monkeypatch)
     table = s3_chartable()
     decomp = decompose(table, rep)
     spaces = [multiplicity_space(table, rep, ch.name) for ch in table.chars]
@@ -588,7 +599,6 @@ def test_isotype_paths_build_no_matrix_and_no_poly(monkeypatch):
     monkeypatch.undo()
     assert report.passed and reach.isotype.contains_subspace(reach.reachable)
     assert verdict.kind == "inconclusive"
-    irrep_matrices = sum(len(ch.matrices) for ch in table.chars)
     intertwiners = sum(len(basis) for per_degree in spaces for basis in per_degree)
     assert intertwiners == 7 + 1 + 6  # triv (1, 1, 2, 3), sign (0, 0, 0, 1), std (0, 1, 2, 3)
-    assert built == {"Matrix": irrep_matrices + intertwiners, "Poly": 0}
+    assert built == {"Matrix": 0, "Poly": 0}
