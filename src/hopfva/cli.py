@@ -10,6 +10,7 @@ error.  Identical inputs always produce byte-identical machine blocks.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -649,8 +650,12 @@ def build_parser():
     return p
 
 
+# parsing leaves the parser unchanged, so one process builds it once
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     values = {}
     for flag, option in OPTIONS.items():

@@ -278,6 +278,10 @@ class CommDiffVA:
         degs = [img.degree() for img in self.images if not img.is_zero()]
         # d raises total degree by at most this much (may be negative)
         self.weight = max(d - 1 for d in degs) if degs else 0
+        # every term of d m has degree deg m + weight: each d x_i is
+        # homogeneous of degree weight + 1 (a raw table is not trusted)
+        self.homogeneous = self._table is None and all(
+            sum(e) == self.weight + 1 for img in self.images for e in img.terms)
         # L: the lcm of the derivation's rational denominators, so L d maps
         # monomials to integer combinations (cyclotomic coefficients stay)
         derived = self._table.values() if self._table else self.images

@@ -12,6 +12,12 @@ unchecked) of S3 permuting three variables, the Z3 and Z4 scalings, the
 Sweedler actions on z^m (m = 0, 1, 2), a trivial action and S3 conjugated by
 a rational change of variables, the reports (verdicts and witnesses, in
 order) and the ValueError messages of construction must agree.
+
+The checks walk the generating set of H first (`hopf.on_generators`); the
+walks are recorded, so that the route each check takes is checked too: the
+generators for checked, degree-keeping actions, every basis element for an
+unchecked action, one that raises degree, and, for the vertex identity, a
+derivation that is not homogeneous or does not commute with the action.
 """
 
 import functools
@@ -28,10 +34,18 @@ from conftest import (
     euler_backend,
     s3_action,
     sweedler_poly_action,
+    through_first_factor_action,
 )
+from hopfva import action
 from hopfva.action import HopfAction, trivial_action, verify_module_vertex_algebra
 from hopfva.errors import CheckReport, TruncationOverflow
-from hopfva.hopf import group_algebra, sweedler, symmetric_group_table
+from hopfva.hopf import (
+    cyclic_group_table,
+    generating_set,
+    group_algebra,
+    sweedler,
+    symmetric_group_table,
+)
 from hopfva.linalg import Matrix
 from hopfva.scalars import zeta
 from hopfva.vertexalg import CommDiffVA, Poly, poly_to_text
@@ -377,21 +391,112 @@ def test_building_and_checking_an_action_builds_no_poly(monkeypatch):
     assert built == []
 
 
+# --- the checks walk a generating set of H first ---------------------------------
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """{scan name: [the basis indices of each walk]} for the scans the
+    action's checks run through `on_generators`."""
+    seen = {}
+    certified = action.on_generators
+
+    def recording(failures, gens, dim):
+        def walk(indices):
+            seen.setdefault(failures.__name__, []).append(list(indices))
+            return failures(indices)
+        return certified(walk, gens, dim)
+
+    monkeypatch.setattr(action, "on_generators", recording)
+    return seen
+
+
+SCANS = ("product_failures", "leibniz_failures", "commute_failures", "identity_failures")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: s3_action(cap=2), lambda: cyclic_scaling_action(4, cap=3),
+    lambda: through_first_factor_action(cap=3)], ids=["s3", "z4", "v4"])
+def test_the_checks_visit_only_the_generators(walks, make):
+    act = make()
+    assert verify_module_vertex_algebra(act).passed
+    gens = list(generating_set(act.hopf))
+    assert 0 < len(gens) < act.hopf.dim
+    assert walks == {scan: [gens] for scan in SCANS}
+
+
+def test_an_unchecked_action_walks_every_basis_element(walks):
+    act = s3_action(cap=2)
+    walks.clear()
+    report = verify_module_vertex_algebra(HopfAction(act.hopf, act.backend, act._columns,
+                                                     check=False))
+    assert report.passed
+    everything = list(range(act.hopf.dim))
+    assert walks == {scan: [everything] for scan in SCANS[1:]}
+
+
+def test_an_action_that_raises_degree_walks_every_basis_element(walks):
+    # g swaps x and x^2 on (Q[x], x d/dx) at D = 2: an algebra map of Q[Z2]
+    # on the carrier, which the Leibniz rule then rejects
+    h = group_algebra(cyclic_group_table(2))
+    backend = euler_backend(2)
+    swap = {(0,): {(0,): 1}, (1,): {(2,): 1}, (2,): {(1,): 1}}
+    act = HopfAction(h, backend, [{e: {e: 1} for e in backend.monomials()}, swap])
+    assert not act.filtration_compatible
+    report = verify_module_vertex_algebra(act)
+    assert list(report.items()) == list(oracle_module_vertex_algebra(act).items())
+    assert walks == {"product_failures": [[1]],
+                     **{scan: [[0, 1]] for scan in SCANS[1:]}}
+
+
+def test_a_derivation_rho_does_not_commute_with_walks_every_basis_element_for_the_identity(
+        walks):
+    # Sweedler's action on (Q[z], z^2 d/dz): g z^2 = z^2 but d(g z) = -z^2,
+    # so the identity may not take the generators' route
+    act = sweedler_poly_action(m=2, cap=3)
+    walks.clear()
+    report = verify_module_vertex_algebra(act)
+    assert list(report.items()) == list(oracle_module_vertex_algebra(act).items())
+    assert not report["derivation-commutation"][0]
+    gens = list(generating_set(act.hopf))
+    assert walks == {"leibniz_failures": [gens], "commute_failures": [gens, [0, 1, 2, 3]],
+                     "identity_failures": [[0, 1, 2, 3]]}
+
+
+def test_a_non_homogeneous_derivation_walks_every_basis_element_for_the_identity(walks):
+    # S3 acting trivially on (Q[x], d x = 1 + x^2): the Leibniz rule and
+    # [rho(h), d] = 0 walk the generators, the identity every basis element
+    h = group_algebra(symmetric_group_table(3))
+    backend = CommDiffVA(["x"], {"x": Poly(1, {(0,): 1, (2,): 1})}, 3)
+    assert not backend.homogeneous
+    report = verify_module_vertex_algebra(trivial_action(h, backend))
+    assert report.passed
+    gens = list(generating_set(h))
+    assert walks == {**{scan: [gens] for scan in SCANS[:3]},
+                     "identity_failures": [list(range(h.dim))]}
+
+
 # --- a known answer at a larger cap -----------------------------------------------
 
 
-def s4_action(cap):
-    """S4 permuting the variables of (Q[x1..x4], sum x_i d/dx_i)."""
-    h = group_algebra(symmetric_group_table(4))
-    xs = [f"x{i + 1}" for i in range(4)]
-    backend = CommDiffVA(xs, {x: Poly.variable(4, i) for i, x in enumerate(xs)}, cap)
-    images = {name: {xs[i]: Poly.variable(4, p[i]) for i in range(4)}
-              for name, p in zip(h.names, sorted(itertools.permutations(range(4))))}
+def permutation_action(n, cap):
+    """S_n permuting the variables of (Q[x1..xn], sum x_i d/dx_i)."""
+    h = group_algebra(symmetric_group_table(n))
+    xs = [f"x{i + 1}" for i in range(n)]
+    backend = CommDiffVA(xs, {x: Poly.variable(n, i) for i, x in enumerate(xs)}, cap)
+    images = {name: {xs[i]: Poly.variable(n, p[i]) for i in range(n)}
+              for name, p in zip(h.names, sorted(itertools.permutations(range(n))))}
     return HopfAction.from_generator_images(h, backend, images)
 
 
+def test_s5_permutations_form_a_module_vertex_algebra_at_cap_2():
+    # 120 basis elements; the checks walk the four adjacent transpositions
+    # that `generating_set` finds
+    assert verify_module_vertex_algebra(permutation_action(5, 2)).passed
+
+
 def test_s4_permutations_form_a_module_vertex_algebra_at_cap_2():
-    act = s4_action(2)
+    act = permutation_action(4, 2)
     assert verify_module_vertex_algebra(act).passed
     # negate the image of one transposition, (x3 x4)
     t = sorted(itertools.permutations(range(4))).index((0, 1, 3, 2))

@@ -286,6 +286,43 @@ def test_usage_error_exit_code():
     assert proc.returncode == 4
 
 
+PARSER_QUERIES = [
+    ["cocommutative", "--workspace", SWEEDLER, "--object", "sweedler"],
+    ["verify-action", "--workspace", Z2, "--object", "z2_on_xddx", "--cap-d", "2"],
+    ["pi2-kernel", "--workspace", XY, "--object", "xy_diag", "--json-only"],
+    ["no-such-command", "--workspace", SWEEDLER],
+    ["fixed-points", "--workspace", Z2, "--object", "z2_on_xddx", "--cap-d=-1"],
+    ["cocommutative", "--workspace", SWEEDLER, "--object", "sweedler", "--cap-d", "x"],
+    ["cocommutative", "--workspace", SWEEDLER, "--object", "sweedler"],
+    ["--help"],
+]
+
+
+def _outcomes(capsys, queries):
+    """(exit status, stdout, stderr) of each query run in-process."""
+    out = []
+    for argv in queries:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        out.append((code, captured.out, captured.err))
+    return out
+
+
+def test_one_parser_serves_every_query_of_a_process(capsys, monkeypatch):
+    # `main` builds its parser once; queries answered by it, usage errors
+    # (exit 4) and --help between them read as with a fresh parser each time
+    shared = _outcomes(capsys, PARSER_QUERIES * 2)
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = _outcomes(capsys, PARSER_QUERIES * 2)
+    assert shared == fresh
+    assert [code for code, _, _ in shared[:len(PARSER_QUERIES)]] == [3, 0, 0, 4, 4, 4, 3, 0]
+    assert shared[-1][1] == cli.build_parser().format_help()
+
+
 def test_tensor_and_dual_builders(capsys, tmp_path):
     # Q[Z/2] entered by raw structure constants, plus its dual
     ws = tmp_path / "tensors.json"

@@ -17,8 +17,10 @@ from hopfva.hopf import (
     augmentation_ideal,
     cyclic_group_table,
     dual_hopf,
+    generating_set,
     group_algebra,
     group_likes,
+    on_generators,
     is_bialgebra_ideal,
     is_cocommutative,
     is_hopf_ideal,
@@ -108,6 +110,8 @@ def test_group_likes_of_sweedler_in_reversed_basis():
         [(r[i], r[j], c) for j, pairs in enumerate(h.antipode_nonzero) for i, c in pairs])
     assert verify_hopf_axioms(rev).passed
     assert group_likes(rev) == [(F(0), F(0), F(0), F(1)), (F(0), F(0), F(1), F(0))]
+    # the unit b_3 is found where it is; gx gx = x x = 0 reach nothing
+    assert generating_set(rev) == (0, 1, 2)
 
 
 def test_group_likes_of_dual_z3_needs_conductor():
@@ -330,3 +334,28 @@ def test_hopf_paths_build_no_matrix(monkeypatch, tmp_path):
     assert maximal_hopf_ideal_in(s3, augmentation) == augmentation
     monkeypatch.undo()
     assert built["Matrix"] == 0
+
+
+def test_on_generators_names_the_first_witness_of_the_full_scan():
+    walked = []
+
+    def failures(indices):
+        # index 1 fails; index 2 raises, as a derivation table without a
+        # monomial may
+        for i in indices:
+            walked.append(i)
+            if i == 2:
+                raise ValueError("no derivative")
+            if i == 1:
+                yield f"fails at {i}"
+
+    assert list(on_generators(failures, (0, 3), 4)) == [] and walked == [0, 3]
+    del walked[:]
+    assert next(on_generators(failures, (1, 3), 4)) == "fails at 1"
+    assert walked == [1, 0, 1]
+    del walked[:]
+    # the generators' walk raises: the full walk names its first witness
+    assert next(on_generators(failures, (0, 2), 4)) == "fails at 1"
+    assert walked == [0, 2, 0, 1]
+    with pytest.raises(ValueError):
+        list(on_generators(failures, range(4), 4))

@@ -184,6 +184,149 @@ def test_a_single_corrupted_entry_is_caught(capsys, tmp_path, name, field, seed)
     assert report["result"]["axioms"][axiom] == {"ok": False, "witness": witness}
 
 
+def _dense_axioms(h):
+    """The report `verify_hopf_axioms` must give, from dense structure
+    tensors, scanning every triple and pair in ascending order."""
+    d, names = h.dim, h.names
+    # b_i b_j = sum mul[i][j][k] b_k, Delta(b_k) = sum comul[k][i][j] b_i (x) b_j
+    # and S(b_j) = sum antipode[j][i] b_i
+    mul = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for i, j, k, c in h.mul_entries():
+        mul[i][j][k] = c
+    comul = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for k, i, j, c in h.comul_entries():
+        comul[k][i][j] = c
+    antipode = [[0] * d for _ in range(d)]
+    for j, pairs in enumerate(h.antipode_nonzero):
+        for i, c in pairs:
+            antipode[j][i] = c
+    unit, counit = list(h.unit), list(h.counit)
+
+    def prod(u, v):
+        out = [0] * d
+        for i in range(d):
+            for j in range(d):
+                if u[i] and v[j]:
+                    for k in range(d):
+                        out[k] += u[i] * v[j] * mul[i][j][k]
+        return out
+
+    def tensor_prod(s, t):
+        out = [[0] * d for _ in range(d)]
+        for a in range(d):
+            for b in range(d):
+                for c in range(d):
+                    for e in range(d):
+                        if s[a][b] and t[c][e]:
+                            left, right = mul[a][c], mul[b][e]
+                            for p in range(d):
+                                for q in range(d):
+                                    out[p][q] += s[a][b] * t[c][e] * left[p] * right[q]
+        return out
+
+    def delta(v):
+        return [[sum(v[k] * comul[k][i][j] for k in range(d)) for j in range(d)]
+                for i in range(d)]
+
+    def basis(i):
+        return [int(j == i) for j in range(d)]
+
+    def first(witnesses):
+        return next(((False, w) for w in witnesses), (True, None))
+
+    def antipode_fails(k, left):
+        out = [0] * d
+        for i in range(d):
+            for j in range(d):
+                if comul[k][i][j]:
+                    term = prod(antipode[i], basis(j)) if left else prod(basis(i), antipode[j])
+                    out = [x + comul[k][i][j] * y for x, y in zip(out, term)]
+        return out != [counit[k] * u for u in unit]
+
+    cubes = [(i, j, k) for i in range(d) for j in range(d) for k in range(d)]
+    squares = [(i, j) for i in range(d) for j in range(d)]
+    return {
+        "associativity": first(
+            f"({names[i]},{names[j]},{names[k]})" for i, j, k in cubes
+            if prod(prod(basis(i), basis(j)), basis(k)) !=
+            prod(basis(i), prod(basis(j), basis(k)))),
+        "unit": first(names[i] for i in range(d)
+                      if not prod(unit, basis(i)) == basis(i) == prod(basis(i), unit)),
+        "coassociativity": first(
+            names[k] for k in range(d)
+            if [[[sum(comul[k][m][c] * comul[m][a][b] for m in range(d)) for c in range(d)]
+                 for b in range(d)] for a in range(d)] !=
+            [[[sum(comul[k][a][m] * comul[m][b][c] for m in range(d)) for c in range(d)]
+              for b in range(d)] for a in range(d)]),
+        "counit": first(
+            names[k] for k in range(d)
+            if not [sum(counit[i] * comul[k][i][j] for i in range(d)) for j in range(d)] ==
+            basis(k) == [sum(counit[j] * comul[k][i][j] for j in range(d)) for i in range(d)]),
+        "comul-is-algebra-map": first(
+            ["1"] if delta(unit) != [[unit[i] * unit[j] for j in range(d)] for i in range(d)]
+            else (f"({names[i]},{names[j]})" for i, j in squares
+                  if delta(prod(basis(i), basis(j))) != tensor_prod(comul[i], comul[j]))),
+        "counit-is-algebra-map": first(
+            ["1"] if sum(u * e for u, e in zip(unit, counit)) != 1
+            else (f"({names[i]},{names[j]})" for i, j in squares
+                  if sum(c * e for c, e in zip(mul[i][j], counit)) != counit[i] * counit[j])),
+        "antipode-left": first(names[k] for k in range(d) if antipode_fails(k, True)),
+        "antipode-right": first(names[k] for k in range(d) if antipode_fails(k, False)),
+    }
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("field", ["mul", "comul", "antipode"])
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_hopf_axioms_match_the_dense_oracle(name, field, seed):
+    # a proper generating set of qs3 and sweedler, certified in
+    # `generating_set`, stands in for the associativity and algebra-map scans;
+    # each corruption must leave the report, witnesses included, as the
+    # all-triples and all-pairs scans give it
+    h = ALGEBRAS[name]()
+    corrupted = cli._hopf_from_tensors(
+        "c", _corrupted(h, field, random.Random(f"{name}-{field}-{seed}")))
+    for algebra in (h, corrupted):
+        assert dict(hopf.verify_hopf_axioms(algebra)) == _dense_axioms(algebra)
+        assert list(hopf.verify_hopf_axioms(algebra)) == list(_dense_axioms(algebra))
+
+
+def test_generating_sets_of_the_corpus():
+    assert [hopf.generating_set(ALGEBRAS[name]()) for name in ALGEBRAS] == [
+        (1, 2), (1, 2), tuple(range(6))]
+    s3 = ALGEBRAS["qs3"]()
+    # a corrupted product the certificate reads sends every index back
+    broken = cli._hopf_from_tensors("c", dict(tensors_entry(s3, "c"), mul=[
+        e for e in tensors_entry(s3, "c")["mul"] if e[:2] != [3, 4]] + [[3, 4, 1, "1"]]))
+    assert hopf.generating_set(broken) == tuple(range(6))
+
+
+@pytest.mark.parametrize("comul,counit", [
+    ([(0, 0, 0, 1), (0, 1, 1, 1), (1, 1, 0, 1)], [1, 0]),   # Delta(1) = 1 (x) 1 + x (x) x
+    ([(0, 0, 0, 1), (1, 1, 0, 1)], [2, 0]),                 # eps(1) = 2
+], ids=["comul-of-1", "counit-of-1"])
+def test_a_wrong_coproduct_or_counit_of_1_sends_every_index_back(comul, counit):
+    # k[x]/(x^2) with Delta(x) = x (x) 1: b_x b_j and Delta(b_x) Delta(b_j)
+    # agree for every j, so only the unit's own certificate refuses {x}
+    h = hopf.FinHopfAlgebra(2, ["1", "x"], [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)],
+                            [1, 0], comul, counit, [(0, 0, 1), (1, 1, -1)])
+    assert hopf.generating_set(h) == (0, 1)
+    assert dict(hopf.verify_hopf_axioms(h)) == _dense_axioms(h)
+    assert not hopf.verify_hopf_axioms(h).passed
+
+
+def test_q_s5_axioms_run_on_generators(monkeypatch):
+    h = group_algebra(symmetric_group_table(5))
+    calls = []
+    check = hopf.is_associative_at
+    monkeypatch.setattr(hopf, "is_associative_at", lambda *a: calls.append(a) or check(*a))
+    assert hopf.verify_hopf_axioms(h).passed
+    gens = hopf.generating_set(h)
+    assert 0 < len(gens) <= 4
+    assert 0 < len(calls) <= len(gens) * h.dim ** 2
+    assert {i for _, i, _, _ in calls} == set(gens)
+
+
 # --- the work each structure costs ------------------------------------------------
 
 
