@@ -314,7 +314,9 @@ def verify_module_vertex_algebra(act: HopfAction, order=None) -> CheckReport:
     most that of d^k u, so x's identity at (m, k, m2) is walked; when
     d^k m = 0, d^k(x1 m) = x1 d^k m = 0 by commutation, which applies as
     every d^j m, j < k, has degree <= D - max(w, 0).  Either way the sum is
-    sum (d^k((x y)1 u))((x y)2 v).
+    sum (d^k((x y)1 u))((x y)2 v).  For a homogeneous d with w >= 0 the
+    degree of d^k e1 grows with k, so the walk of e1 ends at its first order
+    past D.
     """
     h, a = act.hopf, act.backend
     cols = act._columns
@@ -335,6 +337,7 @@ def verify_module_vertex_algebra(act: HopfAction, order=None) -> CheckReport:
 
     powers = {}   # e1 -> [d^k e1]
     images = {}   # (p, e1) -> [d^k (b_p e1)]
+    grows = a.homogeneous and a.weight >= 0
 
     def identity_failures(indices):
         monos = act.monomials
@@ -349,6 +352,8 @@ def verify_module_vertex_algebra(act: HopfAction, order=None) -> CheckReport:
                         break
                     room = cap - max(map(sum, dku))
                     if room < 0:
+                        if grows:
+                            break
                         continue
                     left = [(q, c, chain(images, (p, e1), cols[p][e1], k))
                             for (p, q), c in coproduct]

@@ -29,7 +29,14 @@ Group-likes are computed for every H, as the characters of H*: G(H) =
 Alg(H*, F) = Alg(H*/I, F) for I the two-sided ideal of H* generated by its
 commutators.  The commutative algebra H*/I splits into primitive
 idempotents, and each 1-dimensional block gives one group-like.  When H is
-cocommutative, I = 0 and H* itself splits.
+cocommutative, I = 0 and H* itself splits.  Otherwise I grows in one sparse
+echelon form (`span_closure`) from the commutators [b_s, b_j], s in the
+`generating_set` S of H* (every index when none is certified), under the
+products with b_s on either side.  The closure J is I by two closure
+arguments in the associative H*: {x : x J in J} and {x : J x in J} contain 1
+and S and are closed under products, so J is an ideal; then
+{x : [x, y] in J for all y} is such a set too, as
+[x y, z] = x [y, z] + [x, z] y, so J holds every commutator.
 
 A rule that holds on a set of elements containing 1 and closed under
 products holds on all of H once it holds on generators.  `generating_set`
@@ -63,6 +70,7 @@ from .linalg import (
     _kernel_of_columns,
     is_associative_at,
     nonzero_pairs,
+    span_closure,
     split_commutative_algebra,
 )
 from .scalars import (
@@ -463,13 +471,23 @@ def group_likes(h: FinHopfAlgebra, conductor=1):
     G(H) = Alg(H*, F) = Alg(A, F) for A = H*/I, I the ideal of H* generated
     by its commutators (Montgomery, CBMS 82, ch. 1); I = 0 when H is
     cocommutative.  Each 1-dimensional block p of the commutative A gives a
-    character, a p = chi(a) p, and the group-like g_j = chi(b*_j + I).
+    character, a p = chi(a) p, and the group-like g_j = chi(b*_j + I).  I is
+    grown from generators of H*, as the module docstring says.
     """
     d = h.dim
-    dual = dual_hopf(h).mul_nonzero
-    commutators = [[x - y for x, y in zip(_dense(dual[i][j], d), _dense(dual[j][i], d))]
-                   for i in range(d) for j in range(i) if dual[i][j] != dual[j][i]]
-    pi = QuotientMap(_ideal_generated(dual, commutators))
+    dual_algebra = dual_hopf(h)
+    dual = dual_algebra.mul_nonzero
+    if is_cocommutative(h)[0]:
+        ideal = Subspace.zero(d)
+    else:
+        gens = generating_set(dual_algebra)
+        ideal = span_closure(
+            d, [_sum(itertools.chain(dual[s][j], ((k, -c) for k, c in dual[j][s])))
+                for s in gens for j in range(d)],
+            [f for s in gens for f in (
+                lambda v, s=s: _sum((k, a * c) for j, a in v.items() for k, c in dual[s][j]),
+                lambda v, s=s: _sum((k, a * c) for j, a in v.items() for k, c in dual[j][s]))])
+    pi = QuotientMap(ideal)
     quotient = pi.products(dual)
     dq = len(pi.complement)
     likes = []
@@ -654,24 +672,6 @@ class HopfQuotient:
 
     def project(self, vec):
         return self.pi.project(vec)
-
-
-def _ideal_generated(nonzero, generators):
-    """The two-sided ideal generated by `generators` in the algebra whose
-    b_i b_j has the nonzero pairs `nonzero[i][j]`: their span, closed under
-    left and right products with the basis."""
-    d = len(nonzero)
-    ideal = Subspace.zero(d)
-    pending = list(generators)
-    while pending:
-        v = pending.pop()
-        if ideal.contains(v):
-            continue
-        ideal = Subspace.from_vectors(d, [*ideal.basis, v])
-        for i in range(d):
-            b = _basis_vector(d, i)
-            pending += (_product(nonzero, b, v), _product(nonzero, v, b))
-    return ideal
 
 
 def quotient_hopf(h: FinHopfAlgebra, ideal: Subspace) -> HopfQuotient:

@@ -7,20 +7,21 @@ sparse matrix costs what it holds, not n^3.  The maps of Hopf actions and
 their isotypic projectors are not Matrices: they are {monomial: coefficient}
 columns (`action`), whose null spaces come here through `_kernel_of_columns`.
 
-Every exact row reduction goes through `_rref_rows`.  Rational input is
-reduced fraction-free (integer rows with gcd normalisation, which is the
-Bareiss-style growth control); rows of Python ints are taken as they are,
-and a row holding Fractions is cleared of denominators there, once, so
-callers that can build their rows over Z never create a Fraction before the
-result.  Cyclotomic entries switch to plain field elimination.  Subspace
-bases are kept in reduced row-echelon form so subspace equality is
-representation equality.  Every null space, in linalg, vertexalg, action and
-schurweyl, comes from `_kernel_of_columns`, per connected component of its
-columns.  There the rows of a rational component with at least as many
-rows as columns are first reduced modulo one fixed prime, which selects the
-rows that the exact reduction needs or certifies a zero kernel with no exact
-reduction at all; exact dot products confirm the selection, and the
-reduction of all rows is the fallback.
+Every exact row reduction runs on one sparse echelon form, rows
+{column: scalar} kept fully reduced as {pivot: row} (`_echelon_add`):
+`_rref_rows` reduces a list of rows on it, `span_closure` grows a span under
+linear maps on it.  A rational row is cleared of denominators once, on
+arrival, and reduced fraction-free into a primitive integer row with a
+positive pivot entry (gcd normalisation, the Bareiss-style growth control);
+a cyclotomic entry moves only the rows it meets to field elimination.
+Subspace bases are kept in reduced row-echelon form so subspace equality is
+representation equality.  Every null space, in linalg,
+vertexalg, action and schurweyl, comes from `_kernel_of_columns`, per
+connected component of its columns.  There the rows of a rational component
+with at least as many rows as columns are first reduced modulo one fixed
+prime, which selects the rows that the exact reduction needs or certifies a
+zero kernel with no exact reduction at all; exact dot products confirm the
+selection, and the reduction of all rows is the fallback.
 
 Also hosts the primitive-idempotent splitter for commutative associative
 algebras, which drives group-like enumeration in the Hopf layer.  It builds
@@ -56,11 +57,10 @@ from .scalars import (
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_INT = {int}
 
 
 # ---------------------------------------------------------------------------
-# row reduction engines
+# the sparse echelon form
 
 
 def _denominator_lcm(values):
@@ -78,108 +78,91 @@ def _cleared(row):
     return [c.numerator * (denom // c.denominator) for c in row]
 
 
-def _int_normalize(row):
-    g = 0
-    for c in row:
-        g = math.gcd(g, c)
-        if g == 1:
-            break
-    if g == 0:
-        return row
-    lead = next(c for c in row if c)
-    if lead < 0:
+def _canonical_row(row):
+    """(pivot, row) for a nonzero sparse row: its least column, and the row
+    scaled to the form the echelon keeps, 1 at the pivot while a cyclotomic
+    entry remains, else primitive ints with a positive entry there."""
+    p = min(row)
+    kinds = set(map(type, row.values()))
+    if Cyclotomic in kinds:
+        inv = _ONE / row[p]
+        row = {j: c * inv for j, c in row.items()}
+        kinds = set(map(type, row.values()))
+        if Cyclotomic in kinds:
+            return p, row
+    if kinds != {int}:
+        row = dict(zip(row, _cleared(row.values())))
+    g = math.gcd(*row.values())
+    if row[p] < 0:
         g = -g
-    return [c // g for c in row]
+    return p, row if g == 1 else {j: c // g for j, c in row.items()}
 
 
-def _rref_int(rows, ncols, stop_at_full_rank):
-    """Fraction-free reduction of integer rows.
+def _combine(a, x, b, y):
+    """a x - b y for sparse rows {key: scalar} with no zero entries, a and b
+    nonzero; the result has no zero entries either."""
+    out = {key: a * v for key, v in x.items()} if a != 1 else dict(x)
+    for key, v in y.items():
+        w = out.get(key, 0) - b * v
+        if w:
+            out[key] = w
+        else:
+            del out[key]
+    return out
 
-    Returns primitive integer rows with a positive entry at each pivot and
-    zeros at every other pivot column, sorted by pivot, and the pivots.
+
+def _eliminate(row, q, b):
+    """`row` with its entry at column q cleared by the echelon row b, whose
+    pivot is q: fraction-free (a row - c b, a and c ints) between integer
+    rows, by the field quotient row[q] / b[q] otherwise."""
+    c, lead = row[q], b[q]
+    if lead == 1:
+        return _combine(1, row, c, b)
+    if c.__class__ is int:  # lead is not 1, so b is an integer row
+        g = math.gcd(c, lead)
+        return _combine(lead // g, row, c // g, b)
+    return _combine(1, row, c / lead, b)
+
+
+def _echelon_add(echelon, row):
+    """Add the sparse row {column: scalar} to the fully reduced echelon form
+    {pivot: row}; returns the row added, or None when `row` lies in its span.
+
+    Every row of the form is zero at the other pivots, so the row (a
+    rational one cleared to ints first) is reduced by one pass over the
+    pivots it holds; what is left joins under its least column, which is
+    then cleared from the older rows.
     """
-    basis = []  # (pivot_col, integer row), kept sorted by pivot_col
-    for row in rows:
-        for p, b in basis:
-            rp = row[p]
-            if rp:
-                bp = b[p]
-                g = math.gcd(rp, bp)
-                mr, mb = bp // g, rp // g
-                if mr == 1:
-                    row = [x - mb * y for x, y in zip(row, b)]
-                else:
-                    row = [mr * x - mb * y for x, y in zip(row, b)]
-        pivot = next((j for j, c in enumerate(row) if c), None)
-        if pivot is None:
-            continue
-        row = _int_normalize(row)
-        basis.append((pivot, row))
-        basis.sort(key=lambda t: t[0])
-        if stop_at_full_rank and len(basis) == ncols:
-            # full column rank: the reduced form is the identity
-            return [[int(i == j) for j in range(ncols)] for i in range(ncols)], \
-                tuple(range(ncols))
-    # back-eliminate above each pivot
-    for i in range(len(basis) - 1, -1, -1):
-        p, b = basis[i]
-        bp = b[p]
-        for k in range(i):
-            q, b2 = basis[k]
-            if b2[p]:
-                g = math.gcd(b2[p], bp)
-                m2, mb = bp // g, b2[p] // g
-                basis[k] = (q, _int_normalize([m2 * x - mb * y for x, y in zip(b2, b)]))
-    return [b for _, b in basis], tuple(p for p, _ in basis)
-
-
-def _rref_generic(rows, ncols, stop_at_full_rank):
-    basis = []  # (pivot_col, row with leading 1)
-    for row in rows:
-        row = list(row)
-        for p, b in basis:
-            c = row[p]
-            if c != 0:
-                row = [x - c * y if y else x for x, y in zip(row, b)]
-        pivot = next((j for j, c in enumerate(row) if c != 0), None)
-        if pivot is None:
-            continue
-        inv = _ONE / row[pivot]
-        row = [x * inv if x else x for x in row]
-        basis.append((pivot, row))
-        basis.sort(key=lambda t: t[0])
-        if stop_at_full_rank and len(basis) == ncols:
-            break
-    for i in range(len(basis) - 1, -1, -1):
-        p, b = basis[i]
-        for k in range(i):
-            q, b2 = basis[k]
-            c = b2[p]
-            if c != 0:
-                basis[k] = (q, [x - c * y if y else x for x, y in zip(b2, b)])
-    return [tuple(b) for _, b in basis], tuple(p for p, _ in basis)
+    row = {j: c for j, c in row.items() if c}
+    if row and Cyclotomic not in set(map(type, row.values())):
+        row = _canonical_row(row)[1]
+    for q in [q for q in row if q in echelon]:
+        row = _eliminate(row, q, echelon[q])
+    if not row:
+        return None
+    p, row = _canonical_row(row)
+    for q, b in echelon.items():
+        if p in b:
+            echelon[q] = _canonical_row(_eliminate(b, p, row))[1]
+    echelon[p] = row
+    return row
 
 
 def _rref_rows(rows, ncols, stop_at_full_rank=False):
-    """Reduced row-echelon form of `rows`: (reduced rows, pivot columns).
-
-    Every exact row reduction enters here.  Rows of ints go to the
-    fraction-free reducer as they are; rows holding Fractions are scaled to
-    integers here, once each; a single cyclotomic entry sends the whole
-    matrix to field elimination.  Each reduced row is zero at the other
-    pivot columns and nonzero at its own: a positive int for rational input
-    (primitive integer rows), 1 for cyclotomic input.  `_leading_ones`
-    scales them to the textbook form.
+    """Reduced row-echelon form of the sparse rows {column: scalar} `rows`:
+    (reduced sparse rows, pivot columns), ascending by pivot, on the echelon
+    form of `_echelon_add`.  Each row is zero at the other pivot columns and,
+    at its own, a positive int in a primitive integer row or 1 in a row that
+    a cyclotomic entry reached; `_leading_ones` scales them to the textbook
+    form.
     """
-    kinds = set()
+    echelon = {}
     for row in rows:
-        kinds.update(map(type, row))
-    if Cyclotomic in kinds:
-        scalars = [[as_scalar(c) for c in r] for r in rows]
-        return _rref_generic(scalars, ncols, stop_at_full_rank)
-    # cleared lazily: a reduction that reaches full rank early skips the rest
-    int_rows = rows if kinds <= _INT else (_cleared(row) for row in rows)
-    return _rref_int(int_rows, ncols, stop_at_full_rank)
+        _echelon_add(echelon, row)
+        if stop_at_full_rank and len(echelon) == ncols:
+            break
+    pivots = tuple(sorted(echelon))
+    return [echelon[p] for p in pivots], pivots
 
 
 def _over(c, lead):
@@ -188,39 +171,60 @@ def _over(c, lead):
     return as_scalar(c) if lead == 1 else Fraction(c, lead)
 
 
-def _leading_ones(red, pivots):
-    """The rows of `_rref_rows` scaled to a 1 at each pivot, as exact scalars."""
-    return [tuple(_over(c, b[p]) for c in b) for p, b in zip(pivots, red)]
+def _leading_ones(red, pivots, ncols):
+    """The rows of `_rref_rows` scaled to a 1 at each pivot, as a tuple of
+    tuples of `ncols` exact scalars."""
+    out = []
+    for p, b in zip(pivots, red):
+        v = [_ZERO] * ncols
+        for j, c in b.items():
+            v[j] = _over(c, b[p])
+        out.append(tuple(v))
+    return tuple(out)
+
+
+def span_closure(ambient, seeds, maps):
+    """The smallest subspace of F^ambient that holds the sparse rows `seeds`
+    and is mapped into itself by each linear map of `maps`, as a Subspace.
+
+    A map takes a sparse row {column: scalar} to its image as one.  The span
+    grows as one echelon form (`_echelon_add`), and the images of each row
+    it adds are queued: those rows span the result, so by linearity their
+    images span its image, and each map runs once per dimension.
+    """
+    echelon = {}
+    pending = list(seeds)
+    while pending:
+        row = _echelon_add(echelon, pending.pop())
+        if row is not None:
+            pending += (f(row) for f in maps)
+    pivots = tuple(sorted(echelon))
+    return Subspace(ambient, _leading_ones([echelon[p] for p in pivots], pivots, ambient), pivots)
 
 
 def _kernel_rref(rows, ncols):
-    """The null space {v : row . v = 0 for all rows} as (RREF basis, pivots).
+    """The null space {v : row . v = 0 for all sparse rows} as (RREF basis,
+    pivots).
 
-    The rows are reversed in place, so callers pass lists of their own, and
-    reduced once.  The free-variable null-space basis of the reversed matrix,
-    read back in the original column order, is already the reduced echelon
-    basis: the vector of free column f has its 1 at f and its other entries
-    at pivot columns right of f, where all the other vectors vanish.
+    The rows are reduced once with their columns reversed.  The free-variable
+    null-space basis of the reversed matrix, read back in the original
+    column order, is already the reduced echelon basis: the vector of free
+    column f has its 1 at f and its other entries at pivot columns right of
+    f, where all the other vectors vanish.
     """
-    for row in rows:
-        row.reverse()
-    red, pivots = _rref_rows(rows, ncols, stop_at_full_rank=True)
     last = ncols - 1
+    red, pivots = _rref_rows([{last - j: c for j, c in row.items()} for row in rows], ncols,
+                             stop_at_full_rank=True)
     pivot_set = set(pivots)
-    basis = []
-    free = []
-    for fr in range(last, -1, -1):
-        if fr in pivot_set:
-            continue
-        v = [_ZERO] * ncols
-        v[last - fr] = _ONE
-        for p, b in zip(pivots, red):
-            c = b[fr]
-            if c:
-                v[last - p] = _over(-c, b[p])
-        basis.append(tuple(v))
-        free.append(last - fr)
-    return tuple(basis), tuple(free)
+    vectors = {last - j: [_ZERO] * ncols for j in range(ncols) if j not in pivot_set}
+    for f, v in vectors.items():
+        v[f] = _ONE
+    for p, b in zip(pivots, red):
+        for j, c in b.items():
+            if j != p:
+                vectors[last - j][last - p] = _over(-c, b[p])
+    free = sorted(vectors)
+    return tuple(tuple(vectors[f]) for f in free), tuple(free)
 
 
 # the largest prime below 2^30; the rows independent modulo it are the rows
@@ -274,30 +278,23 @@ def _independent_mod_p(rows, ncols):
     return chosen
 
 
-def _dense(row, ncols):
-    out = [0] * ncols
-    for j, c in row.items():
-        out[j] = c
-    return out
-
-
 def _component_kernel(rows, ncols, kinds):
     """(RREF basis, pivots) of the null space of one component's sparse rows
     {column: scalar}, whose entries have the types `kinds`; see
     `_kernel_of_columns` for the modular row selection and its soundness."""
     if Cyclotomic not in kinds and len(rows) >= ncols:
-        if not kinds <= _INT:
+        if not kinds <= {int}:
             rows = [dict(zip(row, _cleared(row.values()))) for row in rows]
         chosen = _independent_mod_p(rows, ncols)
         if len(chosen) == ncols:
             return (), ()
-        basis, pivots = _kernel_rref([_dense(rows[i], ncols) for i in chosen], ncols)
+        basis, pivots = _kernel_rref([rows[i] for i in chosen], ncols)
         vectors = [_integral(v)[1] for v in basis]
         kept = set(chosen)
         if not any(sum(c * w[j] for j, c in row.items())
                    for i, row in enumerate(rows) if i not in kept for w in vectors):
             return basis, pivots
-    return _kernel_rref([_dense(row, ncols) for row in rows], ncols)
+    return _kernel_rref(rows, ncols)
 
 
 def _kernel_of_columns(columns, ncols):
@@ -562,12 +559,13 @@ class Matrix:
         return list(self.entries)
 
     def rref(self):
-        red, pivots = _rref_rows(self.row_lists(), self.cols)
-        rows = _leading_ones(red, pivots)
+        red, pivots = _rref_rows(list(map(dict, self.nonzero_rows())), self.cols)
+        rows = _leading_ones(red, pivots, self.cols)
         return Matrix.from_rows(rows or [[_ZERO] * self.cols]), pivots
 
     def rank(self):
-        _, pivots = _rref_rows(self.row_lists(), self.cols, stop_at_full_rank=True)
+        _, pivots = _rref_rows(list(map(dict, self.nonzero_rows())), self.cols,
+                               stop_at_full_rank=True)
         return len(pivots)
 
     def kernel(self):
@@ -626,13 +624,16 @@ def linear_combination(coeffs, rows):
 def solve(a: Matrix, b):
     """One solution x of A x = b, or None if the system is inconsistent."""
     require(len(b) == a.rows, "right-hand side length does not match the matrix")
-    aug = [list(a.row(i)) + [as_scalar(b[i])] for i in range(a.rows)]
+    aug = list(map(dict, a.nonzero_rows()))
+    for row, c in zip(aug, b):
+        row[a.cols] = as_scalar(c)
     red, pivots = _rref_rows(aug, a.cols + 1)
     if a.cols in pivots:
         return None
     x = [_ZERO] * a.cols
-    for p, b in zip(pivots, red):
-        x[p] = _over(b[a.cols], b[p])
+    for p, row in zip(pivots, red):
+        if a.cols in row:
+            x[p] = _over(row[a.cols], row[p])
     return x
 
 
@@ -652,10 +653,10 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient, vectors):
-        rows = [[as_scalar(c) for c in v] for v in vectors]
+        rows = [dict(enumerate(map(as_scalar, v))) for v in vectors]
         require(all(len(r) == ambient for r in rows), "vector length does not match the space")
         red, pivots = _rref_rows(rows, ambient)
-        return cls(ambient, tuple(_leading_ones(red, pivots)), pivots)
+        return cls(ambient, _leading_ones(red, pivots, ambient), pivots)
 
     @classmethod
     def zero(cls, ambient):
@@ -663,7 +664,8 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient):
-        return cls.from_vectors(ambient, Matrix.identity(ambient).row_lists())
+        return cls(ambient, tuple(tuple(_ONE if j == i else _ZERO for j in range(ambient))
+                                  for i in range(ambient)), tuple(range(ambient)))
 
     @property
     def dim(self):
@@ -737,19 +739,6 @@ def _integral(vec):
     if content != 1:
         ints = [c // content for c in ints]
     return Fraction(content, denom), ints
-
-
-def _combine(a, x, b, y):
-    """a x - b y for sparse rows {key: int} with no zero entries, a and b
-    nonzero; the result has no zero entries either."""
-    out = {key: a * v for key, v in x.items()} if a != 1 else dict(x)
-    for key, v in y.items():
-        w = out.get(key, 0) - b * v
-        if w:
-            out[key] = w
-        else:
-            del out[key]
-    return out
 
 
 def _reduce_krylov(row, combo, reduced):
@@ -1043,7 +1032,7 @@ def split_commutative_algebra(nonzero, dim, conductor=1):
     qdim, phi = alg.qdim, alg.phi
     unit = alg.f_to_q(unit_f)
     blocks = [unit]
-    std = Matrix.identity(qdim).row_lists()
+    std = [[_ONE if j == i else _ZERO for j in range(qdim)] for i in range(qdim)]
 
     def try_split(e, g):
         mu, powers = _minimal_polynomial(alg, e, g)

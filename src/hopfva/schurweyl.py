@@ -27,7 +27,7 @@ from fractions import Fraction
 from .action import _sum_columns, invariants
 from .errors import CheckReport, MatricesRequired, require
 from .hopf import _validate_group_table, recognize_group_algebra
-from .linalg import Subspace, _kernel_of_columns
+from .linalg import Subspace, _kernel_of_columns, span_closure
 from .scalars import as_scalar, demoted, scalar_conjugate
 from .vertexalg import Poly, _mul, poly_to_text
 
@@ -449,7 +449,9 @@ def cyclic_reachability(rep: FinGroupRep, table: CharacterTable, name,
 
     Modes are truncated multiplications by d^k v / k! for v in V^G and
     k <= mode_order; filling the whole isotype is desk-scale evidence of
-    irreducibility of the multiplicity space over the invariants.
+    irreducibility of the multiplicity space over the invariants.  The
+    subspace grows in one sparse echelon form (`span_closure`), from the
+    seed under every mode.
     """
     backend = rep.backend
     decomp = decompose(table, rep)
@@ -461,18 +463,14 @@ def cyclic_reachability(rep: FinGroupRep, table: CharacterTable, name,
         raise ValueError("seed does not lie in the requested isotype")
 
     monos = rep.action.monomials
-    ops = [op for _, op in _invariant_modes(rep, mode_order)]
+    position = {e: i for i, e in enumerate(monos)}
 
-    current = Subspace.from_vectors(len(seed_coords), [seed_coords])
-    while True:
-        vecs = list(current.basis)
-        for op in ops:
-            for b in current.basis:
-                vecs.append(_apply(op, monos, b))
-        bigger = Subspace.from_vectors(len(seed_coords), vecs)
-        if bigger.dim == current.dim:
-            break
-        current = bigger
+    def mode(op):
+        return lambda v: {position[t]: c for t, c in
+                          _sum_columns((a, op[monos[i]]) for i, a in v.items()).items()}
+
+    current = span_closure(len(seed_coords), [dict(enumerate(seed_coords))],
+                           [mode(op) for _, op in _invariant_modes(rep, mode_order)])
     require(isotype.contains_subspace(current), "modes must keep the isotype stable")
     return ReachResult(reachable=current, isotype=isotype,
                        fills_isotype=current == isotype)

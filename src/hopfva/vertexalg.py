@@ -56,7 +56,6 @@ from operator import add as _add
 
 from .errors import CheckReport, MalformedPairs, TruncationOverflow
 from .linalg import (
-    Matrix,
     Subspace,
     _cleared,
     _first_dependence,
@@ -819,7 +818,10 @@ def vandermonde_monomial_decision(m, pairs):
 
     `pairs` are (n_i, m_i) with equal totals and strictly decreasing n_i;
     the s x s matrix with rows ([n_i, k]) for k < s has nonzero determinant
-    exactly when no nonzero weight combination lies in Ker(pi_2).
+    exactly when no nonzero weight combination lies in Ker(pi_2).  Row k,
+    [n, k] = prod_{t<k} (n + t(m - 1)), is a monic polynomial of degree k in
+    n, so the matrix is a unit lower-triangular matrix times the Vandermonde
+    matrix of the n_i, and its determinant is +-prod_{i<j} (n_i - n_j).
     """
     if m < 0 or not isinstance(m, int):
         raise MalformedPairs("m must be a nonnegative integer")
@@ -833,7 +835,5 @@ def vandermonde_monomial_decision(m, pairs):
         raise MalformedPairs("pairs must share a common total degree")
     if any(ns[i] <= ns[i + 1] for i in range(len(ns) - 1)):
         raise MalformedPairs("n_i must be strictly decreasing")
-    s = len(pairs)
-    rows = [[Fraction(falling_bracket(n, k, m)) for n in ns] for k in range(s)]
-    det = Matrix.from_rows(rows).det()
+    det = math.prod(a - b for i, a in enumerate(ns) for b in ns[i + 1:])
     return "independent" if det != 0 else "dependent"

@@ -18,6 +18,9 @@ walks are recorded, so that the route each check takes is checked too: the
 generators for checked, degree-keeping actions, every basis element for an
 unchecked action, one that raises degree, and, for the vertex identity, a
 derivation that is not homogeneous or does not commute with the action.
+A homogeneous derivation of weight 1 ends each walk of the identity at the
+cap: the report and the derived chains at the default order are those at
+order D.
 """
 
 import functools
@@ -487,6 +490,46 @@ def permutation_action(n, cap):
     images = {name: {xs[i]: Poly.variable(n, p[i]) for i in range(n)}
               for name, p in zip(h.names, sorted(itertools.permutations(range(n))))}
     return HopfAction.from_generator_images(h, backend, images)
+
+
+def squares_action(cap):
+    """S3 permuting the variables of (Q[x1, x2, x3], d x_i = x_i^2), whose
+    derivation is homogeneous of weight 1."""
+    h = group_algebra(symmetric_group_table(3))
+    xs = ["x1", "x2", "x3"]
+    backend = CommDiffVA(xs, {x: Poly.monomial(tuple(2 * (j == i) for j in range(3)))
+                              for i, x in enumerate(xs)}, cap)
+    images = {name: {xs[i]: Poly.variable(3, p[i]) for i in range(3)}
+              for name, p in zip(h.names, sorted(itertools.permutations(range(3))))}
+    return HopfAction.from_generator_images(h, backend, images)
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["passing", "negated"])
+def test_a_weight_one_identity_walk_ends_at_the_cap(monkeypatch, broken):
+    # d^k e1 has degree deg e1 + k, so no order past D = 3 is walked: the
+    # report at the default order (the 20 monomials) is the report at order
+    # D, witnesses included, and both derive the same chains
+    act = squares_action(3)
+    if broken:  # negate the image of one transposition, built unchecked
+        columns = list(act._columns)
+        columns[1] = {e: {m: -c for m, c in col.items()} for e, col in columns[1].items()}
+        act = HopfAction(act.hopf, act.backend, columns, check=False)
+    derived = []
+    derive = CommDiffVA.derive_terms
+
+    def counting(self, terms):
+        derived.append(terms)
+        return derive(self, terms)
+
+    monkeypatch.setattr(CommDiffVA, "derive_terms", counting)
+    runs = []
+    for order in (None, 3):
+        derived.clear()
+        runs.append((list(verify_module_vertex_algebra(act, order).items()), len(derived)))
+    assert runs[0] == runs[1]
+    assert runs[0][0][-1][1][0] is not broken
+    if broken:
+        assert runs[0][0] == list(oracle_module_vertex_algebra(act, 3).items())
 
 
 def test_s5_permutations_form_a_module_vertex_algebra_at_cap_2():

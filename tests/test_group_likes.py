@@ -9,6 +9,10 @@ a character (multiplicative on the group table), and the count against
 Property oracle: a seeded random change of basis P in GL_d(Q) carries every
 structure map along, so the Hopf axioms must still hold, cocommutativity
 must agree, and the group-likes must come out as P G(H).
+
+The commutator ideal of H* grows from the generating set of H*; it must be
+the ideal grown from every index and the naive closure of
+`test_ideal_oracle`, and a cocommutative H must build neither.
 """
 
 import random
@@ -16,10 +20,12 @@ from fractions import Fraction
 
 import pytest
 
+from hopfva import hopf
 from hopfva.errors import SplitFailure
 from hopfva.hopf import (
     FinHopfAlgebra,
     dual_hopf,
+    generating_set,
     group_algebra,
     group_likes,
     is_cocommutative,
@@ -27,7 +33,8 @@ from hopfva.hopf import (
     symmetric_group_table,
     verify_hopf_axioms,
 )
-from hopfva.linalg import Matrix, solve
+from hopfva.linalg import Matrix, solve, span_closure
+from test_ideal_oracle import ideal_generated
 
 
 def _generated_table(generators, compose):
@@ -171,3 +178,57 @@ def test_group_likes_follow_a_change_of_basis(name, seed):
     likes = group_likes(moved)
     assert set(likes) == {tuple(p.apply(list(g))) for g in group_likes(h)}
     assert len(likes) == 2 and likes[0] == tuple(moved.unit)
+
+
+# --- the commutator ideal from a generating set --------------------------------
+
+
+def _naive_commutator_ideal(dual):
+    """The ideal of `dual` generated by all its commutators, closed under the
+    products with every basis element and rebuilt once per vector."""
+    basis = [dual.basis_vector(i) for i in range(dual.dim)]
+    return ideal_generated(dual, [[x - y for x, y in zip(dual.multiply(a, b), dual.multiply(b, a))]
+                                  for a in basis for b in basis])
+
+
+CLOSURES = {
+    "dual-s3": (lambda: dual_hopf(group_algebra(symmetric_group_table(3))), True),
+    "dual-s4": (lambda: dual_hopf(group_algebra(symmetric_group_table(4))), True),
+    "dual-d4": (lambda: dual_hopf(group_algebra(GROUPS["d4"][0])), True),
+    "sweedler-dual": (lambda: dual_hopf(sweedler()), True),
+    # the dual of Sweedler's algebra has the unit b*_1 + b*_g, off its basis
+    "sweedler": (sweedler, False),
+    "rebased-dual-s3": (lambda: _rebased(ORACLE["dual-s3"](),
+                                         _invertible(6, random.Random(4))), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURES))
+def test_the_commutator_ideal_from_generators_is_the_one_from_every_index(monkeypatch, name):
+    make, certified = CLOSURES[name]
+    h = make()
+    dual = dual_hopf(h)
+    assert (len(generating_set(dual)) < h.dim) is certified
+    ideals = []
+
+    def recording(ambient, seeds, maps):
+        ideals.append(span_closure(ambient, seeds, maps))
+        return ideals[-1]
+
+    monkeypatch.setattr(hopf, "span_closure", recording)
+    likes = group_likes(h)
+    monkeypatch.setattr(hopf, "generating_set", lambda a: tuple(range(a.dim)))
+    assert group_likes(h) == likes
+    assert ideals[0] == ideals[1] == _naive_commutator_ideal(dual)
+    assert ideals[0].pivots == ideals[1].pivots
+
+
+def test_a_cocommutative_algebra_certifies_no_generators_for_its_dual(monkeypatch):
+    # H* is commutative, so it has no commutator and group_likes splits it
+    # without building the ideal or asking for a generating set of H*
+    called = []
+    monkeypatch.setattr(hopf, "generating_set", lambda a: called.append(a))
+    monkeypatch.setattr(hopf, "span_closure", lambda *args: called.append(args))
+    h = group_algebra(symmetric_group_table(3))
+    assert len(group_likes(h)) == 6
+    assert called == []

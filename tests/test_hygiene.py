@@ -9,7 +9,7 @@ the package, so a deleted code path cannot leave its error behind.
 Every function the benchmark's tracer wraps by name must still exist (read
 from `bench/spans.py` without installing it, and again through its tracer),
 and every null space must enter the one traced kernel routine.  Only
-`linalg`, `vertexalg` and the package namespace may name the dense `Matrix`.
+`linalg` and the package namespace may name the dense `Matrix`.
 """
 
 import ast
@@ -112,9 +112,8 @@ def test_no_assert_statements():
 
 
 # the modules that may name the dense Matrix: linalg defines it (for `solve`,
-# `Subspace` and the Matrix methods), vertexalg takes a determinant with it,
-# and the package namespace re-exports it
-MATRIX_MODULES = {"linalg", "vertexalg", "__init__"}
+# `Subspace` and the Matrix methods), and the package namespace re-exports it
+MATRIX_MODULES = {"linalg", "__init__"}
 
 
 def matrix_importers(package=PACKAGE):

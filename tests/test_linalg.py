@@ -18,8 +18,9 @@ from hopfva.linalg import (
     _rref_rows,
     linear_combination,
     solve,
+    span_closure,
 )
-from hopfva.scalars import scalar_to_text, zeta
+from hopfva.scalars import Cyclotomic, as_scalar, scalar_to_text, zeta
 from hopfva.vertexalg import CommDiffVA, Poly, pi2_kernel, single_variable_backend, z2_kernel
 
 F = Fraction
@@ -248,10 +249,15 @@ def test_split_rejects_bad_tensors():
 # --- one entry point for row reduction -------------------------------------------
 
 
+def _sparse(rows):
+    """Dense rows as the sparse rows {column: entry} that the reducer takes."""
+    return [{j: c for j, c in enumerate(row) if c} for row in rows]
+
+
 def _naive_kernel(rows, ncols):
     """Free-variable null-space basis from a forward RREF, then re-reduced."""
-    red, pivots = _rref_rows(rows, ncols)
-    red = _leading_ones(red, pivots)
+    red, pivots = _rref_rows(_sparse(rows), ncols)
+    red = _leading_ones(red, pivots, ncols)
     vecs = []
     for f in (j for j in range(ncols) if j not in pivots):
         v = [F(0)] * ncols
@@ -268,7 +274,7 @@ def test_kernel_rref_matches_naive_kernel():
         m, n = rng.randint(0, 5), rng.randint(1, 7)
         rows = [[F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.6 else F(0)
                  for _ in range(n)] for _ in range(m)]
-        basis, pivots = _kernel_rref([list(r) for r in rows], n)
+        basis, pivots = _kernel_rref(_sparse(rows), n)
         expected = _naive_kernel(rows, n)
         assert basis == expected.basis and pivots == expected.pivots
         if rows:
@@ -301,8 +307,9 @@ def test_kernel_of_columns_returns_rref_over_components():
 
 
 def _gauss_jordan(rows, ncols):
-    """Textbook Fraction Gauss-Jordan: (reduced rows with leading 1s, pivots)."""
-    rows = [[F(c) for c in row] for row in rows]
+    """Textbook Gauss-Jordan over the exact scalars: (reduced rows with
+    leading 1s, pivots)."""
+    rows = [[as_scalar(c) for c in row] for row in rows]
     pivots = []
     r = 0
     for c in range(ncols):
@@ -339,7 +346,7 @@ def _oracle_kernel(columns, ncols):
 def _kernel_rref_of_all_rows(columns, ncols):
     """The exact reduction of every row at once, with no row selection."""
     keys = sorted({k for col in columns for k in col})
-    return _kernel_rref([[col.get(k, 0) for col in columns] for k in keys], ncols)
+    return _kernel_rref(_sparse([[col.get(k, 0) for col in columns] for k in keys]), ncols)
 
 
 @pytest.mark.parametrize("columns, ncols, kernel_dim", [
@@ -446,29 +453,105 @@ def test_rref_rows_takes_ints_fractions_and_mixed_rows_alike():
         ints = [[rng.randint(-4, 4) for _ in range(5)] for _ in range(4)]
         scaled = [[F(c, k + 2) for c in row] for k, row in enumerate(ints)]
         mixed = [row if k % 2 else scaled[k] for k, row in enumerate(ints)]
-        expected = _rref_rows(ints, 5)
-        assert _rref_rows(scaled, 5) == expected
-        assert _rref_rows(mixed, 5) == expected
+        expected = _rref_rows(_sparse(ints), 5)
+        assert _rref_rows(_sparse(scaled), 5) == expected
+        assert _rref_rows(_sparse(mixed), 5) == expected
         red, pivots = expected
         for p, row in zip(pivots, red):
             # primitive integer rows with a positive pivot entry
-            assert all(type(c) is int for c in row) and row[p] > 0
-            assert math.gcd(*row) == 1
-        for p, row in zip(pivots, _leading_ones(red, pivots)):
+            assert all(type(c) is int for c in row.values()) and row[p] > 0
+            assert math.gcd(*row.values()) == 1
+        for p, row in zip(pivots, _leading_ones(red, pivots, 5)):
             assert all(type(c) is Fraction for c in row) and row[p] == 1
         assert Matrix.from_rows(ints).rref()[0] == Matrix.from_rows(
-            _leading_ones(red, pivots) or [[F(0)] * 5])
+            _leading_ones(red, pivots, 5) or [[F(0)] * 5])
 
 
 def test_rref_rows_field_path_accepts_int_entries():
     z = zeta(3)
-    red, pivots = _rref_rows([[2, z, 0], [1, 1, 3]], 3)
+    red, pivots = _rref_rows(_sparse([[2, z, 0], [1, 1, 3]]), 3)
     assert pivots == (0, 1)
-    assert all(not isinstance(c, int) for row in red for c in row)
+    assert all(not isinstance(c, int) for row in red for c in row.values())
     back = Matrix.from_rows([[F(2), z, F(0)], [F(1), F(1), F(3)]])
     assert back.kernel().dim == 1
     for v in back.kernel().basis:
         assert all(c == 0 for c in back.apply(list(v)))
+
+
+def test_rref_rows_matches_gauss_jordan_when_a_cyclotomic_arrives_midway():
+    # ints and Fractions on columns 0-3 and 4-6; from the middle row on, a
+    # zeta_3 entry may appear on columns 4-6 and a rare row joins the blocks
+    rng = random.Random(21)
+    z = zeta(3)
+    draw = [lambda: rng.randint(-3, 3), lambda: F(rng.randint(-4, 4), rng.randint(1, 5))]
+    for _ in range(200):
+        nrows, ncols = rng.randint(1, 9), 7
+        rows = []
+        for k in range(nrows):
+            block = range(4) if rng.random() < 0.5 else range(4, 7)
+            if rng.random() < 0.15:
+                block = range(7)
+            row = [0] * ncols
+            for j in block:
+                if rng.random() < 0.7:
+                    row[j] = rng.choice(draw)()
+            if k >= nrows // 2 and block != range(4) and rng.random() < 0.5:
+                row[rng.choice([j for j in block if j >= 4])] = rng.choice([z, -z, z * z + 2])
+            rows.append(row)
+        red, pivots = _rref_rows(_sparse(rows), ncols)
+        assert (_leading_ones(red, pivots, ncols), pivots) == _gauss_jordan(rows, ncols)
+        for p, row in zip(pivots, red):
+            if any(isinstance(c, Cyclotomic) for c in row.values()):
+                assert row[p] == 1 and not any(type(c) is int for c in row.values())
+            else:
+                # a row no cyclotomic entry reached stays a primitive integer row
+                assert all(type(c) is int for c in row.values()) and row[p] > 0
+                assert math.gcd(*row.values()) == 1
+
+
+def _naive_closure(ambient, seeds, maps):
+    """The span of `seeds` closed under `maps`, rebuilt from every vector
+    with `Subspace.from_vectors` until its dimension stops growing."""
+    dense = [[row.get(j, 0) for j in range(ambient)] for row in seeds]
+    current = Subspace.from_vectors(ambient, dense)
+    while True:
+        images = [f(row) for f in maps for row in _sparse(current.basis)]
+        bigger = Subspace.from_vectors(
+            ambient, list(current.basis) + [[v.get(j, 0) for j in range(ambient)] for v in images])
+        if bigger.dim == current.dim:
+            return current
+        current = bigger
+
+
+def _sparse_map(columns):
+    """The linear map whose column j is the sparse row `columns[j]`."""
+    def apply(v):
+        out = {}
+        for j, a in v.items():
+            for i, c in columns[j].items():
+                out[i] = out.get(i, 0) + a * c
+        return {i: c for i, c in out.items() if c}
+    return apply
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "cyclotomic"])
+def test_span_closure_matches_the_naive_closure(kind):
+    rng = random.Random(f"closure-{kind}")
+    z = zeta(4)
+    pool = {"int": [0, 0, 1, -1, 2], "fraction": [0, 0, 1, F(-1, 2), F(2, 3)],
+            "cyclotomic": [0, 0, 1, -1, z, F(1, 2) * z - 1]}[kind]
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        maps = [_sparse_map([{i: c for i in range(n) if (c := rng.choice(pool)) and
+                              rng.random() < 0.3} for _ in range(n)])
+                for _ in range(rng.randint(0, 3))]
+        seeds = [{j: c for j in range(n) if (c := rng.choice(pool))}
+                 for _ in range(rng.randint(0, 2))]
+        closed = span_closure(n, seeds, maps)
+        expected = _naive_closure(n, seeds, maps)
+        assert closed == expected and closed.pivots == expected.pivots
+        assert all(type(c) is Fraction or isinstance(c, Cyclotomic)
+                   for v in closed.basis for c in v)
 
 
 def test_from_columns_and_linear_combination():

@@ -374,6 +374,20 @@ def test_vandermonde_m0_is_pure_vandermonde():
     assert abs(_laplace_det_int(rows)) == 3 - 2  # up to the Vandermonde sign
 
 
+def test_vandermonde_verdict_matches_the_dense_determinant():
+    # the verdict reads the closed form +-prod_{i<j} (n_i - n_j); the dense
+    # determinant of the matrix ([n_i, k]) is the oracle
+    rng = random.Random(20)
+    for _ in range(300):
+        m, s = rng.randint(0, 6), rng.randint(1, 6)
+        total = rng.randint(s - 1, 12)
+        ns = sorted(rng.sample(range(total + 1), s), reverse=True)
+        det = Matrix.from_rows([[falling_bracket(n, k, m) for n in ns] for k in range(s)]).det()
+        assert abs(det) == abs(math.prod(a - b for i, a in enumerate(ns) for b in ns[i + 1:]))
+        verdict = vandermonde_monomial_decision(m, [(n, total - n) for n in ns])
+        assert verdict == ("independent" if det != 0 else "dependent")
+
+
 def test_vandermonde_malformed():
     with pytest.raises(MalformedPairs):
         vandermonde_monomial_decision(1, [])
