@@ -32,11 +32,13 @@ idempotents, and each 1-dimensional block gives one group-like.  When H is
 cocommutative, I = 0 and H* itself splits.  Otherwise I grows in one sparse
 echelon form (`span_closure`) from the commutators [b_s, b_j], s in the
 `generating_set` S of H* (every index when none is certified), under the
-products with b_s on either side.  The closure J is I by two closure
-arguments in the associative H*: {x : x J in J} and {x : J x in J} contain 1
-and S and are closed under products, so J is an ideal; then
-{x : [x, y] in J for all y} is such a set too, as
-[x y, z] = x [y, z] + [x, z] y, so J holds every commutator.
+products with b_s on the left only.  The closure J is I by three closure
+arguments in the associative H*.  {x : x J in J} contains 1 and S and is
+closed under products, so J is the left ideal generated by the [s, y].  It
+is two-sided: [s, y] z = [s, y z] - y [s, z] lies in J for every z.  Then
+{x : [x, y] in J for all y} contains 1 and S and is closed under products,
+as [x y, z] = x [y, z] + [x, z] y, so every element is central modulo J and
+J holds every commutator.
 
 A rule that holds on a set of elements containing 1 and closed under
 products holds on all of H once it holds on generators.  `generating_set`
@@ -217,13 +219,12 @@ def _product(nonzero, u, v):
     """u v, for b_i b_j given by its nonzero (index, value) pairs `nonzero[i][j]`."""
     out = [_ZERO] * len(nonzero)
     nv = nonzero_pairs(v)
-    for i, a in enumerate(u):
-        if a:
-            row = nonzero[i]
-            for j, b in nv:
-                ab = a * b
-                for k, c in row[j]:
-                    out[k] += ab * c
+    for i, a in nonzero_pairs(u):
+        row = nonzero[i]
+        for j, b in nv:
+            ab = a * b
+            for k, c in row[j]:
+                out[k] += ab * c
     return out
 
 
@@ -473,6 +474,20 @@ def group_likes(h: FinHopfAlgebra, conductor=1):
     cocommutative.  Each 1-dimensional block p of the commutative A gives a
     character, a p = chi(a) p, and the group-like g_j = chi(b*_j + I).  I is
     grown from generators of H*, as the module docstring says.
+
+    H must be Hopf: A is associative because H is coassociative, so the
+    split is handed A's unit, the image of eps, and skips its own d^3
+    associativity scan and unit solve.  Every CLI path guarantees this: the
+    builders make Hopf algebras, `tensors` entries are checked against the
+    axioms at load, and an entry loaded unchecked reaches only `verify-hopf`
+    and `cocommutative`.
+
+    chi is read at one coordinate: with ref the first nonzero coordinate of
+    p, chi(b_a) = [b_a p]_ref / p_ref = sum_j p_j [b_a b_j]_ref / p_ref, from
+    the table `into[j][k]` of the (a, [b_a b_j]_k) built once.  That each
+    block is 1-dimensional is certified by the split's exact trace check,
+    and that chi is a unital algebra map by the group-like check below:
+    Delta(g) = g (x) g and eps(g) = 1 hold exactly when it is one.
     """
     d = h.dim
     dual_algebra = dual_hopf(h)
@@ -484,23 +499,26 @@ def group_likes(h: FinHopfAlgebra, conductor=1):
         ideal = span_closure(
             d, [_sum(itertools.chain(dual[s][j], ((k, -c) for k, c in dual[j][s])))
                 for s in gens for j in range(d)],
-            [f for s in gens for f in (
-                lambda v, s=s: _sum((k, a * c) for j, a in v.items() for k, c in dual[s][j]),
-                lambda v, s=s: _sum((k, a * c) for j, a in v.items() for k, c in dual[j][s]))])
+            [lambda v, s=s: _sum((k, a * c) for j, a in v.items() for k, c in dual[s][j])
+             for s in gens])
     pi = QuotientMap(ideal)
     quotient = pi.products(dual)
     dq = len(pi.complement)
+    into = [{} for _ in range(dq)]
+    for a, row in enumerate(quotient):
+        for j, pairs in enumerate(row):
+            for k, c in pairs:
+                into[j].setdefault(k, []).append((a, c))
     likes = []
-    for p in split_commutative_algebra(quotient, dq, conductor=conductor):
+    for p in split_commutative_algebra(quotient, dq, conductor=conductor,
+                                       unit=pi.project(dual_algebra.unit)):
         ref = next(l for l, c in enumerate(p) if c != 0)
+        at_ref = [_ZERO] * dq  # [b_a p]_ref
+        for j, pj in nonzero_pairs(p):
+            for a, c in into[j].get(ref, ()):
+                at_ref[a] += pj * c
         inv = 1 / p[ref]
-        chi = []
-        for a in range(dq):
-            y = _product(quotient, _basis_vector(dq, a), p)  # chi(b_a) p
-            c = y[ref] * inv
-            require(all(yc == c * pc if pc else not yc for yc, pc in zip(y, p)),
-                    "idempotent block is not 1-dimensional")
-            chi.append(c)
+        chi = [y * inv for y in at_ref]
         g = [sum((chi[a] * c for a, c in image), _ZERO) for image in pi.images]
         ng = nonzero_pairs(g)
         require(_sum(h.comul_terms(g)) == {i * d + j: a * b for i, a in ng for j, b in ng}
@@ -529,26 +547,30 @@ def recognize_group_algebra(h: FinHopfAlgebra, conductor=1) -> GroupRecognition:
     if len(likes) != h.dim:
         raise NotGroupAlgebra(
             f"only {len(likes)} group-like elements in dimension {h.dim}")
-    require(_kernel_of_columns([dict(nonzero_pairs(g)) for g in likes], h.dim).is_zero(),
+    sparse = [nonzero_pairs(g) for g in likes]
+    require(_kernel_of_columns([dict(g) for g in sparse], h.dim).is_zero(),
             "group-like elements are always linearly independent")
     if likes[:1] != [tuple(h.unit)]:  # group_likes lists the unit first
         raise NotGroupAlgebra("unit is not among the group-likes")
     # every product lies in Q(zeta_n) for n the lcm of the conductors of the
     # group-likes and of the structure constants; there equal cyclotomics
-    # have equal coordinates, and rationals stay Fractions, which never
-    # equal a canonical cyclotomic
+    # have equal coordinates, and rationals stay numbers, which never equal
+    # a coordinate tuple.  Keys and products are sparse (index, value) pairs.
     n = math.lcm(common_conductor(c for g in likes for c in g),
                  common_conductor(c for _, _, _, c in h.mul_entries()))
 
-    def key(vec):
-        return tuple(c.coeffs_at(n) if isinstance(c, Cyclotomic) else c for c in vec)
+    def key(pairs):
+        return tuple((k, c.coeffs_at(n) if isinstance(c, Cyclotomic) else demoted(c))
+                     for k, c in pairs)
 
-    index = {key(g): k for k, g in enumerate(likes)}
+    mul = h.mul_nonzero
+    index = {key(g): k for k, g in enumerate(sparse)}
     table = []
-    for gi in likes:
+    for gi in sparse:
         row = []
-        for gj in likes:
-            hit = index.get(key(h.multiply(list(gi), list(gj))))
+        for gj in sparse:
+            product = _sum((k, a * b * c) for i, a in gi for j, b in gj for k, c in mul[i][j])
+            hit = index.get(key(sorted(product.items())))
             if hit is None:
                 raise NotGroupAlgebra("group-likes are not closed under multiplication")
             row.append(hit)

@@ -27,10 +27,14 @@ Also hosts the primitive-idempotent splitter for commutative associative
 algebras, which drives group-like enumeration in the Hopf layer.  It builds
 one sparse table per call: the products of the Q-basis b_i zeta^a of
 A (x) Q(zeta_N), as nonzero (index, rational) pairs.  Every block is its
-idempotent e, starting from the unit.  A candidate g splits it by the
+idempotent e, starting from the unit, which a caller that knows the algebra
+associative passes in and which is otherwise solved for on the sparse
+echelon form.  A candidate g splits it by the
 rational roots of the minimal polynomial of y = g e, found by a Krylov
 search (e, y, y^2, ... up to the first dependence, on integer vectors), which
-is exact because e is the unit of e.A; the parts are Lagrange idempotents.
+is exact because e is the unit of e.A; the parts are Lagrange idempotents,
+and each part resumes the standard candidates after the one that split its
+parent, as no earlier one can split it.
 The Q-dimension of a block is the trace tr(L_e), from the traces of the
 basis, and the rational roots come from a Sturm sequence, so no kernel, no
 Cyclotomic and no divisor list is built while splitting.
@@ -987,7 +991,31 @@ def is_associative_at(nonzero, i, j, k):
     return {t: c for t, c in left.items() if c} == {t: c for t, c in right.items() if c}
 
 
-def split_commutative_algebra(nonzero, dim, conductor=1):
+def _unit_element(nonzero, dim):
+    """The unit of the algebra whose b_i b_j has the nonzero pairs
+    `nonzero[i][j]`, or None when it has none.
+
+    u is the unit exactly when u b_j = b_j for every j: one equation per
+    coordinate (j, m), sum_i u_i (b_i b_j)_m = [m == j].  The reduced echelon
+    form of those sparse rows, the right-hand side in column `dim`, gives the
+    solution, or shows the system inconsistent by a pivot in that column.
+    """
+    rows = {(j, j): {dim: 1} for j in range(dim)}
+    for i, row in enumerate(nonzero):
+        for j, pairs in enumerate(row):
+            for m, c in pairs:
+                rows.setdefault((j, m), {})[i] = c
+    red, pivots = _rref_rows(list(rows.values()), dim + 1)
+    if dim in pivots:
+        return None
+    unit = [_ZERO] * dim
+    for p, row in zip(pivots, red):
+        if dim in row:
+            unit[p] = _over(row[dim], row[p])
+    return unit
+
+
+def split_commutative_algebra(nonzero, dim, conductor=1, unit=None):
     """Primitive idempotents of a commutative associative unital algebra.
 
     `nonzero[i][j]` lists the nonzero (k, c) pairs of b_i * b_j.  Returns the
@@ -997,41 +1025,58 @@ def split_commutative_algebra(nonzero, dim, conductor=1):
     > 1 survives and SplitFailure("not-semisimple") when nilpotents are
     detected.
 
+    Commutativity is checked for every caller (d^2 comparisons).  A caller
+    that knows the algebra to be associative passes its `unit` (coordinates
+    over the basis); the split then checks only that unit * b_j = b_j for
+    every j, which reads each structure constant once, and raises
+    InvariantViolation when it fails.  Without `unit` the algebra is checked
+    for associativity on every triple (d^3) and the unit is solved for
+    (`_unit_element`); a failure of either raises ValueError.
+
     Each block is its idempotent e, starting from the unit.  A candidate g
     splits e by the rational roots theta of the minimal polynomial mu of
     y = g e in e.A: the parts are the Lagrange idempotents
     q_theta(y) / q_theta(theta), q_theta = mu / (t - theta), and the rest
-    e - sum of them.  The Q-dimension of a block is tr(L_e).
+    e - sum of them.  The Q-dimension of a block is tr(L_e).  For a block
+    e' <= e, e'.A is a quotient of e.A, so the minimal polynomial of g e'
+    divides that of g e.  A candidate that leaves e unsplit (mu linear, or
+    without a rational root) therefore leaves every part of e unsplit, and
+    the candidate that split e is scalar on each Lagrange part and has no
+    rational root on the rest.  So the standard basis is tried once per
+    lineage: each part resumes at the basis element after the one that split
+    its parent, and the parts of a block that only a second-stage candidate
+    split are not offered the standard basis again.  The idempotents are
+    unique, so the sorted output does not depend on the order of the splits.
     """
     if dim == 0:
         return []  # the zero algebra has no primitive idempotent
-    n_field = math.lcm(conductor, common_conductor(
-        c for row in nonzero for pairs in row for _, c in pairs))
-
-    # precondition checks: commutative, associative, unital
     for i in range(dim):
         for j in range(i):
             if dict(nonzero[i][j]) != dict(nonzero[j][i]):
                 raise ValueError("structure tensor is not commutative")
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                if not is_associative_at(nonzero, i, j, k):
-                    raise ValueError("structure tensor is not associative")
-    unit_rows = [[_ZERO] * dim for _ in range(dim * dim)]  # row (j, m): (b_i b_j)_m
-    for i, row in enumerate(nonzero):
-        for j, pairs in enumerate(row):
-            for m, c in pairs:
-                unit_rows[j * dim + m][i] = c
-    unit_f = solve(Matrix.from_rows(unit_rows),
-                   [_ONE if m == j else _ZERO for j in range(dim) for m in range(dim)])
-    if unit_f is None:
-        raise ValueError("structure tensor has no unit element")
+    if unit is None:
+        for i in range(dim):
+            for j in range(dim):
+                for k in range(dim):
+                    if not is_associative_at(nonzero, i, j, k):
+                        raise ValueError("structure tensor is not associative")
+        unit = _unit_element(nonzero, dim)
+        if unit is None:
+            raise ValueError("structure tensor has no unit element")
+    unit_pairs = nonzero_pairs(unit)
+    for j in range(dim):
+        acc = {}
+        for i, a in unit_pairs:
+            for m, c in nonzero[i][j]:
+                acc[m] = acc.get(m, 0) + a * c
+        require({m: c for m, c in acc.items() if c} == {j: 1},
+                f"the given unit times basis element {j} is not that element")
+    n_field = math.lcm(conductor, common_conductor(unit), common_conductor(
+        c for row in nonzero for pairs in row for _, c in pairs))
 
     alg = _AlgebraQ(nonzero, dim, n_field)
     qdim, phi = alg.qdim, alg.phi
-    unit = alg.f_to_q(unit_f)
-    blocks = [unit]
+    unit = alg.f_to_q(unit)
     std = [[_ONE if j == i else _ZERO for j in range(qdim)] for i in range(qdim)]
 
     def try_split(e, g):
@@ -1054,24 +1099,28 @@ def split_commutative_algebra(nonzero, dim, conductor=1):
             parts.append(rest)
         return parts
 
-    def refine(generators):
-        progress = False
-        i = 0
-        while i < len(blocks):
-            e = blocks[i]
-            parts = None
-            if alg.qdim_of(e) > phi:  # a block of field dimension 1 is primitive
-                parts = next(filter(None, (try_split(e, g) for g in generators(e))), None)
-            if parts:
-                blocks[i:i + 1] = parts
-                progress = True
-            else:
-                i += 1
-        return progress
+    def first_split(e, candidates):
+        """(k, parts) for the first (k, g) of `candidates` whose g splits the
+        block e, or None; a block of field dimension 1 is primitive."""
+        if alg.qdim_of(e) > phi:
+            for k, g in candidates:
+                parts = try_split(e, g)
+                if parts:
+                    return k, parts
+        return None
 
-    while refine(lambda e: std):
-        pass
-    # second-stage generators: products and sums drawn from the RREF basis of e.A
+    # first stage: the standard basis, each part resuming after the element
+    # that split its parent
+    pending, unsplit = [(unit, 0)], []
+    while pending:
+        e, start = pending.pop()
+        hit = first_split(e, enumerate(std[start:], start))
+        if hit:
+            pending += [(part, hit[0] + 1) for part in hit[1]]
+        else:
+            unsplit.append(e)
+
+    # second stage: products and sums drawn from the RREF basis of e.A
     def extended(e):
         rows = [list(r) for r in Subspace.from_vectors(qdim, [alg.qmul(b, e) for b in std]).basis]
         for a in range(len(rows)):
@@ -1084,9 +1133,14 @@ def split_commutative_algebra(nonzero, dim, conductor=1):
             yield [sum(Fraction(t) ** k * r[m] for k, r in enumerate(rows))
                    for m in range(qdim)]
 
-    while refine(extended):
-        while refine(lambda e: std):
-            pass
+    blocks = []
+    while unsplit:
+        e = unsplit.pop()
+        hit = first_split(e, enumerate(extended(e)))
+        if hit:
+            unsplit += hit[1]
+        else:
+            blocks.append(e)
 
     for e in blocks:
         block_dim = alg.qdim_of(e)

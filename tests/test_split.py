@@ -7,23 +7,38 @@ algebra over Q, must equal the minimal polynomial of its dense multiplication
 matrix, found here from the matrix powers with `Cyclotomic` arithmetic only.
 A conductor whose field lacks a character value must be refused, and the
 rational roots of a minimal polynomial must be exactly the chosen ones.
+
+The split that `group_likes` runs with the caller's unit must equal the
+split that checks associativity and solves for the unit itself, and both
+must give the closed-form idempotents: delta_g in Q[G]*, and
+(1/n) sum_k zeta^(-jk) g^k in Q[Z_n] over Q(zeta_n).  The direct caller's
+refusals (not commutative, not associative, no unit) and a wrong unit are
+tested, and the number of minimal-polynomial searches is bounded by the
+dimension.  Reading a character at a wrong coordinate, a mutation of the
+source of `hopf`, must be caught by the group-like check.
 """
 
+import inspect
 import math
 import random
+import sys
+import types
 from fractions import Fraction
 from itertools import product
 
 import pytest
 from conftest import split_dense
+from test_group_likes import GROUPS as NONABELIAN
 
-from hopfva.errors import SplitFailure
+from hopfva import hopf, linalg
+from hopfva.errors import InvariantViolation, SplitFailure
 from hopfva.hopf import (
     cyclic_group_table,
     dual_hopf,
     group_algebra,
     group_likes,
     product_group_table,
+    symmetric_group_table,
 )
 from hopfva.linalg import (
     Matrix,
@@ -33,8 +48,9 @@ from hopfva.linalg import (
     _rational_roots,
     nonzero_pairs,
     solve,
+    split_commutative_algebra,
 )
-from hopfva.scalars import _fp_mul, as_scalar, cyclo_coords, euler_phi, zeta
+from hopfva.scalars import _fp_mul, as_scalar, cyclo_coords, euler_phi, scalar_sort_key, zeta
 
 # (name, cyclic factors, a conductor whose field misses a character value)
 GROUPS = [
@@ -201,3 +217,127 @@ def test_a_repeated_factor_is_not_semisimple(factor, conductor):
     with pytest.raises(SplitFailure) as exc:
         split_dense(mult, n, conductor=conductor)
     assert exc.value.reason == "not-semisimple"
+
+
+# --- the split with and without the caller's unit -------------------------------
+
+# (name, group table, conductor): Q[G] and Q[G]* each split over it
+CALLER_UNIT = [
+    ("s3", symmetric_group_table(3), 1),
+    ("s4", symmetric_group_table(4), 1),
+    ("d4", NONABELIAN["d4"][0], 1),
+    ("z6", cyclic_group_table(6), 6),
+    ("z2z4", _table((2, 4)), 4),
+]
+
+
+def _recorded_split(monkeypatch, h, conductor):
+    """group_likes(h) and the (arguments, keywords) of the one split it runs."""
+    calls = []
+    monkeypatch.setattr(hopf, "split_commutative_algebra",
+                        lambda *a, **k: calls.append((a, k)) or split_commutative_algebra(*a, **k))
+    likes = group_likes(h, conductor=conductor)
+    assert len(calls) == 1
+    return likes, calls[0]
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["group", "dual"])
+@pytest.mark.parametrize("name,table,conductor", CALLER_UNIT, ids=[c[0] for c in CALLER_UNIT])
+def test_the_split_with_the_callers_unit_is_the_split_without(monkeypatch, name, table,
+                                                               conductor, dual):
+    h = group_algebra(table)
+    h = dual_hopf(h) if dual else h
+    likes, ((nonzero, dq), keywords) = _recorded_split(monkeypatch, h, conductor)
+    assert keywords["conductor"] == conductor
+    with_unit = split_commutative_algebra(nonzero, dq, conductor, unit=keywords["unit"])
+    assert with_unit == split_commutative_algebra(nonzero, dq, conductor)
+    assert len(with_unit) == len(likes)
+    if not dual:  # H* = Q[G]* splits into the delta functions of the elements
+        assert with_unit == sorted(tuple(int(j == g) for j in range(dq)) for g in range(dq))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_the_split_of_a_cyclic_group_algebra_is_the_character_idempotents(monkeypatch, n):
+    # H = Q[Z_n]*, so H* = Q[Z_n] on the elements g^k, table order
+    _, ((nonzero, dq), keywords) = _recorded_split(
+        monkeypatch, dual_hopf(group_algebra(cyclic_group_table(n))), n)
+    expected = [tuple(zeta(n, -j * k) / n for k in range(n)) for j in range(n)]
+    expected.sort(key=lambda v: tuple(scalar_sort_key(c) for c in v))
+    for unit in (keywords["unit"], None):
+        assert split_commutative_algebra(nonzero, dq, n, unit=unit) == expected
+
+
+def _algebra(dim, products):
+    """Structure constants from {(i, j): {k: c}}; absent products are 0."""
+    return [[sorted(products.get((i, j), {}).items()) for j in range(dim)] for i in range(dim)]
+
+
+def test_a_direct_caller_is_refused_a_non_commutative_algebra():
+    # b_0 b_1 = b_1 but b_1 b_0 = 0
+    with pytest.raises(ValueError, match="not commutative"):
+        split_commutative_algebra(_algebra(2, {(0, 0): {0: 1}, (0, 1): {1: 1}}), 2)
+
+
+def test_a_direct_caller_is_refused_a_non_associative_algebra():
+    # unit b_0 = 1, x = b_1, y = b_2 with x x = y, x y = y x = x, y y = 0:
+    # commutative, but (x x) y = 0 while x (x y) = y
+    products = {(0, j): {j: 1} for j in range(3)} | {(j, 0): {j: 1} for j in range(3)}
+    products |= {(1, 1): {2: 1}, (1, 2): {1: 1}, (2, 1): {1: 1}}
+    with pytest.raises(ValueError, match="not associative"):
+        split_commutative_algebra(_algebra(3, products), 3)
+
+
+def test_a_direct_caller_is_refused_an_algebra_without_unit():
+    # b_0 b_0 = 0, and b_1 b_1 = b_1 with every other product 0
+    with pytest.raises(ValueError, match="no unit"):
+        split_commutative_algebra(_algebra(1, {}), 1)
+    with pytest.raises(ValueError, match="no unit"):
+        split_commutative_algebra(_algebra(2, {(1, 1): {1: 1}}), 2)
+
+
+@pytest.mark.parametrize("unit", [[0, 1], [1, 1], [Fraction(1, 2), Fraction(1, 2)], [2, 0]])
+def test_a_wrong_unit_is_an_invariant_violation(unit):
+    nonzero = [[nonzero_pairs([int(k == (i + j) % 2) for k in range(2)]) for j in range(2)]
+               for i in range(2)]  # Q[Z2]
+    assert len(split_commutative_algebra(nonzero, 2, unit=[1, 0])) == 2
+    with pytest.raises(InvariantViolation, match="given unit"):
+        split_commutative_algebra(nonzero, 2, unit=unit)
+
+
+def test_each_lineage_tries_the_standard_basis_once(monkeypatch):
+    # Q[S4]* has 24 blocks; a search that resumed from the first basis
+    # element in every block made 276 searches, one per pair of elements
+    calls = []
+    search = linalg._minimal_polynomial
+    monkeypatch.setattr(linalg, "_minimal_polynomial",
+                        lambda *a: calls.append(a) or search(*a))
+    h = group_algebra(symmetric_group_table(4))
+    assert len(group_likes(h)) == 24
+    assert 0 < len(calls) <= h.dim
+
+
+# --- a mutation the group-like check must catch ----------------------------------
+
+
+def _mutant_hopf(monkeypatch, old, new):
+    """A copy of the module `hopf` with the one source line `old` replaced."""
+    source = inspect.getsource(hopf)
+    assert source.count(old) == 1
+    module = types.ModuleType("hopfva.hopf_mutant")
+    module.__package__ = "hopfva"
+    monkeypatch.setitem(sys.modules, module.__name__, module)  # for its dataclasses
+    exec(compile(source.replace(old, new), hopf.__file__, "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize("name,conductor", [("s3", 1), ("z3-dual", 3), ("z2z4-dual", 4)])
+def test_a_character_read_at_a_wrong_coordinate_fails_the_group_like_check(monkeypatch, name,
+                                                                          conductor):
+    build = {"s3": lambda m: m.group_algebra(symmetric_group_table(3)),
+             "z3-dual": lambda m: m.dual_hopf(m.group_algebra(cyclic_group_table(3))),
+             "z2z4-dual": lambda m: m.dual_hopf(m.group_algebra(_table((2, 4))))}[name]
+    read = "for a, c in into[j].get(ref, ()):"
+    assert group_likes(build(hopf), conductor=conductor)
+    mutant = _mutant_hopf(monkeypatch, read, read.replace("(ref,", "((ref + 1) % dq,"))
+    with pytest.raises(InvariantViolation, match="group-like check"):
+        mutant.group_likes(build(mutant), conductor=conductor)
