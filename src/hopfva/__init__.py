@@ -37,6 +37,7 @@ from .vertexalg import (
 from .action import (
     HopfAction,
     action_annihilator,
+    annihilator,
     check_D_commute,
     check_thm_group_algebra,
     check_thm_kernel_bialgebra_ideal,

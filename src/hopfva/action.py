@@ -427,24 +427,25 @@ class AnnihilatorResult:
     stabilized: bool      # agrees with the cap-(D-1) computation
 
 
-def action_annihilator(act: HopfAction) -> AnnihilatorResult:
-    """K = {h in H : rho(h) = 0 on A_{<=D}}, with downward-cap evidence."""
+def annihilator(act: HopfAction, limit=None) -> Subspace:
+    """{h in H : rho(h) = 0 on A_{<=limit}}, limit defaulting to the cap D."""
     if not act.filtration_compatible:
         raise FiltrationFlagRequired(
             "annihilator stabilisation needs a filtration-compatible action")
-    h = act.hopf
+    if limit is None:
+        limit = act.backend.degree_cap
+    return _kernel_of_columns(
+        [{(t, e): v for e, col in cols.items() if sum(e) <= limit
+          for t, v in col.items() if sum(t) <= limit} for cols in act._columns], act.hopf.dim)
 
-    def annihilator_at(limit):
-        return _kernel_of_columns(
-            [{(t, e): v for e, col in cols.items() if sum(e) <= limit
-              for t, v in col.items() if sum(t) <= limit} for cols in act._columns], h.dim)
 
+def action_annihilator(act: HopfAction) -> AnnihilatorResult:
+    """K = {h in H : rho(h) = 0 on A_{<=D}}, with downward-cap evidence."""
+    kern = annihilator(act)
     cap = act.backend.degree_cap
-    kern = annihilator_at(cap)
     if cap == 0:
         return AnnihilatorResult(kernel=kern, stabilized=True)
-    below = annihilator_at(cap - 1)
-    return AnnihilatorResult(kernel=kern, stabilized=below == kern)
+    return AnnihilatorResult(kernel=kern, stabilized=annihilator(act, cap - 1) == kern)
 
 
 def maximal_hopf_ideal_in(hopf: FinHopfAlgebra, sub: Subspace) -> Subspace:
@@ -470,7 +471,7 @@ def maximal_hopf_ideal_in(hopf: FinHopfAlgebra, sub: Subspace) -> Subspace:
 
 def is_inner_faithful(act: HopfAction) -> bool:
     """True iff no nonzero Hopf ideal annihilates the carrier."""
-    ann = action_annihilator(act).kernel
+    ann = annihilator(act)
     return maximal_hopf_ideal_in(act.hopf, ann).is_zero()
 
 
@@ -483,7 +484,7 @@ class InnerFaithfulQuotient:
 
 def inner_faithful_quotient(act: HopfAction) -> InnerFaithfulQuotient:
     """H/I for the maximal Hopf ideal I annihilating V; V^H is unchanged."""
-    ann = action_annihilator(act).kernel
+    ann = annihilator(act)
     ideal = maximal_hopf_ideal_in(act.hopf, ann)
     q = quotient_hopf(act.hopf, ideal)
     # the quotient's basis element a is the coset of H's basis element complement[a]
@@ -573,7 +574,7 @@ def check_thm_kernel_bialgebra_ideal(act: HopfAction, pi2_order=None) -> Theorem
     if not (p2.kernel.is_zero() and p2.stabilized):
         return TheoremVerdict(status="hypothesis-not-established",
                               detail="pi2 kernel nonzero or unstabilised at these caps")
-    ann = action_annihilator(act).kernel
+    ann = annihilator(act)
     ok, why = is_hopf_ideal(act.hopf, ann)
     if ok:
         return TheoremVerdict(status="PASS",

@@ -17,11 +17,14 @@ a cyclotomic entry moves only the rows it meets to field elimination.
 Subspace bases are kept in reduced row-echelon form so subspace equality is
 representation equality.  Every null space, in linalg,
 vertexalg, action and schurweyl, comes from `_kernel_of_columns`, per
-connected component of its columns.  There the rows of a rational component
-with at least as many rows as columns are first reduced modulo one fixed
-prime, which selects the rows that the exact reduction needs or certifies a
-zero kernel with no exact reduction at all; exact dot products confirm the
-selection, and the reduction of all rows is the fallback.
+connected component of its columns.  There the rows of a component with at
+least as many rows as columns are first reduced modulo a prime p: the
+largest prime below 2^30 for a rational component, and for one over
+Q(zeta_N) the largest prime below 2^30 with p = 1 (mod N), which splits
+Phi_N, its rows mapped to F_p by zeta_N -> omega, a primitive N-th root of
+unity mod p.  That selects the rows that the exact reduction needs or
+certifies a zero kernel with no exact reduction at all; exact dot products
+confirm the selection, and the reduction of all rows is the fallback.
 
 Also hosts the primitive-idempotent splitter for commutative associative
 algebras, which drives group-like enumeration in the Hopf layer.  It builds
@@ -44,10 +47,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InvariantViolation, SplitFailure, require
 from .scalars import (
     Cyclotomic,
+    _divisors,
     _fp_divmod,
     as_scalar,
     common_conductor,
@@ -236,16 +241,99 @@ def _kernel_rref(rows, ncols):
 _PRIME = 1073741789
 
 
-def _independent_mod_p(rows, ncols):
+def _is_prime(n):
+    """Miller-Rabin with the bases 2, 3, 5 and 7, which is exact for every
+    n below 3,215,031,751 (Pomerance-Selfridge-Wagstaff), so below 2^30."""
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7):
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _split_prime(n):
+    """(p, omega) for the conductor n: p the largest prime below 2^30 with
+    p = 1 (mod n), and omega a primitive n-th root of unity mod p; None when
+    no such prime exists.  For n = 1 this is (`_PRIME`, 1).  Such primes
+    split Phi_n into linear factors, the standard modular method over
+    cyclotomic fields (Encarnacion, J. Symbolic Comput. 20, 1995).
+
+    F_p^* is cyclic of order p - 1, a multiple of n, so g^((p-1)/n) has
+    order dividing n for every g, and exactly n when no (n/q)-th power of it
+    is 1 for a prime q | n.
+    """
+    for k in range((2 ** 30 - 2) // n, 0, -1):
+        p = k * n + 1
+        if _is_prime(p):
+            break
+    else:
+        return None
+    factors = [q for q in _divisors(n) if _is_prime(q)]
+    for g in range(2, p):
+        omega = pow(g, (p - 1) // n, p)
+        if all(pow(omega, n // q, p) != 1 for q in factors):
+            return p, omega
+    raise InvariantViolation(f"no primitive {n}-th root of unity mod {p}")
+
+
+def _residue_rows(rows, n, p, omega):
+    """The sparse rows {column: scalar} over Q(zeta_n), each scaled by the
+    lcm of the denominators of its entries' coordinates and mapped to F_p by
+    zeta_n -> omega, as sparse rows {column: int in [0, p)}.
+
+    An entry of conductor m | n is sum_k a_k zeta_m^k, and zeta_m =
+    zeta_n^(n/m), so it maps to sum_k a_k omega^(k n/m) mod p.
+    """
+    powers = [1] * n
+    for t in range(1, n):
+        powers[t] = powers[t - 1] * omega % p
+    out = []
+    for row in rows:
+        denom = 1
+        for c in row.values():
+            for x in c.coeffs if c.__class__ is Cyclotomic else (c,):
+                d = x.denominator
+                if d != 1:
+                    denom = denom * d // math.gcd(denom, d)
+        r = {}
+        for j, c in row.items():
+            if c.__class__ is Cyclotomic:
+                step = n // c.conductor
+                v = sum(x.numerator * (denom // x.denominator) * powers[k * step]
+                        for k, x in enumerate(c.coeffs) if x)
+            else:
+                v = c.numerator * (denom // c.denominator)
+            v %= p
+            if v:
+                r[j] = v
+        out.append(r)
+    return out
+
+
+def _independent_mod_p(rows, ncols, p=_PRIME):
     """Indices of the rows, taken in order, that are independent of the
-    rows before them modulo `_PRIME`; the search stops at `ncols` of them.
+    rows before them modulo the prime p; the search stops at `ncols` of them.
 
     `rows` are sparse integer rows {column: int}.  The kept rows are held in
     reduced echelon form mod p, {pivot: row} with each row 1 at its pivot
     and 0 at every other pivot, so a new row is reduced by one pass over
     the pivots it holds.
     """
-    p = _PRIME
     basis = {}
     chosen = []
     for i, row in enumerate(rows):
@@ -286,18 +374,30 @@ def _component_kernel(rows, ncols, kinds):
     """(RREF basis, pivots) of the null space of one component's sparse rows
     {column: scalar}, whose entries have the types `kinds`; see
     `_kernel_of_columns` for the modular row selection and its soundness."""
-    if Cyclotomic not in kinds and len(rows) >= ncols:
+    if len(rows) < ncols:
+        return _kernel_rref(rows, ncols)
+    if Cyclotomic in kinds:
+        n = math.lcm(*{c.conductor for row in rows for c in row.values()
+                       if c.__class__ is Cyclotomic})
+        split = _split_prime(n)
+        if split is None:
+            return _kernel_rref(rows, ncols)
+        chosen = _independent_mod_p(_residue_rows(rows, n, *split), ncols, split[0])
+    else:
         if not kinds <= {int}:
             rows = [dict(zip(row, _cleared(row.values()))) for row in rows]
         chosen = _independent_mod_p(rows, ncols)
-        if len(chosen) == ncols:
-            return (), ()
-        basis, pivots = _kernel_rref([rows[i] for i in chosen], ncols)
-        vectors = [_integral(v)[1] for v in basis]
-        kept = set(chosen)
-        if not any(sum(c * w[j] for j, c in row.items())
-                   for i, row in enumerate(rows) if i not in kept for w in vectors):
-            return basis, pivots
+    if len(chosen) == ncols:
+        return (), ()
+    basis, pivots = _kernel_rref([rows[i] for i in chosen], ncols)
+    # each basis vector with ints for its integral entries (0 where it
+    # vanishes), or as a primitive integer vector when it is rational
+    vectors = [[demoted(c) for c in v] if Cyclotomic in kinds else _integral(v)[1]
+               for v in basis]
+    kept = set(chosen)
+    if not any(sum(c * w[j] for j, c in row.items() if w[j])
+               for i, row in enumerate(rows) if i not in kept for w in vectors):
+        return basis, pivots
     return _kernel_rref(rows, ncols)
 
 
@@ -312,20 +412,33 @@ def _kernel_of_columns(columns, ncols):
     sorted by pivot, is already the echelon basis of the whole kernel.
 
     Exact elimination runs only on the rows that decide the answer.  A
-    rational component with at least as many rows as columns has its rows
-    cleared to integers and reduced modulo `_PRIME`, in order, to select
-    the rows independent mod p (`_independent_mod_p`).  When there are n of
-    them, n the component's column count, the n-minor they form is nonzero
-    mod p, so nonzero over Z: the component has full column rank, its
-    kernel is zero, and no exact reduction runs.  Otherwise `_kernel_rref`
-    reduces the selected rows only.  ker(all rows) lies in ker(selected),
-    and the two are equal when every other row vanishes on each basis
-    vector of ker(selected), which exact integer dot products with the
-    vector's primitive integer form check.  The reduced echelon basis of a
-    subspace is unique, so the result is the one the reduction of all rows
-    gives.  When a check fails (a prime unlucky for these rows), that
-    reduction runs instead.  Cyclotomic components, and wide ones where
-    every row may be needed, go straight to it.
+    component with at least as many rows as columns is first mapped to F_p
+    for a prime p, and its rows reduced modulo p, in order, to select the
+    rows independent mod p (`_independent_mod_p`):
+      - a rational component has its rows cleared to integers and p is
+        `_PRIME`;
+      - a component over Q(zeta_N), N the lcm of its entries' conductors,
+        takes p, the largest prime below 2^30 with p = 1 (mod N), and omega,
+        a primitive N-th root of unity mod p (`_split_prime`).  Each row is
+        scaled by the lcm of the denominators of its entries' coordinates,
+        which leaves the kernel alone and leaves no denominator to vanish
+        mod p, and zeta_N goes to omega (`_residue_rows`).  As p does not
+        divide N, x^N - 1 has N distinct roots mod p, and those of order N,
+        omega among them, are the roots of Phi_N mod p.  So zeta_N -> omega
+        is a ring map Z[zeta_N] -> F_p, and it takes every minor of the
+        scaled rows to the same minor of their residues.  When N has no
+        such prime the component goes to exact reduction at once.
+    When n rows are selected, n the component's column count, the n-minor
+    they form is nonzero mod p, so nonzero over Z or Z[zeta_N]: the
+    component has full column rank, its kernel is zero, and no exact
+    reduction runs.  Otherwise `_kernel_rref` reduces the selected rows only.
+    ker(all rows) lies in ker(selected), and the two are equal when every
+    other row vanishes on each basis vector of ker(selected), which exact
+    dot products check, with the vector's primitive integer form when it is
+    rational.  The reduced echelon basis of a subspace is unique, so the
+    result is the one the reduction of all rows gives.  When a check fails
+    (a prime unlucky for these rows), that reduction runs instead.  Wide
+    components, where every row may be needed, go straight to it.
     """
     parent = list(range(ncols))
 
@@ -1099,26 +1212,28 @@ def split_commutative_algebra(nonzero, dim, conductor=1, unit=None):
             parts.append(rest)
         return parts
 
-    def first_split(e, candidates):
+    def first_split(e, qdim_e, candidates):
         """(k, parts) for the first (k, g) of `candidates` whose g splits the
-        block e, or None; a block of field dimension 1 is primitive."""
-        if alg.qdim_of(e) > phi:
+        block e of Q-dimension `qdim_e`, or None; a block of field dimension
+        1 is primitive."""
+        if qdim_e > phi:
             for k, g in candidates:
                 parts = try_split(e, g)
                 if parts:
                     return k, parts
         return None
 
+    # each block travels with its Q-dimension tr(L_e), computed once
     # first stage: the standard basis, each part resuming after the element
     # that split its parent
-    pending, unsplit = [(unit, 0)], []
+    pending, unsplit = [(unit, alg.qdim_of(unit), 0)], []
     while pending:
-        e, start = pending.pop()
-        hit = first_split(e, enumerate(std[start:], start))
+        e, qdim_e, start = pending.pop()
+        hit = first_split(e, qdim_e, enumerate(std[start:], start))
         if hit:
-            pending += [(part, hit[0] + 1) for part in hit[1]]
+            pending += [(part, alg.qdim_of(part), hit[0] + 1) for part in hit[1]]
         else:
-            unsplit.append(e)
+            unsplit.append((e, qdim_e))
 
     # second stage: products and sums drawn from the RREF basis of e.A
     def extended(e):
@@ -1135,20 +1250,20 @@ def split_commutative_algebra(nonzero, dim, conductor=1, unit=None):
 
     blocks = []
     while unsplit:
-        e = unsplit.pop()
-        hit = first_split(e, enumerate(extended(e)))
+        e, qdim_e = unsplit.pop()
+        hit = first_split(e, qdim_e, enumerate(extended(e)))
         if hit:
-            unsplit += hit[1]
+            unsplit += [(part, alg.qdim_of(part)) for part in hit[1]]
         else:
-            blocks.append(e)
+            blocks.append((e, qdim_e))
 
-    for e in blocks:
-        block_dim = alg.qdim_of(e)
+    for _, block_dim in blocks:
         require(block_dim.denominator == 1 and block_dim % phi == 0,
                 f"a block has Q-dimension {block_dim}, not a multiple of {phi}")
         if block_dim > phi:
             raise SplitFailure("extend-conductor",
                                f"a block of field dimension {block_dim // phi} resisted splitting")
+    blocks = [e for e, _ in blocks]
     # exact output invariants, on e = t w with w an integer vector
     scaled = [_integral(e) for e in blocks]
     for a, (t, w) in enumerate(scaled):

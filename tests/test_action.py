@@ -16,6 +16,7 @@ from conftest import (
 from hopfva.action import (
     HopfAction,
     action_annihilator,
+    annihilator,
     check_D_commute,
     check_thm_group_algebra,
     check_thm_kernel_bialgebra_ideal,
@@ -28,7 +29,13 @@ from hopfva.action import (
     verify_module_algebra,
     verify_module_vertex_algebra,
 )
-from hopfva.errors import BudgetExceeded, HypothesesNotMet, NotAnIdeal, TruncationOverflow
+from hopfva.errors import (
+    BudgetExceeded,
+    FiltrationFlagRequired,
+    HypothesesNotMet,
+    NotAnIdeal,
+    TruncationOverflow,
+)
 from hopfva.hopf import (
     augmentation_ideal,
     cyclic_group_table,
@@ -205,6 +212,22 @@ def test_annihilator_trivial_sweedler_is_augmentation_ideal():
     res = action_annihilator(act)
     assert res.kernel == augmentation_ideal(sweedler())
     assert res.kernel.dim == 3
+
+
+def test_annihilator_at_one_cap_is_the_kernel_that_action_annihilator_reports():
+    for act in (cyclic_scaling_action(3, cap=4), through_first_factor_action(cap=4),
+                sweedler_poly_action(m=0, cap=4), trivial_action(sweedler(), euler_backend(3))):
+        res = action_annihilator(act)
+        assert annihilator(act) == res.kernel
+        assert res.stabilized == (annihilator(act, act.backend.degree_cap - 1) == res.kernel)
+    # g swaps x and x^2 at D = 2: rho raises degrees, so no cap bounds it
+    backend = euler_backend(2)
+    swap = {(0,): {(0,): 1}, (1,): {(2,): 1}, (2,): {(1,): 1}}
+    act = HopfAction(group_algebra(cyclic_group_table(2)), backend,
+                     [{e: {e: 1} for e in backend.monomials()}, swap], check=False)
+    for needs_caps in (annihilator, action_annihilator, is_inner_faithful):
+        with pytest.raises(FiltrationFlagRequired):
+            needs_caps(act)
 
 
 def test_maximal_hopf_ideal_examples():

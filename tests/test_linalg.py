@@ -3,24 +3,35 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import split_dense
+from conftest import cyclic_scaling_action, split_dense
 
 from hopfva import linalg
+from hopfva.action import annihilator, invariants
 from hopfva.errors import InvariantViolation, SplitFailure
 from hopfva.linalg import (
     _PRIME,
     Matrix,
     Subspace,
     _independent_mod_p,
+    _is_prime,
     _kernel_of_columns,
     _kernel_rref,
     _leading_ones,
+    _residue_rows,
     _rref_rows,
+    _split_prime,
     linear_combination,
     solve,
     span_closure,
 )
-from hopfva.scalars import Cyclotomic, as_scalar, scalar_to_text, zeta
+from hopfva.scalars import (
+    Cyclotomic,
+    as_scalar,
+    cyclotomic,
+    cyclotomic_polynomial,
+    scalar_to_text,
+    zeta,
+)
 from hopfva.vertexalg import CommDiffVA, Poly, pi2_kernel, single_variable_backend, z2_kernel
 
 F = Fraction
@@ -349,6 +360,23 @@ def _kernel_rref_of_all_rows(columns, ncols):
     return _kernel_rref(_sparse([[col.get(k, 0) for col in columns] for k in keys]), ncols)
 
 
+def _selected_mod_p(rows, ncols):
+    """The rows the modular pass of `_kernel_of_columns` selects: over
+    Q(zeta_N) their residues under zeta_N -> omega mod the split prime, over
+    Q the rows scaled by 3 (which clears every denominator in the rational
+    cases below) mod `_PRIME`."""
+    conductors = {c.conductor for r in rows for c in r.values() if isinstance(c, Cyclotomic)}
+    if not conductors:
+        return _independent_mod_p([{j: int(c * 3) for j, c in r.items()} for r in rows], ncols)
+    n = math.lcm(*conductors)
+    p, omega = _split_prime(n)
+    return _independent_mod_p(_residue_rows(rows, n, p, omega), ncols, p)
+
+
+_P4, _OMEGA4 = _split_prime(4)
+_P12, _OMEGA12 = _split_prime(12)
+
+
 @pytest.mark.parametrize("columns, ncols, kernel_dim", [
     # one column, rows [p] and [p]: both vanish mod p, not over Q
     ([{0: _PRIME, 1: _PRIME}], 1, 0),
@@ -360,28 +388,58 @@ def _kernel_rref_of_all_rows(columns, ncols):
     # rows (p, 0, 0), (1, 1, 1), (2, 2, 2): the selected row alone leaves a
     # plane, the exact kernel is the line through (0, 1, -1)
     ([{0: _PRIME, 1: 1, 2: 2}, {1: 1, 2: 2}, {1: 1, 2: 2}], 3, 1),
+    # the entry zeta_N - omega maps to 0 mod p but is nonzero in Q(zeta_N)
+    ([{0: zeta(4) - _OMEGA4}], 1, 0),
+    ([{0: F(1, 2) * zeta(12) - F(_OMEGA12, 2), 1: zeta(12) - _OMEGA12}], 1, 0),
+    # rows (zeta_N, 1) and (zeta_N, 1 + p) agree mod p, and their determinant
+    # p zeta_N is nonzero
+    ([{0: zeta(4), 1: zeta(4)}, {0: 1, 1: 1 + _P4}], 2, 0),
+    # rows r = (zeta_12, 1, zeta_3), (zeta_12, 1 + p, zeta_3) and zeta_3 r,
+    # of mixed conductors: rank 1 mod p, rank 2 over Q(zeta_12)
+    ([{0: zeta(12), 1: zeta(12), 2: zeta(3) * zeta(12)}, {0: 1, 1: 1 + _P12, 2: zeta(3)},
+      {0: zeta(3), 1: zeta(3), 2: zeta(3, 2)}], 3, 1),
 ])
 def test_unlucky_prime_falls_back_to_the_exact_kernel(columns, ncols, kernel_dim):
     keys = sorted({k for col in columns for k in col})
     rows = [{j: c for j, col in enumerate(columns) if (c := col.get(k, 0))} for k in keys]
-    # the prime loses rank on these rows (scaled by 3, which clears every
-    # denominator here), so the selection alone would give a larger kernel
-    assert len(_independent_mod_p([{j: int(c * 3) for j, c in r.items()} for r in rows],
-                                  ncols)) < ncols - kernel_dim
+    # the prime loses rank on these rows, so the selection alone would give
+    # a larger kernel
+    assert len(_selected_mod_p(rows, ncols)) < ncols - kernel_dim
     kern = _kernel_of_columns(columns, ncols)
     assert kern.dim == kernel_dim
     assert (kern.basis, kern.pivots) == _oracle_kernel(columns, ncols)
     assert (kern.basis, kern.pivots) == _kernel_rref_of_all_rows(columns, ncols)
 
 
+# the cyclotomic kinds of `_random_family` and their conductors: one
+# conductor, mixed conductors in one component, and Fraction coordinates
+_CYCLOTOMIC_KINDS = {"zeta3": [3], "zeta4": [4], "zeta5": [5], "zeta8": [8], "zeta12": [12],
+                     "zeta3+4": [3, 4], "zeta4+5": [4, 5], "zeta12/frac": [12]}
+
+
+def _random_cyclotomic(rng, conductors, fractions):
+    """0, a small rational or a random element of Q(zeta_m), m drawn from
+    `conductors`, with int or (when `fractions`) Fraction coordinates."""
+    if rng.random() < 0.3:
+        return rng.choice([0, 0, 1, -2, F(1, 2)])
+    m = rng.choice(conductors)
+    coords = [F(rng.randint(-3, 3), rng.choice([1, 2, 3]) if fractions else 1)
+              for _ in range(rng.randint(1, m))]
+    return cyclotomic(m, coords)
+
+
 def _random_family(rng):
-    """Sparse columns over a few row keys: int, Fraction or big-int entries,
-    tall, square or wide, some columns combinations of others, some rows
+    """Sparse columns over a few row keys: int, Fraction, big-int or
+    cyclotomic entries, tall, square or wide, some columns combinations of
+    others (with cyclotomic coefficients in a cyclotomic family), some rows
     repeated under another key."""
     nkeys, ncols = rng.choice([(9, 4), (6, 6), (4, 7), (12, 5), (5, 2), (8, 8)])
-    kind = rng.choice(["int", "fraction", "big", "prime"])
+    kind = rng.choice(["int", "fraction", "big", "prime", *_CYCLOTOMIC_KINDS])
+    conductors = _CYCLOTOMIC_KINDS.get(kind)
 
     def draw():
+        if conductors:
+            return _random_cyclotomic(rng, conductors, kind.endswith("frac"))
         if kind == "int":
             return rng.randint(-3, 3)
         if kind == "fraction":
@@ -390,11 +448,16 @@ def _random_family(rng):
             return rng.choice([0, 1, -1]) * rng.getrandbits(90)
         return rng.choice([0, 1, -1, _PRIME, 2 * _PRIME, _PRIME + 1])
 
+    def coefficient():
+        if conductors and rng.random() < 0.7:
+            return zeta(rng.choice(conductors), rng.randrange(12)) * rng.choice([1, -1, 2])
+        return rng.randint(-2, 2)
+
     columns = []
     for _ in range(ncols):
         if columns and rng.random() < 0.3:
             a, b = rng.sample(range(len(columns)), 2) if len(columns) > 1 else (0, 0)
-            ca, cb = rng.randint(-2, 2), rng.randint(-2, 2)
+            ca, cb = coefficient(), coefficient()
             col = {k: ca * columns[a].get(k, 0) + cb * columns[b].get(k, 0)
                    for k in set(columns[a]) | set(columns[b])}
         else:
@@ -410,28 +473,34 @@ def _random_family(rng):
 
 def test_kernel_of_columns_matches_gauss_jordan_on_random_families():
     rng = random.Random(18)
-    for _ in range(300):
+    for _ in range(400):
         columns, ncols = _random_family(rng)
         kern = _kernel_of_columns(columns, ncols)
         basis, pivots = _oracle_kernel(columns, ncols)
         assert kern.basis == basis and kern.pivots == pivots
-        assert all(type(c) is Fraction for v in kern.basis for c in v)
+        if not any(isinstance(c, Cyclotomic) for col in columns for c in col.values()):
+            assert all(type(c) is Fraction for v in kern.basis for c in v)
+        assert all(type(c) is Fraction or isinstance(c, Cyclotomic) for v in kern.basis for c in v)
         assert (kern.basis, kern.pivots) == _kernel_rref_of_all_rows(columns, ncols)
 
 
 @pytest.mark.parametrize("kernel", [
-    *[lambda m=m: pi2_kernel(single_variable_backend(m, 6)) for m in range(4)],
-    lambda: z2_kernel(CommDiffVA(["x"], {"x": Poly.monomial((1,))}, 3),
-                      order=16, laurent_bound=1),
-], ids=["pi2-x0", "pi2-x1", "pi2-x2", "pi2-x3", "z2-euler"])
+    *[lambda m=m: lambda: pi2_kernel(single_variable_backend(m, 6)) for m in range(4)],
+    lambda: lambda: z2_kernel(CommDiffVA(["x"], {"x": Poly.monomial((1,))}, 3),
+                              order=16, laurent_bound=1),
+    *[lambda n=n, f=f: (lambda act: lambda: f(act))(cyclic_scaling_action(n))
+      for n in (3, 4) for f in (annihilator, invariants)],
+], ids=["pi2-x0", "pi2-x1", "pi2-x2", "pi2-x3", "z2-euler",
+        "annihilator-z3", "invariants-z3", "annihilator-z4", "invariants-z4"])
 def test_certified_components_skip_exact_reduction(monkeypatch, kernel):
     # a component whose kernel is zero is closed by its n rows independent
     # mod p; exact reduction only runs on fewer rows than columns
+    run = kernel()  # builds what the kernel is computed on, unpatched
     closed, reductions = [], []
     select, reduce = linalg._independent_mod_p, linalg._rref_rows
 
-    def counted_select(rows, ncols):
-        chosen = select(rows, ncols)
+    def counted_select(rows, ncols, *prime):
+        chosen = select(rows, ncols, *prime)
         closed.append(len(chosen) == ncols)
         return chosen
 
@@ -442,9 +511,75 @@ def test_certified_components_skip_exact_reduction(monkeypatch, kernel):
 
     monkeypatch.setattr(linalg, "_independent_mod_p", counted_select)
     monkeypatch.setattr(linalg, "_rref_rows", counted_reduce)
-    kernel()
+    run()
     assert any(closed)
     assert all(rows < ncols and rank < ncols for rows, ncols, rank in reductions)
+
+
+# --- the prime of the cyclotomic modular pass -----------------------------------
+
+
+def _primes_upto(n):
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\x00\x00"
+    for q in range(2, math.isqrt(n) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = bytearray(len(sieve[q * q::q]))
+    return [q for q in range(n + 1) if sieve[q]]
+
+
+_SMALL_PRIMES = _primes_upto(2 ** 15)  # enough to trial-divide below 2^30
+
+
+def _prime_by_trial_division(n):
+    return n > 1 and all(n % q for q in _SMALL_PRIMES if q * q <= n)
+
+
+def test_miller_rabin_matches_trial_division():
+    assert [n for n in range(5000) if _is_prime(n)] == [q for q in _SMALL_PRIMES if q < 5000]
+    rng = random.Random(30)
+    for n in [rng.randrange(2 ** 30) for _ in range(300)] + [_PRIME, _PRIME + 2]:
+        assert _is_prime(n) == _prime_by_trial_division(n)
+    # Carmichael numbers, and strong pseudoprimes to the bases 2; 2, 3; 2, 3, 5
+    for n in (561, 1105, 1729, 2047, 1373653, 25326001):
+        assert not _is_prime(n)
+    # the least strong pseudoprime to all four bases lies above 2^30
+    assert _is_prime(3215031751) and 3215031751 == 151 * 751 * 28351 > 2 ** 30
+
+
+def test_split_prime_is_the_largest_prime_below_2_30_that_splits_phi_n():
+    assert _split_prime(1) == (_PRIME, 1)
+    for n in range(1, 61):
+        p, omega = _split_prime(n)
+        assert p < 2 ** 30 and (p - 1) % n == 0 and _prime_by_trial_division(p)
+        assert not any(_prime_by_trial_division(q) for q in range(p + n, 2 ** 30, n))
+        # omega has order exactly n, so it is a root of Phi_n mod p
+        assert pow(omega, n, p) == 1
+        assert all(pow(omega, n // q, p) != 1 for q in _SMALL_PRIMES if n % q == 0)
+        assert sum(c * pow(omega, k, p) for k, c in enumerate(cyclotomic_polynomial(n))) % p == 0
+    assert _split_prime(2 ** 30) is None  # no prime below 2^30 is 1 mod 2^30
+
+
+def test_a_non_primitive_root_is_caught_by_the_oracles(monkeypatch):
+    # the mutation zeta_N -> omega^q, q the least prime factor of N: omega^q
+    # has order N/q, so it is no root of Phi_N mod p and the map to F_p is no
+    # ring map; residues of a dependent cyclotomic component can then be
+    # independent, and the certified zero kernel is wrong
+    split = linalg._split_prime
+
+    def non_primitive(n):
+        p, omega = split(n)
+        return p, pow(omega, min(q for q in _SMALL_PRIMES if n % q == 0), p)
+
+    monkeypatch.setattr(linalg, "_split_prime", non_primitive)
+    rng = random.Random(18)
+    for _ in range(400):
+        columns, ncols = _random_family(rng)
+        kern = _kernel_of_columns(columns, ncols)
+        if (kern.basis, kern.pivots) != _oracle_kernel(columns, ncols):
+            break
+    else:
+        pytest.fail("no random family exposed a non-primitive root")
 
 
 def test_rref_rows_takes_ints_fractions_and_mixed_rows_alike():
