@@ -379,7 +379,7 @@ def invariants(act: HopfAction) -> Subspace:
     # column e holds the rows (b, t) of rho(b) e - eps(b) e
     return _kernel_of_columns(
         [{(bi, t): c for bi, bc in enumerate(act._columns)
-          for t, c in _sum_columns([(_ONE, bc[e]), (-counit[bi], {e: _ONE})]).items()}
+          for t, c in _sum_columns([(1, bc[e]), (-demoted(counit[bi]), {e: 1})]).items()}
          for e in act.monomials], len(act.monomials))
 
 

@@ -329,7 +329,7 @@ def _chartable(ws, name, d):
             name=ch_name, degree=_integer(_field(ch, "degree", owner), 1, f"{owner}: degree"),
             values=tuple(_scalar(v, f"{owner}: values") for v in values), matrices=mats))
     try:
-        table = sw_mod.CharacterTable(table, classes, chars)
+        table = sw_mod.CharacterTable(table, classes, chars, identity=0)
     except ValueError as exc:  # classes that do not partition or are not conjugation-closed
         raise ParseError(f"{what}: {exc}") from None
     for check, (ok, witness) in sw_mod.verify_character_table(table).items():

@@ -14,9 +14,13 @@ The container checks shapes, not axioms.  `verify_hopf_axioms` checks the
 axioms where structure constants come from outside: the CLI runs it once
 on each `tensors` entry it loads.  The builders here are Hopf by
 construction and are not checked again: `group_algebra` (its group table
-is validated), `sweedler` (a constant), `dual_hopf` (each Hopf axiom of H,
-transposed, is one of H*) and `quotient_hopf` (H/I is Hopf once
-`is_hopf_ideal` has passed).
+is validated, associativity by Light's test on the table's generators),
+`sweedler` (a constant), `dual_hopf` (each Hopf axiom of H, transposed, is
+one of H*) and `quotient_hopf` (H/I is Hopf once `is_hopf_ideal` has
+passed).  `sweedler` and `tensors` entries go through the entries
+constructor; `group_algebra`, `dual_hopf` and `quotient_hopf` write their
+canonical rows directly (`FinHopfAlgebra.from_rows`), and `group_algebra`
+hands over the generating set of its table as well.
 
 Every test modulo an ideal I, held as its RREF Subspace, reads one
 `QuotientMap` pi: H -> H/I, each b_j sent to its coset over the basis
@@ -96,29 +100,55 @@ class FinHopfAlgebra:
     entries (i, j, c) of S(b_j) = sum c b_i (row i, column j of S); every
     other structure constant is 0, and a repeated index sets its entry again.
     Indices and lengths are checked (ShapeMismatch); the Hopf axioms are
-    not, see `verify_hopf_axioms`.
+    not, see `verify_hopf_axioms`.  The entries are normalised into the
+    rows that `from_rows` takes, and the algebra is assembled from them.
     """
 
     __slots__ = ("dim", "names", "unit", "counit", "group_table",
                  "mul_nonzero", "comul_nonzero", "antipode_nonzero", "_generators")
 
     def __init__(self, dim, names, mul, unit, comul, counit, antipode, group_table=None):
-        d = self.dim = dim
+        d = dim
+        products = _nonzero_rows(mul, d, d * d, lambda i, j, k: (i * d + j, k), "mul")
+        self._assemble(
+            d, names, [products[i * d:(i + 1) * d] for i in range(d)], unit,
+            _nonzero_rows(comul, d, d, lambda k, i, j: (k, i * d + j), "comul"), counit,
+            _nonzero_rows(antipode, d, d, lambda i, j: (j, i), "antipode"), group_table, None)
+
+    @classmethod
+    def from_rows(cls, dim, names, products, unit, coproducts, counit, antipodes,
+                  group_table=None, generators=None):
+        """The algebra with `mul_nonzero` `products`, `comul_nonzero`
+        `coproducts` and `antipode_nonzero` `antipodes`, rows that are
+        already canonical: ascending (index, value) pairs of nonzero values,
+        integral rationals as ints.  Only the row counts are checked.
+
+        A builder that knows a certified generating set hands it over as
+        `generators`; `generating_set` then returns it unchecked.
+        """
+        h = cls.__new__(cls)
+        h._assemble(dim, names, products, unit, coproducts, counit, antipodes, group_table,
+                    generators)
+        return h
+
+    def _assemble(self, d, names, products, unit, coproducts, counit, antipodes, group_table,
+                  generators):
+        self.dim = d
         self.names = tuple(names)
         self.unit = tuple(as_scalar(c) for c in unit)
         self.counit = tuple(as_scalar(c) for c in counit)
-        for what, n in (("basis names", len(self.names)), ("unit entries", len(self.unit)),
-                        ("counit entries", len(self.counit))):
+        counts = [("basis names", len(self.names)), ("unit entries", len(self.unit)),
+                  ("counit entries", len(self.counit)), ("product rows", len(products)),
+                  ("coproduct rows", len(coproducts)), ("antipode rows", len(antipodes))]
+        counts += (("products in a row", len(row)) for row in products)
+        for what, n in counts:
             if n != d:
                 raise ShapeMismatch(f"{n} {what} for dimension {d}")
-        products = _nonzero_rows(mul, d, d * d, lambda i, j, k: (i * d + j, k), "mul")
-        self.mul_nonzero = tuple(tuple(products[i * d:(i + 1) * d]) for i in range(d))
-        self.comul_nonzero = tuple(
-            _nonzero_rows(comul, d, d, lambda k, i, j: (k, i * d + j), "comul"))
-        self.antipode_nonzero = tuple(
-            _nonzero_rows(antipode, d, d, lambda i, j: (j, i), "antipode"))
+        self.mul_nonzero = tuple(tuple(row) for row in products)
+        self.comul_nonzero = tuple(coproducts)
+        self.antipode_nonzero = tuple(antipodes)
         self.group_table = tuple(tuple(r) for r in group_table) if group_table is not None else None
-        self._generators = None   # `generating_set`, computed on first use
+        self._generators = generators   # `generating_set`; None until first use
 
     # -- the structure constants as entries, in the form the constructor takes
 
@@ -278,15 +308,41 @@ def generating_set(h: FinHopfAlgebra):
     for all y} and the same set for eps are too, so Delta and eps are
     algebra maps (Montgomery, CBMS 82, ch. 1).
 
-    S is greedy: the smallest basis index not yet reached joins it until
-    every index is reached.  Group algebras and Sweedler's algebra get a few
-    generators; the dual of a group algebra, whose unit is the sum of its
-    basis, gets every index, and so does H = k.  S is computed once per
-    algebra and read from the structure constants alone.
+    S is greedy (`_greedy_generators`): the smallest basis index not yet
+    reached joins it until every index is reached.  Group algebras and
+    Sweedler's algebra get a few generators; the dual of a group algebra,
+    whose unit is the sum of its basis, gets every index, and so does H = k.
+    S is computed once per algebra from the structure constants, unless a
+    builder handed it over: `group_algebra` passes the greedy S of its
+    validated table, which is the S found here and certified by
+    construction.
     """
     if h._generators is None:
         h._generators = _certified_generators(h) or tuple(range(h.dim))
     return h._generators
+
+
+def _greedy_generators(n, unit, product):
+    """Greedy generators of a structure on the indices 0..n-1 with unit
+    `unit`: the smallest index not yet reached joins S until closing {unit}
+    under a -> s a, s in S, reaches every index.  `product(s, a)` is the
+    index that s a is a nonzero multiple of, or None when there is none.
+    The reached set is that closure whatever the order of the walk, so S
+    depends on the structure alone; it is () when n is 1."""
+    gens, reached = [], {unit}
+    for s in range(n):
+        if s in reached:
+            continue
+        gens.append(s)
+        pending = list(reached)
+        while pending:
+            a = pending.pop()
+            for g in gens:
+                b = product(g, a)
+                if b is not None and b not in reached:
+                    reached.add(b)
+                    pending.append(b)
+    return tuple(gens)
 
 
 def _certified_generators(h):
@@ -300,19 +356,8 @@ def _certified_generators(h):
     if comul[u] != [(u * d + u, 1)] or counit[u] != 1 or any(
             mul[u][i] != [(i, 1)] or mul[i][u] != [(i, 1)] for i in range(d)):
         return ()
-    gens, reached = [], {u}
-    for s in range(d):
-        if s in reached:
-            continue
-        gens.append(s)
-        pending = list(reached)
-        while pending:
-            a = pending.pop()
-            for g in gens:
-                pairs = mul[g][a]
-                if len(pairs) == 1 and pairs[0][0] not in reached:
-                    reached.add(pairs[0][0])
-                    pending.append(pairs[0][0])
+    gens = _greedy_generators(
+        d, u, lambda g, a: mul[g][a][0][0] if len(mul[g][a]) == 1 else None)
     if not gens:
         return ()
     partners = [{k for k in range(d) if row[k]} for row in mul]
@@ -321,7 +366,7 @@ def _certified_generators(h):
                     _tensor_product(mul, partners, d, comul[s], comul[j]) and
                     sum(c * counit[k] for k, c in mul[s][j]) == counit[s] * counit[j]
                     for s in gens for j in range(d)):
-        return tuple(gens)
+        return gens
     return ()
 
 
@@ -452,13 +497,27 @@ def dual_hopf(h: FinHopfAlgebra) -> FinHopfAlgebra:
 
     b*_i b*_j = sum_k Delta_k^{ij} b*_k, Delta(b*_k) = sum m_{ij}^k b*_i (x)
     b*_j, the unit is eps, the counit 1 and the antipode S^T.  Each Hopf
-    axiom of H transposes to one of H*, so H* is Hopf whenever H is.
+    axiom of H transposes to one of H*, so H* is Hopf whenever H is.  The
+    rows of H* are those of H transposed, read in ascending order, so they
+    come out ascending and canonical.
     """
-    return FinHopfAlgebra(
-        h.dim, tuple(f"{n}*" for n in h.names),
-        ((i, j, k, c) for k, i, j, c in h.comul_entries()), h.counit,
-        ((k, i, j, c) for i, j, k, c in h.mul_entries()), h.unit,
-        ((j, i, c) for j, pairs in enumerate(h.antipode_nonzero) for i, c in pairs))
+    d = h.dim
+    products = [[[] for _ in range(d)] for _ in range(d)]
+    for k, pairs in enumerate(h.comul_nonzero):
+        for t, c in pairs:
+            i, j = divmod(t, d)
+            products[i][j].append((k, c))
+    coproducts = [[] for _ in range(d)]
+    for i, row in enumerate(h.mul_nonzero):
+        for j, pairs in enumerate(row):
+            for k, c in pairs:
+                coproducts[k].append((i * d + j, c))
+    antipodes = [[] for _ in range(d)]
+    for j, pairs in enumerate(h.antipode_nonzero):
+        for i, c in pairs:
+            antipodes[i].append((j, c))
+    return FinHopfAlgebra.from_rows(d, tuple(f"{n}*" for n in h.names), products, h.counit,
+                                    coproducts, h.unit, antipodes)
 
 
 # ---------------------------------------------------------------------------
@@ -705,18 +764,13 @@ def quotient_hopf(h: FinHopfAlgebra, ideal: Subspace) -> HopfQuotient:
     if why is not None:
         raise NotHopfIdeal(why)
     complement = pi.complement
-    dq = len(complement)
     return HopfQuotient(
-        hopf=FinHopfAlgebra(
-            dq, tuple(h.names[j] for j in complement),
-            ((a, b, k, v) for a, row in enumerate(pi.products(h.mul_nonzero))
-             for b, pairs in enumerate(row) for k, v in pairs),
-            pi.project(h.unit),
-            ((k, *divmod(t, dq), v) for k, c in enumerate(complement)
-             for t, v in pi.of_tensor(h.comul_nonzero[c]).items()),
+        hopf=FinHopfAlgebra.from_rows(
+            len(complement), tuple(h.names[j] for j in complement),
+            pi.products(h.mul_nonzero), pi.project(h.unit),
+            [_pairs(pi.of_tensor(h.comul_nonzero[c])) for c in complement],
             [h.counit[c] for c in complement],
-            ((k, a, v) for a, c in enumerate(complement)
-             for k, v in pi.of(h.antipode_nonzero[c]).items())),
+            [_pairs(pi.of(h.antipode_nonzero[c])) for c in complement]),
         ideal=ideal, pi=pi)
 
 
@@ -725,6 +779,19 @@ def quotient_hopf(h: FinHopfAlgebra, ideal: Subspace) -> HopfQuotient:
 
 
 def _validate_group_table(table):
+    """(rows, identity) of a group table, or InvalidGroupTable naming the
+    first fault: a shape or range error, no identity, the first (i, j, k) in
+    ascending order with (i j) k != i (j k), rows or columns that are not
+    permutations, an element without an inverse.
+
+    Associativity is Light's test (Clifford-Preston, The Algebraic Theory of
+    Semigroups I, 1961) on the greedy generators S of the table: A = {a :
+    (x y) a = x (y a) for all x, y} holds the identity and is closed under
+    products in any magma, as (x y)(a b) = ((x y) a) b = (x (y a)) b =
+    x ((y a) b) = x (y (a b)) for a, b in A.  So A is the whole table once it
+    holds S, at |S| n^2 lookups instead of n^3.  On any failure the ordered
+    scan of every triple runs and names the first.
+    """
     n = len(table)
     rows = [list(r) for r in table]
     for r in rows:
@@ -737,12 +804,13 @@ def _validate_group_table(table):
             break
     if identity is None:
         raise InvalidGroupTable("no identity element")
-    for i, ri in enumerate(rows):
-        for j in range(n):
-            # row (i j) must be row j followed by left multiplication with i
-            if rows[ri[j]] != [ri[x] for x in rows[j]]:
-                k = next(k for k in range(n) if rows[ri[j]][k] != ri[rows[j][k]])
-                raise InvalidGroupTable(f"not associative at ({i},{j},{k})")
+    if not _light_associative(rows, _table_generators(rows, identity)):
+        for i, ri in enumerate(rows):
+            for j in range(n):
+                # row (i j) must be row j followed by left multiplication with i
+                if rows[ri[j]] != [ri[x] for x in rows[j]]:
+                    k = next(k for k in range(n) if rows[ri[j]][k] != ri[rows[j][k]])
+                    raise InvalidGroupTable(f"not associative at ({i},{j},{k})")
     for i in range(n):
         if sorted(rows[i]) != list(range(n)) or \
                 sorted(rows[j][i] for j in range(n)) != list(range(n)):
@@ -750,6 +818,23 @@ def _validate_group_table(table):
         if identity not in rows[i]:
             raise InvalidGroupTable(f"element {i} has no inverse")
     return rows, identity
+
+
+def _light_associative(rows, gens):
+    """Whether (x y) a = x (y a) for every a in `gens` and all x, y."""
+    for a in gens:
+        times_a = [r[a] for r in rows]   # z -> z a
+        # per x: the row y -> (x y) a against the row y -> x (y a)
+        if any([times_a[v] for v in r] != [r[w] for w in times_a] for r in rows):
+            return False
+    return True
+
+
+def _table_generators(rows, identity):
+    """The greedy generators (`_greedy_generators`) of a table with unit
+    `identity`, a few indices; every index for the trivial group."""
+    return _greedy_generators(len(rows), identity, lambda g, a: rows[g][a]) or \
+        tuple(range(len(rows)))
 
 
 def relabel_identity_first(table):
@@ -768,7 +853,11 @@ def group_algebra(table, names=None) -> FinHopfAlgebra:
     """The group algebra Q[G] of a finite group given by its table.
 
     Basis elements are the group elements (identity first), Delta(g) = g(x)g,
-    eps(g) = 1 and S(g) = g^{-1}.  The validated group table makes it Hopf.
+    eps(g) = 1 and S(g) = g^{-1}.  The validated group table makes it Hopf,
+    and its rows are written from the table.  The greedy generators of the
+    relabelled table are the S that `generating_set` would find: the basis
+    is group-like, the unit is e and the table passed Light's test, so the
+    certificate holds by construction and S is handed over unchecked.
     """
     order, tab = relabel_identity_first(table)
     n = len(tab)
@@ -776,10 +865,12 @@ def group_algebra(table, names=None) -> FinHopfAlgebra:
         names = ["e"] + [f"g{i}" for i in range(1, n)]
     else:
         names = [names[order[i]] for i in range(n)]
-    return FinHopfAlgebra(
-        n, names, ((i, j, k, 1) for i, row in enumerate(tab) for j, k in enumerate(row)),
-        [_ONE] + [_ZERO] * (n - 1), ((k, k, k, 1) for k in range(n)), [_ONE] * n,
-        ((row.index(0), j, 1) for j, row in enumerate(tab)), group_table=tab)
+    cells = [[(k, 1)] for k in range(n)]   # b_k, shared by every product equal to it
+    return FinHopfAlgebra.from_rows(
+        n, names, [[cells[k] for k in row] for row in tab], [_ONE] + [_ZERO] * (n - 1),
+        [[(k * n + k, 1)] for k in range(n)], [_ONE] * n,
+        [cells[row.index(0)] for row in tab], group_table=tab,
+        generators=_table_generators(tab, 0))
 
 
 def sweedler() -> FinHopfAlgebra:

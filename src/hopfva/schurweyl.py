@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .action import _sum_columns, invariants
 from .errors import CheckReport, MatricesRequired, require
-from .hopf import _validate_group_table, recognize_group_algebra
+from .hopf import _table_generators, _validate_group_table, on_generators, recognize_group_algebra
 from .linalg import Subspace, _kernel_of_columns, span_closure
 from .scalars import as_scalar, demoted, scalar_conjugate
 from .vertexalg import Poly, _mul, poly_to_text
@@ -104,14 +104,24 @@ def _irrep_columns(ch, n):
 
 
 class CharacterTable:
-    """Conjugacy classes plus one exact character row per irreducible."""
+    """Conjugacy classes plus one exact character row per irreducible.
 
-    __slots__ = ("group_table", "identity", "inverse", "classes", "chars", "class_of",
-                 "_idempotent_check")
+    The group table is validated here unless the caller passes the
+    `identity` of a table it has validated itself (`relabel_identity_first`
+    puts it at 0).  `generators` are its greedy generators, every index for
+    the trivial group; the checks whose passing elements hold e and are
+    closed under products scan them first (`hopf.on_generators`).
+    """
 
-    def __init__(self, group_table, classes, chars):
+    __slots__ = ("group_table", "identity", "generators", "inverse", "classes", "chars",
+                 "class_of", "_idempotent_check")
+
+    def __init__(self, group_table, classes, chars, identity=None):
         self.group_table = tuple(tuple(r) for r in group_table)
-        self.identity = _validate_group_table(self.group_table)[1]
+        if identity is None:
+            identity = _validate_group_table(self.group_table)[1]
+        self.identity = identity
+        self.generators = _table_generators(self.group_table, identity)
         n = len(self.group_table)
         self.classes = tuple(tuple(sorted(c)) for c in classes)
         seen = sorted(g for c in self.classes for g in c)
@@ -195,11 +205,16 @@ def verify_character_table(table: CharacterTable, rep: FinGroupRep = None) -> Ch
         if mats[table.identity] != {c: {c: 1} for c in degree}:
             matrices.record("matrices-multiplicative", [f"{ch.name} at identity"])
             break
-        # column c of rho(a) rho(b) against column c of rho(ab)
-        matrices.record("matrices-multiplicative", (
-            f"{ch.name} at ({a},{b})" for a in range(n) for b in range(n)
-            if any(_sum_columns((x, mats[a][r]) for r, x in mats[b][c].items())
-                   != mats[table.group_table[a][b]][c] for c in degree)))
+        # column c of rho(a) rho(b) against column c of rho(ab); the a with
+        # rho(a) rho(b) = rho(ab) for every b hold e (checked above) and are
+        # closed under products, so the generators are scanned first
+        def product_failures(indices):
+            return (f"{ch.name} at ({a},{b})" for a in indices for b in range(n)
+                    if any(_sum_columns((x, mats[a][r]) for r, x in mats[b][c].items())
+                           != mats[table.group_table[a][b]][c] for c in degree))
+
+        matrices.record("matrices-multiplicative",
+                        on_generators(product_failures, table.generators, n))
         matrices.record("trace-consistency", (
             f"{ch.name} at element {g}" for g in range(n)
             if sum((mats[g][i].get(i, 0) for i in degree), _ZERO)
@@ -251,9 +266,13 @@ def _idempotent_failures(table: CharacterTable):
         if {g: ch.degree * v for g, v in square.items()} != {g: n * v for g, v in f.items()}:
             yield "isotypic projector must be idempotent", f"e_{ch.name}^2 != e_{ch.name}"
         # central where each conjugation g -> h g h^{-1} keeps f; as it permutes
-        # the group, it does so where it keeps f on f's support
-        h = next((h for h in range(n) if any(f.get(gt[gt[h][g]][inv[h]]) != v
-                                              for g, v in f.items())), None)
+        # the group, it does so where it keeps f on f's support.  The h that
+        # keep f hold e and are closed under products: generators first
+        def moved(indices):
+            return (h for h in indices if any(f.get(gt[gt[h][g]][inv[h]]) != v
+                                              for g, v in f.items()))
+
+        h = next(on_generators(moved, table.generators, n), None)
         if h is not None:
             yield ("projector must centralise the group action",
                    f"e_{ch.name} g != g e_{ch.name} at g = {h}")

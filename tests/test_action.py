@@ -22,6 +22,7 @@ from hopfva.action import (
     check_thm_kernel_bialgebra_ideal,
     fixed_subspace,
     inner_faithful_quotient,
+    invariants,
     is_inner_faithful,
     maximal_hopf_ideal_in,
     tensor_power_faithfulness,
@@ -43,7 +44,8 @@ from hopfva.hopf import (
     recognize_group_algebra,
     sweedler,
 )
-from hopfva.linalg import Matrix, Subspace
+from hopfva import linalg
+from hopfva.linalg import Matrix, Subspace, _kernel_of_columns
 from hopfva.scalars import zeta
 from hopfva.vertexalg import CommDiffVA, Poly
 
@@ -228,6 +230,32 @@ def test_annihilator_at_one_cap_is_the_kernel_that_action_annihilator_reports():
     for needs_caps in (annihilator, action_annihilator, is_inner_faithful):
         with pytest.raises(FiltrationFlagRequired):
             needs_caps(act)
+
+
+def test_invariants_of_an_integral_action_reach_the_kernel_as_ints(monkeypatch):
+    act = s3_action()
+    # the columns of rho(b) e - eps(b) e with a Fraction coefficient 1, as
+    # `invariants` built them before it kept ints
+    one = Fraction(1)
+    fraction_columns = [
+        {(bi, t): c for bi, bc in enumerate(act._columns) for t, c in
+         {**{t: one * a for t, a in bc[e].items()},
+          e: one * bc[e].get(e, 0) - act.hopf.counit[bi]}.items() if c}
+        for e in act.monomials]
+    assert any(type(c) is Fraction for col in fraction_columns for c in col.values())
+    rows = []
+    component_kernel = linalg._component_kernel
+
+    def recording(component_rows, ncols, kinds):
+        rows.extend(component_rows)
+        return component_kernel(component_rows, ncols, kinds)
+
+    monkeypatch.setattr(linalg, "_component_kernel", recording)
+    fixed = invariants(act)
+    assert rows and all(type(c) is int for row in rows for c in row.values())
+    monkeypatch.undo()
+    assert fixed == _kernel_of_columns(fraction_columns, len(act.monomials))
+    assert fixed.dim > 0
 
 
 def test_maximal_hopf_ideal_examples():

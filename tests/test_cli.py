@@ -1001,3 +1001,53 @@ def test_a_query_checks_the_central_idempotents_once(capsys, monkeypatch, argv):
         assert code in (0, 3)
         assert len(runs) == query
     assert runs[0] is not runs[1]
+
+
+# --- group tables: one validation per load, S5 entered as a table ---------------
+
+
+def test_a_character_table_validates_its_group_once(capsys, monkeypatch):
+    from hopfva import hopf, schurweyl
+
+    def counted(module):
+        seen, original = [], module._validate_group_table
+        monkeypatch.setattr(module, "_validate_group_table",
+                            lambda table: seen.append(table) or original(table))
+        return seen
+
+    in_hopf, in_schurweyl = counted(hopf), counted(schurweyl)
+    code, _, _ = run_cli(capsys, ["decompose", "--workspace", Z2, "--object", "z2_on_xddx",
+                                  "--characters", "z2chars"])
+    assert code == 0
+    # the group algebra and the character table each validate the table once
+    assert len(in_hopf) == 2 and in_schurweyl == []
+
+
+def _element_orders(table):
+    """The sorted orders of the elements of a table with identity 0."""
+    orders = []
+    for x in range(len(table)):
+        k, y = 1, x
+        while y != 0:
+            y, k = table[y][x], k + 1
+        orders.append(k)
+    return sorted(orders)
+
+
+def test_s5_entered_as_a_table_is_recognised(capsys, tmp_path):
+    s5 = symmetric_group_table(5)
+    path = tmp_path / "s5.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "groups": [{"name": "s5", "table": s5}],
+        "hopf_algebras": [{"name": "qs5", "builder": "group_algebra", "group": "s5"}]}))
+    code, doc, _ = run_cli(capsys, ["recognize-group-algebra", "--workspace", str(path),
+                                    "--object", "qs5"])
+    assert code == 0 and doc["result"]["group_algebra"] is True
+    table = doc["result"]["table"]
+    n = len(table)
+    assert n == 120 and table[0] == list(range(n))
+    assert all(sorted(row) == list(range(n)) for row in table)
+    assert all(table[table[i][j]] == [table[i][x] for x in table[j]]
+               for i in range(n) for j in range(n))   # every triple associative
+    assert any(table[i][j] != table[j][i] for i in range(n) for j in range(n))
+    assert _element_orders(table) == _element_orders(s5)

@@ -323,6 +323,9 @@ def test_q_s5_axioms_run_on_generators(monkeypatch):
     assert hopf.verify_hopf_axioms(h).passed
     gens = hopf.generating_set(h)
     assert 0 < len(gens) <= 4
+    assert not calls   # group_algebra handed S over, certified by construction
+    # the handed S is the one the certificate finds, on the generators only
+    assert hopf._certified_generators(h) == gens
     assert 0 < len(calls) <= len(gens) * h.dim ** 2
     assert {i for _, i, _, _ in calls} == set(gens)
 

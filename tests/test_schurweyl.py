@@ -10,9 +10,16 @@ from conftest import (
     s3_action,
     s3_perms,
 )
+from hopfva import schurweyl
 from hopfva.action import HopfAction, trivial_action
 from hopfva.errors import InvariantViolation, MatricesRequired
-from hopfva.hopf import cyclic_group_table, dual_hopf, group_algebra, symmetric_group_table
+from hopfva.hopf import (
+    cyclic_group_table,
+    dual_hopf,
+    group_algebra,
+    on_generators,
+    symmetric_group_table,
+)
 from hopfva.linalg import Matrix, Subspace
 from hopfva.scalars import zeta
 from hopfva.schurweyl import (
@@ -206,6 +213,61 @@ def test_chartable_rejects_bad_classes():
 def test_chartable_rejects_malformed_characters(char, message):
     with pytest.raises(ValueError, match=message):
         _z2_table(char)
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The index lists each `on_generators` scan of `schurweyl` runs over."""
+    seen = []
+
+    def recording(failures, gens, dim):
+        def logged(indices):
+            seen.append(list(indices))
+            return failures(indices)
+        return on_generators(logged, gens, dim)
+
+    monkeypatch.setattr(schurweyl, "on_generators", recording)
+    return seen
+
+
+def test_character_checks_scan_the_generators_of_the_table(scans):
+    table = s3_chartable()
+    assert table.generators == (1, 2)
+    assert verify_character_table(table).passed
+    # three irreps with matrices, then the centrality of three projectors
+    assert scans == [[1, 2]] * 6
+
+
+def _first_non_multiplicative(table, name, mats):
+    """The first (a, b) in ascending order with M_a M_b != M_ab, on dense
+    matrices."""
+    n, d = len(table), len(mats[0])
+    for a in range(n):
+        for b in range(n):
+            product = [[sum(mats[a][i][k] * mats[b][k][j] for k in range(d)) for j in range(d)]
+                       for i in range(d)]
+            if product != mats[table[a][b]]:
+                return f"{name} at ({a},{b})"
+    return None
+
+
+@pytest.mark.parametrize("g", [3, 4, 5])
+def test_a_matrix_corrupted_off_the_generators_is_named_as_the_full_scan_names_it(scans, g):
+    group = symmetric_group_table(3)
+    irreps = s3_irreps()
+    std = irreps[2]
+    mats = [[list(row) for row in m] for m in std.matrices]
+    mats[g][0][1] += 1   # keeps the trace
+    irreps[2] = IrrepCharacter("std", 2, std.values, tuple(mats))
+    table = CharacterTable(group, S3_CLASSES, irreps)
+    assert g not in table.generators
+    report = verify_character_table(table)
+    witness = _first_non_multiplicative(group, "std", mats)
+    assert witness is not None
+    assert report["matrices-multiplicative"] == (False, witness)
+    assert report["trace-consistency"] == (True, None)
+    # triv and sign pass on the generators; std fails there and is rescanned
+    assert scans[:4] == [[1, 2], [1, 2], [1, 2], list(range(6))]
 
 
 def test_irrep_matrices_are_held_as_columns():
