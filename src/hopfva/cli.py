@@ -567,7 +567,7 @@ class _Commands:
         rep = _group_rep(ws, args)
         decomp = sw_mod.decompose(ws.get("character_tables", args.characters), rep)
         mults = {name: list(m) for name, m in sorted(decomp.multiplicities.items())}
-        iso_dims = {name: decomp.isotype_full(name).dim for name in mults}
+        iso_dims = {name: decomp.isotypes[name].dim for name in mults}
         return "pass", {"multiplicities": mults, "isotype_dims": iso_dims}, \
             [f"{name}: multiplicities {m}" for name, m in mults.items()]
 

@@ -808,17 +808,11 @@ class Subspace:
         return all(self.contains(row) for row in other.basis)
 
     def coordinates_of(self, vec):
-        """Coefficients over the echelon basis, or None if not a member."""
+        """Coefficients over the echelon basis, or None if not a member: a
+        member's entries at the pivots, where each basis row holds 1 and
+        the others 0."""
         v = [as_scalar(c) for c in vec]
-        coeffs = []
-        for row, p in zip(self.basis, self.pivots):
-            c = v[p]
-            coeffs.append(c)
-            if c != 0:
-                v = [x - c * y if y else x for x, y in zip(v, row)]
-        if any(c != 0 for c in v):
-            return None
-        return coeffs
+        return [v[p] for p in self.pivots] if self.contains(v) else None
 
     def __add__(self, other):
         require(self.ambient == other.ambient, "subspaces of different spaces")

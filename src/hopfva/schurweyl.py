@@ -8,9 +8,11 @@ is checked here.
 
 Character tables are input (and verified exactly), never computed.  The
 isotypic projectors are rho(e_chi) for the central idempotents e_chi of the
-group algebra, whose identities are checked on the group table; multiplicity
-spaces are extracted as exact intertwiner solution spaces when explicit
-irrep matrices are supplied.  Dual-pair evidence at truncation consists of
+group algebra, whose identities are checked on the group table, and each
+isotype is one subspace of the whole carrier: the image of rho(e_chi),
+reduced once on the sparse echelon form.  Multiplicity spaces are extracted
+as exact intertwiner solution spaces when explicit irrep matrices are
+supplied.  Dual-pair evidence at truncation consists of
 decomposition bookkeeping, commutant checks, cyclic reachability inside an
 isotype, and pairwise distinguishability with an honest "inconclusive".
 Projectors, mode operators and irrep matrices are columns too, so no Matrix
@@ -247,13 +249,14 @@ def _class_sum(table, ch):
 def _idempotent_failures(table: CharacterTable):
     """(require message, witness) for each failed identity of the central
     idempotents e_chi = (d/|G|) sum_g chi(g^{-1}) g of the group algebra, in
-    order: each e_chi idempotent and central, distinct ones orthogonal, their
-    sum 1.  They run on f_chi = (|G|/d) e_chi, so an integral table stays on
-    ints: e_chi^2 = e_chi is d f_chi^2 = |G| f_chi.  Each identity is tested
-    given those before it, as `CharacterTable.idempotent_check` keeps only
-    the first failure: the product p of two commuting idempotents is one,
-    and p = 0 exactly where its coefficient at 1, rank(h -> p h) / |G|, is
-    0."""
+    order: each e_chi idempotent, distinct ones orthogonal, their sum 1.
+    They run on f_chi = (|G|/d) e_chi, so an integral table stays on ints:
+    e_chi^2 = e_chi is d f_chi^2 = |G| f_chi.  Each e_chi is central on any
+    table `CharacterTable` accepts, as f_chi is read per class and the
+    classes are conjugation-closed.  Each identity is tested given those
+    before it, as `CharacterTable.idempotent_check` keeps only the first
+    failure: the product p of two commuting idempotents is one, and p = 0
+    exactly where its coefficient at 1, rank(h -> p h) / |G|, is 0."""
     gt, n, inv = table.group_table, table.order, table.inverse
 
     def product(a, b):
@@ -265,17 +268,6 @@ def _idempotent_failures(table: CharacterTable):
         square = product(f, f)
         if {g: ch.degree * v for g, v in square.items()} != {g: n * v for g, v in f.items()}:
             yield "isotypic projector must be idempotent", f"e_{ch.name}^2 != e_{ch.name}"
-        # central where each conjugation g -> h g h^{-1} keeps f; as it permutes
-        # the group, it does so where it keeps f on f's support.  The h that
-        # keep f hold e and are closed under products: generators first
-        def moved(indices):
-            return (h for h in indices if any(f.get(gt[gt[h][g]][inv[h]]) != v
-                                              for g, v in f.items()))
-
-        h = next(on_generators(moved, table.generators, n), None)
-        if h is not None:
-            yield ("projector must centralise the group action",
-                   f"e_{ch.name} g != g e_{ch.name} at g = {h}")
     for i, (a, fa) in enumerate(fs):
         for b, fb in fs[i + 1:]:
             if sum(v * fb.get(inv[g], 0) for g, v in fa.items()):
@@ -284,64 +276,53 @@ def _idempotent_failures(table: CharacterTable):
         yield "projectors must sum to the identity", "the sum of the e_chi != 1"
 
 
-def _projectors(table: CharacterTable, rep: FinGroupRep):
-    """{name: rho(e_chi)} as columns keyed like the action's, each e_chi
-    summed on the group elements' columns once its identities hold."""
+def isotypic_projector(table: CharacterTable, rep: FinGroupRep, name):
+    """rho(e_chi) for e_chi = (d/|G|) sum_g chi(g^{-1}) g, as columns keyed
+    like the action's, summed on the group elements' columns once the
+    identities of the e_chi hold on the group table."""
     _require_same_group(table, rep)
     for message, _ in table.idempotent_check():
         require(False, message)
-    out = {}
-    for ch in table.chars:
-        factor = Fraction(ch.degree, table.order)
-        terms = [(demoted(factor * v), rep.columns[g]) for g, v in _class_sum(table, ch).items()]
-        out[ch.name] = {e: _sum_columns((c, cols[e]) for c, cols in terms)
-                        for e in rep.action.monomials}
-    return out
-
-
-def isotypic_projector(table: CharacterTable, rep: FinGroupRep, name):
-    """rho(e_chi) for e_chi = (d/|G|) sum_g chi(g^{-1}) g, as columns keyed
-    like the action's, verified on the group table."""
-    return _projectors(table, rep)[table.char(name).name]
+    ch = table.char(name)
+    factor = Fraction(ch.degree, table.order)
+    terms = [(demoted(factor * v), rep.columns[g]) for g, v in _class_sum(table, ch).items()]
+    return {e: _sum_columns((c, cols[e]) for c, cols in terms) for e in rep.action.monomials}
 
 
 @dataclass
 class IsotypicDecomposition:
+    """Each irreducible's multiplicities per degree and its isotype, the
+    image of rho(e_chi) as one Subspace of the whole carrier."""
+
     rep: FinGroupRep
     table: CharacterTable
     multiplicities: dict     # name -> tuple of multiplicities per degree
-    isotypes: dict           # name -> list of Subspace per degree
-
-    def isotype_full(self, name) -> Subspace:
-        """The isotypic component embedded in the full carrier."""
-        n = len(self.rep.action.monomials)
-        vecs, offset = [], 0
-        for sub in self.isotypes[name]:
-            after = n - offset - sub.ambient
-            vecs += [[_ZERO] * offset + list(row) + [_ZERO] * after for row in sub.basis]
-            offset += sub.ambient
-        return Subspace.from_vectors(n, vecs)
+    isotypes: dict           # name -> Subspace of the carrier
 
 
 def decompose(table: CharacterTable, rep: FinGroupRep) -> IsotypicDecomposition:
-    """Exact multiplicities and isotype bases, with full bookkeeping checks."""
-    projectors = _projectors(table, rep)
+    """Exact multiplicities and isotypes, with full bookkeeping checks.
+
+    Each isotype is the image of rho(e_chi), reduced once over the whole
+    carrier.  rho(e_chi) keeps each degree and the carrier lists its
+    monomials by degree, so that echelon basis is the union of the
+    per-degree ones, and its pivots count the rank in each degree."""
+    monos = rep.action.monomials
+    position = {e: i for i, e in enumerate(monos)}
     mults = {}
     isotypes = {}
     for ch in table.chars:
+        p = isotypic_projector(table, rep, ch.name)
         per_degree = mults[ch.name] = _multiplicities(table, rep, ch)
-        p = projectors[ch.name]
-        per_iso = []
-        for deg, monos in enumerate(rep.graded):
-            # the columns of p on the degree-deg monomials, which it keeps in degree deg
-            sub = Subspace.from_vectors(len(monos), [[p[e].get(t, 0) for t in monos]
-                                                     for e in monos])
-            require(sub.dim == ch.degree * per_degree[deg],
-                    "projector rank must match d * multiplicity")
-            per_iso.append(sub)
-        isotypes[ch.name] = per_iso
-    for deg, monos in enumerate(rep.graded):
-        require(sum(ch.degree * mults[ch.name][deg] for ch in table.chars) == len(monos),
+        iso = isotypes[ch.name] = span_closure(
+            len(monos), [{position[t]: c for t, c in p[e].items()} for e in monos], ())
+        ranks = [0] * len(rep.graded)
+        for q in iso.pivots:
+            ranks[sum(monos[q])] += 1
+        require(ranks == [ch.degree * m for m in per_degree],
+                "projector rank must match d * multiplicity")
+    for deg, block in enumerate(rep.graded):
+        require(sum(ch.degree * mults[ch.name][deg] for ch in table.chars) == len(block),
                 "dimension bookkeeping failed")
     return IsotypicDecomposition(rep=rep, table=table, multiplicities=mults, isotypes=isotypes)
 
@@ -473,8 +454,7 @@ def cyclic_reachability(rep: FinGroupRep, table: CharacterTable, name,
     seed under every mode.
     """
     backend = rep.backend
-    decomp = decompose(table, rep)
-    isotype = decomp.isotype_full(name)
+    isotype = decompose(table, rep).isotypes[name]
     seed_coords = backend.coords_of(seed)
     if all(c == 0 for c in seed_coords):
         raise ValueError("seed must be nonzero")
@@ -507,7 +487,7 @@ def _isotype_fingerprints(decomp: IsotypicDecomposition, name, modes):
     different-degree isotypes are comparable."""
     rep = decomp.rep
     d = decomp.table.char(name).degree
-    iso = decomp.isotype_full(name)
+    iso = decomp.isotypes[name]
     # the degree of each isotype basis vector, read at its pivot
     monos = rep.action.monomials
     basis_degrees = [sum(monos[p]) for p in iso.pivots]

@@ -287,8 +287,8 @@ def test_criterion_11_schur_weyl_mechanism():
         rep = FinGroupRep.from_hopf_action(cyclic_scaling_action(2, cap=6))
         table = z2_chartable()
         decomp = decompose(table, rep)  # asserts idempotence + completeness
-        assert decomp.isotype_full("triv").dim == 4
-        assert decomp.isotype_full("sign").dim == 3
+        assert decomp.isotypes["triv"].dim == 4
+        assert decomp.isotypes["sign"].dim == 3
         evens = [Poly.monomial((k,)) for k in (0, 2, 4, 6)]
         assert check_commutant(rep, evens, 2).passed
         reach = cyclic_reachability(rep, table, "sign", Poly.monomial((1,)), 2)

@@ -8,7 +8,10 @@ covered: the bundled fixtures, `--cap-d` variants, `golden/broken.json`
 `verify-hopf` reports and other commands refuse at load, and
 explicit-matrix actions that break the module and closure checks) and
 `golden/duals.json` (the duals of Q[S3] and Q[A4], whose own duals are not
-commutative, and a rejected `group_like_basis` field).
+commutative, and a rejected `group_like_basis` field) and
+`golden/schurweyl.json` (S3 permuting Q[x1, x2, x3] with a character table
+whose `std` carries 2x2 matrices and whose `triv` carries none, and Z3
+scaling Q(zeta_3)[x] and Q(zeta_3)[x, y] with its Q(zeta_3) table).
 
 To record the corpus again after a deliberate change of output, run
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
@@ -28,8 +31,9 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = GOLDEN_DIR / "machine_blocks.json"
 
 S, Z, XY, B = "sweedler.json", "z2_on_xddx.json", "xy_diagonal.json", "broken.json"
-D = "duals.json"
+D, SW = "duals.json", "schurweyl.json"
 Z2CH = ["--characters", "z2chars"]
+S3CH, Z3CH = ["--characters", "s3chars"], ["--characters", "z3chars"]
 
 # (workspace file, command, object, extra options)
 CASES = [
@@ -101,18 +105,35 @@ CASES = [
     (Z, "decompose", "z2_on_xddx", Z2CH),
     (Z, "decompose", "z2_on_xddx", Z2CH + ["--cap-d", "3"]),
     (B, "decompose", "sign_on_x2", Z2CH),
+    (SW, "decompose", "s3perm", S3CH),
+    (SW, "decompose", "s3perm", S3CH + ["--cap-d", "1"]),
+    (SW, "decompose", "z3scale", Z3CH),
+    (SW, "decompose", "z3plane", Z3CH),
     (Z, "multiplicity", "z2_on_xddx", Z2CH + ["--irrep", "triv"]),
     (Z, "multiplicity", "z2_on_xddx", Z2CH + ["--irrep", "sign", "--cap-d", "3"]),
     (B, "multiplicity", "sign_on_x2", Z2CH + ["--irrep", "sign"]),
+    (SW, "multiplicity", "s3perm", S3CH + ["--irrep", "std"]),
+    (SW, "multiplicity", "s3perm", S3CH + ["--irrep", "triv"]),
+    (SW, "multiplicity", "z3scale", Z3CH + ["--irrep", "chi1", "--cap-d", "4"]),
     (Z, "commutant", "z2_on_xddx", []),
     (Z, "commutant", "z2_on_xddx", ["--mode-budget", "0", "--cap-d", "3"]),
     (B, "commutant", "sign_on_x2", []),
     (Z, "reach", "z2_on_xddx", Z2CH + ["--irrep", "triv", "--seed", "x^2"]),
     (Z, "reach", "z2_on_xddx", Z2CH + ["--irrep", "sign", "--seed", "x"]),
     (Z, "reach", "z2_on_xddx", Z2CH + ["--irrep", "sign", "--seed", "x^2"]),
+    (SW, "reach", "s3perm", S3CH + ["--irrep", "std", "--seed", "x1 - x2"]),
+    (SW, "reach", "s3perm", S3CH + ["--irrep", "sign", "--seed",
+                                    "x1^2*x2 - x1^2*x3 - x1*x2^2 + x1*x3^2 + x2^2*x3 - x2*x3^2"]),
+    (SW, "reach", "s3perm", S3CH + ["--irrep", "std", "--seed", "x1"]),
+    (SW, "reach", "z3scale", Z3CH + ["--irrep", "chi1", "--seed", "x^4"]),
+    (SW, "reach", "z3plane", Z3CH + ["--irrep", "chi1", "--seed", "x"]),
     (Z, "distinguish", "z2_on_xddx", Z2CH + ["--irrep", "triv", "--irrep2", "sign"]),
     (Z, "distinguish", "z2_on_xddx",
      Z2CH + ["--irrep", "triv", "--irrep2", "sign", "--cap-d", "0"]),
+    (SW, "distinguish", "s3perm", S3CH + ["--irrep", "triv", "--irrep2", "sign"]),
+    (SW, "distinguish", "s3perm", S3CH + ["--irrep", "std", "--irrep2", "std"]),
+    (SW, "distinguish", "z3scale", Z3CH + ["--irrep", "chi1", "--irrep2", "chi2"]),
+    (SW, "distinguish", "z3plane", Z3CH + ["--irrep", "chi1", "--irrep2", "chi2"]),
 ]
 
 

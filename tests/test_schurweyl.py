@@ -234,8 +234,8 @@ def test_character_checks_scan_the_generators_of_the_table(scans):
     table = s3_chartable()
     assert table.generators == (1, 2)
     assert verify_character_table(table).passed
-    # three irreps with matrices, then the centrality of three projectors
-    assert scans == [[1, 2]] * 6
+    # the three irreps with matrices
+    assert scans == [[1, 2]] * 3
 
 
 def _first_non_multiplicative(table, name, mats):
@@ -318,8 +318,8 @@ def test_decompose_z2_even_odd():
     decomp = decompose(z2_chartable(), rep)
     assert decomp.multiplicities["triv"] == (1, 0, 1, 0, 1, 0, 1)
     assert decomp.multiplicities["sign"] == (0, 1, 0, 1, 0, 1, 0)
-    assert decomp.isotype_full("triv").dim == 4
-    assert decomp.isotype_full("sign").dim == 3
+    assert decomp.isotypes["triv"].dim == 4
+    assert decomp.isotypes["sign"].dim == 3
 
 
 def test_decompose_trivial_action_single_isotype():
@@ -373,11 +373,13 @@ def test_theta_dimension_bookkeeping():
     t = s3_chartable()
     rep = s3_rep(2)
     decomp = decompose(t, rep)
+    monos = rep.action.monomials
     for name in ("triv", "sign", "std"):
         spaces = multiplicity_space(t, rep, name)
         d = t.char(name).degree
+        pivot_degrees = [sum(monos[p]) for p in decomp.isotypes[name].pivots]
         for deg, basis in enumerate(spaces):
-            assert len(basis) * d == decomp.isotypes[name][deg].dim
+            assert len(basis) * d == pivot_degrees.count(deg)
 
 
 # --- commutant ---------------------------------------------------------------------
@@ -633,6 +635,101 @@ def test_sparse_view_matches_dense_oracles(case):
                 _dense_multiplicity(table, rep, ch.name, deg)
             assert [list(f) for f in spaces[deg]] == \
                 [list(v) for v in _dense_intertwiners(entered[ch.name], rep, deg).basis]
+
+
+def _padded_isotype(table, rep, name):
+    """The isotype built degree by degree: the dense RREF of the image of
+    rho(e_chi) on each degree, each block padded to the whole carrier, and
+    the padded rows reduced again."""
+    n = len(rep.action.monomials)
+    vecs, offset = [], 0
+    for deg, monos in enumerate(rep.graded):
+        p = _dense_projector(table, rep, name, deg)
+        block = Subspace.from_vectors(len(monos), [p.col(j) for j in range(len(monos))])
+        after = n - offset - len(monos)
+        vecs += [[F(0)] * offset + list(row) + [F(0)] * after for row in block.basis]
+        offset += len(monos)
+    return Subspace.from_vectors(n, vecs)
+
+
+def z4_chartable():
+    z = zeta(4)
+    chars = [IrrepCharacter(f"chi{j}", 1, tuple(z ** (j * k) for k in range(4)))
+             for j in range(4)]
+    return CharacterTable(cyclic_group_table(4), [[g] for g in range(4)], chars)
+
+
+def _cyclic_case(table, n, cap):
+    return lambda: (table(), FinGroupRep.from_hopf_action(cyclic_scaling_action(n, cap)))
+
+
+ISOTYPE_CASES = {
+    **{f"z2-cap{c}": (lambda c=c: (z2_chartable(), z2_rep(c))) for c in (0, 3, 6)},
+    **{f"z3-cap{c}": _cyclic_case(z3_chartable, 3, c) for c in (1, 4, 6)},
+    "z3-xy-cap3": lambda: (z3_chartable(), FinGroupRep.from_hopf_action(_z3_xy_action(3))),
+    **{f"z4-cap{c}": _cyclic_case(z4_chartable, 4, c) for c in (2, 5)},
+    **{f"s3-cap{c}": (lambda c=c: (s3_chartable(), s3_rep(c))) for c in (0, 1, 2, 3)},
+    "dual-z2-group-likes": lambda: dual_z2_case(4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ISOTYPE_CASES))
+def test_isotypes_match_the_padded_per_degree_blocks(case):
+    table, rep = ISOTYPE_CASES[case]()
+    monos = rep.action.monomials
+    decomp = decompose(table, rep)
+    for ch in table.chars:
+        iso = decomp.isotypes[ch.name]
+        assert iso == _padded_isotype(table, rep, ch.name)
+        assert iso.ambient == len(monos)
+        pivot_degrees = [sum(monos[p]) for p in iso.pivots]
+        assert [pivot_degrees.count(deg) for deg in range(len(rep.graded))] == \
+            [ch.degree * m for m in decomp.multiplicities[ch.name]]
+
+
+@pytest.fixture
+def reductions(monkeypatch):
+    """{"isotype": n, "dense": m}: the span closures `schurweyl` runs and the
+    Subspace.from_vectors reductions anyone runs, from now on."""
+    counts = {"isotype": 0, "dense": 0}
+    closure, from_vectors = schurweyl.span_closure, Subspace.__dict__["from_vectors"].__func__
+
+    def counting_closure(*args):
+        counts["isotype"] += 1
+        return closure(*args)
+
+    def counting_from_vectors(cls, *args):
+        counts["dense"] += 1
+        return from_vectors(cls, *args)
+
+    monkeypatch.setattr(schurweyl, "span_closure", counting_closure)
+    monkeypatch.setattr(Subspace, "from_vectors", classmethod(counting_from_vectors))
+    return counts
+
+
+def test_decompose_reduces_once_per_irreducible(reductions):
+    # S3 permuting Q[x1, x2, x3] at D=3: one sparse reduction per irreducible,
+    # not one dense reduction per irreducible and degree (3 x 4)
+    table, rep = s3_chartable(), s3_rep(3)
+    decomp = decompose(table, rep)
+    assert reductions == {"isotype": 3, "dense": 0}
+    # distinguishing by dimensions reduces nothing more
+    assert distinguish_isotypes(decomp, "triv", "sign").kind == "degreewise-dims"
+    assert reductions == {"isotype": 3, "dense": 0}
+
+
+def test_fingerprints_reduce_only_the_mode_images(reductions):
+    from hopfva.schurweyl import _invariant_modes, _isotype_fingerprints
+
+    decomp = decompose(s3_chartable(), s3_rep(3))
+    modes = _invariant_modes(decomp.rep, 2)
+    reductions.update(isotype=0, dense=0)
+    prints = _isotype_fingerprints(decomp, "std", modes)
+    # one rank per mode and degree the isotype meets, and no isotype reduced again
+    assert reductions == {"isotype": 0,
+                          "dense": sum(len(profile) for _, _, profile in prints)}
+    assert distinguish_isotypes(decomp, "std", "std").kind == "inconclusive"
+    assert reductions["isotype"] == 0
 
 
 def test_recognised_group_likes_act_like_the_group_algebra():

@@ -423,6 +423,52 @@ def test_flip_skew_corrupted_fails():
     ]
 
 
+def _flip_failures(backend, u, v, order):
+    """The z^k coefficients, as "coefficient k", at which
+    e^{-z d}((e^{z d}u) v) and (e^{-z d}v) u differ, expanded directly."""
+    for k in range(order + 1):
+        lhs = Poly.zero(backend.nvars)
+        for i in range(k + 1):
+            j = k - i
+            inner = (backend.derive_k(u, j) * v).scale(Fraction(1, math.factorial(j)))
+            lhs = lhs + backend.derive_k(inner, i).scale(F(-1) ** i / math.factorial(i))
+        rhs = (backend.derive_k(v, k) * u).scale(F(-1) ** k / math.factorial(k))
+        if lhs != rhs:
+            yield f"coefficient {k}"
+
+
+def _random_poly(rng, monos, nvars):
+    return Poly(nvars, {e: F(rng.randint(-3, 3), rng.randint(1, 3))
+                        for e in rng.sample(monos, rng.randint(0, min(3, len(monos))))})
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_flip_skew_check_matches_the_direct_expansion_on_corrupted_tables(seed):
+    # a random linear d that lowers or keeps the degree, so the table covers
+    # every monomial a product of two samples reaches
+    rng = random.Random(seed)
+    nvars = 1 + seed % 2
+    variables = ["x", "y"][:nvars]
+    backend = CommDiffVA(variables, {v: Poly.zero(nvars) for v in variables}, 3)
+    monos = backend.monomials(6)
+    table = {e: _random_poly(rng, [t for t in monos if sum(t) <= sum(e)], nvars)
+             for e in monos}
+    corrupted = CommDiffVA(variables, {v: Poly.zero(nvars) for v in variables}, 3,
+                           derivation_table=table)
+    pairs = [(_random_poly(rng, backend.monomials(3), nvars),
+              _random_poly(rng, backend.monomials(3), nvars)) for _ in range(6)]
+    report = flip_skew_check(corrupted, pairs, 4)
+    vars_ = corrupted.variables
+    assert list(report.items()) == [
+        (f"({poly_to_text(u, vars_)}, {poly_to_text(v, vars_)})",
+         next(((False, w) for w in _flip_failures(corrupted, u, v, 4)), (True, None)))
+        for u, v in pairs]
+    # every failing order, not only the first one the report keeps
+    for u, v in pairs:
+        assert [f"coefficient {k}" for k in vertexalg._skew_failures(corrupted, v, u, 4)] == \
+            list(_flip_failures(corrupted, u, v, 4))
+
+
 # --- text forms ----------------------------------------------------------------
 
 
