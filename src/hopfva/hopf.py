@@ -33,16 +33,17 @@ Group-likes are computed for every H, as the characters of H*: G(H) =
 Alg(H*, F) = Alg(H*/I, F) for I the two-sided ideal of H* generated by its
 commutators.  The commutative algebra H*/I splits into primitive
 idempotents, and each 1-dimensional block gives one group-like.  When H is
-cocommutative, I = 0 and H* itself splits.  Otherwise I grows in one sparse
-echelon form (`span_closure`) from the commutators [b_s, b_j], s in the
-`generating_set` S of H* (every index when none is certified), under the
-products with b_s on the left only.  The closure J is I by three closure
-arguments in the associative H*.  {x : x J in J} contains 1 and S and is
-closed under products, so J is the left ideal generated by the [s, y].  It
-is two-sided: [s, y] z = [s, y z] - y [s, z] lies in J for every z.  Then
-{x : [x, y] in J for all y} contains 1 and S and is closed under products,
-as [x y, z] = x [y, z] + [x, z] y, so every element is central modulo J and
-J holds every commutator.
+cocommutative, I = 0 and H* itself splits, with no quotient map (for a
+group algebra its basis is already its primitive idempotents).  Otherwise I
+grows in one sparse echelon form (`span_closure`) from the commutators
+[b_s, b_j], s in the `generating_set` S of H* (every index when none is
+certified), under the products with b_s on the left only.  The closure J is
+I by three closure arguments in the associative H*.  {x : x J in J}
+contains 1 and S and is closed under products, so J is the left ideal
+generated by the [s, y].  It is two-sided: [s, y] z = [s, y z] - y [s, z]
+lies in J for every z.  Then {x : [x, y] in J for all y} contains 1 and S
+and is closed under products, as [x y, z] = x [y, z] + [x, z] y, so every
+element is central modulo J and J holds every commutator.
 
 A rule that holds on a set of elements containing 1 and closed under
 products holds on all of H once it holds on generators.  `generating_set`
@@ -529,10 +530,13 @@ def group_likes(h: FinHopfAlgebra, conductor=1):
     the unit first, the rest ascending by `scalar_sort_key`.
 
     G(H) = Alg(H*, F) = Alg(A, F) for A = H*/I, I the ideal of H* generated
-    by its commutators (Montgomery, CBMS 82, ch. 1); I = 0 when H is
-    cocommutative.  Each 1-dimensional block p of the commutative A gives a
-    character, a p = chi(a) p, and the group-like g_j = chi(b*_j + I).  I is
-    grown from generators of H*, as the module docstring says.
+    by its commutators (Montgomery, CBMS 82, ch. 1).  Each 1-dimensional
+    block p of the commutative A gives a character, a p = chi(a) p, and the
+    group-like g_j = chi(b*_j + I).  I is grown from generators of H*, as
+    the module docstring says.  When H is cocommutative, I = 0: no ideal and
+    no quotient map is built, A is H* on its own table and g is chi.  For
+    H = Q[G] that table has b*_i b*_j = b*_i for i = j and 0 otherwise, so
+    the split returns the b*_i without a search and each g is one b_j.
 
     H must be Hopf: A is associative because H is coassociative, so the
     split is handed A's unit, the image of eps, and skips its own d^3
@@ -543,7 +547,9 @@ def group_likes(h: FinHopfAlgebra, conductor=1):
 
     chi is read at one coordinate: with ref the first nonzero coordinate of
     p, chi(b_a) = [b_a p]_ref / p_ref = sum_j p_j [b_a b_j]_ref / p_ref, from
-    the table `into[j][k]` of the (a, [b_a b_j]_k) built once.  That each
+    the table `into[j][k]` of the (a, [b_a b_j]_k) built once, over the
+    nonzero p_j only; chi, g and the sort keys (`_sparse_sort_key`) hold
+    nonzero entries only, and g is made dense once, on return.  That each
     block is 1-dimensional is certified by the split's exact trace check,
     and that chi is a unital algebra map by the group-like check below:
     Delta(g) = g (x) g and eps(g) = 1 hold exactly when it is one.
@@ -552,7 +558,8 @@ def group_likes(h: FinHopfAlgebra, conductor=1):
     dual_algebra = dual_hopf(h)
     dual = dual_algebra.mul_nonzero
     if is_cocommutative(h)[0]:
-        ideal = Subspace.zero(d)
+        # I = 0: pi is the identity, A is H* and g is chi
+        quotient, images, unit = dual, None, dual_algebra.unit
     else:
         gens = generating_set(dual_algebra)
         ideal = span_closure(
@@ -560,33 +567,58 @@ def group_likes(h: FinHopfAlgebra, conductor=1):
                 for s in gens for j in range(d)],
             [lambda v, s=s: _sum((k, a * c) for j, a in v.items() for k, c in dual[s][j])
              for s in gens])
-    pi = QuotientMap(ideal)
-    quotient = pi.products(dual)
-    dq = len(pi.complement)
+        pi = QuotientMap(ideal)
+        quotient, images, unit = pi.products(dual), pi.images, pi.project(dual_algebra.unit)
+    dq = len(quotient)
     into = [{} for _ in range(dq)]
     for a, row in enumerate(quotient):
         for j, pairs in enumerate(row):
             for k, c in pairs:
                 into[j].setdefault(k, []).append((a, c))
+    comul, counit = h.comul_nonzero, h.counit
     likes = []
-    for p in split_commutative_algebra(quotient, dq, conductor=conductor,
-                                       unit=pi.project(dual_algebra.unit)):
-        ref = next(l for l, c in enumerate(p) if c != 0)
-        at_ref = [_ZERO] * dq  # [b_a p]_ref
-        for j, pj in nonzero_pairs(p):
+    for p in split_commutative_algebra(quotient, dq, conductor=conductor, unit=unit):
+        support = nonzero_pairs(p)
+        ref = support[0][0]
+        at_ref = {}  # the nonzero [b_a p]_ref
+        for j, pj in support:
             for a, c in into[j].get(ref, ()):
-                at_ref[a] += pj * c
+                at_ref[a] = at_ref.get(a, _ZERO) + pj * c
         inv = 1 / p[ref]
-        chi = [y * inv for y in at_ref]
-        g = [sum((chi[a] * c for a, c in image), _ZERO) for image in pi.images]
-        ng = nonzero_pairs(g)
-        require(_sum(h.comul_terms(g)) == {i * d + j: a * b for i, a in ng for j, b in ng}
-                and h.counit_of(g) == 1,
+        chi = {a: y * inv for a, y in at_ref.items() if y}
+        if images is not None:
+            chi = _sum((j, chi[a] * c) for j, image in enumerate(images)
+                       for a, c in image if a in chi)
+        g = sorted(chi.items())
+        ng = [(j, demoted(y)) for j, y in g]
+        require(_sum((t, a * c) for k, a in ng for t, c in comul[k])
+                == {i * d + j: a * b for i, a in ng for j, b in ng}
+                and sum((a * counit[k] for k, a in ng), _ZERO) == 1,
                 "a character of the dual failed the group-like check")
-        likes.append(tuple(g))
-    unit = tuple(h.unit)
-    likes.sort(key=lambda v: (v != unit, tuple(scalar_sort_key(c) for c in v)))
-    return likes
+        likes.append(g)
+    unit = nonzero_pairs(h.unit)
+    likes.sort(key=lambda g: (g != unit, _sparse_sort_key(g, d)))
+    return [tuple(_dense(g, d)) for g in likes]
+
+
+def _sparse_sort_key(pairs, d):
+    """A key on the nonzero (index, value) pairs of a vector of length d that
+    orders vectors as their dense tuples of `scalar_sort_key` do.
+
+    The dense tuples first differ at some index k.  Where both vectors are
+    nonzero at k, their values decide.  Where one is 0, the other's value
+    decides by lying above or below 0, so a value above 0 counts for more
+    at a smaller index and a value below 0 for less: the pair (k, c) has the
+    key (1, -k, key c) above 0 and (0, k, key c) below, and the end of the
+    pairs has (1, -d), which lies between.
+    """
+    zero = scalar_sort_key(_ZERO)
+    keys = []
+    for k, c in pairs:
+        key = scalar_sort_key(c)
+        keys.append((1, -k, key) if key > zero else (0, k, key))
+    keys.append((1, -d))
+    return keys
 
 
 @dataclass
@@ -615,7 +647,7 @@ def recognize_group_algebra(h: FinHopfAlgebra, conductor=1) -> GroupRecognition:
     # group-likes and of the structure constants; there equal cyclotomics
     # have equal coordinates, and rationals stay numbers, which never equal
     # a coordinate tuple.  Keys and products are sparse (index, value) pairs.
-    n = math.lcm(common_conductor(c for g in likes for c in g),
+    n = math.lcm(common_conductor(c for g in sparse for _, c in g),
                  common_conductor(c for _, _, _, c in h.mul_entries()))
 
     def key(pairs):

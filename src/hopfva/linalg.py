@@ -27,7 +27,12 @@ certifies a zero kernel with no exact reduction at all; exact dot products
 confirm the selection, and the reduction of all rows is the fallback.
 
 Also hosts the primitive-idempotent splitter for commutative associative
-algebras, which drives group-like enumeration in the Hopf layer.  It builds
+algebras, which drives group-like enumeration in the Hopf layer.  A table
+with b_i b_j = b_i for i = j and 0 otherwise, and a unit that is sum b_i,
+is F^d, and its primitive idempotents are the b_i themselves (the
+coordinates of an idempotent are idempotents of F, so each is 0 or 1); the
+split returns them after one pass over the table, as for the dual of a
+group algebra, whose basis is the delta functions.  Otherwise it builds
 one sparse table per call: the products of the Q-basis b_i zeta^a of
 A (x) Q(zeta_N), as nonzero (index, rational) pairs.  Every block is its
 idempotent e, starting from the unit, which a caller that knows the algebra
@@ -905,20 +910,22 @@ def _minimal_polynomial(alg, e, g):
     ints.  Returns (mu, [(t_0, w_0), ..., (t_(deg mu - 1), w_(deg mu - 1))]).
     """
     g_scale, g_int = _integral(g)
+    g_pairs = nonzero_pairs(g_int)
     t, w = _integral(e)
     powers = []
     reduced = []  # (pivot, row, {k: the integer coefficient of w_k in it})
     while len(powers) <= alg.qdim:
         top = len(powers)
         powers.append((t, w))
-        row, combo = _reduce_krylov({j: c for j, c in enumerate(w) if c}, {top: 1}, reduced)
+        w_pairs = nonzero_pairs(w)
+        row, combo = _reduce_krylov(dict(w_pairs), {top: 1}, reduced)
         if not row:
             # sum_k combo_k w_k = 0 with w_k = y^k / t_k; divide by the top term
             scale = Fraction(t, combo[top])
             return [combo.get(k, 0) * scale / tk for k, (tk, _) in enumerate(powers)], \
                 powers[:-1]
         reduced.append((min(row), row, combo))
-        s, w = _integral(alg.qmul(g_int, w))
+        s, w = _integral(alg.qmul(g_pairs, w_pairs))
         t = g_scale * t * s
     raise InvariantViolation("minimal polynomial search ran past the dimension")
 
@@ -1054,19 +1061,18 @@ class _AlgebraQ:
         self.traces = [sum(c for q in range(qdim) for k, c in table[p][q] if k == q)
                        for p in range(qdim)]
 
-    def qmul(self, u, v):
-        """The product of two Q-coordinate vectors; ints in, ints out where
-        the table is integral."""
+    def qmul(self, nu, nv):
+        """The product of two Q-coordinate vectors, given as the (index,
+        value) pairs of their nonzero entries, as a dense vector; ints in,
+        ints out where the table is integral."""
         out = [0] * self.qdim
-        nv = nonzero_pairs(v)
         table = self.table
-        for p, a in enumerate(u):
-            if a:
-                row = table[p]
-                for q, b in nv:
-                    ab = a * b
-                    for m, c in row[q]:
-                        out[m] += ab if c == 1 else ab * c
+        for p, a in nu:
+            row = table[p]
+            for q, b in nv:
+                ab = a * b
+                for m, c in row[q]:
+                    out[m] += ab if c == 1 else ab * c
         return out
 
     def qdim_of(self, e):
@@ -1122,6 +1128,17 @@ def _unit_element(nonzero, dim):
     return unit
 
 
+def _is_idempotent_basis(nonzero, unit):
+    """Whether b_i b_j is b_i for i = j and 0 otherwise, for every i and j,
+    and `unit`, when given, is sum_i b_i: one pass over the table."""
+    for i, row in enumerate(nonzero):
+        diagonal = row[i]
+        if len(diagonal) != 1 or diagonal[0][0] != i or diagonal[0][1] != 1 \
+                or sum(map(len, row)) != 1:
+            return False
+    return unit is None or all(c == 1 for c in unit)
+
+
 def split_commutative_algebra(nonzero, dim, conductor=1, unit=None):
     """Primitive idempotents of a commutative associative unital algebra.
 
@@ -1140,9 +1157,17 @@ def split_commutative_algebra(nonzero, dim, conductor=1, unit=None):
     for associativity on every triple (d^3) and the unit is solved for
     (`_unit_element`); a failure of either raises ValueError.
 
-    Each block is its idempotent e, starting from the unit.  A candidate g
-    splits e by the rational roots theta of the minimal polynomial mu of
-    y = g e in e.A: the parts are the Lagrange idempotents
+    When b_i b_j = b_i for i = j and 0 otherwise, and `unit` is None or
+    sum_i b_i, the algebra is F^d, which is commutative, associative and has
+    the unit sum_i b_i, and its primitive idempotents are the b_i: an
+    idempotent e has e_i^2 = e_i in F, so each e_i is 0 or 1, and e is
+    primitive exactly when one e_i is 1.  The table check is their
+    orthogonality and the unit check their sum, so they are returned at
+    once, sorted and as Fractions like every other output, with no search.
+
+    Otherwise each block is its idempotent e, starting from the unit.  A
+    candidate g splits e by the rational roots theta of the minimal
+    polynomial mu of y = g e in e.A: the parts are the Lagrange idempotents
     q_theta(y) / q_theta(theta), q_theta = mu / (t - theta), and the rest
     e - sum of them.  The Q-dimension of a block is tr(L_e).  For a block
     e' <= e, e'.A is a quotient of e.A, so the minimal polynomial of g e'
@@ -1157,6 +1182,10 @@ def split_commutative_algebra(nonzero, dim, conductor=1, unit=None):
     """
     if dim == 0:
         return []  # the zero algebra has no primitive idempotent
+    if _is_idempotent_basis(nonzero, unit):
+        # A = F^d: its primitive idempotents are the b_i, sorted as below
+        return [tuple(_ONE if k == i else _ZERO for k in range(dim))
+                for i in reversed(range(dim))]
     for i in range(dim):
         for j in range(i):
             if dict(nonzero[i][j]) != dict(nonzero[j][i]):
@@ -1231,10 +1260,13 @@ def split_commutative_algebra(nonzero, dim, conductor=1, unit=None):
 
     # second stage: products and sums drawn from the RREF basis of e.A
     def extended(e):
-        rows = [list(r) for r in Subspace.from_vectors(qdim, [alg.qmul(b, e) for b in std]).basis]
+        ne = nonzero_pairs(e)
+        rows = [list(r) for r in Subspace.from_vectors(
+            qdim, [alg.qmul([(i, 1)], ne) for i in range(qdim)]).basis]
+        pairs = [nonzero_pairs(r) for r in rows]
         for a in range(len(rows)):
             for b in range(a, len(rows)):
-                yield alg.qmul(rows[a], rows[b])
+                yield alg.qmul(pairs[a], pairs[b])
         for a in range(len(rows)):
             for b in range(a + 1, len(rows)):
                 yield [x + y for x, y in zip(rows[a], rows[b])]
@@ -1260,9 +1292,10 @@ def split_commutative_algebra(nonzero, dim, conductor=1, unit=None):
     blocks = [e for e, _ in blocks]
     # exact output invariants, on e = t w with w an integer vector
     scaled = [_integral(e) for e in blocks]
+    scaled_pairs = [nonzero_pairs(w) for _, w in scaled]
     for a, (t, w) in enumerate(scaled):
         for b in range(a, len(blocks)):
-            prod = alg.qmul(w, scaled[b][1])
+            prod = alg.qmul(scaled_pairs[a], scaled_pairs[b])
             require(all(t * x == y for x, y in zip(prod, w)) if a == b else not any(prod),
                     "idempotents fail orthogonality")
     total = [_ZERO] * qdim

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+from hopfva import linalg
 from hopfva.action import HopfAction, trivial_action
 from hopfva.hopf import (
     cyclic_group_table,
@@ -180,6 +181,16 @@ def tensors_entry(h, name, **extra):
                          for i, c in pairs],
             "unit": [text(c) for c in h.unit], "counit": [text(c) for c in h.counit],
             **extra}
+
+
+def record_searches(monkeypatch):
+    """The list that records each minimal-polynomial search of the split
+    from now on."""
+    calls = []
+    search = linalg._minimal_polynomial
+    monkeypatch.setattr(linalg, "_minimal_polynomial",
+                        lambda *a: calls.append(a) or search(*a))
+    return calls
 
 
 def split_dense(mult, dim, conductor=1):

@@ -8,7 +8,9 @@ a character (multiplicative on the group table), and the count against
 
 Property oracle: a seeded random change of basis P in GL_d(Q) carries every
 structure map along, so the Hopf axioms must still hold, cocommutativity
-must agree, and the group-likes must come out as P G(H).
+must agree, and the group-likes must come out as P G(H).  On a rebased
+group algebra the dual is no longer split by its own basis, so the
+idempotent search runs where it is skipped for Q[G] itself.
 
 The commutator ideal of H* grows from the generating set of H*; it must be
 the ideal grown from every index and the naive closure of
@@ -19,6 +21,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import record_searches
 
 from hopfva import hopf
 from hopfva.errors import SplitFailure
@@ -33,7 +36,8 @@ from hopfva.hopf import (
     symmetric_group_table,
     verify_hopf_axioms,
 )
-from hopfva.linalg import Matrix, solve, span_closure
+from hopfva.linalg import Matrix, nonzero_pairs, solve, span_closure
+from hopfva.scalars import scalar_sort_key, zeta
 from test_ideal_oracle import ideal_generated
 
 
@@ -178,6 +182,41 @@ def test_group_likes_follow_a_change_of_basis(name, seed):
     likes = group_likes(moved)
     assert set(likes) == {tuple(p.apply(list(g))) for g in group_likes(h)}
     assert len(likes) == 2 and likes[0] == tuple(moved.unit)
+
+
+REBASED = dict(GROUPS, s4=(symmetric_group_table(4), 1))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", REBASED)
+def test_group_likes_of_a_rebased_group_algebra_follow_the_change_of_basis(monkeypatch, name,
+                                                                          seed):
+    # the dual of Q[G] has the delta functions for its basis, and the split
+    # reads them off its table; after a change of basis they must be found
+    # by the search, and the group-likes must be P g for the elements g
+    table, conductor = REBASED[name]
+    h = group_algebra(table)
+    p = _invertible(h.dim, random.Random(seed))
+    moved = _rebased(h, p)
+    expected = {tuple(p.apply(list(g))) for g in group_likes(h)}
+    calls = record_searches(monkeypatch)
+    likes = group_likes(moved, conductor=conductor)
+    assert calls
+    assert len(likes) == h.dim and set(likes) == expected
+    assert likes[0] == tuple(moved.unit)
+
+
+def test_the_sparse_sort_key_orders_vectors_as_their_dense_keys():
+    # vectors mostly 0, with entries below 0, above 0 and cyclotomic, and
+    # some that are prefixes of others up to trailing zeros
+    rng = random.Random(5)
+    values = [Fraction(-3), Fraction(-1, 2), Fraction(1, 3), Fraction(2), zeta(3), zeta(4, 3)]
+    vectors = [(Fraction(0),) * 5] + [
+        tuple(rng.choice(values) if rng.random() < 0.3 else Fraction(0) for _ in range(5))
+        for _ in range(300)]
+    dense = sorted(vectors, key=lambda v: tuple(scalar_sort_key(c) for c in v))
+    sparse = sorted(vectors, key=lambda v: hopf._sparse_sort_key(nonzero_pairs(v), 5))
+    assert sparse == dense
 
 
 # --- the commutator ideal from a generating set --------------------------------

@@ -16,6 +16,13 @@ refusals (not commutative, not associative, no unit) and a wrong unit are
 tested, and the number of minimal-polynomial searches is bounded by the
 dimension.  Reading a character at a wrong coordinate, a mutation of the
 source of `hopf`, must be caught by the group-like check.
+
+A basis of orthogonal idempotents that sums to the unit is read off the
+table with no search: the delta functions of Q[G]*, in any order, must give
+the sorted idempotents that the search gives with the shortcut switched
+off, and recognising Q[S5] must run no search and build no quotient.  A
+wrong unit, a non-orthogonal pair of idempotents or a scaled idempotent
+basis must not take the shortcut.
 """
 
 import inspect
@@ -27,8 +34,9 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from conftest import split_dense
+from conftest import record_searches, split_dense
 from test_group_likes import GROUPS as NONABELIAN
+from test_group_likes import _invertible, _rebased
 
 from hopfva import hopf, linalg
 from hopfva.errors import InvariantViolation, SplitFailure
@@ -38,6 +46,7 @@ from hopfva.hopf import (
     group_algebra,
     group_likes,
     product_group_table,
+    recognize_group_algebra,
     symmetric_group_table,
 )
 from hopfva.linalg import (
@@ -305,15 +314,96 @@ def test_a_wrong_unit_is_an_invariant_violation(unit):
 
 
 def test_each_lineage_tries_the_standard_basis_once(monkeypatch):
-    # Q[S4]* has 24 blocks; a search that resumed from the first basis
-    # element in every block made 276 searches, one per pair of elements
-    calls = []
-    search = linalg._minimal_polynomial
-    monkeypatch.setattr(linalg, "_minimal_polynomial",
-                        lambda *a: calls.append(a) or search(*a))
+    # the dual of a rebased Q[S4] is Q[S4]* off its basis of delta functions,
+    # so it has 24 blocks that only the search finds; a search that resumed
+    # from the first basis element in every block made 276 searches on
+    # Q[S4]* itself, one per pair of elements
     h = group_algebra(symmetric_group_table(4))
+    h = _rebased(h, _invertible(h.dim, random.Random(1)))
+    calls = record_searches(monkeypatch)
     assert len(group_likes(h)) == 24
     assert 0 < len(calls) <= h.dim
+
+
+def test_the_delta_functions_of_a_group_are_read_off_the_table(monkeypatch):
+    # Q[S4]* = Fun(S4) has the basis of its 24 primitive idempotents
+    calls = record_searches(monkeypatch)
+    h = group_algebra(symmetric_group_table(4))
+    likes = group_likes(h)
+    assert likes[0] == tuple(h.unit)
+    assert sorted(likes) == sorted(tuple(h.basis_vector(g)) for g in range(24))
+    assert calls == []
+
+
+def test_recognising_a_group_algebra_builds_no_quotient_and_no_search(monkeypatch):
+    calls = record_searches(monkeypatch)
+    products = []
+    build = hopf.QuotientMap.products
+    monkeypatch.setattr(hopf.QuotientMap, "products",
+                        lambda self, *a: products.append(a) or build(self, *a))
+    found = recognize_group_algebra(group_algebra(symmetric_group_table(5)))
+    assert len(found.elements) == 120
+    assert calls == [] and products == []
+
+
+# --- when the basis is its own primitive idempotents ------------------------------
+
+
+def _diagonal(dim, value=1):
+    """b_i b_j = value b_i for i = j and 0 otherwise."""
+    return _algebra(dim, {(i, i): {i: value} for i in range(dim)})
+
+
+@pytest.mark.parametrize("unit", [[1, 1, 0], [1, 1, 2], [0, 0, 0], [1, -1, 1]])
+def test_orthogonal_idempotents_off_the_given_unit_take_no_shortcut(unit):
+    # F^3, whose unit is b_0 + b_1 + b_2: a split that trusted the table
+    # alone would return the b_i; the unit check must refuse them
+    assert len(split_commutative_algebra(_diagonal(3), 3, unit=[1, 1, 1])) == 3
+    with pytest.raises(InvariantViolation, match="given unit"):
+        split_commutative_algebra(_diagonal(3), 3, unit=unit)
+
+
+@pytest.mark.parametrize("unit", [None, [0, 1, 0]])
+def test_idempotents_that_are_not_orthogonal_are_split(monkeypatch, unit):
+    # b_0 = e_0, b_1 = 1 = e_0 + e_1 + e_2, b_2 = e_2 in F^3: every b_i is
+    # idempotent, but b_0 b_1 = b_0, so the primitive idempotents are
+    # b_0, b_2 and e_1 = b_1 - b_0 - b_2
+    products = {(i, i): {i: 1} for i in range(3)}
+    products |= {(0, 1): {0: 1}, (1, 0): {0: 1}, (1, 2): {2: 1}, (2, 1): {2: 1}}
+    calls = record_searches(monkeypatch)
+    assert split_commutative_algebra(_algebra(3, products), 3, unit=unit) == \
+        [(-1, 1, -1), (0, 0, 1), (1, 0, 0)]
+    assert calls
+
+
+def test_a_scaled_idempotent_basis_is_split(monkeypatch):
+    # b_i b_i = 2 b_i: the primitive idempotents are b_i / 2
+    calls = record_searches(monkeypatch)
+    assert split_commutative_algebra(_diagonal(3, 2), 3) == \
+        [(0, 0, Fraction(1, 2)), (0, Fraction(1, 2), 0), (Fraction(1, 2), 0, 0)]
+    assert calls
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_permuted_idempotent_basis_splits_as_the_search_does(monkeypatch, seed):
+    # Q[S4] with its elements relabelled: the dual basis is still the delta
+    # functions, in another order; the shortcut and the search that it skips
+    # must give the same sorted idempotents, with the same scalar types
+    order = [0] + random.Random(seed).sample(range(1, 24), 23)
+    table = symmetric_group_table(4)
+    back = {g: k for k, g in enumerate(order)}
+    relabelled = [[back[table[a][b]] for b in order] for a in order]
+    _, ((nonzero, dq), keywords) = _recorded_split(monkeypatch, group_algebra(relabelled), 1)
+    calls = record_searches(monkeypatch)
+    read = split_commutative_algebra(nonzero, dq, unit=keywords["unit"])
+    assert calls == []
+    assert read == sorted(tuple(Fraction(int(j == g)) for j in range(dq)) for g in range(dq))
+    monkeypatch.setattr(linalg, "_is_idempotent_basis", lambda *a: False)
+    for unit in (keywords["unit"], None):
+        searched = split_commutative_algebra(nonzero, dq, unit=unit)
+        assert searched == read
+        assert [[type(c) for c in e] for e in searched] == [[type(c) for c in e] for e in read]
+    assert calls
 
 
 # --- a mutation the group-like check must catch ----------------------------------
