@@ -19,8 +19,8 @@ is validated, associativity by Light's test on the table's generators),
 one of H*) and `quotient_hopf` (H/I is Hopf once `is_hopf_ideal` has
 passed).  `sweedler` and `tensors` entries go through the entries
 constructor; `group_algebra`, `dual_hopf` and `quotient_hopf` write their
-canonical rows directly (`FinHopfAlgebra.from_rows`), and `group_algebra`
-hands over the generating set of its table as well.
+canonical rows directly (`FinHopfAlgebra.from_rows`), the first two with the
+conductor of their products, and `group_algebra` with its table's generators.
 
 Every test modulo an ideal I, held as its RREF Subspace, reads one
 `QuotientMap` pi: H -> H/I, each b_j sent to its coset over the basis
@@ -102,11 +102,12 @@ class FinHopfAlgebra:
     other structure constant is 0, and a repeated index sets its entry again.
     Indices and lengths are checked (ShapeMismatch); the Hopf axioms are
     not, see `verify_hopf_axioms`.  The entries are normalised into the
-    rows that `from_rows` takes, and the algebra is assembled from them.
+    rows that `from_rows` takes, and the algebra is assembled from them,
+    with `mul_conductor`, the lcm of the conductors of its products.
     """
 
-    __slots__ = ("dim", "names", "unit", "counit", "group_table",
-                 "mul_nonzero", "comul_nonzero", "antipode_nonzero", "_generators")
+    __slots__ = ("dim", "names", "unit", "counit", "group_table", "mul_nonzero",
+                 "comul_nonzero", "antipode_nonzero", "mul_conductor", "_generators")
 
     def __init__(self, dim, names, mul, unit, comul, counit, antipode, group_table=None):
         d = dim
@@ -114,26 +115,27 @@ class FinHopfAlgebra:
         self._assemble(
             d, names, [products[i * d:(i + 1) * d] for i in range(d)], unit,
             _nonzero_rows(comul, d, d, lambda k, i, j: (k, i * d + j), "comul"), counit,
-            _nonzero_rows(antipode, d, d, lambda i, j: (j, i), "antipode"), group_table, None)
+            _nonzero_rows(antipode, d, d, lambda i, j: (j, i), "antipode"), group_table)
 
     @classmethod
     def from_rows(cls, dim, names, products, unit, coproducts, counit, antipodes,
-                  group_table=None, generators=None):
+                  group_table=None, generators=None, mul_conductor=None):
         """The algebra with `mul_nonzero` `products`, `comul_nonzero`
         `coproducts` and `antipode_nonzero` `antipodes`, rows that are
         already canonical: ascending (index, value) pairs of nonzero values,
         integral rationals as ints.  Only the row counts are checked.
 
         A builder that knows a certified generating set hands it over as
-        `generators`; `generating_set` then returns it unchecked.
+        `generators`; `generating_set` then returns it unchecked.  One that
+        knows `mul_conductor` hands it over too, instead of a scan.
         """
         h = cls.__new__(cls)
         h._assemble(dim, names, products, unit, coproducts, counit, antipodes, group_table,
-                    generators)
+                    generators, mul_conductor)
         return h
 
     def _assemble(self, d, names, products, unit, coproducts, counit, antipodes, group_table,
-                  generators):
+                  generators=None, mul_conductor=None):
         self.dim = d
         self.names = tuple(names)
         self.unit = tuple(as_scalar(c) for c in unit)
@@ -149,6 +151,8 @@ class FinHopfAlgebra:
         self.comul_nonzero = tuple(coproducts)
         self.antipode_nonzero = tuple(antipodes)
         self.group_table = tuple(tuple(r) for r in group_table) if group_table is not None else None
+        self.mul_conductor = mul_conductor or common_conductor(
+            c for row in self.mul_nonzero for pairs in row for _, c in pairs)
         self._generators = generators   # `generating_set`; None until first use
 
     # -- the structure constants as entries, in the form the constructor takes
@@ -517,8 +521,9 @@ def dual_hopf(h: FinHopfAlgebra) -> FinHopfAlgebra:
     for j, pairs in enumerate(h.antipode_nonzero):
         for i, c in pairs:
             antipodes[i].append((j, c))
+    conductor = common_conductor(c for pairs in h.comul_nonzero for _, c in pairs)
     return FinHopfAlgebra.from_rows(d, tuple(f"{n}*" for n in h.names), products, h.counit,
-                                    coproducts, h.unit, antipodes)
+                                    coproducts, h.unit, antipodes, mul_conductor=conductor)
 
 
 # ---------------------------------------------------------------------------
@@ -647,8 +652,7 @@ def recognize_group_algebra(h: FinHopfAlgebra, conductor=1) -> GroupRecognition:
     # group-likes and of the structure constants; there equal cyclotomics
     # have equal coordinates, and rationals stay numbers, which never equal
     # a coordinate tuple.  Keys and products are sparse (index, value) pairs.
-    n = math.lcm(common_conductor(c for g in sparse for _, c in g),
-                 common_conductor(c for _, _, _, c in h.mul_entries()))
+    n = math.lcm(common_conductor(c for g in sparse for _, c in g), h.mul_conductor)
 
     def key(pairs):
         return tuple((k, c.coeffs_at(n) if isinstance(c, Cyclotomic) else demoted(c))
@@ -902,7 +906,7 @@ def group_algebra(table, names=None) -> FinHopfAlgebra:
         n, names, [[cells[k] for k in row] for row in tab], [_ONE] + [_ZERO] * (n - 1),
         [[(k * n + k, 1)] for k in range(n)], [_ONE] * n,
         [cells[row.index(0)] for row in tab], group_table=tab,
-        generators=_table_generators(tab, 0))
+        generators=_table_generators(tab, 0), mul_conductor=1)
 
 
 def sweedler() -> FinHopfAlgebra:

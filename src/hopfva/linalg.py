@@ -766,12 +766,13 @@ def solve(a: Matrix, b):
 class Subspace:
     """A subspace given by its reduced row-echelon basis (canonical form)."""
 
-    __slots__ = ("ambient", "basis", "pivots")
+    __slots__ = ("ambient", "basis", "pivots", "_supports")
 
     def __init__(self, ambient, basis, pivots):
         self.ambient = ambient
         self.basis = basis    # tuple of tuples, RREF rows, no zero rows
         self.pivots = pivots  # pivot column per basis row
+        self._supports = None  # per row its nonzero (column, entry) pairs, for `reduce`
 
     @classmethod
     def from_vectors(cls, ambient, vectors):
@@ -798,12 +799,18 @@ class Subspace:
 
     def reduce(self, vec):
         """Residual of `vec` after eliminating all pivot coordinates."""
-        v = [as_scalar(c) for c in vec]
+        return self._reduced([as_scalar(c) for c in vec])
+
+    def _reduced(self, v):
+        """The scalars v reduced in place, each basis row on its support."""
         require(len(v) == self.ambient, "vector length does not match the space")
-        for row, p in zip(self.basis, self.pivots):
+        if self._supports is None:
+            self._supports = [[(j, y) for j, y in enumerate(row) if y] for row in self.basis]
+        for support, p in zip(self._supports, self.pivots):
             c = v[p]
             if c != 0:
-                v = [x - c * y if y else x for x, y in zip(v, row)]
+                for j, y in support:
+                    v[j] -= c * y
         return v
 
     def contains(self, vec):
@@ -817,7 +824,8 @@ class Subspace:
         member's entries at the pivots, where each basis row holds 1 and
         the others 0."""
         v = [as_scalar(c) for c in vec]
-        return [v[p] for p in self.pivots] if self.contains(v) else None
+        residual = self._reduced(list(v))
+        return [v[p] for p in self.pivots] if all(c == 0 for c in residual) else None
 
     def __add__(self, other):
         require(self.ambient == other.ambient, "subspaces of different spaces")

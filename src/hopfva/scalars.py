@@ -422,7 +422,7 @@ def as_scalar(x):
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
+        return Fraction(x) if x else _ZERO
     if isinstance(x, Cyclotomic):
         return x
     raise TypeError(f"not a scalar: {x!r}")

@@ -4,13 +4,14 @@ The carrier is the space of polynomials of total degree <= D in finitely
 many variables; the state-field map is Y(a,z)b = (e^{z d}a) b, so every
 structural question reduces to exact polynomial algebra.
 
-The coefficient maps pi_2, pi_n and Z_2 are one family: a column is a tuple
-of monomials, one per tensor slot, plus Laurent shifts for Z_2, and one
-assembler (`_coefficient_columns`) builds the columns of all three from the
-per-slot order tops.  Their kernels are computed in automatically enlarged
-scratch degrees, so truncation never loses kernel vectors, and come back as
-one `CoefficientKernel`; their columns, and those of the kernel-restricted
-rows of `_impose_order`, go as they are to `linalg._kernel_of_columns`.
+The coefficient maps pi_2, pi_n and Z_2 are one family.  A pi column is a
+tuple of monomials, one per tensor slot, read to per-slot order tops by one
+assembler (`_coefficient_columns`); a Z_2 column is an order-T pi_2 column,
+T = K + 2B, re-indexed for its Laurent shift (`z2_kernel`).  The kernels
+are computed in automatically enlarged scratch degrees, so truncation never
+loses kernel vectors, and come back as one `CoefficientKernel`; the columns,
+and those of the kernel-restricted rows of `_impose_order`, go as they are
+to `linalg._kernel_of_columns`.
 
 pi_2 and pi_n share one order ladder (`_order_ladder`).  The kernels only
 shrink as the order bound K grows.  When d maps A_{<=D} into itself, its
@@ -23,17 +24,16 @@ For pi_2 a zero kernel stops the ladder too; otherwise it imposes the
 orders up to K on the surviving kernel.  pi_n, whose slots are capped
 separately, is computed at r - 1 when that is exact and at K otherwise.  The
 derivative chains are derived once, one order at a time, only as far as
-the ladder climbs.  Z_2 rows mix orders across slots and are always
-computed at K.
+the ladder climbs.  Z_2 is always computed at K.
 
 The columns are assembled over the integers.  Let L be the lcm of the
 denominators in the derivation, so d' = L d sends monomials to integer
 combinations, and d'^k = L^k d^k.  Scaling a row of a linear map, or the
 whole map, by a nonzero constant leaves its kernel unchanged.  A pi_2 or
 pi_n row key contains the orders k of the factors, so using d'^k in place of
-d^k scales each row by a power of L.  A Z_2 row mixes orders, so each order
-tuple gets an integer weight that puts the whole map on one scale (see
-`z2_kernel`).
+d^k scales each row by a power of L.  A Z_2 row key contains the exponent j
+of t = z2 - z1, and scaling that row by j! L^j makes its entries the pi_2
+entries times integers (see `z2_kernel`).
 
 For a rational derivation the columns then hold Python ints, the
 fraction-free reducer takes them as they are, and Fractions appear only in
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add as _add
 
-from .errors import CheckReport, MalformedPairs, TruncationOverflow
+from .errors import CheckReport, HypothesesNotMet, MalformedPairs, TruncationOverflow
 from .linalg import (
     Subspace,
     _cleared,
@@ -330,21 +330,19 @@ class CommDiffVA:
         rationals as ints; each monomial is derived once per backend."""
         out = self._dmemo.get(mono)
         if out is None:
-            if self._table is not None:
-                if mono not in self._table:
-                    raise ValueError(f"derivation table does not cover monomial {mono}")
-                terms = self._table[mono].terms.items()
-            else:
-                acc = {}
-                for i, k in enumerate(mono):
-                    if k:
-                        lowered = mono[:i] + (k - 1,) + mono[i + 1:]
-                        for g, c in self.images[i].terms.items():
-                            t = tuple(map(_add, g, lowered))
-                            acc[t] = acc.get(t, 0) + k * c
-                terms = acc.items()
-            out = self._dmemo[mono] = {t: demoted(c) for t, c in terms if c}
+            if self._table is not None and mono not in self._table:
+                raise ValueError(f"derivation table does not cover monomial {mono}")
+            terms = self._table[mono].terms if self._table else _leibniz(mono, self.images)
+            out = self._dmemo[mono] = {t: demoted(c) for t, c in terms.items() if c}
         return out
+
+    def is_derivation(self):
+        """Whether d satisfies Leibniz: each entry of a raw table must be the
+        Leibniz extension of its d x_k, which it must list."""
+        table = self._table
+        units = [tuple(int(i == k) for i in range(self.nvars)) for k in range(self.nvars)]
+        return table is None or all(u in table for u in units) and all(
+            _leibniz(e, [table[u] for u in units]) == p.terms for e, p in table.items())
 
     def derive_terms(self, terms):
         """d of an {exponent: coefficient} polynomial, as such a dict
@@ -378,6 +376,18 @@ class CommDiffVA:
         imgs = {n: poly_pretty(img, self.variables)
                 for n, img in zip(self.variables, self.images)}
         return f"CommDiffVA({list(self.variables)}, d={imgs}, cap={self.degree_cap})"
+
+
+def _leibniz(mono, images):
+    """d(mono), without zeros, for the derivation with d x_k = images[k]."""
+    acc = {}
+    for i, k in enumerate(mono):
+        if k:
+            lowered = mono[:i] + (k - 1,) + mono[i + 1:]
+            for g, c in images[i].terms.items():
+                t = tuple(map(_add, g, lowered))
+                acc[t] = acc.get(t, 0) + k * c
+    return {t: c for t, c in acc.items() if c}
 
 
 def single_variable_backend(m, cap, name="x"):
@@ -451,72 +461,36 @@ class CoefficientKernel:
         return out
 
 
-def _coefficient_columns(derivs, monos, tops, laurent_bound=0, order=None, weight=None):
+def _coefficient_columns(derivs, monos, tops):
     """The columns {row key: entry} of a coefficient map, one per coordinate
     key of `CoefficientKernel`, in index order.
 
-    Slot s of column (i_1, ..., i_n) carries d'^k m_(i_s) for k <= tops[s].
-    A last slot held at order 0 enters as an exponent shift by its monomial.
-    A row key is (c, exponent), where c packs the z-exponents of the other
-    slots as the digits of one integer: for the pi maps these are the orders
-    k_s, so each row is scaled by the powers of L and the factorials that its
-    orders fix, which keeps the kernel.
-
-    The Z maps hold no slot.  Each column is repeated for every Laurent
-    shift (a_1, ..., a_n) with |a_s| <= laurent_bound, the digits are
-    a_s + k_s (offset by the bound), and a term enters when
-    sum a + sum k <= order, so sum k <= order + n laurent_bound.  Rows then
-    mix order tuples, so `weight(orders)` puts each on one scale; it is
-    computed once per tuple, and the weighted products of a monomial tuple
-    are shared by all its shifts.  Products over a prefix of slots are
-    computed once and shared by every column that starts with it.
+    Slot s of column (i_1, ..., i_n) carries d'^k m_(i_s) for k <= tops[s];
+    the last slot, held at order 0 (tops[-1] = 0), enters as an exponent
+    shift by its monomial.  A row key is (c, exponent), where c packs the
+    orders k_s of the other slots as the digits of one integer, so each row
+    is scaled by the powers of L and the factorials that its orders fix,
+    which keeps the kernel.  Products over a prefix of slots are computed
+    once and shared by every column that starts with it.
     """
-    arity = len(tops)
-    free = arity - (tops[-1] == 0)
-    bound = sum(tops) if order is None else order + arity * laurent_bound
-    base = max(tops) + 2 * laurent_bound + 1
-    # (room left for sum k, packed digits a_s + laurent_bound) per Laurent shift
-    shifts = [(bound - sum(ds), sum(d * base ** s for s, d in enumerate(reversed(ds))))
-              for ds in itertools.product(range(2 * laurent_bound + 1), repeat=arity)]
-    memo, weights = {}, {}
+    base = max(tops) + 1
+    memo = {}
 
     def products(idx):
-        """(packed orders, their sum, product of d'^k_s m_(i_s)) over idx."""
+        """(packed orders, product of d'^k_s m_(i_s)) over idx."""
+        chain = list(itertools.takewhile(bool, derivs[idx[-1]][:tops[len(idx) - 1] + 1]))
         if len(idx) == 1:
-            return [(k, k, dk) for k, dk in enumerate(derivs[idx[0]][:tops[0] + 1]) if dk]
+            return list(enumerate(chain))
         if idx[:-1] not in memo:
             memo[idx[:-1]] = products(idx[:-1])
-        chain, top = derivs[idx[-1]], tops[len(idx) - 1]
-        out = []
-        for code, total, p in memo[idx[:-1]]:
-            for k in range(min(top, bound - total) + 1):
-                if not chain[k]:
-                    break
-                out.append((code * base + k, total + k, _mul(p, chain[k])))
-        return out
-
-    def weighted(code, p):
-        if code not in weights:
-            weights[code] = weight([code // base ** s % base for s in reversed(range(free))])
-        w = weights[code]
-        return {e: w * c for e, c in p.items()}
+        return [(code * base + k, _mul(p, dk)) for code, p in memo[idx[:-1]]
+                for k, dk in enumerate(chain)]
 
     columns = []
-    head = None
-    for idx in itertools.product(range(len(monos)), repeat=arity):
-        if idx[:free] != head:
-            head = idx[:free]
-            prods = products(head)
-            if weight is not None:
-                prods = [(code, total, weighted(code, p)) for code, total, p in prods]
-        if free < arity:
-            last = monos[idx[-1]]
-            columns.append({(code, tuple(map(_add, e, last))): c
-                            for code, _, p in prods for e, c in p.items()})
-            continue
-        for room, offset in shifts:
-            columns.append({(offset + code, e): c for code, total, p in prods if total <= room
-                            for e, c in p.items()})
+    for head in itertools.product(range(len(monos)), repeat=len(tops) - 1):
+        prods = products(head)
+        columns += ({(code, tuple(map(_add, e, last))): c for code, p in prods
+                     for e, c in p.items()} for last in monos)
     return columns
 
 
@@ -688,27 +662,39 @@ def pin_injectivity_check(backend, arity, order=None) -> CoefficientKernel:
 
 
 def z2_kernel(backend, order=None, laurent_bound=1) -> CoefficientKernel:
-    """Kernel of (u, v, f) -> f (e^{z1 d}u)(e^{z2 d}v), orders p+q <= K.
+    """Kernel of (u, v, f) -> f (e^{z1 d}u)(e^{z2 d}v), f in span{z1^a z2^b :
+    |a|, |b| <= B}, truncated at total z-degree K (default m^2, m monomials).
 
-    f ranges over span{z1^a z2^b : |a|, |b| <= laurent_bound}.  With n = 2
-    slots and top = K + nB, the entry of orders (s_1, ..., s_n) is
-    prod d^(s_i) u_i / s_i!; it is built from the d'^(s_i) u_i with the weight
-    F / prod s_i! * L^(top - sum s_i), F = top!.  The weight is an integer:
-    prod s_i! divides (sum s_i)!, as multinomial coefficients are integers,
-    and (sum s_i)! divides F since sum s_i <= top.  Every entry is then
-    F L^top times the true one.
+    Shifting a, b to 0..2B by z1^B z2^B moves the truncation to total degree
+    T = K + 2B.  Two invertible row operations on A[z1, z2]/(degree > T)
+    keep the kernel: e^{-z1 d}, unipotent there and, as d is a derivation,
+    an algebra automorphism, which takes (e^{z1 d}u)(e^{z2 d}v) to
+    u e^{(z2 - z1) d}v; then z1 = s, z2 = s + t, a graded automorphism of
+    k[z1, z2].  Column (u, v, a, b) becomes the sum over c <= b and
+    q <= T - a - b of C(b, c) s^{a+b-c} t^{c+q} u d^q v / q!, empty when
+    a + b > T: the order-T pi_2 column of (v, u), re-indexed.  With row
+    (i, j, exponent) scaled by j! L^j, the entry at s^i t^j is u d'^q v
+    times the integer C(b, c) j! / (j - c)! L^c.  A raw derivation table
+    that breaks Leibniz is refused with HypothesesNotMet(["derivation"]).
     """
+    if not backend.is_derivation():
+        raise HypothesesNotMet(["derivation"])
     monos = backend.monomials()
     order = len(monos) ** 2 if order is None else order
     top = order + 2 * laurent_bound
-    fact = [math.factorial(k) for k in range(top + 1)]
-
-    def weight(ks):
-        return fact[top] // math.prod(fact[k] for k in ks) * \
-            backend.denominator ** (top - sum(ks))
-
-    derivs = _Chains(backend, monos).upto(top)
-    columns = _coefficient_columns(derivs, monos, (top, top), laurent_bound, order, weight)
+    shifts = range(2 * laurent_bound + 1)
+    scales = [[[math.comb(b, c) * math.perm(j, c) * backend.denominator ** c
+                for j in range(top + 1)] for c in range(b + 1)] for b in shifts]
+    columns = []
+    for u, chain in itertools.product(monos, _Chains(backend, monos).upto(top)):
+        # the order-T pi_2 column of (v, u) per order q: u d'^q v, until it vanishes
+        pi2 = [[(tuple(map(_add, e, u)), x) for e, x in dk.items()]
+               for dk in itertools.takewhile(bool, chain)]
+        for a, b in itertools.product(shifts, repeat=2):
+            orders = range(min(len(pi2), top - a - b + 1))  # empty when a + b > T
+            columns.append({(a + b - c, c + q, e): w[c + q] * x
+                            for c, w in enumerate(scales[b]) for q in orders
+                            for e, x in pi2[q]})
     return CoefficientKernel(_kernel_of_columns(columns, len(columns)), monos, 2, order,
                              laurent_bound)
 

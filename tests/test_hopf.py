@@ -32,6 +32,7 @@ from hopfva.hopf import (
     verify_hopf_axioms,
 )
 from hopfva.linalg import Subspace
+from hopfva.scalars import common_conductor, zeta
 
 F = Fraction
 
@@ -184,6 +185,20 @@ def test_quotient_sweedler_by_radical_is_qz2():
     assert hq.antipode_nonzero == z2.antipode_nonzero
     rec = recognize_group_algebra(hq)
     assert groups_are_isomorphic([list(r) for r in rec.table], cyclic_group_table(2))
+
+
+def test_the_product_conductor_is_read_once_and_equals_the_scan():
+    z3 = group_algebra(cyclic_group_table(3))
+    radical = Subspace.from_vectors(4, [[0, 0, 1, 0], [0, 0, 0, 1]])
+    # shapes only, not Hopf: a product over Q(zeta_12), a coproduct over Q(zeta_5)
+    skewed = FinHopfAlgebra(2, ("a", "b"), [(0, 0, 0, 1), (0, 1, 1, zeta(3)), (1, 1, 0, zeta(4))],
+                            [1, 0], [(0, 0, 0, 1), (1, 0, 1, zeta(5))], [1, 0],
+                            [(0, 0, 1), (1, 1, 1)])
+    algebras = [z3, dual_hopf(z3), group_algebra(symmetric_group_table(3)), sweedler(),
+                quotient_hopf(sweedler(), radical).hopf, skewed, dual_hopf(skewed)]
+    assert [h.mul_conductor for h in algebras] == \
+        [common_conductor(c for *_, c in h.mul_entries()) for h in algebras] == \
+        [1, 1, 1, 1, 1, 12, 5]
 
 
 def test_quotient_by_zero_is_identity():

@@ -168,6 +168,50 @@ def test_subspace_operations():
     assert s.coordinates_of([0, 0, 1]) is None
 
 
+def _dense_reduce(space, vec):
+    """`Subspace.reduce` as it was: every entry converted, the dense list
+    rebuilt once per pivot."""
+    v = [as_scalar(c) for c in vec]
+    for row, p in zip(space.basis, space.pivots):
+        c = v[p]
+        if c != 0:
+            v = [x - c * y if y else x for x, y in zip(v, row)]
+    return v
+
+
+def _dense_coordinates_of(space, vec):
+    v = [as_scalar(c) for c in vec]
+    return [v[p] for p in space.pivots] if all(c == 0 for c in _dense_reduce(space, v)) \
+        else None
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("field", ["rational", "cyclotomic"])
+def test_sparse_reduction_matches_the_dense_one(field, seed):
+    rng = random.Random(seed)
+    n = rng.randrange(3, 9)
+
+    def entry():
+        c = F(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.5 else 0
+        if field == "cyclotomic" and rng.random() < 0.3:
+            c = c + rng.randint(1, 2) * zeta(rng.choice([3, 4, 12]))
+        return c
+
+    space = Subspace.from_vectors(n, [[entry() for _ in range(n)]
+                                      for _ in range(rng.randrange(n))])
+    members = [linear_combination([entry() for _ in space.basis], space.basis)
+               for _ in range(4)] if space.basis else []
+    others = [[entry() for _ in range(n)] for _ in range(6)]
+    for vec in members + others:
+        got = space.reduce(vec)
+        assert got == _dense_reduce(space, vec)
+        assert [type(c) for c in got] == [type(c) for c in _dense_reduce(space, vec)]
+        assert space.coordinates_of(vec) == _dense_coordinates_of(space, vec)
+    for vec in members:
+        assert space.coordinates_of(vec) is not None
+    assert any(space.coordinates_of(vec) is None for vec in others) == (space.dim < n)
+
+
 def test_subspace_equality_is_canonical():
     a = Subspace.from_vectors(3, [[1, 1, 0], [0, 2, 2]])
     b = Subspace.from_vectors(3, [[2, 2, 0], [1, 0, -1]])

@@ -4,15 +4,22 @@ Each run deletes one field of a fixture, or replaces it with one value of a
 fixed list, writes the workspace and runs one command on it in-process.
 Whatever the input, the run must print one machine block whose status
 matches a documented exit code, and raise nothing.
+
+Source mutants of the Z_2 rewriting in `vertexalg.z2_kernel` must each fail:
+give a kernel that the dense oracle of `test_vertexalg` rejects, or raise.
 """
 
+import inspect
 import json
 import random
+import sys
+import types
 from importlib import resources
 
 import pytest
+from test_vertexalg import ORACLE_BACKENDS, Z2_CASES, _naive_chains, _naive_z2
 
-from hopfva import cli
+from hopfva import cli, vertexalg
 
 # fixture -> the commands run on its mutations
 COMMANDS = {
@@ -106,3 +113,42 @@ def test_unmutated_fixtures_answer_their_commands(capsys, name):
         code = cli.main(argv[:1] + ["--workspace", path] + argv[1:])
         block = capsys.readouterr().out.splitlines()[0]
         assert code in (0, 3), (argv, block)
+
+
+# --- source mutants of the Z_2 rewriting that the dense oracle must catch ---------
+
+Z2_MUTANTS = {
+    "no binomial": ("math.comb(b, c) * ", ""),
+    "no falling factorial": ("math.perm(j, c) * ", ""),
+    "truncation at K": ("top - a - b + 1", "order - a - b + 1"),
+    "truncation without a": ("top - a - b + 1", "top - b + 1"),
+    "negative slice": ("range(min(len(pi2), top - a - b + 1))",
+                       "range(len(pi2))[:top - a - b + 1]"),
+}
+
+
+def _mutant_vertexalg(monkeypatch, old, new):
+    """A copy of the module `vertexalg` with the one source text `old` replaced."""
+    source = inspect.getsource(vertexalg)
+    assert source.count(old) == 1
+    module = types.ModuleType("hopfva.vertexalg_mutant")
+    module.__package__ = "hopfva"
+    monkeypatch.setitem(sys.modules, module.__name__, module)  # for its dataclasses
+    exec(compile(source.replace(old, new), vertexalg.__file__, "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize("mutant", sorted(Z2_MUTANTS))
+def test_each_z2_mutant_disagrees_with_the_dense_oracle(monkeypatch, mutant):
+    z2 = _mutant_vertexalg(monkeypatch, *Z2_MUTANTS[mutant]).z2_kernel
+    for name in ("euler", "half-square", "sixth"):
+        for bb, order in Z2_CASES:
+            backend, _ = ORACLE_BACKENDS[name]()
+            chains = _naive_chains(backend, backend.images, backend._table, order + 2 * bb)
+            try:
+                kernel = z2(backend, order=order, laurent_bound=bb).kernel
+            except IndexError:  # read past the scales, which stop at order K + 2B
+                return
+            if kernel != _naive_z2(backend, chains, order, bb).kernel():
+                return
+    pytest.fail(f"the mutant '{mutant}' matches the oracle everywhere")

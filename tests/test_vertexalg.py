@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hopfva import vertexalg
-from hopfva.errors import MalformedPairs, TruncationOverflow
+from hopfva.errors import HypothesesNotMet, MalformedPairs, TruncationOverflow
 from hopfva.linalg import Matrix, Subspace
 from hopfva.scalars import zeta
 from hopfva.vertexalg import (
@@ -660,9 +660,15 @@ def _zeta3_cancel_backend(variables, cap):
         for k, v in enumerate(variables)}, cap)
 
 
+def _sixth_backend(cap):
+    # d x = x^2/3 + x/2: L = 6, given by images
+    return CommDiffVA(["x"], {"x": Poly(1, {(2,): F(1, 3), (1,): F(1, 2)})}, cap)
+
+
 ORACLE_BACKENDS = {
     "euler": lambda: (single_variable_backend(1, 2), 3),
     "half-square": lambda: (_half_square_backend(2), 3),
+    "sixth": lambda: (_sixth_backend(2), 3),
     "table": lambda: (_third_table_backend(2), 3),
     "zeta3": lambda: (_zeta3_backend(1), 2),
     "zeta3-cancel": lambda: (_zeta3_cancel_backend(["x", "y"], 2), 2),
@@ -695,13 +701,64 @@ def test_integer_kernels_match_dense_oracle(name):
         res = pin_injectivity_check(backend, 3, order=k)
         _assert_same_kernel(res.kernel, _naive_pi3(backend, chains, k))
         dims.append(res.kernel.dim)
-    res = z2_kernel(backend, order=order - 1, laurent_bound=1)
-    _assert_same_kernel(res.kernel, _naive_z2(backend, chains, order - 1, 1))
-    dims.append(res.kernel.dim)
+    if backend._table is None:
+        res = z2_kernel(backend, order=order - 1, laurent_bound=1)
+        _assert_same_kernel(res.kernel, _naive_z2(backend, chains, order - 1, 1))
+        dims.append(res.kernel.dim)
+    else:  # the table breaks Leibniz, which the Z_2 rewriting needs
+        with pytest.raises(HypothesesNotMet, match="derivation"):
+            z2_kernel(backend, order=order - 1, laurent_bound=1)
     # a nonzero kernel occurs, so the comparison is not vacuous; all but the
     # cancelling backend also give a zero kernel for some map
     assert max(dims) > 0
     assert (0 in dims) == (name != "zeta3-cancel")
+
+
+# K from 0, below, at and above 2B: for K < 2B the columns with a + b > K + 2B
+# (shifted to 0..2B) are empty, and for K <= 2B - 2 some have a + b > K + 2B + 1
+Z2_CASES = [(bb, k) for bb in (0, 1, 2) for k in sorted({0, 2 * bb - 1, 2 * bb, 2 * bb + 1})
+            if k >= 0]
+
+
+@pytest.mark.parametrize("bb,order", Z2_CASES)
+@pytest.mark.parametrize("name", sorted(n for n in ORACLE_BACKENDS if n != "table"))
+def test_z2_kernel_matches_dense_oracle(name, bb, order):
+    backend, _ = ORACLE_BACKENDS[name]()
+    chains = _naive_chains(backend, backend.images, backend._table, order + 2 * bb)
+    res = z2_kernel(backend, order=order, laurent_bound=bb)
+    _assert_same_kernel(res.kernel, _naive_z2(backend, chains, order, bb))
+
+
+@pytest.mark.parametrize("name", sorted(n for n in ORACLE_BACKENDS if n != "table"))
+def test_z2_kernel_without_laurent_shifts_is_the_flipped_pi2_kernel(name):
+    backend, _ = ORACLE_BACKENDS[name]()
+    n = len(backend.monomials())
+    for k in range(4):
+        pi2 = pi2_kernel(backend, order=k).kernel
+        flipped = [[v[j * n + i] for i in range(n) for j in range(n)] for v in pi2.basis]
+        assert z2_kernel(backend, order=k, laurent_bound=0).kernel == \
+            Subspace.from_vectors(n * n, flipped)
+
+
+@pytest.mark.parametrize("build", [lambda: _third_table_backend(2), lambda: _corrupted_ddx(2)])
+def test_z2_kernel_refuses_a_table_that_breaks_leibniz(build):
+    backend = build()
+    assert not backend.is_derivation()
+    with pytest.raises(HypothesesNotMet) as exc:
+        z2_kernel(backend, order=3, laurent_bound=1)
+    assert exc.value.failed == ["derivation"]
+
+
+def test_z2_kernel_accepts_a_table_that_is_a_derivation():
+    images = single_variable_backend(2, 2)
+    table = {(k,): images.derive(Poly.monomial((k,))) for k in range(12)}
+    backend = CommDiffVA(["x"], {"x": Poly.zero(1)}, 2, derivation_table=table)
+    assert backend.is_derivation()
+    # without a degree-1 entry the table fixes no derivation
+    del table[(1,)]
+    assert not CommDiffVA(["x"], {"x": Poly.zero(1)}, 2, derivation_table=table).is_derivation()
+    assert z2_kernel(backend, order=3, laurent_bound=1).kernel == \
+        z2_kernel(images, order=3, laurent_bound=1).kernel
 
 
 def test_cancelling_cyclotomic_derivation_keeps_its_denominator():
