@@ -442,7 +442,7 @@ def _kernel_rows(res, variables):
     [monomial, ..., (shift, ...,) coefficient] row per nonzero entry."""
     monos = [poly_to_text(Poly.monomial(e), list(variables)) for e in res.monomials]
     return [[[monos[i] for i in key[:res.arity]] + list(key[res.arity:]) + [scalar_to_text(c)]
-             for key, c in res.entries(vec)] for vec in res.kernel.basis]
+             for key, c in res.entries(row)] for row in res.kernel.nonzero_rows()]
 
 
 # ---------------------------------------------------------------------------

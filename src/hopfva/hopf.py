@@ -75,6 +75,7 @@ from .errors import (
 from .linalg import (
     Subspace,
     _kernel_of_columns,
+    _sum,
     is_associative_at,
     nonzero_pairs,
     span_closure,
@@ -229,14 +230,6 @@ def _pairs(row):
     """The ascending (index, value) pairs of a dict's nonzero values, integral
     rationals as ints (which multiply far faster than Fractions)."""
     return [(k, demoted(c)) for k, c in sorted(row.items()) if c]
-
-
-def _sum(terms):
-    """The sums of the (key, value) terms per key, as a dict without zeros."""
-    out = {}
-    for t, v in terms:
-        out[t] = out.get(t, 0) + v
-    return {t: v for t, v in out.items() if v}
 
 
 def _basis_vector(d, i):
@@ -507,11 +500,7 @@ def dual_hopf(h: FinHopfAlgebra) -> FinHopfAlgebra:
     come out ascending and canonical.
     """
     d = h.dim
-    products = [[[] for _ in range(d)] for _ in range(d)]
-    for k, pairs in enumerate(h.comul_nonzero):
-        for t, c in pairs:
-            i, j = divmod(t, d)
-            products[i][j].append((k, c))
+    products = _dual_products(h)
     coproducts = [[] for _ in range(d)]
     for i, row in enumerate(h.mul_nonzero):
         for j, pairs in enumerate(row):
@@ -526,6 +515,18 @@ def dual_hopf(h: FinHopfAlgebra) -> FinHopfAlgebra:
                                     coproducts, h.unit, antipodes, mul_conductor=conductor)
 
 
+def _dual_products(h):
+    """`mul_nonzero` of H*, b*_i b*_j = sum_k Delta_k^{ij} b*_k: H's
+    coproduct transposed, read in ascending order, so each row is canonical."""
+    d = h.dim
+    products = [[[] for _ in range(d)] for _ in range(d)]
+    for k, pairs in enumerate(h.comul_nonzero):
+        for t, c in pairs:
+            i, j = divmod(t, d)
+            products[i][j].append((k, c))
+    return products
+
+
 # ---------------------------------------------------------------------------
 # group-likes and group-algebra recognition
 
@@ -538,8 +539,8 @@ def group_likes(h: FinHopfAlgebra, conductor=1):
     by its commutators (Montgomery, CBMS 82, ch. 1).  Each 1-dimensional
     block p of the commutative A gives a character, a p = chi(a) p, and the
     group-like g_j = chi(b*_j + I).  I is grown from generators of H*, as
-    the module docstring says.  When H is cocommutative, I = 0: no ideal and
-    no quotient map is built, A is H* on its own table and g is chi.  For
+    the module docstring says.  When H is cocommutative, I = 0: no ideal, no
+    quotient map and of H* only its product is built, A is H* and g is chi.  For
     H = Q[G] that table has b*_i b*_j = b*_i for i = j and 0 otherwise, so
     the split returns the b*_i without a search and each g is one b_j.
 
@@ -560,12 +561,12 @@ def group_likes(h: FinHopfAlgebra, conductor=1):
     Delta(g) = g (x) g and eps(g) = 1 hold exactly when it is one.
     """
     d = h.dim
-    dual_algebra = dual_hopf(h)
-    dual = dual_algebra.mul_nonzero
     if is_cocommutative(h)[0]:
-        # I = 0: pi is the identity, A is H* and g is chi
-        quotient, images, unit = dual, None, dual_algebra.unit
+        # I = 0: pi is the identity, A is H* (its product and unit eps) and g is chi
+        quotient, images, unit = _dual_products(h), None, h.counit
     else:
+        dual_algebra = dual_hopf(h)
+        dual = dual_algebra.mul_nonzero
         gens = generating_set(dual_algebra)
         ideal = span_closure(
             d, [_sum(itertools.chain(dual[s][j], ((k, -c) for k, c in dual[j][s])))

@@ -15,9 +15,10 @@ arrival, and reduced fraction-free into a primitive integer row with a
 positive pivot entry (gcd normalisation, the Bareiss-style growth control);
 a cyclotomic entry moves only the rows it meets to field elimination.
 Subspace bases are kept in reduced row-echelon form so subspace equality is
-representation equality.  Every null space, in linalg,
-vertexalg, action and schurweyl, comes from `_kernel_of_columns`, per
-connected component of its columns.  There the rows of a component with at
+representation equality, each row born sparse, as the (column, scalar) pairs
+of its nonzero entries.  Every null space, in linalg, vertexalg, action and
+schurweyl, comes from `_kernel_of_columns`, per connected component of its
+columns, on their global ids.  There the rows of a component with at
 least as many rows as columns are first reduced modulo a prime p: the
 largest prime below 2^30 for a rational component, and for one over
 Q(zeta_N) the largest prime below 2^30 with p = 1 (mod N), which splits
@@ -125,6 +126,14 @@ def _combine(a, x, b, y):
     return out
 
 
+def _sum(terms):
+    """The sums of the (key, value) terms per key, as a dict without zeros."""
+    out = {}
+    for t, v in terms:
+        out[t] = out.get(t, 0) + v
+    return {t: v for t, v in out.items() if v}
+
+
 def _eliminate(row, q, b):
     """`row` with its entry at column q cleared by the echelon row b, whose
     pivot is q: fraction-free (a row - c b, a and c ints) between integer
@@ -185,16 +194,10 @@ def _over(c, lead):
     return as_scalar(c) if lead == 1 else Fraction(c, lead)
 
 
-def _leading_ones(red, pivots, ncols):
-    """The rows of `_rref_rows` scaled to a 1 at each pivot, as a tuple of
-    tuples of `ncols` exact scalars."""
-    out = []
-    for p, b in zip(pivots, red):
-        v = [_ZERO] * ncols
-        for j, c in b.items():
-            v[j] = _over(c, b[p])
-        out.append(tuple(v))
-    return tuple(out)
+def _leading_ones(red, pivots):
+    """The rows of `_rref_rows` scaled to a 1 at each pivot, each as the
+    ascending (column, exact scalar) pairs of its nonzero entries."""
+    return [[(j, _over(c, b[p])) for j, c in sorted(b.items())] for p, b in zip(pivots, red)]
 
 
 def span_closure(ambient, seeds, maps):
@@ -213,32 +216,30 @@ def span_closure(ambient, seeds, maps):
         if row is not None:
             pending += (f(row) for f in maps)
     pivots = tuple(sorted(echelon))
-    return Subspace(ambient, _leading_ones([echelon[p] for p in pivots], pivots, ambient), pivots)
+    return Subspace(ambient, _leading_ones([echelon[p] for p in pivots], pivots), pivots)
 
 
-def _kernel_rref(rows, ncols):
-    """The null space {v : row . v = 0 for all sparse rows} as (RREF basis,
-    pivots).
+def _kernel_rref(rows, cols):
+    """The null space {v : row . v = 0 for all sparse rows} on the ascending
+    columns `cols`, as (RREF rows, pivots), each row the ascending (column,
+    scalar) pairs of its nonzero entries.
 
-    The rows are reduced once with their columns reversed.  The free-variable
-    null-space basis of the reversed matrix, read back in the original
-    column order, is already the reduced echelon basis: the vector of free
-    column f has its 1 at f and its other entries at pivot columns right of
-    f, where all the other vectors vanish.
+    The rows are reduced once with column j keyed -j, which reverses the
+    column order.  The free-variable null-space basis of the reversed
+    matrix, read back in the original column order, is already the reduced
+    echelon basis: the vector of free column f has its 1 at f and its other
+    entries at pivot columns right of f, where all the other vectors vanish.
     """
-    last = ncols - 1
-    red, pivots = _rref_rows([{last - j: c for j, c in row.items()} for row in rows], ncols,
+    red, pivots = _rref_rows([{-j: c for j, c in row.items()} for row in rows], len(cols),
                              stop_at_full_rank=True)
-    pivot_set = set(pivots)
-    vectors = {last - j: [_ZERO] * ncols for j in range(ncols) if j not in pivot_set}
-    for f, v in vectors.items():
-        v[f] = _ONE
-    for p, b in zip(pivots, red):
+    pivot_cols = {-p for p in pivots}
+    vectors = {f: [(f, _ONE)] for f in cols if f not in pivot_cols}
+    # the pivots by ascending column, so that each vector's pairs ascend
+    for p, b in zip(reversed(pivots), reversed(red)):
         for j, c in b.items():
             if j != p:
-                vectors[last - j][last - p] = _over(-c, b[p])
-    free = sorted(vectors)
-    return tuple(tuple(vectors[f]) for f in free), tuple(free)
+                vectors[-j].append((-p, _over(-c, b[p])))
+    return list(vectors.values()), tuple(vectors)
 
 
 # the largest prime below 2^30; the rows independent modulo it are the rows
@@ -375,18 +376,20 @@ def _independent_mod_p(rows, ncols, p=_PRIME):
     return chosen
 
 
-def _component_kernel(rows, ncols, kinds):
-    """(RREF basis, pivots) of the null space of one component's sparse rows
-    {column: scalar}, whose entries have the types `kinds`; see
-    `_kernel_of_columns` for the modular row selection and its soundness."""
+def _component_kernel(rows, cols, kinds):
+    """(RREF rows, pivots) of the null space of one component's sparse rows
+    {column: scalar} on its ascending columns `cols`, whose entries have the
+    types `kinds`; see `_kernel_of_columns` for the modular row selection
+    and its soundness."""
+    ncols = len(cols)
     if len(rows) < ncols:
-        return _kernel_rref(rows, ncols)
+        return _kernel_rref(rows, cols)
     if Cyclotomic in kinds:
         n = math.lcm(*{c.conductor for row in rows for c in row.values()
                        if c.__class__ is Cyclotomic})
         split = _split_prime(n)
         if split is None:
-            return _kernel_rref(rows, ncols)
+            return _kernel_rref(rows, cols)
         chosen = _independent_mod_p(_residue_rows(rows, n, *split), ncols, split[0])
     else:
         if not kinds <= {int}:
@@ -394,16 +397,16 @@ def _component_kernel(rows, ncols, kinds):
         chosen = _independent_mod_p(rows, ncols)
     if len(chosen) == ncols:
         return (), ()
-    basis, pivots = _kernel_rref([rows[i] for i in chosen], ncols)
-    # each basis vector with ints for its integral entries (0 where it
-    # vanishes), or as a primitive integer vector when it is rational
-    vectors = [[demoted(c) for c in v] if Cyclotomic in kinds else _integral(v)[1]
-               for v in basis]
+    basis, pivots = _kernel_rref([rows[i] for i in chosen], cols)
+    # each basis vector on its support, with ints for its integral entries,
+    # or as a primitive integer vector when it is rational
+    vectors = [{j: demoted(c) for j, c in v} if Cyclotomic in kinds
+               else dict(zip((j for j, _ in v), _integral([c for _, c in v])[1])) for v in basis]
     kept = set(chosen)
-    if not any(sum(c * w[j] for j, c in row.items() if w[j])
+    if not any(sum(c * w[j] for j, c in row.items() if j in w)
                for i, row in enumerate(rows) if i not in kept for w in vectors):
         return basis, pivots
-    return _kernel_rref(rows, ncols)
+    return _kernel_rref(rows, cols)
 
 
 def _kernel_of_columns(columns, ncols):
@@ -411,10 +414,14 @@ def _kernel_of_columns(columns, ncols):
 
     Columns that never share a row key live in independent blocks, so the
     kernel is assembled per connected component; this is what keeps the
-    graded backends fast.  Each component's rows are built once, as sparse
-    {local column: scalar} dicts in sorted key order, and the components
-    have disjoint column supports, so the union of their echelon bases,
-    sorted by pivot, is already the echelon basis of the whole kernel.
+    graded backends fast.  One pass over the columns builds every row, a
+    sparse {column: scalar} dict on the global column ids; the columns of
+    each row are joined into one component, which takes its rows in key
+    order.  The components have disjoint column supports, so the union of
+    their echelon bases, sorted by pivot, is already the echelon basis of
+    the whole kernel.  Each vector stays sparse, as the ascending (column,
+    scalar) pairs of its nonzero entries, and the Subspace is born with
+    those rows.
 
     Exact elimination runs only on the rows that decide the answer.  A
     component with at least as many rows as columns is first mapped to F_p
@@ -445,6 +452,16 @@ def _kernel_of_columns(columns, ncols):
     (a prime unlucky for these rows), that reduction runs instead.  Wide
     components, where every row may be needed, go straight to it.
     """
+    rows = {}  # row key -> {column: entry}
+    kinds = set()
+    for ci, col in enumerate(columns):
+        kinds.update(map(type, col.values()))
+        for key, c in col.items():
+            row = rows.get(key)
+            if row is None:
+                rows[key] = {ci: c}
+            else:
+                row[ci] = c
     parent = list(range(ncols))
 
     def find(a):
@@ -453,44 +470,25 @@ def _kernel_of_columns(columns, ncols):
             a = parent[a]
         return a
 
-    row_owner = {}
-    for ci, col in enumerate(columns):
-        root = ci  # the root of ci's set: the least column in it
-        for key in col:
-            owner = row_owner.setdefault(key, ci)
-            if owner != ci:
-                r = find(owner)
-                if r < root:
-                    parent[root] = r
-                    root = r
-                elif r > root:
-                    parent[r] = root
-    comps = {}
-    for ci in range(ncols):
-        comps.setdefault(find(ci), []).append(ci)
+    for row in rows.values():
+        root = find(next(iter(row)))
+        for ci in row:
+            parent[find(ci)] = root
+    roots = [find(ci) for ci in range(ncols)]
+    comps = {}  # root -> (its ascending columns, its row keys)
+    for ci, root in enumerate(roots):
+        comps.setdefault(root, ([], []))[0].append(ci)
+    for key, row in rows.items():
+        comps[roots[next(iter(row))]][1].append(key)
 
-    found = []  # (global pivot, vector)
-    for cols_idx in comps.values():
-        sparse = {}  # row key -> {local column: entry}
-        kinds = set()
-        for local, ci in enumerate(cols_idx):
-            col = columns[ci]
-            kinds.update(map(type, col.values()))
-            for key, c in col.items():
-                row = sparse.get(key)
-                if row is None:
-                    sparse[key] = {local: c}
-                else:
-                    row[local] = c
-        basis, pivots = _component_kernel([sparse[key] for key in sorted(sparse)],
-                                          len(cols_idx), kinds)
-        for lv, lp in zip(basis, pivots):
-            v = [_ZERO] * ncols
-            for ci, c in zip(cols_idx, lv):
-                v[ci] = c
-            found.append((cols_idx[lp], tuple(v)))
-    found.sort(key=lambda t: t[0])
-    return Subspace(ncols, tuple(v for _, v in found), tuple(p for p, _ in found))
+    found = []  # (sparse vector, global pivot)
+    for cols, keys in comps.values():
+        comp_rows = [rows[key] for key in sorted(keys)]
+        comp_kinds = kinds if len(kinds) < 2 else \
+            {type(c) for row in comp_rows for c in row.values()}
+        found += zip(*_component_kernel(comp_rows, cols, comp_kinds))
+    found.sort(key=lambda t: t[1])
+    return Subspace(ncols, [v for v, _ in found], tuple(p for _, p in found))
 
 
 # ---------------------------------------------------------------------------
@@ -682,8 +680,8 @@ class Matrix:
 
     def rref(self):
         red, pivots = _rref_rows(list(map(dict, self.nonzero_rows())), self.cols)
-        rows = _leading_ones(red, pivots, self.cols)
-        return Matrix.from_rows(rows or [[_ZERO] * self.cols]), pivots
+        rows = _leading_ones(red, pivots)
+        return Matrix.from_nonzero_rows(len(rows) or 1, self.cols, rows or [[]]), pivots
 
     def rank(self):
         _, pivots = _rref_rows(list(map(dict, self.nonzero_rows())), self.cols,
@@ -764,38 +762,57 @@ def solve(a: Matrix, b):
 
 
 class Subspace:
-    """A subspace given by its reduced row-echelon basis (canonical form)."""
+    """A subspace given by its reduced row-echelon basis (canonical form).
 
-    __slots__ = ("ambient", "basis", "pivots", "_supports")
+    It is born with its sparse rows: per basis row, the ascending (column,
+    entry) pairs of its nonzero entries (`nonzero_rows`).  The dense
+    `basis` is built from them once, on first read.
+    """
 
-    def __init__(self, ambient, basis, pivots):
+    __slots__ = ("ambient", "pivots", "_rows", "_basis")
+
+    def __init__(self, ambient, rows, pivots):
         self.ambient = ambient
-        self.basis = basis    # tuple of tuples, RREF rows, no zero rows
         self.pivots = pivots  # pivot column per basis row
-        self._supports = None  # per row its nonzero (column, entry) pairs, for `reduce`
+        self._rows = rows
+        self._basis = None
 
     @classmethod
     def from_vectors(cls, ambient, vectors):
         rows = [dict(enumerate(map(as_scalar, v))) for v in vectors]
         require(all(len(r) == ambient for r in rows), "vector length does not match the space")
         red, pivots = _rref_rows(rows, ambient)
-        return cls(ambient, _leading_ones(red, pivots, ambient), pivots)
+        return cls(ambient, _leading_ones(red, pivots), pivots)
 
     @classmethod
     def zero(cls, ambient):
-        return cls(ambient, (), ())
+        return cls(ambient, [], ())
 
     @classmethod
     def full(cls, ambient):
-        return cls(ambient, tuple(tuple(_ONE if j == i else _ZERO for j in range(ambient))
-                                  for i in range(ambient)), tuple(range(ambient)))
+        return cls(ambient, [[(i, _ONE)] for i in range(ambient)], tuple(range(ambient)))
+
+    @property
+    def basis(self):
+        """The RREF rows as tuples of `ambient` scalars, no zero rows."""
+        if self._basis is None:
+            dense = [[_ZERO] * self.ambient for _ in self._rows]
+            for v, pairs in zip(dense, self._rows):
+                for j, c in pairs:
+                    v[j] = c
+            self._basis = tuple(map(tuple, dense))
+        return self._basis
+
+    def nonzero_rows(self):
+        """Per basis row, its nonzero (column, entry) pairs, ascending by column."""
+        return self._rows
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.pivots)
 
     def is_zero(self):
-        return not self.basis
+        return not self.pivots
 
     def reduce(self, vec):
         """Residual of `vec` after eliminating all pivot coordinates."""
@@ -804,9 +821,7 @@ class Subspace:
     def _reduced(self, v):
         """The scalars v reduced in place, each basis row on its support."""
         require(len(v) == self.ambient, "vector length does not match the space")
-        if self._supports is None:
-            self._supports = [[(j, y) for j, y in enumerate(row) if y] for row in self.basis]
-        for support, p in zip(self._supports, self.pivots):
+        for support, p in zip(self.nonzero_rows(), self.pivots):
             c = v[p]
             if c != 0:
                 for j, y in support:
@@ -843,7 +858,7 @@ class Subspace:
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient == other.ambient and self.basis == other.basis
+        return self.ambient == other.ambient and self.nonzero_rows() == other.nonzero_rows()
 
     __hash__ = None
 

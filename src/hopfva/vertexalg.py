@@ -60,7 +60,8 @@ from .linalg import (
     _cleared,
     _first_dependence,
     _kernel_of_columns,
-    linear_combination,
+    _sum,
+    span_closure,
 )
 from .scalars import Cyclotomic, as_scalar, demoted, scalar_pretty, scalar_to_text
 
@@ -444,20 +445,20 @@ class CoefficientKernel:
             v[index[tuple(key)]] = as_scalar(c)
         return v
 
-    def entries(self, vec):
-        """[(key, coefficient)] for the nonzero coordinates of `vec`, in index
-        order: the inverse of `vector`.  Each key is read off its flat index,
-        whose digits in the axes' radices, last axis lowest, are the key's
-        positions on its axes."""
+    def entries(self, pairs):
+        """[(key, coefficient)] for the (flat index, coefficient) pairs of a
+        vector's nonzero coordinates, such as a row of
+        `kernel.nonzero_rows()`, in their order: the inverse of `vector`.
+        Each key is read off its flat index, whose digits in the axes'
+        radices, last axis lowest, are the key's positions on its axes."""
         axes = self._axes()[::-1]
         out = []
-        for t, c in enumerate(vec):
-            if c:
-                key = []
-                for axis in axes:
-                    t, r = divmod(t, len(axis))
-                    key.append(axis[r])
-                out.append((tuple(reversed(key)), c))
+        for t, c in pairs:
+            key = []
+            for axis in axes:
+                t, r = divmod(t, len(axis))
+                key.append(axis[r])
+            out.append((tuple(reversed(key)), c))
         return out
 
 
@@ -621,25 +622,16 @@ def _impose_order(monos, kern, derivs, orders):
     if kern.is_zero():
         return True, kern
     n = len(monos)
-    vectors = [v if any(isinstance(c, Cyclotomic) for c in v) else _cleared(v)
-               for v in kern.basis]
-    cols = []
-    for w in vectors:
-        acc = {}
-        for t, c in enumerate(w):
-            if c != 0:
-                i, j = divmod(t, n)
-                mj = monos[j]
-                for k in orders:
-                    for e, dc in derivs[i][k].items():
-                        key = (k, tuple(map(_add, e, mj)))
-                        acc[key] = acc.get(key, 0) + c * dc
-        cols.append({e: c for e, c in acc.items() if c != 0})
+    vectors = [row if any(isinstance(c, Cyclotomic) for _, c in row)
+               else list(zip([t for t, _ in row], _cleared([c for _, c in row])))
+               for row in kern.nonzero_rows()]
+    cols = [_sum(((k, tuple(map(_add, e, monos[t % n]))), c * dc) for t, c in w
+                 for k in orders for e, dc in derivs[t // n][k].items()) for w in vectors]
     if not any(cols):
         return True, kern
     local = _kernel_of_columns(cols, len(cols))
-    return False, Subspace.from_vectors(
-        n * n, [linear_combination(lv, vectors) for lv in local.basis])
+    return False, span_closure(n * n, [_sum((t, a * c) for k, a in lv for t, c in vectors[k])
+                                       for lv in local.nonzero_rows()], ())
 
 
 def pin_injectivity_check(backend, arity, order=None) -> CoefficientKernel:

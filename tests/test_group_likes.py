@@ -27,11 +27,13 @@ from hopfva import hopf
 from hopfva.errors import SplitFailure
 from hopfva.hopf import (
     FinHopfAlgebra,
+    cyclic_group_table,
     dual_hopf,
     generating_set,
     group_algebra,
     group_likes,
     is_cocommutative,
+    product_group_table,
     sweedler,
     symmetric_group_table,
     verify_hopf_axioms,
@@ -271,3 +273,36 @@ def test_a_cocommutative_algebra_certifies_no_generators_for_its_dual(monkeypatc
     h = group_algebra(symmetric_group_table(3))
     assert len(group_likes(h)) == 6
     assert called == []
+
+
+@pytest.mark.parametrize("make", [
+    lambda: group_algebra(cyclic_group_table(3)),
+    lambda: group_algebra(symmetric_group_table(3)),
+    lambda: dual_hopf(group_algebra(product_group_table(cyclic_group_table(2),
+                                                        cyclic_group_table(4)))),
+    lambda: group_algebra(GROUPS["a4"][0]),
+], ids=["q-z3", "q-s3", "dual-z2xz4", "q-a4"])
+def test_the_dual_product_is_the_one_dual_hopf_builds(make):
+    # group_likes of a cocommutative H reads only the product and the unit
+    # of H*, built without the rest of the dual
+    h = make()
+    assert is_cocommutative(h)[0]
+    dual = dual_hopf(h)
+    products = hopf._dual_products(h)
+    assert tuple(map(tuple, products)) == dual.mul_nonzero
+    assert [type(c) for row in products for pairs in row for _, c in pairs] == \
+        [type(c) for row in dual.mul_nonzero for pairs in row for _, c in pairs]
+    assert h.counit == dual.unit
+
+
+def test_group_likes_of_a_cocommutative_algebra_build_no_dual(monkeypatch):
+    h = group_algebra(symmetric_group_table(6))
+
+    def refused(_):
+        raise AssertionError("dual_hopf called")
+
+    monkeypatch.setattr(hopf, "dual_hopf", refused)
+    likes = group_likes(h)
+    # the group-likes of Q[G] are the elements of G, the unit first
+    basis = [tuple(h.basis_vector(i)) for i in range(h.dim)]
+    assert likes == basis[:1] + sorted(basis[1:], key=lambda g: tuple(map(scalar_sort_key, g)))

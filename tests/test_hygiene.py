@@ -9,7 +9,8 @@ the package, so a deleted code path cannot leave its error behind.
 Every function the benchmark's tracer wraps by name must still exist (read
 from `bench/spans.py` without installing it, and again through its tracer),
 and every null space must enter the one traced kernel routine.  Only
-`linalg` and the package namespace may name the dense `Matrix`.
+`linalg` and the package namespace may name the dense `Matrix`, and only
+`linalg` may read a private attribute of `Subspace`.
 """
 
 import ast
@@ -142,6 +143,48 @@ def test_matrix_scan_finds_an_importer(tmp_path):
     (tmp_path / "action.py").write_text("from . import linalg\n\n\n"
                                         "def f():\n    return linalg.Matrix\n")
     assert matrix_importers(tmp_path) == ["action:5", "hopf:1"]
+
+
+def subspace_private_readers(package=PACKAGE):
+    """`module:line` of each read of a private attribute of linalg's
+    `Subspace`, a `_` name of its `__slots__` or of a method it defines, in
+    a module of `package` other than linalg."""
+    private = set()
+    for node in ast.walk(_parse(package / "linalg.py")):
+        if isinstance(node, ast.ClassDef) and node.name == "Subspace":
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    private.add(item.name)
+                elif isinstance(item, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets):
+                    private.update(e.value for e in item.value.elts)
+    private = {name for name in private if name.startswith("_") and not name.endswith("__")}
+    return [f"{path.stem}:{node.lineno}" for path in sorted(package.glob("*.py"))
+            if path.stem != "linalg" for node in ast.walk(_parse(path))
+            if isinstance(node, ast.Attribute) and node.attr in private]
+
+
+def test_only_linalg_reads_subspace_internals():
+    # a Subspace holds its sparse rows and builds its dense basis from them
+    # on first read; a module reaching past `nonzero_rows` and `basis` into
+    # that state would tie itself to how the two are kept
+    assert subspace_private_readers() == []
+
+
+def test_subspace_scan_finds_a_private_read(tmp_path):
+    (tmp_path / "linalg.py").write_text(
+        "class Subspace:\n"
+        "    __slots__ = ('ambient', '_rows')\n"
+        "    def __init__(self):\n"
+        "        self._rows = []\n"
+        "    def _reduced(self, v):\n"
+        "        return self._rows\n")
+    (tmp_path / "vertexalg.py").write_text(
+        "def f(space):\n"
+        "    return space.ambient, space._rows\n"
+        "def g(space, v):\n"
+        "    return space._reduced(v), space.__init__\n")
+    assert subspace_private_readers(tmp_path) == ["vertexalg:2", "vertexalg:4"]
 
 
 def unused_errors(package=PACKAGE):

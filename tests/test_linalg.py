@@ -32,7 +32,14 @@ from hopfva.scalars import (
     scalar_to_text,
     zeta,
 )
-from hopfva.vertexalg import CommDiffVA, Poly, pi2_kernel, single_variable_backend, z2_kernel
+from hopfva.vertexalg import (
+    CommDiffVA,
+    Poly,
+    pi2_kernel,
+    pin_injectivity_check,
+    single_variable_backend,
+    z2_kernel,
+)
 
 F = Fraction
 
@@ -309,10 +316,15 @@ def _sparse(rows):
     return [{j: c for j, c in enumerate(row) if c} for row in rows]
 
 
+def _dense(rows, ncols):
+    """Rows of (column, entry) pairs as tuples of `ncols` scalars, 0 elsewhere."""
+    return tuple(tuple(dict(row).get(j, F(0)) for j in range(ncols)) for row in rows)
+
+
 def _naive_kernel(rows, ncols):
     """Free-variable null-space basis from a forward RREF, then re-reduced."""
     red, pivots = _rref_rows(_sparse(rows), ncols)
-    red = _leading_ones(red, pivots, ncols)
+    red = _dense(_leading_ones(red, pivots), ncols)
     vecs = []
     for f in (j for j in range(ncols) if j not in pivots):
         v = [F(0)] * ncols
@@ -329,9 +341,9 @@ def test_kernel_rref_matches_naive_kernel():
         m, n = rng.randint(0, 5), rng.randint(1, 7)
         rows = [[F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.6 else F(0)
                  for _ in range(n)] for _ in range(m)]
-        basis, pivots = _kernel_rref(_sparse(rows), n)
+        basis, pivots = _kernel_rref(_sparse(rows), range(n))
         expected = _naive_kernel(rows, n)
-        assert basis == expected.basis and pivots == expected.pivots
+        assert _dense(basis, n) == expected.basis and pivots == expected.pivots
         if rows:
             assert Matrix.from_rows(rows).kernel() == expected
 
@@ -398,10 +410,25 @@ def _oracle_kernel(columns, ncols):
     return _gauss_jordan(vecs, ncols)
 
 
+def _assert_born_sparse(space, dense):
+    """The sparse rows of `space` are the nonzero entries of the dense rows
+    `dense` (an oracle's RREF basis), ascending by column, the same scalars
+    of the same types; so are those of its own dense basis."""
+    rows = space.nonzero_rows()
+    assert len(rows) == len(dense) == space.dim
+    for vec in (dense, space.basis):
+        expected = [[(j, c) for j, c in enumerate(v) if c] for v in vec]
+        assert rows == expected
+        assert [[type(c) for _, c in row] for row in rows] == \
+            [[type(c) for _, c in row] for row in expected]
+
+
 def _kernel_rref_of_all_rows(columns, ncols):
     """The exact reduction of every row at once, with no row selection."""
     keys = sorted({k for col in columns for k in col})
-    return _kernel_rref(_sparse([[col.get(k, 0) for col in columns] for k in keys]), ncols)
+    rows, pivots = _kernel_rref(_sparse([[col.get(k, 0) for col in columns] for k in keys]),
+                                range(ncols))
+    return _dense(rows, ncols), pivots
 
 
 def _selected_mod_p(rows, ncols):
@@ -453,6 +480,7 @@ def test_unlucky_prime_falls_back_to_the_exact_kernel(columns, ncols, kernel_dim
     assert kern.dim == kernel_dim
     assert (kern.basis, kern.pivots) == _oracle_kernel(columns, ncols)
     assert (kern.basis, kern.pivots) == _kernel_rref_of_all_rows(columns, ncols)
+    _assert_born_sparse(kern, _oracle_kernel(columns, ncols)[0])
 
 
 # the cyclotomic kinds of `_random_family` and their conductors: one
@@ -522,10 +550,89 @@ def test_kernel_of_columns_matches_gauss_jordan_on_random_families():
         kern = _kernel_of_columns(columns, ncols)
         basis, pivots = _oracle_kernel(columns, ncols)
         assert kern.basis == basis and kern.pivots == pivots
+        _assert_born_sparse(kern, basis)
         if not any(isinstance(c, Cyclotomic) for col in columns for c in col.values()):
             assert all(type(c) is Fraction for v in kern.basis for c in v)
         assert all(type(c) is Fraction or isinstance(c, Cyclotomic) for v in kern.basis for c in v)
         assert (kern.basis, kern.pivots) == _kernel_rref_of_all_rows(columns, ncols)
+
+
+@pytest.mark.parametrize("shape", ["empty", "wide", "tall"])
+def test_kernel_rows_are_born_sparse_on_shaped_families(shape):
+    # two components on interleaved columns, one rational and one that may
+    # hold zeta_3, so the entry kinds are mixed across components; "empty"
+    # leaves some columns without a row, "wide" gives each component fewer
+    # rows than columns (no modular pass), "tall" more, with the last column
+    # of each a combination of two others
+    nkeys, ncols = {"empty": (4, 7), "wide": (2, 8), "tall": (9, 6)}[shape]
+    rng = random.Random(ncols)
+    draw = [lambda: rng.choice([1, -2, 3, F(1, 3), F(-5, 2)]),
+            lambda: rng.choice([1, -1, F(2, 3), zeta(3), -zeta(3, 2)])]
+    for _ in range(60):
+        columns = [{} if shape == "empty" and rng.random() < 0.3 else
+                   {(ci % 2, k): draw[ci % 2]() for k in range(nkeys) if rng.random() < 0.6}
+                   for ci in range(ncols)]
+        if shape == "tall":
+            for last, (a, b), c in [(4, (0, 2), -2), (5, (1, 3), zeta(3))]:
+                columns[last] = {k: v for k in columns[a].keys() | columns[b].keys()
+                                 if (v := c * columns[a].get(k, 0) + columns[b].get(k, 0))}
+        kern = _kernel_of_columns(columns, ncols)
+        basis, pivots = _oracle_kernel(columns, ncols)
+        assert kern.pivots == pivots and (shape != "tall" or kern.dim >= 2)
+        _assert_born_sparse(kern, basis)
+
+
+def test_from_vectors_and_span_closure_are_born_sparse():
+    rng = random.Random(6)
+    for _ in range(80):
+        n = rng.randint(1, 7)
+        vectors = [[rng.choice([0, 0, 1, -2, F(3, 4), zeta(4), 1 + zeta(4)]) for _ in range(n)]
+                   for _ in range(rng.randint(0, 4))]
+        space = Subspace.from_vectors(n, vectors)
+        red, pivots = _gauss_jordan(vectors, n)
+        assert space.pivots == pivots
+        _assert_born_sparse(space, red)
+        # the span closed under the cyclic shift of the coordinates
+        shifts = [v[-k:] + v[:-k] for v in vectors for k in range(n)]
+        closure = span_closure(n, _sparse(vectors), [lambda r: {(j + 1) % n: c for j, c in r.items()}])
+        red, pivots = _gauss_jordan(shifts, n)
+        assert closure.pivots == pivots
+        _assert_born_sparse(closure, red)
+    _assert_born_sparse(Subspace.zero(3), ())
+    _assert_born_sparse(Subspace.full(3), _gauss_jordan([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)[0])
+
+
+def _entries_by_dense_scan(res, vec):
+    """`CoefficientKernel.entries` as it read a dense vector, testing every
+    coordinate: the oracle of the sparse form."""
+    axes = res._axes()[::-1]
+    out = []
+    for t, c in enumerate(vec):
+        if c:
+            key = []
+            for axis in axes:
+                t, r = divmod(t, len(axis))
+                key.append(axis[r])
+            out.append((tuple(reversed(key)), c))
+    return out
+
+
+_XY = (["x", "y"], {"x": Poly.const(2, 1), "y": Poly.const(2, 1)})
+_XY_ZETA = (["x", "y"], {"x": Poly.const(2, zeta(3)), "y": Poly.variable(2, 0).scale(zeta(3))})
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda: pi2_kernel(CommDiffVA(*_XY, 2), order=3),
+    lambda: pin_injectivity_check(CommDiffVA(*_XY, 1), 3, order=2),
+    lambda: z2_kernel(CommDiffVA(*_XY, 2), order=3, laurent_bound=1),
+    lambda: pi2_kernel(CommDiffVA(*_XY_ZETA, 2), order=3),
+    lambda: z2_kernel(CommDiffVA(*_XY_ZETA, 1), order=2, laurent_bound=1),
+], ids=["pi2-xy", "pin3-xy", "z2-xy", "pi2-zeta", "z2-zeta"])
+def test_entries_of_the_sparse_rows_match_the_dense_scan(kernel):
+    res = kernel()
+    assert not res.kernel.is_zero()
+    for row, vec in zip(res.kernel.nonzero_rows(), res.kernel.basis, strict=True):
+        assert res.entries(row) == _entries_by_dense_scan(res, vec)
 
 
 @pytest.mark.parametrize("kernel", [
@@ -640,10 +747,10 @@ def test_rref_rows_takes_ints_fractions_and_mixed_rows_alike():
             # primitive integer rows with a positive pivot entry
             assert all(type(c) is int for c in row.values()) and row[p] > 0
             assert math.gcd(*row.values()) == 1
-        for p, row in zip(pivots, _leading_ones(red, pivots, 5)):
+        for p, row in zip(pivots, _dense(_leading_ones(red, pivots), 5)):
             assert all(type(c) is Fraction for c in row) and row[p] == 1
         assert Matrix.from_rows(ints).rref()[0] == Matrix.from_rows(
-            _leading_ones(red, pivots, 5) or [[F(0)] * 5])
+            _dense(_leading_ones(red, pivots), 5) or [[F(0)] * 5])
 
 
 def test_rref_rows_field_path_accepts_int_entries():
@@ -678,7 +785,7 @@ def test_rref_rows_matches_gauss_jordan_when_a_cyclotomic_arrives_midway():
                 row[rng.choice([j for j in block if j >= 4])] = rng.choice([z, -z, z * z + 2])
             rows.append(row)
         red, pivots = _rref_rows(_sparse(rows), ncols)
-        assert (_leading_ones(red, pivots, ncols), pivots) == _gauss_jordan(rows, ncols)
+        assert (_dense(_leading_ones(red, pivots), ncols), pivots) == _gauss_jordan(rows, ncols)
         for p, row in zip(pivots, red):
             if any(isinstance(c, Cyclotomic) for c in row.values()):
                 assert row[p] == 1 and not any(type(c) is int for c in row.values())
