@@ -5,22 +5,23 @@ and character tables; commands operate on named objects and emit a
 deterministic machine block (one canonical-JSON line) followed by a short
 human summary.  Exit statuses: 0 pass, 2 refusal, 3 verdict-fail, 4 input
 error.  Identical inputs always produce byte-identical machine blocks.
+
+A cold start imports `hopf` (with `linalg`, `scalars` and `errors`) and
+binds `vertexalg`, `action` and `schurweyl` lazily: each executes on the
+first command that reads it, so the Hopf commands load no other layer.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib.util
 import json
 import re
 import sys
-from dataclasses import make_dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
-from . import action as action_mod
 from . import hopf as hopf_mod
-from . import schurweyl as sw_mod
-from . import vertexalg as va_mod
 from .errors import (
     DuplicateName,
     HopfvaError,
@@ -33,7 +34,22 @@ from .errors import (
     UnresolvedReference,
 )
 from .scalars import scalar_from_text, scalar_to_text
-from .vertexalg import Poly, poly_from_text, poly_to_text
+
+
+def _lazy(name):
+    """The layer `hopfva.<name>`, executed on its first attribute read."""
+    fullname = f"{__package__}.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[fullname]
+
+
+va_mod, action_mod, sw_mod = _lazy("vertexalg"), _lazy("action"), _lazy("schurweyl")
 
 SCHEMA_VERSION = 1
 # a backend variable: an identifier that polynomial text cannot read as a
@@ -45,13 +61,9 @@ VARIABLE_RE = re.compile(r"(?!zeta)[A-Za-z_][A-Za-z0-9_]*")
 # numeric options
 
 
-class _Option(NamedTuple):
-    field: str      # the Caps field the flag sets
-    default: int
-    least: int      # smallest accepted value
-
-
-# each numeric flag, in --help order
+# each numeric flag, in --help order: the Caps field it sets, its default
+# and its smallest accepted value
+_Option = namedtuple("_Option", "field default least")
 OPTIONS = {
     "--cap-d": _Option("degree", None, 0),     # override for backend degree caps
     "--order-k": _Option("order", None, 0),    # coefficient order bound K
@@ -63,8 +75,8 @@ OPTIONS = {
     "--conductor": _Option("conductor", 1, 1),
 }
 
-Caps = make_dataclass("Caps", [(o.field, int, o.default) for o in OPTIONS.values()],
-                      namespace={"__module__": __name__})
+Caps = namedtuple("Caps", [o.field for o in OPTIONS.values()],
+                  defaults=[o.default for o in OPTIONS.values()])
 
 
 def _scalar(text, what):
@@ -82,7 +94,7 @@ def _poly(text, variables, what):
     if not isinstance(text, str):
         raise ParseError(f"{what}: a polynomial must be a string such as \"x^2\", got {text!r}")
     try:
-        return poly_from_text(text, variables)
+        return va_mod.poly_from_text(text, variables)
     except ValueError as exc:
         raise ParseError(f"{what}: {exc}") from None
 
@@ -440,7 +452,8 @@ def _dimension_line(what, res):
 def _kernel_rows(res, variables):
     """The kernel basis of a coefficient map: each vector becomes one
     [monomial, ..., (shift, ...,) coefficient] row per nonzero entry."""
-    monos = [poly_to_text(Poly.monomial(e), list(variables)) for e in res.monomials]
+    monos = [va_mod.poly_to_text(va_mod.Poly.monomial(e), list(variables))
+             for e in res.monomials]
     return [[[monos[i] for i in key[:res.arity]] + list(key[res.arity:]) + [scalar_to_text(c)]
              for key, c in res.entries(row)] for row in res.kernel.nonzero_rows()]
 
@@ -518,7 +531,7 @@ class _Commands:
     def fixed_points(ws, args):
         act = ws.get("actions", args.object)
         fixed, closure = action_mod.fixed_subspace(act)
-        polys = [poly_to_text(act.backend.poly_from_coords(list(v)), act.backend.variables)
+        polys = [va_mod.poly_to_text(act.backend.poly_from_coords(list(v)), act.backend.variables)
                  for v in fixed.basis]
         return "pass", {"dim": fixed.dim, "basis": polys, "closure": _report_json(closure)}, \
             [f"fixed subspace dimension {fixed.dim}"] + [f"  {p}" for p in polys]

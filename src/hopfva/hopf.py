@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -627,12 +626,14 @@ def _sparse_sort_key(pairs, d):
     return keys
 
 
-@dataclass
 class GroupRecognition:
     """A group multiplication table recovered from group-like elements."""
 
-    table: tuple
-    elements: tuple  # coordinate vectors in the Hopf basis, the identity first
+    __slots__ = ("table", "elements")
+
+    def __init__(self, table, elements):
+        self.table = table
+        self.elements = elements  # coordinate vectors in the Hopf basis, the identity first
 
 
 def recognize_group_algebra(h: FinHopfAlgebra, conductor=1) -> GroupRecognition:
@@ -780,13 +781,13 @@ def is_hopf_ideal(h: FinHopfAlgebra, ideal: Subspace):
     return why is None, why
 
 
-@dataclass
 class HopfQuotient:
     """H/I on the basis elements of H off I's pivots, and the quotient map."""
 
-    hopf: FinHopfAlgebra
-    ideal: Subspace
-    pi: QuotientMap
+    __slots__ = ("hopf", "ideal", "pi")
+
+    def __init__(self, hopf: FinHopfAlgebra, ideal: Subspace, pi: QuotientMap):
+        self.hopf, self.ideal, self.pi = hopf, ideal, pi
 
     def project(self, vec):
         return self.pi.project(vec)

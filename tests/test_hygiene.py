@@ -3,7 +3,8 @@
 A module-level import, assignment or private (underscore) def that nothing
 in the package reads, and a function-local name that is stored but never
 read, are reported.  `_` is exempt, and so is every name `hopfva/__init__.py`
-re-exports from the module that binds it (such as `scalars.Rational`).
+re-exports from the module that binds it (such as `scalars.Rational`), by an
+import or through its lazy `_EXPORTS` table.
 Every exception class of `errors.py` must be raised or caught somewhere in
 the package, so a deleted code path cannot leave its error behind.
 Every function the benchmark's tracer wraps by name must still exist (read
@@ -53,12 +54,26 @@ def _bound_at_module_level(tree):
             yield node.name
 
 
+def _lazy_exports(tree):
+    """module -> the names a package `__init__` re-exports from it through
+    its `_EXPORTS` table, a dict literal of module names to tuples of names."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets):
+            return {key.value: {name.value for name in names.elts}
+                    for key, names in zip(node.value.keys, node.value.values)}
+    return {}
+
+
 def _read_from(module, trees):
-    """Names of `module` that another module imports or reads as an attribute."""
+    """Names of `module` that another module imports or reads as an
+    attribute, or that the package `__init__` re-exports lazily."""
     read = set()
     for other, tree in trees.items():
         if other == module:
             continue
+        if other == "__init__":
+            read.update(_lazy_exports(tree).get(module, ()))
         aliases = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
@@ -253,6 +268,21 @@ def test_scan_finds_each_kind_of_dead_name(tmp_path):
     (tmp_path / "other.py").write_text("from . import mod\nfrom .mod import _private\n"
                                        "_private(mod.os)\n")
     assert dead_names(tmp_path) == ["mod.pi", "mod.UNUSED", "mod.public: width (line 10)"]
+
+
+def test_scan_reads_the_lazy_export_table(tmp_path):
+    # a name listed for its own module is exempt; one listed for another
+    # module, or a table entry that names no binding, exempts nothing
+    (tmp_path / "__init__.py").write_text(
+        "_EXPORTS = {\n"
+        "    'mod': ('exported', 'missing'),\n"
+        "    'other': ('shared',),\n"
+        "}\n"
+        "def __getattr__(name):\n"
+        "    return _EXPORTS[name]\n")
+    (tmp_path / "mod.py").write_text("exported = 1\nshared = 2\nUNUSED = 3\n")
+    (tmp_path / "other.py").write_text("shared = 4\n")
+    assert dead_names(tmp_path) == ["mod.shared", "mod.UNUSED"]
 
 
 def _bench_spans():

@@ -415,7 +415,7 @@ def _mutant_hopf(monkeypatch, old, new):
     assert source.count(old) == 1
     module = types.ModuleType("hopfva.hopf_mutant")
     module.__package__ = "hopfva"
-    monkeypatch.setitem(sys.modules, module.__name__, module)  # for its dataclasses
+    monkeypatch.setitem(sys.modules, module.__name__, module)  # as an imported module is
     exec(compile(source.replace(old, new), hopf.__file__, "exec"), module.__dict__)
     return module
 
