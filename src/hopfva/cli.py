@@ -610,8 +610,7 @@ class _Commands:
     def distinguish(ws, args):
         rep = _group_rep(ws, args)
         decomp = sw_mod.decompose(ws.get("character_tables", args.characters), rep)
-        verdict = sw_mod.distinguish_isotypes(decomp, args.irrep, args.irrep2,
-                                              mode_order=ws.caps.mode_budget)
+        verdict = sw_mod.distinguish_isotypes(decomp, args.irrep, args.irrep2)
         return _status(verdict.kind != "inconclusive"), \
             {"verdict": verdict.kind, "detail": verdict.detail}, \
             [f"distinguished-by: {verdict.kind}"]

@@ -646,10 +646,11 @@ def recognize_group_algebra(h: FinHopfAlgebra, conductor=1) -> GroupRecognition:
         raise NotGroupAlgebra(
             f"only {len(likes)} group-like elements in dimension {h.dim}")
     sparse = [nonzero_pairs(g) for g in likes]
+    # the group-likes of a Hopf algebra form a group, so from here on only a
+    # fault in `group_likes` can fail a check
     require(_kernel_of_columns([dict(g) for g in sparse], h.dim).is_zero(),
             "group-like elements are always linearly independent")
-    if likes[:1] != [tuple(h.unit)]:  # group_likes lists the unit first
-        raise NotGroupAlgebra("unit is not among the group-likes")
+    require(likes[:1] == [tuple(h.unit)], "group_likes lists the unit first")
     # every product lies in Q(zeta_n) for n the lcm of the conductors of the
     # group-likes and of the structure constants; there equal cyclotomics
     # have equal coordinates, and rationals stay numbers, which never equal
@@ -668,13 +669,11 @@ def recognize_group_algebra(h: FinHopfAlgebra, conductor=1) -> GroupRecognition:
         for gj in sparse:
             product = _sum((k, a * b * c) for i, a in gi for j, b in gj for k, c in mul[i][j])
             hit = index.get(key(sorted(product.items())))
-            if hit is None:
-                raise NotGroupAlgebra("group-likes are not closed under multiplication")
+            require(hit is not None, "group-likes are closed under multiplication")
             row.append(hit)
         table.append(tuple(row))
-    for row in table:
-        if sorted(row) != list(range(len(likes))):
-            raise NotGroupAlgebra("multiplication table is not a group table")
+    require(all(sorted(row) == list(range(len(likes))) for row in table),
+            "group-likes multiply as a group table")
     return GroupRecognition(table=tuple(table), elements=tuple(likes))
 
 

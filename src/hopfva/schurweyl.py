@@ -14,7 +14,8 @@ reduced once on the sparse echelon form.  Multiplicity spaces are extracted
 as exact intertwiner solution spaces when explicit irrep matrices are
 supplied.  Dual-pair evidence at truncation consists of
 decomposition bookkeeping, commutant checks, cyclic reachability inside an
-isotype, and pairwise distinguishability with an honest "inconclusive".
+isotype, and pairwise distinguishability by the degreewise multiplicities,
+with an honest "inconclusive" where they agree.
 Projectors, mode operators and irrep matrices are columns too, so no Matrix
 and no Poly sits between an action or a character table and its isotypes.
 """
@@ -27,19 +28,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .action import _sum_columns, invariants
-from .errors import CheckReport, MatricesRequired, require
+from .errors import CheckReport, MatricesRequired, UnresolvedReference, require
 from .hopf import _table_generators, _validate_group_table, on_generators, recognize_group_algebra
 from .linalg import Subspace, _kernel_of_columns, span_closure
 from .scalars import as_scalar, demoted, scalar_conjugate
 from .vertexalg import Poly, _mul, poly_to_text
 
 _ZERO = Fraction(0)
-
-
-def _apply(columns, monos, vec):
-    """The column map applied to a coordinate vector over `monos`, as one."""
-    image = _sum_columns((c, columns[e]) for e, c in zip(monos, vec) if c)
-    return [image.get(e, 0) for e in monos]
 
 
 class FinGroupRep:
@@ -168,7 +163,7 @@ class CharacterTable:
         for ch in self.chars:
             if ch.name == name:
                 return ch
-        raise KeyError(f"no irreducible named {name!r}")
+        raise UnresolvedReference(f"no irreducible named {name!r}")
 
     def value_at_element(self, ch, g):
         return ch.values[self.class_of[g]]
@@ -444,17 +439,18 @@ class ReachResult:
 
 
 def cyclic_reachability(rep: FinGroupRep, table: CharacterTable, name,
-                        seed: Poly, mode_order) -> ReachResult:
+                        seed: Poly, max_order) -> ReachResult:
     """Smallest mode-closed subspace of the isotype containing the seed.
 
     Modes are truncated multiplications by d^k v / k! for v in V^G and
-    k <= mode_order; filling the whole isotype is desk-scale evidence of
+    k <= max_order; filling the whole isotype is desk-scale evidence of
     irreducibility of the multiplicity space over the invariants.  The
     subspace grows in one sparse echelon form (`span_closure`), from the
     seed under every mode.
     """
     backend = rep.backend
-    isotype = decompose(table, rep).isotypes[name]
+    ch = table.char(name)
+    isotype = decompose(table, rep).isotypes[ch.name]
     seed_coords = backend.coords_of(seed)
     if all(c == 0 for c in seed_coords):
         raise ValueError("seed must be nonzero")
@@ -469,7 +465,7 @@ def cyclic_reachability(rep: FinGroupRep, table: CharacterTable, name,
                           _sum_columns((a, op[monos[i]]) for i, a in v.items()).items()}
 
     current = span_closure(len(seed_coords), [dict(enumerate(seed_coords))],
-                           [mode(op) for _, op in _invariant_modes(rep, mode_order)])
+                           [mode(op) for _, op in _invariant_modes(rep, max_order)])
     require(isotype.contains_subspace(current), "modes must keep the isotype stable")
     return ReachResult(reachable=current, isotype=isotype,
                        fills_isotype=current == isotype)
@@ -477,52 +473,30 @@ def cyclic_reachability(rep: FinGroupRep, table: CharacterTable, name,
 
 @dataclass
 class DistinguishVerdict:
-    kind: str          # "degreewise-dims" | "mode-fingerprint" | "inconclusive"
+    kind: str          # "degreewise-dims" | "inconclusive"
     detail: str = ""
 
 
-def _isotype_fingerprints(decomp: IsotypicDecomposition, name, modes):
-    """Traces and per-degree ranks of the canonical mode family `modes`
-    (from `_invariant_modes`) on one isotype, scaled by the irrep degree so
-    different-degree isotypes are comparable."""
-    rep = decomp.rep
-    d = decomp.table.char(name).degree
-    iso = decomp.isotypes[name]
-    # the degree of each isotype basis vector, read at its pivot
-    monos = rep.action.monomials
-    basis_degrees = [sum(monos[p]) for p in iso.pivots]
-    prints = []
-    for k, op in modes:
-        images = [_apply(op, monos, b) for b in iso.basis]
-        coords = [iso.coordinates_of(img) for img in images]
-        require(all(c is not None for c in coords), "mode left the isotype")
-        # column i of the mode on the isotype holds coords[i]
-        trace = sum((c[i] for i, c in enumerate(coords)), _ZERO) / d
-        rank_profile = []
-        for deg in range(len(rep.graded)):
-            rows = [img for img, bd in zip(images, basis_degrees) if bd == deg]
-            if not rows:
-                continue
-            r = Subspace.from_vectors(iso.ambient, rows).dim
-            require(r % d == 0, "a mode rank is not a multiple of the irrep degree")
-            rank_profile.append((deg, r // d))
-        prints.append((k, trace, tuple(rank_profile)))
-    return prints
+def distinguish_isotypes(decomp: IsotypicDecomposition, name_a, name_b) -> DistinguishVerdict:
+    """Separate two isotypes by their degreewise multiplicities, or answer
+    "inconclusive" where those agree.
 
-
-def distinguish_isotypes(decomp: IsotypicDecomposition, name_a, name_b,
-                         mode_order=2) -> DistinguishVerdict:
-    """Try degreewise dimensions first, then exact mode fingerprints."""
-    dims_a = decomp.multiplicities[name_a]
-    dims_b = decomp.multiplicities[name_b]
+    The invariant modes (multiplication by d^k v / k! for v in V^G,
+    truncated at the cap) would separate nothing more.  `FinGroupRep`
+    refuses a group element that does not keep the degree, so each isotype
+    is graded and its RREF basis is homogeneous.  A mode multiplies by a
+    polynomial f; with f_j its lowest-degree part and b a homogeneous basis
+    vector, the lowest-degree part of f b is f_j b != 0, as the carrier is
+    a domain, and multiplication by f_j is injective.  So on the isotype of
+    an irreducible of degree d, the rank of a mode on the basis vectors of
+    one degree is d times the multiplicity there, or 0 where f_j b passes
+    the cap, and its trace is f_0 times the isotype's dimension: both are
+    fixed by the multiplicities.
+    """
+    table, mults = decomp.table, decomp.multiplicities
+    dims_a = mults[table.char(name_a).name]
+    dims_b = mults[table.char(name_b).name]
     if dims_a != dims_b:
         return DistinguishVerdict(kind="degreewise-dims",
                                   detail=f"{dims_a} vs {dims_b}")
-    # V^G and its mode operators are shared by both isotypes
-    modes = _invariant_modes(decomp.rep, mode_order)
-    fp_a = _isotype_fingerprints(decomp, name_a, modes)
-    fp_b = _isotype_fingerprints(decomp, name_b, modes)
-    if fp_a != fp_b:
-        return DistinguishVerdict(kind="mode-fingerprint",
-                                  detail="a canonical mode operator separates them")
     return DistinguishVerdict(kind="inconclusive")

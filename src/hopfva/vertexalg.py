@@ -792,8 +792,10 @@ def vandermonde_monomial_decision(m, pairs):
     [n, k] = prod_{t<k} (n + t(m - 1)), is a monic polynomial of degree k in
     n, so the matrix is a unit lower-triangular matrix times the Vandermonde
     matrix of the n_i, and its determinant is +-prod_{i<j} (n_i - n_j).
+    The n_i are distinct, so that is never 0: every family that passes the
+    validation is independent.
     """
-    if m < 0 or not isinstance(m, int):
+    if not isinstance(m, int) or m < 0:
         raise MalformedPairs("m must be a nonnegative integer")
     if not pairs:
         raise MalformedPairs("empty pair list")
@@ -805,5 +807,4 @@ def vandermonde_monomial_decision(m, pairs):
         raise MalformedPairs("pairs must share a common total degree")
     if any(ns[i] <= ns[i + 1] for i in range(len(ns) - 1)):
         raise MalformedPairs("n_i must be strictly decreasing")
-    det = math.prod(a - b for i, a in enumerate(ns) for b in ns[i + 1:])
-    return "independent" if det != 0 else "dependent"
+    return "independent"

@@ -134,9 +134,9 @@ def test_schur_weyl_commands(capsys):
     assert doc["result"]["verdict"] == "degreewise-dims"
 
 
-def test_distinguish_builds_the_mode_family_once(capsys, monkeypatch):
-    # V^G and its mode operators serve both isotypes: on z2_on_xddx the
-    # invariants 1, x^2, x^4, x^6 give 10 mode operators up to order 2
+def test_distinguish_builds_no_mode_operator(capsys, monkeypatch):
+    # equal multiplicities answer "inconclusive" without a mode operator:
+    # the invariant modes cannot separate isotypes the multiplicities do not
     from hopfva import schurweyl
 
     calls = []
@@ -147,7 +147,26 @@ def test_distinguish_builds_the_mode_family_once(capsys, monkeypatch):
         "distinguish", "--workspace", Z2, "--object", "z2_on_xddx",
         "--characters", "z2chars", "--irrep", "sign", "--irrep2", "sign"])
     assert (code, doc["result"]["verdict"]) == (3, "inconclusive")
-    assert len(calls) == 10
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["distinguish", "--irrep", "nope", "--irrep2", "sign"],
+    ["distinguish", "--irrep", "triv", "--irrep2", "nope"],
+    ["distinguish", "--irrep2", "sign"],
+    ["distinguish", "--irrep", "triv"],
+    ["reach", "--irrep", "nope", "--seed", "x"],
+    ["reach", "--seed", "x"],
+    ["multiplicity", "--irrep", "nope"],
+    ["multiplicity"],
+])
+def test_unknown_or_missing_irreducibles_are_input_errors(capsys, argv):
+    code, doc, _ = run_cli(capsys, argv + [
+        "--workspace", Z2, "--object", "z2_on_xddx", "--characters", "z2chars"])
+    name = "nope" if "nope" in argv else None
+    assert code == 4
+    assert doc["result"] == {"error": "UnresolvedReference",
+                             "message": f"no irreducible named {name!r}"}
 
 
 def test_group_likes_and_recognition(capsys):

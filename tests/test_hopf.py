@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import count_constructions, groups_are_isomorphic, tensors_entry
-from hopfva import cli
+from hopfva import cli, hopf
 from hopfva.action import maximal_hopf_ideal_in
 from hopfva.errors import (
     InvalidGroupTable,
+    InvariantViolation,
     NotGroupAlgebra,
     NotHopfIdeal,
     SplitFailure,
@@ -145,6 +146,25 @@ def test_recognize_rejects_sweedler():
     with pytest.raises(NotGroupAlgebra) as exc:
         recognize_group_algebra(sweedler())
     assert "cocommutative" in str(exc.value)
+
+
+@pytest.mark.parametrize("fault", ["doubled", "unit-last"])
+def test_a_fault_in_group_likes_is_an_invariant_violation(monkeypatch, capsys, tmp_path, fault):
+    # the group-likes of a Hopf algebra form a group, so once there are dim H
+    # of them a set that is not one is a fault in `group_likes`, not a verdict
+    h = group_algebra(cyclic_group_table(3))
+    one, g, g2 = group_likes(h)
+    faulty = {"doubled": [one, tuple(2 * c for c in g), g2], "unit-last": [g, g2, one]}[fault]
+    monkeypatch.setattr(hopf, "group_likes", lambda *args, **kwargs: faulty)
+    with pytest.raises(InvariantViolation):
+        recognize_group_algebra(h)
+    ws = tmp_path / "ws.json"
+    ws.write_text(json.dumps({"schema_version": 1, "hopf_algebras": [
+        {"name": "qz3", "builder": "group_algebra", "table": cyclic_group_table(3)}]}))
+    code = cli.main(["recognize-group-algebra", "--workspace", str(ws), "--object", "qz3",
+                     "--json-only"])
+    assert code == 4
+    assert json.loads(capsys.readouterr().out)["result"]["error"] == "InvariantViolation"
 
 
 def test_bialgebra_ideal_checks():

@@ -11,8 +11,8 @@ from conftest import (
     s3_perms,
 )
 from hopfva import schurweyl
-from hopfva.action import HopfAction, trivial_action
-from hopfva.errors import InvariantViolation, MatricesRequired
+from hopfva.action import HopfAction, _sum_columns, trivial_action
+from hopfva.errors import InvariantViolation, MatricesRequired, UnresolvedReference
 from hopfva.hopf import (
     cyclic_group_table,
     dual_hopf,
@@ -26,6 +26,7 @@ from hopfva.schurweyl import (
     CharacterTable,
     FinGroupRep,
     IrrepCharacter,
+    _invariant_modes,
     check_commutant,
     cyclic_reachability,
     decompose,
@@ -470,14 +471,49 @@ def test_distinguish_z3_characters_by_dims():
     assert verdict.kind == "degreewise-dims"
 
 
-def test_distinguish_control_same_isotype():
-    from hopfva.schurweyl import _invariant_modes, _isotype_fingerprints
+def _apply(columns, monos, vec):
+    """The column map applied to a coordinate vector over `monos`, as one."""
+    image = _sum_columns((c, columns[e]) for e, c in zip(monos, vec) if c)
+    return [image.get(e, 0) for e in monos]
 
+
+def oracle_fingerprints(decomp, name, modes):
+    """Traces and per-degree ranks of the invariant modes `modes` (from
+    `_invariant_modes`) on one isotype, scaled by the irrep degree so
+    different-degree isotypes are comparable: the fingerprints that
+    `distinguish_isotypes` once compared after the multiplicities."""
+    rep = decomp.rep
+    d = decomp.table.char(name).degree
+    iso = decomp.isotypes[name]
+    # the degree of each isotype basis vector, read at its pivot
+    monos = rep.action.monomials
+    basis_degrees = [sum(monos[p]) for p in iso.pivots]
+    prints = []
+    for k, op in modes:
+        images = [_apply(op, monos, b) for b in iso.basis]
+        coords = [iso.coordinates_of(img) for img in images]
+        assert all(c is not None for c in coords), "mode left the isotype"
+        # column i of the mode on the isotype holds coords[i]
+        trace = sum((c[i] for i, c in enumerate(coords)), F(0)) / d
+        rank_profile = []
+        for deg in range(len(rep.graded)):
+            rows = [img for img, bd in zip(images, basis_degrees) if bd == deg]
+            if not rows:
+                continue
+            r = Subspace.from_vectors(iso.ambient, rows).dim
+            assert r % d == 0, "a mode rank is not a multiple of the irrep degree"
+            rank_profile.append((deg, r // d))
+        prints.append((k, trace, tuple(rank_profile)))
+    return prints
+
+
+def test_distinguish_control_same_isotype():
     decomp = decompose(z2_chartable(), z2_rep(4))
     modes = _invariant_modes(decomp.rep, 2)
-    fp1 = _isotype_fingerprints(decomp, "sign", modes)
-    fp2 = _isotype_fingerprints(decomp, "sign", modes)
+    fp1 = oracle_fingerprints(decomp, "sign", modes)
+    fp2 = oracle_fingerprints(decomp, "sign", modes)
     assert fp1 == fp2  # no false distinction
+    assert distinguish_isotypes(decomp, "sign", "sign").kind == "inconclusive"
 
 
 def _z3_xy_action(cap=3):
@@ -504,6 +540,92 @@ def test_distinguish_symmetric_pair_is_inconclusive():
     assert decomp.multiplicities["chi1"] == decomp.multiplicities["chi2"]
     verdict = distinguish_isotypes(decomp, "chi1", "chi2")
     assert verdict.kind == "inconclusive"
+
+
+def test_unknown_irreducible_names_are_unresolved_references():
+    table, rep = z2_chartable(), z2_rep(4)
+    decomp = decompose(table, rep)
+    for name in ("nope", None):
+        with pytest.raises(UnresolvedReference, match=f"no irreducible named {name!r}"):
+            table.char(name)
+        with pytest.raises(UnresolvedReference):
+            distinguish_isotypes(decomp, "triv", name)
+        with pytest.raises(UnresolvedReference):
+            distinguish_isotypes(decomp, name, "triv")
+        with pytest.raises(UnresolvedReference):
+            cyclic_reachability(rep, table, name, x_pow(1), 2)
+        with pytest.raises(UnresolvedReference):
+            multiplicity_space(table, rep, name)
+
+
+def _s3_action_with(derivation, cap):
+    """S3 permuting the variables of Q[x1, x2, x3] with d x_i = derivation(x_i, e1)."""
+    h = group_algebra(symmetric_group_table(3))
+    xs = [Poly.variable(3, i) for i in range(3)]
+    e1 = xs[0] + xs[1] + xs[2]
+    backend = CommDiffVA(["x1", "x2", "x3"],
+                         {f"x{i + 1}": derivation(x, e1) for i, x in enumerate(xs)}, cap)
+    images = {name: {f"x{i + 1}": xs[p[i]] for i in range(3)}
+              for name, p in zip(h.names, s3_perms())}
+    return HopfAction.from_generator_images(h, backend, images)
+
+
+S3_DERIVATIONS = {
+    "e1+xi^2": lambda x, e1: e1 + x * x,
+    "xi": lambda x, e1: x,
+    "e1": lambda x, e1: e1,
+    "xi+xi*e1": lambda x, e1: x + x * e1,
+    "2xi^2-e1": lambda x, e1: 2 * (x * x) - e1,
+}
+
+# each case: a character table and a representation; their isotypes with
+# equal multiplicities, a pair with itself included, number 48 in all
+EQUAL_MULTIPLICITY_CASES = {
+    **{f"s3-{name}-cap{c}": (lambda d=d, c=c: (s3_chartable(),
+                                               FinGroupRep.from_hopf_action(_s3_action_with(d, c))))
+       for name, d in S3_DERIVATIONS.items() for c in (2, 3)},
+    **{f"z3-xy-cap{c}": (lambda c=c: (z3_chartable(),
+                                      FinGroupRep.from_hopf_action(_z3_xy_action(c))))
+       for c in (2, 3, 4)},
+    **{f"z2-cap{c}": (lambda c=c: (z2_chartable(), z2_rep(c))) for c in (2, 3, 4)},
+}
+
+
+def _fingerprints_from_multiplicities(decomp, name, modes):
+    """The oracle's fingerprints as the multiplicities fix them: a mode is
+    truncated multiplication by f, its column at 1; with j the lowest degree
+    of f, its trace over d is f_0 times the sum of the multiplicities, and its
+    rank over d in a degree is the multiplicity there, or 0 past cap - j."""
+    rep = decomp.rep
+    mults = decomp.multiplicities[name]
+    cap = rep.backend.degree_cap
+    one = rep.graded[0][0]
+    prints = []
+    for k, op in modes:
+        f = op[one]
+        low = min(map(sum, f), default=cap + 1)
+        profile = tuple((deg, m if deg + low <= cap else 0)
+                        for deg, m in enumerate(mults) if m)
+        prints.append((k, f.get(one, 0) * sum(mults), profile))
+    return prints
+
+
+@pytest.mark.parametrize("case", sorted(EQUAL_MULTIPLICITY_CASES))
+def test_modes_never_separate_equal_multiplicities(case):
+    # the argument of `distinguish_isotypes`: the oracle's fingerprints are
+    # fixed by the multiplicities, so isotypes with equal ones never separate
+    table, rep = EQUAL_MULTIPLICITY_CASES[case]()
+    decomp = decompose(table, rep)
+    modes = _invariant_modes(rep, 2)
+    names = [ch.name for ch in table.chars]
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i:]
+             if decomp.multiplicities[a] == decomp.multiplicities[b]]
+    assert pairs
+    for a, b in pairs:
+        fp_a = oracle_fingerprints(decomp, a, modes)
+        assert fp_a == _fingerprints_from_multiplicities(decomp, a, modes)
+        assert fp_a == oracle_fingerprints(decomp, b, modes), (a, b)
+        assert distinguish_isotypes(decomp, a, b).kind == "inconclusive"
 
 
 def test_reach_is_contained_in_isotype():
@@ -719,17 +841,17 @@ def test_decompose_reduces_once_per_irreducible(reductions):
 
 
 def test_fingerprints_reduce_only_the_mode_images(reductions):
-    from hopfva.schurweyl import _invariant_modes, _isotype_fingerprints
-
     decomp = decompose(s3_chartable(), s3_rep(3))
     modes = _invariant_modes(decomp.rep, 2)
     reductions.update(isotype=0, dense=0)
-    prints = _isotype_fingerprints(decomp, "std", modes)
+    prints = oracle_fingerprints(decomp, "std", modes)
     # one rank per mode and degree the isotype meets, and no isotype reduced again
     assert reductions == {"isotype": 0,
                           "dense": sum(len(profile) for _, _, profile in prints)}
+    # the verdict reads the multiplicities alone and reduces nothing
+    reductions.update(isotype=0, dense=0)
     assert distinguish_isotypes(decomp, "std", "std").kind == "inconclusive"
-    assert reductions["isotype"] == 0
+    assert reductions == {"isotype": 0, "dense": 0}
 
 
 def test_recognised_group_likes_act_like_the_group_algebra():

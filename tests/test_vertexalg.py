@@ -381,8 +381,9 @@ def test_vandermonde_m0_is_pure_vandermonde():
 
 
 def test_vandermonde_verdict_matches_the_dense_determinant():
-    # the verdict reads the closed form +-prod_{i<j} (n_i - n_j); the dense
-    # determinant of the matrix ([n_i, k]) is the oracle
+    # the determinant is +-prod_{i<j} (n_i - n_j), nonzero for the strictly
+    # decreasing n_i a valid family has; the dense determinant of the matrix
+    # ([n_i, k]) is the oracle
     rng = random.Random(20)
     for _ in range(300):
         m, s = rng.randint(0, 6), rng.randint(1, 6)
@@ -390,8 +391,8 @@ def test_vandermonde_verdict_matches_the_dense_determinant():
         ns = sorted(rng.sample(range(total + 1), s), reverse=True)
         det = Matrix.from_rows([[falling_bracket(n, k, m) for n in ns] for k in range(s)]).det()
         assert abs(det) == abs(math.prod(a - b for i, a in enumerate(ns) for b in ns[i + 1:]))
-        verdict = vandermonde_monomial_decision(m, [(n, total - n) for n in ns])
-        assert verdict == ("independent" if det != 0 else "dependent")
+        assert det != 0
+        assert vandermonde_monomial_decision(m, [(n, total - n) for n in ns]) == "independent"
 
 
 def test_vandermonde_malformed():
@@ -401,6 +402,12 @@ def test_vandermonde_malformed():
         vandermonde_monomial_decision(1, [(2, 0), (2, 0)])
     with pytest.raises(MalformedPairs):
         vandermonde_monomial_decision(1, [(2, 0), (1, 5)])
+
+
+@pytest.mark.parametrize("m", ["a", None, 1.0, -1])
+def test_vandermonde_m_must_be_a_nonnegative_int(m):
+    with pytest.raises(MalformedPairs, match="m must be a nonnegative integer"):
+        vandermonde_monomial_decision(m, [(2, 0), (1, 1)])
 
 
 # --- flip/skew -----------------------------------------------------------------
