@@ -11,7 +11,12 @@ explicit-matrix actions that break the module and closure checks) and
 commutative, and a rejected `group_like_basis` field) and
 `golden/schurweyl.json` (S3 permuting Q[x1, x2, x3] with a character table
 whose `std` carries 2x2 matrices and whose `triv` carries none, and Z3
-scaling Q(zeta_3)[x] and Q(zeta_3)[x, y] with its Q(zeta_3) table).
+scaling Q(zeta_3)[x] and Q(zeta_3)[x, y] with its Q(zeta_3) table) and
+`golden/witness.json` (S3 permuting Q[x1, x2, x3] with
+d x_i = x1 + x2 + x3 + x_i^2 at cap 2: a d that raises degree and is not
+homogeneous, so pi2-kernel climbs the truncated order ladder, imposing the
+orders above its start at K = 2 and 3, and the module checks run on every
+basis element).
 
 To record the corpus again after a deliberate change of output, run
 `PYTHONPATH=src python tests/test_golden.py` and review the diff.
@@ -31,7 +36,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = GOLDEN_DIR / "machine_blocks.json"
 
 S, Z, XY, B = "sweedler.json", "z2_on_xddx.json", "xy_diagonal.json", "broken.json"
-D, SW = "duals.json", "schurweyl.json"
+D, SW, W = "duals.json", "schurweyl.json", "witness.json"
 Z2CH = ["--characters", "z2chars"]
 S3CH, Z3CH = ["--characters", "s3chars"], ["--characters", "z3chars"]
 
@@ -134,6 +139,13 @@ CASES = [
     (SW, "distinguish", "s3perm", S3CH + ["--irrep", "std", "--irrep2", "std"]),
     (SW, "distinguish", "z3scale", Z3CH + ["--irrep", "chi1", "--irrep2", "chi2"]),
     (SW, "distinguish", "z3plane", Z3CH + ["--irrep", "chi1", "--irrep2", "chi2"]),
+    (W, "pi2-kernel", "witness", []),
+    (W, "pi2-kernel", "witness", ["--order-k", "2"]),
+    (W, "pi2-kernel", "witness", ["--order-k", "3"]),
+    (W, "verify-action", "s3witness", []),
+    (W, "inner-faithful", "s3witness", []),
+    (W, "thm-5-1", "s3witness", []),
+    (W, "fixed-points", "s3witness", []),
 ]
 
 
