@@ -75,7 +75,6 @@ from .linalg import (
     Subspace,
     _kernel_of_columns,
     _sum,
-    is_associative_at,
     nonzero_pairs,
     span_closure,
     split_commutative_algebra,
@@ -253,6 +252,19 @@ def _product(nonzero, u, v):
             for k, c in row[j]:
                 out[k] += ab * c
     return out
+
+
+def is_associative_at(nonzero, i, j, k):
+    """(b_i b_j) b_k == b_i (b_j b_k), for structure constants given as the
+    nonzero (index, value) pairs `nonzero[i][j]` of each product b_i b_j."""
+    left, right = {}, {}
+    for m, c in nonzero[i][j]:
+        for t, c2 in nonzero[m][k]:
+            left[t] = left.get(t, 0) + c * c2
+    for m, c in nonzero[j][k]:
+        for t, c2 in nonzero[i][m]:
+            right[t] = right.get(t, 0) + c * c2
+    return {t: c for t, c in left.items() if c} == {t: c for t, c in right.items() if c}
 
 
 def _tensor_product(mul, partners, d, s, t):

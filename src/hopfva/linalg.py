@@ -36,15 +36,13 @@ split returns them after one pass over the table, as for the dual of a
 group algebra, whose basis is the delta functions.  Otherwise it builds
 one sparse table per call: the products of the Q-basis b_i zeta^a of
 A (x) Q(zeta_N), as nonzero (index, rational) pairs.  Every block is its
-idempotent e, starting from the unit, which a caller that knows the algebra
-associative passes in and which is otherwise solved for on the sparse
-echelon form.  A candidate g splits it by the
-rational roots of the minimal polynomial of y = g e, found by a Krylov
-search (e, y, y^2, ... up to the first dependence, on integer vectors), which
-is exact because e is the unit of e.A; the parts are Lagrange idempotents,
-and each part resumes the standard candidates after the one that split its
-parent, as no earlier one can split it.
-The Q-dimension of a block is the trace tr(L_e), from the traces of the
+idempotent e, starting from the unit, which the caller passes in.  A
+candidate g splits it by the rational roots of the minimal polynomial of
+y = g e, found by a Krylov search (e, y, y^2, ... up to the first
+dependence, on integer vectors), which is exact because e is the unit of
+e.A; the parts are Lagrange idempotents, and each part resumes the
+standard candidates after the one that split its parent, as no earlier one
+can split it.  The Q-dimension of a block is the trace tr(L_e), from the traces of the
 basis, and the rational roots come from a Sturm sequence, so no kernel, no
 Cyclotomic and no divisor list is built while splitting.
 """
@@ -1114,55 +1112,18 @@ class _AlgebraQ:
         return out
 
 
-def is_associative_at(nonzero, i, j, k):
-    """(b_i b_j) b_k == b_i (b_j b_k), for structure constants given as the
-    nonzero (index, value) pairs `nonzero[i][j]` of each product b_i b_j."""
-    left, right = {}, {}
-    for m, c in nonzero[i][j]:
-        for t, c2 in nonzero[m][k]:
-            left[t] = left.get(t, 0) + c * c2
-    for m, c in nonzero[j][k]:
-        for t, c2 in nonzero[i][m]:
-            right[t] = right.get(t, 0) + c * c2
-    return {t: c for t, c in left.items() if c} == {t: c for t, c in right.items() if c}
-
-
-def _unit_element(nonzero, dim):
-    """The unit of the algebra whose b_i b_j has the nonzero pairs
-    `nonzero[i][j]`, or None when it has none.
-
-    u is the unit exactly when u b_j = b_j for every j: one equation per
-    coordinate (j, m), sum_i u_i (b_i b_j)_m = [m == j].  The reduced echelon
-    form of those sparse rows, the right-hand side in column `dim`, gives the
-    solution, or shows the system inconsistent by a pivot in that column.
-    """
-    rows = {(j, j): {dim: 1} for j in range(dim)}
-    for i, row in enumerate(nonzero):
-        for j, pairs in enumerate(row):
-            for m, c in pairs:
-                rows.setdefault((j, m), {})[i] = c
-    red, pivots = _rref_rows(list(rows.values()), dim + 1)
-    if dim in pivots:
-        return None
-    unit = [_ZERO] * dim
-    for p, row in zip(pivots, red):
-        if dim in row:
-            unit[p] = _over(row[dim], row[p])
-    return unit
-
-
 def _is_idempotent_basis(nonzero, unit):
     """Whether b_i b_j is b_i for i = j and 0 otherwise, for every i and j,
-    and `unit`, when given, is sum_i b_i: one pass over the table."""
+    and `unit` is sum_i b_i: one pass over the table."""
     for i, row in enumerate(nonzero):
         diagonal = row[i]
         if len(diagonal) != 1 or diagonal[0][0] != i or diagonal[0][1] != 1 \
                 or sum(map(len, row)) != 1:
             return False
-    return unit is None or all(c == 1 for c in unit)
+    return all(c == 1 for c in unit)
 
 
-def split_commutative_algebra(nonzero, dim, conductor=1, unit=None):
+def split_commutative_algebra(nonzero, dim, conductor=1, *, unit):
     """Primitive idempotents of a commutative associative unital algebra.
 
     `nonzero[i][j]` lists the nonzero (k, c) pairs of b_i * b_j.  Returns the
@@ -1172,17 +1133,14 @@ def split_commutative_algebra(nonzero, dim, conductor=1, unit=None):
     > 1 survives and SplitFailure("not-semisimple") when nilpotents are
     detected.
 
-    Commutativity is checked for every caller (d^2 comparisons).  A caller
-    that knows the algebra to be associative passes its `unit` (coordinates
-    over the basis); the split then checks only that unit * b_j = b_j for
-    every j, which reads each structure constant once, and raises
-    InvariantViolation when it fails.  Without `unit` the algebra is checked
-    for associativity on every triple (d^3) and the unit is solved for
-    (`_unit_element`); a failure of either raises ValueError.
+    The caller knows the algebra to be associative and passes its `unit`
+    (coordinates over the basis).  Commutativity is checked (d^2
+    comparisons), and so is unit * b_j = b_j for every j, which reads each
+    structure constant once and raises InvariantViolation when it fails.
 
-    When b_i b_j = b_i for i = j and 0 otherwise, and `unit` is None or
-    sum_i b_i, the algebra is F^d, which is commutative, associative and has
-    the unit sum_i b_i, and its primitive idempotents are the b_i: an
+    When b_i b_j = b_i for i = j and 0 otherwise, and `unit` is sum_i b_i,
+    the algebra is F^d, which is commutative, associative and has the unit
+    sum_i b_i, and its primitive idempotents are the b_i: an
     idempotent e has e_i^2 = e_i in F, so each e_i is 0 or 1, and e is
     primitive exactly when one e_i is 1.  The table check is their
     orthogonality and the unit check their sum, so they are returned at
@@ -1213,15 +1171,6 @@ def split_commutative_algebra(nonzero, dim, conductor=1, unit=None):
         for j in range(i):
             if dict(nonzero[i][j]) != dict(nonzero[j][i]):
                 raise ValueError("structure tensor is not commutative")
-    if unit is None:
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    if not is_associative_at(nonzero, i, j, k):
-                        raise ValueError("structure tensor is not associative")
-        unit = _unit_element(nonzero, dim)
-        if unit is None:
-            raise ValueError("structure tensor has no unit element")
     unit_pairs = nonzero_pairs(unit)
     for j in range(dim):
         acc = {}

@@ -169,7 +169,7 @@ class CharacterTable:
         return ch.values[self.class_of[g]]
 
 
-def verify_character_table(table: CharacterTable, rep: FinGroupRep = None) -> CheckReport:
+def verify_character_table(table: CharacterTable) -> CheckReport:
     """Exact orthogonality, degree-sum and trace-consistency checks."""
     report = CheckReport()
     n = table.order
@@ -221,8 +221,6 @@ def verify_character_table(table: CharacterTable, rep: FinGroupRep = None) -> Ch
     report.update(matrices)
 
     report.record("central-idempotents", (w for _, w in table.idempotent_check()))
-    if rep is not None:
-        report.record("rep-table-match", [] if rep.table == table.group_table else [None])
     return report
 
 

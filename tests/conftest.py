@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 from hopfva import linalg
@@ -10,8 +11,8 @@ from hopfva.hopf import (
     sweedler,
     symmetric_group_table,
 )
-from hopfva.linalg import Matrix, nonzero_pairs, split_commutative_algebra
-from hopfva.scalars import scalar_to_text, zeta
+from hopfva.linalg import Matrix, nonzero_pairs, solve, split_commutative_algebra
+from hopfva.scalars import demoted, scalar_to_text, zeta
 from hopfva.vertexalg import CommDiffVA, Poly, single_variable_backend
 
 F = Fraction
@@ -62,6 +63,33 @@ def edited_action(act, bi, e, t, value):
     columns = list(act._columns)
     columns[bi] = {**columns[bi], e: {**columns[bi][e], t: value}}
     return HopfAction(act.hopf, act.backend, columns, check=False)
+
+
+# ---------------------------------------------------------------------------
+# corrupted derivations
+
+
+class TableDerivation(CommDiffVA):
+    """A backend whose d reads the raw table {exponent: Poly}, which need not
+    obey Leibniz: the corrupted derivations of the negative tests.
+
+    The images are the table's entries at the variables.  `homogeneous` and
+    `denominator` are read from the whole table, as `CommDiffVA` reads them
+    from the images.
+    """
+
+    def __init__(self, variables, table, degree_cap):
+        n = len(variables)
+        super().__init__(variables, {v: table[tuple(int(i == k) for i in range(n))]
+                                     for k, v in enumerate(variables)}, degree_cap)
+        self.table = table
+        self.homogeneous = {sum(t) - sum(e) for e, p in table.items()
+                            for t in p.terms} <= {self.weight}
+        self.denominator = math.lcm(*(c.denominator for p in table.values()
+                                      for c in p.terms.values() if isinstance(c, Fraction)))
+
+    def _monomial_derivative(self, mono):
+        return {t: demoted(c) for t, c in self.table[mono].terms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +221,21 @@ def record_searches(monkeypatch):
     return calls
 
 
+def solved_unit(nonzero, dim):
+    """The u with u b_j = b_j for every j, for the algebra whose b_i b_j has
+    the nonzero pairs `nonzero[i][j]`, solved densely; None when there is
+    none.  One equation per coordinate (j, m): sum_i u_i (b_i b_j)_m = [m == j]."""
+    rows = {(j, m): [0] * dim for j in range(dim) for m in range(dim)}
+    for i, row in enumerate(nonzero):
+        for j, pairs in enumerate(row):
+            for m, c in pairs:
+                rows[j, m][i] = c
+    return solve(Matrix.from_rows(list(rows.values())),
+                 [int(j == m) for j, m in rows])
+
+
 def split_dense(mult, dim, conductor=1):
     """`split_commutative_algebra` on a dense structure tensor, mult[i][j]
-    the coordinate vector of b_i * b_j."""
-    return split_commutative_algebra([[nonzero_pairs(v) for v in row] for row in mult], dim,
-                                     conductor)
+    the coordinate vector of b_i * b_j, with the unit `solved_unit` finds."""
+    nonzero = [[nonzero_pairs(v) for v in row] for row in mult]
+    return split_commutative_algebra(nonzero, dim, conductor, unit=solved_unit(nonzero, dim))

@@ -144,7 +144,7 @@ def test_each_z2_mutant_disagrees_with_the_dense_oracle(monkeypatch, mutant):
     for name in ("euler", "half-square", "sixth"):
         for bb, order in Z2_CASES:
             backend, _ = ORACLE_BACKENDS[name]()
-            chains = _naive_chains(backend, backend.images, backend._table, order + 2 * bb)
+            chains = _naive_chains(backend, order + 2 * bb)
             try:
                 kernel = z2(backend, order=order, laurent_bound=bb).kernel
             except IndexError:  # read past the scales, which stop at order K + 2B

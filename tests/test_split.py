@@ -8,14 +8,13 @@ matrix, found here from the matrix powers with `Cyclotomic` arithmetic only.
 A conductor whose field lacks a character value must be refused, and the
 rational roots of a minimal polynomial must be exactly the chosen ones.
 
-The split that `group_likes` runs with the caller's unit must equal the
-split that checks associativity and solves for the unit itself, and both
-must give the closed-form idempotents: delta_g in Q[G]*, and
-(1/n) sum_k zeta^(-jk) g^k in Q[Z_n] over Q(zeta_n).  The direct caller's
-refusals (not commutative, not associative, no unit) and a wrong unit are
-tested, and the number of minimal-polynomial searches is bounded by the
-dimension.  Reading a character at a wrong coordinate, a mutation of the
-source of `hopf`, must be caught by the group-like check.
+The unit that `group_likes` hands the split must be the unit that a dense
+solve finds (`conftest.solved_unit`), and the split must give the
+closed-form idempotents: delta_g in Q[G]*, and (1/n) sum_k zeta^(-jk) g^k
+in Q[Z_n] over Q(zeta_n).  The refusal of a non-commutative table and of
+a wrong unit are tested, and the number of minimal-polynomial searches is
+bounded by the dimension.  Reading a character at a wrong coordinate, a
+mutation of the source of `hopf`, must be caught by the group-like check.
 
 A basis of orthogonal idempotents that sums to the unit is read off the
 table with no search: the delta functions of Q[G]*, in any order, must give
@@ -34,7 +33,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from conftest import record_searches, split_dense
+from conftest import record_searches, solved_unit, split_dense
 from test_group_likes import GROUPS as NONABELIAN
 from test_group_likes import _invertible, _rebased
 
@@ -228,7 +227,7 @@ def test_a_repeated_factor_is_not_semisimple(factor, conductor):
     assert exc.value.reason == "not-semisimple"
 
 
-# --- the split with and without the caller's unit -------------------------------
+# --- the split with the caller's unit and with the solved one ---------------------
 
 # (name, group table, conductor): Q[G] and Q[G]* each split over it
 CALLER_UNIT = [
@@ -258,8 +257,8 @@ def test_the_split_with_the_callers_unit_is_the_split_without(monkeypatch, name,
     h = dual_hopf(h) if dual else h
     likes, ((nonzero, dq), keywords) = _recorded_split(monkeypatch, h, conductor)
     assert keywords["conductor"] == conductor
+    assert list(keywords["unit"]) == solved_unit(nonzero, dq)
     with_unit = split_commutative_algebra(nonzero, dq, conductor, unit=keywords["unit"])
-    assert with_unit == split_commutative_algebra(nonzero, dq, conductor)
     assert len(with_unit) == len(likes)
     if not dual:  # H* = Q[G]* splits into the delta functions of the elements
         assert with_unit == sorted(tuple(int(j == g) for j in range(dq)) for g in range(dq))
@@ -272,7 +271,7 @@ def test_the_split_of_a_cyclic_group_algebra_is_the_character_idempotents(monkey
         monkeypatch, dual_hopf(group_algebra(cyclic_group_table(n))), n)
     expected = [tuple(zeta(n, -j * k) / n for k in range(n)) for j in range(n)]
     expected.sort(key=lambda v: tuple(scalar_sort_key(c) for c in v))
-    for unit in (keywords["unit"], None):
+    for unit in (keywords["unit"], solved_unit(nonzero, dq)):
         assert split_commutative_algebra(nonzero, dq, n, unit=unit) == expected
 
 
@@ -282,26 +281,10 @@ def _algebra(dim, products):
 
 
 def test_a_direct_caller_is_refused_a_non_commutative_algebra():
-    # b_0 b_1 = b_1 but b_1 b_0 = 0
+    # b_0 b_1 = b_1 but b_1 b_0 = 0, with the left unit b_0
     with pytest.raises(ValueError, match="not commutative"):
-        split_commutative_algebra(_algebra(2, {(0, 0): {0: 1}, (0, 1): {1: 1}}), 2)
-
-
-def test_a_direct_caller_is_refused_a_non_associative_algebra():
-    # unit b_0 = 1, x = b_1, y = b_2 with x x = y, x y = y x = x, y y = 0:
-    # commutative, but (x x) y = 0 while x (x y) = y
-    products = {(0, j): {j: 1} for j in range(3)} | {(j, 0): {j: 1} for j in range(3)}
-    products |= {(1, 1): {2: 1}, (1, 2): {1: 1}, (2, 1): {1: 1}}
-    with pytest.raises(ValueError, match="not associative"):
-        split_commutative_algebra(_algebra(3, products), 3)
-
-
-def test_a_direct_caller_is_refused_an_algebra_without_unit():
-    # b_0 b_0 = 0, and b_1 b_1 = b_1 with every other product 0
-    with pytest.raises(ValueError, match="no unit"):
-        split_commutative_algebra(_algebra(1, {}), 1)
-    with pytest.raises(ValueError, match="no unit"):
-        split_commutative_algebra(_algebra(2, {(1, 1): {1: 1}}), 2)
+        split_commutative_algebra(_algebra(2, {(0, 0): {0: 1}, (0, 1): {1: 1}}), 2,
+                                  unit=[1, 0])
 
 
 @pytest.mark.parametrize("unit", [[0, 1], [1, 1], [Fraction(1, 2), Fraction(1, 2)], [2, 0]])
@@ -367,11 +350,13 @@ def test_orthogonal_idempotents_off_the_given_unit_take_no_shortcut(unit):
 def test_idempotents_that_are_not_orthogonal_are_split(monkeypatch, unit):
     # b_0 = e_0, b_1 = 1 = e_0 + e_1 + e_2, b_2 = e_2 in F^3: every b_i is
     # idempotent, but b_0 b_1 = b_0, so the primitive idempotents are
-    # b_0, b_2 and e_1 = b_1 - b_0 - b_2
+    # b_0, b_2 and e_1 = b_1 - b_0 - b_2; None takes the solved unit
     products = {(i, i): {i: 1} for i in range(3)}
     products |= {(0, 1): {0: 1}, (1, 0): {0: 1}, (1, 2): {2: 1}, (2, 1): {2: 1}}
+    nonzero = _algebra(3, products)
+    unit = solved_unit(nonzero, 3) if unit is None else unit
     calls = record_searches(monkeypatch)
-    assert split_commutative_algebra(_algebra(3, products), 3, unit=unit) == \
+    assert split_commutative_algebra(nonzero, 3, unit=unit) == \
         [(-1, 1, -1), (0, 0, 1), (1, 0, 0)]
     assert calls
 
@@ -379,8 +364,9 @@ def test_idempotents_that_are_not_orthogonal_are_split(monkeypatch, unit):
 def test_a_scaled_idempotent_basis_is_split(monkeypatch):
     # b_i b_i = 2 b_i: the primitive idempotents are b_i / 2
     calls = record_searches(monkeypatch)
-    assert split_commutative_algebra(_diagonal(3, 2), 3) == \
-        [(0, 0, Fraction(1, 2)), (0, Fraction(1, 2), 0), (Fraction(1, 2), 0, 0)]
+    half = Fraction(1, 2)
+    assert split_commutative_algebra(_diagonal(3, 2), 3, unit=[half] * 3) == \
+        [(0, 0, half), (0, half, 0), (half, 0, 0)]
     assert calls
 
 
@@ -399,10 +385,9 @@ def test_a_permuted_idempotent_basis_splits_as_the_search_does(monkeypatch, seed
     assert calls == []
     assert read == sorted(tuple(Fraction(int(j == g)) for j in range(dq)) for g in range(dq))
     monkeypatch.setattr(linalg, "_is_idempotent_basis", lambda *a: False)
-    for unit in (keywords["unit"], None):
-        searched = split_commutative_algebra(nonzero, dq, unit=unit)
-        assert searched == read
-        assert [[type(c) for c in e] for e in searched] == [[type(c) for c in e] for e in read]
+    searched = split_commutative_algebra(nonzero, dq, unit=keywords["unit"])
+    assert searched == read
+    assert [[type(c) for c in e] for e in searched] == [[type(c) for c in e] for e in read]
     assert calls
 
 
