@@ -19,8 +19,8 @@ identity walk the basis elements of a `hopf.generating_set` first: each
 holds on a set of h that contains 1 and is closed under products (the
 conditions are in each docstring), so a clean walk there proves it for
 every basis element.  The module checks take that route only when rho
-passed the algebra-map check and keeps degrees (`filtration_compatible`),
-and the identity only when d is homogeneous and commutes with rho as well.
+keeps degrees (`filtration_compatible`), and the identity only when d is
+homogeneous and commutes with rho as well.
 A failure on the generators reruns the ordered walk over every basis
 element, so the witness reported is the same.
 
@@ -90,13 +90,13 @@ class HopfAction:
     dict for every monomial of the carrier.
 
     `_generators` are the basis indices the module checks scan first: the
-    `generating_set` of H when rho passed the algebra-map check (`check`)
-    and keeps degrees (`filtration_compatible`), else every index."""
+    `generating_set` of H when rho keeps degrees (`filtration_compatible`),
+    else every index.  Construction runs the algebra-map check."""
 
     __slots__ = ("hopf", "backend", "filtration_compatible", "monomials", "_columns",
                  "_generators")
 
-    def __init__(self, hopf: FinHopfAlgebra, backend: CommDiffVA, columns, check=True):
+    def __init__(self, hopf: FinHopfAlgebra, backend: CommDiffVA, columns):
         self.hopf = hopf
         self.backend = backend
         self.monomials = monos = backend.monomials()
@@ -109,9 +109,8 @@ class HopfAction:
         self.filtration_compatible = all(
             sum(t) <= sum(e)
             for cols in self._columns for e, col in cols.items() for t in col)
-        if check:
-            self._check_algebra_map()
-        self._generators = generating_set(hopf) if check and self.filtration_compatible \
+        self._check_algebra_map()
+        self._generators = generating_set(hopf) if self.filtration_compatible \
             else tuple(range(hopf.dim))
 
     def _check_algebra_map(self):
@@ -164,7 +163,7 @@ class HopfAction:
         return Poly(poly.nvars, self._apply(b_index, poly.terms))
 
     @classmethod
-    def from_generator_images(cls, hopf, backend, images, check=True):
+    def from_generator_images(cls, hopf, backend, images):
         """Extend generator images to all monomials via the coproduct rule.
 
         `images[name][var]` is h.var as a Poly; the unit row may be omitted
@@ -213,8 +212,7 @@ class HopfAction:
             return out
 
         monos = backend.monomials()
-        return cls(hopf, backend, [{e: act(bi, e) for e in monos} for bi in range(d)],
-                   check=check)
+        return cls(hopf, backend, [{e: act(bi, e) for e in monos} for bi in range(d)])
 
 
 def trivial_action(hopf, backend) -> HopfAction:

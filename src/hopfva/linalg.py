@@ -57,13 +57,12 @@ from .errors import InvariantViolation, SplitFailure, require
 from .scalars import (
     Cyclotomic,
     _divisors,
-    _fp_divmod,
     as_scalar,
     common_conductor,
     cyclo_coords,
+    cyclotomic,
     demoted,
     euler_phi,
-    from_cyclo_coords,
     scalar_sort_key,
     zeta_powers,
 )
@@ -958,6 +957,26 @@ def _horner(p, x):
     return v
 
 
+def _pseudo_remainder(a, b):
+    """The remainder of the integer polynomial a by b times a positive
+    rational, as a primitive integer polynomial ([] when b divides a): each
+    step scales a by |b_m| and clears its top term, and the content goes at
+    the end (pseudo-division, Knuth, TAOCP vol. 2, 4.6.1)."""
+    a = list(a)
+    m, lead = len(b) - 1, b[-1]
+    while len(a) > m:
+        top = a.pop()
+        if top:
+            k, c = len(a) - m, top if lead > 0 else -top
+            a = [x * abs(lead) for x in a]
+            for j, d in enumerate(b[:-1]):
+                a[k + j] -= c * d
+    while a and not a[-1]:
+        a.pop()
+    content = math.gcd(*a) or 1
+    return [x // content for x in a]
+
+
 def _rational_roots(coeffs):
     """(the rational roots of a Fraction polynomial f, ascending, whether f
     is squarefree); the roots are complete when f is squarefree.
@@ -967,11 +986,12 @@ def _rational_roots(coeffs):
     which lie in (-B, B) for B = 2 + max |g_k| (Cauchy).  A Sturm sequence
     counts the distinct real roots of g in (lo, hi]; bisection isolates them,
     and a single simple root is followed by the sign of g down to an
-    interval of width 1.  The last term of the sequence is gcd(g, g') up to
-    a positive factor, so it is constant exactly when g is squarefree; a
-    root 0 is stripped before, so a repeated one is checked apart.  All of
-    it is integer arithmetic, so the cost grows with the bit length of the
-    coefficients, not with their size.
+    interval of width 1.  Each later term of the sequence is minus the
+    `_pseudo_remainder` of the two before it, a positive multiple of their
+    remainder.  The last term is gcd(g, g') up to a factor, so it is
+    constant exactly when g is squarefree; a root 0 is stripped before, so
+    a repeated one is checked apart.  All of it is integer arithmetic, so
+    the cost grows with the bit length of the coefficients, not their size.
     """
     ints = _cleared(coeffs)
     roots = []
@@ -987,10 +1007,10 @@ def _rational_roots(coeffs):
     # Sturm sequence, each term scaled to integers by a positive factor
     seq = [g, [k * c for k, c in enumerate(g)][1:]]
     while len(seq[-1]) > 1:
-        _, rem = _fp_divmod([Fraction(c) for c in seq[-2]], [Fraction(c) for c in seq[-1]])
+        rem = _pseudo_remainder(seq[-2], seq[-1])
         if not rem:
             break
-        seq.append(_cleared([-c for c in rem]))
+        seq.append([-c for c in rem])
     squarefree = squarefree and len(seq[-1]) == 1
 
     def sign_changes(x):
@@ -1102,8 +1122,7 @@ class _AlgebraQ:
 
     def q_to_f(self, qv):
         phi = self.phi
-        return [from_cyclo_coords(qv[i * phi:(i + 1) * phi], self.n_field)
-                for i in range(self.dim)]
+        return [cyclotomic(self.n_field, qv[i * phi:(i + 1) * phi]) for i in range(self.dim)]
 
     def f_to_q(self, fv):
         out = []

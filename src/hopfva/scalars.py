@@ -17,8 +17,8 @@ a check for a constant result remains), adding or scaling by a rational
 needs nothing, a product multiplies the nonzero integer numerators over a
 common denominator and folds the degrees from phi(N) to 2 phi(N) - 2, and
 lifting to a multiple conductor M maps zeta_N^k to row k M/N of the table
-for M.  Only `inverse` divides polynomials (extended Euclid against a
-cached Phi_N).
+for M.  `inverse` divides no polynomial either: 1/x is the product of the
+other Galois conjugates of x over the norm of x, which is rational.
 
 All operations are pure and all values are immutable.
 """
@@ -39,7 +39,7 @@ _ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
-# integer / fraction polynomial helpers (coefficient lists, ascending degree)
+# integer polynomial helpers (coefficient lists, ascending degree)
 
 
 def _int_poly_div_exact(num, den):
@@ -87,61 +87,6 @@ def euler_phi(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
-def _fp_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _fp_mul(a, b):
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _fp_trim(out)
-
-
-def _fp_sub(a, b):
-    out = [_ZERO] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _fp_trim(out)
-
-
-def _fp_divmod(a, b):
-    a = list(a)
-    _fp_trim(a)
-    db = len(b) - 1
-    lead = b[-1]
-    q = [_ZERO] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
-        c = a[-1] / lead
-        k = len(a) - 1 - db
-        q[k] = c
-        for j, d in enumerate(b):
-            a[k + j] -= c * d
-        _fp_trim(a)
-    return q, a
-
-
-def _fp_xgcd(a, b):
-    """Extended Euclid for fraction polynomials: g, u, v with u*a + v*b = g."""
-    r0, r1 = list(a), list(b)
-    u0, u1 = [_ONE], []
-    v0, v1 = [], [_ONE]
-    while r1:
-        q, r = _fp_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _fp_sub(u0, _fp_mul(q, u1))
-        v0, v1 = v1, _fp_sub(v0, _fp_mul(q, v1))
-    return r0, u0, v0
-
-
 @lru_cache(maxsize=None)
 def zeta_powers(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The integer coordinates of zeta_n^s, s < n, in the power basis.
@@ -160,12 +105,6 @@ def zeta_powers(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
         dense = [(dense[k - 1] if k else 0) - top * poly[k] for k in range(phi)]
         rows.append(tuple((k, c) for k, c in enumerate(dense) if c))
     return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _phi_fractions(n):
-    """Phi_n as a Fraction polynomial, for the extended Euclid of `inverse`."""
-    return tuple(Fraction(c) for c in cyclotomic_polynomial(n))
 
 
 def _reduce_mod_cyclo(coeffs, n):
@@ -325,11 +264,19 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self):
+        """1/x = others / N(x), `others` the product of the Galois conjugates
+        sigma_k(x) over the units k != 1 mod N.  The norm N(x) = x * others,
+        the product of all phi(N) conjugates, is fixed by every sigma_k, so
+        it is rational, and nonzero as x is (Cohen, GTM 138, ch. 4)."""
         n = self.conductor
-        g, u, _ = _fp_xgcd(list(self.coeffs), list(_phi_fractions(n)))
-        require(len(g) == 1, "nonzero residue must be invertible mod Phi_n")
-        # deg u < phi(n), so u is already reduced
-        return _canonical(n, _reduce_mod_cyclo([c / g[0] for c in u], n))
+        others = _ONE
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                others = self.galois(k) * others
+        norm = self * others
+        require(norm.__class__ is Fraction and norm != 0,
+                "the norm of a nonzero residue must be a nonzero rational")
+        return others / norm
 
     def __truediv__(self, other):
         if isinstance(other, Cyclotomic):
@@ -454,10 +401,6 @@ def cyclo_coords(s, n):
     if isinstance(s, Cyclotomic):
         return list(s.coeffs_at(n))
     return [Fraction(s)] + [_ZERO] * (euler_phi(n) - 1)
-
-
-def from_cyclo_coords(coords, n):
-    return cyclotomic(n, coords)
 
 
 def scalar_sort_key(s):

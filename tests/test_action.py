@@ -226,7 +226,7 @@ def test_annihilator_at_one_cap_is_the_kernel_that_action_annihilator_reports():
     backend = euler_backend(2)
     swap = {(0,): {(0,): 1}, (1,): {(2,): 1}, (2,): {(1,): 1}}
     act = HopfAction(group_algebra(cyclic_group_table(2)), backend,
-                     [{e: {e: 1} for e in backend.monomials()}, swap], check=False)
+                     [{e: {e: 1} for e in backend.monomials()}, swap])
     for needs_caps in (annihilator, action_annihilator, is_inner_faithful):
         with pytest.raises(FiltrationFlagRequired):
             needs_caps(act)

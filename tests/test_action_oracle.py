@@ -15,8 +15,8 @@ order) and the ValueError messages of construction must agree.
 
 The checks walk the generating set of H first (`hopf.on_generators`); the
 walks are recorded, so that the route each check takes is checked too: the
-generators for checked, degree-keeping actions, every basis element for an
-unchecked action, one that raises degree, and, for the vertex identity, a
+generators for degree-keeping actions, every basis element for one that
+raises degree, and, for the vertex identity, a
 derivation that is not homogeneous or does not commute with the action.
 A homogeneous derivation of weight 1 ends each walk of the identity at the
 cap: the report and the derived chains at the default order are those at
@@ -31,6 +31,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    UncheckedAction,
     action_matrices,
     cyclic_scaling_action,
     edited_action,
@@ -366,10 +367,10 @@ def test_generator_extension_matches_the_poly_oracle(make):
         expected = oracle_extension(h, backend, images)
     except TruncationOverflow as exc:
         with pytest.raises(TruncationOverflow) as got:
-            HopfAction.from_generator_images(h, backend, images, check=False)
+            UncheckedAction.from_generator_images(h, backend, images)
         assert str(got.value) == str(exc)
         return
-    act = HopfAction.from_generator_images(h, backend, images, check=False)
+    act = UncheckedAction.from_generator_images(h, backend, images)
     assert action_matrices(act) == expected
 
 
@@ -426,16 +427,6 @@ def test_the_checks_visit_only_the_generators(walks, make):
     gens = list(generating_set(act.hopf))
     assert 0 < len(gens) < act.hopf.dim
     assert walks == {scan: [gens] for scan in SCANS}
-
-
-def test_an_unchecked_action_walks_every_basis_element(walks):
-    act = s3_action(cap=2)
-    walks.clear()
-    report = verify_module_vertex_algebra(HopfAction(act.hopf, act.backend, act._columns,
-                                                     check=False))
-    assert report.passed
-    everything = list(range(act.hopf.dim))
-    assert walks == {scan: [everything] for scan in SCANS[1:]}
 
 
 def test_an_action_that_raises_degree_walks_every_basis_element(walks):
@@ -513,7 +504,7 @@ def test_a_weight_one_identity_walk_ends_at_the_cap(monkeypatch, broken):
     if broken:  # negate the image of one transposition, built unchecked
         columns = list(act._columns)
         columns[1] = {e: {m: -c for m, c in col.items()} for e, col in columns[1].items()}
-        act = HopfAction(act.hopf, act.backend, columns, check=False)
+        act = UncheckedAction(act.hopf, act.backend, columns)
     derived = []
     derive = CommDiffVA.derive_terms
 
@@ -545,7 +536,7 @@ def test_s4_permutations_form_a_module_vertex_algebra_at_cap_2():
     t = sorted(itertools.permutations(range(4))).index((0, 1, 3, 2))
     columns = list(act._columns)
     columns[t] = {e: {m: -c for m, c in col.items()} for e, col in columns[t].items()}
-    broken = HopfAction(act.hopf, act.backend, columns, check=False)
+    broken = UncheckedAction(act.hopf, act.backend, columns)
     report = verify_module_vertex_algebra(broken)
     assert not report.passed
     assert list(report.items()) == list(oracle_module_vertex_algebra(broken).items())

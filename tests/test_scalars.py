@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hopfva.linalg import Matrix, solve
 from hopfva.scalars import (
     Cyclotomic,
     cyclo_coords,
@@ -11,7 +12,6 @@ from hopfva.scalars import (
     cyclotomic_polynomial,
     euler_phi,
     field_arithmetic,
-    from_cyclo_coords,
     scalar_conjugate,
     scalar_from_text,
     scalar_to_text,
@@ -99,7 +99,7 @@ def _sample_scalars(rng, n):
 
 def test_field_axioms_hold_exactly():
     rng = random.Random(20240811)
-    for n in (3, 4, 5, 8, 12):
+    for n in (3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 24):
         for a in _sample_scalars(rng, n):
             assert a + 0 == a
             assert a * 1 == a
@@ -129,7 +129,7 @@ def test_embedding_commutes_with_arithmetic():
     for _ in range(25):
         a_small = cyclotomic(6, [Fraction(rng.randint(-3, 3)) for _ in range(2)])
         b_small = cyclotomic(6, [Fraction(rng.randint(-3, 3)) for _ in range(2)])
-        lift = lambda v: from_cyclo_coords(cyclo_coords(v, 24), 24)
+        lift = lambda v: cyclotomic(24, cyclo_coords(v, 24))
         assert lift(a_small * b_small) == lift(a_small) * lift(b_small)
         assert lift(a_small + b_small) == lift(a_small) + lift(b_small)
 
@@ -291,6 +291,34 @@ def test_cyclotomic_arithmetic_matches_oracle(n):
             for _ in range(k):
                 bk = _oracle_mul(bk, raw_b, n)
             assert _oracle_reduce(_oracle_mul(_oracle_lift(inv, n), bk, n), n) == one
+
+
+def _solved_inverse(coords, n):
+    """The coordinates of 1/x, x with power-basis coordinates `coords` at n,
+    by a dense solve: column j of the multiplication matrix of x holds the
+    coordinates of x zeta^j, reduced by the oracle's long division."""
+    phi = euler_phi(n)
+    columns = [_oracle_reduce(_oracle_mul(coords, [0] * j + [1], n), n) for j in range(phi)]
+    return solve(Matrix.from_columns(columns), [1] + [0] * (phi - 1))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 24])
+def test_inverse_matches_the_solve_oracle(n):
+    # a sparse value 2 + zeta, a dense one with every coordinate nonzero, a
+    # random one, and 2 + zeta_d for the least proper divisor d of n with
+    # phi(d) > 1, stored at n (where its norm is a power of the one at d)
+    rng = random.Random(4100 + n)
+    phi = euler_phi(n)
+    dense = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+             for _ in range(phi)]
+    values = [cyclotomic(n, raw) for raw in ([2, 1], dense, _random_raw(rng, phi))]
+    for d in [d for d in range(3, n) if n % d == 0 and euler_phi(d) > 1][:1]:
+        values.append((2 + zeta(d) + zeta(n)) - zeta(n))
+        assert values[-1].conductor == n
+        assert values[-1].inverse() == (2 + zeta(d)).inverse()
+    for x in values:
+        if isinstance(x, Cyclotomic):
+            _assert_is(x.inverse(), _solved_inverse(list(x.coeffs), n), n)
 
 
 @pytest.mark.parametrize("n,m", ORACLE_PAIRS)

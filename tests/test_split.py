@@ -7,14 +7,18 @@ algebra over Q, must equal the minimal polynomial of its dense multiplication
 matrix, found here from the matrix powers with `Cyclotomic` arithmetic only.
 A conductor whose field lacks a character value must be refused, and the
 rational roots of a minimal polynomial must be exactly the chosen ones.
+Each Sturm term is built by integer pseudo-division, which must give a
+positive multiple of the remainder that Fraction long division gives.
 
 The unit that `group_likes` hands the split must be the unit that a dense
 solve finds (`conftest.solved_unit`), and the split must give the
 closed-form idempotents: delta_g in Q[G]*, and (1/n) sum_k zeta^(-jk) g^k
 in Q[Z_n] over Q(zeta_n).  The refusal of a non-commutative table and of
 a wrong unit are tested, and the number of minimal-polynomial searches is
-bounded by the dimension.  Reading a character at a wrong coordinate, a
-mutation of the source of `hopf`, must be caught by the group-like check.
+bounded by the dimension.  A block that no standard candidate splits must
+be split by the second stage's candidates.  Reading a character at a wrong
+coordinate, a mutation of the source of `hopf`, must be caught by the
+group-like check.
 
 A basis of orthogonal idempotents that sums to the unit is read off the
 table with no search: the delta functions of Q[G]*, in any order, must give
@@ -53,12 +57,20 @@ from hopfva.linalg import (
     _AlgebraQ,
     _first_dependence,
     _minimal_polynomial,
+    _pseudo_remainder,
     _rational_roots,
     nonzero_pairs,
     solve,
     split_commutative_algebra,
 )
-from hopfva.scalars import _fp_mul, as_scalar, cyclo_coords, euler_phi, scalar_sort_key, zeta
+from hopfva.scalars import (
+    as_scalar,
+    cyclo_coords,
+    euler_phi,
+    scalar_sort_key,
+    scalar_to_text,
+    zeta,
+)
 
 # (name, cyclic factors, a conductor whose field misses a character value)
 GROUPS = [
@@ -175,6 +187,57 @@ def test_first_dependence_reads_rows_lazily():
     assert _first_dependence(iter(rows[:2] + rows[3:])) is None
     assert _first_dependence(iter([{"e": 2}, {"e": -6}])) == 1
     assert _first_dependence(iter([{}])) == 0
+
+
+def _fp_mul(a, b):
+    """The product of two Fraction polynomials, ascending coefficients."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _fraction_remainder(a, b):
+    """The remainder of a by b, by Fraction long division."""
+    a = [Fraction(c) for c in a]
+    while len(a) >= len(b):
+        c = a[-1] / b[-1]
+        k = len(a) - len(b)
+        for j, d in enumerate(b):
+            a[k + j] -= c * d
+        a.pop()
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _pseudo_remainder_cases():
+    rng = random.Random(11)
+    cases = [
+        ([1, 2, 3, 4], [5, 0, -3]),  # a negative leading coefficient
+        (_fp_mul(_fp_mul([-1, 1], [2, 1]), [3, 2]), [6, -3, -3]),  # b divides a
+        ([1, 3, 0, 0, 0, 1], [2, 0, 0, 0, 1]),  # the remainder drops 3 degrees
+        ([1, 0, 0, 1, 1], [0, 1, 1]),  # a's next term vanishes on the way
+        ([4, -6], [1, 2, 3]),  # a already below b
+    ]
+    for _ in range(40):
+        b = [rng.randint(-9, 9) for _ in range(rng.randint(2, 5))] + [rng.choice((-4, -1, 1, 3))]
+        a = [rng.randint(-30, 30) for _ in range(rng.randint(len(b), len(b) + 4))]
+        cases.append((a, b))
+    return cases
+
+
+@pytest.mark.parametrize("a,b", _pseudo_remainder_cases())
+def test_the_pseudo_remainder_is_the_remainder_times_a_positive_rational(a, b):
+    a, b = [int(c) for c in a], [int(c) for c in b]
+    rem, exact = _pseudo_remainder(a, b), _fraction_remainder(a, b)
+    assert all(type(c) is int for c in rem)
+    assert len(rem) == len(exact)
+    if exact:
+        assert math.gcd(*rem) == 1
+        ratio = rem[-1] / exact[-1]
+        assert ratio > 0 and rem == [ratio * c for c in exact]
 
 
 def test_rational_roots_are_exact_and_complete():
@@ -327,6 +390,40 @@ def test_recognising_a_group_algebra_builds_no_quotient_and_no_search(monkeypatc
     found = recognize_group_algebra(group_algebra(symmetric_group_table(5)))
     assert len(found.elements) == 120
     assert calls == [] and products == []
+
+
+# --- the second stage: candidates drawn from the block ---------------------------
+
+
+def _coordinates(basis, v):
+    """The coordinates of v in the basis (b_0, b_1) of F^2, by Cramer's rule."""
+    (a, c), (b, d) = basis
+    det = a * d - b * c
+    return [(v[0] * d - b * v[1]) / det, (a * v[1] - c * v[0]) / det]
+
+
+def test_a_block_no_standard_candidate_splits_is_split_by_the_second_stage():
+    # A = Q(zeta_3)^2 with componentwise products, on the basis
+    # b_0 = (3 zeta, 4 + zeta), b_1 = (3 + 2 zeta, -4 + 2 zeta): no b_i zeta^a
+    # has a rational component, so no standard candidate has a rational root
+    # on the unit, and only a product or sum from the block splits it
+    z = zeta(3)
+    basis = [(3 * z, 4 + z), (3 + 2 * z, -4 + 2 * z)]
+    nonzero = [[nonzero_pairs(_coordinates(basis, (p[0] * q[0], p[1] * q[1])))
+                for q in basis] for p in basis]
+    unit = _coordinates(basis, (1, 1))
+    alg = _AlgebraQ(nonzero, 2, 3)
+    for g in range(alg.qdim):
+        candidate = [Fraction(int(k == g)) for k in range(alg.qdim)]
+        mu, _ = _minimal_polynomial(alg, alg.f_to_q(unit), candidate)
+        roots, squarefree = _rational_roots(mu)
+        assert squarefree and (not roots or len(mu) == 2)
+    got = split_commutative_algebra(nonzero, 2, 3, unit=unit)
+    expected = [_coordinates(basis, (1, 0)), _coordinates(basis, (0, 1))]
+    assert sorted(map(list, got), key=str) == sorted(expected, key=str)
+    assert [[scalar_to_text(c) for c in e] for e in got] == [
+        ["zeta(3):[-14/79,-20/79]", "zeta(3):[-17/553,-92/553]"],
+        ["zeta(3):[3/79,-7/79]", "zeta(3):[-81/553,-48/553]"]]
 
 
 # --- when the basis is its own primitive idempotents ------------------------------
