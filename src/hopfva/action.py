@@ -9,10 +9,12 @@ extended through the coproduct (the module-algebra rule), which is how
 non-group examples like the Sweedler action on Q[z] are specified.
 
 The generator extension, the algebra-map check, the module-vertex-algebra
-checks, the annihilators and the tensor powers run on those columns as
-{exponent: coefficient} dicts, with the derivation read from the backend as
-the same kind of dict; no Matrix is built, and no Poly unless a witness is
-reported.
+checks, the fixed points, the annihilators and the tensor powers run on
+those columns as {exponent: coefficient} dicts; no Matrix is built, and no
+Poly unless a witness is reported.  Derivatives are read as the same kind
+of dict from the backend's one store, the chains of d' = L d
+(`CommDiffVA.chain`): each identity checked here has as many d's on both
+sides, so it holds for d' exactly when it holds for d.
 
 The algebra-map check, the Leibniz rule, [rho(h), d] = 0 and the vertex
 identity walk the basis elements of a `hopf.generating_set` first: each
@@ -272,7 +274,8 @@ def verify_module_algebra(act: HopfAction) -> CheckReport:
 
 
 def check_D_commute(act: HopfAction):
-    """[rho(h), d] = 0 on the part of the carrier where both sides stay in cap.
+    """[rho(h), d] = 0 on the part of the carrier where both sides stay in cap,
+    read as [rho(h), d'] = 0 for d' = L d (`CommDiffVA.chain`).
 
     The h for which it holds on the monomials of degree <= D - max(w, 0)
     contain 1 and are closed under products when rho is multiplicative and
@@ -286,8 +289,8 @@ def check_D_commute(act: HopfAction):
         for bi in indices:
             col = act._columns[bi]
             for mono in a.monomials(a.degree_cap - wplus):
-                lhs = act._apply(bi, a.derive_terms({mono: 1}))
-                rhs = a.derive_terms(col[mono])
+                lhs = act._apply(bi, a.chain(mono, 1)[1])
+                rhs = a.derived(col[mono], 1)
                 if lhs != rhs:
                     yield h.names[bi], _monomial_text(mono, a.variables)
 
@@ -298,6 +301,7 @@ def check_D_commute(act: HopfAction):
 def verify_module_vertex_algebra(act: HopfAction, order=None) -> CheckReport:
     """The module-vertex-algebra identity, coefficientwise:
     h((d^k u) v) = sum (d^k(h1 u))(h2 v), the k! cancelling on both sides.
+    It is read in d' = L d (`CommDiffVA.chain`): both sides scale by L^k.
 
     Reported as the module-algebra part plus the derivation-commutation part,
     with the combined identity checked directly as well.
@@ -323,18 +327,6 @@ def verify_module_vertex_algebra(act: HopfAction, order=None) -> CheckReport:
     report["derivation-commutation"] = check_D_commute(act)
     gens = act._generators if a.homogeneous and report["derivation-commutation"][0] \
         else range(h.dim)
-
-    def chain(chains, key, start, k):
-        """d^k start, the derivatives of each key taken once, in order."""
-        out = chains.get(key)
-        if out is None:
-            out = chains[key] = [start]
-        while len(out) <= k:
-            out.append(a.derive_terms(out[-1]))
-        return out[k]
-
-    powers = {}   # e1 -> [d^k e1]
-    images = {}   # (p, e1) -> [d^k (b_p e1)]
     grows = a.homogeneous and a.weight >= 0
 
     def identity_failures(indices):
@@ -345,7 +337,7 @@ def verify_module_vertex_algebra(act: HopfAction, order=None) -> CheckReport:
             coproduct = _coproduct_pairs(h, bi)
             for e1 in monos:
                 for k in range(order + 1):
-                    dku = chain(powers, e1, {e1: 1}, k)
+                    dku = a.chain(e1, k)[k]
                     if not dku:
                         break
                     room = cap - max(map(sum, dku))
@@ -353,8 +345,7 @@ def verify_module_vertex_algebra(act: HopfAction, order=None) -> CheckReport:
                         if grows:
                             break
                         continue
-                    left = [(q, c, chain(images, (p, e1), cols[p][e1], k))
-                            for (p, q), c in coproduct]
+                    left = [(q, c, a.derived(cols[p][e1], k)) for (p, q), c in coproduct]
                     for e2 in a.monomials(room):
                         # h((d^k e1) e2) - sum (d^k(h1 e1))(h2 e2), zero where it holds
                         residual = [(c, col[tuple(map(_add, t, e2))]) for t, c in dku.items()]
@@ -382,35 +373,40 @@ def invariants(act: HopfAction) -> Subspace:
 
 
 def fixed_subspace(act: HopfAction):
-    """V^H plus vertex-subalgebra closure evidence."""
+    """V^H plus vertex-subalgebra closure evidence.
+
+    The basis vectors of V^H are {exponent: coefficient} dicts, derived by
+    d' = L d (`CommDiffVA.chain`): V^H holds d'^k u exactly when it holds
+    d^k u, so the closure checks read the store as it is.
+    """
     a = act.backend
+    monos = act.monomials
+    cap = a.degree_cap
     fixed = invariants(act)
     report = CheckReport()
-    one = Poly.const(a.nvars, _ONE)
-    report.record("contains-vacuum", [] if fixed.contains(a.coords_of(one)) else [None])
-    polys = [a.poly_from_coords(list(v)) for v in fixed.basis]
+    report.record("contains-vacuum",
+                  [] if fixed.contains([int(sum(e) == 0) for e in monos]) else [None])
+    vectors = [{e: c for e, c in zip(monos, v) if c} for v in fixed.basis]
 
-    def derivation_failures():
-        for p in polys:
-            dp = a.derive(p)
-            if dp.degree() <= a.degree_cap and not fixed.contains(a.coords_of(dp)):
-                yield poly_to_text(p, a.variables)
+    def outside(terms):
+        """Within the cap and not in V^H."""
+        return max(map(sum, terms), default=-1) <= cap and \
+            not fixed.contains([terms.get(e, 0) for e in monos])
+
+    def text(terms):
+        return poly_to_text(Poly(a.nvars, terms), a.variables)
 
     def mode_failures():
-        for u in polys:
-            dku = u
-            for k in range(a.degree_cap + 1):
-                if k:
-                    dku = a.derive(dku)
-                if dku.is_zero() or dku.degree() > a.degree_cap:
+        for u in vectors:
+            for k in range(cap + 1):
+                dku = a.derived(u, k)
+                if not dku or max(map(sum, dku)) > cap:
                     break
-                for v in polys:
-                    prod = dku * v
-                    if prod.degree() <= a.degree_cap and not fixed.contains(a.coords_of(prod)):
-                        yield (f"({poly_to_text(u, a.variables)}, k={k}, "
-                               f"{poly_to_text(v, a.variables)})")
+                for v in vectors:
+                    if outside(_mul(dku, v)):
+                        yield f"({text(u)}, k={k}, {text(v)})"
 
-    report.record("derivation-closed", derivation_failures())
+    report.record("derivation-closed", (text(u) for u in vectors if outside(a.derived(u, 1))))
     report.record("vertex-mode-closed", mode_failures())
     return fixed, report
 

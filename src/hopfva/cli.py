@@ -685,7 +685,7 @@ def main(argv=None):
         status, result = "refused", {"refusal": type(exc).__name__,
                                      "message": str(exc)}
         human = [f"refused: {exc}"]
-    except (HopfvaError, ValueError, AssertionError, KeyError) as exc:
+    except (HopfvaError, ValueError, KeyError) as exc:
         status, result = "error", {"error": type(exc).__name__,
                                    "message": str(exc)}
         human = [f"error: {exc}"]

@@ -902,19 +902,15 @@ def _reduce_krylov(row, combo, reduced):
 
 
 def _first_dependence(rows):
-    """Index of the first sparse integer row {key: int} of `rows` that lies
-    in the span of those before it, or None when `rows` runs out first.
+    """Index of the first sparse row {key: scalar} of `rows` that lies in the
+    span of those before it, or None when `rows` runs out first.
 
-    The Krylov search of `_minimal_polynomial` without the relation: it
-    reads `rows` lazily and stops at the first dependence.
+    A Krylov search without the relation, on one echelon form
+    (`_echelon_add`), so rational and cyclotomic rows are reduced exactly:
+    it reads `rows` lazily and stops at the first dependence.
     """
-    reduced = []
-    for k, row in enumerate(rows):
-        row, _ = _reduce_krylov(row, {}, reduced)
-        if not row:
-            return k
-        reduced.append((min(row), row, {}))
-    return None
+    echelon = {}
+    return next((k for k, row in enumerate(rows) if _echelon_add(echelon, row) is None), None)
 
 
 def _minimal_polynomial(alg, e, g):

@@ -18,12 +18,15 @@ isotype, and pairwise distinguishability by the degreewise multiplicities,
 with an honest "inconclusive" where they agree.
 Projectors, mode operators and irrep matrices are columns too, so no Matrix
 and no Poly sits between an action or a character table and its isotypes.
+A mode operator, multiplication by d^k u / k!, is built from the backend's
+chain d'^k u = k! L^k (d^k u / k!), d' = L d (`CommDiffVA.chain`), as it
+is: commuting with rho(g) and the spans of `span_closure` see a mode only
+up to a nonzero scalar.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -388,17 +391,21 @@ def _mode_matrix(rep: FinGroupRep, terms):
 
 
 def _modes(rep: FinGroupRep, terms, order):
-    """(k, deg d^k u, the columns of d^k u / k!) for k <= order, up to the
-    first zero derivative, u given by its {exponent: coefficient} terms."""
-    dku = {e: demoted(c) for e, c in terms.items()}
+    """(k, deg d^k u, the columns of d'^k u) for k <= order, up to the first
+    zero derivative, u given by its {exponent: coefficient} terms.
+
+    The mode of order k is multiplication by d^k u / k!, and d'^k u =
+    k! L^k (d^k u / k!) for d' = L d (`CommDiffVA.chain`).  Both readers use
+    a mode only up to a nonzero scalar: whether it commutes with rho(g)
+    (`check_commutant`) and the span it generates (`cyclic_reachability`),
+    so the columns of d'^k u are yielded as they are.
+    """
+    terms = {e: demoted(c) for e, c in terms.items()}
     for k in range(order + 1):
-        if k:
-            dku = rep.backend.derive_terms(dku)
+        dku = rep.backend.derived(terms, k)
         if not dku:
             return
-        inv = Fraction(1, math.factorial(k))
-        yield k, max(map(sum, dku)), _mode_matrix(
-            rep, {e: demoted(c * inv) for e, c in dku.items()})
+        yield k, max(map(sum, dku)), _mode_matrix(rep, dku)
 
 
 def _invariant_modes(rep: FinGroupRep, order):

@@ -13,18 +13,26 @@ loses kernel vectors, and come back as one `CoefficientKernel`; the columns,
 and those of the kernel-restricted rows of `_impose_order`, go as they are
 to `linalg._kernel_of_columns`.
 
+Every derivative in the package is read from one store per backend
+(`CommDiffVA.chain`): the chain [d'^k m] of each monomial m, d' = L d
+(below), derived lazily, one order at a time, and kept, so the Leibniz rule
+runs once per monomial.  The coefficient maps and the axiom checks here,
+and the checks of `action` and `schurweyl`, all read it.  Each identity
+they check has as many d's on both sides at each order, so it holds for d'
+exactly when it holds for d.
+
 pi_2 and pi_n share one order ladder (`_order_ladder`).  The kernels only
 shrink as the order bound K grows.  When d maps A_{<=D} into itself, its
-minimal polynomial there has some degree r <= m (m monomials), found by a
-Krylov search over the derivative chains, and rows of order >= r are
+minimal polynomial there has some degree r <= m (m monomials), found by an
+exact Krylov search over the chains, and rows of order >= r are
 combinations of lower ones, so the kernel at order r - 1 is the
 untruncated one: both maps start at order min(K - 1, r - 1), and stop
 there once K >= r.  When d raises degree they start at min(K - 1, m - 1).
 For pi_2 a zero kernel stops the ladder too; otherwise it imposes the
 orders up to K on the surviving kernel.  pi_n, whose slots are capped
 separately, is computed at r - 1 when that is exact and at K otherwise.  The
-derivative chains are derived once, one order at a time, only as far as
-the ladder climbs.  Z_2 is always computed at K.
+chains are derived only as far as the ladder climbs.  Z_2 is always
+computed at K.
 
 The columns are assembled over the integers.  Let L be the lcm of the
 denominators in the derivation, so d' = L d sends monomials to integer
@@ -267,7 +275,7 @@ class CommDiffVA:
         self.denominator = math.lcm(*(c.denominator for p in self.images
                                       for c in p.terms.values()
                                       if isinstance(c, Fraction)))
-        self._dmemo = {}
+        self._chains = {}
         self._mono_cache = {}
 
     # -- monomial bases
@@ -306,58 +314,53 @@ class CommDiffVA:
     # -- derivation
 
     def _monomial_derivative(self, mono):
-        """d(mono) as {exponent: coefficient} without zeros, integral
-        rationals as ints; each monomial is derived once per backend."""
-        out = self._dmemo.get(mono)
-        if out is None:
-            out = self._dmemo[mono] = {t: demoted(c)
-                                       for t, c in _leibniz(mono, self.images).items()}
-        return out
+        """d(mono) as {exponent: coefficient} without zeros, by the Leibniz
+        rule on the generator images; `chain` calls it once per monomial."""
+        acc = {}
+        for i, k in enumerate(mono):
+            if k:
+                lowered = mono[:i] + (k - 1,) + mono[i + 1:]
+                for g, c in self.images[i].terms.items():
+                    t = tuple(map(_add, g, lowered))
+                    acc[t] = acc.get(t, 0) + k * c
+        return {t: c for t, c in acc.items() if c}
 
-    def derive_terms(self, terms):
-        """d of an {exponent: coefficient} polynomial, as such a dict
-        without zeros (no cap)."""
+    def chain(self, mono, k):
+        """[d'^j mono for j = 0..k], each as {exponent: coefficient} without
+        zeros: the backend's one derivative store.
+
+        d' = L d, L the `denominator`, so for a rational derivation every
+        coefficient is a Python int.  A cyclotomic derivation can still
+        produce a rational coefficient whose denominator L misses, when the
+        irrational parts of a Leibniz sum cancel; it stays a Fraction, and
+        the reducer clears it.  Each chain is derived lazily, one order at a
+        time, and kept: entry 1 is the step d' mono, and entry j + 1 sums
+        the steps of entry j's monomials.  The list returned has exactly
+        k + 1 entries, however far the store reaches.
+        """
+        out = self._chains.get(mono)
+        if out is None:
+            out = self._chains[mono] = [{mono: 1}]
+        while len(out) <= k:
+            out.append(self.derived(out[-1], 1) if len(out) > 1 else
+                       {g: demoted(c * self.denominator)
+                        for g, c in self._monomial_derivative(mono).items()})
+        return out[:k + 1]
+
+    def derived(self, terms, k):
+        """d'^k of an {exponent: coefficient} polynomial (no cap), summed
+        from the chains of its monomials, as such a dict without zeros."""
         out = {}
         for e, c in terms.items():
-            for g, a in self._monomial_derivative(e).items():
+            for g, a in self.chain(e, k)[k].items():
                 x = out.get(g)
                 out[g] = c * a if x is None else x + c * a
         return {g: v for g, v in out.items() if v}
-
-    def derive(self, poly):
-        """One exact application of the derivation (no cap)."""
-        return Poly(self.nvars, self.derive_terms(poly.terms))
-
-    def derive_k(self, poly, k):
-        for _ in range(k):
-            poly = self.derive(poly)
-        return poly
-
-    def exp_derivation_series(self, poly, order):
-        """Raw coefficients of e^{z d} poly up to z^order (no cap)."""
-        out = [poly]
-        cur = poly
-        for k in range(1, order + 1):
-            cur = self.derive(cur)
-            out.append(cur.scale(Fraction(1, math.factorial(k))))
-        return out
 
     def __repr__(self):
         imgs = {n: poly_to_text(img, self.variables)
                 for n, img in zip(self.variables, self.images)}
         return f"CommDiffVA({list(self.variables)}, d={imgs}, cap={self.degree_cap})"
-
-
-def _leibniz(mono, images):
-    """d(mono), without zeros, for the derivation with d x_k = images[k]."""
-    acc = {}
-    for i, k in enumerate(mono):
-        if k:
-            lowered = mono[:i] + (k - 1,) + mono[i + 1:]
-            for g, c in images[i].terms.items():
-                t = tuple(map(_add, g, lowered))
-                acc[t] = acc.get(t, 0) + k * c
-    return {t: c for t, c in acc.items() if c}
 
 
 def single_variable_backend(m, cap, name="x"):
@@ -479,68 +482,27 @@ def pi2_kernel(backend, order=None) -> CoefficientKernel:
     """
     monos = backend.monomials()
     order = len(monos) ** 2 if order is None else order
-    chains, start, exact = _order_ladder(backend, monos, order)
-    columns = _coefficient_columns(chains.upto(start), monos, (start, 0))
+    start, exact = _order_ladder(backend, monos, order)
+    columns = _coefficient_columns(_derivative_chains(backend, monos, start), monos, (start, 0))
     kern, stable = _kernel_of_columns(columns, len(columns)), True
     if not (exact or kern.is_zero()):
         # impose the orders up to K - 1 on the surviving kernel, then K alone
-        _, kern = _impose_order(monos, kern, chains.upto(order - 1), range(start + 1, order))
-        stable, kern = _impose_order(monos, kern, chains.upto(order), range(order, order + 1))
+        _, kern = _impose_order(monos, kern, _derivative_chains(backend, monos, order - 1),
+                                range(start + 1, order))
+        stable, kern = _impose_order(monos, kern, _derivative_chains(backend, monos, order),
+                                     range(order, order + 1))
     return CoefficientKernel(kern, monos, 2, order, stabilized=stable)
 
 
-def _derivative_chains(backend, monos):
-    """The levels [d'^k m for each monomial m], as {exponent: coefficient},
-    for k = 0, 1, 2, ...: one level per step, as far as the caller reads.
-
-    d' = L d, where L is the backend's `denominator`; for a rational
-    derivation every coefficient is then a Python int.  A cyclotomic
-    derivation can still produce a rational coefficient whose denominator L
-    misses, when the irrational parts of a Leibniz sum cancel; such a
-    coefficient stays a Fraction, and the reducer clears it.
-    """
-    scale = backend.denominator
-    steps = {}
-
-    def step(e):
-        out = steps.get(e)
-        if out is None:
-            out = steps[e] = {g: demoted(c * scale)
-                              for g, c in backend._monomial_derivative(e).items()}
-        return out
-
-    level = [{m: 1} for m in monos]
-    while True:
-        yield level
-        nexts = []
-        for p in level:
-            nxt = {}
-            for e, c in p.items():
-                for g, dc in step(e).items():
-                    nxt[g] = nxt.get(g, 0) + c * dc
-            nexts.append({g: c for g, c in nxt.items() if c != 0})
-        level = nexts
-
-
-class _Chains:
-    """The chains d'^k m of each monomial m, read from one
-    `_derivative_chains` pass as far as `upto` has asked."""
-
-    def __init__(self, backend, monos):
-        self._levels = _derivative_chains(backend, monos)
-        self.derivs = [[] for _ in monos]
-
-    def upto(self, order):
-        """The chains, each extended to hold d'^k m for k = 0..order."""
-        while len(self.derivs[0]) <= order:
-            for chain, dk in zip(self.derivs, next(self._levels)):
-                chain.append(dk)
-        return self.derivs
+def _derivative_chains(backend, monos, order):
+    """The chains [d'^k m for k = 0..order] of the monomials m, read from
+    the backend's store (`CommDiffVA.chain`), d' = L d."""
+    return [backend.chain(m, order) for m in monos]
 
 
 def _order_ladder(backend, monos, order):
-    """Where pi_2 starts: (chains, K0, exact) for order bound K; pi_n
-    reads K0 only when it is exact.
+    """Where pi_2 starts: (K0, exact) for order bound K; pi_n reads K0 only
+    when it is exact.
 
     The order-k kernels only shrink as k grows.  When every d'm, m in the
     carrier, is supported on carrier monomials, d preserves A_{<=D} and
@@ -552,28 +514,22 @@ def _order_ladder(backend, monos, order):
     and K stays a truncation.  The chains are derived to order min(r, K)
     at most.
     """
-    chains = _Chains(backend, monos)
     carrier = set(monos)
-    if order >= 1 and all(e in carrier for chain in chains.upto(1) for e in chain[1]):
-        r = _minimal_order(chains, order)
-        return chains, min(order - 1, r - 1), r <= order
-    return chains, min(order - 1, len(monos) - 1), False
+    if order >= 1 and all(e in carrier for m in monos for e in backend.chain(m, 1)[1]):
+        r = _minimal_order(backend, monos, order)
+        return min(order - 1, r - 1), r <= order
+    return min(order - 1, len(monos) - 1), False
 
 
-def _minimal_order(chains, limit):
+def _minimal_order(backend, monos, limit):
     """deg mu(d) on the carrier if it is at most `limit`, else limit + 1.
 
     `linalg._first_dependence` on the operators d'^k, each flattened to
-    {(i, exponent): entry} over the chains d'^k m_i: the first power that
-    depends on the lower ones has order deg mu (d' = L d has the same
-    degree).  The search is fraction-free, so a non-integer entry of d'
-    (cyclotomic, or an uncleared Fraction) gives the Cayley-Hamilton bound
-    m instead; when d' is integral on the carrier, so are its powers.
+    {(i, exponent): entry} over the chains d'^k m_i, read one order at a
+    time: the first power that depends on the lower ones has order deg mu
+    (d' = L d has the same degree).
     """
-    derivs = chains.upto(1)
-    if any(type(c) is not int for chain in derivs for c in chain[1].values()):
-        return len(derivs)
-    powers = ({(i, e): c for i, chain in enumerate(chains.upto(k)) for e, c in chain[k].items()}
+    powers = ({(i, e): c for i, m in enumerate(monos) for e, c in backend.chain(m, k)[k].items()}
               for k in range(limit + 1))
     r = _first_dependence(powers)
     return limit + 1 if r is None else r
@@ -615,9 +571,10 @@ def pin_injectivity_check(backend, arity, order=None) -> CoefficientKernel:
         raise ValueError("pi_n requires n >= 2")
     monos = backend.monomials()
     order = len(monos) ** 2 if order is None else order
-    chains, start, exact = _order_ladder(backend, monos, order)
+    start, exact = _order_ladder(backend, monos, order)
     top = start if exact else order
-    columns = _coefficient_columns(chains.upto(top), monos, (top,) * (arity - 1) + (0,))
+    columns = _coefficient_columns(_derivative_chains(backend, monos, top), monos,
+                                   (top,) * (arity - 1) + (0,))
     return CoefficientKernel(_kernel_of_columns(columns, len(columns)), monos, arity, order)
 
 
@@ -643,7 +600,7 @@ def z2_kernel(backend, order=None, laurent_bound=1) -> CoefficientKernel:
     scales = [[[math.comb(b, c) * math.perm(j, c) * backend.denominator ** c
                 for j in range(top + 1)] for c in range(b + 1)] for b in shifts]
     columns = []
-    for u, chain in itertools.product(monos, _Chains(backend, monos).upto(top)):
+    for u, chain in itertools.product(monos, _derivative_chains(backend, monos, top)):
         # the order-T pi_2 column of (v, u) per order q: u d'^q v, until it vanishes
         pi2 = [[(tuple(map(_add, e, u)), x) for e, x in dk.items()]
                for dk in itertools.takewhile(bool, chain)]
@@ -667,63 +624,57 @@ def verify_comm_va_axioms(backend, samples, order) -> CheckReport:
     They hold for every derivation, so no `CommDiffVA` (whose d is the
     Leibniz extension of its images) fails them; the check stays as their
     executable statement, run by the tests on corrupted derivations, and
-    `bench/spans.py` `TARGETS` times it by name.
+    `bench/spans.py` `TARGETS` times it by name.  Each identity has as many
+    d's on both sides at each order, so its z^k coefficient is compared
+    times k! L^k, in d' = L d, on {exponent: coefficient} dicts.
     """
     report = CheckReport()
     vars_ = backend.variables
-    one = Poly.const(backend.nvars, _ONE)
-
-    def vacuum_ok(b):
-        coeffs = [(backend.derive_k(one, k) * b).scale(Fraction(1, math.factorial(k)))
-                  for k in range(order + 1)]
-        return coeffs[0] == b and all(c.is_zero() for c in coeffs[1:])
+    one = {(0,) * backend.nvars: 1}
 
     def creation_failures():
         for u in samples:
-            series = backend.exp_derivation_series(u, order)
             for k in range(order + 1):
-                got = (backend.derive_k(u, k) * one).scale(Fraction(1, math.factorial(k)))
-                if got != series[k]:
+                dku = backend.derived(u.terms, k)
+                if _mul(dku, one) != dku:
                     yield f"{poly_to_text(u, vars_)} at order {k}"
 
     def commutativity_failures():
         for u, v, w in itertools.product(samples, repeat=3):
             for a in range(order + 1):
                 for b in range(order + 1 - a):
-                    du = backend.derive_k(u, a)
-                    dv = backend.derive_k(v, b)
-                    if du * (dv * w) != dv * (du * w):
+                    du = backend.derived(u.terms, a)
+                    dv = backend.derived(v.terms, b)
+                    if _mul(du, _mul(dv, w.terms)) != _mul(dv, _mul(du, w.terms)):
                         yield (f"({poly_to_text(u, vars_)},{poly_to_text(v, vars_)},"
                                f"{poly_to_text(w, vars_)})")
 
-    report.record("vacuum", (poly_to_text(b, vars_) for b in samples if not vacuum_ok(b)))
+    report.record("vacuum", (poly_to_text(b, vars_) for b in samples
+                             if any(_mul(backend.derived(one, k), b.terms)
+                                    for k in range(1, order + 1))))
     report.record("creation", creation_failures())
     report.record("skew-symmetry", (
         f"({poly_to_text(u, vars_)}, {poly_to_text(v, vars_)})"
         for u, v in itertools.product(samples, repeat=2)
-        if not _skew_ok(backend, u, v, order)))
+        if next(_skew_failures(backend, u, v, order), None) is not None))
     report.record("mutual-commutativity", commutativity_failures())
     return report
 
 
 def _skew_failures(backend, u, v, order):
     """The orders k <= order at which skew symmetry Y(u, z)v = e^{zD} Y(v, -z)u
-    fails, compared coefficientwise with d in the place of D."""
+    fails, compared coefficientwise with d in the place of D.
+
+    The z^k coefficient times k! L^k reads, in d' = L d,
+    (d'^k u) v = sum_j (-1)^j C(k, j) d'^(k-j)((d'^j v) u), over the
+    integers for a rational derivation.
+    """
+    u, v = u.terms, v.terms
     for k in range(order + 1):
-        lhs = (backend.derive_k(u, k) * v).scale(Fraction(1, math.factorial(k)))
-        rhs = Poly.zero(backend.nvars)
-        for j in range(k + 1):
-            i = k - j
-            inner = (backend.derive_k(v, j) * u).scale(Fraction(1, math.factorial(j)))
-            sign = _ONE if j % 2 == 0 else -_ONE
-            rhs = rhs + backend.derive_k(inner, i).scale(
-                sign * Fraction(1, math.factorial(i)))
-        if lhs != rhs:
+        rhs = _sum((g, (-1) ** j * math.comb(k, j) * c) for j in range(k + 1)
+                   for g, c in backend.derived(_mul(backend.derived(v, j), u), k - j).items())
+        if _mul(backend.derived(u, k), v) != rhs:
             yield k
-
-
-def _skew_ok(backend, u, v, order):
-    return next(_skew_failures(backend, u, v, order), None) is None
 
 
 def flip_skew_check(backend, pairs, order) -> CheckReport:

@@ -81,6 +81,20 @@ def edited_action(act, bi, e, t, value):
 
 
 # ---------------------------------------------------------------------------
+# derivations
+
+
+def derive(backend, poly, k=1):
+    """d^k poly (no cap): the backend's chains d'^k m of its monomials,
+    d' = L d, summed and divided by L^k."""
+    scale = F(1, backend.denominator ** k)
+    out = Poly.zero(poly.nvars)
+    for e, c in poly.terms.items():
+        out = out + Poly(poly.nvars, backend.chain(e, k)[k]).scale(c * scale)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # corrupted derivations
 
 

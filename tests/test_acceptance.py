@@ -15,6 +15,7 @@ import pytest
 from conftest import (
     corpus_module_va_actions,
     cyclic_scaling_action,
+    derive,
     euler_backend,
     groups_are_isomorphic,
     sweedler_poly_action,
@@ -206,10 +207,10 @@ def test_criterion_6_def31_discriminates():
             a = act.backend
             z2_poly = Poly.monomial((2,))
             z1_poly = Poly.monomial((1,))
-            mismatch_z2 = act.act_basis_on_poly(x_idx, a.derive(z2_poly)) != \
-                a.derive(act.act_basis_on_poly(x_idx, z2_poly))
-            mismatch_z1 = act.act_basis_on_poly(x_idx, a.derive(z1_poly)) != \
-                a.derive(act.act_basis_on_poly(x_idx, z1_poly))
+            mismatch_z2 = act.act_basis_on_poly(x_idx, derive(a, z2_poly)) != \
+                derive(a, act.act_basis_on_poly(x_idx, z2_poly))
+            mismatch_z1 = act.act_basis_on_poly(x_idx, derive(a, z1_poly)) != \
+                derive(a, act.act_basis_on_poly(x_idx, z1_poly))
             if m in (0, 2):
                 assert mismatch_z2, m
             else:

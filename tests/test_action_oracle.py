@@ -244,6 +244,16 @@ def s3_rational_action(cap=2):
     return HopfAction.from_generator_images(*s3_rational_images(cap))
 
 
+def z2_half_cube_action(cap=4):
+    """Z/2 acting by x -> -x on (Q[x], d x = x/2 + x^3/3): d has the
+    denominator L = 6 and is not homogeneous, so d'^k = 6^k d^k scales both
+    sides of the vertex identity by 6^k, and every basis element is walked."""
+    h = group_algebra(cyclic_group_table(2))
+    backend = CommDiffVA(["x"], {"x": Poly(1, {(1,): F(1, 2), (3,): F(1, 3)})}, cap)
+    images = {h.names[1]: {"x": Poly.monomial((1,), -1)}}
+    return HopfAction.from_generator_images(h, backend, images)
+
+
 ACTIONS = {
     "s3": (lambda: s3_action(cap=2), (0, 1, -1, 2, F(1, 2))),
     "s3-rational": (lambda: s3_rational_action(cap=2), (0, 1, F(-1, 2), F(1, 3))),
@@ -253,6 +263,7 @@ ACTIONS = {
     "sweedler-m1": (lambda: sweedler_poly_action(m=1, cap=3), (0, 1, -1, F(1, 2))),
     "sweedler-m2": (lambda: sweedler_poly_action(m=2, cap=3), (0, 1, -1, 3)),
     "trivial": (lambda: trivial_action(sweedler(), euler_backend(3)), (0, 1, -1, F(2, 3))),
+    "z2-half-cube": (lambda: z2_half_cube_action(cap=4), (0, 1, -1, F(1, 2))),
 }
 CORRUPTIONS = 6
 
@@ -325,7 +336,7 @@ def test_the_corpus_reaches_every_failure():
 
 
 def test_passing_actions_pass():
-    for name in ("s3", "s3-rational", "z3-scaling", "z4-scaling", "trivial"):
+    for name in ("s3", "s3-rational", "z3-scaling", "z4-scaling", "trivial", "z2-half-cube"):
         assert verify_module_vertex_algebra(CORPUS[name]).passed, name
         assert construction_error(CORPUS[name]) is None, name
 
@@ -499,25 +510,31 @@ def squares_action(cap):
 def test_a_weight_one_identity_walk_ends_at_the_cap(monkeypatch, broken):
     # d^k e1 has degree deg e1 + k, so no order past D = 3 is walked: the
     # report at the default order (the 20 monomials) is the report at order
-    # D, witnesses included, and both derive the same chains
-    act = squares_action(3)
-    if broken:  # negate the image of one transposition, built unchecked
+    # D, witnesses included, and both read the same chains of a fresh backend
+    def make():
+        act = squares_action(3)
+        if not broken:
+            return act
+        # negate the image of one transposition, built unchecked
         columns = list(act._columns)
         columns[1] = {e: {m: -c for m, c in col.items()} for e, col in columns[1].items()}
-        act = UncheckedAction(act.hopf, act.backend, columns)
+        return UncheckedAction(act.hopf, act.backend, columns)
+
     derived = []
-    derive = CommDiffVA.derive_terms
+    chain = CommDiffVA.chain
 
-    def counting(self, terms):
-        derived.append(terms)
-        return derive(self, terms)
+    def counting(self, mono, k):
+        derived.append((mono, k))
+        return chain(self, mono, k)
 
-    monkeypatch.setattr(CommDiffVA, "derive_terms", counting)
+    monkeypatch.setattr(CommDiffVA, "chain", counting)
     runs = []
     for order in (None, 3):
+        act = make()
         derived.clear()
-        runs.append((list(verify_module_vertex_algebra(act, order).items()), len(derived)))
+        runs.append((list(verify_module_vertex_algebra(act, order).items()), list(derived)))
     assert runs[0] == runs[1]
+    assert max(k for _, k in runs[0][1]) == 3
     assert runs[0][0][-1][1][0] is not broken
     if broken:
         assert runs[0][0] == list(oracle_module_vertex_algebra(act, 3).items())

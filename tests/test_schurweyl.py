@@ -1,3 +1,4 @@
+import collections
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,13 @@ from conftest import (
     s3_perms,
 )
 from hopfva import schurweyl
-from hopfva.action import HopfAction, _sum_columns, trivial_action
+from hopfva.action import (
+    HopfAction,
+    _sum_columns,
+    fixed_subspace,
+    trivial_action,
+    verify_module_vertex_algebra,
+)
 from hopfva.errors import InvariantViolation, MatricesRequired, UnresolvedReference
 from hopfva.hopf import (
     cyclic_group_table,
@@ -35,7 +42,7 @@ from hopfva.schurweyl import (
     multiplicity_space,
     verify_character_table,
 )
-from hopfva.vertexalg import CommDiffVA, Poly
+from hopfva.vertexalg import CommDiffVA, Poly, pi2_kernel
 
 F = Fraction
 
@@ -883,3 +890,29 @@ def test_isotype_paths_build_no_matrix_and_no_poly(monkeypatch):
     intertwiners = sum(len(basis) for per_degree in spaces for basis in per_degree)
     assert intertwiners == 7 + 1 + 6  # triv (1, 1, 2, 3), sign (0, 0, 0, 1), std (0, 1, 2, 3)
     assert built == {"Matrix": 0, "Poly": 0}
+
+
+# --- one derivative store per backend ------------------------------------------
+
+
+def test_each_monomial_is_derived_once_per_backend(monkeypatch):
+    # pi_2, the module-vertex-algebra identity, the fixed-point closure and
+    # the commutant modes all read d from the backend's chains d'^k m, so the
+    # Leibniz rule runs at most once per monomial of the backend
+    act = _s3_action_with(S3_DERIVATIONS["e1+xi^2"], 2)
+    calls = collections.Counter()
+    derivative = CommDiffVA._monomial_derivative
+
+    def counted(self, mono):
+        calls[mono] += 1
+        return derivative(self, mono)
+
+    monkeypatch.setattr(CommDiffVA, "_monomial_derivative", counted)
+    pi2_kernel(act.backend, order=4)
+    verify_module_vertex_algebra(act)
+    fixed, _ = fixed_subspace(act)
+    x1, x2, x3 = (Poly.variable(3, i) for i in range(3))
+    report = check_commutant(FinGroupRep.from_hopf_action(act),
+                             [x1 * x1 + x2 * x2 + x3 * x3, x1 * x2 * x3], 3)
+    assert not fixed.is_zero() and report.passed
+    assert calls and set(calls.values()) == {1}
